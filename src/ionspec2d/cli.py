@@ -15,6 +15,7 @@ import hashlib
 import json
 import sys
 import time
+import warnings
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -152,6 +153,22 @@ def build_config(raw: dict) -> RunConfig:
         raise ConfigError("window must be 'none' or 'cosine'")
     if cfg.scenario in ("kerr", "resonance") and len(cfg.dims) != len(cfg.nbar):
         raise ConfigError("dims and nbar must have matching lengths")
+    if cfg.dt_s <= 0:
+        raise ConfigError("dt_s must be positive")
+    if cfg.scenario in ("kerr", "resonance") and cfg.phase_noise_diffusion > 0:
+        # the loss grows with t1 and t3, so the last grid point bounds it
+        t_last = (protocol.grid_points(cfg.effective_t_max, cfg.dt_s) - 1) * cfg.dt_s
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the run warns when it applies the loss
+            worst = phasenoise.contrast_loss(
+                cfg.signature, t_last, t_last, cfg.phase_noise_diffusion
+            )
+        if worst >= 1.0:
+            raise ConfigError(
+                f"phase_noise_diffusion {cfg.phase_noise_diffusion:g} rad^2/s gives a "
+                f"contrast loss of {worst:.3g} at the end of the grid; a loss >= 1 "
+                "would flip the sign of the signal"
+            )
     return cfg
 
 
@@ -255,11 +272,10 @@ def _write_spectrum_products(
 
 
 def _apply_phase_noise(grid, signature, diffusion):
-    """Pointwise analytic attenuation of the phase-cycled grid."""
+    """Pointwise analytic attenuation of the phase-cycled grid; build_config
+    has already rejected a loss that would reach 1 and flip the sign."""
     t1, t3 = np.meshgrid(grid.t1, grid.t3, indexing="ij")
-    loss = 0.5 * diffusion * (
-        (sum(signature)) ** 2 * t1 + signature[2] ** 2 * t3
-    )
+    loss = phasenoise.contrast_loss(signature, t1, t3, diffusion)
     return protocol.SignalGrid(t1=grid.t1, t3=grid.t3, values=grid.values * (1 - loss))
 
 

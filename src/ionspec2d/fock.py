@@ -1,7 +1,9 @@
 """Truncated Fock-space operators, displacement pulses and thermal states.
 
 Everything is dense: the registers used here stay small (a few thousand
-dimensions at most) and the propagator exponentials dominate the cost anyway.
+dimensions at most), and a scan builds these operators a fixed number of
+times, independent of its grid, so its time lines and branch contractions
+dominate the cost.
 """
 
 from __future__ import annotations

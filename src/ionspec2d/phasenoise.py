@@ -31,18 +31,20 @@ class WienerPhaseModel:
 
 def contrast_loss(
     signature: tuple[int, int, int],
-    t1: float,
-    t3: float,
+    t1: float | np.ndarray,
+    t3: float | np.ndarray,
     diffusion: float = DEFAULT_DIFFUSION,
-) -> float:
+) -> float | np.ndarray:
     """Fractional signal loss of a pathway due to phase diffusion.
 
-    Second-order (small-fluctuation) result; a warning is raised when
+    Second-order (small-fluctuation) result; ``t1`` and ``t3`` may be arrays
+    (broadcast together), and a warning is raised when the largest
     c*(t1+t3) leaves that regime.
     """
-    if diffusion * (t1 + t3) > SMALL_FLUCTUATION_LIMIT:
+    worst = float(np.max(diffusion * (np.asarray(t1) + t3)))
+    if worst > SMALL_FLUCTUATION_LIMIT:
         warnings.warn(
-            f"c*(t1+t3) = {diffusion * (t1 + t3):.3f}: outside the "
+            f"c*(t1+t3) = {worst:.3f}: outside the "
             "small-fluctuation regime, the quadratic loss formula degrades",
             stacklevel=2,
         )

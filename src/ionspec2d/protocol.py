@@ -19,7 +19,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import LindbladModel, Propagator, build_propagator
+from .dynamics import (
+    DEFAULT_MEMORY_BUDGET,
+    LindbladModel,
+    PropagatorSizeError,
+    build_propagator,
+    evolution_lines,
+)
 from .fock import displacement, embed
 
 IMAG_TOL = 1e-10
@@ -166,6 +172,21 @@ def grid_points(t_max: float, dt: float) -> int:
     return int(np.floor(t_max / dt * (1.0 + 1e-9))) + 1
 
 
+def _working_set_bytes(d: int, n: int, n_phases: tuple[int, int, int], threads: int) -> int:
+    """Upper bound on the bytes a scan holds at once: the forward line, the n4
+    covector lines and their hermitized copies, per worker thread two
+    branch-state stacks and one contraction result, and the real raw stack
+    with the complex copy that phase_cycle contracts."""
+    n2, n3, n4 = n_phases
+    workers = max(1, threads)
+    line = 16 * n * d * d
+    return (
+        line * (1 + 2 * n4 + 2 * workers)
+        + 16 * n * n * n4 * workers
+        + 24 * n * n * n2 * n3 * n4
+    )
+
+
 def scan(
     model: LindbladModel,
     rho0: np.ndarray,
@@ -177,35 +198,44 @@ def scan(
 ) -> SignalGrid:
     """Full (t1, t3, phase-tuple) scan, phase-cycled to the signature.
 
-    The t1 axis is propagated once and stored; each (phi_2, phi_3) branch then
-    applies pulses 2-3 to every stored state and walks the t3 axis, measuring
-    all phi_4 variants at each step through precomputed measurement operators.
-    Branches are independent work items (optionally spread over ``threads``)
-    writing to disjoint slots, so the assembled grid is deterministic.
+    Every raw signal is a bilinear form tr[A_j4(t3) D32 rho(t1) D32^+] of the
+    forward line rho(t1) = P^k1(D1 rho0 D1^+) and the backward (Heisenberg)
+    line A_j4(t3) = (P^+)^k3(D4^+ M D4), one per phi_4: the bra/ket pathway
+    picture of the nonlinear response (Mukamel, Principles of Nonlinear
+    Optical Spectroscopy, 1995).  Both lines are computed once
+    (``dynamics.evolution_lines``); each (phi_2, phi_3) branch is then one
+    (n x d^2) @ (d^2 x n n4) contraction.  Branches are independent work
+    items (optionally spread over ``threads``) writing to disjoint slots, so
+    the assembled grid is deterministic.  The working set is checked against
+    DEFAULT_MEMORY_BUDGET before any operator is built.
     """
     n = grid_points(t_max, dt)
     n2, n3, n4 = seq.n_phases
-    prop = build_propagator(model, dt, prefer=prefer)
     d = model.dim
+    need = _working_set_bytes(d, n, seq.n_phases, threads)
+    if need > DEFAULT_MEMORY_BUDGET:
+        raise PropagatorSizeError(
+            f"scan needs {need / 1024**3:.1f} GiB (dim {d}, {n} grid points), "
+            f"budget {DEFAULT_MEMORY_BUDGET / 1024**3:.1f} GiB"
+        )
 
     d1 = pulse_operator(model, seq, 1, 0.0)
     pulses2 = [pulse_operator(model, seq, 2, p) for p in seq.phase_grid(2)]
     pulses3 = [pulse_operator(model, seq, 3, p) for p in seq.phase_grid(3)]
     m_op = measurement_operator(model, seq)
-    # tr[(D4+ M D4) rho] as a covector on row-major vec(rho), one per phi_4
-    meas = np.stack(
+    observables = np.stack(
         [
-            (pulse_operator(model, seq, 4, p).conj().T @ m_op @ pulse_operator(model, seq, 4, p))
-            .T.reshape(-1)
+            pulse_operator(model, seq, 4, p).conj().T @ m_op @ pulse_operator(model, seq, 4, p)
             for p in seq.phase_grid(4)
         ]
     )
-
-    line = np.empty((n, d, d), dtype=complex)
-    line[0] = d1 @ rho0 @ d1.conj().T
-    for k in range(1, n):
-        nxt = prop.apply(line[k - 1])
-        line[k] = 0.5 * (nxt + nxt.conj().T)
+    basis, line, covectors = evolution_lines(
+        model, d1 @ rho0 @ d1.conj().T, observables, n, dt, prefer=prefer
+    )
+    if basis is not None:
+        pulses2 = [basis.conj().T @ p @ basis for p in pulses2]
+        pulses3 = [basis.conj().T @ p @ basis for p in pulses3]
+    meas = covectors.reshape(n * n4, d * d)  # row k3 * n4 + j4
 
     raw = np.empty((n, n, n2, n3, n4))
     max_imag = np.zeros(n2 * n3)
@@ -214,15 +244,9 @@ def scan(
         j2, j3 = divmod(item, n3)
         d32 = pulses3[j3] @ pulses2[j2]
         states = d32 @ line @ d32.conj().T
-        worst = 0.0
-        for k3 in range(n):
-            vals = states.reshape(n, d * d) @ meas.T  # (n_t1, n_phi4)
-            worst = max(worst, float(np.max(np.abs(vals.imag))))
-            raw[:, k3, j2, j3, :] = vals.real
-            if k3 < n - 1:
-                states = prop.apply_batch(states)
-                states = 0.5 * (states + np.conj(np.swapaxes(states, 1, 2)))
-        max_imag[item] = worst
+        vals = states.reshape(n, d * d) @ meas.T  # (n_t1, n_t3 * n_phi4)
+        max_imag[item] = np.max(np.abs(vals.imag))
+        raw[:, :, j2, j3, :] = vals.real.reshape(n, n, n4)
 
     items = range(n2 * n3)
     if threads > 1:

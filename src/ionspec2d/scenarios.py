@@ -5,8 +5,9 @@ transition: the effective Hamiltonian is diagonal in the product Fock basis,
 so the simulation runs one small zigzag-only scan per spectator occupation
 (n_y, n_eg) and averages with thermal weights -- this treats the static
 dephasing by spectator populations exactly.  The resonance scenario probes
-coherent zigzag-stretch energy exchange at anisotropy 20/63 under heating,
-which requires the dense Lindblad superoperator on the two-mode register.
+coherent zigzag-stretch energy exchange at anisotropy 20/63 under heating: a
+Lindblad model on the two-mode register, whose scan steps the sparse
+Liouvillian along the time grid.
 """
 
 from __future__ import annotations
@@ -128,8 +129,9 @@ def kerr_scan_fast(
 ) -> SignalGrid:
     """Sector-averaged zigzag scan: exact for the diagonal Hamiltonian.
 
-    Sectors are independent work items; their grids are reduced in a fixed
-    order so the result does not depend on the worker count.
+    Sectors are independent work items; each grid is added to the weighted
+    sum as it arrives, in sector order, so the result does not depend on the
+    worker count and sector grids are not kept once added.
     """
     reg = fock.FockRegister(dims=(model.dims[0],), labels=("zz",))
     rho0, _ = fock.thermal_state(model.nbar[0], model.dims[0])
@@ -143,18 +145,18 @@ def kerr_scan_fast(
         )
         return protocol.scan(m, rho0, seq, t_max, dt)
 
+    def weighted_sum(grids) -> SignalGrid:
+        total = 0.0  # 0.0 + the first sector's array, then += in place
+        for (ny, ne), grid in zip(sectors, grids):
+            total += weights[ny, ne] * grid.values
+        return SignalGrid(t1=grid.t1, t3=grid.t3, values=total)
+
     if threads > 1:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            grids = list(pool.map(run_sector, sectors))
-    else:
-        grids = [run_sector(s) for s in sectors]
-
-    total = np.zeros_like(grids[0].values)
-    for (ny, ne), grid in zip(sectors, grids):
-        total += weights[ny, ne] * grid.values
-    return SignalGrid(t1=grids[0].t1, t3=grids[0].t3, values=total)
+            return weighted_sum(pool.map(run_sector, sectors))
+    return weighted_sum(map(run_sector, sectors))
 
 
 def kerr_scan_full(

@@ -65,6 +65,8 @@ class TestConfigValidation:
             build_config({"scenario": "kerr", "window": "hann"})
         with pytest.raises(ConfigError, match="matching"):
             build_config({"scenario": "kerr", "dims": [9, 15], "nbar": [1.0, 4.0, 4.0]})
+        with pytest.raises(ConfigError, match="dt_s"):
+            build_config({"scenario": "kerr", "dt_s": -25.3e-6})
 
     def test_scenario_defaults(self):
         kerr = build_config({"scenario": "kerr"})
@@ -155,9 +157,11 @@ class TestManifest:
         assert m1["outputs"] == m2["outputs"]
 
     def test_manifest_written_on_failure(self, tmp_path):
+        # dims [30, 30] on the default 189-point grid: the scan's working set
+        # (~25 GiB) trips the memory guard before any operator is built
         cfg = build_config(
             {"scenario": "resonance", "out_dir": str(tmp_path), "dims": [30, 30],
-             "nbar": [0.7, 0.2], "grid_scale": 0.05}
+             "nbar": [0.7, 0.2]}
         )
         with pytest.raises(Exception):
             run_scenario(cfg)
@@ -220,7 +224,7 @@ class TestMainEntry:
         cfg_path.write_text(
             json.dumps(
                 {"scenario": "resonance", "dims": [30, 30], "nbar": [0.7, 0.2],
-                 "out_dir": str(tmp_path / "out"), "grid_scale": 0.05}
+                 "out_dir": str(tmp_path / "out")}
             )
         )
         assert main(["--config", str(cfg_path)]) == 1
@@ -249,3 +253,20 @@ class TestPhaseNoiseAttenuation:
         q = base.signature
         loss = 0.5 * 3.9478 * ((q[0] + q[1] + q[2]) ** 2 * t1 + q[2] ** 2 * t3)
         np.testing.assert_allclose(noisy, clean * (1 - loss), rtol=1e-12, atol=1e-18)
+
+    def test_sign_flipping_loss_rejected(self, tmp_path, capsys):
+        # 2000 rad^2/s reaches a loss of ~4 at the end of the 2 ms grid
+        with pytest.raises(ConfigError, match="flip"):
+            build_config({"scenario": "resonance", "phase_noise_diffusion": 2000.0})
+        # on a 0.2 ms grid the same diffusion loses at most ~0.38
+        build_config(
+            {"scenario": "resonance", "phase_noise_diffusion": 2000.0, "grid_scale": 0.1}
+        )
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(
+            json.dumps({"scenario": "kerr", "phase_noise_diffusion": 2000.0,
+                        "out_dir": str(tmp_path / "out")})
+        )
+        assert main(["--config", str(cfg_path)]) == 2
+        assert "flip" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()

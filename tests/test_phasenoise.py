@@ -55,6 +55,13 @@ class TestContrastLoss:
         with pytest.warns(UserWarning, match="small-fluctuation"):
             contrast_loss((1, -1, -1), 1.0, 1.0, diffusion=1.0)
 
+    def test_array_times_pointwise_and_warn_on_largest(self):
+        t = np.array([0.0, 1e-3, 0.2])
+        with pytest.warns(UserWarning, match="0.600"):
+            loss = contrast_loss((1, -2, -1), t, 2 * t, diffusion=1.0)
+        # 0.5 c [(p2+p3+p4)^2 t1 + p4^2 t3] = 0.5 (4 t + 2 t)
+        np.testing.assert_allclose(loss, 3.0 * t, rtol=1e-15)
+
 
 class TestSamplePaths:
     def test_wiener_statistics(self):

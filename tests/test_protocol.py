@@ -3,8 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ionspec2d import fock, scenarios
-from ionspec2d.dynamics import LindbladModel, heating_dissipator
+from ionspec2d import fock, protocol, scenarios
+from ionspec2d.dynamics import (
+    LindbladModel,
+    PropagatorAccuracyError,
+    PropagatorSizeError,
+    heating_dissipator,
+)
 from ionspec2d.fock import FockRegister, destroy, thermal_state
 from ionspec2d.protocol import (
     PulseSequence,
@@ -147,6 +152,102 @@ class TestGrid:
                     )
                     acc += val * w[0][j2] * w[1][j3] * w[2][j4]
         assert grid.values[0, 1] == pytest.approx(acc, abs=1e-11)
+
+
+def _kerr_mode(dim=7):
+    """Diagonal H: the closed form takes the phases directly."""
+    reg = FockRegister(dims=(dim,), labels=("m",))
+    n_op = np.diag(np.arange(dim)).astype(complex)
+    h = TWO_PI * 12e3 * n_op + TWO_PI * 2.5e3 * (n_op @ n_op - n_op)
+    return LindbladModel(hamiltonian=h, register=reg), thermal_state(0.4, dim)[0]
+
+
+def _driven_kerr_mode(dim=7):
+    """Non-diagonal Hermitian H: the closed form diagonalizes it."""
+    model, rho0 = _kerr_mode(dim)
+    a = destroy(dim)
+    drive = TWO_PI * 1.5e3 * np.exp(0.7j) * a
+    h = model.hamiltonian + drive + drive.conj().T
+    return LindbladModel(hamiltonian=h, register=model.register), rho0
+
+
+def _heated_exchange(dims=(4, 3)):
+    """Two-mode Lindblad model: the sparse Liouvillian path.  The complex
+    coupling and the extra cooling jump make L differ from its transpose."""
+    reg = FockRegister(dims=dims, labels=("zz", "str"))
+    a = fock.embed(destroy(dims[0]), 0, reg)
+    c = fock.embed(destroy(dims[1]), 1, reg)
+    g = TWO_PI * 5e3 * np.exp(0.3j)
+    h = g * (a @ a @ c.conj().T) + np.conj(g) * (a.conj().T @ a.conj().T @ c)
+    model = LindbladModel(
+        hamiltonian=h,
+        collapse_ops=heating_dissipator(0, 0.4e3, reg)
+        + heating_dissipator(1, 0.2e3, reg)
+        + [(a, 0.3e3)],
+        register=reg,
+    )
+    rho0 = fock.product_state([thermal_state(0.5, dims[0])[0], thermal_state(0.2, dims[1])[0]])
+    return model, rho0
+
+
+def _oracle(model, rho0, seq, t1, t3, cache):
+    """Phase-cycled signal at one (t1, t3) from single protocol executions."""
+    raw = np.array([
+        [
+            [run_once(model, rho0, seq, t1, t3, (p2, p3, p4), cache) for p4 in seq.phase_grid(4)]
+            for p3 in seq.phase_grid(3)
+        ]
+        for p2 in seq.phase_grid(2)
+    ])
+    return phase_cycle(raw, seq.signature)
+
+
+class TestScanEngine:
+    @pytest.mark.parametrize("build", [_kerr_mode, _driven_kerr_mode, _heated_exchange])
+    def test_matches_run_once_oracle(self, build):
+        model, rho0 = build()
+        seq = PulseSequence()
+        dt = 2e-5
+        grid = scan(model, rho0, seq, t_max=6 * dt, dt=dt)
+        assert np.max(np.abs(grid.values)) > 1e-6  # a signal to compare
+        cache = {}
+        for k1, k3 in ((0, 0), (0, 5), (3, 2), (6, 1), (6, 6)):
+            oracle = _oracle(model, rho0, seq, k1 * dt, k3 * dt, cache)
+            assert abs(grid.values[k1, k3] - oracle) < 1e-10
+
+    def test_one_point_grid(self):
+        model, rho0 = _heated_exchange()
+        seq = PulseSequence()
+        grid = scan(model, rho0, seq, t_max=0.5e-5, dt=1e-5)
+        assert grid.values.shape == (1, 1)
+        assert abs(grid.values[0, 0] - _oracle(model, rho0, seq, 0.0, 0.0, {})) < 1e-10
+
+    def test_memory_guard_trips_before_any_work(self, monkeypatch):
+        def no_pulses(*args, **kwargs):
+            pytest.fail("pulse operators built before the memory guard")
+
+        monkeypatch.setattr(protocol, "pulse_operator", no_pulses)
+        # a 900-level register on a 189-point grid needs ~25 GiB
+        reg = FockRegister(dims=(30, 30), labels=("zz", "str"))
+        model = LindbladModel(hamiltonian=np.zeros((900, 900), dtype=complex), register=reg)
+        rho0 = np.zeros((900, 900), dtype=complex)
+        with pytest.raises(PropagatorSizeError, match="GiB"):
+            scan(model, rho0, PulseSequence(), t_max=2e-3, dt=10.6e-6)
+
+    def test_injected_trace_drift_raises(self, monkeypatch):
+        import scipy.sparse.linalg
+
+        exact = scipy.sparse.linalg.expm_multiply
+
+        def drifting(a, b, **grid):
+            out = exact(a, b, **grid)
+            k = np.arange(len(out)).reshape((-1,) + (1,) * (out.ndim - 1))
+            return out * (1 + 1e-6 * k)
+
+        monkeypatch.setattr(scipy.sparse.linalg, "expm_multiply", drifting)
+        model, rho0 = _heated_exchange()
+        with pytest.raises(PropagatorAccuracyError, match="drift"):
+            scan(model, rho0, PulseSequence(), t_max=6 * 2e-5, dt=2e-5)
 
 
 class TestKerrDualPath:

@@ -1,0 +1,88 @@
+import csv
+
+import numpy as np
+import pytest
+
+from ionspec2d import scenarios
+from ionspec2d.cli import build_config, run_scenario
+from ionspec2d.protocol import grid_points
+from ionspec2d.spectrum import Peak
+
+OMEGA_ZZ = 2 * np.pi * 130e3
+OMEGA_T = 2 * np.pi * 6e3
+
+
+class TestPredictedResonancePeaks:
+    def test_labels_and_carrier_without_mirror(self):
+        pred = scenarios.predicted_resonance_peaks(OMEGA_ZZ, OMEGA_T)
+        assert sorted(pred) == sorted(
+            ["a", "b", "b'", "c", "c'", "d", "d'", "e", "e'", "f", "f'"]
+        )
+        assert pred["a"] == (-OMEGA_ZZ, -OMEGA_ZZ)
+
+    def test_primed_peaks_mirror_through_the_carrier(self):
+        pred = scenarios.predicted_resonance_peaks(OMEGA_ZZ, OMEGA_T)
+        carrier = pred["a"]
+        for label in "bcdef":
+            (x1, x3), (m1, m3) = pred[label], pred[label + "'"]
+            assert x1 + m1 == pytest.approx(2 * carrier[0], abs=1e-6)
+            assert x3 + m3 == pytest.approx(2 * carrier[1], abs=1e-6)
+            assert (x1, x3) != (m1, m3)
+
+    def test_sign_of_coupling_does_not_move_peaks(self):
+        assert scenarios.predicted_resonance_peaks(
+            OMEGA_ZZ, -OMEGA_T
+        ) == scenarios.predicted_resonance_peaks(OMEGA_ZZ, OMEGA_T)
+
+
+class TestLabelPeaks:
+    def test_tolerance_edge_is_inclusive(self):
+        inside = Peak(omega1=1.5, omega3=-1.0, magnitude=1.0)
+        outside = Peak(omega1=100.0, omega3=1.5000001, magnitude=2.0)
+        scenarios.label_peaks(
+            [inside, outside], {"x": (0.0, 0.0), "y": (100.0, 0.0)}, tol=1.5
+        )
+        assert (inside.label, outside.label) == ("x", "")
+
+    def test_nearest_peak_within_tolerance_wins(self):
+        far = Peak(omega1=1.0, omega3=0.0, magnitude=5.0)
+        near = Peak(omega1=0.2, omega3=-0.3, magnitude=1.0)
+        scenarios.label_peaks([far, near], {"x": (0.0, 0.0)}, tol=1.5)
+        assert (far.label, near.label) == ("", "x")
+
+    def test_one_label_per_peak(self):
+        # both predictions are nearest to the same peak: the first keeps it,
+        # the second is not moved onto another peak
+        shared = Peak(omega1=0.0, omega3=0.0, magnitude=1.0)
+        other = Peak(omega1=1.2, omega3=0.0, magnitude=1.0)
+        scenarios.label_peaks(
+            [shared, other], {"x": (0.1, 0.0), "y": (0.3, 0.0)}, tol=1.5
+        )
+        assert (shared.label, other.label) == ("x", "")
+
+
+class TestResonanceReference:
+    def test_paper_peaks_assigned(self, tmp_path):
+        # reference settings: dims (9, 6), heating (0.2, 0.1) quanta/ms, 189x189
+        manifest = run_scenario(
+            build_config({"scenario": "resonance", "out_dir": str(tmp_path)})
+        )
+        assert manifest["status"] == "ok"
+        with open(tmp_path / "peaks.csv") as fh:
+            peaks = {r["label"]: r for r in csv.DictReader(fh) if r["label"]}
+        derived = manifest["derived"]
+        pred = scenarios.predicted_resonance_peaks(
+            2 * np.pi * derived["omega_zz_hz"], 2 * np.pi * derived["omega_t_hz"]
+        )
+        cfg = build_config({"scenario": "resonance"})
+        n = grid_points(cfg.t_max_s, cfg.dt_s)
+        assert n == 189
+        bin_width = 2 * np.pi / (n * cfg.dt_s)
+        # f and f' are not found at the 0.05 peak threshold, so they are not pinned
+        expected = ["a", "b", "b'", "c", "c'", "d", "d'", "e", "e'"]
+        assert set(expected) <= set(peaks)
+        for label in expected:
+            w1, w3 = pred[label]
+            got = peaks[label]
+            assert abs(float(got["omega1_rad_s"]) - w1) <= 1.5 * bin_width, label
+            assert abs(float(got["omega3_rad_s"]) - w3) <= 1.5 * bin_width, label
