@@ -22,10 +22,12 @@ from pathlib import Path
 import numpy as np
 from scipy import constants
 
-from . import __version__, anharmonic, matio, phasenoise, protocol, scenarios, spectrum
+from . import __version__, anharmonic, fock, matio, phasenoise, protocol, scenarios, spectrum
 from .crystal import TrapConfig
 
 SCENARIOS = ("kerr", "resonance", "tables", "noise-table")
+# register modes of the simulated scenarios: (zz, y zigzag, Egyptian) and (zz, stretch)
+_MODE_COUNT = {"kerr": 3, "resonance": 2}
 
 
 class ConfigError(ValueError):
@@ -151,10 +153,38 @@ def build_config(raw: dict) -> RunConfig:
         raise ConfigError("grid_scale must be positive")
     if cfg.window not in ("none", "cosine"):
         raise ConfigError("window must be 'none' or 'cosine'")
-    if cfg.scenario in ("kerr", "resonance") and len(cfg.dims) != len(cfg.nbar):
-        raise ConfigError("dims and nbar must have matching lengths")
+    if len(cfg.n_phases) != 3 or len(cfg.signature) != 3:
+        raise ConfigError("n_phases and signature need three entries, for pulses 2..4")
+    if min(cfg.n_phases) < 1:
+        raise ConfigError("n_phases must be >= 1")
+    # kerr reads the y3 zigzag mode, which needs three ions; one ion has no zigzag
+    min_ions = {"noise-table": 0, "kerr": 3}.get(cfg.scenario, 2)
+    if cfg.n_ions < min_ions:
+        raise ConfigError(f"{cfg.scenario} needs n_ions >= {min_ions}, got {cfg.n_ions}")
+    if cfg.scenario in _MODE_COUNT:
+        if len(cfg.dims) != len(cfg.nbar):
+            raise ConfigError("dims and nbar must have matching lengths")
+        if len(cfg.dims) != _MODE_COUNT[cfg.scenario]:
+            raise ConfigError(
+                f"{cfg.scenario} needs {_MODE_COUNT[cfg.scenario]} dims, got {len(cfg.dims)}"
+            )
+        if min(cfg.dims) < 2:
+            raise ConfigError("every dim must be >= 2")
+        if min(cfg.nbar) < 0:
+            raise ConfigError("nbar must be >= 0")
+    if cfg.scenario == "resonance" and (
+        len(cfg.heating_quanta_per_ms) != 2 or min(cfg.heating_quanta_per_ms) < 0
+    ):
+        raise ConfigError("resonance needs two heating_quanta_per_ms values >= 0")
     if cfg.dt_s <= 0:
         raise ConfigError("dt_s must be positive")
+    if (
+        cfg.scenario in _MODE_COUNT
+        and protocol.grid_points(cfg.effective_t_max, cfg.dt_s) < 2
+    ):
+        raise ConfigError(
+            "t_max_s * grid_scale must be at least dt_s: a one-point grid has no spectrum"
+        )
     if cfg.scenario in ("kerr", "resonance") and cfg.phase_noise_diffusion > 0:
         # the loss grows with t1 and t3, so the last grid point bounds it
         t_last = (protocol.grid_points(cfg.effective_t_max, cfg.dt_s) - 1) * cfg.dt_s
@@ -279,6 +309,17 @@ def _apply_phase_noise(grid, signature, diffusion):
     return protocol.SignalGrid(t1=grid.t1, t3=grid.t3, values=grid.values * (1 - loss))
 
 
+def _truncation(labels: tuple[str, ...], cfg: RunConfig) -> dict:
+    """Thermal weight each mode keeps in its truncated Fock space; the
+    initial state is renormalized over it."""
+    return {
+        "kept_weight": {
+            label: fock.thermal_state(nbar, dim)[1]
+            for label, dim, nbar in zip(labels, cfg.dims, cfg.nbar)
+        }
+    }
+
+
 def run_scenario(cfg: RunConfig) -> dict:
     """Execute the configured scenario; returns the manifest dict."""
     out = Path(cfg.out_dir)
@@ -349,6 +390,7 @@ def _dispatch(cfg: RunConfig, out: Path, manifest: dict) -> list[Path]:
             params, dims=tuple(cfg.dims), nbar=tuple(cfg.nbar)
         )
         manifest["dissipation_free"] = True
+        manifest["truncation"] = _truncation(model.full_register().labels, cfg)
         if cfg.fast_path:
             grid = scenarios.kerr_scan_fast(model, seq, t_max, cfg.dt_s, cfg.threads)
         else:
@@ -363,6 +405,7 @@ def _dispatch(cfg: RunConfig, out: Path, manifest: dict) -> list[Path]:
         model = scenarios.resonance_model(
             res.omega_t, dims=tuple(cfg.dims), heating_quanta_per_s=rates
         )
+        manifest["truncation"] = _truncation(model.register.labels, cfg)
         rho0 = scenarios.resonance_initial_state(tuple(cfg.dims), tuple(cfg.nbar))
         grid = protocol.scan(
             model, rho0, seq, t_max, cfg.dt_s, threads=cfg.threads

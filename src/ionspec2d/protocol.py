@@ -158,13 +158,18 @@ def phase_cycle(raw: np.ndarray, signature: tuple[int, int, int]) -> np.ndarray:
     uniform phase grids of pulses 2..4; the result drops those axes.  Orders
     congruent to the signature modulo the phase counts alias onto it, which
     is controlled experimentally by keeping the pulse amplitudes small.
+    The phi_4 axis is contracted with the real and imaginary parts of its
+    weights separately, so the real stack is never copied to complex.
     """
     n2, n3, n4 = raw.shape[-3:]
-    w = [
+    w2, w3, w4 = (
         np.exp(-1j * q * 2.0 * np.pi * np.arange(n) / n) / n
         for q, n in zip(signature, (n2, n3, n4))
-    ]
-    return np.einsum("...abc,a,b,c->...", raw, w[0], w[1], w[2], optimize=True)
+    )
+    partial = np.empty(raw.shape[:-1], dtype=complex)
+    np.matmul(raw, w4.real, out=partial.real)
+    np.matmul(raw, w4.imag, out=partial.imag)
+    return (partial @ w3) @ w2
 
 
 def grid_points(t_max: float, dt: float) -> int:
@@ -176,15 +181,53 @@ def _working_set_bytes(d: int, n: int, n_phases: tuple[int, int, int], threads: 
     """Upper bound on the bytes a scan holds at once: the forward line, the n4
     covector lines and their hermitized copies, per worker thread two
     branch-state stacks and one contraction result, and the real raw stack
-    with the complex copy that phase_cycle contracts."""
+    with the complex partial sums phase_cycle forms over phi_4."""
     n2, n3, n4 = n_phases
     workers = max(1, threads)
     line = 16 * n * d * d
     return (
         line * (1 + 2 * n4 + 2 * workers)
         + 16 * n * n * n4 * workers
-        + 24 * n * n * n2 * n3 * n4
+        + 8 * n * n * n2 * n3 * (n4 + 2)
     )
+
+
+def _check_budget(need: int, what: str, d: int, n: int) -> None:
+    """PropagatorSizeError when a working set of ``need`` bytes would exceed
+    DEFAULT_MEMORY_BUDGET; called before any operator is built."""
+    if need > DEFAULT_MEMORY_BUDGET:
+        raise PropagatorSizeError(
+            f"{what} needs {need / 1024**3:.1f} GiB (dim {d}, {n} grid points), "
+            f"budget {DEFAULT_MEMORY_BUDGET / 1024**3:.1f} GiB"
+        )
+
+
+def _pulse_set(
+    model: LindbladModel, seq: PulseSequence
+) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray], np.ndarray]:
+    """Every operator a scan applies, each displacement built once.
+
+    Returns D1, the D2 and D3 operators over their phase grids, and the
+    stack of measured observables D4^+ M D4, one per phi_4.
+    """
+    d1 = pulse_operator(model, seq, 1, 0.0)
+    pulses2 = [pulse_operator(model, seq, 2, p) for p in seq.phase_grid(2)]
+    pulses3 = [pulse_operator(model, seq, 3, p) for p in seq.phase_grid(3)]
+    m_op = measurement_operator(model, seq)
+    d4s = [pulse_operator(model, seq, 4, p) for p in seq.phase_grid(4)]
+    observables = np.stack([d4.conj().T @ m_op @ d4 for d4 in d4s])
+    return d1, pulses2, pulses3, observables
+
+
+def _check_real(raw: np.ndarray, max_imag: float) -> None:
+    """SignalRealityError when the largest imaginary residual of a raw stack
+    exceeds IMAG_TOL * max(1, max|raw|)."""
+    scale = max(1.0, float(np.max(np.abs(raw))))
+    if max_imag > IMAG_TOL * scale:
+        raise SignalRealityError(
+            f"raw signal imaginary residual {max_imag:.3e} "
+            f"exceeds {IMAG_TOL * scale:.3e}"
+        )
 
 
 def scan(
@@ -212,23 +255,9 @@ def scan(
     n = grid_points(t_max, dt)
     n2, n3, n4 = seq.n_phases
     d = model.dim
-    need = _working_set_bytes(d, n, seq.n_phases, threads)
-    if need > DEFAULT_MEMORY_BUDGET:
-        raise PropagatorSizeError(
-            f"scan needs {need / 1024**3:.1f} GiB (dim {d}, {n} grid points), "
-            f"budget {DEFAULT_MEMORY_BUDGET / 1024**3:.1f} GiB"
-        )
+    _check_budget(_working_set_bytes(d, n, seq.n_phases, threads), "scan", d, n)
 
-    d1 = pulse_operator(model, seq, 1, 0.0)
-    pulses2 = [pulse_operator(model, seq, 2, p) for p in seq.phase_grid(2)]
-    pulses3 = [pulse_operator(model, seq, 3, p) for p in seq.phase_grid(3)]
-    m_op = measurement_operator(model, seq)
-    observables = np.stack(
-        [
-            pulse_operator(model, seq, 4, p).conj().T @ m_op @ pulse_operator(model, seq, 4, p)
-            for p in seq.phase_grid(4)
-        ]
-    )
+    d1, pulses2, pulses3, observables = _pulse_set(model, seq)
     basis, line, covectors = evolution_lines(
         model, d1 @ rho0 @ d1.conj().T, observables, n, dt, prefer=prefer
     )
@@ -256,12 +285,6 @@ def scan(
         for item in items:
             branch(item)
 
-    scale = max(1.0, float(np.max(np.abs(raw))))
-    if np.max(max_imag) > IMAG_TOL * scale:
-        raise SignalRealityError(
-            f"raw signal imaginary residual {np.max(max_imag):.3e} "
-            f"exceeds {IMAG_TOL * scale:.3e}"
-        )
-
+    _check_real(raw, float(np.max(max_imag)))
     t_axis = np.arange(n) * dt
     return SignalGrid(t1=t_axis, t3=t_axis, values=phase_cycle(raw, seq.signature))

@@ -68,6 +68,30 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="dt_s"):
             build_config({"scenario": "kerr", "dt_s": -25.3e-6})
 
+    @pytest.mark.parametrize(
+        "raw, match",
+        [
+            ({"scenario": "kerr", "dims": [9, 15], "nbar": [1.0, 4.0]}, "3 dims"),
+            ({"scenario": "resonance", "dims": [9, 6, 6], "nbar": [0.7, 0.2, 0.2]}, "2 dims"),
+            ({"scenario": "tables", "n_ions": 1}, "n_ions"),
+            ({"scenario": "kerr", "n_ions": 2}, "n_ions"),
+            ({"scenario": "kerr", "t_max_s": 20e-6, "dt_s": 25.3e-6}, "one-point grid"),
+            ({"scenario": "resonance", "grid_scale": 0.001}, "one-point grid"),
+            ({"scenario": "kerr", "dims": [9, 1, 15]}, "dim"),
+            ({"scenario": "resonance", "nbar": [0.7, -0.2]}, "nbar"),
+            ({"scenario": "resonance", "heating_quanta_per_ms": [0.2, 0.1, 0.1]}, "heating"),
+            ({"scenario": "kerr", "n_phases": [4, 4]}, "n_phases"),
+        ],
+    )
+    def test_rejected_before_any_work(self, raw, match, tmp_path, capsys):
+        with pytest.raises(ConfigError, match=match):
+            build_config(raw)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(dict(raw, out_dir=str(tmp_path / "out"))))
+        assert main(["--config", str(cfg_path)]) == 2
+        assert match in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_scenario_defaults(self):
         kerr = build_config({"scenario": "kerr"})
         assert kerr.dims == (9, 15, 15)
@@ -168,6 +192,22 @@ class TestManifest:
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["status"] == "error"
         assert "error" in manifest
+
+    def test_truncation_kept_weight(self, tmp_path):
+        def kept(nbar, dim):  # geometric thermal weight on levels 0 .. dim-1
+            return 1.0 - (nbar / (1.0 + nbar)) ** dim
+
+        kerr = run_scenario(self._tiny_kerr(tmp_path / "k"))
+        assert kerr["truncation"]["kept_weight"] == pytest.approx(
+            {"zz": kept(0.8, 5), "y3": kept(2.0, 3), "eg": kept(2.0, 3)}, rel=1e-12
+        )
+        res = run_scenario(build_config(
+            {"scenario": "resonance", "out_dir": str(tmp_path / "r"), "dims": [4, 3],
+             "nbar": [0.3, 0.1], "grid_scale": 0.05}
+        ))
+        assert res["truncation"]["kept_weight"] == pytest.approx(
+            {"zz": kept(0.3, 4), "str": kept(0.1, 3)}, rel=1e-12
+        )
 
     def test_dissipation_free_flag(self, tmp_path):
         cfg = build_config(

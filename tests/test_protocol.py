@@ -102,6 +102,20 @@ class TestPhaseCycle:
             expected += 0.5
         assert abs(got) == pytest.approx(expected, abs=1e-10)
 
+    @pytest.mark.parametrize("shape", [(4, 4, 4), (7, 6, 4, 3, 5)])
+    def test_matches_complex_einsum(self, shape):
+        # the reference contraction, which copies the real stack to complex
+        raw = np.random.default_rng(5).standard_normal(shape)
+        signature = (1, -1, -1)
+        w = [
+            np.exp(-1j * q * TWO_PI * np.arange(n) / n) / n
+            for q, n in zip(signature, shape[-3:])
+        ]
+        ref = np.einsum("...abc,a,b,c->...", raw, *w, optimize=True)
+        got = phase_cycle(raw, signature)
+        assert np.shape(got) == shape[:-3]
+        assert np.max(np.abs(got - ref)) <= 1e-15
+
     def test_linearity_in_initial_state(self):
         # extraction commutes with convex mixtures of raw stacks
         rng = np.random.default_rng(3)

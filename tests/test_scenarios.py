@@ -3,9 +3,11 @@ import csv
 import numpy as np
 import pytest
 
-from ionspec2d import scenarios
+from ionspec2d import dynamics, protocol, scenarios
 from ionspec2d.cli import build_config, run_scenario
-from ionspec2d.protocol import grid_points
+from ionspec2d.dynamics import LindbladModel, PropagatorSizeError
+from ionspec2d.fock import FockRegister, thermal_state
+from ionspec2d.protocol import PulseSequence, SignalRealityError, grid_points, scan
 from ionspec2d.spectrum import Peak
 
 OMEGA_ZZ = 2 * np.pi * 130e3
@@ -86,3 +88,80 @@ class TestResonanceReference:
             got = peaks[label]
             assert abs(float(got["omega1_rad_s"]) - w1) <= 1.5 * bin_width, label
             assert abs(float(got["omega3_rad_s"]) - w3) <= 1.5 * bin_width, label
+
+
+KHZ = 2 * np.pi * 1e3
+DT = 25.3e-6
+
+
+def _kerr_model():
+    """Small register with unequal, non-commensurate spectator rates, so no
+    two sector shifts coincide and the shift distribution has no symmetry."""
+    return scenarios.KerrModel(
+        omega_si=2.6 * KHZ,
+        delta_zz=0.9 * KHZ,
+        rate_y=1.234 * KHZ,
+        rate_eg=-0.5 * np.sqrt(3.0) * KHZ,
+        dims=(5, 3, 4),
+        nbar=(0.8, 1.5, 2.5),
+    )
+
+
+def _sector_loop(model, seq, t_max, dt):
+    """The thermal sector average term by term: one protocol.scan of the
+    shifted zigzag Hamiltonian per spectator occupation (n_y, n_eg)."""
+    d = model.dims[0]
+    n = np.arange(d)
+    reg = FockRegister(dims=(d,), labels=("zz",))
+    rho0, _ = thermal_state(model.nbar[0], d)
+    p_y = np.diag(thermal_state(model.nbar[1], model.dims[1])[0]).real
+    p_eg = np.diag(thermal_state(model.nbar[2], model.dims[2])[0]).real
+    total = 0.0
+    for n_y in range(model.dims[1]):
+        for n_eg in range(model.dims[2]):
+            shift = model.delta_zz + model.rate_y * n_y + model.rate_eg * n_eg
+            h = np.diag(0.5 * model.omega_si * n * (n - 1) + shift * n).astype(complex)
+            grid = scan(LindbladModel(hamiltonian=h, register=reg), rho0, seq, t_max, dt)
+            total = total + p_y[n_y] * p_eg[n_eg] * grid.values
+    return total
+
+
+class TestKerrSectorAverage:
+    def test_matches_sector_loop(self):
+        model, seq = _kerr_model(), PulseSequence()
+        fast = scenarios.kerr_scan_fast(model, seq, 10 * DT, DT)
+        oracle = _sector_loop(model, seq, 10 * DT, DT)
+        assert fast.values.shape == (11, 11)
+        scale = np.max(np.abs(oracle))
+        assert scale > 1e-6  # a signal to compare
+        assert np.max(np.abs(fast.values - oracle)) <= 1e-12 * scale
+
+    def test_one_point_grid(self):
+        model, seq = _kerr_model(), PulseSequence()
+        fast = scenarios.kerr_scan_fast(model, seq, 0.5 * DT, DT)
+        oracle = _sector_loop(model, seq, 0.5 * DT, DT)
+        assert fast.values.shape == (1, 1)
+        assert abs(fast.values[0, 0] - oracle[0, 0]) <= 1e-12 * abs(oracle[0, 0])
+
+    def test_non_hermitian_state_raises(self, monkeypatch):
+        # every pulse acts by conjugation and both lines are re-hermitized,
+        # so the imaginary residual is injected after the line is built
+        exact = dynamics.evolution_lines
+
+        def skewed(*args, **kwargs):
+            basis, forward, covectors = exact(*args, **kwargs)
+            forward = forward.copy()
+            forward[:, 0, 1] += 1e-3j
+            return basis, forward, covectors
+
+        monkeypatch.setattr(dynamics, "evolution_lines", skewed)
+        with pytest.raises(SignalRealityError, match="imaginary"):
+            scenarios.kerr_scan_fast(_kerr_model(), PulseSequence(), 6 * DT, DT)
+
+    def test_memory_guard_trips_before_any_work(self, monkeypatch):
+        def no_pulses(*args, **kwargs):
+            pytest.fail("pulse operators built before the memory guard")
+
+        monkeypatch.setattr(protocol, "pulse_operator", no_pulses)
+        with pytest.raises(PropagatorSizeError, match="GiB"):
+            scenarios.kerr_scan_fast(_kerr_model(), PulseSequence(), 4000 * DT, DT)
