@@ -3,9 +3,12 @@
 Four scenarios: ``kerr`` (self-interaction spectrum near the structural
 transition), ``resonance`` (zigzag-stretch exchange spectrum under heating),
 ``tables`` (effective-parameter tables only), and ``noise-table`` (the laser
-phase-noise contrast-loss table).  Every run, successful or not, leaves a
-manifest.json with the resolved configuration, derived parameters and
-checksums of all outputs.
+phase-noise contrast-loss table).  ``kerr`` always runs the sector-averaged
+closed form ``scenarios.kerr_scan_fast``; ``resonance`` runs
+``protocol.scan``.  ``build_config`` rejects an invalid configuration with
+ConfigError (exit 2) before any work starts.  Every run, successful or not,
+leaves a manifest.json with the resolved configuration, derived parameters
+and checksums of all outputs.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
 import warnings
@@ -57,7 +61,6 @@ class RunConfig:
     window: str = "none"
     zero_pad: int = 1
     baseline_notch: bool = False
-    fast_path: bool = True
     peak_threshold: float = 0.05
     phase_noise_diffusion: float = 0.0
     noise_t1_s: float = 2.5e-3
@@ -112,6 +115,31 @@ _TUPLE_FIELDS = {
     "n_phases": int,
     "signature": int,
 }
+_INT_FIELDS = ("n_ions", "seed", "threads", "zero_pad", "mc_paths")
+# ranges checked for every scenario, so that no value fails only after the run
+_POSITIVE = (
+    "mass_amu", "omega_z_hz", "omega_x_hz", "omega_y_hz",
+    "t_max_s", "dt_s", "grid_scale", "threads", "zero_pad",
+)
+_NON_NEGATIVE = ("seed", "mc_paths", "phase_noise_diffusion", "noise_t1_s", "noise_t3_s")
+
+
+def _scalar(name: str, value, kind: type):
+    """``value`` as a 64-bit integer or a finite float, never truncated;
+    ConfigError otherwise."""
+    if isinstance(value, bool) or not isinstance(value, (kind, int)):
+        raise ConfigError(f"{name} must be {'an integer' if kind is int else 'a number'}")
+    if kind is int:
+        if abs(value) >= 2**63:
+            raise ConfigError(f"{name} must fit in 64 bits")
+        return value
+    try:
+        value = float(value)
+    except OverflowError:  # an integer beyond the float range
+        value = math.inf
+    if not math.isfinite(value):
+        raise ConfigError(f"{name} must be finite")
+    return value
 
 
 def build_config(raw: dict) -> RunConfig:
@@ -133,24 +161,25 @@ def build_config(raw: dict) -> RunConfig:
         if f.name in _TUPLE_FIELDS:
             if not isinstance(value, (list, tuple)):
                 raise ConfigError(f"{f.name} must be a list")
-            value = tuple(_TUPLE_FIELDS[f.name](v) for v in value)
+            value = tuple(_scalar(f"{f.name} entry", v, _TUPLE_FIELDS[f.name]) for v in value)
         elif f.name in ("scenario", "out_dir", "window"):
             if not isinstance(value, str):
                 raise ConfigError(f"{f.name} must be a string")
-        elif f.name in ("baseline_notch", "fast_path"):
+        elif f.name == "baseline_notch":
             if not isinstance(value, bool):
                 raise ConfigError(f"{f.name} must be a boolean")
-        elif f.name in ("n_ions", "seed", "threads", "zero_pad", "mc_paths"):
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ConfigError(f"{f.name} must be an integer")
         else:
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise ConfigError(f"{f.name} must be a number")
-            value = float(value)
+            value = _scalar(f.name, value, int if f.name in _INT_FIELDS else float)
         cfg_kwargs[f.name] = value
     cfg = RunConfig(**cfg_kwargs)
-    if cfg.grid_scale <= 0:
-        raise ConfigError("grid_scale must be positive")
+    for name in _POSITIVE:
+        if getattr(cfg, name) <= 0:
+            raise ConfigError(f"{name} must be positive")
+    for name in _NON_NEGATIVE:
+        if getattr(cfg, name) < 0:
+            raise ConfigError(f"{name} must be >= 0")
+    if not 0 < cfg.peak_threshold < 1:
+        raise ConfigError("peak_threshold must be in (0, 1)")
     if cfg.window not in ("none", "cosine"):
         raise ConfigError("window must be 'none' or 'cosine'")
     if len(cfg.n_phases) != 3 or len(cfg.signature) != 3:
@@ -176,15 +205,14 @@ def build_config(raw: dict) -> RunConfig:
         len(cfg.heating_quanta_per_ms) != 2 or min(cfg.heating_quanta_per_ms) < 0
     ):
         raise ConfigError("resonance needs two heating_quanta_per_ms values >= 0")
-    if cfg.dt_s <= 0:
-        raise ConfigError("dt_s must be positive")
-    if (
-        cfg.scenario in _MODE_COUNT
-        and protocol.grid_points(cfg.effective_t_max, cfg.dt_s) < 2
-    ):
-        raise ConfigError(
-            "t_max_s * grid_scale must be at least dt_s: a one-point grid has no spectrum"
-        )
+    if cfg.scenario in _MODE_COUNT:
+        # also false when t_max_s * grid_scale overflows to infinity
+        if not cfg.effective_t_max / cfg.dt_s < 2**62:
+            raise ConfigError("t_max_s * grid_scale / dt_s is too large for a grid index")
+        if protocol.grid_points(cfg.effective_t_max, cfg.dt_s) < 2:
+            raise ConfigError(
+                "t_max_s * grid_scale must be at least dt_s: a one-point grid has no spectrum"
+            )
     if cfg.scenario in ("kerr", "resonance") and cfg.phase_noise_diffusion > 0:
         # the loss grows with t1 and t3, so the last grid point bounds it
         t_last = (protocol.grid_points(cfg.effective_t_max, cfg.dt_s) - 1) * cfg.dt_s
@@ -391,10 +419,7 @@ def _dispatch(cfg: RunConfig, out: Path, manifest: dict) -> list[Path]:
         )
         manifest["dissipation_free"] = True
         manifest["truncation"] = _truncation(model.full_register().labels, cfg)
-        if cfg.fast_path:
-            grid = scenarios.kerr_scan_fast(model, seq, t_max, cfg.dt_s, cfg.threads)
-        else:
-            grid = scenarios.kerr_scan_full(model, seq, t_max, cfg.dt_s, cfg.threads)
+        grid = scenarios.kerr_scan_fast(model, seq, t_max, cfg.dt_s)
         table_paths = _write_tables(out, params)
     else:  # resonance
         res = scenarios.resonance_parameters(data)

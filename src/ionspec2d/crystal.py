@@ -77,9 +77,6 @@ class EquilibriumChain:
     def n_ions(self) -> int:
         return len(self.u)
 
-    def positions_m(self) -> np.ndarray:
-        return self.l_z * self.u
-
 
 @dataclass(frozen=True)
 class NormalModes:
@@ -101,25 +98,13 @@ class NormalModes:
     def n_ions(self) -> int:
         return len(self.lambda_z)
 
-    def omega_axial(self, omega_z: float) -> np.ndarray:
-        return np.sqrt(self.lambda_z) * omega_z
-
     def omega_radial_x(self, omega_z: float) -> np.ndarray:
         return np.sqrt(self.gamma_x) * omega_z
 
-    def omega_radial_y(self, omega_z: float) -> np.ndarray:
-        return np.sqrt(self.gamma_y) * omega_z
-
-
-def axial_potential(u: np.ndarray) -> float:
-    """Dimensionless axial potential 1/2 sum u_i^2 + sum_{i<j} 1/|u_i - u_j|."""
-    diff = np.abs(u[:, None] - u[None, :])
-    inv = 1.0 / diff[np.triu_indices(len(u), k=1)]
-    return 0.5 * float(np.dot(u, u)) + float(np.sum(inv))
-
 
 def axial_gradient(u: np.ndarray) -> np.ndarray:
-    """Gradient of :func:`axial_potential`; zero at equilibrium."""
+    """Gradient of the dimensionless axial potential
+    1/2 sum u_i^2 + sum_{i<j} 1/|u_i - u_j|; zero at equilibrium."""
     d = u[:, None] - u[None, :]
     np.fill_diagonal(d, np.inf)
     return u - np.sum(np.sign(d) / d**2, axis=1)

@@ -8,10 +8,10 @@ eigendecomposition of H (the phases directly when H is diagonal); Lindblad
 models step a sparse Liouvillian with ``scipy.sparse.linalg.expm_multiply``
 (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011)).
 
-``build_propagator`` builds exp(L dt) for one fixed step in one of three
-representations (phase multiplication for diagonal H, a dense unitary, or a
-dense superoperator exponential); it serves single protocol executions and
-is the independent oracle the scan engine is tested against.
+``build_propagator`` builds exp(L dt) for one fixed step as the dense
+exponential of the Liouvillian, exact for closed and open models alike; it
+serves single protocol executions (``protocol.run_once``), the independent
+oracle the line engine is tested against.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from scipy.linalg import expm
 
 from .fock import FockRegister, destroy, embed
 
-DEFAULT_MEMORY_BUDGET = 6 * 1024**3  # bytes, guards superoperators and scans
+DEFAULT_MEMORY_BUDGET = 6 * 1024**3  # bytes, the one limit _check_budget applies
 TRACE_TOL_PER_STEP = 1e-9
 
 
@@ -63,32 +63,32 @@ class LindbladModel:
 
 @dataclass(frozen=True)
 class Propagator:
-    """exp(L dt) in one of three representations.
+    """exp(L dt) as a dense superoperator on row-major-vectorized density
+    matrices."""
 
-    kind 'diagonal' stores the Hamiltonian eigenphases (valid only for
-    diagonal H without dissipation), 'unitary' stores exp(-iH dt), and
-    'super' stores the full superoperator on row-major-vectorized density
-    matrices.
-    """
-
-    kind: str
     step: float
     dim: int
-    matrix: np.ndarray | None = None
-    phases: np.ndarray | None = None  # exp(-i E dt) for the diagonal path
+    matrix: np.ndarray
+    kind = "super"  # the one representation; per-kind tracing reads it
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
         return self.apply_batch(rho[None, :, :])[0]
 
     def apply_batch(self, states: np.ndarray) -> np.ndarray:
         """Propagate a (batch, dim, dim) stack of density matrices."""
-        if self.kind == "diagonal":
-            return states * (self.phases[:, None] * self.phases.conj()[None, :])
-        if self.kind == "unitary":
-            return self.matrix @ states @ self.matrix.conj().T
         b, d, _ = states.shape
         out = self.matrix @ states.reshape(b, d * d).T
         return np.ascontiguousarray(out.T).reshape(b, d, d)
+
+
+def _check_budget(need: int, what: str) -> None:
+    """PropagatorSizeError when a working set of ``need`` bytes would exceed
+    DEFAULT_MEMORY_BUDGET; called before any operator is built."""
+    if need > DEFAULT_MEMORY_BUDGET:
+        raise PropagatorSizeError(
+            f"{what} needs {need / 1024**3:.1f} GiB, "
+            f"budget {DEFAULT_MEMORY_BUDGET / 1024**3:.1f} GiB"
+        )
 
 
 def _is_diagonal(h: np.ndarray) -> bool:
@@ -99,7 +99,7 @@ def _is_diagonal(h: np.ndarray) -> bool:
 def liouvillian(model: LindbladModel):
     """Sparse (CSR) superoperator -i[H, .] + dissipators, row-major
     vectorization: vec(A rho B) = (A kron B^T) vec(rho)."""
-    from scipy import sparse  # lazy: dissipation-free runs never need it
+    from scipy import sparse  # lazy: dissipation-free scans never need it
 
     h = sparse.csr_matrix(model.hamiltonian)
     eye = sparse.identity(model.dim, dtype=complex, format="csr")
@@ -116,39 +116,13 @@ def liouvillian(model: LindbladModel):
     return lv.tocsr()
 
 
-def build_propagator(
-    model: LindbladModel,
-    dt: float,
-    prefer: str = "auto",
-    memory_budget: int = DEFAULT_MEMORY_BUDGET,
-) -> Propagator:
-    """exp(L dt) with the cheapest representation that is exact for the model.
-
-    ``prefer='dense'`` forces the unitary/superoperator path even when the
-    diagonal fast path applies (used to cross-check the two).
-    """
+def build_propagator(model: LindbladModel, dt: float) -> Propagator:
+    """exp(L dt) as the dense exponential of the Liouvillian."""
     if dt <= 0:
         raise ValueError("dt must be positive")
     d = model.dim
-    if not model.dissipative:
-        if prefer != "dense" and _is_diagonal(model.hamiltonian):
-            energies = np.real(np.diag(model.hamiltonian))
-            return Propagator(
-                kind="diagonal", step=dt, dim=d, phases=np.exp(-1j * energies * dt)
-            )
-        return Propagator(
-            kind="unitary", step=dt, dim=d, matrix=expm(-1j * model.hamiltonian * dt)
-        )
-    superdim = d * d
-    need = superdim * superdim * 16
-    if need > memory_budget:
-        raise PropagatorSizeError(
-            f"superoperator needs {need / 1024**3:.1f} GiB "
-            f"(dim {d} -> {superdim}^2), budget {memory_budget / 1024**3:.1f} GiB"
-        )
-    return Propagator(
-        kind="super", step=dt, dim=d, matrix=expm(liouvillian(model).toarray() * dt)
-    )
+    _check_budget(16 * d**4, f"superoperator (dim {d} -> {d * d}^2)")
+    return Propagator(step=dt, dim=d, matrix=expm(liouvillian(model).toarray() * dt))
 
 
 def _hermitize(ops: np.ndarray) -> np.ndarray:
@@ -167,7 +141,6 @@ def evolution_lines(
     observables: np.ndarray,
     n: int,
     dt: float,
-    prefer: str = "auto",
 ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
     """Forward and backward lines of the one-step evolution P = exp(L dt).
 
@@ -183,7 +156,7 @@ def evolution_lines(
       rotated the same way.
 
     Dissipation-free models use the closed form (no stepping, no drift),
-    from the diagonal of H directly unless ``prefer='dense'``; Lindblad
+    from the diagonal of H directly when H is diagonal; Lindblad
     models use the sparse Liouvillian with ``expm_multiply`` on the grid and
     its transpose for the covectors.  Both lines are re-hermitized, and a
     forward trace drift above TRACE_TOL_PER_STEP per grid point raises
@@ -206,7 +179,7 @@ def evolution_lines(
         back = np.moveaxis(back.reshape(n, d, d, m), 3, 1)  # view, hermitized below
     else:
         h = model.hamiltonian
-        if prefer != "dense" and _is_diagonal(h):
+        if _is_diagonal(h):
             energies, basis = np.real(np.diag(h)), None
         else:
             energies, basis = np.linalg.eigh(h)
@@ -244,23 +217,3 @@ def heating_dissipator(
     a = embed(destroy(register.dims[slot]), slot, register)
     return [(a, rate_ndot), (a.conj().T, rate_ndot)]
 
-
-def evolve(state: np.ndarray, prop: Propagator, steps: int) -> np.ndarray:
-    """Apply the propagator ``steps`` times with numerical hygiene.
-
-    The state is re-hermitized after every application and the trace drift is
-    checked against TRACE_TOL_PER_STEP.
-    """
-    if steps < 0:
-        raise ValueError("steps must be >= 0")
-    rho = state
-    for _ in range(steps):
-        trace_before = np.real(np.trace(rho))
-        rho = prop.apply(rho)
-        rho = 0.5 * (rho + rho.conj().T)
-        drift = abs(np.real(np.trace(rho)) - trace_before)
-        if drift > TRACE_TOL_PER_STEP * max(1.0, abs(trace_before)):
-            raise PropagatorAccuracyError(
-                f"trace drift {drift:.2e} in one step of {prop.kind} propagator"
-            )
-    return rho

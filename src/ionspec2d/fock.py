@@ -110,8 +110,3 @@ def embed(op: np.ndarray, slot: int, register: FockRegister) -> np.ndarray:
 def product_state(states: list[np.ndarray]) -> np.ndarray:
     """Tensor product of per-mode density matrices, in register order."""
     return reduce(np.kron, states)
-
-
-def number_expectation(rho: np.ndarray, slot: int, register: FockRegister) -> float:
-    n_op = embed(np.diag(np.arange(register.dims[slot])).astype(complex), slot, register)
-    return float(np.real(np.trace(n_op @ rho)))

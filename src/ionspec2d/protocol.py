@@ -19,13 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import (
-    DEFAULT_MEMORY_BUDGET,
-    LindbladModel,
-    PropagatorSizeError,
-    build_propagator,
-    evolution_lines,
-)
+from .dynamics import LindbladModel, _check_budget, build_propagator, evolution_lines
 from .fock import displacement, embed
 
 IMAG_TOL = 1e-10
@@ -120,10 +114,14 @@ def run_once(
     phases: tuple[float, float, float],
     prop_cache: dict | None = None,
 ) -> float:
-    """Single protocol execution for one (t1, t3, phase tuple).
+    """Single protocol execution for one (t1, t3, phase tuple): the test
+    oracle of ``scan``.
 
-    Returns the real measured population; a complex residual above IMAG_TOL
-    raises.  Propagators are memoized in ``prop_cache`` keyed by the interval.
+    Each free evolution applies the exact one-step map of
+    ``dynamics.build_propagator`` for the whole interval, independent of the
+    line engine ``scan`` uses.  Returns the real measured population; a
+    complex residual above IMAG_TOL raises.  Propagators are memoized in
+    ``prop_cache`` keyed by the interval.
     """
     cache = prop_cache if prop_cache is not None else {}
 
@@ -192,16 +190,6 @@ def _working_set_bytes(d: int, n: int, n_phases: tuple[int, int, int], threads: 
     )
 
 
-def _check_budget(need: int, what: str, d: int, n: int) -> None:
-    """PropagatorSizeError when a working set of ``need`` bytes would exceed
-    DEFAULT_MEMORY_BUDGET; called before any operator is built."""
-    if need > DEFAULT_MEMORY_BUDGET:
-        raise PropagatorSizeError(
-            f"{what} needs {need / 1024**3:.1f} GiB (dim {d}, {n} grid points), "
-            f"budget {DEFAULT_MEMORY_BUDGET / 1024**3:.1f} GiB"
-        )
-
-
 def _pulse_set(
     model: LindbladModel, seq: PulseSequence
 ) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray], np.ndarray]:
@@ -237,7 +225,6 @@ def scan(
     t_max: float,
     dt: float,
     threads: int = 1,
-    prefer: str = "auto",
 ) -> SignalGrid:
     """Full (t1, t3, phase-tuple) scan, phase-cycled to the signature.
 
@@ -250,17 +237,18 @@ def scan(
     (n x d^2) @ (d^2 x n n4) contraction.  Branches are independent work
     items (optionally spread over ``threads``) writing to disjoint slots, so
     the assembled grid is deterministic.  The working set is checked against
-    DEFAULT_MEMORY_BUDGET before any operator is built.
+    the memory budget (``dynamics._check_budget``) before any operator is
+    built.
     """
     n = grid_points(t_max, dt)
     n2, n3, n4 = seq.n_phases
     d = model.dim
-    _check_budget(_working_set_bytes(d, n, seq.n_phases, threads), "scan", d, n)
+    _check_budget(
+        _working_set_bytes(d, n, seq.n_phases, threads), f"scan (dim {d}, {n} grid points)"
+    )
 
     d1, pulses2, pulses3, observables = _pulse_set(model, seq)
-    basis, line, covectors = evolution_lines(
-        model, d1 @ rho0 @ d1.conj().T, observables, n, dt, prefer=prefer
-    )
+    basis, line, covectors = evolution_lines(model, d1 @ rho0 @ d1.conj().T, observables, n, dt)
     if basis is not None:
         pulses2 = [basis.conj().T @ p @ basis for p in pulses2]
         pulses3 = [basis.conj().T @ p @ basis for p in pulses3]

@@ -15,7 +15,7 @@ the sparse Liouvillian along the time grid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -135,7 +135,6 @@ def kerr_scan_fast(
     seq: PulseSequence,
     t_max: float,
     dt: float,
-    threads: int = 1,
 ) -> SignalGrid:
     """Sector-averaged zigzag scan: exact for the diagonal Hamiltonian.
 
@@ -156,8 +155,8 @@ def kerr_scan_fast(
     per covector order D3, T(k1, k3, y) = sum_D1 chi(D1 k1 + D3 k3)
     states(k1, D1, y) with the covectors of order D3.  No per-sector line
     or full phase table is formed.  The sector-averaged raw stack is checked
-    with the scan's reality rule.  ``threads`` is accepted for the config's
-    sake; the contraction runs on one thread.
+    with the scan's reality rule, and the working set against the memory
+    budget before any operator is built.
     """
     d = model.dims[0]
     n = protocol.grid_points(t_max, dt)
@@ -172,7 +171,7 @@ def kerr_scan_fast(
         + 8 * n * n * (3 * n_orders + 2 * d + 4 * n4)
         + 8 * n * n * n2 * n3 * (n4 + 2)
     )
-    protocol._check_budget(need, "kerr sector scan", d, n)
+    dynamics._check_budget(need, f"kerr sector scan (dim {d}, {n} grid points)")
 
     reg = fock.FockRegister(dims=(d,), labels=("zz",))
     zz = dynamics.LindbladModel(hamiltonian=model.zz_hamiltonian(), register=reg)
@@ -228,13 +227,11 @@ def kerr_scan_full(
     seq: PulseSequence,
     t_max: float,
     dt: float,
-    threads: int = 1,
-    prefer: str = "auto",
 ) -> SignalGrid:
     """Reference path: the full product-register evolution (no averaging).
 
     Memory grows with (number of grid points) x (register dimension)^2, so
-    this is meant for cross-checking the fast path at reduced truncations.
+    this is the test oracle of ``kerr_scan_fast`` at reduced truncations.
     """
     reg = model.full_register()
     states = [
@@ -242,7 +239,7 @@ def kerr_scan_full(
     ]
     rho0 = fock.product_state(states)
     full = dynamics.LindbladModel(hamiltonian=model.full_hamiltonian(), register=reg)
-    return protocol.scan(full, rho0, seq, t_max, dt, threads=threads, prefer=prefer)
+    return protocol.scan(full, rho0, seq, t_max, dt)
 
 
 # ---------------------------------------------------------------------------
@@ -314,14 +311,3 @@ def label_peaks(
         if best is not None and not best.label:
             best.label = label
 
-
-@dataclass
-class ScenarioRun:
-    """Bundle of the artifacts a scenario produces."""
-
-    grid: SignalGrid
-    spectrum: object
-    projection_1: object
-    projection_3: object
-    peaks: object
-    derived: dict = field(default_factory=dict)

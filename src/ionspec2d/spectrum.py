@@ -61,14 +61,6 @@ class PeakList:
     def __len__(self):
         return len(self.peaks)
 
-    def nearest(self, omega1: float, omega3: float) -> Peak:
-        if not self.peaks:
-            raise ValueError("empty peak list")
-        return min(
-            self.peaks,
-            key=lambda p: (p.omega1 - omega1) ** 2 + (p.omega3 - omega3) ** 2,
-        )
-
 
 def _window(n: int, kind: str) -> np.ndarray:
     if kind == "none":

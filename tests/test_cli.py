@@ -1,12 +1,26 @@
 import csv
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ionspec2d import matio
-from ionspec2d.cli import ConfigError, RunConfig, build_config, main, run_scenario
+from ionspec2d.cli import SCENARIOS, ConfigError, RunConfig, build_config, main, run_scenario
+
+# any value json.loads can return (NaN, infinities and big ints included), with
+# leaves biased toward plausible settings so that the later checks are reached
+PLAUSIBLE = st.integers(-1, 16) | st.floats(-0.5, 1.5) | st.sampled_from(
+    [0.0, 1e-9, 25.3e-6, 2e-3, 2e6, 1e400, float("nan"), 10**400]
+)
+JSON_VALUES = st.recursive(
+    PLAUSIBLE | st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=8,
+)
 
 
 class TestBinaryFormat:
@@ -57,8 +71,8 @@ class TestConfigValidation:
             build_config({"scenario": "kerr", "dims": 9})
         with pytest.raises(ConfigError, match="threads"):
             build_config({"scenario": "kerr", "threads": 1.5})
-        with pytest.raises(ConfigError, match="fast_path"):
-            build_config({"scenario": "kerr", "fast_path": "yes"})
+        with pytest.raises(ConfigError, match="baseline_notch"):
+            build_config({"scenario": "kerr", "baseline_notch": "yes"})
         with pytest.raises(ConfigError, match="grid_scale"):
             build_config({"scenario": "kerr", "grid_scale": -0.5})
         with pytest.raises(ConfigError, match="window"):
@@ -81,6 +95,19 @@ class TestConfigValidation:
             ({"scenario": "resonance", "nbar": [0.7, -0.2]}, "nbar"),
             ({"scenario": "resonance", "heating_quanta_per_ms": [0.2, 0.1, 0.1]}, "heating"),
             ({"scenario": "kerr", "n_phases": [4, 4]}, "n_phases"),
+            ({"scenario": "kerr", "dims": ["a", 3, 3]}, "dims entry"),
+            ({"scenario": "kerr", "dims": [None, 3, 3]}, "dims entry"),
+            ({"scenario": "kerr", "t_max_s": float("inf")}, "t_max_s"),
+            ({"scenario": "kerr", "dt_s": float("nan")}, "dt_s"),
+            ({"scenario": "resonance", "grid_scale": float("nan")}, "grid_scale"),
+            ({"scenario": "kerr", "dims": [9.5, 15, 15]}, "dims entry"),
+            ({"scenario": "kerr", "signature": [1, -1, -1.7]}, "signature entry"),
+            ({"scenario": "kerr", "zero_pad": 0}, "zero_pad"),
+            ({"scenario": "kerr", "peak_threshold": 1.5}, "peak_threshold"),
+            ({"scenario": "kerr", "mass_amu": -1}, "mass_amu"),
+            ({"scenario": "noise-table", "mc_paths": -1}, "mc_paths"),
+            ({"scenario": "kerr", "phase_noise_diffusion": -1.0}, "phase_noise_diffusion"),
+            ({"scenario": "kerr", "threads": 0}, "threads"),
         ],
     )
     def test_rejected_before_any_work(self, raw, match, tmp_path, capsys):
@@ -91,6 +118,21 @@ class TestConfigValidation:
         assert main(["--config", str(cfg_path)]) == 2
         assert match in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        scenario=st.sampled_from(SCENARIOS),
+        rest=st.dictionaries(
+            st.sampled_from([f.name for f in fields(RunConfig)]), JSON_VALUES, max_size=4
+        ),
+    )
+    def test_any_json_config_builds_or_raises_config_error(self, scenario, rest):
+        raw = {"scenario": scenario, **rest}  # an arbitrary scenario in rest wins
+        try:
+            cfg = build_config(raw)
+        except ConfigError:
+            return
+        assert isinstance(cfg, RunConfig)
 
     def test_scenario_defaults(self):
         kerr = build_config({"scenario": "kerr"})

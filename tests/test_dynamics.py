@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 
-from ionspec2d import fock
+from ionspec2d import dynamics, fock
 from ionspec2d.dynamics import (
     LindbladModel,
-    PropagatorAccuracyError,
     PropagatorSizeError,
     build_propagator,
-    evolve,
+    evolution_lines,
     heating_dissipator,
     liouvillian,
 )
@@ -24,6 +23,16 @@ def _coherence_state(dim):
     return np.outer(psi, psi.conj())
 
 
+def _line(model, rho, steps, dt):
+    """Forward line P^k(rho), k = 0 .. steps, of evolution_lines in the
+    register basis."""
+    identity = np.eye(model.dim, dtype=complex)[None]
+    basis, forward, _ = evolution_lines(model, rho, identity, steps + 1, dt)
+    if basis is not None:
+        forward = basis @ forward @ basis.conj().T
+    return forward
+
+
 class TestFreeEvolution:
     def test_coherence_phase(self):
         omega = 2 * np.pi * 50e3
@@ -32,13 +41,12 @@ class TestFreeEvolution:
         h = omega * np.diag(np.arange(dim)).astype(complex)
         model = LindbladModel(hamiltonian=h, register=reg)
         dt = 1e-6
-        prop = build_propagator(model, dt)
-        assert prop.kind == "diagonal"
-        rho = evolve(_coherence_state(dim), prop, 1)
+        rho = _line(model, _coherence_state(dim), 1, dt)[1]
         # |1><0| element advances by exp(-i omega dt)
         assert rho[1, 0] == pytest.approx(0.5 * np.exp(-1j * omega * dt), abs=1e-12)
 
     def test_diagonal_and_dense_paths_agree(self):
+        # closed-form phases of a diagonal H against the dense oracle map
         omega = 2 * np.pi * 80e3
         dim = 6
         reg = _single_mode(dim)
@@ -46,15 +54,15 @@ class TestFreeEvolution:
         h = omega * n + 2 * np.pi * 4e3 * n @ n
         model = LindbladModel(hamiltonian=h, register=reg)
         dt = 2.5e-6
-        fast = build_propagator(model, dt)
-        dense = build_propagator(model, dt, prefer="dense")
-        assert fast.kind == "diagonal" and dense.kind == "unitary"
         rho0, _ = thermal_state(0.8, dim)
         d = fock.displacement(0.3, dim)
         rho0 = d @ rho0 @ d.conj().T
-        r1 = evolve(rho0, fast, 7)
-        r2 = evolve(rho0, dense, 7)
-        assert np.max(np.abs(r1 - r2)) < 1e-12
+        prop = build_propagator(model, dt)
+        assert prop.kind == "super"
+        dense = [rho0]
+        for _ in range(7):
+            dense.append(prop.apply(dense[-1]))
+        assert np.max(np.abs(_line(model, rho0, 7, dt) - np.array(dense))) < 1e-12
 
     def test_unitary_preserves_spectrum(self):
         dim = 5
@@ -62,10 +70,8 @@ class TestFreeEvolution:
         a = destroy(dim)
         h = 2 * np.pi * 1e4 * (a + a.conj().T)  # non-diagonal
         model = LindbladModel(hamiltonian=h, register=reg)
-        prop = build_propagator(model, 1e-5)
-        assert prop.kind == "unitary"
         rho0, _ = thermal_state(1.2, dim)
-        rho = evolve(rho0, prop, 5)
+        rho = _line(model, rho0, 5, 1e-5)[5]
         np.testing.assert_allclose(
             np.sort(np.linalg.eigvalsh(rho)),
             np.sort(np.linalg.eigvalsh(rho0)),
@@ -87,16 +93,13 @@ class TestHeating:
             collapse_ops=heating_dissipator(0, ndot, reg),
             register=reg,
         )
-        prop = build_propagator(model, 1e-5)
-        assert prop.kind == "super"
         rho = np.zeros((dim, dim), dtype=complex)
         rho[0, 0] = 1.0
         n_op = np.diag(np.arange(dim))
-        rho_1ms = evolve(rho, prop, 100)
-        n_1ms = float(np.real(np.trace(n_op @ rho_1ms)))
+        line = _line(model, rho, 200, 1e-5)
+        n_1ms = float(np.real(np.trace(n_op @ line[100])))
         assert n_1ms == pytest.approx(0.2, abs=0.002)
-        rho_2ms = evolve(rho_1ms, prop, 100)
-        n_2ms = float(np.real(np.trace(n_op @ rho_2ms)))
+        n_2ms = float(np.real(np.trace(n_op @ line[200])))
         assert n_2ms == pytest.approx(0.4, rel=1e-3)
 
     def test_purity_strictly_decreases(self):
@@ -107,13 +110,11 @@ class TestHeating:
             collapse_ops=heating_dissipator(0, 0.1e3, reg),
             register=reg,
         )
-        prop = build_propagator(model, 2e-5)
         d = fock.displacement(0.4, dim)
         rho = d[:, [0]] @ d[:, [0]].conj().T  # pure coherent state
-        purities = [1.0]
-        for _ in range(5):
-            rho = evolve(rho, prop, 10)
-            purities.append(float(np.real(np.trace(rho @ rho))))
+        line = _line(model, rho, 50, 2e-5)[::10]
+        purities = [float(np.real(np.trace(r @ r))) for r in line]
+        assert purities[0] == pytest.approx(1.0, abs=1e-12)
         assert all(b < a for a, b in zip(purities, purities[1:]))
 
     def test_trace_preserved_under_heating(self):
@@ -124,9 +125,8 @@ class TestHeating:
             collapse_ops=heating_dissipator(0, 0.3e3, reg),
             register=reg,
         )
-        prop = build_propagator(model, 1e-5)
         rho, _ = thermal_state(0.5, dim)
-        out = evolve(rho, prop, 50)
+        out = _line(model, rho, 50, 1e-5)[50]
         assert np.trace(out).real == pytest.approx(1.0, abs=50 * 1e-9)
 
 
@@ -142,10 +142,9 @@ class TestDephasing:
             collapse_ops=[(n_op, 1e3)],
             register=reg,
         )
-        prop = build_propagator(model, 1e-5)
         d = fock.displacement(0.5, dim)
         rho0 = d[:, [0]] @ d[:, [0]].conj().T
-        rho = evolve(rho0, prop, 40)
+        rho = _line(model, rho0, 40, 1e-5)[40]
         np.testing.assert_allclose(np.diag(rho).real, np.diag(rho0).real, atol=1e-10)
         # off-diagonals must have decayed
         assert abs(rho[0, 1]) < abs(rho0[0, 1])
@@ -161,40 +160,26 @@ class TestSemigroup:
         collapse = heating_dissipator(0, 0.2e3, reg) if dissipative else []
         model = LindbladModel(hamiltonian=h, collapse_ops=collapse, register=reg)
         dt = 4e-6
-        p1 = build_propagator(model, dt, prefer="dense")
-        p2 = build_propagator(model, 2 * dt, prefer="dense")
         rho, _ = thermal_state(0.6, dim)
-        assert np.max(np.abs(evolve(rho, p1, 2) - evolve(rho, p2, 1))) < 1e-9
+        # two steps of the line against one double step of the oracle map
+        two_small = _line(model, rho, 2, dt)[2]
+        one_double = build_propagator(model, 2 * dt).apply(rho)
+        assert np.max(np.abs(two_small - one_double)) < 1e-9
 
 
 class TestEvolveEdges:
+    """Edges of the forward line and of the oracle map."""
+
     def test_zero_steps_identity(self):
         dim = 4
         reg = _single_mode(dim)
         model = LindbladModel(
             hamiltonian=np.diag(np.arange(dim)).astype(complex), register=reg
         )
-        prop = build_propagator(model, 1.0)
         rho, _ = thermal_state(0.3, dim)
-        assert np.array_equal(evolve(rho, prop, 0), rho)
+        assert np.array_equal(_line(model, rho, 0, 1.0)[0], rho)
 
-    def test_trace_drift_detected(self):
-        dim = 3
-        reg = _single_mode(dim)
-        model = LindbladModel(
-            hamiltonian=np.zeros((dim, dim), dtype=complex),
-            collapse_ops=heating_dissipator(0, 1e3, reg),
-            register=reg,
-        )
-        prop = build_propagator(model, 1e-6)
-        bad = type(prop)(
-            kind=prop.kind, step=prop.step, dim=prop.dim, matrix=prop.matrix * 1.001
-        )
-        rho, _ = thermal_state(0.4, dim)
-        with pytest.raises(PropagatorAccuracyError):
-            evolve(rho, bad, 1)
-
-    def test_size_guard(self):
+    def test_size_guard(self, monkeypatch):
         dim = 12
         reg = _single_mode(dim)
         model = LindbladModel(
@@ -202,14 +187,17 @@ class TestEvolveEdges:
             collapse_ops=heating_dissipator(0, 1e3, reg),
             register=reg,
         )
-        with pytest.raises(PropagatorSizeError):
-            build_propagator(model, 1e-6, memory_budget=1024)
+        monkeypatch.setattr(dynamics, "DEFAULT_MEMORY_BUDGET", 1024)
+        with pytest.raises(PropagatorSizeError, match="GiB"):
+            build_propagator(model, 1e-6)
 
     def test_invalid_dt(self):
         reg = _single_mode(3)
         model = LindbladModel(hamiltonian=np.zeros((3, 3), dtype=complex), register=reg)
         with pytest.raises(ValueError):
             build_propagator(model, 0.0)
+        with pytest.raises(ValueError):
+            evolution_lines(model, np.eye(3), np.eye(3)[None], 2, 0.0)
 
 
 class TestModelValidation:

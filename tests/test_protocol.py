@@ -274,9 +274,6 @@ class TestKerrDualPath:
         fast = scenarios.kerr_scan_fast(model, seq, t_max, dt)
         full = scenarios.kerr_scan_full(model, seq, t_max, dt)
         assert np.max(np.abs(fast.values - full.values)) < 1e-10
-        # and against the dense (non-diagonal) propagator route
-        dense = scenarios.kerr_scan_full(model, seq, t_max, dt, prefer="dense")
-        assert np.max(np.abs(fast.values - dense.values)) < 1e-10
 
 
 class TestDeterminism:
