@@ -1,11 +1,16 @@
 """Cubic and quartic Coulomb couplings and the effective mode parameters.
 
-Position-basis tensors C3/C4 are built from the dimensionless equilibrium
-positions; contracting them with the normal-mode matrix gives the mode-basis
-tensors D3/D4 from which every effective rate follows: the zigzag
+Position-basis tensors C3/C4 are one pair sum over the ions, each pair's
+Coulomb derivative times (e_p - e_q)^(x k), built from the dimensionless
+equilibrium positions; contracting them with the normal-mode matrix gives the
+mode-basis tensors D3/D4 from which every effective rate follows: the zigzag
 self-interaction, cross-Kerr dephasing rates, frequency shifts (fourth order
 directly, third order via second-order perturbation theory), and the resonant
-zigzag-stretch exchange coupling.
+zigzag-stretch exchange coupling.  Everything is array code: the second-order
+shifts are one batched sum over (spectator x mode, z mode, sign pattern)
+evaluated on the few probe states the Kerr fit reads (Marquet, Schmidt-Kaler
+& James, Appl. Phys. B 76, 199 (2003)), and the RWA census broadcasts the
+quartic coefficients over every mode quartet and its 16 sign patterns.
 
 Mode indexing is 0-based everywhere in code: the center-of-mass mode is index
 0 and the zigzag/highest axial mode is index N-1.  Human-readable labels in
@@ -17,6 +22,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 from scipy import constants
@@ -95,15 +101,6 @@ class ResonantCoupling:
 
 
 @dataclass(frozen=True)
-class RWATerm:
-    term_id: str
-    coefficient: float
-    rotation_frequency: float
-    ratio: float
-    secular: bool
-
-
-@dataclass(frozen=True)
 class Manifold:
     """Conserved-charge block of the resonant Hamiltonian.
 
@@ -121,52 +118,33 @@ def mode_label(direction: str, index0: int) -> str:
     return f"{direction}{index0 + 1}"
 
 
+def _pair_sum_tensor(chain: EquilibriumChain, k: int) -> np.ndarray:
+    """C_k = sum_{p<q} w_pq (e_p - e_q)^(x k) over ion pairs.
+
+    w_pq is (-1)^k / k! times the k-th derivative of the pair's Coulomb term
+    1/|d| at d = u_p - u_q: sign(d)/|d|^4 for k = 3 and 1/|d|^5 for k = 4.
+    """
+    u = np.asarray(chain.u, dtype=float)
+    p, q = np.triu_indices(len(u), 1)
+    d = u[p] - u[q]
+    w = np.sign(d) / np.abs(d) ** 4 if k == 3 else 1.0 / np.abs(d) ** 5
+    e = np.eye(len(u))[p] - np.eye(len(u))[q]
+    idx = "ijkl"[:k]
+    return np.einsum(f"a,{','.join('a' + i for i in idx)}->{idx}", w, *[e] * k, optimize=True)
+
+
 def c3_tensor(chain: EquilibriumChain) -> np.ndarray:
-    """Cubic Coulomb tensor over ion indices.
+    """Cubic Coulomb tensor over ion indices, fully symmetric.
 
     Entries vanish whenever all three indices differ; the remaining cases are
     signed inverse fourth powers of the ion separations.
     """
-    u = np.asarray(chain.u, dtype=float)
-    n = len(u)
-    d = u[:, None] - u[None, :]
-    np.fill_diagonal(d, np.inf)
-    a = np.sign(d) / np.abs(d) ** 4
-    s = a.sum(axis=1)
-    c3 = np.zeros((n, n, n))
-    for i in range(n):
-        c3[i, i, i] = s[i]
-        for k in range(n):
-            if k == i:
-                continue
-            c3[i, i, k] = a[k, i]
-            c3[i, k, k] = a[i, k]
-            c3[i, k, i] = a[k, i]
-    return c3
+    return _pair_sum_tensor(chain, 3)
 
 
 def c4_tensor(chain: EquilibriumChain) -> np.ndarray:
     """Quartic Coulomb tensor, fully symmetric in its four ion indices."""
-    u = np.asarray(chain.u, dtype=float)
-    n = len(u)
-    d = np.abs(u[:, None] - u[None, :])
-    np.fill_diagonal(d, np.inf)
-    b = 1.0 / d**5
-    t = b.sum(axis=1)
-    c4 = np.zeros((n, n, n, n))
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for m in range(n):
-                    vals, counts = np.unique((i, j, k, m), return_counts=True)
-                    if len(vals) == 1:
-                        c4[i, j, k, m] = t[i]
-                    elif len(vals) == 2 and counts[0] == 2:
-                        c4[i, j, k, m] = b[vals[0], vals[1]]
-                    elif len(vals) == 2:
-                        # 3+1 split: minority index picks up the minus sign
-                        c4[i, j, k, m] = -b[vals[0], vals[1]]
-    return c4
+    return _pair_sum_tensor(chain, 4)
 
 
 def mode_tensors(c3: np.ndarray, c4: np.ndarray, m: np.ndarray) -> ModeTensors:
@@ -241,89 +219,76 @@ def effective_kerr(
     return KerrParams(omega_si=omega_si, delta=delta, dephasing=dephasing)
 
 
-def _third_order_couplings(
-    trap: TrapConfig, modes: NormalModes, tensors: ModeTensors
-) -> tuple[list[tuple[str, int]], dict[tuple[str, int], float], dict]:
-    """Mode list, frequencies (units of omega_z) and cubic coefficients of the
-    x-mode part of the third-order Hamiltonian (units of omega_z).
+def _second_order_shifts(
+    trap: TrapConfig,
+    modes: NormalModes,
+    tensors: ModeTensors,
+    occ: np.ndarray,
+    guard: float = 1e-3,
+) -> np.ndarray:
+    """Second-order energy shifts E2(n) of the cubic x-mode Hamiltonian for a
+    batch of Fock states; everything in units of omega_z.
 
-    Only cubic couplings with at least one zigzag index are kept: the other
-    elements do not touch the zigzag dynamics, and the published shift tables
-    are defined with this restriction.
+    Row s of ``occ`` holds the occupations of the x modes 1..N-1, then of the
+    z modes 1..N-1.  Only cubic couplings g X_a X_b Z_p with a zigzag index
+    among a, b are kept: the other elements do not touch the zigzag dynamics,
+    and the published shift tables are defined with this restriction.  For
+    a spectator x mode b != zz, both orderings (zz, b) and (b, zz) reach the
+    same states and sum into one coefficient G; each of the 8 sign patterns
+    s moves n to n + s_zz e_zz + s_b e_b + s_p e_p with |amplitude|^2
+    G^2 prod (n + [s > 0]).  For b = zz the patterns move n_zz by +2, -2 or
+    0, the two mixed-sign orderings of X_zz^2 adding up to the amplitude
+    (2 n_zz + 1).  Every pattern with a nonzero coupling is checked against
+    ``guard``: flipping all signs keeps |denominator|, and a pattern or its
+    flip is reachable from the vacuum or a single-quantum state.
     """
     n = modes.n_ions
-    zz = n - 1
-    x_modes = [("x", m) for m in range(1, n)]
-    z_modes = [("z", m) for m in range(1, n)]
-    freqs = {("x", m): float(np.sqrt(modes.gamma_x[m])) for m in range(1, n)}
-    freqs.update({("z", m): float(np.sqrt(modes.lambda_z[m])) for m in range(1, n)})
-    pref = 3.0 * anharmonic_prefactor(trap)
-    g = {}
-    for _, a in x_modes:
-        for _, b in x_modes:
-            if a != zz and b != zz:
-                continue
-            for _, p in z_modes:
-                val = tensors.d3[a, b, p]
-                if abs(val) < 1e-14:
-                    continue
-                denom = (
-                    modes.gamma_x[a] * modes.gamma_x[b] * modes.lambda_z[p]
-                ) ** 0.25
-                g[(("x", a), ("x", b), ("z", p))] = pref * val / denom
-    return x_modes + z_modes, freqs, g
+    zz = n - 2  # position of the zigzag among the x modes 1..N-1
+    gx, lz = modes.gamma_x[1:], modes.lambda_z[1:]
+    d3 = tensors.d3[1:, 1:, 1:]
+    g = np.where(np.abs(d3) < 1e-14, 0.0, d3) * (
+        3.0 * anharmonic_prefactor(trap)
+        / (gx[:, None, None] * gx[None, :, None] * lz[None, None, :]) ** 0.25
+    )
+    coupling = g[zz] + g[:, zz]  # (b, p)
+    coupling[zz] = 0.0
+    sign = np.array([1.0, -1.0])  # raise, lower
+    rot_x = np.multiply.outer(np.sqrt(gx), sign)  # (b, s_b)
+    rot_z = np.multiply.outer(np.sqrt(lz), sign)  # (p, s_p)
+    # E_n - E_final over (s_zz, b, s_b, p, s_p) and over (zz move, p, s_p)
+    gap = -(rot_x[zz][:, None, None, None, None] + rot_x[:, :, None, None]
+            + rot_z[None, None, :, :])
+    gap_zz = -(np.array([2.0, -2.0, 0.0])[:, None, None] * rot_x[zz, 0] + rot_z)
 
-
-def _second_order_shift(
-    occ: dict, g: dict, freqs: dict, guard: float
-) -> float:
-    """Second-order energy shift of the Fock state ``occ`` under the cubic
-    coupling ``g``; everything in units of omega_z."""
-    amps: dict[tuple, float] = {}
-    for (mn, mm, mp), coeff in g.items():
-        # factors act right to left: z-mode first, then the two x factors
-        for s3 in (1, -1):
-            amp3, occ3 = _ladder(occ, mp, s3)
-            if amp3 == 0.0:
-                continue
-            for s2 in (1, -1):
-                amp2, occ2 = _ladder(occ3, mm, s2)
-                if amp2 == 0.0:
-                    continue
-                for s1 in (1, -1):
-                    amp1, occ1 = _ladder(occ2, mn, s1)
-                    if amp1 == 0.0:
-                        continue
-                    key = tuple(sorted((m, v) for m, v in occ1.items() if v))
-                    amps[key] = amps.get(key, 0.0) + coeff * amp3 * amp2 * amp1
-    e0 = sum(freqs[m] * v for m, v in occ.items())
-    shift = 0.0
-    base = tuple(sorted((m, v) for m, v in occ.items() if v))
-    for key, amp in amps.items():
-        if key == base:
-            continue
-        e1 = sum(freqs[m] * v for m, v in dict(key).items())
-        denom = e0 - e1
-        if abs(denom) < guard:
+    def rates(c2: np.ndarray, denom: np.ndarray) -> np.ndarray:
+        c2 = np.broadcast_to(c2, denom.shape)
+        near = (c2 != 0) & (np.abs(denom) < guard)
+        if near.any():
+            p = np.argwhere(near)[0][-2]
             raise NearResonanceError(
-                f"denominator {denom:.3e} omega_z between {dict(base)} and "
-                f"{dict(key)}; treat this resonance with resonant_coupling"
+                f"second-order denominator {denom[near][0]:.3e} omega_z through "
+                f"mode {mode_label('z', p + 1)}; treat this resonance with resonant_coupling"
             )
-        shift += amp * amp / denom
-    return shift
+        return np.divide(c2, denom, out=np.zeros(denom.shape), where=c2 != 0)
 
-
-def _ladder(occ: dict, mode, sign: int) -> tuple[float, dict]:
-    n = occ.get(mode, 0)
-    if sign > 0:
-        new = dict(occ)
-        new[mode] = n + 1
-        return float(np.sqrt(n + 1)), new
-    if n == 0:
-        return 0.0, occ
-    new = dict(occ)
-    new[mode] = n - 1
-    return float(np.sqrt(n)), new
+    nx, nz = occ[:, : n - 1], occ[:, n - 1 :]
+    fx = np.stack([nx + 1, nx], axis=-1)  # (state, b, s_b): |ladder|^2
+    fz = np.stack([nz + 1, nz], axis=-1)
+    n_zz = nx[:, zz]
+    f_zz = np.stack(
+        [(n_zz + 1) * (n_zz + 2), n_zz * (n_zz - 1), (2 * n_zz + 1) ** 2], axis=-1
+    )
+    spectator = np.einsum(
+        "zbjpk,sz,sbj,spk->s",
+        rates((coupling**2)[:, None, :, None], gap),
+        fx[:, zz], fx, fz,
+    )
+    self_term = np.einsum(
+        "tpk,st,spk->s",
+        rates((g[zz, zz] ** 2)[:, None], gap_zz),
+        f_zz, fz,
+    )
+    return spectator + self_term
 
 
 def perturbative_third_order(
@@ -336,49 +301,39 @@ def perturbative_third_order(
 
     The state-dependent energy shifts of the cubic x-mode Hamiltonian are
     exactly quadratic in the occupation numbers, so evaluating them on the
-    states |0>, |1_mu>, |2_mu> and |1_mu 1_nu> determines the Kerr form by an
+    states |0>, |1_mu>, |2_mu> and |1_mu 1_zz> determines the Kerr form by an
     exact solve.  Writing the zigzag self term as (Omega_SI/2) n_zz^2, the
     quadratic coefficient gives Omega_SI/2, the bilinear coefficients give the
     dephasing rates, and the linear ones the frequency shifts.  y modes do not
     appear in the x-mode Hamiltonian and their entries are exactly zero.
     """
-    mode_list, freqs, g = _third_order_couplings(trap, modes, tensors)
-    wz = trap.omega_z
     n = modes.n_ions
-    zz = ("x", n - 1)
-
-    def shift(occ: dict) -> float:
-        return _second_order_shift(occ, g, freqs, guard)
-
-    base = shift({})
-    lin = {mu: shift({mu: 1}) - base for mu in mode_list}
-    quad = {
-        mu: 0.5 * (shift({mu: 2}) - 2.0 * shift({mu: 1}) + base)
-        for mu in mode_list
-    }
-    cross = {}
-    for i, mu in enumerate(mode_list):
-        for nu in mode_list[i + 1 :]:
-            cross[(mu, nu)] = (
-                shift({mu: 1, nu: 1}) - lin[mu] - lin[nu] - base
-            )
-
+    m = 2 * (n - 1)  # x modes 1..N-1, then z modes 1..N-1
+    zz = n - 2
+    eye = np.eye(m)
+    e2 = _second_order_shifts(
+        trap, modes, tensors, np.vstack([np.zeros(m), eye, 2 * eye, eye + eye[zz]]), guard
+    )
+    base, one, two, with_zz = e2[0], e2[1 : m + 1], e2[m + 1 : 2 * m + 1], e2[2 * m + 1 :]
+    wz = trap.omega_z
+    lin = one - base
+    quad = 0.5 * (two - 2.0 * one + base)
+    cross = (with_zz - lin - lin[zz] - base) * wz
     # Frequency shifts follow the n^2 writing of the quadratic part, i.e.
     # delta = linear - quadratic coefficient (only the zigzag has a nonzero
     # quadratic part here).
-    omega_si = 2.0 * quad[zz] * wz
+    shift = ((lin - quad) * wz).tolist()
+    labels = [mode_label(d, i) for d in "xz" for i in range(1, n)]
     dephasing: dict[str, float] = {}
-    delta: dict[str, float] = {"zz": (lin[zz] - quad[zz]) * wz}
-    for mu in mode_list:
-        if mu == zz:
-            continue
-        pair = (mu, zz) if (mu, zz) in cross else (zz, mu)
-        dephasing[mode_label(*mu)] = cross[pair] * wz
-        delta[mode_label(*mu)] = (lin[mu] - quad[mu]) * wz
-    for m in range(1, n):  # y modes are absent from the x-mode Hamiltonian
-        dephasing[mode_label("y", m)] = 0.0
-        delta[mode_label("y", m)] = 0.0
-    return KerrParams(omega_si=omega_si, delta=delta, dephasing=dephasing)
+    delta: dict[str, float] = {"zz": shift[zz]}
+    for i, label in enumerate(labels):
+        if i != zz:
+            dephasing[label] = float(cross[i])
+            delta[label] = shift[i]
+    for i in range(1, n):  # y modes are absent from the x-mode Hamiltonian
+        dephasing[mode_label("y", i)] = 0.0
+        delta[mode_label("y", i)] = 0.0
+    return KerrParams(omega_si=float(2.0 * quad[zz] * wz), delta=delta, dephasing=dephasing)
 
 
 def combine_orders(third: KerrParams, fourth: KerrParams) -> EffectiveParams:
@@ -432,46 +387,30 @@ def resonant_coupling(
     )
 
 
-def rwa_report(
+def max_nonsecular_ratio(
     trap: TrapConfig, modes: NormalModes, tensors: ModeTensors
-) -> list[RWATerm]:
-    """Interaction-picture census of the quartic x-mode Hamiltonian.
+) -> float:
+    """Largest |coefficient / rotation frequency| of the non-secular terms of
+    the quartic x-mode Hamiltonian in the interaction picture.
 
-    For every mode quartet the 16 ladder-operator products are listed with
-    their common coefficient and rotation frequency; secular terms rotate at
-    exactly zero.  The figure of merit for dropping a non-secular term is
-    |coefficient / frequency|.
+    Every mode quartet gives 16 ladder-operator products, one per sign
+    pattern (+omega_m for a raising, -omega_m for a lowering operator), that
+    share the quartet's coefficient 3 kappa omega_z D4 / (gamma^4)^(1/4).
+    Terms rotating slower than 1e-9 omega_z are secular and kept by the RWA;
+    the ratio is the figure of merit for dropping all the others.
     """
     n = modes.n_ions
-    kappa = anharmonic_prefactor(trap) ** 2
     wz = trap.omega_z
-    omega_x = modes.omega_radial_x(wz)
-    terms = []
-    for quartet in np.ndindex(n, n, n, n):
-        denom = np.prod([modes.gamma_x[m] for m in quartet]) ** 0.25
-        coeff = 3.0 * kappa * wz * tensors.d4[quartet] / denom
-        for signs in np.ndindex(2, 2, 2, 2):
-            sgn = [1 if s == 0 else -1 for s in signs]
-            freq = float(sum(s * omega_x[m] for s, m in zip(sgn, quartet)))
-            secular = abs(freq) < 1e-9 * wz
-            label = "".join(
-                f"a{m}" + ("+" if s > 0 else "-") for s, m in zip(sgn, quartet)
-            )
-            ratio = 0.0 if secular else abs(coeff / freq)
-            terms.append(
-                RWATerm(
-                    term_id=label,
-                    coefficient=float(coeff),
-                    rotation_frequency=freq,
-                    ratio=ratio,
-                    secular=secular,
-                )
-            )
-    return terms
-
-
-def max_nonsecular_ratio(terms: list[RWATerm]) -> float:
-    return max((t.ratio for t in terms if not t.secular), default=0.0)
+    gx = modes.gamma_x
+    coeff = (
+        3.0 * anharmonic_prefactor(trap) ** 2 * wz * tensors.d4
+        / reduce(np.multiply, np.ix_(gx, gx, gx, gx)) ** 0.25
+    )
+    rot = np.concatenate([modes.omega_radial_x(wz), -modes.omega_radial_x(wz)])
+    freq = reduce(np.add, np.ix_(rot, rot, rot, rot)).reshape((2, n) * 4)
+    np.abs(freq, out=freq)
+    freq[freq < 1e-9 * wz] = np.inf  # secular terms drop out of the ratio
+    return float(np.divide(np.abs(coeff).reshape((1, n) * 4), freq, out=freq).max())
 
 
 def resonant_manifolds(omega_t: float, max_quanta: int) -> list[Manifold]:

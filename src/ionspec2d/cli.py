@@ -7,8 +7,9 @@ phase-noise contrast-loss table).  ``kerr`` always runs the sector-averaged
 closed form ``scenarios.kerr_scan_fast``; ``resonance`` runs
 ``protocol.scan``.  ``build_config`` rejects an invalid configuration with
 ConfigError (exit 2) before any work starts.  Every run, successful or not,
-leaves a manifest.json with the resolved configuration, derived parameters
-and checksums of all outputs.
+leaves a manifest.json with the resolved configuration, derived parameters,
+regime diagnostics (the RWA ratio of ``kerr`` and ``tables``) and checksums of
+all outputs.
 """
 
 from __future__ import annotations
@@ -342,7 +343,7 @@ def _truncation(labels: tuple[str, ...], cfg: RunConfig) -> dict:
     initial state is renormalized over it."""
     return {
         "kept_weight": {
-            label: fock.thermal_state(nbar, dim)[1]
+            label: fock.thermal_populations(nbar, dim)[1]
             for label, dim, nbar in zip(labels, cfg.dims, cfg.nbar)
         }
     }
@@ -402,18 +403,21 @@ def _dispatch(cfg: RunConfig, out: Path, manifest: dict) -> list[Path]:
     }
     manifest["derived"] = derived
 
-    if cfg.scenario == "tables":
+    if cfg.scenario in ("tables", "kerr"):
         params = scenarios.kerr_parameters(data)
         derived["omega_si_hz"] = params.omega_si / (2 * np.pi)
         derived["delta_omega_zz_hz"] = params.delta_omega_zz / (2 * np.pi)
-        return _write_tables(out, params)
+        manifest["regime"] = {
+            "rwa_max_nonsecular_ratio": anharmonic.max_nonsecular_ratio(
+                data.trap, data.modes, data.tensors
+            )
+        }
+        if cfg.scenario == "tables":
+            return _write_tables(out, params)
 
     seq = cfg.sequence()
     t_max = cfg.effective_t_max
     if cfg.scenario == "kerr":
-        params = scenarios.kerr_parameters(data)
-        derived["omega_si_hz"] = params.omega_si / (2 * np.pi)
-        derived["delta_omega_zz_hz"] = params.delta_omega_zz / (2 * np.pi)
         model = scenarios.kerr_model_from_params(
             params, dims=tuple(cfg.dims), nbar=tuple(cfg.nbar)
         )

@@ -73,23 +73,30 @@ def displacement(alpha: complex, dim: int) -> np.ndarray:
     return expm(alpha * a.conj().T - np.conj(alpha) * a)
 
 
-def thermal_state(nbar: float, dim: int) -> tuple[np.ndarray, float]:
-    """Truncated thermal state and the probability captured by the truncation.
+def thermal_populations(nbar: float, dim: int) -> tuple[np.ndarray, float]:
+    """Truncated thermal populations and the probability kept by the truncation.
 
     The geometric distribution p_n ~ (nbar/(1+nbar))^n is renormalized on the
-    first ``dim`` levels; the returned captured probability is the weight the
-    untruncated state puts on those levels.
+    first ``dim`` levels; the returned kept probability, 1 - (nbar/(1+nbar))^dim,
+    is the weight the untruncated state puts on those levels.
     """
     if nbar < 0:
         raise ValueError("nbar must be >= 0")
     if nbar == 0:
-        rho = np.zeros((dim, dim), dtype=complex)
-        rho[0, 0] = 1.0
-        return rho, 1.0
+        pops = np.zeros(dim)
+        pops[0] = 1.0
+        return pops, 1.0
     ratio = nbar / (1.0 + nbar)
     weights = ratio ** np.arange(dim) / (1.0 + nbar)
-    captured = float(weights.sum())  # = 1 - ratio**dim
-    return np.diag(weights / captured).astype(complex), captured
+    kept = float(weights.sum())
+    return weights / kept, kept
+
+
+def thermal_state(nbar: float, dim: int) -> tuple[np.ndarray, float]:
+    """Truncated thermal density matrix, diagonal in the Fock basis, and the
+    probability kept by the truncation (see :func:`thermal_populations`)."""
+    pops, kept = thermal_populations(nbar, dim)
+    return np.diag(pops).astype(complex), kept
 
 
 def embed(op: np.ndarray, slot: int, register: FockRegister) -> np.ndarray:

@@ -109,8 +109,8 @@ class KerrModel:
 
     def spectator_weights(self) -> np.ndarray:
         """(dim_y, dim_eg) joint thermal weights, truncated and renormalized."""
-        py = np.diag(fock.thermal_state(self.nbar[1], self.dims[1])[0]).real
-        pe = np.diag(fock.thermal_state(self.nbar[2], self.dims[2])[0]).real
+        py, _ = fock.thermal_populations(self.nbar[1], self.dims[1])
+        pe, _ = fock.thermal_populations(self.nbar[2], self.dims[2])
         return np.outer(py, pe)
 
 

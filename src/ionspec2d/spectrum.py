@@ -151,22 +151,6 @@ def find_peaks(spec: Spectrum2D, threshold: float = 0.1) -> PeakList:
     return PeakList(peaks=peaks)
 
 
-def reflection_pairs(
-    peaks: PeakList, center: tuple[float, float], tol: float
-) -> list[tuple[Peak, Peak]]:
-    """Peak pairs related by point reflection through ``center`` within tol."""
-    out = []
-    plist = list(peaks)
-    for i, p in enumerate(plist):
-        for q in plist[i + 1 :]:
-            if (
-                abs(p.omega1 + q.omega1 - 2 * center[0]) <= tol
-                and abs(p.omega3 + q.omega3 - 2 * center[1]) <= tol
-            ):
-                out.append((p, q))
-    return out
-
-
 def notch_carrier(spec: Spectrum2D, width_bins: int = 1) -> Spectrum2D:
     """Zero out the bins around the carrier point (baseline removal)."""
     i = int(np.argmin(np.abs(spec.omega1 - spec.carrier)))

@@ -1,12 +1,14 @@
-from itertools import permutations
+from itertools import permutations, product
 
 import numpy as np
 import pytest
 
 from ionspec2d import anharmonic, crystal, fock, scenarios
 from ionspec2d.anharmonic import (
+    KerrParams,
     NearResonanceError,
     PerturbativeRegimeError,
+    _second_order_shifts,
     c3_tensor,
     c4_tensor,
     combine_orders,
@@ -16,7 +18,6 @@ from ionspec2d.anharmonic import (
     perturbative_third_order,
     resonant_coupling,
     resonant_manifolds,
-    rwa_report,
 )
 from ionspec2d.crystal import hessians, normal_modes, solve_equilibrium
 
@@ -52,6 +53,205 @@ def _chain(n):
 def _spacing(n=2):
     u = solve_equilibrium(n)
     return u[1] - u[0]
+
+
+def _chain_trap(n, omega_x_hz, omega_y_hz):
+    """An n-ion linear chain at omega_z/2pi = 2 MHz."""
+    return crystal.TrapConfig(
+        n_ions=n, mass=crystal.MASS_CA40, omega_x=2 * np.pi * omega_x_hz,
+        omega_y=2 * np.pi * omega_y_hz, omega_z=2 * np.pi * 2e6,
+    )
+
+
+# ---------------------------------------------------------------------------
+# Oracle of the batched second-order shifts: ladder operators applied to
+# occupation dicts, one cubic coupling and one sign pattern at a time, with
+# the final-state amplitudes summed coherently before they are squared.
+
+
+def _oracle_couplings(trap, modes, tensors):
+    """Mode list, frequencies (units of omega_z) and cubic coefficients with
+    at least one zigzag x index (units of omega_z)."""
+    n = modes.n_ions
+    zz = n - 1
+    x_modes = [("x", m) for m in range(1, n)]
+    z_modes = [("z", m) for m in range(1, n)]
+    freqs = {("x", m): float(np.sqrt(modes.gamma_x[m])) for m in range(1, n)}
+    freqs.update({("z", m): float(np.sqrt(modes.lambda_z[m])) for m in range(1, n)})
+    pref = 3.0 * anharmonic.anharmonic_prefactor(trap)
+    g = {}
+    for _, a in x_modes:
+        for _, b in x_modes:
+            if a != zz and b != zz:
+                continue
+            for _, p in z_modes:
+                val = tensors.d3[a, b, p]
+                if abs(val) < 1e-14:
+                    continue
+                denom = (modes.gamma_x[a] * modes.gamma_x[b] * modes.lambda_z[p]) ** 0.25
+                g[(("x", a), ("x", b), ("z", p))] = pref * val / denom
+    return x_modes + z_modes, freqs, g
+
+
+def _ladder(occ, mode, sign):
+    n = occ.get(mode, 0)
+    if sign > 0:
+        return float(np.sqrt(n + 1)), {**occ, mode: n + 1}
+    if n == 0:
+        return 0.0, occ
+    return float(np.sqrt(n)), {**occ, mode: n - 1}
+
+
+def _oracle_shift(occ, g, freqs, guard=1e-3):
+    """Second-order shift of the Fock state ``occ``, units of omega_z."""
+    amps = {}
+    for (mn, mm, mp), coeff in g.items():
+        # factors act right to left: z-mode first, then the two x factors
+        for s3 in (1, -1):
+            amp3, occ3 = _ladder(occ, mp, s3)
+            if amp3 == 0.0:
+                continue
+            for s2 in (1, -1):
+                amp2, occ2 = _ladder(occ3, mm, s2)
+                if amp2 == 0.0:
+                    continue
+                for s1 in (1, -1):
+                    amp1, occ1 = _ladder(occ2, mn, s1)
+                    if amp1 == 0.0:
+                        continue
+                    key = tuple(sorted((m, v) for m, v in occ1.items() if v))
+                    amps[key] = amps.get(key, 0.0) + coeff * amp3 * amp2 * amp1
+    e0 = sum(freqs[m] * v for m, v in occ.items())
+    shift = 0.0
+    base = tuple(sorted((m, v) for m, v in occ.items() if v))
+    for key, amp in amps.items():
+        if key == base:
+            continue
+        denom = e0 - sum(freqs[m] * v for m, v in key)
+        if abs(denom) < guard:
+            raise NearResonanceError(f"denominator {denom:.3e}; resonant")
+        shift += amp * amp / denom
+    return shift
+
+
+def _oracle_third_order(trap, modes, tensors, guard=1e-3):
+    """The Kerr fit of perturbative_third_order on the dict oracle, over the
+    full probe grid |0>, |1_mu>, |2_mu> and every |1_mu 1_nu>."""
+    mode_list, freqs, g = _oracle_couplings(trap, modes, tensors)
+    wz = trap.omega_z
+    n = modes.n_ions
+    zz = ("x", n - 1)
+
+    def shift(occ):
+        return _oracle_shift(occ, g, freqs, guard)
+
+    base = shift({})
+    lin = {mu: shift({mu: 1}) - base for mu in mode_list}
+    quad = {mu: 0.5 * (shift({mu: 2}) - 2.0 * shift({mu: 1}) + base) for mu in mode_list}
+    cross = {}
+    for i, mu in enumerate(mode_list):
+        for nu in mode_list[i + 1 :]:
+            cross[(mu, nu)] = shift({mu: 1, nu: 1}) - lin[mu] - lin[nu] - base
+    dephasing, delta = {}, {"zz": (lin[zz] - quad[zz]) * wz}
+    for mu in mode_list:
+        if mu != zz:
+            pair = (mu, zz) if (mu, zz) in cross else (zz, mu)
+            dephasing[anharmonic.mode_label(*mu)] = cross[pair] * wz
+            delta[anharmonic.mode_label(*mu)] = (lin[mu] - quad[mu]) * wz
+    for m in range(1, n):
+        dephasing[anharmonic.mode_label("y", m)] = 0.0
+        delta[anharmonic.mode_label("y", m)] = 0.0
+    return KerrParams(omega_si=2.0 * quad[zz] * wz, delta=delta, dephasing=dephasing)
+
+
+# the table trap, a five-ion chain near its zigzag transition, an eight-ion chain
+ORACLE_TRAPS = {
+    "table": (3, 3.1012e6, 5e6),
+    "n5": (5, 5.0e6, 6e6),
+    "n8": (8, 8.0e6, 9e6),
+}
+
+
+class TestThirdOrderOracle:
+    @pytest.mark.parametrize("name", sorted(ORACLE_TRAPS))
+    def test_matches_dict_oracle(self, name):
+        trap = _chain_trap(*ORACLE_TRAPS[name])
+        data = scenarios.derive_modes(trap)
+        got = perturbative_third_order(trap, data.modes, data.tensors)
+        ref = _oracle_third_order(trap, data.modes, data.tensors)
+        assert got.omega_si == pytest.approx(ref.omega_si, rel=1e-12)
+        assert list(got.delta) == list(ref.delta)
+        assert list(got.dephasing) == list(ref.dephasing)
+        assert got.delta == pytest.approx(ref.delta, rel=1e-12, abs=0)
+        assert got.dephasing == pytest.approx(ref.dephasing, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("name", ["table", "n5"])
+    def test_guard_trips_with_the_oracle(self, name):
+        # every sign pattern with a nonzero coupling is checked: for guards
+        # swept across the denominators, the batched sums raise exactly when
+        # the oracle does, somewhere on its probe grid
+        trap = _chain_trap(*ORACLE_TRAPS[name])
+        data = scenarios.derive_modes(trap)
+        outcomes = set()
+        for guard in np.geomspace(1e-3, 3.0, 25):
+            try:
+                _oracle_third_order(trap, data.modes, data.tensors, guard)
+                expected = False
+            except NearResonanceError:
+                expected = True
+            outcomes.add(expected)
+            if expected:
+                with pytest.raises(NearResonanceError, match="resonant_coupling"):
+                    perturbative_third_order(trap, data.modes, data.tensors, guard)
+            else:
+                perturbative_third_order(trap, data.modes, data.tensors, guard)
+        assert outcomes == {False, True}
+
+
+def _loop_c3(chain):
+    """Oracle of c3_tensor: the entry-by-entry case split over ion indices."""
+    u = np.asarray(chain.u, dtype=float)
+    n = len(u)
+    d = u[:, None] - u[None, :]
+    np.fill_diagonal(d, np.inf)
+    a = np.sign(d) / np.abs(d) ** 4
+    c3 = np.zeros((n, n, n))
+    for i in range(n):
+        c3[i, i, i] = a[i].sum()
+        for k in range(n):
+            if k != i:
+                c3[i, i, k] = c3[i, k, i] = c3[k, i, i] = a[k, i]
+    return c3
+
+
+def _loop_c4(chain):
+    """Oracle of c4_tensor: the entry-by-entry case split over ion indices."""
+    u = np.asarray(chain.u, dtype=float)
+    n = len(u)
+    d = np.abs(u[:, None] - u[None, :])
+    np.fill_diagonal(d, np.inf)
+    b = 1.0 / d**5
+    c4 = np.zeros((n, n, n, n))
+    for idx in np.ndindex(n, n, n, n):
+        vals, counts = np.unique(idx, return_counts=True)
+        if len(vals) == 1:
+            c4[idx] = b[idx[0]].sum()
+        elif len(vals) == 2:
+            # 2+2 split: +b; 3+1 split: the minority index picks up the minus sign
+            c4[idx] = b[vals[0], vals[1]] * (1 if counts[0] == 2 else -1)
+    return c4
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8])
+def test_pair_sums_match_case_split(n):
+    # off-diagonal entries hold one pair term each and agree exactly; the
+    # diagonal sums n - 1 terms in another order
+    chain = _chain(n)
+    for got, ref in ((c3_tensor(chain), _loop_c3(chain)), (c4_tensor(chain), _loop_c4(chain))):
+        np.testing.assert_allclose(got, ref, rtol=0, atol=n * np.finfo(float).eps * np.abs(ref).max())
+        off = np.ones(got.shape, dtype=bool)
+        off[(np.arange(n),) * got.ndim] = False
+        assert np.array_equal(got[off], ref[off])
 
 
 class TestC3:
@@ -234,38 +434,40 @@ class TestEffectiveParameters:
 
     def test_shift_polynomial_is_exactly_quadratic(self, table_trap, table_data):
         # the Kerr-form fit is an exact solve; states outside the fit grid
-        # must still be reproduced by the fitted polynomial
-        from ionspec2d.anharmonic import _second_order_shift, _third_order_couplings
-
-        mode_list, freqs, g = _third_order_couplings(
-            table_trap, table_data.modes, table_data.tensors
-        )
-
-        def shift(occ):
-            return _second_order_shift(occ, g, freqs, 1e-3)
-
-        base = shift({})
-        lin = {m: shift({m: 1}) - base for m in mode_list}
-        quad = {m: 0.5 * (shift({m: 2}) - 2 * shift({m: 1}) + base) for m in mode_list}
-        cross = {}
-        for i, m in enumerate(mode_list):
-            for nu in mode_list[i + 1 :]:
-                cross[(m, nu)] = shift({m: 1, nu: 1}) - lin[m] - lin[nu] - base
+        # must still be reproduced by the fitted polynomial.  Columns: x2, x3
+        # (zigzag), z2, z3; the fit reads |0>, |1_mu>, |2_mu>, |1_mu 1_nu>
+        m = 4
+        eye = np.eye(m)
+        pairs = [eye[i] + eye[j] for i in range(m) for j in range(i + 1, m)]
+        probes = np.vstack([np.zeros(m), eye, 2 * eye, *pairs])
+        e2 = _second_order_shifts(table_trap, table_data.modes, table_data.tensors, probes)
+        base, one, two = e2[0], e2[1 : m + 1], e2[m + 1 : 2 * m + 1]
+        lin = one - base
+        quad = 0.5 * (two - 2 * one + base)
+        cross = np.zeros((m, m))
+        for (i, j), e in zip(
+            [(i, j) for i in range(m) for j in range(i + 1, m)], e2[2 * m + 1 :]
+        ):
+            cross[i, j] = e - lin[i] - lin[j] - base
 
         def predict(occ):
-            val = base
-            for m, v in occ.items():
-                val += lin[m] * v + quad[m] * v * (v - 1)
-            keys = list(occ)
-            for i, m in enumerate(keys):
-                for nu in keys[i + 1 :]:
-                    pair = (m, nu) if (m, nu) in cross else (nu, m)
-                    val += cross[pair] * occ[m] * occ[nu]
-            return val
+            return base + lin @ occ + quad @ (occ * (occ - 1)) + occ @ cross @ occ
 
-        zz, t, st = ("x", 2), ("x", 1), ("z", 1)
-        for occ in ({zz: 3}, {zz: 2, t: 1}, {zz: 1, t: 1, st: 1}, {zz: 3, st: 2}):
-            assert shift(occ) == pytest.approx(predict(occ), rel=1e-9)
+        zz, t, st = 1, 0, 2
+        states = np.zeros((4, m))
+        states[0, zz] = 3
+        states[1, [zz, t]] = 2, 1
+        states[2, [zz, t, st]] = 1
+        states[3, [zz, st]] = 3, 2
+        got = _second_order_shifts(table_trap, table_data.modes, table_data.tensors, states)
+        for occ, e in zip(states, got):
+            assert e == pytest.approx(predict(occ), rel=1e-9)
+        # the same states through the dict oracle
+        _, freqs, g = _oracle_couplings(table_trap, table_data.modes, table_data.tensors)
+        names = [("x", 1), ("x", 2), ("z", 1), ("z", 2)]
+        for occ, e in zip(states, got):
+            ref = _oracle_shift({names[i]: int(v) for i, v in enumerate(occ) if v}, g, freqs)
+            assert e == pytest.approx(ref, rel=1e-12)
 
     def test_near_critical_regime_error(self):
         alpha_c = crystal.critical_anisotropy(3)
@@ -321,24 +523,51 @@ class TestResonantCoupling:
         assert abs(res.detuning) > 0
 
 
+def _rwa_term_loop(trap, modes, tensors):
+    """Largest non-secular |coefficient / frequency|, one term at a time."""
+    n = modes.n_ions
+    kappa = anharmonic.anharmonic_prefactor(trap) ** 2
+    wz = trap.omega_z
+    omega_x = modes.omega_radial_x(wz)
+    best = 0.0
+    for quartet in np.ndindex(n, n, n, n):
+        denom = np.prod([modes.gamma_x[m] for m in quartet]) ** 0.25
+        coeff = 3.0 * kappa * wz * tensors.d4[quartet] / denom
+        for signs in product((1, -1), repeat=4):
+            freq = float(sum(s * omega_x[m] for s, m in zip(signs, quartet)))
+            if abs(freq) >= 1e-9 * wz:
+                best = max(best, abs(coeff / freq))
+    return best
+
+
 class TestRWAReport:
-    def test_sixteen_terms_per_quartet(self, table_trap, table_data):
-        terms = rwa_report(table_trap, table_data.modes, table_data.tensors)
-        n = table_data.modes.n_ions
-        assert len(terms) == n**4 * 16
+    def test_matches_term_loop(self, table_trap, table_data):
+        ratio = max_nonsecular_ratio(table_trap, table_data.modes, table_data.tensors)
+        assert ratio == _rwa_term_loop(table_trap, table_data.modes, table_data.tensors)
 
     def test_secular_terms_have_zero_frequency(self, table_trap, table_data):
-        terms = rwa_report(table_trap, table_data.modes, table_data.tensors)
-        secular = [t for t in terms if t.secular]
-        assert secular, "expected secular terms"
-        for t in secular:
-            assert t.rotation_frequency == pytest.approx(0.0, abs=1e-9 * table_trap.omega_z)
+        # the secular terms are exactly the number-conserving sign patterns
+        # (each raised mode lowered again), which rotate at 0; every other
+        # pattern is far from the 1e-9 omega_z cut, so the census is robust
+        n = table_data.modes.n_ions
+        wz = table_trap.omega_z
+        omega = table_data.modes.omega_radial_x(wz)
+        signs = np.array(list(product((1, -1), repeat=4)))  # (16, 4)
+        quartets = np.indices((n,) * 4).reshape(4, -1).T  # (n^4, 4)
+        freq = (signs[:, None, :] * omega[quartets][None, :, :]).sum(axis=-1)
+        # net quanta each pattern adds to each mode
+        balance = np.einsum("sk,qkm->sqm", signs, np.eye(n, dtype=int)[quartets])
+        conserving = np.all(balance == 0, axis=-1)
+        # 6 placements of the two raisings, n^2 raised pairs, each lowered in
+        # 2 orders (1 when both are the same mode)
+        assert conserving.sum() == 6 * (2 * n * (n - 1) + n)
+        assert np.max(np.abs(freq[conserving])) < 1e-9 * wz
+        assert np.min(np.abs(freq[~conserving])) > 1e-3 * wz
 
     def test_max_nonsecular_ratio_frozen(self, table_trap, table_data):
         # dominated by the zigzag-only quartet rotating at 2*omega_zz;
         # small compared to 1, which is what justifies the RWA
-        terms = rwa_report(table_trap, table_data.modes, table_data.tensors)
-        ratio = max_nonsecular_ratio(terms)
+        ratio = max_nonsecular_ratio(table_trap, table_data.modes, table_data.tensors)
         assert ratio == pytest.approx(8.13e-3, rel=0.02)
         assert ratio < 1e-2
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ionspec2d import matio
+from ionspec2d import matio, protocol
 from ionspec2d.cli import SCENARIOS, ConfigError, RunConfig, build_config, main, run_scenario
 
 # any value json.loads can return (NaN, infinities and big ints included), with
@@ -210,10 +210,33 @@ class TestManifest:
             }
         )
 
-    def test_reproducible_outputs(self, tmp_path):
-        m1 = run_scenario(self._tiny_kerr(tmp_path / "a", threads=1))
-        m2 = run_scenario(self._tiny_kerr(tmp_path / "b", threads=2))
+    def test_reproducible_outputs(self, tmp_path, monkeypatch):
+        # resonance runs protocol.scan, which fans its branches out over threads
+        seen = []
+        scan = protocol.scan
+
+        def recording_scan(*args, threads=1, **kwargs):
+            seen.append(threads)
+            return scan(*args, threads=threads, **kwargs)
+
+        monkeypatch.setattr(protocol, "scan", recording_scan)
+        m1, m2 = (
+            run_scenario(build_config(
+                {"scenario": "resonance", "out_dir": str(tmp_path / str(threads)),
+                 "dims": [4, 3], "nbar": [0.3, 0.1], "grid_scale": 0.1, "threads": threads}
+            ))
+            for threads in (1, 2)
+        )
+        assert seen == [1, 2]
         assert m1["outputs"] == m2["outputs"]  # sha256 of every artifact
+
+    def test_rwa_ratio_recorded(self, tmp_path):
+        kerr = run_scenario(self._tiny_kerr(tmp_path / "k"))
+        tables = run_scenario(build_config({"scenario": "tables", "out_dir": str(tmp_path / "t")}))
+        for manifest in (kerr, tables):
+            ratio = manifest["regime"]["rwa_max_nonsecular_ratio"]
+            assert ratio == pytest.approx(8.13e-3, rel=0.02)  # the table trap
+        assert json.loads((tmp_path / "t" / "manifest.json").read_text())["regime"] == tables["regime"]
 
     def test_config_round_trip(self, tmp_path):
         m1 = run_scenario(self._tiny_kerr(tmp_path / "a"))

@@ -11,6 +11,7 @@ from ionspec2d.fock import (
     embed,
     mode_operators,
     product_state,
+    thermal_populations,
     thermal_state,
 )
 
@@ -118,6 +119,20 @@ class TestThermalState:
         assert np.max(np.abs(rho - rho.conj().T)) < 1e-12
         assert np.trace(rho).real == pytest.approx(1.0, abs=1e-10)
         assert np.min(np.linalg.eigvalsh(rho)) > -1e-10
+
+    def test_populations_at_a_million_levels(self):
+        # no dim x dim matrix: the kept weight of a huge truncation is cheap
+        nbar, dim = 4.0, 10**6
+        pops, kept = thermal_populations(nbar, dim)
+        assert pops.shape == (dim,)
+        assert kept == pytest.approx(1.0 - (nbar / (1.0 + nbar)) ** dim, rel=1e-12)
+        assert pops.sum() == pytest.approx(1.0, rel=1e-12)
+
+    def test_state_is_diagonal_of_populations(self):
+        pops, kept = thermal_populations(2.5, 12)
+        rho, captured = thermal_state(2.5, 12)
+        assert np.array_equal(rho, np.diag(pops).astype(complex))
+        assert captured == kept
 
     def test_negative_nbar_rejected(self):
         with pytest.raises(ValueError):

@@ -9,7 +9,6 @@ from ionspec2d.spectrum import (
     fwhm,
     notch_carrier,
     project_1d,
-    reflection_pairs,
 )
 
 TWO_PI = 2 * np.pi
@@ -143,18 +142,6 @@ class TestFindPeaks:
         spec = self._two_bump_spec()
         with pytest.raises(ValueError):
             find_peaks(spec, threshold=0.0)
-
-    def test_reflection_pairs(self):
-        n = 48
-        t = np.arange(n) * 1e-5
-        w0 = TWO_PI * 5e3
-        values = np.cos(w0 * (t[:, None] + t[None, :])) * np.exp(
-            -400.0 * (t[:, None] + t[None, :])
-        )
-        spec = fft2(SignalGrid(t1=t, t3=t, values=values.astype(complex)))
-        peaks = find_peaks(spec, threshold=0.3)
-        pairs = reflection_pairs(peaks, center=(0.0, 0.0), tol=spec.bin_width)
-        assert len(pairs) >= 1
 
 
 class TestNotchAndWidth:
