@@ -4,9 +4,12 @@ Lindblad dissipation; hbar = 1 and all generators are in rad/s.
 Scans use ``evolution_lines``: the forward line P^k(rho) and the backward
 (Heisenberg) line (P^+)^k(A) of the one-step free evolution P on a uniform
 time grid.  Dissipation-free models take both in closed form from one
-eigendecomposition of H (the phases directly when H is diagonal); Lindblad
-models step a sparse Liouvillian with ``scipy.sparse.linalg.expm_multiply``
-(Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011)).
+eigendecomposition of H (the phases directly when H is diagonal).  Lindblad
+models split the sparse Liouvillian into its diagonal blocks, the connected
+components of its sparsity pattern (a conserved charge makes them small;
+symmetry reduction of Lindblad generators: Buca & Prosen, New J. Phys.
+14, 073007 (2012); Albert & Jiang, Phys. Rev. A 89, 022118 (2014)), and
+step each block with its dense one-step map exp(L_b dt).
 
 ``build_propagator`` builds exp(L dt) for one fixed step as the dense
 exponential of the Liouvillian, exact for closed and open models alike; it
@@ -116,6 +119,23 @@ def liouvillian(model: LindbladModel):
     return lv.tocsr()
 
 
+def liouvillian_blocks(lv) -> list[np.ndarray]:
+    """Index sets of the diagonal blocks of a sparse Liouvillian: the weakly
+    connected components of its sparsity pattern, each sorted.
+
+    No entry of ``lv`` joins two blocks, so exp(L t) acts on each block
+    alone.  A generator with a conserved charge (``resonance_model``
+    conserves Q_ket - Q_bra with Q = n_zz + 2 n_str) splits into one block
+    per charge sector or finer; one with none is a single block.
+    """
+    from scipy.sparse import csgraph, csr_matrix  # lazy: dissipation-free scans never need it
+
+    pattern = csr_matrix((np.ones(lv.nnz), lv.indices, lv.indptr), shape=lv.shape)
+    count, labels = csgraph.connected_components(pattern, directed=True, connection="weak")
+    order = np.argsort(labels, kind="stable")
+    return np.split(order, np.cumsum(np.bincount(labels, minlength=count))[:-1])
+
+
 def build_propagator(model: LindbladModel, dt: float) -> Propagator:
     """exp(L dt) as the dense exponential of the Liouvillian."""
     if dt <= 0:
@@ -156,10 +176,13 @@ def evolution_lines(
       rotated the same way.
 
     Dissipation-free models use the closed form (no stepping, no drift),
-    from the diagonal of H directly when H is diagonal; Lindblad
-    models use the sparse Liouvillian with ``expm_multiply`` on the grid and
-    its transpose for the covectors.  Both lines are re-hermitized, and a
-    forward trace drift above TRACE_TOL_PER_STEP per grid point raises
+    from the diagonal of H directly when H is diagonal.  Lindblad models
+    build P_b = exp(L_b dt) once per block of ``liouvillian_blocks`` (the
+    largest map's size checked against the memory budget first) and step
+    the forward column with P_b and the covector rows with P_b from the
+    right (the transpose) along the grid; a model without a conserved
+    charge is one d^2 block, which is correct but slower.  Both lines are re-hermitized,
+    and a forward trace drift above TRACE_TOL_PER_STEP per grid point raises
     PropagatorAccuracyError.
     """
     if dt <= 0:
@@ -167,16 +190,23 @@ def evolution_lines(
     d, m = model.dim, len(observables)
     covectors0 = np.swapaxes(observables, 1, 2)  # A^T: tr[A rho] = vec(A^T) . vec(rho)
     if model.dissipative:
-        from scipy.sparse.linalg import expm_multiply  # lazy: ~30 ms of import
-
         lv = liouvillian(model)
-        # expm_multiply needs two grid points; a one-point grid keeps the first
-        num = max(n, 2)
-        grid = dict(start=0.0, stop=(num - 1) * dt, num=num, endpoint=True)
+        blocks = liouvillian_blocks(lv)
+        b = max(map(len, blocks))
+        # the largest block's map with the ~10 b x b matrices expm works in
+        _check_budget(160 * b * b, f"Liouvillian block map ({b}^2)")
         basis = None
-        forward = expm_multiply(lv, state.reshape(-1), **grid)[:n].reshape(n, d, d)
-        back = expm_multiply(lv.T, covectors0.reshape(m, d * d).T, **grid)[:n]
-        back = np.moveaxis(back.reshape(n, d, d, m), 3, 1)  # view, hermitized below
+        vec0, cov0 = state.reshape(d * d), covectors0.reshape(m, d * d)
+        forward = np.empty((n, d * d), dtype=complex)
+        back = np.empty((n, m, d * d), dtype=complex)  # hermitized below
+        for idx in blocks:
+            step = expm(lv[idx][:, idx].toarray() * dt)
+            x, y = vec0[idx], cov0[:, idx]  # P_b^k vec0[idx] and cov0[:, idx] P_b^k
+            for k in range(n):
+                forward[k, idx], back[k][:, idx] = x, y
+                x, y = step @ x, y @ step
+        forward = forward.reshape(n, d, d)
+        back = back.reshape(n, m, d, d)
     else:
         h = model.hamiltonian
         if _is_diagonal(h):

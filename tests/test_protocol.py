@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ionspec2d import fock, protocol, scenarios
+from ionspec2d import dynamics, fock, protocol, scenarios
 from ionspec2d.dynamics import (
     LindbladModel,
     PropagatorAccuracyError,
@@ -185,6 +185,17 @@ def _driven_kerr_mode(dim=7):
     return LindbladModel(hamiltonian=h, register=model.register), rho0
 
 
+def _damped_kerr_mode(dim=7):
+    """Pure amplitude damping: the jump a rho a^+ feeds rho_{n-1,m-1} from
+    rho_{n,m} and nothing feeds back, so the Liouvillian's sparsity pattern
+    is not symmetric and its blocks are only weakly connected."""
+    model, rho0 = _kerr_mode(dim)
+    damped = LindbladModel(
+        hamiltonian=model.hamiltonian, collapse_ops=[(destroy(dim), 2e3)], register=model.register
+    )
+    return damped, rho0
+
+
 def _heated_exchange(dims=(4, 3)):
     """Two-mode Lindblad model: the sparse Liouvillian path.  The complex
     coupling and the extra cooling jump make L differ from its transpose."""
@@ -204,6 +215,18 @@ def _heated_exchange(dims=(4, 3)):
     return model, rho0
 
 
+def _driven_heated_exchange():
+    """``_heated_exchange`` plus a linear zigzag drive a + a^+, which breaks
+    the conserved charge Q = n_zz + 2 n_str by one quantum: the Liouvillian
+    is one block.  (A stretch drive c + c^+ moves Q by two and keeps the
+    parity of Q_ket - Q_bra, so it leaves two blocks.)"""
+    model, rho0 = _heated_exchange()
+    a = fock.embed(destroy(4), 0, model.register)
+    h = model.hamiltonian + TWO_PI * 2e3 * (a + a.conj().T)
+    driven = LindbladModel(hamiltonian=h, collapse_ops=model.collapse_ops, register=model.register)
+    return driven, rho0
+
+
 def _oracle(model, rho0, seq, t1, t3, cache):
     """Phase-cycled signal at one (t1, t3) from single protocol executions."""
     raw = np.array([
@@ -217,7 +240,10 @@ def _oracle(model, rho0, seq, t1, t3, cache):
 
 
 class TestScanEngine:
-    @pytest.mark.parametrize("build", [_kerr_mode, _driven_kerr_mode, _heated_exchange])
+    @pytest.mark.parametrize(
+        "build",
+        [_kerr_mode, _driven_kerr_mode, _damped_kerr_mode, _heated_exchange, _driven_heated_exchange],
+    )
     def test_matches_run_once_oracle(self, build):
         model, rho0 = build()
         seq = PulseSequence()
@@ -248,17 +274,35 @@ class TestScanEngine:
         with pytest.raises(PropagatorSizeError, match="GiB"):
             scan(model, rho0, PulseSequence(), t_max=2e-3, dt=10.6e-6)
 
+    @pytest.mark.parametrize("dims, count, largest", [((9, 6), 37, 186), ((7, 5), 29, 97)])
+    def test_resonance_block_structure(self, resonance_data, dims, count, largest):
+        omega_t = scenarios.resonance_parameters(resonance_data).omega_t
+        lv = dynamics.liouvillian(scenarios.resonance_model(omega_t, dims=dims))
+        blocks = dynamics.liouvillian_blocks(lv)
+        assert (len(blocks), max(map(len, blocks))) == (count, largest)
+        assert np.array_equal(np.sort(np.concatenate(blocks)), np.arange(lv.shape[0]))
+
+    def test_charge_breaking_drive_is_one_block(self):
+        model, _ = _driven_heated_exchange()
+        assert len(dynamics.liouvillian_blocks(dynamics.liouvillian(model))) == 1
+
+    def test_block_map_guard_trips_before_expm(self, monkeypatch):
+        def no_expm(a):
+            pytest.fail("block map built before the memory guard")
+
+        monkeypatch.setattr(dynamics, "expm", no_expm)
+        # the one 144-entry block's map needs ~3.2 MiB against a 1 MiB budget
+        monkeypatch.setattr(dynamics, "DEFAULT_MEMORY_BUDGET", 1024**2)
+        model, rho0 = _driven_heated_exchange()
+        observables = np.eye(12, dtype=complex)[None]
+        with pytest.raises(PropagatorSizeError, match="block"):
+            dynamics.evolution_lines(model, rho0, observables, 4, 2e-5)
+
     def test_injected_trace_drift_raises(self, monkeypatch):
-        import scipy.sparse.linalg
-
-        exact = scipy.sparse.linalg.expm_multiply
-
-        def drifting(a, b, **grid):
-            out = exact(a, b, **grid)
-            k = np.arange(len(out)).reshape((-1,) + (1,) * (out.ndim - 1))
-            return out * (1 + 1e-6 * k)
-
-        monkeypatch.setattr(scipy.sparse.linalg, "expm_multiply", drifting)
+        # a step map scaled by 1 + 1e-6 puts a drift of about 1e-6 k on the
+        # trace of the k-th grid point
+        exact = dynamics.expm
+        monkeypatch.setattr(dynamics, "expm", lambda a: exact(a) * (1 + 1e-6))
         model, rho0 = _heated_exchange()
         with pytest.raises(PropagatorAccuracyError, match="drift"):
             scan(model, rho0, PulseSequence(), t_max=6 * 2e-5, dt=2e-5)

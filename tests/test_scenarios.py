@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 
 import numpy as np
 import pytest
@@ -142,6 +143,27 @@ class TestKerrSectorAverage:
         oracle = _sector_loop(model, seq, 0.5 * DT, DT)
         assert fast.values.shape == (1, 1)
         assert abs(fast.values[0, 0] - oracle[0, 0]) <= 1e-12 * abs(oracle[0, 0])
+
+    def test_spectator_in_ground_state(self):
+        # nbar = 0 puts the y zigzag in |0>: its factor of chi is exactly 1
+        model = dataclasses.replace(_kerr_model(), nbar=(0.8, 0.0, 2.5))
+        seq = PulseSequence()
+        fast = scenarios.kerr_scan_fast(model, seq, 6 * DT, DT)
+        oracle = _sector_loop(model, seq, 6 * DT, DT)
+        scale = np.max(np.abs(oracle))
+        assert scale > 1e-6
+        assert np.max(np.abs(fast.values - oracle)) <= 1e-12 * scale
+
+    def test_million_level_spectator(self):
+        # at nbar = 0.5 the thermal weight beyond 30 levels is 3^-30 ~ 5e-15,
+        # so a 10^6-level y zigzag must match the 30-level sector loop
+        model = dataclasses.replace(_kerr_model(), dims=(5, 10**6, 4), nbar=(0.8, 0.5, 2.5))
+        seq = PulseSequence()
+        fast = scenarios.kerr_scan_fast(model, seq, 2 * DT, DT)
+        oracle = _sector_loop(dataclasses.replace(model, dims=(5, 30, 4)), seq, 2 * DT, DT)
+        scale = np.max(np.abs(oracle))
+        assert scale > 1e-6
+        assert np.max(np.abs(fast.values - oracle)) <= 1e-12 * scale
 
     def test_non_hermitian_state_raises(self, monkeypatch):
         # every pulse acts by conjugation and both lines are re-hermitized,
