@@ -5,11 +5,12 @@ transition), ``resonance`` (zigzag-stretch exchange spectrum under heating),
 ``tables`` (effective-parameter tables only), and ``noise-table`` (the laser
 phase-noise contrast-loss table).  ``kerr`` always runs the sector-averaged
 closed form ``scenarios.kerr_scan_fast``; ``resonance`` runs
-``protocol.scan``.  ``build_config`` rejects an invalid configuration with
-ConfigError (exit 2) before any work starts.  Every run, successful or not,
-leaves a manifest.json with the resolved configuration, derived parameters,
-regime diagnostics (the RWA ratio of ``kerr`` and ``tables``) and checksums of
-all outputs.
+``protocol.scan``.  Each is one phase-cycled contraction, not a thread pool,
+so the ``threads`` setting is validated but has no effect.  ``build_config``
+rejects an invalid configuration with ConfigError (exit 2) before any work
+starts.  Every run, successful or not, leaves a manifest.json with the
+resolved configuration, derived parameters, regime diagnostics (the RWA
+ratio of ``kerr`` and ``tables``) and checksums of all outputs.
 """
 
 from __future__ import annotations
@@ -41,6 +42,9 @@ class ConfigError(ValueError):
 
 @dataclass
 class RunConfig:
+    """One run's settings.  ``threads`` is validated (a positive integer)
+    and recorded, but has no effect: each scan is one contraction."""
+
     scenario: str
     n_ions: int = 3
     mass_amu: float = 39.9625909
@@ -206,6 +210,8 @@ def build_config(raw: dict) -> RunConfig:
         len(cfg.heating_quanta_per_ms) != 2 or min(cfg.heating_quanta_per_ms) < 0
     ):
         raise ConfigError("resonance needs two heating_quanta_per_ms values >= 0")
+    if cfg.scenario == "kerr" and any(cfg.heating_quanta_per_ms):
+        raise ConfigError("kerr is dissipation-free: heating_quanta_per_ms must be zero")
     if cfg.scenario in _MODE_COUNT:
         # also false when t_max_s * grid_scale overflows to infinity
         if not cfg.effective_t_max / cfg.dt_s < 2**62:
@@ -436,9 +442,7 @@ def _dispatch(cfg: RunConfig, out: Path, manifest: dict) -> list[Path]:
         )
         manifest["truncation"] = _truncation(model.register.labels, cfg)
         rho0 = scenarios.resonance_initial_state(tuple(cfg.dims), tuple(cfg.nbar))
-        grid = protocol.scan(
-            model, rho0, seq, t_max, cfg.dt_s, threads=cfg.threads
-        )
+        grid = protocol.scan(model, rho0, seq, t_max, cfg.dt_s)
         table_paths = []
 
     if cfg.phase_noise_diffusion > 0:

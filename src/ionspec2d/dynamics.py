@@ -9,7 +9,9 @@ models split the sparse Liouvillian into its diagonal blocks, the connected
 components of its sparsity pattern (a conserved charge makes them small;
 symmetry reduction of Lindblad generators: Buca & Prosen, New J. Phys.
 14, 073007 (2012); Albert & Jiang, Phys. Rev. A 89, 022118 (2014)), and
-step each block with its dense one-step map exp(L_b dt).
+step each block with its dense one-step map exp(L_b dt).  Both lines come
+back in the register basis, Hermitian up to rounding: a larger
+anti-Hermitian part raises SignalRealityError.
 
 ``build_propagator`` builds exp(L dt) for one fixed step as the dense
 exponential of the Liouvillian, exact for closed and open models alike; it
@@ -28,6 +30,7 @@ from .fock import FockRegister, destroy, embed
 
 DEFAULT_MEMORY_BUDGET = 6 * 1024**3  # bytes, the one limit _check_budget applies
 TRACE_TOL_PER_STEP = 1e-9
+IMAG_TOL = 1e-10
 
 
 class PropagatorSizeError(MemoryError):
@@ -36,6 +39,10 @@ class PropagatorSizeError(MemoryError):
 
 class PropagatorAccuracyError(RuntimeError):
     """Trace drift exceeded TRACE_TOL_PER_STEP per step or grid point."""
+
+
+class SignalRealityError(RuntimeError):
+    """A line or a signal acquired a non-negligible imaginary part."""
 
 
 @dataclass
@@ -147,9 +154,17 @@ def build_propagator(model: LindbladModel, dt: float) -> Propagator:
 
 def _hermitize(ops: np.ndarray) -> np.ndarray:
     """(X + X^+)/2 over the last two axes of a stack of square matrices, as
-    a new C-contiguous array with one temporary-free pass over ``ops``."""
+    a new C-contiguous array; SignalRealityError when the anti-Hermitian
+    part (X - X^+)/2, which would make the signal complex, exceeds
+    IMAG_TOL * max(1, max|X|)."""
     out = np.empty(ops.shape, dtype=complex)
     np.conjugate(np.swapaxes(ops, -1, -2), out=out)
+    skew = 0.5 * float(np.max(np.abs(out - ops)))
+    bound = IMAG_TOL * max(1.0, float(np.max(np.abs(ops))))
+    if skew > bound:
+        raise SignalRealityError(
+            f"imaginary residual: a line's anti-Hermitian part {skew:.2e} exceeds {bound:.2e}"
+        )
     out += ops
     out *= 0.5
     return out
@@ -161,29 +176,28 @@ def evolution_lines(
     observables: np.ndarray,
     n: int,
     dt: float,
-) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Forward and backward lines of the one-step evolution P = exp(L dt).
 
-    Returns ``(basis, forward, covectors)`` for grid points k = 0 .. n-1:
+    Returns ``(forward, covectors)`` in the register basis for grid points
+    k = 0 .. n-1:
 
     - ``forward[k] = P^k(state)``, shape (n, d, d);
     - ``covectors[k, j]`` is the row-major vec of ((P^+)^k(A_j))^T for each
       of the m ``observables`` A_j (the Heisenberg picture), shape
-      (n, m, d*d), so that tr[A_j P^k(rho)] = covectors[k, j] @ vec(rho);
-    - ``basis`` is None when both lines are in the register basis, else the
-      unitary V whose columns are eigenvectors of H: every matrix is then
-      given as V^+ X V, and operators applied between the lines must be
-      rotated the same way.
+      (n, m, d*d), so that tr[A_j P^k(rho)] = covectors[k, j] @ vec(rho).
 
     Dissipation-free models use the closed form (no stepping, no drift),
-    from the diagonal of H directly when H is diagonal.  Lindblad models
+    from the diagonal of H directly when H is diagonal, else in the
+    eigenbasis of H with both lines rotated back once.  Lindblad models
     build P_b = exp(L_b dt) once per block of ``liouvillian_blocks`` (the
     largest map's size checked against the memory budget first) and step
     the forward column with P_b and the covector rows with P_b from the
     right (the transpose) along the grid; a model without a conserved
-    charge is one d^2 block, which is correct but slower.  Both lines are re-hermitized,
-    and a forward trace drift above TRACE_TOL_PER_STEP per grid point raises
-    PropagatorAccuracyError.
+    charge is one d^2 block, which is correct but slower.  Both lines are
+    re-hermitized by ``_hermitize``, which first bounds their anti-Hermitian
+    part (SignalRealityError), and a forward trace drift above
+    TRACE_TOL_PER_STEP per grid point raises PropagatorAccuracyError.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -195,7 +209,6 @@ def evolution_lines(
         b = max(map(len, blocks))
         # the largest block's map with the ~10 b x b matrices expm works in
         _check_budget(160 * b * b, f"Liouvillian block map ({b}^2)")
-        basis = None
         vec0, cov0 = state.reshape(d * d), covectors0.reshape(m, d * d)
         forward = np.empty((n, d * d), dtype=complex)
         back = np.empty((n, m, d * d), dtype=complex)  # hermitized below
@@ -221,6 +234,10 @@ def evolution_lines(
         phases = np.exp(-1j * t[:, None, None] * (energies[:, None] - energies[None, :]))
         forward = state * phases
         back = covectors0[None] * phases[:, None]
+        del phases
+        if basis is not None:  # V X V^+ and, for the transposes, V* X V^T
+            forward = basis @ forward @ basis.conj().T
+            back = basis.conj() @ back @ basis.T
     forward = _hermitize(forward)
     back = _hermitize(back).reshape(n, m, d * d)
     traces = np.real(np.trace(forward, axis1=1, axis2=2))
@@ -229,7 +246,7 @@ def evolution_lines(
         raise PropagatorAccuracyError(
             f"forward-line trace drift {drift:.2e} over {n} grid points"
         )
-    return basis, forward, back
+    return forward, back
 
 
 def heating_dissipator(

@@ -7,6 +7,12 @@ and Fourier-extracting a chosen integer phase signature isolates the
 coherence-transfer pathways of interest; for a strictly harmonic model the
 (1,-1,-1) signature vanishes identically.
 
+Phase cycling is a linear filter (H.-S. Tan, J. Chem. Phys. 129, 124501
+(2008)), so ``scan`` applies the Fourier weights to the pulses and the
+observable before it contracts anything: one pre-cycled pathway contraction,
+no per-phase signal.  ``run_once`` and ``phase_cycle`` do it the experiment's
+way, one execution per phase tuple, as the test oracle.
+
 Free evolution is simulated in the rotating frame of the normal modes; the
 nominal carrier is reattached as a frequency-axis offset downstream.
 """
@@ -14,19 +20,13 @@ nominal carrier is reattached as a frequency-axis offset downstream.
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import LindbladModel, _check_budget, build_propagator, evolution_lines
+from .dynamics import IMAG_TOL, LindbladModel, SignalRealityError  # noqa: F401  (re-exported)
+from .dynamics import _check_budget, build_propagator, evolution_lines
 from .fock import displacement, embed
-
-IMAG_TOL = 1e-10
-
-
-class SignalRealityError(RuntimeError):
-    """Raw (un-cycled) signal acquired a non-negligible imaginary part."""
 
 
 @dataclass(frozen=True)
@@ -149,6 +149,11 @@ def run_once(
     return _real_signal(complex(np.trace(m @ rho)))
 
 
+def _cycle_weights(signature, n_phases) -> list[np.ndarray]:
+    """Fourier weights exp(-i q phi)/N over the phase grids of pulses 2..4."""
+    return [np.exp(-2j * np.pi * q * np.arange(n) / n) / n for q, n in zip(signature, n_phases)]
+
+
 def phase_cycle(raw: np.ndarray, signature: tuple[int, int, int]) -> np.ndarray:
     """Fourier-extract the signature component from the phase-cycle stack.
 
@@ -156,18 +161,8 @@ def phase_cycle(raw: np.ndarray, signature: tuple[int, int, int]) -> np.ndarray:
     uniform phase grids of pulses 2..4; the result drops those axes.  Orders
     congruent to the signature modulo the phase counts alias onto it, which
     is controlled experimentally by keeping the pulse amplitudes small.
-    The phi_4 axis is contracted with the real and imaginary parts of its
-    weights separately, so the real stack is never copied to complex.
     """
-    n2, n3, n4 = raw.shape[-3:]
-    w2, w3, w4 = (
-        np.exp(-1j * q * 2.0 * np.pi * np.arange(n) / n) / n
-        for q, n in zip(signature, (n2, n3, n4))
-    )
-    partial = np.empty(raw.shape[:-1], dtype=complex)
-    np.matmul(raw, w4.real, out=partial.real)
-    np.matmul(raw, w4.imag, out=partial.imag)
-    return (partial @ w3) @ w2
+    return np.einsum("...abc,a,b,c->...", raw, *_cycle_weights(signature, raw.shape[-3:]))
 
 
 def grid_points(t_max: float, dt: float) -> int:
@@ -175,47 +170,40 @@ def grid_points(t_max: float, dt: float) -> int:
     return int(np.floor(t_max / dt * (1.0 + 1e-9))) + 1
 
 
-def _working_set_bytes(d: int, n: int, n_phases: tuple[int, int, int], threads: int) -> int:
-    """Upper bound on the bytes a scan holds at once: the forward line, the n4
-    covector lines and their hermitized copies, per worker thread two
-    branch-state stacks and one contraction result, and the real raw stack
-    with the complex partial sums phase_cycle forms over phi_4."""
-    n2, n3, n4 = n_phases
-    workers = max(1, threads)
-    line = 16 * n * d * d
-    return (
-        line * (1 + 2 * n4 + 2 * workers)
-        + 16 * n * n * n4 * workers
-        + 8 * n * n * n2 * n3 * (n4 + 2)
-    )
+def _working_set_bytes(d: int, n: int, d_target: int) -> int:
+    """Upper bound on the bytes a scan holds at once: 12 (n, d, d) complex
+    lines (the forward and two covector lines with the temporaries of their
+    rotation and hermitization, then the combined covector and the
+    pre-cycled states with their reordering), the grid twice, a few d x d
+    operators and the pre-cycled pulse pair with its products.  A Lindblad
+    model's block maps are guarded on their own by ``evolution_lines``."""
+    return 16 * (12 * n * d * d + 2 * n * n + 8 * d * d + 3 * d_target**4)
 
 
-def _pulse_set(
-    model: LindbladModel, seq: PulseSequence
-) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray], np.ndarray]:
-    """Every operator a scan applies, each displacement built once.
+def _pulse_set(model: LindbladModel, seq: PulseSequence) -> tuple[np.ndarray, ...]:
+    """Every operator a scan applies, phase-cycled before any contraction.
 
-    Returns D1, the D2 and D3 operators over their phase grids, and the
-    stack of measured observables D4^+ M D4, one per phi_4.
+    Returns the embedded D1; the pre-cycled pulse pair C = sum w2 w3
+    K32 kron conj(K32) of the target-mode displacements K32 = K3 K2, which
+    maps the row-major vec of the target block of rho to that of
+    sum w2 w3 D32 rho D32^+ (d_t^2 x d_t^2); and the pre-cycled observable
+    sum w4 D4^+ M D4 = H_R + i H_I as its embedded Hermitian parts (2, d, d).
     """
     d1 = pulse_operator(model, seq, 1, 0.0)
-    pulses2 = [pulse_operator(model, seq, 2, p) for p in seq.phase_grid(2)]
-    pulses3 = [pulse_operator(model, seq, 3, p) for p in seq.phase_grid(3)]
-    m_op = measurement_operator(model, seq)
-    d4s = [pulse_operator(model, seq, 4, p) for p in seq.phase_grid(4)]
-    observables = np.stack([d4.conj().T @ m_op @ d4 for d4 in d4s])
-    return d1, pulses2, pulses3, observables
+    dim = model.register.dims[seq.target]
+    w2, w3, w4 = _cycle_weights(seq.signature, seq.n_phases)
 
+    def kicks(k: int) -> list[np.ndarray]:
+        alpha = seq.amplitudes[k - 1]
+        return [displacement(alpha * np.exp(1j * p), dim) for p in seq.phase_grid(k)]
 
-def _check_real(raw: np.ndarray, max_imag: float) -> None:
-    """SignalRealityError when the largest imaginary residual of a raw stack
-    exceeds IMAG_TOL * max(1, max|raw|)."""
-    scale = max(1.0, float(np.max(np.abs(raw))))
-    if max_imag > IMAG_TOL * scale:
-        raise SignalRealityError(
-            f"raw signal imaginary residual {max_imag:.3e} "
-            f"exceeds {IMAG_TOL * scale:.3e}"
-        )
+    cycled = np.zeros((dim * dim, dim * dim), dtype=complex)
+    for a, k2 in zip(w2, kicks(2)):
+        for b, k3 in zip(w3, kicks(3)):
+            cycled += a * b * np.kron(k3 @ k2, (k3 @ k2).conj())
+    measured = np.stack([k4.conj().T @ np.diag(np.arange(dim)) @ k4 for k4 in kicks(4)])
+    parts = [np.tensordot(w, measured, 1) for w in (w4.real, w4.imag)]
+    return d1, cycled, np.stack([embed(h, seq.target, model.register) for h in parts])
 
 
 def scan(
@@ -224,55 +212,38 @@ def scan(
     seq: PulseSequence,
     t_max: float,
     dt: float,
-    threads: int = 1,
 ) -> SignalGrid:
-    """Full (t1, t3, phase-tuple) scan, phase-cycled to the signature.
+    """Full (t1, t3) scan of the signature component, phase-cycled before
+    contracting.
 
-    Every raw signal is a bilinear form tr[A_j4(t3) D32 rho(t1) D32^+] of the
+    Each raw signal is a bilinear form tr[A_j4(t3) D32 rho(t1) D32^+] of the
     forward line rho(t1) = P^k1(D1 rho0 D1^+) and the backward (Heisenberg)
-    line A_j4(t3) = (P^+)^k3(D4^+ M D4), one per phi_4: the bra/ket pathway
-    picture of the nonlinear response (Mukamel, Principles of Nonlinear
-    Optical Spectroscopy, 1995).  Both lines are computed once
-    (``dynamics.evolution_lines``); each (phi_2, phi_3) branch is then one
-    (n x d^2) @ (d^2 x n n4) contraction.  Branches are independent work
-    items (optionally spread over ``threads``) writing to disjoint slots, so
-    the assembled grid is deterministic.  The working set is checked against
-    the memory budget (``dynamics._check_budget``) before any operator is
-    built.
+    line A_j4(t3) = (P^+)^k3(D4^+ M D4): the bra/ket pathway picture of the
+    nonlinear response (Mukamel, Principles of Nonlinear Optical
+    Spectroscopy, 1995).  The signature component is linear in the raw
+    signals, so s(k1, k3) = tr[A(k3) S(k1)] with the pre-cycled state
+    S = sum w2 w3 D32 rho D32^+ and observable A = sum w4 A_j4 = H_R + i H_I
+    (``_pulse_set``): only a finite sum is reordered, so the phase-cycle
+    aliasing is the experiment's.  ``dynamics.evolution_lines`` gives the
+    forward line and the covector lines of H_R and H_I; the pre-cycled pulse
+    pair acts on the target-mode ket and bra axes of the forward line (a
+    cost of n d^2 d_t^2; no embedded d x d pulse is formed), and one
+    (n x d^2) @ (d^2 x n) product gives the grid.  The working set is
+    checked against the memory budget (``dynamics._check_budget``) before
+    any operator is built.
     """
-    n = grid_points(t_max, dt)
-    n2, n3, n4 = seq.n_phases
-    d = model.dim
-    _check_budget(
-        _working_set_bytes(d, n, seq.n_phases, threads), f"scan (dim {d}, {n} grid points)"
-    )
-
-    d1, pulses2, pulses3, observables = _pulse_set(model, seq)
-    basis, line, covectors = evolution_lines(model, d1 @ rho0 @ d1.conj().T, observables, n, dt)
-    if basis is not None:
-        pulses2 = [basis.conj().T @ p @ basis for p in pulses2]
-        pulses3 = [basis.conj().T @ p @ basis for p in pulses3]
-    meas = covectors.reshape(n * n4, d * d)  # row k3 * n4 + j4
-
-    raw = np.empty((n, n, n2, n3, n4))
-    max_imag = np.zeros(n2 * n3)
-
-    def branch(item: int) -> None:
-        j2, j3 = divmod(item, n3)
-        d32 = pulses3[j3] @ pulses2[j2]
-        states = d32 @ line @ d32.conj().T
-        vals = states.reshape(n, d * d) @ meas.T  # (n_t1, n_t3 * n_phi4)
-        max_imag[item] = np.max(np.abs(vals.imag))
-        raw[:, :, j2, j3, :] = vals.real.reshape(n, n, n4)
-
-    items = range(n2 * n3)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(branch, items))
-    else:
-        for item in items:
-            branch(item)
-
-    _check_real(raw, float(np.max(max_imag)))
+    if model.register is None:
+        raise ValueError("model needs a register to embed pulses")
+    dims, n, d = model.register.dims, grid_points(t_max, dt), model.dim
+    d_t = dims[seq.target]
+    _check_budget(_working_set_bytes(d, n, d_t), f"scan (dim {d}, {n} grid points)")
+    d1, cycled, observables = _pulse_set(model, seq)
+    line, covectors = evolution_lines(model, d1 @ rho0 @ d1.conj().T, observables, n, dt)
+    # (k1, left, ket, right, left, bra, right): C acts on the target ket and bra axes
+    left = int(np.prod(dims[: seq.target]))
+    right = d // (left * d_t)
+    line = line.reshape(n, left, d_t, right, left, d_t, right)
+    states = np.einsum("ABab,klarmbs->klArmBs", cycled.reshape((d_t,) * 4), line, optimize=True)
+    covector = covectors[:, 0] + 1j * covectors[:, 1]  # vec(A(k3)^T), (k3, d^2)
     t_axis = np.arange(n) * dt
-    return SignalGrid(t1=t_axis, t3=t_axis, values=phase_cycle(raw, seq.signature))
+    return SignalGrid(t1=t_axis, t3=t_axis, values=states.reshape(n, d * d) @ covector.T)

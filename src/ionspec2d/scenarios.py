@@ -5,8 +5,9 @@ transition: the effective Hamiltonian is diagonal in the product Fock basis,
 and the thermal spectator occupations (n_y, n_eg) only shift the zigzag
 frequency.  Averaging over them multiplies each Liouville pathway by the
 characteristic function of that shift at the pathway's coherence orders, so
-the simulation runs one zigzag-only contraction weighted by it -- this
-treats the static dephasing by spectator populations exactly, and
+the simulation runs one zigzag-only contraction weighted by it, with the
+pulses and the observable phase-cycled before it (as in ``protocol.scan``)
+-- this treats the static dephasing by spectator populations exactly, and
 ``kerr_scan_full`` on the product register is its oracle.  The resonance
 scenario probes coherent zigzag-stretch energy exchange at anisotropy 20/63
 under heating: a Lindblad model on the two-mode register.  Its Liouvillian
@@ -154,38 +155,37 @@ def kerr_scan_fast(
     (``_thermal_characteristic``): no sector is visited, and the cost does
     not depend on the spectator truncations.
 
-    One forward and one covector line of the shift-free Hamiltonian are
-    built (closed form, re-hermitized, trace-drift checked).  Each
-    (phi_2, phi_3) branch conjugates the forward line with D32 one
-    coherence order D1 at a time, giving states(k1, D1, y), and contracts,
-    per covector order D3, T(k1, k3, y) = sum_D1 chi(D1 k1 + D3 k3)
-    states(k1, D1, y) with the covectors of order D3.  No per-sector line
-    or full phase table is formed.  The sector-averaged raw stack is checked
-    with the scan's reality rule, and the working set against the memory
-    budget before any operator is built.
+    The pulses and the observable are phase-cycled before contracting
+    (``protocol._pulse_set``), so one forward line and the two covector
+    lines of the pre-cycled observable's Hermitian parts are built for the
+    shift-free Hamiltonian (closed form, re-hermitized with the line
+    reality check, trace-drift checked).  The pre-cycled pulse pair acts on
+    the forward line one coherence order D1 at a time, giving
+    states(k1, D1, y), and per covector order D3 the grid gains
+    sum_y sum_D1 chi(D1 k1 + D3 k3) states(k1, D1, y) A(k3, y): one chi
+    gather per D3, 2d - 1 in all.  No per-sector line, per-phase signal or
+    full phase table is formed, and the working set is checked against the
+    memory budget before any operator is built.
     """
     d = model.dims[0]
     n = protocol.grid_points(t_max, dt)
-    n2, n3, n4 = seq.n_phases
     n_orders = 2 * d - 1
     # upper bound on the bytes held at once: the lines with the temporaries
-    # of their closed form, hermitization and reordering, one branch's
-    # states, one order's chi table with its index and partial sums, and the
-    # raw stack with phase_cycle's partial sums
+    # of their closed form and hermitization, the combined and reordered
+    # lines, the states by order D1; one order's chi table with its index,
+    # partial sums and product; the grid twice; the pre-cycled pulse pair
     need = (
-        16 * n * d * d * (6 + 3 * n4 + n_orders)
-        + 8 * n * n * (3 * n_orders + 2 * d + 4 * n4)
-        + 8 * n * n * n2 * n3 * (n4 + 2)
+        16 * n * d * d * (12 + n_orders)
+        + 8 * n * n * (3 * n_orders + 2 * d + 6)
+        + 16 * 4 * d**4
     )
     dynamics._check_budget(need, f"kerr sector scan (dim {d}, {n} grid points)")
 
     reg = fock.FockRegister(dims=(d,), labels=("zz",))
     zz = dynamics.LindbladModel(hamiltonian=model.zz_hamiltonian(), register=reg)
     rho0, _ = fock.thermal_state(model.nbar[0], d)
-    d1, pulses2, pulses3, observables = protocol._pulse_set(zz, seq)
-    _, line, covectors = dynamics.evolution_lines(
-        zz, d1 @ rho0 @ d1.conj().T, observables, n, dt
-    )
+    d1, cycled, observables = protocol._pulse_set(zz, seq)
+    line, covectors = dynamics.evolution_lines(zz, d1 @ rho0 @ d1.conj().T, observables, n, dt)
 
     # chi(m) for every m = D1 k1 + D3 k3, |m| <= (d - 1)(2n - 2)
     m_max = (d - 1) * (2 * n - 2)
@@ -202,31 +202,24 @@ def kerr_scan_fast(
     bounds = np.concatenate([[0], np.cumsum(d - np.abs(orders))])
     slices = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
     line = line.reshape(n, d * d)[:, perm]
-    covectors = np.swapaxes(covectors[:, :, perm], 1, 2)  # (k3, entry, j4)
+    covector = (covectors[:, 0] + 1j * covectors[:, 1])[:, perm]  # vec(A(k3)^T), (k3, entry)
+    cycled = cycled[np.ix_(perm, perm)]
+    states = np.empty((n, n_orders, d * d), dtype=complex)  # (k1, D1, entry)
+    for i, cols in enumerate(slices):
+        states[:, i, :] = line[:, cols] @ cycled[:, cols].T
     k = np.arange(n)
     base = np.multiply.outer(k, orders) + m_max  # chi index of D1 k1, (k1, D1)
-
-    raw = np.empty((n, n, n2, n3, n4))
-    max_imag = 0.0
-    states = np.empty((n, n_orders, d * d), dtype=complex)  # (k1, D1, entry)
-    for j2, d2 in enumerate(pulses2):
-        for j3, d3 in enumerate(pulses3):
-            d32 = d3 @ d2
-            # vec(D32 X D32^+) = (D32 kron conj D32) vec(X), row-major
-            conjugation = np.kron(d32, d32.conj())[np.ix_(perm, perm)]
-            for i, cols in enumerate(slices):
-                states[:, i, :] = line[:, cols] @ conjugation[:, cols].T
-            acc = np.zeros((n, n, n4), dtype=complex)  # (k3, k1, j4)
-            for o3, cols in zip(orders, slices):
-                weight = chi[base[:, None, :] + o3 * k[None, :, None]]  # (k1, k3, D1)
-                t_part = weight @ states[:, :, cols]  # (k1, k3, entry)
-                acc += np.swapaxes(t_part, 0, 1) @ covectors[:, cols]
-            max_imag = max(max_imag, float(np.max(np.abs(acc.imag))))
-            raw[:, :, j2, j3, :] = np.swapaxes(acc.real, 0, 1)
-
-    protocol._check_real(raw, max_imag)
+    values = np.zeros((n, n), dtype=complex)  # (k1, k3)
+    for o3, cols in zip(orders, slices):
+        # chi(D1 k1 + D3 k3) as (k1, k3, D1) times states(k1, D1, entry), one
+        # expression so that no order's temporaries outlive it
+        values += np.einsum(
+            "ije,je->ij",
+            chi[base[:, None, :] + o3 * k[None, :, None]] @ states[:, :, cols],
+            covector[:, cols],
+        )
     t_axis = np.arange(n) * dt
-    return SignalGrid(t1=t_axis, t3=t_axis, values=protocol.phase_cycle(raw, seq.signature))
+    return SignalGrid(t1=t_axis, t3=t_axis, values=values)
 
 
 def kerr_scan_full(

@@ -24,13 +24,9 @@ def _coherence_state(dim):
 
 
 def _line(model, rho, steps, dt):
-    """Forward line P^k(rho), k = 0 .. steps, of evolution_lines in the
-    register basis."""
+    """Forward line P^k(rho), k = 0 .. steps, of evolution_lines."""
     identity = np.eye(model.dim, dtype=complex)[None]
-    basis, forward, _ = evolution_lines(model, rho, identity, steps + 1, dt)
-    if basis is not None:
-        forward = basis @ forward @ basis.conj().T
-    return forward
+    return evolution_lines(model, rho, identity, steps + 1, dt)[0]
 
 
 class TestFreeEvolution:

@@ -1,3 +1,6 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -227,6 +230,49 @@ def _driven_heated_exchange():
     return driven, rho0
 
 
+def _three_mode_middle_target():
+    """Three-mode Lindblad register measured on its middle slot, so the
+    pre-cycled pulses act between spectator axes on both sides: a Kerr
+    target with a complex exchange to the left mode, a two-for-one exchange
+    with the right mode, heating on the target and cooling on the right."""
+    reg = FockRegister(dims=(2, 3, 3), labels=("l", "m", "r"))
+    a, b, c = (fock.embed(destroy(dim), slot, reg) for slot, dim in enumerate(reg.dims))
+    nb = b.conj().T @ b
+    g = TWO_PI * 3e3 * np.exp(0.4j)
+    h = TWO_PI * 12e3 * nb + TWO_PI * 2.5e3 * (nb @ nb - nb)
+    h = h + g * (b.conj().T @ a) + np.conj(g) * (a.conj().T @ b)
+    h = h + TWO_PI * 2e3 * (b @ b @ c.conj().T + b.conj().T @ b.conj().T @ c)
+    model = LindbladModel(
+        hamiltonian=h,
+        collapse_ops=heating_dissipator(1, 0.3e3, reg) + [(c, 0.5e3)],
+        register=reg,
+    )
+    rho0 = fock.product_state(
+        [thermal_state(nbar, dim)[0] for nbar, dim in zip((0.3, 0.5, 0.2), reg.dims)]
+    )
+    return model, rho0
+
+
+# n_phases and signature with no symmetry between pulses 2, 3 and 4, so that
+# swapped or conjugated phase weights change the result
+ASYMMETRIC = PulseSequence(n_phases=(3, 4, 5), signature=(1, -2, 1))
+ORACLE_MODELS = (
+    _kerr_mode, _driven_kerr_mode, _damped_kerr_mode, _heated_exchange, _driven_heated_exchange
+)
+ORACLE_CASES = (
+    [pytest.param(b, PulseSequence(), id=b.__name__) for b in ORACLE_MODELS]
+    + [pytest.param(b, ASYMMETRIC, id=f"{b.__name__}-asymmetric") for b in ORACLE_MODELS]
+    + [
+        pytest.param(_three_mode_middle_target, PulseSequence(target=1), id="middle-target"),
+        pytest.param(
+            _three_mode_middle_target,
+            dataclasses.replace(ASYMMETRIC, target=1),
+            id="middle-target-asymmetric",
+        ),
+    ]
+)
+
+
 def _oracle(model, rho0, seq, t1, t3, cache):
     """Phase-cycled signal at one (t1, t3) from single protocol executions."""
     raw = np.array([
@@ -240,13 +286,9 @@ def _oracle(model, rho0, seq, t1, t3, cache):
 
 
 class TestScanEngine:
-    @pytest.mark.parametrize(
-        "build",
-        [_kerr_mode, _driven_kerr_mode, _damped_kerr_mode, _heated_exchange, _driven_heated_exchange],
-    )
-    def test_matches_run_once_oracle(self, build):
+    @pytest.mark.parametrize("build, seq", ORACLE_CASES)
+    def test_matches_run_once_oracle(self, build, seq):
         model, rho0 = build()
-        seq = PulseSequence()
         dt = 2e-5
         grid = scan(model, rho0, seq, t_max=6 * dt, dt=dt)
         assert np.max(np.abs(grid.values)) > 1e-6  # a signal to compare
@@ -267,7 +309,7 @@ class TestScanEngine:
             pytest.fail("pulse operators built before the memory guard")
 
         monkeypatch.setattr(protocol, "pulse_operator", no_pulses)
-        # a 900-level register on a 189-point grid needs ~25 GiB
+        # a 900-level register on a 189-point grid needs ~27 GiB
         reg = FockRegister(dims=(30, 30), labels=("zz", "str"))
         model = LindbladModel(hamiltonian=np.zeros((900, 900), dtype=complex), register=reg)
         rho0 = np.zeros((900, 900), dtype=complex)
@@ -322,7 +364,8 @@ class TestKerrDualPath:
 
 class TestDeterminism:
     def test_thread_count_does_not_change_bits(self):
-        # dissipative two-mode model exercises the superoperator path
+        # a scan is one contraction with no thread pool of its own, so two
+        # identical calls must agree bit for bit (dissipative two-mode model)
         reg = FockRegister(dims=(4, 3), labels=("zz", "str"))
         a = fock.embed(destroy(4), 0, reg)
         c = fock.embed(destroy(3), 1, reg)
@@ -338,9 +381,56 @@ class TestDeterminism:
         )
         seq = PulseSequence()
         kw = dict(t_max=6 * 2e-5, dt=2e-5)
-        g1 = scan(model, rho0, seq, threads=1, **kw)
-        g2 = scan(model, rho0, seq, threads=2, **kw)
+        g1 = scan(model, rho0, seq, **kw)
+        g2 = scan(model, rho0, seq, **kw)
         assert np.array_equal(g1.values, g2.values)
+
+
+def _traced_peak(call) -> int:
+    """Peak bytes numpy and Python allocate during ``call()``, after one
+    untraced call has done every lazy import."""
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemoryGuards:
+    @pytest.mark.parametrize("dims, n", [((6, 4), 12), ((10, 6), 40)])
+    @pytest.mark.parametrize("heated", [False, True], ids=["eigh", "blocks"])
+    def test_scan_guard_bounds_the_traced_peak(self, dims, n, heated):
+        # the exchange model without heating takes the eigh path, with it
+        # the block path; both have many small blocks, so the lines dominate
+        reg = FockRegister(dims=dims, labels=("zz", "str"))
+        a = fock.embed(destroy(dims[0]), 0, reg)
+        c = fock.embed(destroy(dims[1]), 1, reg)
+        h = TWO_PI * 5e3 * (a @ a @ c.conj().T + a.conj().T @ a.conj().T @ c)
+        heating = heating_dissipator(0, 0.4e3, reg) + heating_dissipator(1, 0.2e3, reg)
+        model = LindbladModel(hamiltonian=h, collapse_ops=heating if heated else [], register=reg)
+        rho0 = fock.product_state([thermal_state(0.5, dim)[0] for dim in dims])
+        dt = 2e-5
+        peak = _traced_peak(lambda: scan(model, rho0, PulseSequence(), (n - 1) * dt, dt))
+        assert protocol._working_set_bytes(model.dim, n, dims[0]) >= peak
+
+    @pytest.mark.parametrize("d, n", [(5, 11), (9, 80)])
+    def test_kerr_guard_bounds_the_traced_peak(self, d, n, monkeypatch):
+        budget = []
+
+        def record(need, what):
+            budget.append(need)
+
+        monkeypatch.setattr(dynamics, "_check_budget", record)
+        model = scenarios.KerrModel(
+            omega_si=TWO_PI * 2.6e3, delta_zz=TWO_PI * 0.9e3, rate_y=TWO_PI * 1.2e3,
+            rate_eg=-TWO_PI * 0.8e3, dims=(d, 15, 15), nbar=(0.8, 1.5, 2.5),
+        )
+        dt = 25.3e-6
+        seq = PulseSequence()
+        peak = _traced_peak(lambda: scenarios.kerr_scan_fast(model, seq, (n - 1) * dt, dt))
+        assert budget and min(budget) >= peak
 
 
 def _random_quadratic_two_mode(seed: int):

@@ -10,6 +10,7 @@ from ionspec2d.dynamics import LindbladModel, PropagatorSizeError
 from ionspec2d.fock import FockRegister, thermal_state
 from ionspec2d.protocol import PulseSequence, SignalRealityError, grid_points, scan
 from ionspec2d.spectrum import Peak
+from test_protocol import ASYMMETRIC, _heated_exchange
 
 OMEGA_ZZ = 2 * np.pi * 130e3
 OMEGA_T = 2 * np.pi * 6e3
@@ -129,13 +130,15 @@ def _sector_loop(model, seq, t_max, dt):
 
 class TestKerrSectorAverage:
     def test_matches_sector_loop(self):
-        model, seq = _kerr_model(), PulseSequence()
-        fast = scenarios.kerr_scan_fast(model, seq, 10 * DT, DT)
-        oracle = _sector_loop(model, seq, 10 * DT, DT)
-        assert fast.values.shape == (11, 11)
-        scale = np.max(np.abs(oracle))
-        assert scale > 1e-6  # a signal to compare
-        assert np.max(np.abs(fast.values - oracle)) <= 1e-12 * scale
+        # the asymmetric cycle catches swapped or conjugated phase weights,
+        # which the default (1, -1, -1) on a 4 x 4 x 4 grid cannot
+        for seq in (PulseSequence(), ASYMMETRIC):
+            fast = scenarios.kerr_scan_fast(_kerr_model(), seq, 10 * DT, DT)
+            oracle = _sector_loop(_kerr_model(), seq, 10 * DT, DT)
+            assert fast.values.shape == (11, 11)
+            scale = np.max(np.abs(oracle))
+            assert scale > 1e-6  # a signal to compare
+            assert np.max(np.abs(fast.values - oracle)) <= 1e-12 * scale
 
     def test_one_point_grid(self):
         model, seq = _kerr_model(), PulseSequence()
@@ -165,25 +168,31 @@ class TestKerrSectorAverage:
         assert scale > 1e-6
         assert np.max(np.abs(fast.values - oracle)) <= 1e-12 * scale
 
-    def test_non_hermitian_state_raises(self, monkeypatch):
-        # every pulse acts by conjugation and both lines are re-hermitized,
-        # so the imaginary residual is injected after the line is built
-        exact = dynamics.evolution_lines
+    @pytest.mark.parametrize("engine", ["kerr_scan_fast", "scan"])
+    def test_non_hermitian_state_raises(self, engine, monkeypatch):
+        # every pulse acts by conjugation and the lines are Hermitian up to
+        # rounding, so the skew is injected into each line just before
+        # dynamics._hermitize, which bounds it and then removes it
+        exact = dynamics._hermitize
 
-        def skewed(*args, **kwargs):
-            basis, forward, covectors = exact(*args, **kwargs)
-            forward = forward.copy()
-            forward[:, 0, 1] += 1e-3j
-            return basis, forward, covectors
+        def skewed(ops):
+            ops = ops.copy()
+            ops[..., 0, 1] += 1e-3j
+            return exact(ops)
 
-        monkeypatch.setattr(dynamics, "evolution_lines", skewed)
+        monkeypatch.setattr(dynamics, "_hermitize", skewed)
         with pytest.raises(SignalRealityError, match="imaginary"):
-            scenarios.kerr_scan_fast(_kerr_model(), PulseSequence(), 6 * DT, DT)
+            if engine == "kerr_scan_fast":
+                scenarios.kerr_scan_fast(_kerr_model(), PulseSequence(), 6 * DT, DT)
+            else:
+                model, rho0 = _heated_exchange()
+                scan(model, rho0, PulseSequence(), 6 * DT, DT)
 
     def test_memory_guard_trips_before_any_work(self, monkeypatch):
         def no_pulses(*args, **kwargs):
             pytest.fail("pulse operators built before the memory guard")
 
         monkeypatch.setattr(protocol, "pulse_operator", no_pulses)
+        # 6001 grid points: the chi tables of one order alone need ~11 GiB
         with pytest.raises(PropagatorSizeError, match="GiB"):
-            scenarios.kerr_scan_fast(_kerr_model(), PulseSequence(), 4000 * DT, DT)
+            scenarios.kerr_scan_fast(_kerr_model(), PulseSequence(), 6000 * DT, DT)
