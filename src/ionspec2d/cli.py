@@ -6,7 +6,9 @@ transition), ``resonance`` (zigzag-stretch exchange spectrum under heating),
 phase-noise contrast-loss table).  ``kerr`` always runs the sector-averaged
 closed form ``scenarios.kerr_scan_fast``; ``resonance`` runs
 ``protocol.scan``.  Each is one phase-cycled contraction, not a thread pool,
-so the ``threads`` setting is validated but has no effect.  ``build_config``
+so the ``threads`` setting is validated but has no effect.  The spectrum
+stage makes one ``spectrum.fft2``; the two 1D projections are means of that
+spectrum, taken before the optional carrier notch.  ``build_config``
 rejects an invalid configuration with ConfigError (exit 2) before any work
 starts.  Every run, successful or not, leaves a manifest.json with the
 resolved configuration, derived parameters, regime diagnostics (the RWA
@@ -296,42 +298,27 @@ def _write_tables(out: Path, params: anharmonic.EffectiveParams) -> list[Path]:
     return [shifts, deph]
 
 
-def _write_spectrum_products(
-    out: Path, cfg: RunConfig, grid, spec, proj1, proj3, peaks
-) -> list[Path]:
-    paths = []
-
-    def put(name, writer):
-        path = out / name
-        writer(path)
-        paths.append(path)
-
-    put("signal_grid.bin", lambda p: matio.write_matrix(p, grid.values))
-    put("spectrum.bin", lambda p: matio.write_matrix(p, spec.values))
+def _write_spectrum_products(out: Path, grid, spec, proj1, proj3, peaks) -> list[Path]:
+    names = (
+        "signal_grid.bin", "spectrum.bin", "spectrum.csv",
+        "projection_omega1.csv", "projection_omega3.csv", "peaks.csv",
+    )
+    paths = [out / name for name in names]
+    grid_path, spec_path, csv_path, proj1_path, proj3_path, peaks_path = paths
+    matio.write_matrix(grid_path, grid.values)
+    matio.write_matrix(spec_path, spec.values)
     w1, w3 = np.meshgrid(spec.omega1, spec.omega3, indexing="ij")
     rows = np.column_stack([w1.ravel(), w3.ravel(), spec.magnitude.ravel()])
-    put(
-        "spectrum.csv",
-        lambda p: matio.write_csv(
-            p, ["omega1_rad_s", "omega3_rad_s", "magnitude"], rows.tolist()
-        ),
-    )
-    for name, proj in (("projection_omega1.csv", proj1), ("projection_omega3.csv", proj3)):
-        put(
-            name,
-            lambda p, pr=proj: matio.write_csv(
-                p,
-                ["omega_rad_s", "magnitude"],
-                np.column_stack([pr.omega, pr.magnitude]).tolist(),
-            ),
+    matio.write_csv(csv_path, ["omega1_rad_s", "omega3_rad_s", "magnitude"], rows.tolist())
+    for path, proj in ((proj1_path, proj1), (proj3_path, proj3)):
+        matio.write_csv(
+            path, ["omega_rad_s", "magnitude"],
+            np.column_stack([proj.omega, proj.magnitude]).tolist(),
         )
-    put(
-        "peaks.csv",
-        lambda p: matio.write_csv(
-            p,
-            ["omega1_rad_s", "omega3_rad_s", "magnitude", "label"],
-            [[pk.omega1, pk.omega3, pk.magnitude, pk.label] for pk in peaks],
-        ),
+    matio.write_csv(
+        peaks_path,
+        ["omega1_rad_s", "omega3_rad_s", "magnitude", "label"],
+        [[pk.omega1, pk.omega3, pk.magnitude, pk.label] for pk in peaks],
     )
     return paths
 
@@ -448,26 +435,22 @@ def _dispatch(cfg: RunConfig, out: Path, manifest: dict) -> list[Path]:
     if cfg.phase_noise_diffusion > 0:
         grid = _apply_phase_noise(grid, cfg.signature, cfg.phase_noise_diffusion)
 
-    carrier = -data.omega_zz
     spec = spectrum.fft2(
-        grid, window=cfg.window, zero_pad=cfg.zero_pad, carrier_offset=carrier
+        grid, window=cfg.window, zero_pad=cfg.zero_pad, carrier_offset=-data.omega_zz
     )
+    # the projections average the whole spectrum, so they are taken before the notch
+    proj1 = spectrum.project_1d(spec, "omega1")
+    proj3 = spectrum.project_1d(spec, "omega3")
     if cfg.baseline_notch:
         spec = spectrum.notch_carrier(spec)
-    proj1 = spectrum.project_1d(
-        grid, "t1", window=cfg.window, zero_pad=cfg.zero_pad, carrier_offset=carrier
-    )
-    proj3 = spectrum.project_1d(
-        grid, "t3", window=cfg.window, zero_pad=cfg.zero_pad, carrier_offset=carrier
-    )
     peaks = spectrum.find_peaks(spec, threshold=cfg.peak_threshold)
     if cfg.scenario == "resonance":
-        tol = 1.5 * spec.bin_width
         scenarios.label_peaks(
-            peaks, scenarios.predicted_resonance_peaks(data.omega_zz, derived["omega_t_hz"] * 2 * np.pi), tol
+            peaks,
+            scenarios.predicted_resonance_peaks(data.omega_zz, res.omega_t),
+            1.5 * spec.bin_width,
         )
-    paths = _write_spectrum_products(out, cfg, grid, spec, proj1, proj3, peaks)
-    return table_paths + paths
+    return table_paths + _write_spectrum_products(out, grid, spec, proj1, proj3, peaks)
 
 
 def main(argv: list[str] | None = None) -> int:

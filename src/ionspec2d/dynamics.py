@@ -4,14 +4,14 @@ Lindblad dissipation; hbar = 1 and all generators are in rad/s.
 Scans use ``evolution_lines``: the forward line P^k(rho) and the backward
 (Heisenberg) line (P^+)^k(A) of the one-step free evolution P on a uniform
 time grid.  Dissipation-free models take both in closed form from one
-eigendecomposition of H (the phases directly when H is diagonal).  Lindblad
-models split the sparse Liouvillian into its diagonal blocks, the connected
-components of its sparsity pattern (a conserved charge makes them small;
-symmetry reduction of Lindblad generators: Buca & Prosen, New J. Phys.
-14, 073007 (2012); Albert & Jiang, Phys. Rev. A 89, 022118 (2014)), and
-step each block with its dense one-step map exp(L_b dt).  Both lines come
-back in the register basis, Hermitian up to rounding: a larger
-anti-Hermitian part raises SignalRealityError.
+eigendecomposition of H by ``np.linalg.eigh`` (exact unit vectors when H is
+diagonal).  Lindblad models split the sparse Liouvillian into its diagonal
+blocks, the connected components of its sparsity pattern (a conserved
+charge makes them small; symmetry reduction of Lindblad generators: Buca &
+Prosen, New J. Phys. 14, 073007 (2012); Albert & Jiang, Phys. Rev. A 89,
+022118 (2014)), and step each block with its dense one-step map
+exp(L_b dt).  Both lines come back in the register basis, Hermitian up
+to rounding: a larger anti-Hermitian part raises SignalRealityError.
 
 ``build_propagator`` builds exp(L dt) for one fixed step as the dense
 exponential of the Liouvillian, exact for closed and open models alike; it
@@ -101,11 +101,6 @@ def _check_budget(need: int, what: str) -> None:
         )
 
 
-def _is_diagonal(h: np.ndarray) -> bool:
-    off = h - np.diag(np.diag(h))
-    return np.max(np.abs(off)) <= 1e-12 * max(1.0, np.max(np.abs(h)))
-
-
 def liouvillian(model: LindbladModel):
     """Sparse (CSR) superoperator -i[H, .] + dissipators, row-major
     vectorization: vec(A rho B) = (A kron B^T) vec(rho)."""
@@ -187,9 +182,8 @@ def evolution_lines(
       of the m ``observables`` A_j (the Heisenberg picture), shape
       (n, m, d*d), so that tr[A_j P^k(rho)] = covectors[k, j] @ vec(rho).
 
-    Dissipation-free models use the closed form (no stepping, no drift),
-    from the diagonal of H directly when H is diagonal, else in the
-    eigenbasis of H with both lines rotated back once.  Lindblad models
+    Dissipation-free models use the closed form (no stepping, no drift) in
+    the eigenbasis of H, with both lines rotated back once.  Lindblad models
     build P_b = exp(L_b dt) once per block of ``liouvillian_blocks`` (the
     largest map's size checked against the memory budget first) and step
     the forward column with P_b and the covector rows with P_b from the
@@ -221,13 +215,9 @@ def evolution_lines(
         forward = forward.reshape(n, d, d)
         back = back.reshape(n, m, d, d)
     else:
-        h = model.hamiltonian
-        if _is_diagonal(h):
-            energies, basis = np.real(np.diag(h)), None
-        else:
-            energies, basis = np.linalg.eigh(h)
-            state = basis.conj().T @ state @ basis
-            covectors0 = basis.T @ covectors0 @ basis.conj()  # (V^+ A V)^T
+        energies, basis = np.linalg.eigh(model.hamiltonian)
+        state = basis.conj().T @ state @ basis
+        covectors0 = basis.T @ covectors0 @ basis.conj()  # (V^+ A V)^T
         # P^k multiplies rho_ab by exp(-i (E_a - E_b) k dt); P^+ multiplies
         # A_ab by the conjugate phase, i.e. (A^T)_ab by the same phase
         t = np.arange(n) * dt
@@ -235,9 +225,9 @@ def evolution_lines(
         forward = state * phases
         back = covectors0[None] * phases[:, None]
         del phases
-        if basis is not None:  # V X V^+ and, for the transposes, V* X V^T
-            forward = basis @ forward @ basis.conj().T
-            back = basis.conj() @ back @ basis.T
+        # V X V^+ and, for the transposes, V* X V^T
+        forward = basis @ forward @ basis.conj().T
+        back = basis.conj() @ back @ basis.T
     forward = _hermitize(forward)
     back = _hermitize(back).reshape(n, m, d * d)
     traces = np.real(np.trace(forward, axis1=1, axis2=2))

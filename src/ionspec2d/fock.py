@@ -39,9 +39,6 @@ class FockRegister:
     def n_modes(self) -> int:
         return len(self.dims)
 
-    def slot(self, label: str) -> int:
-        return self.labels.index(label)
-
 
 def destroy(dim: int) -> np.ndarray:
     """Annihilation operator with the standard sqrt(n) matrix elements."""
@@ -82,10 +79,6 @@ def thermal_populations(nbar: float, dim: int) -> tuple[np.ndarray, float]:
     """
     if nbar < 0:
         raise ValueError("nbar must be >= 0")
-    if nbar == 0:
-        pops = np.zeros(dim)
-        pops[0] = 1.0
-        return pops, 1.0
     ratio = nbar / (1.0 + nbar)
     weights = ratio ** np.arange(dim) / (1.0 + nbar)
     kept = float(weights.sum())

@@ -3,12 +3,13 @@
 Axis conventions: a signal component exp(-i w t) lands at frequency -w, so
 coherences rotating at positive effective energies show up below the carrier.
 The carrier itself (the rotating-frame origin) is reattached as a pure axis
-offset; magnitudes carry the raw DFT normalization.
+offset; magnitudes carry the raw DFT normalization.  ``fft2`` is the one
+transform: the 1D projections are means of its spectrum over one axis.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,17 +52,6 @@ class Peak:
     label: str = ""
 
 
-@dataclass
-class PeakList:
-    peaks: list[Peak] = field(default_factory=list)
-
-    def __iter__(self):
-        return iter(self.peaks)
-
-    def __len__(self):
-        return len(self.peaks)
-
-
 def _window(n: int, kind: str) -> np.ndarray:
     if kind == "none":
         return np.ones(n)
@@ -95,28 +85,25 @@ def fft2(
     return Spectrum2D(omega1=omega1, omega3=omega3, values=f, carrier=carrier_offset)
 
 
-def project_1d(
-    grid: SignalGrid,
-    axis: str = "t1",
-    window: str = "none",
-    zero_pad: int = 1,
-    carrier_offset: float = 0.0,
-) -> Spectrum1D:
-    """Spectrum of the t3 = 0 (or t1 = 0) slice: the 1D-experiment result."""
-    if axis == "t1":
-        slice_ = grid.values[:, 0]
-    elif axis == "t3":
-        slice_ = grid.values[0, :]
+def project_1d(spec: Spectrum2D, axis: str) -> Spectrum1D:
+    """The 1D-experiment spectrum on ``axis`` ("omega1" or "omega3"): the
+    mean of the 2D spectrum over the other axis.
+
+    By the projection-slice theorem this is the DFT of the t3 = 0 (or
+    t1 = 0) slice of the grid, windowed and zero-padded as in ``fft2``
+    (every window is 1 at t = 0).  Take it before ``notch_carrier``, whose
+    zeroed carrier bins would otherwise drop out of the sum.
+    """
+    if axis == "omega1":
+        other, omega = 1, spec.omega1
+    elif axis == "omega3":
+        other, omega = 0, spec.omega3
     else:
-        raise ValueError("axis must be 't1' or 't3'")
-    n = len(slice_)
-    w = _window(n, window)
-    f = np.fft.fftshift(np.fft.fft(slice_ * w, n=n * zero_pad))
-    omega = 2 * np.pi * np.fft.fftshift(np.fft.fftfreq(n * zero_pad, grid.dt))
-    return Spectrum1D(omega=omega + carrier_offset, values=f)
+        raise ValueError("axis must be 'omega1' or 'omega3'")
+    return Spectrum1D(omega=omega, values=spec.values.sum(axis=other) / spec.values.shape[other])
 
 
-def find_peaks(spec: Spectrum2D, threshold: float = 0.1) -> PeakList:
+def find_peaks(spec: Spectrum2D, threshold: float = 0.1) -> list[Peak]:
     """Local maxima above threshold * max, centroid-refined on 3x3 patches."""
     if not 0.0 < threshold < 1.0:
         raise ValueError("threshold must be in (0, 1)")
@@ -148,7 +135,7 @@ def find_peaks(spec: Spectrum2D, threshold: float = 0.1) -> PeakList:
             )
         )
     peaks.sort(key=lambda p: p.magnitude, reverse=True)
-    return PeakList(peaks=peaks)
+    return peaks
 
 
 def notch_carrier(spec: Spectrum2D, width_bins: int = 1) -> Spectrum2D:

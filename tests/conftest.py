@@ -1,4 +1,12 @@
-import numpy as np
+import os
+
+# one BLAS thread: the suite's matrices are small, and on a two-core machine
+# a second OpenBLAS thread makes it about three times slower; a value set by
+# the caller still wins
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # after the pin: OpenBLAS reads it when numpy loads
 import pytest
 
 from ionspec2d import anharmonic, crystal, scenarios

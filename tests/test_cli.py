@@ -238,6 +238,16 @@ class TestManifest:
         m2 = run_scenario(build_config(resolved))
         assert m1["outputs"] == m2["outputs"]
 
+    def test_baseline_notch_spares_projections(self, tmp_path):
+        # the projections average the spectrum before the carrier notch
+        plain = run_scenario(self._tiny_kerr(tmp_path / "a"))["outputs"]
+        cfg = self._tiny_kerr(tmp_path / "b")
+        cfg.baseline_notch = True
+        notched = run_scenario(cfg)["outputs"]
+        assert notched["spectrum.bin"] != plain["spectrum.bin"]
+        for name in ("signal_grid.bin", "projection_omega1.csv", "projection_omega3.csv"):
+            assert notched[name] == plain[name]
+
     def test_manifest_written_on_failure(self, tmp_path):
         # dims [30, 30] on the default 189-point grid: the scan's working set
         # (~27 GiB) trips the memory guard before any operator is built

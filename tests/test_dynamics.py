@@ -41,13 +41,17 @@ class TestFreeEvolution:
         # |1><0| element advances by exp(-i omega dt)
         assert rho[1, 0] == pytest.approx(0.5 * np.exp(-1j * omega * dt), abs=1e-12)
 
-    def test_diagonal_and_dense_paths_agree(self):
-        # closed-form phases of a diagonal H against the dense oracle map
-        omega = 2 * np.pi * 80e3
+    @pytest.mark.parametrize("ladder", ["anharmonic", "degenerate-kerr"])
+    def test_diagonal_and_dense_paths_agree(self, ladder):
+        # the eigh closed form of a diagonal H against the dense oracle map;
+        # the Kerr ladder 0.5 K n(n-1) has E0 = E1, a degenerate eigenspace
         dim = 6
         reg = _single_mode(dim)
         n = np.diag(np.arange(dim)).astype(complex)
-        h = omega * n + 2 * np.pi * 4e3 * n @ n
+        if ladder == "anharmonic":
+            h = 2 * np.pi * 80e3 * n + 2 * np.pi * 4e3 * n @ n
+        else:
+            h = 0.5 * 2 * np.pi * 30e3 * n @ (n - np.eye(dim))
         model = LindbladModel(hamiltonian=h, register=reg)
         dt = 2.5e-6
         rho0, _ = thermal_state(0.8, dim)

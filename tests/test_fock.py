@@ -187,7 +187,6 @@ class TestRegister:
     def test_total_dimension(self):
         reg = FockRegister(dims=(9, 15, 15), labels=("zz", "y3", "eg"))
         assert reg.dim == 9 * 15 * 15
-        assert reg.slot("y3") == 1
 
     def test_validation(self):
         with pytest.raises(ValueError):

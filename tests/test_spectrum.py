@@ -85,22 +85,33 @@ class TestFFT2:
 
 
 class TestProjection:
-    def test_projection_is_fft_of_zero_slice(self):
-        grid = _tone_grid(n=24)
-        proj = project_1d(grid, "t1")
-        manual = np.fft.fftshift(np.fft.fft(grid.values[:, 0]))
+    @pytest.mark.parametrize("zero_pad", [1, 2])
+    @pytest.mark.parametrize("window", ["none", "cosine"])
+    @pytest.mark.parametrize("axis", ["omega1", "omega3"])
+    def test_projection_is_fft_of_zero_slice(self, axis, window, zero_pad):
+        # projection-slice theorem: the mean over the other frequency axis is
+        # the spectrum of the windowed, zero-padded t3 = 0 (t1 = 0) slice
+        rng = np.random.default_rng(3)
+        n1, n3 = 24, 20
+        values = rng.standard_normal((n1, n3)) + 1j * rng.standard_normal((n1, n3))
+        grid = SignalGrid(t1=np.arange(n1) * 1e-5, t3=np.arange(n3) * 1e-5, values=values)
+        proj = project_1d(fft2(grid, window=window, zero_pad=zero_pad), axis)
+        slice_ = values[:, 0] if axis == "omega1" else values[0, :]
+        n = len(slice_)
+        taper = np.cos(0.5 * np.pi * np.arange(n) / (n - 1)) if window == "cosine" else 1.0
+        manual = np.fft.fftshift(np.fft.fft(slice_ * taper, n=n * zero_pad))
         np.testing.assert_allclose(proj.values, manual, rtol=1e-12)
 
     def test_pure_tone_projection_peak(self):
         w0 = TWO_PI * 6e3
         grid = _tone_grid(w1=-w0, w3=-w0)
-        proj = project_1d(grid, "t3")
+        proj = project_1d(fft2(grid), "omega3")
         k = np.argmax(proj.magnitude)
         assert proj.omega[k] == pytest.approx(-w0, abs=TWO_PI * 700)
 
     def test_axis_validation(self):
         with pytest.raises(ValueError):
-            project_1d(_tone_grid(n=8), "t2")
+            project_1d(fft2(_tone_grid(n=8)), "t1")
 
 
 class TestFindPeaks:
