@@ -13,9 +13,11 @@ evaluated on the few probe states the Kerr fit reads (Marquet, Schmidt-Kaler
 quartic coefficients over every mode quartet and its 16 sign patterns.
 
 Mode indexing is 0-based everywhere in code: the center-of-mass mode is index
-0 and the zigzag/highest axial mode is index N-1.  Human-readable labels in
-parameter tables use the conventional 1-based numbering ("x2" is the second
-x mode, i.e. index 1), produced only by :func:`mode_label`.
+0 and the zigzag/highest axial mode is index N-1; the effective parameters
+are (3, N) arrays over (direction x, y, z; mode), the x zigzag at [0, N-1].
+Human-readable labels in parameter tables use the conventional 1-based
+numbering ("x2" is the second x mode, i.e. index 1), produced only by
+:func:`mode_label` when a table is written.
 """
 
 from __future__ import annotations
@@ -54,24 +56,15 @@ class KerrParams:
     """One perturbative order's worth of effective Hamiltonian parameters.
 
     ``omega_si`` is the full self-interaction rate Omega_SI (the tables quote
-    Omega_SI/2).  ``delta`` maps mode labels to frequency shifts and
-    ``dephasing`` maps spectator-mode labels to the cross-Kerr rates
-    Omega_d; all values in rad/s.
+    Omega_SI/2).  ``delta`` holds the frequency shifts and ``dephasing`` the
+    cross-Kerr rates Omega_d with the x zigzag as (3, N) arrays over
+    (direction x, y, z; mode), zero where no mode or term exists: the COM
+    column and ``dephasing[0, N-1]``, the zigzag itself.  All in rad/s.
     """
 
     omega_si: float
-    delta: dict[str, float]
-    dephasing: dict[str, float]
-
-    def combined(self, other: "KerrParams") -> "KerrParams":
-        return KerrParams(
-            omega_si=self.omega_si + other.omega_si,
-            delta={k: self.delta[k] + other.delta[k] for k in self.delta},
-            dephasing={
-                k: self.dephasing[k] + other.dephasing[k]
-                for k in self.dephasing
-            },
-        )
+    delta: np.ndarray
+    dephasing: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -88,7 +81,7 @@ class EffectiveParams:
 
     @property
     def delta_omega_zz(self) -> float:
-        return self.effective.delta["zz"]
+        return self.effective.delta[0, -1]
 
 
 @dataclass(frozen=True)
@@ -200,22 +193,14 @@ def effective_kerr(
     d4 = tensors.d4
 
     omega_si = 36.0 * kappa * wz * d4[zz, zz, zz, zz] / gx[zz]
-    dephasing: dict[str, float] = {}
-    for m in range(1, n - 1):  # other x modes (COM drops out)
-        dephasing[mode_label("x", m)] = (
-            72.0 * kappa * wz * d4[m, m, zz, zz] / np.sqrt(gx[m] * gx[zz])
-        )
-    for m in range(1, n):
-        dephasing[mode_label("y", m)] = (
-            24.0 * kappa * wz * d4[zz, zz, m, m] / np.sqrt(gx[zz] * gy[m])
-        )
-    for m in range(1, n):
-        dephasing[mode_label("z", m)] = (
-            -96.0 * kappa * wz * d4[zz, zz, m, m] / np.sqrt(gx[zz] * lz[m])
-        )
-
-    delta = {lab: 0.5 * val for lab, val in dephasing.items()}
-    delta["zz"] = omega_si + 0.5 * sum(dephasing.values())
+    x, m = np.arange(1, zz), np.arange(1, n)  # other x modes; every y and z mode but COM
+    dephasing = np.zeros((3, n))
+    dephasing[0, x] = 72.0 * kappa * wz * d4[x, x, zz, zz] / np.sqrt(gx[x] * gx[zz])
+    dephasing[1, m] = 24.0 * kappa * wz * d4[zz, zz, m, m] / np.sqrt(gx[zz] * gy[m])
+    dephasing[2, m] = -96.0 * kappa * wz * d4[zz, zz, m, m] / np.sqrt(gx[zz] * lz[m])
+    delta = 0.5 * dephasing
+    # summed one entry at a time in x, y, z order, as the published tables
+    delta[0, zz] = omega_si + 0.5 * sum(dephasing.flat)
     return KerrParams(omega_si=omega_si, delta=delta, dephasing=dephasing)
 
 
@@ -305,7 +290,7 @@ def perturbative_third_order(
     exact solve.  Writing the zigzag self term as (Omega_SI/2) n_zz^2, the
     quadratic coefficient gives Omega_SI/2, the bilinear coefficients give the
     dephasing rates, and the linear ones the frequency shifts.  y modes do not
-    appear in the x-mode Hamiltonian and their entries are exactly zero.
+    appear in the x-mode Hamiltonian, so the y rows are exactly zero.
     """
     n = modes.n_ions
     m = 2 * (n - 1)  # x modes 1..N-1, then z modes 1..N-1
@@ -319,28 +304,24 @@ def perturbative_third_order(
     lin = one - base
     quad = 0.5 * (two - 2.0 * one + base)
     cross = (with_zz - lin - lin[zz] - base) * wz
+    cross[zz] = 0.0  # |1_zz 1_zz> is |2_zz>, not a cross term
     # Frequency shifts follow the n^2 writing of the quadratic part, i.e.
     # delta = linear - quadratic coefficient (only the zigzag has a nonzero
-    # quadratic part here).
-    shift = ((lin - quad) * wz).tolist()
-    labels = [mode_label(d, i) for d in "xz" for i in range(1, n)]
-    dephasing: dict[str, float] = {}
-    delta: dict[str, float] = {"zz": shift[zz]}
-    for i, label in enumerate(labels):
-        if i != zz:
-            dephasing[label] = float(cross[i])
-            delta[label] = shift[i]
-    for i in range(1, n):  # y modes are absent from the x-mode Hamiltonian
-        dephasing[mode_label("y", i)] = 0.0
-        delta[mode_label("y", i)] = 0.0
+    # quadratic part here).  The y rows stay zero.
+    delta, dephasing = np.zeros((3, n)), np.zeros((3, n))
+    delta[::2, 1:] = ((lin - quad) * wz).reshape(2, n - 1)
+    dephasing[::2, 1:] = cross.reshape(2, n - 1)
     return KerrParams(omega_si=float(2.0 * quad[zz] * wz), delta=delta, dephasing=dephasing)
 
 
 def combine_orders(third: KerrParams, fourth: KerrParams) -> EffectiveParams:
     """Elementwise sum of the two orders, keeping the breakdown."""
-    return EffectiveParams(
-        third=third, fourth=fourth, effective=third.combined(fourth)
+    effective = KerrParams(
+        omega_si=third.omega_si + fourth.omega_si,
+        delta=third.delta + fourth.delta,
+        dephasing=third.dephasing + fourth.dephasing,
     )
+    return EffectiveParams(third=third, fourth=fourth, effective=effective)
 
 
 def derive_effective_params(

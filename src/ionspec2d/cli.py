@@ -10,9 +10,10 @@ so the ``threads`` setting is validated but has no effect.  The spectrum
 stage makes one ``spectrum.fft2``; the two 1D projections are means of that
 spectrum, taken before the optional carrier notch.  ``build_config``
 rejects an invalid configuration with ConfigError (exit 2) before any work
-starts.  Every run, successful or not, leaves a manifest.json with the
-resolved configuration, derived parameters, regime diagnostics (the RWA
-ratio of ``kerr`` and ``tables``) and checksums of all outputs.
+starts, a ``resonance`` scan past the memory budget included.  Every run,
+successful or not, leaves a manifest.json with the resolved configuration,
+derived parameters, regime diagnostics (the RWA ratio of ``kerr`` and
+``tables``) and checksums of all outputs.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from pathlib import Path
 import numpy as np
 from scipy import constants
 
-from . import __version__, anharmonic, fock, matio, phasenoise, protocol, scenarios, spectrum
+from . import __version__, anharmonic, dynamics, fock, matio, phasenoise, protocol, scenarios, spectrum
 from .crystal import TrapConfig
 
 SCENARIOS = ("kerr", "resonance", "tables", "noise-table")
@@ -193,7 +194,7 @@ def build_config(raw: dict) -> RunConfig:
         raise ConfigError("n_phases and signature need three entries, for pulses 2..4")
     if min(cfg.n_phases) < 1:
         raise ConfigError("n_phases must be >= 1")
-    # kerr reads the y3 zigzag mode, which needs three ions; one ion has no zigzag
+    # kerr models a zigzag crystal of at least three ions; one ion has no zigzag
     min_ions = {"noise-table": 0, "kerr": 3}.get(cfg.scenario, 2)
     if cfg.n_ions < min_ions:
         raise ConfigError(f"{cfg.scenario} needs n_ions >= {min_ions}, got {cfg.n_ions}")
@@ -218,13 +219,21 @@ def build_config(raw: dict) -> RunConfig:
         # also false when t_max_s * grid_scale overflows to infinity
         if not cfg.effective_t_max / cfg.dt_s < 2**62:
             raise ConfigError("t_max_s * grid_scale / dt_s is too large for a grid index")
-        if protocol.grid_points(cfg.effective_t_max, cfg.dt_s) < 2:
+        n = protocol.grid_points(cfg.effective_t_max, cfg.dt_s)
+        if n < 2:
             raise ConfigError(
                 "t_max_s * grid_scale must be at least dt_s: a one-point grid has no spectrum"
             )
-    if cfg.scenario in ("kerr", "resonance") and cfg.phase_noise_diffusion > 0:
+    if cfg.scenario == "resonance":
+        # the scan's own guard, before resonance_model builds a d x d operator;
+        # the pulses target slot 0, the zigzag (RunConfig.sequence)
+        try:
+            protocol.check_scan_budget(cfg.dims, n, 0)
+        except dynamics.PropagatorSizeError as exc:
+            raise ConfigError(str(exc)) from None
+    if cfg.scenario in _MODE_COUNT and cfg.phase_noise_diffusion > 0:
         # the loss grows with t1 and t3, so the last grid point bounds it
-        t_last = (protocol.grid_points(cfg.effective_t_max, cfg.dt_s) - 1) * cfg.dt_s
+        t_last = (n - 1) * cfg.dt_s
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # the run warns when it applies the loss
             worst = phasenoise.contrast_loss(
@@ -245,54 +254,24 @@ def _sha256(path: Path) -> str:
     return h.hexdigest()
 
 
-def _mode_columns(labels) -> list[str]:
-    """Table column order: x modes, then y, then z, ascending mode number."""
-    rank = {"x": 0, "y": 1, "z": 2}
-    return sorted(
-        (lab for lab in labels if lab != "zz"),
-        key=lambda lab: (rank[lab[0]], int(lab[1:])),
-    )
-
-
-def _kerr_tables(params: anharmonic.EffectiveParams) -> tuple[list, list, list, list]:
-    """Header and rows for the shift and dephasing CSV tables (kHz)."""
-    khz = 2 * np.pi * 1e3
-    deph_modes = _mode_columns(params.effective.dephasing)
-    shift_cols = (
-        [c for c in deph_modes if c[0] == "x"]
-        + ["zz"]
-        + [c for c in deph_modes if c[0] != "x"]
-    )
-    deph_cols = (
-        [c for c in deph_modes if c[0] == "x"]
-        + ["si_half"]
-        + [c for c in deph_modes if c[0] != "x"]
-    )
-    shift_rows, deph_rows = [], []
-    for order_name, par in (
-        ("third", params.third),
-        ("fourth", params.fourth),
-        ("effective", params.effective),
-    ):
-        shift_rows.append([order_name] + [par.delta[c] / khz for c in shift_cols])
-        deph_rows.append(
-            [order_name]
-            + [
-                par.omega_si / 2 / khz if c == "si_half" else par.dephasing[c] / khz
-                for c in deph_cols
-            ]
-        )
-    shift_header = ["order"] + [f"dw_{c}" for c in shift_cols]
-    deph_header = ["order"] + [
-        "osi_half" if c == "si_half" else f"od_{c}" for c in deph_cols
-    ]
-    return shift_header, shift_rows, deph_header, deph_rows
-
-
 def _write_tables(out: Path, params: anharmonic.EffectiveParams) -> list[Path]:
-    shift_header, shift_rows, deph_header, deph_rows = _kerr_tables(params)
-    shifts = out / "freq_shifts_khz.csv"
-    deph = out / "dephasing_rates_khz.csv"
+    """The shift and dephasing CSV tables (kHz), one row per order: the x, y
+    and z modes in ascending mode number, COM dropped, and in the x zigzag's
+    column its own shift and Omega_SI/2."""
+    khz = 2 * np.pi * 1e3
+    n = params.effective.delta.shape[1]
+    labels = [anharmonic.mode_label(d, m) for d in "xyz" for m in range(1, n)]
+    shift_header = ["order"] + [f"dw_{c}" for c in labels]
+    deph_header = ["order"] + [f"od_{c}" for c in labels]
+    shift_header[n - 1], deph_header[n - 1] = "dw_zz", "osi_half"  # the x zigzag
+    shift_rows, deph_rows = [], []
+    for order_name in ("third", "fourth", "effective"):
+        par = getattr(params, order_name)
+        deph = par.dephasing.copy()
+        deph[0, -1] = par.omega_si / 2
+        shift_rows.append([order_name] + (par.delta[:, 1:] / khz).ravel().tolist())
+        deph_rows.append([order_name] + (deph[:, 1:] / khz).ravel().tolist())
+    shifts, deph = out / "freq_shifts_khz.csv", out / "dephasing_rates_khz.csv"
     matio.write_csv(shifts, shift_header, shift_rows)
     matio.write_csv(deph, deph_header, deph_rows)
     return [shifts, deph]

@@ -68,10 +68,9 @@ class TrapConfig:
 
 @dataclass(frozen=True)
 class EquilibriumChain:
-    """Dimensionless equilibrium positions u (ascending) and the scale l_z."""
+    """Dimensionless equilibrium positions u (ascending), in units of l_z."""
 
     u: np.ndarray
-    l_z: float
 
     @property
     def n_ions(self) -> int:
@@ -166,11 +165,8 @@ def length_scale(mass: float, omega_z: float) -> float:
 
 
 def solve_chain(trap: TrapConfig) -> EquilibriumChain:
-    """Convenience wrapper: equilibrium positions plus the physical scale."""
-    return EquilibriumChain(
-        u=solve_equilibrium(trap.n_ions),
-        l_z=length_scale(trap.mass, trap.omega_z),
-    )
+    """Convenience wrapper: the equilibrium positions of the trap's ions."""
+    return EquilibriumChain(u=solve_equilibrium(trap.n_ions))
 
 
 def _axial_hessian(u: np.ndarray) -> np.ndarray:

@@ -19,6 +19,7 @@ nominal carrier is reattached as a frequency-axis offset downstream.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -180,6 +181,13 @@ def _working_set_bytes(d: int, n: int, d_target: int) -> int:
     return 16 * (12 * n * d * d + 2 * n * n + 8 * d * d + 3 * d_target**4)
 
 
+def check_scan_budget(dims: tuple[int, ...], n: int, target: int) -> None:
+    """PropagatorSizeError when a scan of the register ``dims`` over n grid
+    points would exceed the memory budget; ``cli.build_config`` calls it too."""
+    d = math.prod(dims)  # exact even for a config's huge dims
+    _check_budget(_working_set_bytes(d, n, dims[target]), f"scan (dim {d}, {n} grid points)")
+
+
 def _pulse_set(model: LindbladModel, seq: PulseSequence) -> tuple[np.ndarray, ...]:
     """Every operator a scan applies, phase-cycled before any contraction.
 
@@ -229,14 +237,14 @@ def scan(
     pair acts on the target-mode ket and bra axes of the forward line (a
     cost of n d^2 d_t^2; no embedded d x d pulse is formed), and one
     (n x d^2) @ (d^2 x n) product gives the grid.  The working set is
-    checked against the memory budget (``dynamics._check_budget``) before
-    any operator is built.
+    checked against the memory budget (``check_scan_budget``) before any
+    operator is built.
     """
     if model.register is None:
         raise ValueError("model needs a register to embed pulses")
     dims, n, d = model.register.dims, grid_points(t_max, dt), model.dim
     d_t = dims[seq.target]
-    _check_budget(_working_set_bytes(d, n, d_t), f"scan (dim {d}, {n} grid points)")
+    check_scan_budget(dims, n, seq.target)
     d1, cycled, observables = _pulse_set(model, seq)
     line, covectors = evolution_lines(model, d1 @ rho0 @ d1.conj().T, observables, n, dt)
     # (k1, left, ket, right, left, bra, right): C acts on the target ket and bra axes

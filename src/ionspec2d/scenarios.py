@@ -72,8 +72,9 @@ def resonance_parameters(data: ModeData) -> ResonantCoupling:
 class KerrModel:
     """Zigzag Kerr Hamiltonian with two thermal spectator modes.
 
-    Spectators are the y zigzag and the axial Egyptian mode, whose thermal
-    occupations shift the zigzag frequency via the cross-Kerr rates.
+    Spectators are the y zigzag and the highest axial mode (the Egyptian
+    mode at N = 3), entries [1, N-1] and [2, N-1] of the dephasing array,
+    whose thermal occupations shift the zigzag frequency.
     """
 
     omega_si: float
@@ -90,7 +91,7 @@ class KerrModel:
         return np.diag(0.5 * self.omega_si * n * (n - 1)).astype(complex)
 
     def full_register(self) -> fock.FockRegister:
-        return fock.FockRegister(dims=self.dims, labels=("zz", "y3", "eg"))
+        return fock.FockRegister(dims=self.dims, labels=("zz", "yzz", "eg"))
 
     def full_hamiltonian(self) -> np.ndarray:
         reg = self.full_register()
@@ -112,9 +113,9 @@ def kerr_model_from_params(
     eff = params.effective
     return KerrModel(
         omega_si=eff.omega_si,
-        delta_zz=eff.delta["zz"],
-        rate_y=eff.dephasing["y3"],
-        rate_eg=eff.dephasing["z3"],
+        delta_zz=eff.delta[0, -1],
+        rate_y=eff.dephasing[1, -1],
+        rate_eg=eff.dephasing[2, -1],
         dims=dims,
         nbar=nbar,
     )

@@ -47,7 +47,7 @@ LOOSE = {("effective", "x2")}
 
 
 def _chain(n):
-    return crystal.EquilibriumChain(u=solve_equilibrium(n), l_z=1.0)
+    return crystal.EquilibriumChain(u=solve_equilibrium(n))
 
 
 def _spacing(n=2):
@@ -152,15 +152,14 @@ def _oracle_third_order(trap, modes, tensors, guard=1e-3):
     for i, mu in enumerate(mode_list):
         for nu in mode_list[i + 1 :]:
             cross[(mu, nu)] = shift({mu: 1, nu: 1}) - lin[mu] - lin[nu] - base
-    dephasing, delta = {}, {"zz": (lin[zz] - quad[zz]) * wz}
+    # (direction, mode) arrays; the y rows and the COM column stay zero
+    delta, dephasing = np.zeros((3, n)), np.zeros((3, n))
     for mu in mode_list:
+        at = ("xyz".index(mu[0]), mu[1])
+        delta[at] = (lin[mu] - quad[mu]) * wz
         if mu != zz:
             pair = (mu, zz) if (mu, zz) in cross else (zz, mu)
-            dephasing[anharmonic.mode_label(*mu)] = cross[pair] * wz
-            delta[anharmonic.mode_label(*mu)] = (lin[mu] - quad[mu]) * wz
-    for m in range(1, n):
-        dephasing[anharmonic.mode_label("y", m)] = 0.0
-        delta[anharmonic.mode_label("y", m)] = 0.0
+            dephasing[at] = cross[pair] * wz
     return KerrParams(omega_si=2.0 * quad[zz] * wz, delta=delta, dephasing=dephasing)
 
 
@@ -180,8 +179,7 @@ class TestThirdOrderOracle:
         got = perturbative_third_order(trap, data.modes, data.tensors)
         ref = _oracle_third_order(trap, data.modes, data.tensors)
         assert got.omega_si == pytest.approx(ref.omega_si, rel=1e-12)
-        assert list(got.delta) == list(ref.delta)
-        assert list(got.dephasing) == list(ref.dephasing)
+        assert got.delta.shape == got.dephasing.shape == (3, trap.n_ions)
         assert got.delta == pytest.approx(ref.delta, rel=1e-12, abs=0)
         assert got.dephasing == pytest.approx(ref.dephasing, rel=1e-12, abs=0)
 
@@ -317,7 +315,7 @@ class TestTaylorOracle:
     def test_quartic_taylor_expansion(self, n):
         rng = np.random.default_rng(5)
         u = solve_equilibrium(n)
-        chain = crystal.EquilibriumChain(u=u, l_z=1.0)
+        chain = crystal.EquilibriumChain(u=u)
         ax, ay = 0.21, 0.08
         v_z, v_x, v_y = hessians(chain, ax, ay)
         c3 = c3_tensor(chain)
@@ -387,6 +385,17 @@ class TestModeTensors:
         assert np.max(np.abs(d3 - direct.transpose(1, 0, 2))) < 1e-12
 
 
+def _by_label(params: np.ndarray) -> dict:
+    """A (3, N) parameter array keyed by table label, the x zigzag as "zz"."""
+    n = params.shape[1]
+    out = {
+        anharmonic.mode_label(d, m): params[i, m]
+        for i, d in enumerate("xyz") for m in range(1, n)
+    }
+    out["zz"] = out.pop(anharmonic.mode_label("x", n - 1))
+    return out
+
+
 def _assert_table(actual: dict, expected: dict, order: str):
     for key, ref in expected.items():
         tol = 0.05 if (order, key) in LOOSE else 0.01
@@ -400,34 +409,32 @@ def _assert_table(actual: dict, expected: dict, order: str):
 class TestEffectiveParameters:
     def test_fourth_order_dephasing_table(self, table_trap, table_data):
         par = effective_kerr(table_trap, table_data.modes, table_data.tensors)
-        actual = dict(par.dephasing)
+        actual = _by_label(par.dephasing)
         actual["si_half"] = par.omega_si / 2
         _assert_table(actual, DEPHASING["fourth"], "fourth")
 
     def test_fourth_order_shift_table(self, table_trap, table_data):
         par = effective_kerr(table_trap, table_data.modes, table_data.tensors)
-        actual = {k: v for k, v in par.delta.items()}
+        actual = _by_label(par.delta)
         _assert_table(actual, FREQ_SHIFTS["fourth"], "fourth")
 
     def test_third_order_tables(self, table_trap, table_data):
         par = perturbative_third_order(table_trap, table_data.modes, table_data.tensors)
-        deph = dict(par.dephasing)
+        deph = _by_label(par.dephasing)
         deph["si_half"] = par.omega_si / 2
         _assert_table(deph, DEPHASING["third"], "third")
-        _assert_table(dict(par.delta), FREQ_SHIFTS["third"], "third")
+        _assert_table(_by_label(par.delta), FREQ_SHIFTS["third"], "third")
 
     def test_effective_tables_and_breakdown(self, table_params):
-        deph = dict(table_params.effective.dephasing)
+        deph = _by_label(table_params.effective.dephasing)
         deph["si_half"] = table_params.effective.omega_si / 2
         _assert_table(deph, DEPHASING["effective"], "effective")
-        _assert_table(dict(table_params.effective.delta), FREQ_SHIFTS["effective"],
+        _assert_table(_by_label(table_params.effective.delta), FREQ_SHIFTS["effective"],
                       "effective")
         # breakdown invariant: effective = third + fourth, elementwise
-        for key in table_params.third.delta:
-            assert table_params.effective.delta[key] == pytest.approx(
-                table_params.third.delta[key] + table_params.fourth.delta[key],
-                abs=1e-9,
-            )
+        assert table_params.effective.delta == pytest.approx(
+            table_params.third.delta + table_params.fourth.delta, abs=1e-9
+        )
         assert table_params.effective.omega_si == pytest.approx(
             table_params.third.omega_si + table_params.fourth.omega_si, abs=1e-9
         )
@@ -628,7 +635,7 @@ class TestScalingTowardTransition:
             par = effective_kerr(trap, data.modes, data.tensors)
             gammas.append(data.modes.gamma_x[-1])
             osi.append(par.omega_si)
-            od.append(abs(par.dephasing["y3"]))
+            od.append(abs(par.dephasing[1, -1]))  # the y zigzag
         slope_si = np.polyfit(np.log(gammas), np.log(osi), 1)[0]
         slope_d = np.polyfit(np.log(gammas), np.log(od), 1)[0]
         assert slope_si == pytest.approx(-1.0, abs=0.05)

@@ -110,6 +110,9 @@ class TestConfigValidation:
             ({"scenario": "kerr", "threads": 0}, "threads"),
             # kerr_scan_fast is dissipation-free: heating would be ignored silently
             ({"scenario": "kerr", "heating_quanta_per_ms": [5, 5, 5]}, "heating"),
+            # the scan's working set (~27 GiB on the 189-point grid) is checked
+            # before resonance_model builds its 900 x 900 operators
+            ({"scenario": "resonance", "dims": [30, 30]}, "budget"),
         ],
     )
     def test_rejected_before_any_work(self, raw, match, tmp_path, capsys):
@@ -249,11 +252,10 @@ class TestManifest:
             assert notched[name] == plain[name]
 
     def test_manifest_written_on_failure(self, tmp_path):
-        # dims [30, 30] on the default 189-point grid: the scan's working set
-        # (~27 GiB) trips the memory guard before any operator is built
+        # radial confinement below the three-ion zigzag threshold: a valid
+        # config whose chain solve raises ChainUnstableError
         cfg = build_config(
-            {"scenario": "resonance", "out_dir": str(tmp_path), "dims": [30, 30],
-             "nbar": [0.7, 0.2]}
+            {"scenario": "tables", "out_dir": str(tmp_path), "omega_x_hz": 2.5e6}
         )
         with pytest.raises(Exception):
             run_scenario(cfg)
@@ -267,7 +269,7 @@ class TestManifest:
 
         kerr = run_scenario(self._tiny_kerr(tmp_path / "k"))
         assert kerr["truncation"]["kept_weight"] == pytest.approx(
-            {"zz": kept(0.8, 5), "y3": kept(2.0, 3), "eg": kept(2.0, 3)}, rel=1e-12
+            {"zz": kept(0.8, 5), "yzz": kept(2.0, 3), "eg": kept(2.0, 3)}, rel=1e-12
         )
         res = run_scenario(build_config(
             {"scenario": "resonance", "out_dir": str(tmp_path / "r"), "dims": [4, 3],
@@ -331,7 +333,7 @@ class TestMainEntry:
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(
             json.dumps(
-                {"scenario": "resonance", "dims": [30, 30], "nbar": [0.7, 0.2],
+                {"scenario": "tables", "omega_x_hz": 2.5e6,
                  "out_dir": str(tmp_path / "out")}
             )
         )

@@ -78,7 +78,7 @@ class TestLengthScale:
 
 
 def _chain(n):
-    return crystal.EquilibriumChain(u=solve_equilibrium(n), l_z=1.0)
+    return crystal.EquilibriumChain(u=solve_equilibrium(n))
 
 
 class TestHessians:

@@ -128,6 +128,25 @@ def _sector_loop(model, seq, t_max, dt):
     return total
 
 
+class TestKerrSpectators:
+    @pytest.mark.parametrize(
+        "n_ions, omega_x_hz, omega_y_hz", [(3, 3.1012e6, 5e6), (4, 5e6, 6e6), (5, 5e6, 6e6)]
+    )
+    def test_rates_of_y_zigzag_and_highest_axial_mode(
+        self, n_ions, omega_x_hz, omega_y_hz, tmp_path
+    ):
+        # the tables name the modes: y_N is the y zigzag and z_N the highest
+        # axial mode (the Egyptian mode at N = 3), whatever the ion number
+        trap = {"n_ions": n_ions, "omega_x_hz": omega_x_hz, "omega_y_hz": omega_y_hz}
+        run_scenario(build_config({"scenario": "tables", "out_dir": str(tmp_path), **trap}))
+        with open(tmp_path / "dephasing_rates_khz.csv") as fh:
+            table = {row["order"]: row for row in csv.DictReader(fh)}["effective"]
+        data = scenarios.derive_modes(build_config({"scenario": "kerr", **trap}).trap())
+        model = scenarios.kerr_model_from_params(scenarios.kerr_parameters(data))
+        assert model.rate_y / KHZ == pytest.approx(float(table[f"od_y{n_ions}"]), rel=1e-12)
+        assert model.rate_eg / KHZ == pytest.approx(float(table[f"od_z{n_ions}"]), rel=1e-12)
+
+
 class TestKerrSectorAverage:
     def test_matches_sector_loop(self):
         # the asymmetric cycle catches swapped or conjugated phase weights,
