@@ -27,9 +27,8 @@ from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
-from scipy import constants
 
-from .crystal import EquilibriumChain, NormalModes, TrapConfig, length_scale
+from .crystal import HBAR, EquilibriumChain, NormalModes, TrapConfig, length_scale
 
 RESONANT_ANISOTROPY = 20.0 / 63.0  # 2*omega_zz = omega_stretch for N=3
 
@@ -157,7 +156,7 @@ def tensors_for_chain(chain: EquilibriumChain, modes: NormalModes) -> ModeTensor
 
 def ground_state_spread(trap: TrapConfig) -> float:
     """Axial COM zero-point spread z0 = sqrt(hbar / (2 m omega_z))."""
-    return float(np.sqrt(constants.hbar / (2.0 * trap.mass * trap.omega_z)))
+    return float(np.sqrt(HBAR / (2.0 * trap.mass * trap.omega_z)))
 
 
 def anharmonic_prefactor(trap: TrapConfig) -> float:

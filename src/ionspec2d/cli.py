@@ -29,10 +29,9 @@ from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
-from scipy import constants
 
 from . import __version__, anharmonic, dynamics, fock, matio, phasenoise, protocol, scenarios, spectrum
-from .crystal import TrapConfig
+from .crystal import ATOMIC_MASS, TrapConfig
 
 SCENARIOS = ("kerr", "resonance", "tables", "noise-table")
 # register modes of the simulated scenarios: (zz, y zigzag, Egyptian) and (zz, stretch)
@@ -78,7 +77,7 @@ class RunConfig:
     def trap(self) -> TrapConfig:
         return TrapConfig(
             n_ions=self.n_ions,
-            mass=self.mass_amu * constants.atomic_mass,
+            mass=self.mass_amu * ATOMIC_MASS,
             omega_x=2 * np.pi * self.omega_x_hz,
             omega_y=2 * np.pi * self.omega_y_hz,
             omega_z=2 * np.pi * self.omega_z_hz,
@@ -224,11 +223,14 @@ def build_config(raw: dict) -> RunConfig:
             raise ConfigError(
                 "t_max_s * grid_scale must be at least dt_s: a one-point grid has no spectrum"
             )
-    if cfg.scenario == "resonance":
-        # the scan's own guard, before resonance_model builds a d x d operator;
-        # the pulses target slot 0, the zigzag (RunConfig.sequence)
+    if cfg.scenario in _MODE_COUNT:
+        # the scan's own guard, before any operator is built; the resonance
+        # pulses target slot 0, the zigzag (RunConfig.sequence)
         try:
-            protocol.check_scan_budget(cfg.dims, n, 0)
+            if cfg.scenario == "kerr":
+                scenarios.check_kerr_budget(cfg.dims, n)
+            else:
+                protocol.check_scan_budget(cfg.dims, n, 0)
         except dynamics.PropagatorSizeError as exc:
             raise ConfigError(str(exc)) from None
     if cfg.scenario in _MODE_COUNT and cfg.phase_noise_diffusion > 0:

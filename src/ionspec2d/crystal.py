@@ -11,10 +11,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import constants
+
+# CODATA 2022 values in SI units, kept bit for bit so that every derived
+# table stays the same
+HBAR = 1.0545718176461565e-34  # J s
+ATOMIC_MASS = 1.66053906892e-27  # kg
+ELEMENTARY_CHARGE = 1.602176634e-19  # C
+EPSILON_0 = 8.8541878188e-12  # F/m
 
 # 40Ca+ ion mass (kg); electron-mass correction is irrelevant at our tolerances
-MASS_CA40 = 39.9625909 * constants.atomic_mass
+MASS_CA40 = 39.9625909 * ATOMIC_MASS
 
 _NEWTON_TOL = 1e-13
 _NEWTON_MAX_ITER = 200
@@ -160,7 +166,7 @@ def length_scale(mass: float, omega_z: float) -> float:
     """Inter-ion length scale l_z = (e^2 / (4 pi eps0 m omega_z^2))^(1/3)."""
     if mass <= 0 or omega_z <= 0:
         raise ValueError("mass and omega_z must be positive")
-    coulomb = constants.e**2 / (4 * np.pi * constants.epsilon_0)
+    coulomb = ELEMENTARY_CHARGE**2 / (4 * np.pi * EPSILON_0)
     return float((coulomb / (mass * omega_z**2)) ** (1.0 / 3.0))
 
 

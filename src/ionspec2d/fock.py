@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
-from scipy.linalg import expm
 
 
 @dataclass(frozen=True)
@@ -54,11 +53,14 @@ def mode_operators(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def displacement(alpha: complex, dim: int) -> np.ndarray:
-    """D(alpha) = expm(alpha a+ - alpha* a) on the truncated mode.
+    """D(alpha) = exp(G) with G = alpha a+ - alpha* a on the truncated mode.
 
-    Truncation makes this only approximately unitary; it is accurate while the
-    displaced state stays well inside the register, so a warning is raised
-    when 3 |alpha|^2 exceeds the dimension.
+    G is anti-Hermitian, so iG = V diag(lambda) V+ by ``np.linalg.eigh`` and
+    D = V diag(exp(-i lambda)) V+, unitary to rounding on the truncated
+    space.  Truncation makes D only approximate the displacement of the
+    infinite mode; it is accurate while the displaced state stays well
+    inside the register, so a warning is raised when 3 |alpha|^2 exceeds
+    the dimension.
     """
     if 3.0 * abs(alpha) ** 2 > dim:
         warnings.warn(
@@ -67,7 +69,8 @@ def displacement(alpha: complex, dim: int) -> np.ndarray:
             stacklevel=2,
         )
     a = destroy(dim)
-    return expm(alpha * a.conj().T - np.conj(alpha) * a)
+    lam, vec = np.linalg.eigh(1j * (alpha * a.conj().T - np.conj(alpha) * a))
+    return (vec * np.exp(-1j * lam)) @ vec.conj().T
 
 
 def thermal_populations(nbar: float, dim: int) -> tuple[np.ndarray, float]:

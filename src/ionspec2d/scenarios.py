@@ -133,6 +133,24 @@ def _thermal_characteristic(nbar: float, dim: int, phase: np.ndarray) -> np.ndar
     return (1.0 - q) / (1.0 - q**dim) * (1.0 - x_dim) / (1.0 - x)
 
 
+def check_kerr_budget(dims: tuple[int, ...], n: int) -> None:
+    """PropagatorSizeError when ``kerr_scan_fast`` on the zigzag dim dims[0]
+    over n grid points would exceed the memory budget; ``cli.build_config``
+    calls it too.  The bound counts the bytes held at once: the lines with
+    the temporaries of their closed form and hermitization, the combined and
+    reordered lines, the states by order D1; one order's chi table with its
+    index, partial sums and product; the grid twice; the pre-cycled pulse
+    pair."""
+    d = dims[0]
+    n_orders = 2 * d - 1
+    need = (
+        16 * n * d * d * (12 + n_orders)
+        + 8 * n * n * (3 * n_orders + 2 * d + 6)
+        + 16 * 4 * d**4
+    )
+    dynamics._check_budget(need, f"kerr sector scan (dim {d}, {n} grid points)")
+
+
 def kerr_scan_fast(
     model: KerrModel,
     seq: PulseSequence,
@@ -170,17 +188,7 @@ def kerr_scan_fast(
     """
     d = model.dims[0]
     n = protocol.grid_points(t_max, dt)
-    n_orders = 2 * d - 1
-    # upper bound on the bytes held at once: the lines with the temporaries
-    # of their closed form and hermitization, the combined and reordered
-    # lines, the states by order D1; one order's chi table with its index,
-    # partial sums and product; the grid twice; the pre-cycled pulse pair
-    need = (
-        16 * n * d * d * (12 + n_orders)
-        + 8 * n * n * (3 * n_orders + 2 * d + 6)
-        + 16 * 4 * d**4
-    )
-    dynamics._check_budget(need, f"kerr sector scan (dim {d}, {n} grid points)")
+    check_kerr_budget(model.dims, n)
 
     reg = fock.FockRegister(dims=(d,), labels=("zz",))
     zz = dynamics.LindbladModel(hamiltonian=model.zz_hamiltonian(), register=reg)
@@ -205,7 +213,7 @@ def kerr_scan_fast(
     line = line.reshape(n, d * d)[:, perm]
     covector = (covectors[:, 0] + 1j * covectors[:, 1])[:, perm]  # vec(A(k3)^T), (k3, entry)
     cycled = cycled[np.ix_(perm, perm)]
-    states = np.empty((n, n_orders, d * d), dtype=complex)  # (k1, D1, entry)
+    states = np.empty((n, len(orders), d * d), dtype=complex)  # (k1, D1, entry)
     for i, cols in enumerate(slices):
         states[:, i, :] = line[:, cols] @ cycled[:, cols].T
     k = np.arange(n)

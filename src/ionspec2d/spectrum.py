@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import numpy.fft  # numpy loads it lazily: import it here, not inside a run
 
 from .protocol import SignalGrid
 

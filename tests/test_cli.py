@@ -1,5 +1,8 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -8,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ionspec2d
 from ionspec2d import matio
 from ionspec2d.cli import SCENARIOS, ConfigError, RunConfig, build_config, main, run_scenario
 
@@ -113,6 +117,8 @@ class TestConfigValidation:
             # the scan's working set (~27 GiB on the 189-point grid) is checked
             # before resonance_model builds its 900 x 900 operators
             ({"scenario": "resonance", "dims": [30, 30]}, "budget"),
+            # kerr_scan_fast's working set on a 200-level zigzag (~115 GiB)
+            ({"scenario": "kerr", "dims": [200, 2, 2]}, "budget"),
         ],
     )
     def test_rejected_before_any_work(self, raw, match, tmp_path, capsys):
@@ -380,3 +386,39 @@ class TestPhaseNoiseAttenuation:
         assert main(["--config", str(cfg_path)]) == 2
         assert "flip" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+
+# run in a fresh interpreter, since the suite itself imports scipy for its
+# oracles: build both configs, then list the scipy modules loaded and the
+# modules the runs added
+_RUN_AND_LIST_MODULES = """
+import json, sys
+from ionspec2d import cli
+configs = [cli.build_config(raw) for raw in json.loads(sys.argv[1])]
+before = set(sys.modules)
+for cfg in configs:
+    cli.run_scenario(cfg)
+print(json.dumps({
+    "scipy": sorted(name for name in sys.modules if name.split(".")[0] == "scipy"),
+    "added": sorted(set(sys.modules) - before),
+}))
+"""
+
+
+def test_runs_import_no_scipy_and_load_no_module(tmp_path):
+    configs = [
+        {"scenario": "kerr", "dims": [5, 3, 3], "nbar": [0.8, 2.0, 2.0],
+         "grid_scale": 0.15, "out_dir": str(tmp_path / "kerr")},
+        {"scenario": "resonance", "dims": [3, 3], "nbar": [0.3, 0.1],
+         "grid_scale": 0.1, "out_dir": str(tmp_path / "resonance")},
+    ]
+    src = str(Path(ionspec2d.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", _RUN_AND_LIST_MODULES, json.dumps(configs)],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == {"scipy": [], "added": []}
+    for name in ("kerr", "resonance"):
+        assert json.loads((tmp_path / name / "manifest.json").read_text())["status"] == "ok"

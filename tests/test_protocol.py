@@ -319,14 +319,14 @@ class TestScanEngine:
     @pytest.mark.parametrize("dims, count, largest", [((9, 6), 37, 186), ((7, 5), 29, 97)])
     def test_resonance_block_structure(self, resonance_data, dims, count, largest):
         omega_t = scenarios.resonance_parameters(resonance_data).omega_t
-        lv = dynamics.liouvillian(scenarios.resonance_model(omega_t, dims=dims))
-        blocks = dynamics.liouvillian_blocks(lv)
+        model = scenarios.resonance_model(omega_t, dims=dims)
+        blocks = dynamics.liouvillian_blocks(model)
         assert (len(blocks), max(map(len, blocks))) == (count, largest)
-        assert np.array_equal(np.sort(np.concatenate(blocks)), np.arange(lv.shape[0]))
+        assert np.array_equal(np.sort(np.concatenate(blocks)), np.arange(model.dim**2))
 
     def test_charge_breaking_drive_is_one_block(self):
         model, _ = _driven_heated_exchange()
-        assert len(dynamics.liouvillian_blocks(dynamics.liouvillian(model))) == 1
+        assert len(dynamics.liouvillian_blocks(model)) == 1
 
     def test_block_map_guard_trips_before_expm(self, monkeypatch):
         def no_expm(a):
@@ -339,6 +339,19 @@ class TestScanEngine:
         observables = np.eye(12, dtype=complex)[None]
         with pytest.raises(PropagatorSizeError, match="block"):
             dynamics.evolution_lines(model, rho0, observables, 4, 2e-5)
+
+    def test_step_map_bound_covers_gather_and_expm(self):
+        # the one 144-entry block built by build_propagator: the dense
+        # gather's temporaries and expm's matrices stay within the bound
+        # that both build_propagator and the block path check
+        model, _ = _driven_heated_exchange()
+        tracemalloc.start()
+        try:
+            dynamics.build_propagator(model, 2e-5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= dynamics._map_bytes(model.dim**2)
 
     def test_injected_trace_drift_raises(self, monkeypatch):
         # a step map scaled by 1 + 1e-6 puts a drift of about 1e-6 k on the
