@@ -6,9 +6,10 @@ transition), ``resonance`` (zigzag-stretch exchange spectrum under heating),
 phase-noise contrast-loss table).  ``kerr`` always runs the sector-averaged
 closed form ``scenarios.kerr_scan_fast``; ``resonance`` runs
 ``protocol.scan``.  Each is one phase-cycled contraction, not a thread pool,
-so the ``threads`` setting is validated but has no effect.  The spectrum
-stage makes one ``spectrum.fft2``; the two 1D projections are means of that
-spectrum, taken before the optional carrier notch.  ``build_config``
+so the ``threads`` setting is validated but has no effect; importing this
+module pins the BLAS thread variables to 1 unless the caller set them.  The
+spectrum stage makes one ``spectrum.fft2``; the two 1D projections are means
+of that spectrum, taken before the optional carrier notch.  ``build_config``
 rejects an invalid configuration with ConfigError (exit 2) before any work
 starts, a ``resonance`` scan past the memory budget included.  Every run,
 successful or not, leaves a manifest.json with the resolved configuration,
@@ -22,16 +23,23 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import sys
 import time
 import warnings
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
-import numpy as np
+# one BLAS thread unless the caller set one: the block maps and lines are
+# small matrices, which a second OpenBLAS thread on a two-core machine makes
+# several times slower; OpenBLAS reads these when numpy loads, below
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
-from . import __version__, anharmonic, dynamics, fock, matio, phasenoise, protocol, scenarios, spectrum
-from .crystal import ATOMIC_MASS, TrapConfig
+import numpy as np  # noqa: E402
+
+from . import __version__, anharmonic, dynamics, fock, matio, phasenoise, protocol, scenarios, spectrum  # noqa: E402
+from .crystal import ATOMIC_MASS, TrapConfig  # noqa: E402
 
 SCENARIOS = ("kerr", "resonance", "tables", "noise-table")
 # register modes of the simulated scenarios: (zz, y zigzag, Egyptian) and (zz, stretch)
@@ -224,8 +232,9 @@ def build_config(raw: dict) -> RunConfig:
                 "t_max_s * grid_scale must be at least dt_s: a one-point grid has no spectrum"
             )
     if cfg.scenario in _MODE_COUNT:
-        # the scan's own guard, before any operator is built; the resonance
-        # pulses target slot 0, the zigzag (RunConfig.sequence)
+        # the scan's own guard of its lines, before any operator is built
+        # (the run adds the largest Lindblad sector's step map); the
+        # resonance pulses target slot 0, the zigzag (RunConfig.sequence)
         try:
             if cfg.scenario == "kerr":
                 scenarios.check_kerr_budget(cfg.dims, n)

@@ -5,14 +5,19 @@ Scans use ``evolution_lines``: the forward line P^k(rho) and the backward
 (Heisenberg) line (P^+)^k(A) of the one-step free evolution P on a uniform
 time grid.  Dissipation-free models take both in closed form from one
 eigendecomposition of H by ``np.linalg.eigh`` (exact unit vectors when H is
-diagonal).  Lindblad models split the Liouvillian into its diagonal
-blocks, the connected components of its operator-level coupling pattern
-(``liouvillian_blocks``; a conserved charge makes them small; symmetry
-reduction of Lindblad generators: Buca & Prosen, New J. Phys. 14, 073007
-(2012); Albert & Jiang, Phys. Rev. A 89, 022118 (2014)), gather each
-block densely (``liouvillian``) and step it with its one-step map
-exp(L_b dt).  Both lines come back in the register basis, Hermitian up
-to rounding: a larger anti-Hermitian part raises SignalRealityError.
+diagonal), re-hermitized.  A Lindblad model may declare a conserved charge
+Q (``LindbladModel.charge``); its Liouvillian then keeps c = Q_ket - Q_bra,
+and its diagonal blocks are the sectors of c (``liouvillian_blocks``;
+symmetry reduction of Lindblad generators: Buca & Prosen, New J. Phys. 14,
+073007 (2012); Albert & Jiang, Phys. Rev. A 89, 022118 (2014)).  Each
+sector is gathered densely (``liouvillian``) and stepped with its one-step
+map exp(L_c dt), and only the sectors the caller keeps are stepped: a
+scan's phase cycle passes only pathways whose pulses change c by the
+kept coherence orders (``protocol._kept_sectors``).  Besides those, the
+sector c = 0 is stepped for the trace-drift check and the mirror -c of
+each line's largest kept sector c for the reality check, which bounds the
+line's difference from its conjugate transpose there; a larger
+anti-Hermitian part raises SignalRealityError on both paths.
 
 ``build_propagator`` builds exp(L dt) for one fixed step as the dense
 exponential of the Liouvillian, exact for closed and open models alike; it
@@ -50,11 +55,21 @@ class SignalRealityError(RuntimeError):
 
 @dataclass
 class LindbladModel:
-    """Hamiltonian (rad/s) plus collapse operators with rates (1/s)."""
+    """Hamiltonian (rad/s) plus collapse operators with rates (1/s), and
+    optionally a declared conserved charge: the integer diagonal of Q.
+
+    A declared charge is checked once: [Q, H] = 0, every collapse operator
+    shifts Q by one fixed amount, and with a register each mode's quantum
+    changes Q by a fixed weight (``charge_weight``).  Then the Liouvillian
+    keeps c = Q_ket - Q_bra, its blocks are the sectors of c
+    (``liouvillian_blocks``) and a scan steps only the sectors its phase
+    cycle keeps.  A model without one gets the zero charge: one block.
+    """
 
     hamiltonian: np.ndarray
     collapse_ops: list[tuple[np.ndarray, float]] = field(default_factory=list)
     register: FockRegister | None = None
+    charge: np.ndarray | None = None
 
     def __post_init__(self):
         h = np.asarray(self.hamiltonian)
@@ -64,6 +79,23 @@ class LindbladModel:
         for _, rate in self.collapse_ops:
             if rate < 0:
                 raise ValueError("collapse rates must be >= 0")
+        if self.charge is None:
+            self.charge = np.zeros(self.dim, dtype=np.int64)
+            return
+        q = np.asarray(self.charge)
+        if q.shape != (self.dim,) or not np.array_equal(q, np.round(q)):
+            raise ValueError("charge must hold one integer per basis state")
+        self.charge = q = q.astype(np.int64)
+        shift = np.subtract.outer(q, q)  # Q_i - Q_k at (i, k)
+        if np.any(h[shift != 0]):
+            raise ValueError("Hamiltonian does not conserve the declared charge")
+        for op, _ in self.collapse_ops:
+            moved = shift[np.asarray(op) != 0]
+            if moved.size and moved.min() != moved.max():
+                raise ValueError("a collapse operator shifts the declared charge by more than one amount")
+        if self.register is not None:
+            for slot in range(self.register.n_modes):
+                self.charge_weight(slot)
 
     @property
     def dim(self) -> int:
@@ -72,6 +104,14 @@ class LindbladModel:
     @property
     def dissipative(self) -> bool:
         return any(rate > 0 for _, rate in self.collapse_ops)
+
+    def charge_weight(self, slot: int) -> int:
+        """The fixed change w of the charge per quantum of register mode
+        ``slot``; ValueError when it is not one fixed amount."""
+        steps = np.diff(self.charge.reshape(self.register.dims), axis=slot)
+        if np.any(steps != steps.flat[0]):
+            raise ValueError(f"declared charge has no fixed weight in mode {slot}")
+        return int(steps.flat[0])
 
     @cached_property
     def generator(self) -> tuple[np.ndarray, list[tuple[np.ndarray, float]]]:
@@ -181,45 +221,22 @@ def liouvillian(model: LindbladModel, idx: np.ndarray | None = None) -> np.ndarr
     return out
 
 
-def liouvillian_blocks(model: LindbladModel) -> list[np.ndarray]:
-    """Index sets of the diagonal blocks of the Liouvillian on the row-major
-    vec indices d i + j (ket i, bra j): the connected components of its
-    operator-level coupling pattern, each sorted.
+def liouvillian_blocks(model: LindbladModel) -> dict[int, np.ndarray]:
+    """The diagonal blocks of the Liouvillian as {c: sorted row-major vec
+    indices d i + j (ket i, bra j)}, one per value of the conserved charge
+    c = Q_i - Q_j of the model's declared Q.
 
-    An off-diagonal K_ik != 0 joins (i, j) to (k, j) for every j (ket edges)
-    and (j, i) to (j, k) (bra edges); a jump c joins (i, j) to (k, l)
-    wherever c_ik c_jl != 0.  No entry of L joins two blocks, so exp(L t)
-    acts on each block alone.  A generator with a conserved charge
-    (``resonance_model`` conserves Q_ket - Q_bra with Q = n_zz + 2 n_str)
-    splits into one block per charge sector or finer; one with none is a
-    single block.  Each index's label falls to the least index of its
-    component by min-label propagation along the edges with pointer jumping.
+    K = -iH - 1/2 sum r c^+ c keeps Q, so K kron I + I kron conj(K) keeps
+    (Q_ket, Q_bra), and a jump shifts Q_ket and Q_bra by the same amount:
+    no entry of L joins two sectors, and exp(L t) acts on each alone
+    (Buca & Prosen, New J. Phys. 14, 073007 (2012)).  ``resonance_model``
+    declares Q = n_zz + 2 n_str; a model without a declared charge is the
+    one block c = 0.
     """
-    k, jumps = model.generator
-    d = model.dim
-    rows, cols = np.nonzero(k)
-    off = rows != cols
-    rows, cols, other = rows[off], cols[off], np.arange(d)
-    src = [np.add.outer(rows * d, other), np.add.outer(other * d, rows)]
-    dst = [np.add.outer(cols * d, other), np.add.outer(other * d, cols)]
-    for c, _ in jumps:
-        ci, ck = np.nonzero(c)
-        src.append(np.add.outer(ci * d, ci))
-        dst.append(np.add.outer(ck * d, ck))
-    src = np.concatenate([e.ravel() for e in src])
-    dst = np.concatenate([e.ravel() for e in dst])
-    labels = np.arange(d * d)
-    while True:
-        prev = labels.copy()
-        low = np.minimum(labels[src], labels[dst])
-        for ends in (src, dst, prev[src], prev[dst]):  # the ends and their labels
-            np.minimum.at(labels, ends, low)
-        while not np.array_equal(jumped := labels[labels], labels):
-            labels = jumped
-        if np.array_equal(labels, prev):
-            break
-    _, counts = np.unique(labels, return_counts=True)
-    return np.split(np.argsort(labels, kind="stable"), np.cumsum(counts)[:-1])
+    c = np.subtract.outer(model.charge, model.charge).ravel()
+    order = np.argsort(c, kind="stable")
+    charges, starts = np.unique(c[order], return_index=True)
+    return dict(zip(charges.tolist(), np.split(order, starts[1:])))
 
 
 def build_propagator(model: LindbladModel, dt: float) -> Propagator:
@@ -231,22 +248,101 @@ def build_propagator(model: LindbladModel, dt: float) -> Propagator:
     return Propagator(step=dt, dim=d, matrix=expm(liouvillian(model) * dt))
 
 
-def _hermitize(ops: np.ndarray) -> np.ndarray:
-    """(X + X^+)/2 over the last two axes of a stack of square matrices, as
-    a new C-contiguous array; SignalRealityError when the anti-Hermitian
-    part (X - X^+)/2, which would make the signal complex, exceeds
-    IMAG_TOL * max(1, max|X|)."""
-    out = np.empty(ops.shape, dtype=complex)
-    np.conjugate(np.swapaxes(ops, -1, -2), out=out)
-    skew = 0.5 * float(np.max(np.abs(out - ops)))
-    bound = IMAG_TOL * max(1.0, float(np.max(np.abs(ops))))
+def _chunks(line: np.ndarray) -> list[slice]:
+    """At most 8 slices of whole grid points (the first axis), so that a
+    chunk's temporaries stay small against the line."""
+    step = -(-len(line) // 8)
+    return [slice(k, k + step) for k in range(0, len(line), step)]
+
+
+def _check_skew(x: np.ndarray, mirror: np.ndarray) -> None:
+    """SignalRealityError when a line's anti-Hermitian part, half of
+    max |x - conj(mirror)| for x and mirror holding its entries (i, j) and
+    (j, i), exceeds IMAG_TOL * max(1, max|x|): it would make the signal
+    complex.  Taken a chunk of grid points at a time, so no full-size
+    temporary is formed."""
+    skew = scale = 0.0
+    for s in _chunks(x):
+        skew = max(skew, 0.5 * float(np.max(np.abs(x[s] - np.conj(mirror[s])))))
+        scale = max(scale, float(np.max(np.abs(x[s]))))
+    bound = IMAG_TOL * max(1.0, scale)
     if skew > bound:
         raise SignalRealityError(
             f"imaginary residual: a line's anti-Hermitian part {skew:.2e} exceeds {bound:.2e}"
         )
-    out += ops
-    out *= 0.5
-    return out
+
+
+def _hermitize(ops: np.ndarray) -> None:
+    """Replace each square matrix X over the last two axes of ``ops`` by
+    (X + X^+)/2, once ``_check_skew`` has bounded X - X^+."""
+    _check_skew(ops, np.swapaxes(ops, -1, -2))
+    for s in _chunks(ops):
+        part = ops[s]
+        part += np.conj(np.swapaxes(part, -1, -2))
+        part *= 0.5
+
+
+def _check_trace_drift(forward: np.ndarray) -> None:
+    """PropagatorAccuracyError when the trace of the (n, d*d) forward line
+    drifts by more than TRACE_TOL_PER_STEP per grid point."""
+    n, d = len(forward), math.isqrt(forward.shape[1])
+    traces = np.real(forward[:, :: d + 1].sum(axis=1))  # vec indices i (d + 1)
+    drift = float(np.max(np.abs(traces - traces[0])))
+    if drift > TRACE_TOL_PER_STEP * n * max(1.0, abs(traces[0])):
+        raise PropagatorAccuracyError(
+            f"forward-line trace drift {drift:.2e} over {n} grid points"
+        )
+
+
+def _in_class(c, cls: tuple[int, int]):
+    """c in offset + step Z for cls = (offset, step), step 0 meaning
+    {offset}; elementwise for an integer array c."""
+    offset, step = cls
+    return c == offset if step == 0 else (c - offset) % step == 0
+
+
+def _sector_lines(
+    model: LindbladModel,
+    vec0: np.ndarray,
+    cov0: np.ndarray,
+    n: int,
+    dt: float,
+    sectors: tuple[tuple[int, int], tuple[int, int]],
+) -> tuple[np.ndarray, np.ndarray]:
+    """The Lindblad lines of ``evolution_lines`` on the charge sectors that
+    ``sectors`` keeps: (forward (n, d*d), covectors (n, m, d*d)), zero on
+    every other sector."""
+    d, m = model.dim, len(cov0)
+    blocks = liouvillian_blocks(model)
+    kept = [{c for c in blocks if _in_class(c, cls)} for cls in sectors]
+    # the trace lives in c = 0; the reality check needs the mirror -c of
+    # each line's largest kept sector c
+    largest = [max(k, key=lambda c: blocks[c].size, default=None) for k in kept]
+    stepped = sorted(kept[0] | kept[1] | {0} | {-c for c in largest if c is not None})
+    b = max(blocks[c].size for c in stepped)
+    _check_budget(_map_bytes(b), f"Liouvillian block map ({b}^2)")
+    forward = np.zeros((n, d * d), dtype=complex)
+    back = np.zeros((n, m, d * d), dtype=complex)
+    for c in stepped:
+        idx = blocks[c]
+        step = expm(liouvillian(model, idx) * dt)
+        x = np.empty((n, idx.size), dtype=complex)  # P_b^k vec0[idx]
+        y = np.empty((n, m, idx.size), dtype=complex)  # cov0[:, idx] P_b^k
+        x[0], y[0] = vec0[idx], cov0[:, idx]
+        for k in range(1, n):
+            np.matmul(step, x[k - 1], out=x[k])
+            np.matmul(y[k - 1], step, out=y[k])
+        forward[:, idx], back[:, :, idx] = x, y
+    _check_trace_drift(forward)
+    for line, c in zip((forward, back), largest):
+        if c is not None:
+            idx = blocks[c]  # entries (i, j) of sector c; their mirrors (j, i) lie in -c
+            _check_skew(line[..., idx], line[..., idx % d * d + idx // d])
+    for c in set(stepped) - kept[0]:
+        forward[:, blocks[c]] = 0
+    for c in set(stepped) - kept[1]:
+        back[:, :, blocks[c]] = 0
+    return forward, back
 
 
 def evolution_lines(
@@ -255,6 +351,7 @@ def evolution_lines(
     observables: np.ndarray,
     n: int,
     dt: float,
+    sectors: tuple[tuple[int, int], tuple[int, int]] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Forward and backward lines of the one-step evolution P = exp(L dt).
 
@@ -267,58 +364,52 @@ def evolution_lines(
       (n, m, d*d), so that tr[A_j P^k(rho)] = covectors[k, j] @ vec(rho).
 
     Dissipation-free models use the closed form (no stepping, no drift) in
-    the eigenbasis of H, with both lines rotated back once.  Lindblad models
-    build P_b = exp(L_b dt) once per block of ``liouvillian_blocks`` (the
-    largest map's size checked against the memory budget first) and step
-    the forward column with P_b and the covector rows with P_b from the
-    right (the transpose) along the grid; a model without a conserved
-    charge is one d^2 block, which is correct but slower.  Both lines are
+    the eigenbasis of H, with both lines rotated back once and
     re-hermitized by ``_hermitize``, which first bounds their anti-Hermitian
-    part (SignalRealityError), and a forward trace drift above
-    TRACE_TOL_PER_STEP per grid point raises PropagatorAccuracyError.
+    part (SignalRealityError); they return every sector.
+
+    Lindblad models step the sectors of the declared charge c = Q_ket -
+    Q_bra (``liouvillian_blocks``).  ``sectors`` = (forward class, covector
+    class), each (offset, step) for c in offset + step Z, names the sectors
+    that reach the caller (None keeps all); the lines are zero on the rest.
+    P_c = exp(L_c dt) is built once for each stepped sector (the largest
+    map's size checked against the memory budget first), which steps the
+    forward column with P_c and the covector rows with P_c from the right
+    (the transpose) along the grid.  Two more sectors are stepped for the
+    checks: c = 0, where a forward trace drift above TRACE_TOL_PER_STEP per
+    grid point raises PropagatorAccuracyError, and the mirror -c of each
+    line's largest kept sector c, where the line's difference from its
+    conjugate transpose is bounded as in ``_hermitize``.  A model without a
+    declared charge is one d^2 sector, which is correct but slower.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
     d, m = model.dim, len(observables)
     covectors0 = np.swapaxes(observables, 1, 2)  # A^T: tr[A rho] = vec(A^T) . vec(rho)
     if model.dissipative:
-        blocks = liouvillian_blocks(model)
-        b = max(map(len, blocks))
-        _check_budget(_map_bytes(b), f"Liouvillian block map ({b}^2)")
-        vec0, cov0 = state.reshape(d * d), covectors0.reshape(m, d * d)
-        forward = np.empty((n, d * d), dtype=complex)
-        back = np.empty((n, m, d * d), dtype=complex)  # hermitized below
-        for idx in blocks:
-            step = expm(liouvillian(model, idx) * dt)
-            x, y = vec0[idx], cov0[:, idx]  # P_b^k vec0[idx] and cov0[:, idx] P_b^k
-            for k in range(n):
-                forward[k, idx], back[k][:, idx] = x, y
-                x, y = step @ x, y @ step
-        forward = forward.reshape(n, d, d)
-        back = back.reshape(n, m, d, d)
-    else:
-        energies, basis = np.linalg.eigh(model.hamiltonian)
-        state = basis.conj().T @ state @ basis
-        covectors0 = basis.T @ covectors0 @ basis.conj()  # (V^+ A V)^T
-        # P^k multiplies rho_ab by exp(-i (E_a - E_b) k dt); P^+ multiplies
-        # A_ab by the conjugate phase, i.e. (A^T)_ab by the same phase
-        t = np.arange(n) * dt
-        phases = np.exp(-1j * t[:, None, None] * (energies[:, None] - energies[None, :]))
-        forward = state * phases
-        back = covectors0[None] * phases[:, None]
-        del phases
-        # V X V^+ and, for the transposes, V* X V^T
-        forward = basis @ forward @ basis.conj().T
-        back = basis.conj() @ back @ basis.T
-    forward = _hermitize(forward)
-    back = _hermitize(back).reshape(n, m, d * d)
-    traces = np.real(np.trace(forward, axis1=1, axis2=2))
-    drift = float(np.max(np.abs(traces - traces[0])))
-    if drift > TRACE_TOL_PER_STEP * n * max(1.0, abs(traces[0])):
-        raise PropagatorAccuracyError(
-            f"forward-line trace drift {drift:.2e} over {n} grid points"
+        forward, back = _sector_lines(
+            model, state.reshape(d * d), covectors0.reshape(m, d * d), n, dt,
+            sectors or ((0, 1), (0, 1)),
         )
-    return forward, back
+        return forward.reshape(n, d, d), back
+    energies, basis = np.linalg.eigh(model.hamiltonian)
+    state = basis.conj().T @ state @ basis
+    covectors0 = basis.T @ covectors0 @ basis.conj()  # (V^+ A V)^T
+    # P^k multiplies rho_ab by exp(-i (E_a - E_b) k dt); P^+ multiplies
+    # A_ab by the conjugate phase, i.e. (A^T)_ab by the same phase.  Rotated
+    # back by V X V^+ and, for the transposes, V* X V^T, a chunk at a time
+    t = np.arange(n) * dt
+    gaps = energies[:, None] - energies[None, :]
+    forward = np.empty((n, d, d), dtype=complex)
+    back = np.empty((n, m, d, d), dtype=complex)
+    for s in _chunks(forward):
+        phases = np.exp(-1j * t[s, None, None] * gaps)
+        forward[s] = basis @ (state * phases) @ basis.conj().T
+        back[s] = basis.conj() @ (covectors0[None] * phases[:, None]) @ basis.T
+    _hermitize(forward)
+    _hermitize(back)
+    _check_trace_drift(forward.reshape(n, d * d))
+    return forward, back.reshape(n, m, d * d)
 
 
 def heating_dissipator(

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import IMAG_TOL, LindbladModel, SignalRealityError  # noqa: F401  (re-exported)
-from .dynamics import _check_budget, build_propagator, evolution_lines
+from .dynamics import _check_budget, _in_class, _map_bytes, build_propagator, evolution_lines, liouvillian_blocks
 from .fock import displacement, embed
 
 
@@ -171,21 +171,25 @@ def grid_points(t_max: float, dt: float) -> int:
     return int(np.floor(t_max / dt * (1.0 + 1e-9))) + 1
 
 
-def _working_set_bytes(d: int, n: int, d_target: int) -> int:
-    """Upper bound on the bytes a scan holds at once: 12 (n, d, d) complex
-    lines (the forward and two covector lines with the temporaries of their
-    rotation and hermitization, then the combined covector and the
-    pre-cycled states with their reordering), the grid twice, a few d x d
-    operators and the pre-cycled pulse pair with its products.  A Lindblad
-    model's block maps are guarded on their own by ``evolution_lines``."""
-    return 16 * (12 * n * d * d + 2 * n * n + 8 * d * d + 3 * d_target**4)
+def _working_set_bytes(d: int, n: int, d_target: int, block: int = 0) -> int:
+    """Upper bound on the bytes a scan holds at once, fitted to its
+    tracemalloc peak on both paths: 5 (n, d, d) complex lines (the forward
+    and the two covector lines; then the forward line, the combined
+    covector and the temporaries of the chunked closed form, the reality
+    check and the sector contraction), the grid twice, a few
+    d x d operators, the pre-cycled pulse pair with its products, and the
+    step map of the largest Lindblad sector of ``block`` vec indices,
+    built while the lines are held (``dynamics._map_bytes``; 0 on the
+    closed form)."""
+    return 16 * (5 * n * d * d + 2 * n * n + 8 * d * d + 3 * d_target**4) + _map_bytes(block)
 
 
-def check_scan_budget(dims: tuple[int, ...], n: int, target: int) -> None:
+def check_scan_budget(dims: tuple[int, ...], n: int, target: int, block: int = 0) -> None:
     """PropagatorSizeError when a scan of the register ``dims`` over n grid
-    points would exceed the memory budget; ``cli.build_config`` calls it too."""
+    points, stepping Lindblad sectors of at most ``block`` vec indices,
+    would exceed the memory budget; ``cli.build_config`` calls it too."""
     d = math.prod(dims)  # exact even for a config's huge dims
-    _check_budget(_working_set_bytes(d, n, dims[target]), f"scan (dim {d}, {n} grid points)")
+    _check_budget(_working_set_bytes(d, n, dims[target], block), f"scan (dim {d}, {n} grid points)")
 
 
 def _pulse_set(model: LindbladModel, seq: PulseSequence) -> tuple[np.ndarray, ...]:
@@ -206,12 +210,32 @@ def _pulse_set(model: LindbladModel, seq: PulseSequence) -> tuple[np.ndarray, ..
         return [displacement(alpha * np.exp(1j * p), dim) for p in seq.phase_grid(k)]
 
     cycled = np.zeros((dim * dim, dim * dim), dtype=complex)
+    k3s = kicks(3)
     for a, k2 in zip(w2, kicks(2)):
-        for b, k3 in zip(w3, kicks(3)):
+        for b, k3 in zip(w3, k3s):
             cycled += a * b * np.kron(k3 @ k2, (k3 @ k2).conj())
     measured = np.stack([k4.conj().T @ np.diag(np.arange(dim)) @ k4 for k4 in kicks(4)])
     parts = [np.tensordot(w, measured, 1) for w in (w4.real, w4.imag)]
     return d1, cycled, np.stack([embed(h, seq.target, model.register) for h in parts])
+
+
+def _kept_sectors(model: LindbladModel, seq: PulseSequence) -> tuple[tuple[int, int], ...]:
+    """The charge sectors c = Q_ket - Q_bra of the forward line and of the
+    covector line that reach the signature component, each as (offset,
+    step) for c in offset + step Z.
+
+    A pulse changes c by w Dp, with w the target's charge weight
+    (``LindbladModel.charge_weight``; 0 without a declared charge) and Dp
+    its change of the target's coherence order; the phase cycle of pulse k
+    keeps Dp_k = q_k mod N_k (pathway selection: Bodenhausen, Kogler &
+    Ernst, J. Magn. Reson. 58, 370 (1984)), and the target population is
+    read in c = 0.  So the covector line needs c3 in -w q4 + w N4 Z, and
+    the forward line c1 in -w (q2 + q3 + q4) + w gcd(N2, N3, N4) Z: every
+    sector when the phase counts are coprime.
+    """
+    w = model.charge_weight(seq.target)
+    (q2, q3, q4), (n2, n3, n4) = seq.signature, seq.n_phases
+    return (-w * (q2 + q3 + q4), w * math.gcd(n2, n3, n4)), (-w * q4, w * n4)
 
 
 def scan(
@@ -232,26 +256,52 @@ def scan(
     signals, so s(k1, k3) = tr[A(k3) S(k1)] with the pre-cycled state
     S = sum w2 w3 D32 rho D32^+ and observable A = sum w4 A_j4 = H_R + i H_I
     (``_pulse_set``): only a finite sum is reordered, so the phase-cycle
-    aliasing is the experiment's.  ``dynamics.evolution_lines`` gives the
-    forward line and the covector lines of H_R and H_I; the pre-cycled pulse
-    pair acts on the target-mode ket and bra axes of the forward line (a
-    cost of n d^2 d_t^2; no embedded d x d pulse is formed), and one
-    (n x d^2) @ (d^2 x n) product gives the grid.  The working set is
-    checked against the memory budget (``check_scan_budget``) before any
-    operator is built.
+    aliasing is the experiment's.
+
+    Only the charge sectors c = Q_ket - Q_bra of the model's declared charge
+    that the phase cycle keeps reach the signal (``_kept_sectors``):
+    ``dynamics.evolution_lines`` steps the forward line and the covector
+    lines of H_R and H_I on those alone (a Lindblad model; the closed form
+    gives every sector), and the pre-cycled pulse pair, which acts on the
+    target-mode ket and bra axes, is applied to the kept forward entries
+    and read on the kept covector entries only, one spectator charge
+    difference at a time (no embedded d x d pulse is formed).  A model
+    without a declared charge is one sector, contracted in full.  The
+    working set, with the largest sector's step map, is checked against the
+    memory budget (``check_scan_budget``) before any operator is built.
     """
     if model.register is None:
         raise ValueError("model needs a register to embed pulses")
     dims, n, d = model.register.dims, grid_points(t_max, dt), model.dim
     d_t = dims[seq.target]
-    check_scan_budget(dims, n, seq.target)
+    # the largest sector is c = 0, which is always stepped
+    block = max(map(len, liouvillian_blocks(model).values())) if model.dissipative else 0
+    check_scan_budget(dims, n, seq.target, block)
     d1, cycled, observables = _pulse_set(model, seq)
-    line, covectors = evolution_lines(model, d1 @ rho0 @ d1.conj().T, observables, n, dt)
-    # (k1, left, ket, right, left, bra, right): C acts on the target ket and bra axes
+    kept_forward, kept_covector = kept = _kept_sectors(model, seq)
+    line, covectors = evolution_lines(model, d1 @ rho0 @ d1.conj().T, observables, n, dt, kept)
+    covector = covectors[:, 1] * 1j  # vec(A(k3)^T) = vec(H_R^T) + i vec(H_I^T), (k3, d^2)
+    covector += covectors[:, 0]
+    del covectors
+    line = line.reshape(n, d * d)
+    # vec index of ket (l, a, r), bra (m, b, s) with target indices a, b:
+    # base[(l, r), (m, s)] + offset[a, b]; its charge is the spectators'
+    # difference spread[(l, r), (m, s)] plus w (a - b)
     left = int(np.prod(dims[: seq.target]))
     right = d // (left * d_t)
-    line = line.reshape(n, left, d_t, right, left, d_t, right)
-    states = np.einsum("ABab,klarmbs->klArmBs", cycled.reshape((d_t,) * 4), line, optimize=True)
-    covector = covectors[:, 0] + 1j * covectors[:, 1]  # vec(A(k3)^T), (k3, d^2)
+    ket = np.add.outer(np.arange(left) * d_t * right, np.arange(right)).ravel()
+    base = np.add.outer(ket * d, ket).ravel()
+    offset = np.add.outer(np.arange(d_t) * right * d, np.arange(d_t) * right).ravel()
+    spread = np.subtract.outer(model.charge[ket], model.charge[ket]).ravel()
+    orders = model.charge_weight(seq.target) * np.subtract.outer(np.arange(d_t), np.arange(d_t)).ravel()
+    values = np.zeros((n, n), dtype=complex)
+    for c in sorted(set(spread.tolist())):
+        # C maps the target block's kept forward entries to its kept
+        # covector entries, one spectator charge difference at a time
+        pairs = base[spread == c, None]
+        src = np.flatnonzero(_in_class(orders + c, kept_forward))
+        dst = np.flatnonzero(_in_class(orders + c, kept_covector))
+        states = line[:, pairs + offset[src]] @ cycled[np.ix_(dst, src)].T
+        values += states.reshape(n, -1) @ covector[:, pairs + offset[dst]].reshape(n, -1).T
     t_axis = np.arange(n) * dt
-    return SignalGrid(t1=t_axis, t3=t_axis, values=states.reshape(n, d * d) @ covector.T)
+    return SignalGrid(t1=t_axis, t3=t_axis, values=values)

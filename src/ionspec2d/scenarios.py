@@ -10,10 +10,13 @@ pulses and the observable phase-cycled before it (as in ``protocol.scan``)
 -- this treats the static dephasing by spectator populations exactly, and
 ``kerr_scan_full`` on the product register is its oracle.  The resonance
 scenario probes coherent zigzag-stretch energy exchange at anisotropy 20/63
-under heating: a Lindblad model on the two-mode register.  Its Liouvillian
-conserves Q_ket - Q_bra with Q = n_zz + 2 n_str (the heating jumps shift
-ket and bra alike), so its scan steps one small dense map per diagonal
-block of the Liouvillian along the time grid.
+under heating: a Lindblad model on the two-mode register.  It declares
+the conserved charge Q = n_zz + 2 n_str, so its Liouvillian keeps
+c = Q_ket - Q_bra (the heating jumps shift ket and bra alike), and its scan
+steps one small dense map per sector of c along the time grid, only on
+the sectors the (1, -1, -1) cycle keeps: c in 1 + 4Z for N_phi = 4, plus
+c = 0 and c = -1 for the trace and reality checks: 11 of the 37 sectors
+at dims (9, 6), 720 of the 2916 vec indices kept.
 """
 
 from __future__ import annotations
@@ -260,7 +263,10 @@ def resonance_model(
     dims: tuple[int, int] = (9, 6),
     heating_quanta_per_s: tuple[float, float] = (200.0, 100.0),
 ) -> dynamics.LindbladModel:
-    """Resonant exchange Hamiltonian Omega_T (a_zz^2 c_str+ + h.c.) + heating."""
+    """Resonant exchange Hamiltonian Omega_T (a_zz^2 c_str+ + h.c.) + heating,
+    with its conserved charge Q = n_zz + 2 n_str declared: the exchange
+    trades two zigzag quanta for one stretch quantum, and each heating jump
+    moves Q by the mode's weight."""
     reg = fock.FockRegister(dims=dims, labels=("zz", "str"))
     a = fock.embed(fock.destroy(dims[0]), 0, reg)
     c = fock.embed(fock.destroy(dims[1]), 1, reg)
@@ -268,7 +274,8 @@ def resonance_model(
     collapse = []
     for slot, rate in enumerate(heating_quanta_per_s):
         collapse.extend(dynamics.heating_dissipator(slot, rate, reg))
-    return dynamics.LindbladModel(hamiltonian=h, collapse_ops=collapse, register=reg)
+    charge = np.add.outer(np.arange(dims[0]), 2 * np.arange(dims[1])).ravel()
+    return dynamics.LindbladModel(hamiltonian=h, collapse_ops=collapse, register=reg, charge=charge)
 
 
 def resonance_initial_state(

@@ -422,3 +422,32 @@ def test_runs_import_no_scipy_and_load_no_module(tmp_path):
     assert json.loads(proc.stdout.splitlines()[-1]) == {"scipy": [], "added": []}
     for name in ("kerr", "resonance"):
         assert json.loads((tmp_path / name / "manifest.json").read_text())["status"] == "ok"
+
+
+# the package loads no numpy, and cli pins the BLAS threads before it does
+_BLAS_THREADS = """
+import json, os, sys
+import ionspec2d
+bare = "numpy" in sys.modules
+from ionspec2d import cli
+print(json.dumps({"numpy_before_cli": bare, "env": {
+    var: os.environ.get(var) for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+}}))
+"""
+
+
+@pytest.mark.parametrize("caller", [{}, {"OPENBLAS_NUM_THREADS": "2"}], ids=["unset", "caller-set"])
+def test_cli_pins_blas_threads_unless_the_caller_set_them(caller):
+    src = str(Path(ionspec2d.__file__).resolve().parents[1])
+    blas = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    env = {key: value for key, value in os.environ.items() if key not in blas}
+    env.update(caller, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", _BLAS_THREADS], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result == {
+        "numpy_before_cli": False,
+        "env": {var: caller.get(var, "1") for var in blas},
+    }

@@ -215,6 +215,48 @@ class TestModelValidation:
                 register=reg,
             )
 
+    def _exchange(self, **kw):
+        """Two-for-one exchange on (zz, str) with Q = n_zz + 2 n_str."""
+        reg = FockRegister(dims=(4, 3), labels=("zz", "str"))
+        a = fock.embed(destroy(4), 0, reg)
+        c = fock.embed(destroy(3), 1, reg)
+        h = 2 * np.pi * 5e3 * (a @ a @ c.conj().T + a.conj().T @ a.conj().T @ c)
+        charge = np.add.outer(np.arange(4), 2 * np.arange(3)).ravel()
+        args = dict(hamiltonian=h, collapse_ops=heating_dissipator(1, 0.2e3, reg), register=reg, charge=charge)
+        return LindbladModel(**(args | kw)), a, c
+
+    def test_declared_charge_accepted(self):
+        model, _, _ = self._exchange()
+        assert (model.charge_weight(0), model.charge_weight(1)) == (1, 2)
+        assert model.charge.dtype == np.int64
+
+    def test_charge_breaking_hamiltonian_rejected(self):
+        model, a, _ = self._exchange()
+        drive = model.hamiltonian + 2 * np.pi * 1e3 * (a + a.conj().T)  # moves Q by one
+        with pytest.raises(ValueError, match="conserve"):
+            self._exchange(hamiltonian=drive)
+
+    def test_jump_without_a_fixed_shift_rejected(self):
+        _, a, c = self._exchange()
+        # a + c lowers Q by 1 on some entries and by 2 on others
+        with pytest.raises(ValueError, match="collapse"):
+            self._exchange(collapse_ops=[(a + c, 1e2)])
+
+    def test_charge_without_a_fixed_mode_weight_rejected(self):
+        # Q = n_zz^2 commutes with the diagonal H and the dephasing jump, but
+        # a zigzag quantum changes it by 1, 3, 5, ...: no pulse rule exists
+        reg = FockRegister(dims=(4, 3), labels=("zz", "str"))
+        n_zz = np.repeat(np.arange(4), 3)
+        with pytest.raises(ValueError, match="weight"):
+            LindbladModel(
+                hamiltonian=np.diag(n_zz).astype(complex), register=reg, charge=n_zz**2
+            )
+
+    @pytest.mark.parametrize("charge", [np.arange(11), np.arange(12) + 0.5])
+    def test_malformed_charge_rejected(self, charge):
+        with pytest.raises(ValueError, match="integer"):
+            self._exchange(charge=charge)
+
     def test_liouvillian_against_direct_equation(self):
         # one explicit Lindblad step: L(rho) from the superoperator matches
         # -i[H,rho] + sum_k r_k (C rho C+ - {C+C, rho}/2) computed directly

@@ -46,7 +46,7 @@ class TestExpm:
         omega_t = scenarios.resonance_parameters(resonance_data).omega_t
         model = scenarios.resonance_model(omega_t, dims=(9, 6))
         dt = 10.6e-6
-        for idx in dynamics.liouvillian_blocks(model):
+        for idx in dynamics.liouvillian_blocks(model).values():
             step = dynamics.liouvillian(model, idx) * dt
             assert _relative_error(dynamics.expm(step), scipy_linalg.expm(step)) <= RTOL
 

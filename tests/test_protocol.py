@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ionspec2d import dynamics, fock, protocol, scenarios
+from ionspec2d import cli, dynamics, fock, protocol, scenarios
 from ionspec2d.dynamics import (
     LindbladModel,
     PropagatorAccuracyError,
@@ -199,9 +199,15 @@ def _damped_kerr_mode(dim=7):
     return damped, rho0
 
 
+def _exchange_charge(dims):
+    """Diagonal of Q = n_zz + 2 n_str on the register (zz, str)."""
+    return np.add.outer(np.arange(dims[0]), 2 * np.arange(dims[1])).ravel()
+
+
 def _heated_exchange(dims=(4, 3)):
-    """Two-mode Lindblad model: the sparse Liouvillian path.  The complex
-    coupling and the extra cooling jump make L differ from its transpose."""
+    """Two-mode Lindblad model with its conserved charge Q = n_zz + 2 n_str
+    declared: the sector path.  The complex coupling and the extra cooling
+    jump make L differ from its transpose."""
     reg = FockRegister(dims=dims, labels=("zz", "str"))
     a = fock.embed(destroy(dims[0]), 0, reg)
     c = fock.embed(destroy(dims[1]), 1, reg)
@@ -213,6 +219,7 @@ def _heated_exchange(dims=(4, 3)):
         + heating_dissipator(1, 0.2e3, reg)
         + [(a, 0.3e3)],
         register=reg,
+        charge=_exchange_charge(dims),
     )
     rho0 = fock.product_state([thermal_state(0.5, dims[0])[0], thermal_state(0.2, dims[1])[0]])
     return model, rho0
@@ -234,7 +241,8 @@ def _three_mode_middle_target():
     """Three-mode Lindblad register measured on its middle slot, so the
     pre-cycled pulses act between spectator axes on both sides: a Kerr
     target with a complex exchange to the left mode, a two-for-one exchange
-    with the right mode, heating on the target and cooling on the right."""
+    with the right mode, heating on the target and cooling on the right.
+    It declares its conserved charge Q = n_l + n_m + 2 n_r."""
     reg = FockRegister(dims=(2, 3, 3), labels=("l", "m", "r"))
     a, b, c = (fock.embed(destroy(dim), slot, reg) for slot, dim in enumerate(reg.dims))
     nb = b.conj().T @ b
@@ -246,6 +254,7 @@ def _three_mode_middle_target():
         hamiltonian=h,
         collapse_ops=heating_dissipator(1, 0.3e3, reg) + [(c, 0.5e3)],
         register=reg,
+        charge=np.add.outer(np.add.outer(np.arange(2), np.arange(3)), 2 * np.arange(3)).ravel(),
     )
     rho0 = fock.product_state(
         [thermal_state(nbar, dim)[0] for nbar, dim in zip((0.3, 0.5, 0.2), reg.dims)]
@@ -321,8 +330,42 @@ class TestScanEngine:
         omega_t = scenarios.resonance_parameters(resonance_data).omega_t
         model = scenarios.resonance_model(omega_t, dims=dims)
         blocks = dynamics.liouvillian_blocks(model)
-        assert (len(blocks), max(map(len, blocks))) == (count, largest)
-        assert np.array_equal(np.sort(np.concatenate(blocks)), np.arange(model.dim**2))
+        assert (len(blocks), max(map(len, blocks.values()))) == (count, largest)
+        assert np.array_equal(np.sort(np.concatenate(list(blocks.values()))), np.arange(model.dim**2))
+        # each block is the sector of one value of c = Q_ket - Q_bra
+        ket, bra = np.divmod(np.arange(model.dim**2), model.dim)
+        charge = model.charge[ket] - model.charge[bra]
+        for c, idx in blocks.items():
+            assert np.all(charge[idx] == c)
+
+    @pytest.mark.parametrize("dims", [(7, 5), (9, 6)])
+    def test_kept_sectors_match_every_sector_stepped(self, resonance_data, dims):
+        # the reference resonance scan against every charge sector stepped
+        # and contracted in full, with the scan's own pre-cycled pulses
+        cfg = cli.build_config({"scenario": "resonance", "dims": list(dims)})
+        omega_t = scenarios.resonance_parameters(resonance_data).omega_t
+        rates = tuple(1e3 * r for r in cfg.heating_quanta_per_ms)
+        model = scenarios.resonance_model(omega_t, dims=dims, heating_quanta_per_s=rates)
+        rho0 = scenarios.resonance_initial_state(dims, tuple(cfg.nbar))
+        seq, n, dt = cfg.sequence(), grid_points(cfg.t_max_s, cfg.dt_s), cfg.dt_s
+        grid = scan(model, rho0, seq, cfg.t_max_s, dt).values
+
+        d, d_t = model.dim, dims[0]
+        d1, cycled, observables = protocol._pulse_set(model, seq)
+        vec0 = (d1 @ rho0 @ d1.conj().T).reshape(d * d)
+        cov0 = (observables[0] + 1j * observables[1]).T.reshape(d * d)  # vec(A^T), pre-cycled A
+        forward = np.empty((n, d * d), dtype=complex)
+        covector = np.empty((n, d * d), dtype=complex)
+        for idx in dynamics.liouvillian_blocks(model).values():
+            step = dynamics.expm(dynamics.liouvillian(model, idx) * dt)
+            x, y = vec0[idx], cov0[idx]
+            for k in range(n):
+                forward[k, idx], covector[k, idx] = x, y
+                x, y = step @ x, y @ step
+        line = forward.reshape(n, d_t, d // d_t, d_t, d // d_t)
+        states = np.einsum("ABab,karbs->kArBs", cycled.reshape((d_t,) * 4), line)
+        every = states.reshape(n, d * d) @ covector.T
+        assert np.max(np.abs(grid - every)) <= 1e-12 * np.max(np.abs(every))
 
     def test_charge_breaking_drive_is_one_block(self):
         model, _ = _driven_heated_exchange()
@@ -416,17 +459,21 @@ class TestMemoryGuards:
     @pytest.mark.parametrize("heated", [False, True], ids=["eigh", "blocks"])
     def test_scan_guard_bounds_the_traced_peak(self, dims, n, heated):
         # the exchange model without heating takes the eigh path, with it
-        # the block path; both have many small blocks, so the lines dominate
+        # the sector path, whose bound adds the largest sector's step map
         reg = FockRegister(dims=dims, labels=("zz", "str"))
         a = fock.embed(destroy(dims[0]), 0, reg)
         c = fock.embed(destroy(dims[1]), 1, reg)
         h = TWO_PI * 5e3 * (a @ a @ c.conj().T + a.conj().T @ a.conj().T @ c)
         heating = heating_dissipator(0, 0.4e3, reg) + heating_dissipator(1, 0.2e3, reg)
-        model = LindbladModel(hamiltonian=h, collapse_ops=heating if heated else [], register=reg)
+        model = LindbladModel(
+            hamiltonian=h, collapse_ops=heating if heated else [], register=reg,
+            charge=_exchange_charge(dims),
+        )
         rho0 = fock.product_state([thermal_state(0.5, dim)[0] for dim in dims])
         dt = 2e-5
         peak = _traced_peak(lambda: scan(model, rho0, PulseSequence(), (n - 1) * dt, dt))
-        assert protocol._working_set_bytes(model.dim, n, dims[0]) >= peak
+        block = max(map(len, dynamics.liouvillian_blocks(model).values())) if heated else 0
+        assert protocol._working_set_bytes(model.dim, n, dims[0], block) >= peak
 
     @pytest.mark.parametrize("d, n", [(5, 11), (9, 80)])
     def test_kerr_guard_bounds_the_traced_peak(self, d, n, monkeypatch):

@@ -189,17 +189,18 @@ class TestKerrSectorAverage:
 
     @pytest.mark.parametrize("engine", ["kerr_scan_fast", "scan"])
     def test_non_hermitian_state_raises(self, engine, monkeypatch):
-        # every pulse acts by conjugation and the lines are Hermitian up to
-        # rounding, so the skew is injected into each line just before
-        # dynamics._hermitize, which bounds it and then removes it
-        exact = dynamics._hermitize
+        # every pulse acts by conjugation, so each line equals its conjugate
+        # transpose up to rounding; the skew is injected into the entries
+        # that dynamics._check_skew compares with their mirrors (the whole
+        # line on the eigh path, the largest kept sector on the sector path)
+        exact = dynamics._check_skew
 
-        def skewed(ops):
+        def skewed(ops, mirror):
             ops = ops.copy()
             ops[..., 0, 1] += 1e-3j
-            return exact(ops)
+            exact(ops, mirror)
 
-        monkeypatch.setattr(dynamics, "_hermitize", skewed)
+        monkeypatch.setattr(dynamics, "_check_skew", skewed)
         with pytest.raises(SignalRealityError, match="imaginary"):
             if engine == "kerr_scan_fast":
                 scenarios.kerr_scan_fast(_kerr_model(), PulseSequence(), 6 * DT, DT)
