@@ -9,12 +9,16 @@ closed form ``scenarios.kerr_scan_fast``; ``resonance`` runs
 so the ``threads`` setting is validated but has no effect; importing this
 module pins the BLAS thread variables to 1 unless the caller set them.  The
 spectrum stage makes one ``spectrum.fft2``; the two 1D projections are means
-of that spectrum, taken before the optional carrier notch.  ``build_config``
-rejects an invalid configuration with ConfigError (exit 2) before any work
-starts, a ``resonance`` scan past the memory budget included.  Every run,
-successful or not, leaves a manifest.json with the resolved configuration,
-derived parameters, regime diagnostics (the RWA ratio of ``kerr`` and
-``tables``) and checksums of all outputs.
+of that spectrum, taken before the optional carrier notch.  It writes each
+quantity once: ``signal_grid.bin``, ``spectrum.bin`` (complex; its two
+affine omega axes are the manifest's ``spectrum_axes``, start, step and count),
+the two projections and ``peaks.csv``.  ``build_config`` rejects an invalid
+configuration with ConfigError (exit 2) before any work starts, a scan past
+the memory budget included (for ``resonance``, its lines and its largest
+Lindblad sector's step map).  Every run, successful or not, leaves a
+manifest.json with the resolved configuration, derived parameters, regime
+diagnostics (the RWA ratio of ``kerr`` and ``tables``) and checksums of all
+outputs.
 """
 
 from __future__ import annotations
@@ -232,14 +236,18 @@ def build_config(raw: dict) -> RunConfig:
                 "t_max_s * grid_scale must be at least dt_s: a one-point grid has no spectrum"
             )
     if cfg.scenario in _MODE_COUNT:
-        # the scan's own guard of its lines, before any operator is built
-        # (the run adds the largest Lindblad sector's step map); the
-        # resonance pulses target slot 0, the zigzag (RunConfig.sequence)
+        # the scan's own guard, before any operator is built; the resonance
+        # pulses target slot 0, the zigzag (RunConfig.sequence).  A heated
+        # resonance scan adds the step map of its largest charge sector,
+        # counted once the lines have bounded the register's size
         try:
             if cfg.scenario == "kerr":
                 scenarios.check_kerr_budget(cfg.dims, n)
             else:
                 protocol.check_scan_budget(cfg.dims, n, 0)
+                if any(cfg.heating_quanta_per_ms):
+                    block = dynamics.largest_sector(scenarios.resonance_charge(cfg.dims))
+                    protocol.check_scan_budget(cfg.dims, n, 0, block)
         except dynamics.PropagatorSizeError as exc:
             raise ConfigError(str(exc)) from None
     if cfg.scenario in _MODE_COUNT and cfg.phase_noise_diffusion > 0:
@@ -289,17 +297,18 @@ def _write_tables(out: Path, params: anharmonic.EffectiveParams) -> list[Path]:
 
 
 def _write_spectrum_products(out: Path, grid, spec, proj1, proj3, peaks) -> list[Path]:
+    """The spectrum stage's artifacts, each quantity once: the phase-cycled
+    grid (``signal_grid.bin``), the complex 2D spectrum (``spectrum.bin``;
+    its axes are in the manifest, ``_axis``), the two 1D projections and
+    the peak list."""
     names = (
-        "signal_grid.bin", "spectrum.bin", "spectrum.csv",
+        "signal_grid.bin", "spectrum.bin",
         "projection_omega1.csv", "projection_omega3.csv", "peaks.csv",
     )
     paths = [out / name for name in names]
-    grid_path, spec_path, csv_path, proj1_path, proj3_path, peaks_path = paths
+    grid_path, spec_path, proj1_path, proj3_path, peaks_path = paths
     matio.write_matrix(grid_path, grid.values)
     matio.write_matrix(spec_path, spec.values)
-    w1, w3 = np.meshgrid(spec.omega1, spec.omega3, indexing="ij")
-    rows = np.column_stack([w1.ravel(), w3.ravel(), spec.magnitude.ravel()])
-    matio.write_csv(csv_path, ["omega1_rad_s", "omega3_rad_s", "magnitude"], rows.tolist())
     for path, proj in ((proj1_path, proj1), (proj3_path, proj3)):
         matio.write_csv(
             path, ["omega_rad_s", "magnitude"],
@@ -311,6 +320,16 @@ def _write_spectrum_products(out: Path, grid, spec, proj1, proj3, peaks) -> list
         [[pk.omega1, pk.omega3, pk.magnitude, pk.label] for pk in peaks],
     )
     return paths
+
+
+def _axis(omega: np.ndarray) -> dict:
+    """An affine spectrum axis as the manifest records it: omega[k] =
+    start + k * step for k < count (rad/s)."""
+    return {
+        "start": float(omega[0]),
+        "step": float(omega[-1] - omega[0]) / (omega.size - 1),
+        "count": omega.size,
+    }
 
 
 def _apply_phase_noise(grid, signature, diffusion):
@@ -433,6 +452,9 @@ def _dispatch(cfg: RunConfig, out: Path, manifest: dict) -> list[Path]:
     proj3 = spectrum.project_1d(spec, "omega3")
     if cfg.baseline_notch:
         spec = spectrum.notch_carrier(spec)
+    manifest["spectrum_axes"] = {
+        "omega1_rad_s": _axis(spec.omega1), "omega3_rad_s": _axis(spec.omega3)
+    }
     peaks = spectrum.find_peaks(spec, threshold=cfg.peak_threshold)
     if cfg.scenario == "resonance":
         scenarios.label_peaks(

@@ -239,6 +239,14 @@ def liouvillian_blocks(model: LindbladModel) -> dict[int, np.ndarray]:
     return dict(zip(charges.tolist(), np.split(order, starts[1:])))
 
 
+def largest_sector(charge: np.ndarray) -> int:
+    """Vec indices in the largest sector of ``liouvillian_blocks``, c = 0:
+    sum_q N_q^2 over the N_q basis states of charge q (by Cauchy-Schwarz no
+    sector c holds more than sum_q N_q N_(q+c) <= sum_q N_q^2)."""
+    counts = np.unique(charge, return_counts=True)[1]
+    return int(np.sum(counts.astype(np.int64) ** 2))
+
+
 def build_propagator(model: LindbladModel, dt: float) -> Propagator:
     """exp(L dt) as the dense exponential of the Liouvillian."""
     if dt <= 0:

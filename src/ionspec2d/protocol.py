@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import IMAG_TOL, LindbladModel, SignalRealityError  # noqa: F401  (re-exported)
-from .dynamics import _check_budget, _in_class, _map_bytes, build_propagator, evolution_lines, liouvillian_blocks
+from .dynamics import _check_budget, _in_class, _map_bytes, build_propagator, evolution_lines, largest_sector
 from .fock import displacement, embed
 
 
@@ -275,7 +275,7 @@ def scan(
     dims, n, d = model.register.dims, grid_points(t_max, dt), model.dim
     d_t = dims[seq.target]
     # the largest sector is c = 0, which is always stepped
-    block = max(map(len, liouvillian_blocks(model).values())) if model.dissipative else 0
+    block = largest_sector(model.charge) if model.dissipative else 0
     check_scan_budget(dims, n, seq.target, block)
     d1, cycled, observables = _pulse_set(model, seq)
     kept_forward, kept_covector = kept = _kept_sectors(model, seq)

@@ -258,15 +258,21 @@ def kerr_scan_full(
 # resonance scenario
 
 
+def resonance_charge(dims: tuple[int, int]) -> np.ndarray:
+    """The conserved charge Q = n_zz + 2 n_str of the resonance register,
+    one integer per basis state: the exchange trades two zigzag quanta for
+    one stretch quantum."""
+    return np.add.outer(np.arange(dims[0]), 2 * np.arange(dims[1])).ravel()
+
+
 def resonance_model(
     omega_t: float,
     dims: tuple[int, int] = (9, 6),
     heating_quanta_per_s: tuple[float, float] = (200.0, 100.0),
 ) -> dynamics.LindbladModel:
     """Resonant exchange Hamiltonian Omega_T (a_zz^2 c_str+ + h.c.) + heating,
-    with its conserved charge Q = n_zz + 2 n_str declared: the exchange
-    trades two zigzag quanta for one stretch quantum, and each heating jump
-    moves Q by the mode's weight."""
+    with its conserved charge declared (``resonance_charge``): each heating
+    jump moves Q by the mode's weight."""
     reg = fock.FockRegister(dims=dims, labels=("zz", "str"))
     a = fock.embed(fock.destroy(dims[0]), 0, reg)
     c = fock.embed(fock.destroy(dims[1]), 1, reg)
@@ -274,8 +280,9 @@ def resonance_model(
     collapse = []
     for slot, rate in enumerate(heating_quanta_per_s):
         collapse.extend(dynamics.heating_dissipator(slot, rate, reg))
-    charge = np.add.outer(np.arange(dims[0]), 2 * np.arange(dims[1])).ravel()
-    return dynamics.LindbladModel(hamiltonian=h, collapse_ops=collapse, register=reg, charge=charge)
+    return dynamics.LindbladModel(
+        hamiltonian=h, collapse_ops=collapse, register=reg, charge=resonance_charge(dims)
+    )
 
 
 def resonance_initial_state(

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ionspec2d
-from ionspec2d import matio
+from ionspec2d import matio, spectrum
 from ionspec2d.cli import SCENARIOS, ConfigError, RunConfig, build_config, main, run_scenario
 
 # any value json.loads can return (NaN, infinities and big ints included), with
@@ -57,6 +58,77 @@ class TestBinaryFormat:
         path.write_bytes(b"NOTMAGIC" + bytes(64))
         with pytest.raises(ValueError, match="magic"):
             matio.read_matrix(path)
+
+
+def _csv_writer_reference(path, header, rows):
+    """The CSV ``matio.write_csv`` wrote before its one-format-per-row path:
+    ``csv.writer`` with every float formatted ``.17g`` and every other value
+    by ``str``."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([format(v, ".17g") if isinstance(v, float) else str(v) for v in row])
+
+
+_INF, _NAN = float("inf"), float("nan")
+_CSV_CASES = {
+    "floats": (
+        ["a", "b", "c"],
+        [
+            [-0.0, 1e-300, _INF],
+            [_NAN, -_INF, 0.1],
+            [5e-324, 1 / 3, -1.7976931348623157e308],
+            [np.float64(2.5), np.float64(-0.0), 1e22],
+        ],
+    ),
+    # noise_loss.csv: ints, floats, and "" where the Monte Carlo column is empty
+    "noise_loss": (
+        ["p2", "p3", "p4", "loss_analytic", "loss_mc"],
+        [
+            [1, 0, 0, 0.01, ""],
+            [1, 1, 0, 0.025, 0.02498],
+            [2, -1, 3, 0.04, ""],
+            [np.int64(1), 0, 0, 0.01, 0.0101],
+            [10**20, 0, 0, 10**20, 1e-300],
+        ],
+    ),
+    # peaks.csv: three floats and a label
+    "peaks": (
+        ["omega1_rad_s", "omega3_rad_s", "magnitude", "label"],
+        [
+            [-1e6, 2.5e5, 0.125, ""],
+            [-1e6, 2.5e5, 0.125, "b'"],
+            [0.0, -0.0, _NAN, "a, the carrier"],
+            [1.0, 2.0, 3.0, "Ωsi/2 ä"],
+            [1.0, 2.0, 3.0, 'say "x"'],
+            [1.0, 2.0, 3.0, "two\nlines"],
+            [1.0, 2.0, 3.0, "cr\r"],
+            [1.0, 2.0, 3.0, 7],
+        ],
+    ),
+    "lone_field": (["label"], [["x"], [""], ["y,z"], [0.5]]),
+    "no_rows": (["a", "b"], []),
+}
+
+
+class TestCsvFormat:
+    @pytest.mark.parametrize("case", sorted(_CSV_CASES))
+    def test_bytes_match_csv_writer(self, case, tmp_path):
+        header, rows = _CSV_CASES[case]
+        for first in range(max(len(rows), 1)):  # each row's types as the format's
+            order = rows[first:] + rows[:first]
+            matio.write_csv(tmp_path / "new.csv", header, order)
+            _csv_writer_reference(tmp_path / "old.csv", header, order)
+            assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+        with open(tmp_path / "new.csv", newline="") as fh:
+            read = list(csv.reader(fh))[1:]
+        assert len(read) == len(order)
+        for row, fields_ in zip(order, read):
+            for value, field in zip(row, fields_):
+                if isinstance(value, float):  # every float reads back exactly, -0.0 included
+                    assert float(field) == value or (math.isnan(value) and math.isnan(float(field)))
+                    assert math.copysign(1.0, float(field)) == math.copysign(1.0, value)
 
 
 class TestConfigValidation:
@@ -119,6 +191,9 @@ class TestConfigValidation:
             ({"scenario": "resonance", "dims": [30, 30]}, "budget"),
             # kerr_scan_fast's working set on a 200-level zigzag (~115 GiB)
             ({"scenario": "kerr", "dims": [200, 2, 2]}, "budget"),
+            # a heated scan's largest charge sector, c = 0 of Q = n_zz + 2 n_str,
+            # has 6,760 vec indices: its step map (6.8 GiB) dwarfs the lines
+            ({"scenario": "resonance", "dims": [30, 20], "grid_scale": 0.011}, "budget"),
         ],
     )
     def test_rejected_before_any_work(self, raw, match, tmp_path, capsys):
@@ -256,6 +331,51 @@ class TestManifest:
         assert notched["spectrum.bin"] != plain["spectrum.bin"]
         for name in ("signal_grid.bin", "projection_omega1.csv", "projection_omega3.csv"):
             assert notched[name] == plain[name]
+
+    @pytest.mark.parametrize(
+        "raw, names",
+        [
+            (
+                {"scenario": "kerr", "dims": [5, 3, 3], "nbar": [0.8, 2.0, 2.0], "grid_scale": 0.15},
+                {"freq_shifts_khz.csv", "dephasing_rates_khz.csv", "signal_grid.bin",
+                 "spectrum.bin", "projection_omega1.csv", "projection_omega3.csv", "peaks.csv"},
+            ),
+            (
+                {"scenario": "resonance", "dims": [4, 3], "nbar": [0.3, 0.1], "grid_scale": 0.1},
+                {"signal_grid.bin", "spectrum.bin", "projection_omega1.csv",
+                 "projection_omega3.csv", "peaks.csv"},
+            ),
+            ({"scenario": "tables"}, {"freq_shifts_khz.csv", "dephasing_rates_khz.csv"}),
+            ({"scenario": "noise-table", "mc_paths": 5000}, {"noise_loss.csv"}),
+        ],
+        ids=SCENARIOS,
+    )
+    def test_output_set(self, raw, names, tmp_path):
+        # no artifact is added or dropped silently; the manifest lists every file
+        manifest = run_scenario(build_config(dict(raw, out_dir=str(tmp_path))))
+        assert set(manifest["outputs"]) == names
+        assert {p.name for p in tmp_path.iterdir()} == names | {"manifest.json"}
+
+    @pytest.mark.parametrize("notch", [False, True])
+    def test_spectrum_rebuilt_from_bin_and_axes(self, notch, tmp_path, monkeypatch):
+        # spectrum.bin and the manifest's affine axes hold every row of the
+        # dropped spectrum.csv; find_peaks sees the run's final spectrum
+        seen = []
+        find_peaks = spectrum.find_peaks
+        monkeypatch.setattr(
+            spectrum, "find_peaks", lambda spec, **kw: seen.append(spec) or find_peaks(spec, **kw)
+        )
+        cfg = self._tiny_kerr(tmp_path)
+        cfg.baseline_notch = notch
+        run_scenario(cfg)
+        (spec,) = seen
+        axes = json.loads((tmp_path / "manifest.json").read_text())["spectrum_axes"]
+        for name, omega in (("omega1_rad_s", spec.omega1), ("omega3_rad_s", spec.omega3)):
+            axis = axes[name]
+            assert axis["count"] == omega.size
+            rebuilt = axis["start"] + axis["step"] * np.arange(axis["count"])
+            np.testing.assert_allclose(rebuilt, omega, rtol=1e-12, atol=1e-12 * np.abs(omega).max())
+        assert np.array_equal(np.abs(matio.read_matrix(tmp_path / "spectrum.bin")), spec.magnitude)
 
     def test_manifest_written_on_failure(self, tmp_path):
         # radial confinement below the three-ion zigzag threshold: a valid

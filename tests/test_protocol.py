@@ -331,12 +331,20 @@ class TestScanEngine:
         model = scenarios.resonance_model(omega_t, dims=dims)
         blocks = dynamics.liouvillian_blocks(model)
         assert (len(blocks), max(map(len, blocks.values()))) == (count, largest)
+        assert dynamics.largest_sector(model.charge) == largest
         assert np.array_equal(np.sort(np.concatenate(list(blocks.values()))), np.arange(model.dim**2))
         # each block is the sector of one value of c = Q_ket - Q_bra
         ket, bra = np.divmod(np.arange(model.dim**2), model.dim)
         charge = model.charge[ket] - model.charge[bra]
         for c, idx in blocks.items():
             assert np.all(charge[idx] == c)
+
+    @pytest.mark.parametrize("dims, c0", [((2, 2), 4), ((4, 3), 20), ((3, 7), 33), ((30, 20), 6760)])
+    def test_largest_sector_is_c0_from_the_dims(self, dims, c0):
+        # the memory guard's sector size, from the declared charge alone
+        charge = scenarios.resonance_charge(dims)
+        c = np.subtract.outer(charge, charge)
+        assert dynamics.largest_sector(charge) == np.unique(c, return_counts=True)[1].max() == np.sum(c == 0) == c0
 
     @pytest.mark.parametrize("dims", [(7, 5), (9, 6)])
     def test_kept_sectors_match_every_sector_stepped(self, resonance_data, dims):
@@ -370,6 +378,7 @@ class TestScanEngine:
     def test_charge_breaking_drive_is_one_block(self):
         model, _ = _driven_heated_exchange()
         assert len(dynamics.liouvillian_blocks(model)) == 1
+        assert dynamics.largest_sector(model.charge) == model.dim**2
 
     def test_block_map_guard_trips_before_expm(self, monkeypatch):
         def no_expm(a):
