@@ -237,15 +237,17 @@ def build_config(raw: dict) -> RunConfig:
             )
     if cfg.scenario in _MODE_COUNT:
         # the scan's own guard, before any operator is built; the resonance
-        # pulses target slot 0, the zigzag (RunConfig.sequence).  A heated
-        # resonance scan adds the step map of its largest charge sector,
-        # counted once the lines have bounded the register's size
+        # pulses target slot 0, the zigzag (RunConfig.sequence)
         try:
             if cfg.scenario == "kerr":
                 scenarios.check_kerr_budget(cfg.dims, n)
             else:
+                # the lines alone first: this bounds d before resonance_charge
+                # allocates its d entries, which a config's huge dims would
+                # otherwise make this check itself run out of memory on
                 protocol.check_scan_budget(cfg.dims, n, 0)
                 if any(cfg.heating_quanta_per_ms):
+                    # a heated scan adds the step map of its largest sector
                     block = dynamics.largest_sector(scenarios.resonance_charge(cfg.dims))
                     protocol.check_scan_budget(cfg.dims, n, 0, block)
         except dynamics.PropagatorSizeError as exc:

