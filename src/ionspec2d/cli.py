@@ -17,8 +17,9 @@ configuration with ConfigError (exit 2) before any work starts, a scan past
 the memory budget included (for ``resonance``, its lines and its largest
 Lindblad sector's step map).  Every run, successful or not, leaves a
 manifest.json with the resolved configuration, derived parameters, regime
-diagnostics (the RWA ratio of ``kerr`` and ``tables``) and checksums of all
-outputs.
+diagnostics (the RWA ratio of ``kerr`` and ``tables``), every warning the
+run raised (each also re-emitted once the manifest is written) and
+checksums of all outputs.
 """
 
 from __future__ import annotations
@@ -365,18 +366,24 @@ def run_scenario(cfg: RunConfig) -> dict:
         "status": "running",
         "resolved_config": asdict(cfg),
     }
+    outputs = None
     try:
-        outputs = _dispatch(cfg, out, manifest)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")  # every warning, repeats included
+            outputs = _dispatch(cfg, out, manifest)
         manifest["status"] = "ok"
     except Exception as exc:
         manifest["status"] = "error"
         manifest["error"] = f"{type(exc).__name__}: {exc}"
-        manifest["wall_time_s"] = time.time() - started
-        (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
         raise
-    manifest["wall_time_s"] = time.time() - started
-    manifest["outputs"] = {p.name: _sha256(p) for p in outputs}
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
+    finally:
+        manifest["wall_time_s"] = time.time() - started
+        manifest["warnings"] = [{"category": w.category.__name__, "message": str(w.message)} for w in caught]
+        if outputs is not None:
+            manifest["outputs"] = {p.name: _sha256(p) for p in outputs}
+        (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
+        for w in caught:  # re-emitted once the manifest is written: stderr by default
+            warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
     return manifest
 
 

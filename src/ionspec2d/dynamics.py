@@ -11,13 +11,15 @@ and its diagonal blocks are the sectors of c (``liouvillian_blocks``;
 symmetry reduction of Lindblad generators: Buca & Prosen, New J. Phys. 14,
 073007 (2012); Albert & Jiang, Phys. Rev. A 89, 022118 (2014)).  Each
 sector is gathered densely (``liouvillian``) and stepped with its one-step
-map exp(L_c dt), and only the sectors the caller keeps are stepped: a
-scan's phase cycle passes only pathways whose pulses change c by the
-kept coherence orders (``protocol._kept_sectors``).  Besides those, the
-sector c = 0 is stepped for the trace-drift check and the mirror -c of
+map exp(L_c dt), and only the sectors the caller keeps are stepped and
+held, compact, one column per kept vec index: a scan's phase cycle passes
+only pathways whose pulses change c by the kept coherence orders
+(``protocol._kept_sectors``).  Besides those, the sector c = 0 of the
+forward line is stepped for the trace-drift check and the mirror -c of
 each line's largest kept sector c for the reality check, which bounds the
-line's difference from its conjugate transpose there; a larger
-anti-Hermitian part raises SignalRealityError on both paths.
+line's difference from its conjugate transpose there; each check-only
+line is dropped once checked.  A larger anti-Hermitian part raises
+SignalRealityError on both paths.
 
 ``build_propagator`` builds exp(L dt) for one fixed step as the dense
 exponential of the Liouvillian, exact for closed and open models alike; it
@@ -169,7 +171,9 @@ def expm(a: np.ndarray) -> np.ndarray:
     """exp(a) of a square matrix by scaling and squaring (Higham 2005): a is
     scaled by 2^-s until its 1-norm is at most theta_13, the [13/13] Pade
     approximant (V - U)^-1 (V + U) is formed from a^2, a^4 and a^6 (U odd
-    and V even in a), and the result is squared s times."""
+    and V even in a), and the result is squared s times.  The Pade sums
+    are formed in place, term by term in the order they are written, so
+    at most 8 matrices are held at a time."""
     norm = float(np.abs(a).sum(axis=0).max(initial=0.0))
     s = max(0, math.ceil(math.log2(norm / _THETA13))) if norm > 0 else 0
     a = a / 2.0**s
@@ -178,10 +182,22 @@ def expm(a: np.ndarray) -> np.ndarray:
     a2 = a @ a
     a4 = a2 @ a2
     a6 = a4 @ a2
-    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2) + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
-    v = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2) + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye
-    del a, a2, a4, a6
-    r = np.linalg.solve(v - u, v + u)
+    x, y = np.empty_like(a), np.empty_like(a)
+
+    def terms(out, scratch, *pairs):  # out + c m + ..., left to right, in place
+        for c, m in pairs:
+            out += np.multiply(c, m, out=scratch)
+        return out
+
+    v = a6 @ terms(np.multiply(b[12], a6, out=x), y, (b[10], a4), (b[8], a2))
+    terms(v, y, (b[6], a6), (b[4], a4), (b[2], a2), (b[0], eye))
+    np.matmul(a6, terms(np.multiply(b[13], a6, out=x), y, (b[11], a4), (b[9], a2)), out=y)
+    u = np.matmul(a, terms(y, x, (b[7], a6), (b[5], a4), (b[3], a2), (b[1], eye)), out=x)
+    del a, a2, a4, a6, eye
+    np.add(v, u, out=y)  # V + U, before V - U overwrites V
+    v -= u
+    del u, x
+    r = np.linalg.solve(v, y)
     for _ in range(s):
         r = r @ r
     return r
@@ -290,11 +306,12 @@ def _hermitize(ops: np.ndarray) -> None:
         part *= 0.5
 
 
-def _check_trace_drift(forward: np.ndarray) -> None:
-    """PropagatorAccuracyError when the trace of the (n, d*d) forward line
-    drifts by more than TRACE_TOL_PER_STEP per grid point."""
-    n, d = len(forward), math.isqrt(forward.shape[1])
-    traces = np.real(forward[:, :: d + 1].sum(axis=1))  # vec indices i (d + 1)
+def _check_trace_drift(diagonal: np.ndarray) -> None:
+    """PropagatorAccuracyError when the trace of the forward line, the sum
+    of its (n, d) diagonal entries, drifts by more than TRACE_TOL_PER_STEP
+    per grid point."""
+    n = len(diagonal)
+    traces = np.real(diagonal.sum(axis=1))
     drift = float(np.max(np.abs(traces - traces[0])))
     if drift > TRACE_TOL_PER_STEP * n * max(1.0, abs(traces[0])):
         raise PropagatorAccuracyError(
@@ -316,41 +333,67 @@ def _sector_lines(
     n: int,
     dt: float,
     sectors: tuple[tuple[int, int], tuple[int, int]],
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The Lindblad lines of ``evolution_lines`` on the charge sectors that
-    ``sectors`` keeps: (forward (n, d*d), covectors (n, m, d*d)), zero on
-    every other sector."""
+    ``sectors`` keeps, compact: (forward (n, K_f), covectors (n, m, K_c),
+    forward vec indices (K_f,), covector vec indices (K_c,)), each kept
+    sector a run of columns in ascending c, stepped in place.  Then each
+    check-only sector is stepped on the line it checks alone, checked and
+    dropped: c = 0 of the forward line (trace drift) and the mirror -c of
+    a line's largest kept sector c (reality)."""
     d, m = model.dim, len(cov0)
     blocks = liouvillian_blocks(model)
-    kept = [{c for c in blocks if _in_class(c, cls)} for cls in sectors]
+    kept = [[c for c in blocks if _in_class(c, cls)] for cls in sectors]
+    index, cols = [], []  # per line: the kept vec indices and {c: the columns of sector c}
+    for k in kept:
+        ends = np.cumsum([0] + [blocks[c].size for c in k]).tolist()
+        index.append(np.concatenate([blocks[c] for c in k] or [np.zeros(0, np.int64)]))
+        cols.append(dict(zip(k, map(slice, ends[:-1], ends[1:]))))
+    lines = np.empty((n, index[0].size), dtype=complex), np.empty((n, m, index[1].size), dtype=complex)
     # the trace lives in c = 0; the reality check needs the mirror -c of
     # each line's largest kept sector c
     largest = [max(k, key=lambda c: blocks[c].size, default=None) for k in kept]
-    stepped = sorted(kept[0] | kept[1] | {0} | {-c for c in largest if c is not None})
-    b = max(blocks[c].size for c in stepped)
+    checks = {} if 0 in cols[0] else {0: [0]}  # {sector: the lines stepped there only to be checked}
+    for i, c in enumerate(largest):
+        if c is not None and -c not in cols[i]:
+            checks.setdefault(-c, []).append(i)
+    b = max(blocks[c].size for c in {*cols[0], *cols[1], *checks})
     _check_budget(_map_bytes(b), f"Liouvillian block map ({b}^2)")
-    forward = np.zeros((n, d * d), dtype=complex)
-    back = np.zeros((n, m, d * d), dtype=complex)
-    for c in stepped:
-        idx = blocks[c]
-        step = expm(liouvillian(model, idx) * dt)
-        x = np.empty((n, idx.size), dtype=complex)  # P_b^k vec0[idx]
-        y = np.empty((n, m, idx.size), dtype=complex)  # cov0[:, idx] P_b^k
-        x[0], y[0] = vec0[idx], cov0[:, idx]
+
+    def walk(step, i, c, out):
+        # P_c^k vec0[idx] down the forward line (i = 0), cov0[:, idx] P_c^k along the covectors
+        out[0] = (vec0, cov0)[i][..., blocks[c]]
         for k in range(1, n):
-            np.matmul(step, x[k - 1], out=x[k])
-            np.matmul(y[k - 1], step, out=y[k])
-        forward[:, idx], back[:, :, idx] = x, y
-    _check_trace_drift(forward)
-    for line, c in zip((forward, back), largest):
-        if c is not None:
-            idx = blocks[c]  # entries (i, j) of sector c; their mirrors (j, i) lie in -c
-            _check_skew(line[..., idx], line[..., idx % d * d + idx // d])
-    for c in set(stepped) - kept[0]:
-        forward[:, blocks[c]] = 0
-    for c in set(stepped) - kept[1]:
-        back[:, :, blocks[c]] = 0
-    return forward, back
+            if i:
+                np.matmul(out[k - 1], step, out=out[k])
+            else:
+                np.matmul(step, out[k - 1], out=out[k])
+        return out
+
+    def check(i, c, line):
+        # the trace of sector 0 of the forward line, or the entries (i, j) of
+        # the line's largest kept sector against their mirrors (j, i) in c
+        if c == 0 and i == 0:
+            _check_trace_drift(line[:, np.searchsorted(blocks[0], np.arange(d) * (d + 1))])
+        if largest[i] is not None and c == -largest[i]:
+            idx = blocks[-c]
+            _check_skew(lines[i][..., cols[i][-c]], line[..., np.searchsorted(blocks[c], idx % d * d + idx // d)])
+
+    for c in sorted({*cols[0], *cols[1]}):
+        step = expm(liouvillian(model, blocks[c]) * dt)
+        for i in (0, 1):
+            if c in cols[i]:
+                walk(step, i, c, lines[i][..., cols[i][c]])
+        del step
+    for i, c in {(0, 0), *((i, -c) for i, c in enumerate(largest) if c is not None)}:
+        if c in cols[i]:
+            check(i, c, lines[i][..., cols[i][c]])
+    for c, checked in sorted(checks.items()):
+        step = expm(liouvillian(model, blocks[c]) * dt)
+        for i in checked:
+            check(i, c, walk(step, i, c, np.empty(lines[i].shape[:-1] + blocks[c].shape, dtype=complex)))
+        del step
+    return lines[0], lines[1], index[0], index[1]
 
 
 def evolution_lines(
@@ -360,46 +403,49 @@ def evolution_lines(
     n: int,
     dt: float,
     sectors: tuple[tuple[int, int], tuple[int, int]] | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Forward and backward lines of the one-step evolution P = exp(L dt).
 
-    Returns ``(forward, covectors)`` in the register basis for grid points
-    k = 0 .. n-1:
+    Returns ``(forward, covectors, forward_index, covector_index)`` in the
+    register basis for grid points k = 0 .. n-1, both lines compact: column
+    j holds the row-major vec index ``forward_index[j]`` (covectors:
+    ``covector_index[j]``), for every entry that reaches the caller.
 
-    - ``forward[k] = P^k(state)``, shape (n, d, d);
-    - ``covectors[k, j]`` is the row-major vec of ((P^+)^k(A_j))^T for each
-      of the m ``observables`` A_j (the Heisenberg picture), shape
-      (n, m, d*d), so that tr[A_j P^k(rho)] = covectors[k, j] @ vec(rho).
+    - ``forward[k]`` holds vec(P^k(state)), shape (n, K_f);
+    - ``covectors[k, j]`` holds the vec of ((P^+)^k(A_j))^T for each of the
+      m ``observables`` A_j (the Heisenberg picture), shape (n, m, K_c), so
+      that tr[A_j P^k(rho)] = covectors[k, j] @ vec(rho)[covector_index]
+      for rho in the kept sectors.
 
     Dissipation-free models use the closed form (no stepping, no drift) in
     the eigenbasis of H, with both lines rotated back once and
     re-hermitized by ``_hermitize``, which first bounds their anti-Hermitian
-    part (SignalRealityError); they return every sector.
+    part (SignalRealityError); they return all d^2 vec indices in order.
 
     Lindblad models step the sectors of the declared charge c = Q_ket -
     Q_bra (``liouvillian_blocks``).  ``sectors`` = (forward class, covector
     class), each (offset, step) for c in offset + step Z, names the sectors
-    that reach the caller (None keeps all); the lines are zero on the rest.
-    P_c = exp(L_c dt) is built once for each stepped sector (the largest
-    map's size checked against the memory budget first), which steps the
-    forward column with P_c and the covector rows with P_c from the right
-    (the transpose) along the grid.  Two more sectors are stepped for the
-    checks: c = 0, where a forward trace drift above TRACE_TOL_PER_STEP per
-    grid point raises PropagatorAccuracyError, and the mirror -c of each
-    line's largest kept sector c, where the line's difference from its
-    conjugate transpose is bounded as in ``_hermitize``.  A model without a
-    declared charge is one d^2 sector, which is correct but slower.
+    that reach the caller (None keeps all); only those are held, each a run
+    of columns.  P_c = exp(L_c dt) is built once for each stepped sector
+    (the largest map's size checked against the memory budget first), which
+    steps the forward column with P_c and the covector rows with P_c from
+    the right (the transpose) along the grid.  Two more sectors are stepped
+    for the checks, on the line they check alone, and dropped once checked:
+    c = 0, where a forward trace drift above TRACE_TOL_PER_STEP per grid
+    point raises PropagatorAccuracyError, and the mirror -c of each line's
+    largest kept sector c, where the line's difference from its conjugate
+    transpose is bounded as in ``_hermitize``.  A model without a declared
+    charge is one d^2 sector, which is correct but slower.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
     d, m = model.dim, len(observables)
     covectors0 = np.swapaxes(observables, 1, 2)  # A^T: tr[A rho] = vec(A^T) . vec(rho)
     if model.dissipative:
-        forward, back = _sector_lines(
+        return _sector_lines(
             model, state.reshape(d * d), covectors0.reshape(m, d * d), n, dt,
             sectors or ((0, 1), (0, 1)),
         )
-        return forward.reshape(n, d, d), back
     energies, basis = np.linalg.eigh(model.hamiltonian)
     state = basis.conj().T @ state @ basis
     covectors0 = basis.T @ covectors0 @ basis.conj()  # (V^+ A V)^T
@@ -416,8 +462,10 @@ def evolution_lines(
         back[s] = basis.conj() @ (covectors0[None] * phases[:, None]) @ basis.T
     _hermitize(forward)
     _hermitize(back)
-    _check_trace_drift(forward.reshape(n, d * d))
-    return forward, back.reshape(n, m, d * d)
+    forward = forward.reshape(n, d * d)
+    _check_trace_drift(forward[:, :: d + 1])  # vec indices i (d + 1)
+    every = np.arange(d * d)
+    return forward, back.reshape(n, m, d * d), every, every
 
 
 def heating_dissipator(

@@ -173,14 +173,15 @@ def grid_points(t_max: float, dt: float) -> int:
 
 def _working_set_bytes(d: int, n: int, d_target: int, block: int = 0) -> int:
     """Upper bound on the bytes a scan holds at once, fitted to its
-    tracemalloc peak on both paths: 5 (n, d, d) complex lines (the forward
-    and the two covector lines; then the forward line, the combined
-    covector and the temporaries of the chunked closed form, the reality
-    check and the sector contraction), the grid twice, a few
-    d x d operators, the pre-cycled pulse pair with its products, and the
-    step map of the largest Lindblad sector of ``block`` vec indices,
-    built while the lines are held (``dynamics._map_bytes``; 0 on the
-    closed form)."""
+    tracemalloc peak on the closed form, which holds every vec index: 5
+    (n, d, d) complex lines (the forward and the two covector lines; then
+    the forward line, the combined covector and the temporaries of the
+    chunked closed form, the reality check and the contraction), the grid
+    twice, a few d x d operators, the pre-cycled pulse pair with its
+    products, and the step map of the largest Lindblad sector of ``block``
+    vec indices, built while the lines are held (``dynamics._map_bytes``;
+    0 on the closed form).  The sector path holds only the kept columns
+    and one check-only sector line, well inside the 5 lines."""
     return 16 * (5 * n * d * d + 2 * n * n + 8 * d * d + 3 * d_target**4) + _map_bytes(block)
 
 
@@ -260,12 +261,14 @@ def scan(
 
     Only the charge sectors c = Q_ket - Q_bra of the model's declared charge
     that the phase cycle keeps reach the signal (``_kept_sectors``):
-    ``dynamics.evolution_lines`` steps the forward line and the covector
-    lines of H_R and H_I on those alone (a Lindblad model; the closed form
-    gives every sector), and the pre-cycled pulse pair, which acts on the
-    target-mode ket and bra axes, is applied to the kept forward entries
-    and read on the kept covector entries only, one spectator charge
-    difference at a time (no embedded d x d pulse is formed).  A model
+    ``dynamics.evolution_lines`` steps and holds the forward line and the
+    covector lines of H_R and H_I on those alone (a Lindblad model; the
+    closed form gives every sector), one column per kept vec index, and the
+    pre-cycled pulse pair, which acts on the target-mode ket and bra axes,
+    is applied to the kept forward entries and read on the kept covector
+    entries only, each found through a vec-index-to-column table, one
+    spectator charge difference at a time (no embedded d x d pulse is
+    formed).  A model
     without a declared charge is one sector, contracted in full.  The
     working set, with the largest sector's step map, is checked against the
     memory budget (``check_scan_budget``) before any operator is built.
@@ -279,11 +282,13 @@ def scan(
     check_scan_budget(dims, n, seq.target, block)
     d1, cycled, observables = _pulse_set(model, seq)
     kept_forward, kept_covector = kept = _kept_sectors(model, seq)
-    line, covectors = evolution_lines(model, d1 @ rho0 @ d1.conj().T, observables, n, dt, kept)
-    covector = covectors[:, 1] * 1j  # vec(A(k3)^T) = vec(H_R^T) + i vec(H_I^T), (k3, d^2)
+    line, covectors, *kept_index = evolution_lines(model, d1 @ rho0 @ d1.conj().T, observables, n, dt, kept)
+    covector = covectors[:, 1] * 1j  # vec(A(k3)^T) = vec(H_R^T) + i vec(H_I^T), (k3, K_c)
     covector += covectors[:, 0]
     del covectors
-    line = line.reshape(n, d * d)
+    column = np.zeros((2, d * d), dtype=np.intp)  # the compact column of each kept vec index
+    for col, idx in zip(column, kept_index):
+        col[idx] = np.arange(idx.size)
     # vec index of ket (l, a, r), bra (m, b, s) with target indices a, b:
     # base[(l, r), (m, s)] + offset[a, b]; its charge is the spectators'
     # difference spread[(l, r), (m, s)] plus w (a - b)
@@ -301,7 +306,7 @@ def scan(
         pairs = base[spread == c, None]
         src = np.flatnonzero(_in_class(orders + c, kept_forward))
         dst = np.flatnonzero(_in_class(orders + c, kept_covector))
-        states = line[:, pairs + offset[src]] @ cycled[np.ix_(dst, src)].T
-        values += states.reshape(n, -1) @ covector[:, pairs + offset[dst]].reshape(n, -1).T
+        states = line[:, column[0, pairs + offset[src]]] @ cycled[np.ix_(dst, src)].T
+        values += states.reshape(n, -1) @ covector[:, column[1, pairs + offset[dst]]].reshape(n, -1).T
     t_axis = np.arange(n) * dt
     return SignalGrid(t1=t_axis, t3=t_axis, values=values)

@@ -197,7 +197,7 @@ def kerr_scan_fast(
     zz = dynamics.LindbladModel(hamiltonian=model.zz_hamiltonian(), register=reg)
     rho0, _ = fock.thermal_state(model.nbar[0], d)
     d1, cycled, observables = protocol._pulse_set(zz, seq)
-    line, covectors = dynamics.evolution_lines(zz, d1 @ rho0 @ d1.conj().T, observables, n, dt)
+    line, covectors, _, _ = dynamics.evolution_lines(zz, d1 @ rho0 @ d1.conj().T, observables, n, dt)
 
     # chi(m) for every m = D1 k1 + D3 k3, |m| <= (d - 1)(2n - 2)
     m_max = (d - 1) * (2 * n - 2)
@@ -213,7 +213,7 @@ def kerr_scan_fast(
     perm = np.argsort(np.subtract.outer(np.arange(d), np.arange(d)), axis=None, kind="stable")
     bounds = np.concatenate([[0], np.cumsum(d - np.abs(orders))])
     slices = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
-    line = line.reshape(n, d * d)[:, perm]
+    line = line[:, perm]
     covector = (covectors[:, 0] + 1j * covectors[:, 1])[:, perm]  # vec(A(k3)^T), (k3, entry)
     cycled = cycled[np.ix_(perm, perm)]
     states = np.empty((n, len(orders), d * d), dtype=complex)  # (k1, D1, entry)

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import json
 import math
@@ -386,6 +387,24 @@ class TestManifest:
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["status"] == "error"
         assert "error" in manifest
+
+    @pytest.mark.parametrize("fails", [False, True])
+    def test_warnings_recorded_and_reemitted(self, fails, tmp_path, monkeypatch):
+        # 300 rad^2/s reaches c*(t1 + t3) = 0.17 at the end of the tiny grid,
+        # past the small-fluctuation limit 0.1: the warning is in the
+        # manifest, on the error manifest too, and still reaches the caller
+        cfg = self._tiny_kerr(tmp_path)
+        cfg.phase_noise_diffusion = 300.0
+        if fails:
+            monkeypatch.setattr(spectrum, "fft2", lambda *a, **kw: 1 / 0)
+        failure = pytest.raises(ZeroDivisionError) if fails else contextlib.nullcontext()
+        with pytest.warns(UserWarning, match="small-fluctuation"), failure:
+            run_scenario(cfg)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["status"] == ("error" if fails else "ok")
+        (warning,) = manifest["warnings"]
+        assert warning["category"] == "UserWarning"
+        assert "small-fluctuation" in warning["message"]
 
     def test_truncation_kept_weight(self, tmp_path):
         def kept(nbar, dim):  # geometric thermal weight on levels 0 .. dim-1

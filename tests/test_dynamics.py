@@ -24,9 +24,13 @@ def _coherence_state(dim):
 
 
 def _line(model, rho, steps, dt):
-    """Forward line P^k(rho), k = 0 .. steps, of evolution_lines."""
+    """Forward line P^k(rho), k = 0 .. steps, of evolution_lines, its
+    columns put back at their vec indices."""
     identity = np.eye(model.dim, dtype=complex)[None]
-    return evolution_lines(model, rho, identity, steps + 1, dt)[0]
+    forward, _, index, _ = evolution_lines(model, rho, identity, steps + 1, dt)
+    line = np.empty((steps + 1, model.dim**2), dtype=complex)
+    line[:, index] = forward
+    return line.reshape(steps + 1, model.dim, model.dim)
 
 
 class TestFreeEvolution:

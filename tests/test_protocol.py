@@ -414,6 +414,77 @@ class TestScanEngine:
         with pytest.raises(PropagatorAccuracyError, match="drift"):
             scan(model, rho0, PulseSequence(), t_max=6 * 2e-5, dt=2e-5)
 
+    def test_fault_in_check_only_mirror_sector_raises(self, monkeypatch):
+        # a phase drift injected into the Liouvillian of the mirror -c of the
+        # forward line's largest kept sector c: -c reaches neither line, so
+        # only its reality check against c can see the fault
+        model, rho0 = _heated_exchange()
+        seq = PulseSequence()
+        kept = protocol._kept_sectors(model, seq)
+        blocks = dynamics.liouvillian_blocks(model)
+        c = max((c for c in blocks if dynamics._in_class(c, kept[0])), key=lambda c: blocks[c].size)
+        assert not any(dynamics._in_class(-c, cls) for cls in kept)
+        exact = dynamics.liouvillian
+
+        def faulty(model, idx=None):
+            out = exact(model, idx)
+            if idx is not None and np.array_equal(idx, blocks[-c]):
+                out += 1e3j * np.eye(idx.size)
+            return out
+
+        monkeypatch.setattr(dynamics, "liouvillian", faulty)
+        with pytest.raises(SignalRealityError, match="imaginary"):
+            scan(model, rho0, seq, t_max=6 * 2e-5, dt=2e-5)
+
+    @pytest.mark.parametrize(
+        "build, seq",
+        [
+            pytest.param(_heated_exchange, PulseSequence(), id="exchange"),
+            pytest.param(_three_mode_middle_target, dataclasses.replace(ASYMMETRIC, target=1), id="middle-target"),
+        ],
+    )
+    def test_compact_lines_hold_the_full_lines(self, build, seq):
+        # the lines on the kept sectors against every sector stepped, entry
+        # for entry at the returned vec indices
+        model, rho0 = build()
+        d1, _, observables = protocol._pulse_set(model, seq)
+        args = (model, d1 @ rho0 @ d1.conj().T, observables, 9, 2e-5)
+        kept = protocol._kept_sectors(model, seq)
+        *compact, index_f, index_c = dynamics.evolution_lines(*args, kept)
+        *full, every_f, every_c = dynamics.evolution_lines(*args)
+        charge = np.subtract.outer(model.charge, model.charge).ravel()
+        for line, index, whole, every, cls in zip(compact, (index_f, index_c), full, (every_f, every_c), kept):
+            assert np.array_equal(np.sort(index), np.flatnonzero(dynamics._in_class(charge, cls)))
+            assert np.array_equal(np.sort(every), np.arange(model.dim**2))
+            column = np.empty(model.dim**2, dtype=int)
+            column[every] = np.arange(every.size)
+            assert np.array_equal(line, whole[..., column[index]])
+        assert index_c.size < model.dim**2  # the covector line is compact
+
+    def test_compact_lines_memory(self, resonance_data):
+        # the sector path holds the kept columns, the largest sector's map
+        # and one check-only line at a time: below zero-padded (n, d^2) lines
+        dims, n = (7, 5), 120
+        cfg = cli.build_config({"scenario": "resonance", "dims": list(dims)})
+        omega_t = scenarios.resonance_parameters(resonance_data).omega_t
+        rates = tuple(1e3 * r for r in cfg.heating_quanta_per_ms)
+        model = scenarios.resonance_model(omega_t, dims=dims, heating_quanta_per_s=rates)
+        seq = cfg.sequence()
+        d1, _, observables = protocol._pulse_set(model, seq)
+        state = d1 @ scenarios.resonance_initial_state(dims, tuple(cfg.nbar)) @ d1.conj().T
+        tracemalloc.start()
+        try:
+            _, _, index_f, index_c = dynamics.evolution_lines(
+                model, state, observables, n, cfg.dt_s, protocol._kept_sectors(model, seq)
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        d2, m, b = model.dim**2, len(observables), dynamics.largest_sector(model.charge)
+        lines = 16 * n * (index_f.size + m * index_c.size)
+        assert peak <= lines + dynamics._map_bytes(b) + 16 * n * m * b
+        assert peak < 16 * n * d2 * (1 + m)
+
 
 class TestKerrDualPath:
     def test_fast_path_matches_full_register(self, table_params):
