@@ -14,18 +14,20 @@ quantity once: ``signal_grid.bin``, ``spectrum.bin`` (complex; its two
 affine omega axes are the manifest's ``spectrum_axes``, start, step and count),
 the two projections and ``peaks.csv``.  ``build_config`` rejects an invalid
 configuration with ConfigError (exit 2) before any work starts, a scan past
-the memory budget included (for ``resonance``, its lines and its largest
-Lindblad sector's step map).  Every run, successful or not, leaves a
-manifest.json with the resolved configuration, derived parameters, regime
-diagnostics (the RWA ratio of ``kerr`` and ``tables``), every warning the
-run raised (each also re-emitted once the manifest is written) and
-checksums of all outputs.
+the memory budget included (for a heated ``resonance``, the columns of its
+kept charge sectors and its largest sector's step map).  Every run,
+successful or not, leaves a manifest.json with the resolved configuration,
+derived parameters, regime diagnostics (the RWA ratio of ``kerr`` and
+``tables``), every warning the run raised (each also re-emitted once the
+manifest is written) and checksums of all outputs: SHA-256, from CPython's
+built-in module rather than ``hashlib``, whose import loads OpenSSL's
+libcrypto (about 3.4 MB of resident memory) in every run.  ``argparse`` is
+imported by ``main`` alone, so ``build_config`` and ``run_scenario`` load
+neither.
 """
 
 from __future__ import annotations
 
-import argparse
-import hashlib
 import json
 import math
 import os
@@ -34,6 +36,17 @@ import time
 import warnings
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
+
+# CPython's own SHA-256 (the same digests as hashlib's): importing hashlib
+# loads OpenSSL's libcrypto, about 3.4 MB of resident memory, to hash at
+# most about a megabyte of artifacts
+try:
+    from _sha2 import sha256 as _new_sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256 as _new_sha256  # Python 3.10, 3.11
+    except ImportError:  # an interpreter built without them
+        from hashlib import sha256 as _new_sha256
 
 # one BLAS thread unless the caller set one: the block maps and lines are
 # small matrices, which a second OpenBLAS thread on a two-core machine makes
@@ -243,14 +256,17 @@ def build_config(raw: dict) -> RunConfig:
             if cfg.scenario == "kerr":
                 scenarios.check_kerr_budget(cfg.dims, n)
             else:
-                # the lines alone first: this bounds d before resonance_charge
-                # allocates its d entries, which a config's huge dims would
-                # otherwise make this check itself run out of memory on
-                protocol.check_scan_budget(cfg.dims, n, 0)
+                # the operators alone first, a lower bound on either path: this
+                # bounds d before resonance_charge allocates its d entries,
+                # which a config's huge dims would otherwise make this check
+                # itself run out of memory on
+                protocol.check_scan_budget(cfg.dims, n, 0, (0, 0, 0))
+                columns = None  # the closed form, without heating
                 if any(cfg.heating_quanta_per_ms):
-                    # a heated scan adds the step map of its largest sector
-                    block = dynamics.largest_sector(scenarios.resonance_charge(cfg.dims))
-                    protocol.check_scan_budget(cfg.dims, n, 0, block)
+                    # the kept sectors' columns and the largest sector's map
+                    charge = scenarios.resonance_charge(cfg.dims)
+                    columns = protocol.sector_columns(charge, cfg.dims, cfg.sequence())
+                protocol.check_scan_budget(cfg.dims, n, 0, columns)
         except dynamics.PropagatorSizeError as exc:
             raise ConfigError(str(exc)) from None
     if cfg.scenario in _MODE_COUNT and cfg.phase_noise_diffusion > 0:
@@ -271,9 +287,7 @@ def build_config(raw: dict) -> RunConfig:
 
 
 def _sha256(path: Path) -> str:
-    h = hashlib.sha256()
-    h.update(path.read_bytes())
-    return h.hexdigest()
+    return _new_sha256(path.read_bytes()).hexdigest()
 
 
 def _write_tables(out: Path, params: anharmonic.EffectiveParams) -> list[Path]:
@@ -475,6 +489,8 @@ def _dispatch(cfg: RunConfig, out: Path, manifest: dict) -> list[Path]:
 
 
 def main(argv: list[str] | None = None) -> int:
+    import argparse  # only the command line parses arguments
+
     parser = argparse.ArgumentParser(
         prog="ionspec2d",
         description="2D phase-cycled spectroscopy simulations for ion Coulomb crystals",

@@ -110,10 +110,7 @@ class LindbladModel:
     def charge_weight(self, slot: int) -> int:
         """The fixed change w of the charge per quantum of register mode
         ``slot``; ValueError when it is not one fixed amount."""
-        steps = np.diff(self.charge.reshape(self.register.dims), axis=slot)
-        if np.any(steps != steps.flat[0]):
-            raise ValueError(f"declared charge has no fixed weight in mode {slot}")
-        return int(steps.flat[0])
+        return _charge_weight(self.charge, self.register.dims, slot)
 
     @cached_property
     def generator(self) -> tuple[np.ndarray, list[tuple[np.ndarray, float]]]:
@@ -144,6 +141,15 @@ class Propagator:
         b, d, _ = states.shape
         out = self.matrix @ states.reshape(b, d * d).T
         return np.ascontiguousarray(out.T).reshape(b, d, d)
+
+
+def _charge_weight(charge: np.ndarray, dims: tuple[int, ...], slot: int) -> int:
+    """``LindbladModel.charge_weight`` of a charge diagonal on the register
+    ``dims``, before any model is built."""
+    steps = np.diff(np.reshape(charge, dims), axis=slot)
+    if np.any(steps != steps.flat[0]):
+        raise ValueError(f"declared charge has no fixed weight in mode {slot}")
+    return int(steps.flat[0])
 
 
 def _check_budget(need: int, what: str) -> None:
@@ -337,10 +343,14 @@ def _sector_lines(
     """The Lindblad lines of ``evolution_lines`` on the charge sectors that
     ``sectors`` keeps, compact: (forward (n, K_f), covectors (n, m, K_c),
     forward vec indices (K_f,), covector vec indices (K_c,)), each kept
-    sector a run of columns in ascending c, stepped in place.  Then each
-    check-only sector is stepped on the line it checks alone, checked and
-    dropped: c = 0 of the forward line (trace drift) and the mirror -c of
-    a line's largest kept sector c (reality)."""
+    sector a run of columns in ascending c.  Each stepped sector's map is
+    built once and walks every line that needs the sector: in place where
+    the line keeps it, else into a check-only line for c = 0 of the forward
+    line (trace drift) or the mirror -c of a line's largest kept sector c
+    (reality).  Every check runs as soon as its data exist, and a
+    check-only line is dropped once checked.  Each line's largest kept
+    sector is stepped first, so a check-only line waits for its mirror only
+    when the mirrors of the two lines' largest sectors are each other's."""
     d, m = model.dim, len(cov0)
     blocks = liouvillian_blocks(model)
     kept = [[c for c in blocks if _in_class(c, cls)] for cls in sectors]
@@ -350,14 +360,17 @@ def _sector_lines(
         index.append(np.concatenate([blocks[c] for c in k] or [np.zeros(0, np.int64)]))
         cols.append(dict(zip(k, map(slice, ends[:-1], ends[1:]))))
     lines = np.empty((n, index[0].size), dtype=complex), np.empty((n, m, index[1].size), dtype=complex)
-    # the trace lives in c = 0; the reality check needs the mirror -c of
-    # each line's largest kept sector c
     largest = [max(k, key=lambda c: blocks[c].size, default=None) for k in kept]
-    checks = {} if 0 in cols[0] else {0: [0]}  # {sector: the lines stepped there only to be checked}
+    # {(line, sector) checked: the (line, sector) pairs it reads}: the trace
+    # lives in c = 0 of the forward line, and the reality check reads each
+    # line's largest kept sector c against its mirror -c
+    needs = {(0, 0): {(0, 0)}}
     for i, c in enumerate(largest):
-        if c is not None and -c not in cols[i]:
-            checks.setdefault(-c, []).append(i)
-    b = max(blocks[c].size for c in {*cols[0], *cols[1], *checks})
+        if c is not None:
+            needs.setdefault((i, -c), {(i, -c)}).add((i, c))
+    first = [c for c in largest if c is not None]  # so that their mirrors find them walked
+    stepped = dict.fromkeys(first + sorted({*cols[0], *cols[1]}) + sorted(c for _, c in needs))
+    b = max(blocks[c].size for c in stepped)
     _check_budget(_map_bytes(b), f"Liouvillian block map ({b}^2)")
 
     def walk(step, i, c, out):
@@ -379,19 +392,20 @@ def _sector_lines(
             idx = blocks[-c]
             _check_skew(lines[i][..., cols[i][-c]], line[..., np.searchsorted(blocks[c], idx % d * d + idx // d)])
 
-    for c in sorted({*cols[0], *cols[1]}):
+    held, walked = {}, set()  # check-only lines awaiting their check; (line, sector) pairs stepped
+    for c in stepped:
         step = expm(liouvillian(model, blocks[c]) * dt)
         for i in (0, 1):
             if c in cols[i]:
                 walk(step, i, c, lines[i][..., cols[i][c]])
-        del step
-    for i, c in {(0, 0), *((i, -c) for i, c in enumerate(largest) if c is not None)}:
-        if c in cols[i]:
-            check(i, c, lines[i][..., cols[i][c]])
-    for c, checked in sorted(checks.items()):
-        step = expm(liouvillian(model, blocks[c]) * dt)
-        for i in checked:
-            check(i, c, walk(step, i, c, np.empty(lines[i].shape[:-1] + blocks[c].shape, dtype=complex)))
+            elif (i, c) in needs:
+                held[i, c] = walk(step, i, c, np.empty(lines[i].shape[:-1] + blocks[c].shape, dtype=complex))
+            else:
+                continue
+            walked.add((i, c))
+            for j, s in [key for key, reads in needs.items() if reads <= walked]:
+                del needs[j, s]
+                check(j, s, held.pop((j, s)) if (j, s) in held else lines[j][..., cols[j][s]])
         del step
     return lines[0], lines[1], index[0], index[1]
 

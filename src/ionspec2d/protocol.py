@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import IMAG_TOL, LindbladModel, SignalRealityError  # noqa: F401  (re-exported)
-from .dynamics import _check_budget, _in_class, _map_bytes, build_propagator, evolution_lines, largest_sector
+from .dynamics import _charge_weight, _check_budget, _in_class, _map_bytes, build_propagator, evolution_lines, largest_sector
 from .fock import displacement, embed
 
 
@@ -171,26 +171,64 @@ def grid_points(t_max: float, dt: float) -> int:
     return int(np.floor(t_max / dt * (1.0 + 1e-9))) + 1
 
 
-def _working_set_bytes(d: int, n: int, d_target: int, block: int = 0) -> int:
-    """Upper bound on the bytes a scan holds at once, fitted to its
-    tracemalloc peak on the closed form, which holds every vec index: 5
-    (n, d, d) complex lines (the forward and the two covector lines; then
-    the forward line, the combined covector and the temporaries of the
-    chunked closed form, the reality check and the contraction), the grid
-    twice, a few d x d operators, the pre-cycled pulse pair with its
-    products, and the step map of the largest Lindblad sector of ``block``
-    vec indices, built while the lines are held (``dynamics._map_bytes``;
-    0 on the closed form).  The sector path holds only the kept columns
-    and one check-only sector line, well inside the 5 lines."""
-    return 16 * (5 * n * d * d + 2 * n * n + 8 * d * d + 3 * d_target**4) + _map_bytes(block)
+def _working_set_bytes(d: int, n: int, d_target: int, columns: tuple[int, int, int] | None = None) -> int:
+    """Upper bound on the bytes a scan holds at once.  Both paths hold the
+    grid twice, a few d x d operators and the pre-cycled pulse pair with
+    its products.
+
+    The closed form (``columns`` None) holds every vec index: 5 (n, d, d)
+    complex lines, fitted to its tracemalloc peak (the forward and the two
+    covector lines; then the forward line, the combined covector and the
+    temporaries of the chunked closed form, the reality check and the
+    contraction).  The sector path, ``columns`` = (K_f, K_c, b) from
+    ``sector_columns``, holds n (2 K_f + 3 K_c + 3 b) entries at most: the
+    forward and the two covector lines with at most one check-only line of
+    each (b columns or fewer; both at once only when their mirrors cross)
+    while the lines are built, then the forward line and the combined
+    covector with the contraction's gathers of both; and the step map of
+    the largest sector, b vec indices, built while the lines are held
+    (``dynamics._map_bytes``)."""
+    common = 2 * n * n + 8 * d * d + 3 * d_target**4
+    if columns is None:
+        return 16 * (5 * n * d * d + common)
+    k_f, k_c, b = columns
+    return 16 * (n * (2 * k_f + 3 * k_c + 3 * b) + common) + _map_bytes(b)
 
 
-def check_scan_budget(dims: tuple[int, ...], n: int, target: int, block: int = 0) -> None:
+def check_scan_budget(
+    dims: tuple[int, ...], n: int, target: int, columns: tuple[int, int, int] | None = None
+) -> None:
     """PropagatorSizeError when a scan of the register ``dims`` over n grid
-    points, stepping Lindblad sectors of at most ``block`` vec indices,
-    would exceed the memory budget; ``cli.build_config`` calls it too."""
+    points would exceed the memory budget: on the closed form, or on the
+    sector path with the ``columns`` of ``sector_columns``;
+    ``cli.build_config`` calls it too."""
     d = math.prod(dims)  # exact even for a config's huge dims
-    _check_budget(_working_set_bytes(d, n, dims[target], block), f"scan (dim {d}, {n} grid points)")
+    _check_budget(_working_set_bytes(d, n, dims[target], columns), f"scan (dim {d}, {n} grid points)")
+
+
+def _class_size(charge: np.ndarray, cls: tuple[int, int]) -> int:
+    """Vec indices d i + j whose sector c = Q_i - Q_j lies in the class
+    (offset, step) of ``dynamics._in_class``, from the charge's histogram
+    N_q alone: the sum of N_q N_q' over the charges q, q' with q - q' in
+    the class, taken over residues mod step when step is not 0."""
+    offset, step = cls
+    q, count = np.unique(charge, return_counts=True)
+    if step:
+        step = abs(step)
+        residues = np.zeros(step, dtype=np.int64)
+        np.add.at(residues, q % step, count)
+        return int(residues @ residues[(np.arange(step) - offset) % step])
+    hist = dict(zip(q.tolist(), count.tolist()))
+    return sum(k * hist.get(v - offset, 0) for v, k in hist.items())
+
+
+def sector_columns(charge: np.ndarray, dims: tuple[int, ...], seq: PulseSequence) -> tuple[int, int, int]:
+    """(K_f, K_c, b) of a Lindblad scan of the register ``dims`` with the
+    declared ``charge``, from the two alone: the kept forward and covector
+    columns (``_kept_sectors``) and the largest stepped sector, c = 0
+    (``dynamics.largest_sector``)."""
+    kept = _kept_sectors(_charge_weight(charge, dims, seq.target), seq)
+    return (*(_class_size(charge, cls) for cls in kept), largest_sector(charge))
 
 
 def _pulse_set(model: LindbladModel, seq: PulseSequence) -> tuple[np.ndarray, ...]:
@@ -220,7 +258,7 @@ def _pulse_set(model: LindbladModel, seq: PulseSequence) -> tuple[np.ndarray, ..
     return d1, cycled, np.stack([embed(h, seq.target, model.register) for h in parts])
 
 
-def _kept_sectors(model: LindbladModel, seq: PulseSequence) -> tuple[tuple[int, int], ...]:
+def _kept_sectors(w: int, seq: PulseSequence) -> tuple[tuple[int, int], ...]:
     """The charge sectors c = Q_ket - Q_bra of the forward line and of the
     covector line that reach the signature component, each as (offset,
     step) for c in offset + step Z.
@@ -234,7 +272,6 @@ def _kept_sectors(model: LindbladModel, seq: PulseSequence) -> tuple[tuple[int, 
     the forward line c1 in -w (q2 + q3 + q4) + w gcd(N2, N3, N4) Z: every
     sector when the phase counts are coprime.
     """
-    w = model.charge_weight(seq.target)
     (q2, q3, q4), (n2, n3, n4) = seq.signature, seq.n_phases
     return (-w * (q2 + q3 + q4), w * math.gcd(n2, n3, n4)), (-w * q4, w * n4)
 
@@ -270,18 +307,19 @@ def scan(
     spectator charge difference at a time (no embedded d x d pulse is
     formed).  A model
     without a declared charge is one sector, contracted in full.  The
-    working set, with the largest sector's step map, is checked against the
-    memory budget (``check_scan_budget``) before any operator is built.
+    working set (on the sector path: the kept columns and the largest
+    sector's step map, ``sector_columns``) is checked against the memory
+    budget (``check_scan_budget``) before any operator is built.
     """
     if model.register is None:
         raise ValueError("model needs a register to embed pulses")
     dims, n, d = model.register.dims, grid_points(t_max, dt), model.dim
     d_t = dims[seq.target]
-    # the largest sector is c = 0, which is always stepped
-    block = largest_sector(model.charge) if model.dissipative else 0
-    check_scan_budget(dims, n, seq.target, block)
+    columns = sector_columns(model.charge, dims, seq) if model.dissipative else None
+    check_scan_budget(dims, n, seq.target, columns)
     d1, cycled, observables = _pulse_set(model, seq)
-    kept_forward, kept_covector = kept = _kept_sectors(model, seq)
+    w = model.charge_weight(seq.target)
+    kept_forward, kept_covector = kept = _kept_sectors(w, seq)
     line, covectors, *kept_index = evolution_lines(model, d1 @ rho0 @ d1.conj().T, observables, n, dt, kept)
     covector = covectors[:, 1] * 1j  # vec(A(k3)^T) = vec(H_R^T) + i vec(H_I^T), (k3, K_c)
     covector += covectors[:, 0]
@@ -298,7 +336,7 @@ def scan(
     base = np.add.outer(ket * d, ket).ravel()
     offset = np.add.outer(np.arange(d_t) * right * d, np.arange(d_t) * right).ravel()
     spread = np.subtract.outer(model.charge[ket], model.charge[ket]).ravel()
-    orders = model.charge_weight(seq.target) * np.subtract.outer(np.arange(d_t), np.arange(d_t)).ravel()
+    orders = w * np.subtract.outer(np.arange(d_t), np.arange(d_t)).ravel()
     values = np.zeros((n, n), dtype=complex)
     for c in sorted(set(spread.tolist())):
         # C maps the target block's kept forward entries to its kept

@@ -1,5 +1,7 @@
 import contextlib
 import csv
+import hashlib
+import importlib.util
 import json
 import math
 import os
@@ -203,6 +205,13 @@ class TestConfigValidation:
         assert match in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_heated_resonance_charged_for_its_kept_columns(self):
+        # 378 grid points on a 400-level register: five full (n, d^2) lines
+        # and the c = 0 sector's map would need 6.2 GiB, past the budget; the
+        # kept sectors' columns, the check-only lines and that map fit
+        cfg = build_config({"scenario": "resonance", "dims": [20, 20], "grid_scale": 2.0})
+        assert any(cfg.heating_quanta_per_ms)
+
     @settings(max_examples=300, deadline=None)
     @given(
         scenario=st.sampled_from(SCENARIOS),
@@ -304,6 +313,19 @@ class TestManifest:
             for threads in (1, 2)
         )
         assert m1["outputs"] == m2["outputs"]  # sha256 of every artifact
+
+    def test_output_digests_are_sha256(self, tmp_path):
+        # the built-in SHA-256 gives hashlib's digests of every artifact
+        runs = (
+            self._tiny_kerr(tmp_path / "kerr"),
+            build_config({"scenario": "resonance", "out_dir": str(tmp_path / "resonance"),
+                          "dims": [4, 3], "nbar": [0.3, 0.1], "grid_scale": 0.1}),
+        )
+        for cfg in runs:
+            outputs = run_scenario(cfg)["outputs"]
+            assert outputs
+            for name, digest in outputs.items():
+                assert digest == hashlib.sha256((Path(cfg.out_dir) / name).read_bytes()).hexdigest()
 
     def test_rwa_ratio_recorded(self, tmp_path):
         kerr = run_scenario(self._tiny_kerr(tmp_path / "k"))
@@ -526,8 +548,9 @@ class TestPhaseNoiseAttenuation:
 
 
 # run in a fresh interpreter, since the suite itself imports scipy for its
-# oracles: build both configs, then list the scipy modules loaded and the
-# modules the runs added
+# oracles: build both configs, then list the scipy modules loaded, the
+# modules the runs added and which of hashlib (OpenSSL's libcrypto) and
+# argparse were loaded
 _RUN_AND_LIST_MODULES = """
 import json, sys
 from ionspec2d import cli
@@ -538,6 +561,8 @@ for cfg in configs:
 print(json.dumps({
     "scipy": sorted(name for name in sys.modules if name.split(".")[0] == "scipy"),
     "added": sorted(set(sys.modules) - before),
+    "hashlib": sorted({"hashlib", "_hashlib"} & set(sys.modules)),
+    "argparse": "argparse" in sys.modules,
 }))
 """
 
@@ -556,7 +581,11 @@ def test_runs_import_no_scipy_and_load_no_module(tmp_path):
         capture_output=True, text=True, env=env, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout.splitlines()[-1]) == {"scipy": [], "added": []}
+    loaded = json.loads(proc.stdout.splitlines()[-1])
+    hashlib_loaded = loaded.pop("hashlib")
+    if any(map(importlib.util.find_spec, ("_sha2", "_sha256"))):  # else cli falls back to hashlib
+        assert hashlib_loaded == []
+    assert loaded == {"scipy": [], "added": [], "argparse": False}
     for name in ("kerr", "resonance"):
         assert json.loads((tmp_path / name / "manifest.json").read_text())["status"] == "ok"
 

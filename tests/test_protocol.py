@@ -420,7 +420,7 @@ class TestScanEngine:
         # only its reality check against c can see the fault
         model, rho0 = _heated_exchange()
         seq = PulseSequence()
-        kept = protocol._kept_sectors(model, seq)
+        kept = protocol._kept_sectors(model.charge_weight(seq.target), seq)
         blocks = dynamics.liouvillian_blocks(model)
         c = max((c for c in blocks if dynamics._in_class(c, kept[0])), key=lambda c: blocks[c].size)
         assert not any(dynamics._in_class(-c, cls) for cls in kept)
@@ -449,7 +449,7 @@ class TestScanEngine:
         model, rho0 = build()
         d1, _, observables = protocol._pulse_set(model, seq)
         args = (model, d1 @ rho0 @ d1.conj().T, observables, 9, 2e-5)
-        kept = protocol._kept_sectors(model, seq)
+        kept = protocol._kept_sectors(model.charge_weight(seq.target), seq)
         *compact, index_f, index_c = dynamics.evolution_lines(*args, kept)
         *full, every_f, every_c = dynamics.evolution_lines(*args)
         charge = np.subtract.outer(model.charge, model.charge).ravel()
@@ -460,6 +460,35 @@ class TestScanEngine:
             column[every] = np.arange(every.size)
             assert np.array_equal(line, whole[..., column[index]])
         assert index_c.size < model.dim**2  # the covector line is compact
+
+    @pytest.mark.parametrize(
+        "sectors, stepped",
+        [
+            # each line keeps the other's check-only mirror: {1, -1} and c = 0
+            pytest.param(((1, 0), (-1, 0)), 3, id="crossed-mirrors"),
+            # every sector forward; the covector's mirror -1 is kept forward
+            pytest.param(((0, 1), (1, 4)), 15, id="every-beside-narrow"),
+        ],
+    )
+    def test_each_stepped_sector_builds_one_map(self, monkeypatch, sectors, stepped):
+        model, rho0 = _heated_exchange()
+        d1, _, observables = protocol._pulse_set(model, PulseSequence())
+        args = (model, d1 @ rho0 @ d1.conj().T, observables, 9, 2e-5)
+        *full, every_f, every_c = dynamics.evolution_lines(*args)
+        exact_expm, exact_gather, exact_skew = dynamics.expm, dynamics.liouvillian, dynamics._check_skew
+        maps, gathered, skews = [], [], []
+        monkeypatch.setattr(dynamics, "expm", lambda a: maps.append(a.shape) or exact_expm(a))
+        monkeypatch.setattr(
+            dynamics, "liouvillian", lambda model, idx: gathered.append(tuple(idx)) or exact_gather(model, idx)
+        )
+        monkeypatch.setattr(dynamics, "_check_skew", lambda x, mirror: skews.append(x.shape) or exact_skew(x, mirror))
+        *compact, index_f, index_c = dynamics.evolution_lines(*args, sectors)
+        assert len(maps) == len(set(gathered)) == stepped
+        assert len(skews) == 2  # both lines' reality checks still run
+        for line, index, whole, every in zip(compact, (index_f, index_c), full, (every_f, every_c)):
+            column = np.empty(model.dim**2, dtype=int)
+            column[every] = np.arange(every.size)
+            assert np.array_equal(line, whole[..., column[index]])
 
     def test_compact_lines_memory(self, resonance_data):
         # the sector path holds the kept columns, the largest sector's map
@@ -475,7 +504,7 @@ class TestScanEngine:
         tracemalloc.start()
         try:
             _, _, index_f, index_c = dynamics.evolution_lines(
-                model, state, observables, n, cfg.dt_s, protocol._kept_sectors(model, seq)
+                model, state, observables, n, cfg.dt_s, protocol._kept_sectors(model.charge_weight(seq.target), seq)
             )
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -552,8 +581,26 @@ class TestMemoryGuards:
         rho0 = fock.product_state([thermal_state(0.5, dim)[0] for dim in dims])
         dt = 2e-5
         peak = _traced_peak(lambda: scan(model, rho0, PulseSequence(), (n - 1) * dt, dt))
-        block = max(map(len, dynamics.liouvillian_blocks(model).values())) if heated else 0
-        assert protocol._working_set_bytes(model.dim, n, dims[0], block) >= peak
+        columns = protocol.sector_columns(model.charge, dims, PulseSequence()) if heated else None
+        assert protocol._working_set_bytes(model.dim, n, dims[0], columns) >= peak
+
+    @pytest.mark.parametrize("dims", [(7, 5), (9, 6)])
+    def test_sector_guard_bounds_the_heated_resonance_peak(self, resonance_data, dims):
+        # the sector path's count, from the dims and the declared charge alone,
+        # against the reference grid's traced peak
+        cfg = cli.build_config({"scenario": "resonance", "dims": list(dims)})
+        omega_t = scenarios.resonance_parameters(resonance_data).omega_t
+        rates = tuple(1e3 * r for r in cfg.heating_quanta_per_ms)
+        model = scenarios.resonance_model(omega_t, dims=dims, heating_quanta_per_s=rates)
+        rho0 = scenarios.resonance_initial_state(dims, tuple(cfg.nbar))
+        seq, n = cfg.sequence(), grid_points(cfg.t_max_s, cfg.dt_s)
+        peak = _traced_peak(lambda: scan(model, rho0, seq, cfg.t_max_s, cfg.dt_s))
+        columns = protocol.sector_columns(scenarios.resonance_charge(dims), dims, seq)
+        charge = np.subtract.outer(model.charge, model.charge).ravel()
+        kept = protocol._kept_sectors(model.charge_weight(0), seq)
+        assert columns[:2] == tuple(int(np.sum(dynamics._in_class(charge, cls))) for cls in kept)
+        need = protocol._working_set_bytes(model.dim, n, dims[0], columns)
+        assert peak <= need < protocol._working_set_bytes(model.dim, n, dims[0])
 
     @pytest.mark.parametrize("d, n", [(5, 11), (9, 80)])
     def test_kerr_guard_bounds_the_traced_peak(self, d, n, monkeypatch):
