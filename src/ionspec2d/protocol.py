@@ -270,7 +270,10 @@ def _kept_sectors(w: int, seq: PulseSequence) -> tuple[tuple[int, int], ...]:
     Ernst, J. Magn. Reson. 58, 370 (1984)), and the target population is
     read in c = 0.  So the covector line needs c3 in -w q4 + w N4 Z, and
     the forward line c1 in -w (q2 + q3 + q4) + w gcd(N2, N3, N4) Z: every
-    sector when the phase counts are coprime.
+    sector when the phase counts are coprime.  Both engines contract these
+    classes alone: ``scan`` on the Lindblad sector lines, and
+    ``scenarios.kerr_scan_fast`` on the zigzag coherence orders (charge n,
+    w = 1) of its closed form.
     """
     (q2, q3, q4), (n2, n3, n4) = seq.signature, seq.n_phases
     return (-w * (q2 + q3 + q4), w * math.gcd(n2, n3, n4)), (-w * q4, w * n4)

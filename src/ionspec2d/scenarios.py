@@ -6,11 +6,13 @@ and the thermal spectator occupations (n_y, n_eg) only shift the zigzag
 frequency.  Averaging over them multiplies each Liouville pathway by the
 characteristic function of that shift at the pathway's coherence orders, so
 the simulation runs one zigzag-only contraction weighted by it, with the
-pulses and the observable phase-cycled before it (as in ``protocol.scan``)
--- this treats the static dephasing by spectator populations exactly, and
-``kerr_scan_full`` on the product register is its oracle.  The resonance
-scenario probes coherent zigzag-stretch energy exchange at anisotropy 20/63
-under heating: a Lindblad model on the two-mode register.  It declares
+pulses and the observable phase-cycled before it (as in ``protocol.scan``),
+over the coherence orders the (1, -1, -1) cycle keeps alone: D1 and D3 in
+1 + 4Z, 4 of the 17 orders on each side at d = 9 -- this treats the static
+dephasing by spectator populations exactly, and ``kerr_scan_full`` on the
+product register is its oracle.  The resonance scenario probes coherent
+zigzag-stretch energy exchange at anisotropy 20/63 under heating: a Lindblad
+model on the two-mode register.  It declares
 the conserved charge Q = n_zz + 2 n_str, so its Liouvillian keeps
 c = Q_ket - Q_bra (the heating jumps shift ket and bra alike), and its scan
 steps one small dense map per sector of c along the time grid, only on
@@ -143,7 +145,9 @@ def check_kerr_budget(dims: tuple[int, ...], n: int) -> None:
     the temporaries of their closed form and hermitization, the combined and
     reordered lines, the states by order D1; one order's chi table with its
     index, partial sums and product; the grid twice; the pre-cycled pulse
-    pair."""
+    pair.  It counts all 2d - 1 coherence orders, an upper bound on the
+    orders the phase cycle keeps, so that the bound does not depend on the
+    cycle."""
     d = dims[0]
     n_orders = 2 * d - 1
     need = (
@@ -181,11 +185,16 @@ def kerr_scan_fast(
     (``protocol._pulse_set``), so one forward line and the two covector
     lines of the pre-cycled observable's Hermitian parts are built for the
     shift-free Hamiltonian (closed form, re-hermitized with the line
-    reality check, trace-drift checked).  The pre-cycled pulse pair acts on
-    the forward line one coherence order D1 at a time, giving
-    states(k1, D1, y), and per covector order D3 the grid gains
-    sum_y sum_D1 chi(D1 k1 + D3 k3) states(k1, D1, y) A(k3, y): one chi
-    gather per D3, 2d - 1 in all.  No per-sector line, per-phase signal or
+    reality check, trace-drift checked).  The zigzag model declares its
+    charge n, so its coherence order a - b is the charge sector c of
+    ``protocol._kept_sectors`` (weight 1), and only the orders the phase
+    cycle keeps reach the signal: D1 in the forward class and D3 in the
+    covector class (the other orders hold rounding alone).  The pre-cycled
+    pulse pair acts on the forward line one kept D1 at a time, giving
+    states(k1, D1, y) on the entries y of the kept D3 only, and per kept D3
+    the grid gains sum_y sum_D1 chi(D1 k1 + D3 k3) states(k1, D1, y)
+    A(k3, y): one chi gather per kept D3 (4 of the 2d - 1 orders at d = 9
+    for the (1, -1, -1) cycle).  No per-sector line, per-phase signal or
     full phase table is formed, and the working set is checked against the
     memory budget before any operator is built.
     """
@@ -194,7 +203,9 @@ def kerr_scan_fast(
     check_kerr_budget(model.dims, n)
 
     reg = fock.FockRegister(dims=(d,), labels=("zz",))
-    zz = dynamics.LindbladModel(hamiltonian=model.zz_hamiltonian(), register=reg)
+    zz = dynamics.LindbladModel(
+        hamiltonian=model.zz_hamiltonian(), register=reg, charge=np.arange(d)
+    )
     rho0, _ = fock.thermal_state(model.nbar[0], d)
     d1, cycled, observables = protocol._pulse_set(zz, seq)
     line, covectors, _, _ = dynamics.evolution_lines(zz, d1 @ rho0 @ d1.conj().T, observables, n, dt)
@@ -208,27 +219,31 @@ def kerr_scan_fast(
         * _thermal_characteristic(model.nbar[2], model.dims[2], model.rate_eg * m_dt)
     )
 
-    # entries (a, b) sorted by coherence order a - b, so each order is a slice
+    # the coherence orders the cycle keeps, and the entries (a, b) of each
+    # order a - b; the kept covector entries sorted by order, so that each
+    # kept D3 is a slice
     orders = np.arange(1 - d, d)
-    perm = np.argsort(np.subtract.outer(np.arange(d), np.arange(d)), axis=None, kind="stable")
-    bounds = np.concatenate([[0], np.cumsum(d - np.abs(orders))])
-    slices = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
-    line = line[:, perm]
-    covector = (covectors[:, 0] + 1j * covectors[:, 1])[:, perm]  # vec(A(k3)^T), (k3, entry)
-    cycled = cycled[np.ix_(perm, perm)]
-    states = np.empty((n, len(orders), d * d), dtype=complex)  # (k1, D1, entry)
-    for i, cols in enumerate(slices):
-        states[:, i, :] = line[:, cols] @ cycled[:, cols].T
+    kept_forward, kept_covector = protocol._kept_sectors(zz.charge_weight(0), seq)
+    orders1 = orders[dynamics._in_class(orders, kept_forward)]
+    orders3 = orders[dynamics._in_class(orders, kept_covector)]
+    entry_order = np.subtract.outer(np.arange(d), np.arange(d)).ravel()
+    entries = {o: np.flatnonzero(entry_order == o) for o in orders}
+    read = np.concatenate([entries[o] for o in orders3] or [np.zeros(0, np.intp)])
+    bounds = np.cumsum([0] + [entries[o].size for o in orders3]).tolist()
+    covector = (covectors[:, 0] + 1j * covectors[:, 1])[:, read]  # vec(A(k3)^T), (k3, entry)
+    states = np.empty((n, orders1.size, read.size), dtype=complex)  # (k1, D1, entry)
+    for i, o in enumerate(orders1):
+        states[:, i, :] = line[:, entries[o]] @ cycled[np.ix_(read, entries[o])].T
     k = np.arange(n)
-    base = np.multiply.outer(k, orders) + m_max  # chi index of D1 k1, (k1, D1)
+    base = np.multiply.outer(k, orders1) + m_max  # chi index of D1 k1, (k1, D1)
     values = np.zeros((n, n), dtype=complex)  # (k1, k3)
-    for o3, cols in zip(orders, slices):
+    for o3, start, stop in zip(orders3, bounds[:-1], bounds[1:]):
         # chi(D1 k1 + D3 k3) as (k1, k3, D1) times states(k1, D1, entry), one
         # expression so that no order's temporaries outlive it
         values += np.einsum(
             "ije,je->ij",
-            chi[base[:, None, :] + o3 * k[None, :, None]] @ states[:, :, cols],
-            covector[:, cols],
+            chi[base[:, None, :] + o3 * k[None, :, None]] @ states[:, :, start:stop],
+            covector[:, start:stop],
         )
     t_axis = np.arange(n) * dt
     return SignalGrid(t1=t_axis, t3=t_axis, values=values)

@@ -4,12 +4,12 @@ import dataclasses
 import numpy as np
 import pytest
 
-from ionspec2d import dynamics, protocol, scenarios
+from ionspec2d import dynamics, matio, protocol, scenarios
 from ionspec2d.cli import build_config, run_scenario
 from ionspec2d.dynamics import LindbladModel, PropagatorSizeError
 from ionspec2d.fock import FockRegister, thermal_state
 from ionspec2d.protocol import PulseSequence, SignalRealityError, grid_points, scan
-from ionspec2d.spectrum import Peak
+from ionspec2d.spectrum import Peak, Spectrum2D, find_peaks
 from test_protocol import ASYMMETRIC, _heated_exchange
 
 OMEGA_ZZ = 2 * np.pi * 130e3
@@ -82,7 +82,7 @@ class TestResonanceReference:
         n = grid_points(cfg.t_max_s, cfg.dt_s)
         assert n == 189
         bin_width = 2 * np.pi / (n * cfg.dt_s)
-        # f and f' are not found at the 0.05 peak threshold, so they are not pinned
+        # f and f' (1.1 % of max) are below the run's 0.05 peak threshold
         expected = ["a", "b", "b'", "c", "c'", "d", "d'", "e", "e'"]
         assert set(expected) <= set(peaks)
         for label in expected:
@@ -90,6 +90,23 @@ class TestResonanceReference:
             got = peaks[label]
             assert abs(float(got["omega1_rad_s"]) - w1) <= 1.5 * bin_width, label
             assert abs(float(got["omega3_rad_s"]) - w3) <= 1.5 * bin_width, label
+        # so they are found as local maxima of the written spectrum at 0.008
+        axes = {
+            name: axis["start"] + axis["step"] * np.arange(axis["count"])
+            for name, axis in manifest["spectrum_axes"].items()
+        }
+        spec = Spectrum2D(
+            omega1=axes["omega1_rad_s"],
+            omega3=axes["omega3_rad_s"],
+            values=matio.read_matrix(tmp_path / "spectrum.bin"),
+        )
+        faint = find_peaks(spec, threshold=0.008)
+        scenarios.label_peaks(faint, pred, 1.5 * bin_width)
+        found = {p.label: p for p in faint if p.label}
+        for label in ("f", "f'"):
+            w1, w3 = pred[label]
+            assert abs(found[label].omega1 - w1) <= 1.5 * bin_width, label
+            assert abs(found[label].omega3 - w3) <= 1.5 * bin_width, label
 
 
 KHZ = 2 * np.pi * 1e3
@@ -128,6 +145,37 @@ def _sector_loop(model, seq, t_max, dt):
     return total
 
 
+def _all_orders_scan(model, seq, t_max, dt):
+    """kerr_scan_fast contracting every coherence order D1 and D3, the
+    2d - 1 on each side, with no pathway selection: the reference of the
+    kept-order contraction."""
+    d = model.dims[0]
+    n = grid_points(t_max, dt)
+    zz = LindbladModel(hamiltonian=model.zz_hamiltonian(), register=FockRegister(dims=(d,), labels=("zz",)))
+    rho0, _ = thermal_state(model.nbar[0], d)
+    d1, cycled, observables = protocol._pulse_set(zz, seq)
+    line, covectors, _, _ = dynamics.evolution_lines(zz, d1 @ rho0 @ d1.conj().T, observables, n, dt)
+    m_max = (d - 1) * (2 * n - 2)
+    m_dt = np.arange(-m_max, m_max + 1) * dt
+    chi = (
+        np.exp(-1j * model.delta_zz * m_dt)
+        * scenarios._thermal_characteristic(model.nbar[1], model.dims[1], model.rate_y * m_dt)
+        * scenarios._thermal_characteristic(model.nbar[2], model.dims[2], model.rate_eg * m_dt)
+    )
+    orders = np.arange(1 - d, d)
+    entry_order = np.subtract.outer(np.arange(d), np.arange(d)).ravel()
+    covector = covectors[:, 0] + 1j * covectors[:, 1]
+    k = np.arange(n)
+    values = np.zeros((n, n), dtype=complex)
+    for o1 in orders:
+        cols1 = entry_order == o1
+        states = line[:, cols1] @ cycled[:, cols1].T  # (k1, entry)
+        for o3 in orders:
+            cols3 = entry_order == o3
+            values += chi[np.add.outer(o1 * k, o3 * k) + m_max] * (states[:, cols3] @ covector[:, cols3].T)
+    return values
+
+
 class TestKerrSpectators:
     @pytest.mark.parametrize(
         "n_ions, omega_x_hz, omega_y_hz", [(3, 3.1012e6, 5e6), (4, 5e6, 6e6), (5, 5e6, 6e6)]
@@ -158,6 +206,27 @@ class TestKerrSectorAverage:
             scale = np.max(np.abs(oracle))
             assert scale > 1e-6  # a signal to compare
             assert np.max(np.abs(fast.values - oracle)) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("seq", [PulseSequence(), ASYMMETRIC], ids=["default", "asymmetric"])
+    def test_kept_orders_match_all_orders(self, seq):
+        # only the orders the cycle keeps are contracted (default: 4 of 17 on
+        # each side; ASYMMETRIC keeps every forward order, gcd(3, 4, 5) = 1);
+        # the others hold only rounding
+        model = dataclasses.replace(_kerr_model(), dims=(9, 15, 15), nbar=(1.0, 4.0, 4.0))
+        fast = scenarios.kerr_scan_fast(model, seq, 8 * DT, DT)
+        reference = _all_orders_scan(model, seq, 8 * DT, DT)
+        scale = np.max(np.abs(reference))
+        assert scale > 1e-6
+        assert np.max(np.abs(fast.values - reference)) <= 1e-12 * scale
+
+    def test_cycle_keeping_no_covector_order(self):
+        # D3 in -5 + 11Z holds no order of a 5-level zigzag: nothing reaches
+        # the signature, and the sector loop reads rounding alone
+        model, seq = _kerr_model(), PulseSequence(n_phases=(4, 4, 11), signature=(1, -1, 5))
+        fast = scenarios.kerr_scan_fast(model, seq, 6 * DT, DT)
+        assert fast.values.shape == (7, 7)
+        assert not np.any(fast.values)
+        assert np.max(np.abs(_sector_loop(model, seq, 6 * DT, DT))) <= 1e-15
 
     def test_one_point_grid(self):
         model, seq = _kerr_model(), PulseSequence()
