@@ -39,7 +39,7 @@ class PerturbativeRegimeError(RuntimeError):
 
 class NearResonanceError(RuntimeError):
     """A perturbation-theory denominator is near zero; use the resonant
-    treatment (resonant_coupling / resonant_manifolds) instead."""
+    treatment (resonant_coupling) instead."""
 
 
 @dataclass(frozen=True)
@@ -90,19 +90,6 @@ class ResonantCoupling:
     omega_t: float
     detuning: float
     on_resonance: bool
-
-
-@dataclass(frozen=True)
-class Manifold:
-    """Conserved-charge block of the resonant Hamiltonian.
-
-    ``states`` lists (n_str, n_zz) occupation pairs with n_zz + 2*n_str equal
-    to ``charge``; ``eigenvalues`` are the block eigenvalues sorted ascending.
-    """
-
-    charge: int
-    states: list[tuple[int, int]]
-    eigenvalues: np.ndarray
 
 
 def mode_label(direction: str, index0: int) -> str:
@@ -391,32 +378,3 @@ def max_nonsecular_ratio(
     np.abs(freq, out=freq)
     freq[freq < 1e-9 * wz] = np.inf  # secular terms drop out of the ratio
     return float(np.divide(np.abs(coeff).reshape((1, n) * 4), freq, out=freq).max())
-
-
-def resonant_manifolds(omega_t: float, max_quanta: int) -> list[Manifold]:
-    """Eigenvalues of the resonant exchange Hamiltonian per conserved charge.
-
-    The charge n_zz + 2 n_str is conserved, so the Hamiltonian is block
-    tridiagonal over the manifolds listed here; blocks for charge < 2 are
-    trivial (a single state with eigenvalue 0) and are omitted.
-    """
-    if max_quanta < 2:
-        raise ValueError("max_quanta must be >= 2")
-    out = []
-    for charge in range(2, max_quanta + 1):
-        states = [(ns, charge - 2 * ns) for ns in range(charge // 2 + 1)]
-        dim = len(states)
-        block = np.zeros((dim, dim))
-        for i, (ns, nz) in enumerate(states[:-1]):
-            # coupling to (ns + 1, nz - 2)
-            block[i, i + 1] = block[i + 1, i] = omega_t * np.sqrt(
-                nz * (nz - 1) * (ns + 1)
-            )
-        out.append(
-            Manifold(
-                charge=charge,
-                states=states,
-                eigenvalues=np.sort(np.linalg.eigvalsh(block)),
-            )
-        )
-    return out

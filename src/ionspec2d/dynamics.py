@@ -5,21 +5,24 @@ Scans use ``evolution_lines``: the forward line P^k(rho) and the backward
 (Heisenberg) line (P^+)^k(A) of the one-step free evolution P on a uniform
 time grid.  Dissipation-free models take both in closed form from one
 eigendecomposition of H by ``np.linalg.eigh`` (exact unit vectors when H is
-diagonal), re-hermitized.  A Lindblad model may declare a conserved charge
-Q (``LindbladModel.charge``); its Liouvillian then keeps c = Q_ket - Q_bra,
-and its diagonal blocks are the sectors of c (``liouvillian_blocks``;
-symmetry reduction of Lindblad generators: Buca & Prosen, New J. Phys. 14,
-073007 (2012); Albert & Jiang, Phys. Rev. A 89, 022118 (2014)).  Each
-sector is gathered densely (``liouvillian``) and stepped with its one-step
-map exp(L_c dt), and only the sectors the caller keeps are stepped and
-held, compact, one column per kept vec index: a scan's phase cycle passes
-only pathways whose pulses change c by the kept coherence orders
-(``protocol._kept_sectors``).  Besides those, the sector c = 0 of the
-forward line is stepped for the trace-drift check and the mirror -c of
-each line's largest kept sector c for the reality check, which bounds the
-line's difference from its conjugate transpose there; each check-only
-line is dropped once checked.  A larger anti-Hermitian part raises
-SignalRealityError on both paths.
+diagonal; the real solver for the real Hamiltonians of both scenarios),
+re-hermitized.  Models hold the dtype they are given: Hamiltonians and jump
+operators that are real in the Fock basis stay float64, while states, lines
+and the Liouvillian are complex.  A Lindblad model may declare a conserved
+charge Q (``LindbladModel.charge``); its Liouvillian then keeps
+c = Q_ket - Q_bra, and its diagonal blocks are the sectors of c
+(``liouvillian_blocks``; symmetry reduction of Lindblad generators: Buca &
+Prosen, New J. Phys. 14, 073007 (2012); Albert & Jiang, Phys. Rev. A 89,
+022118 (2014)).  Each sector is gathered densely (``liouvillian``) and
+stepped with its one-step map exp(L_c dt), and only the sectors the caller
+keeps are stepped and held, compact, one column per kept vec index: a
+scan's phase cycle passes only pathways whose pulses change c by the kept
+coherence orders (``protocol._kept_sectors``).  Besides those, the sector
+c = 0 of the forward line is stepped for the trace-drift check and the
+mirror -c of each line's largest kept sector c for the reality check, which
+bounds the line's difference from its conjugate transpose there; each
+check-only line is dropped once checked.  A larger anti-Hermitian part
+raises SignalRealityError on both paths.
 
 ``build_propagator`` builds exp(L dt) for one fixed step as the dense
 exponential of the Liouvillian, exact for closed and open models alike; it

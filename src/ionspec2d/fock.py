@@ -3,7 +3,9 @@
 Everything is dense: the registers used here stay small (a few thousand
 dimensions at most), and a scan builds these operators a fixed number of
 times, independent of its grid, so its time lines and branch contractions
-dominate the cost.
+dominate the cost.  Ladder and number operators, thermal states and their
+embeddings are real in the Fock basis and built as float64; displacement
+pulses, and the states they act on, are complex.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ def destroy(dim: int) -> np.ndarray:
     """Annihilation operator with the standard sqrt(n) matrix elements."""
     if dim < 2:
         raise ValueError("dim must be >= 2")
-    return np.diag(np.sqrt(np.arange(1, dim)), 1).astype(complex)
+    return np.diag(np.sqrt(np.arange(1, dim)), 1)
 
 
 def mode_operators(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -53,14 +55,18 @@ def mode_operators(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def displacement(alpha: complex, dim: int) -> np.ndarray:
-    """D(alpha) = exp(G) with G = alpha a+ - alpha* a on the truncated mode.
+    """D(alpha) = exp(alpha a+ - alpha* a) on the truncated mode, from one
+    real symmetric eigensystem.
 
-    G is anti-Hermitian, so iG = V diag(lambda) V+ by ``np.linalg.eigh`` and
-    D = V diag(exp(-i lambda)) V+, unitary to rounding on the truncated
-    space.  Truncation makes D only approximate the displacement of the
-    infinite mode; it is accurate while the displaced state stays well
-    inside the register, so a warning is raised when 3 |alpha|^2 exceeds
-    the dimension.
+    With x = a + a+ = V diag(lambda) V^T (``np.linalg.eigh``, real), and
+    S = diag(i^n), i (a+ - a) = S x S^+; a phase rotates the generator,
+    G(|alpha| e^(i phi)) = e^(i phi n) G(|alpha|) e^(-i phi n).  So
+    D(alpha) = P V diag(exp(-i |alpha| lambda)) V^T P^* with
+    P = diag(e^(i theta n)), theta = arg(alpha) + pi/2: unitary to rounding
+    on the truncated space.  Truncation makes D only approximate the
+    displacement of the infinite mode; it is accurate while the displaced
+    state stays well inside the register, so a warning is raised when
+    3 |alpha|^2 exceeds the dimension.
     """
     if 3.0 * abs(alpha) ** 2 > dim:
         warnings.warn(
@@ -69,8 +75,9 @@ def displacement(alpha: complex, dim: int) -> np.ndarray:
             stacklevel=2,
         )
     a = destroy(dim)
-    lam, vec = np.linalg.eigh(1j * (alpha * a.conj().T - np.conj(alpha) * a))
-    return (vec * np.exp(-1j * lam)) @ vec.conj().T
+    lam, vec = np.linalg.eigh(a + a.T)
+    p = np.exp(1j * (np.angle(alpha) + 0.5 * np.pi) * np.arange(dim))
+    return p[:, None] * ((vec * np.exp(-1j * abs(alpha) * lam)) @ vec.T) * p.conj()
 
 
 def thermal_populations(nbar: float, dim: int) -> tuple[np.ndarray, float]:
@@ -92,7 +99,7 @@ def thermal_state(nbar: float, dim: int) -> tuple[np.ndarray, float]:
     """Truncated thermal density matrix, diagonal in the Fock basis, and the
     probability kept by the truncation (see :func:`thermal_populations`)."""
     pops, kept = thermal_populations(nbar, dim)
-    return np.diag(pops).astype(complex), kept
+    return np.diag(pops), kept
 
 
 def embed(op: np.ndarray, slot: int, register: FockRegister) -> np.ndarray:
@@ -103,10 +110,7 @@ def embed(op: np.ndarray, slot: int, register: FockRegister) -> np.ndarray:
         raise ValueError(
             f"operator shape {op.shape} does not match dim {register.dims[slot]}"
         )
-    factors = [
-        op if s == slot else np.eye(d, dtype=complex)
-        for s, d in enumerate(register.dims)
-    ]
+    factors = [op if s == slot else np.eye(d) for s, d in enumerate(register.dims)]
     return reduce(np.kron, factors)
 
 

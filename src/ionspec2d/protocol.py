@@ -95,7 +95,7 @@ def pulse_operator(model: LindbladModel, seq: PulseSequence, k: int, phase: floa
 
 def measurement_operator(model: LindbladModel, seq: PulseSequence) -> np.ndarray:
     dim = model.register.dims[seq.target]
-    return embed(np.diag(np.arange(dim)).astype(complex), seq.target, model.register)
+    return embed(np.diag(np.arange(dim)), seq.target, model.register)
 
 
 def _real_signal(value: complex) -> float:
@@ -248,11 +248,11 @@ def _pulse_set(model: LindbladModel, seq: PulseSequence) -> tuple[np.ndarray, ..
         alpha = seq.amplitudes[k - 1]
         return [displacement(alpha * np.exp(1j * p), dim) for p in seq.phase_grid(k)]
 
-    cycled = np.zeros((dim * dim, dim * dim), dtype=complex)
-    k3s = kicks(3)
-    for a, k2 in zip(w2, kicks(2)):
-        for b, k3 in zip(w3, k3s):
-            cycled += a * b * np.kron(k3 @ k2, (k3 @ k2).conj())
+    # K32 over (pulse-2 phase, pulse-3 phase) as rows of (i, k) entries:
+    # sum w K32[i, k] conj(K32[j, l]) in one product, reordered to (i j, k l)
+    k32 = (np.stack(kicks(3)) @ np.stack(kicks(2))[:, None]).reshape(-1, dim * dim)
+    cycled = (np.outer(w2, w3).reshape(-1, 1) * k32).T @ k32.conj()
+    cycled = cycled.reshape((dim,) * 4).transpose(0, 2, 1, 3).reshape(dim * dim, dim * dim)
     measured = np.stack([k4.conj().T @ np.diag(np.arange(dim)) @ k4 for k4 in kicks(4)])
     parts = [np.tensordot(w, measured, 1) for w in (w4.real, w4.imag)]
     return d1, cycled, np.stack([embed(h, seq.target, model.register) for h in parts])

@@ -93,17 +93,14 @@ class KerrModel:
         """Diagonal zigzag self-Kerr Hamiltonian; the frequency shift
         delta_zz is counted with the spectator shifts in ``kerr_scan_fast``."""
         n = np.arange(self.dims[0])
-        return np.diag(0.5 * self.omega_si * n * (n - 1)).astype(complex)
+        return np.diag(0.5 * self.omega_si * n * (n - 1))
 
     def full_register(self) -> fock.FockRegister:
         return fock.FockRegister(dims=self.dims, labels=("zz", "yzz", "eg"))
 
     def full_hamiltonian(self) -> np.ndarray:
         reg = self.full_register()
-        n_ops = [
-            fock.embed(np.diag(np.arange(d)).astype(complex), s, reg)
-            for s, d in enumerate(self.dims)
-        ]
+        n_ops = [fock.embed(np.diag(np.arange(d)), s, reg) for s, d in enumerate(self.dims)]
         n_zz = n_ops[0]
         h = 0.5 * self.omega_si * (n_zz @ n_zz - n_zz) + self.delta_zz * n_zz
         h += self.rate_y * n_zz @ n_ops[1] + self.rate_eg * n_zz @ n_ops[2]

@@ -121,20 +121,18 @@ def find_peaks(spec: Spectrum2D, threshold: float = 0.1) -> list[Peak]:
                                      1 + dj : padded.shape[1] - 1 + dj]
     d1 = spec.omega1[1] - spec.omega1[0]
     d3 = spec.omega3[1] - spec.omega3[0]
-    peaks = []
-    for i, j in zip(*np.nonzero(is_max)):
-        patch = padded[i : i + 3, j : j + 3].copy()
-        patch[patch == -np.inf] = 0.0
-        total = patch.sum()
-        off_i = float((patch * np.arange(-1, 2)[:, None]).sum() / total)
-        off_j = float((patch * np.arange(-1, 2)[None, :]).sum() / total)
-        peaks.append(
-            Peak(
-                omega1=float(spec.omega1[i] + off_i * d1),
-                omega3=float(spec.omega3[j] + off_j * d3),
-                magnitude=float(mag[i, j]),
-            )
-        )
+    # the 3x3 patch around every maximum at once, zero outside the grid
+    i, j = np.nonzero(is_max)
+    window = np.arange(3)
+    patches = np.pad(mag, 1)[i[:, None, None] + window[:, None], j[:, None, None] + window]
+    step = window - 1
+    total = patches.sum(axis=(1, 2))
+    off_i = (patches * step[:, None]).sum(axis=(1, 2)) / total
+    off_j = (patches * step).sum(axis=(1, 2)) / total
+    peaks = [
+        Peak(omega1=float(w1), omega3=float(w3), magnitude=float(m))
+        for w1, w3, m in zip(spec.omega1[i] + off_i * d1, spec.omega3[j] + off_j * d3, mag[i, j])
+    ]
     peaks.sort(key=lambda p: p.magnitude, reverse=True)
     return peaks
 

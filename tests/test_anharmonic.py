@@ -17,9 +17,9 @@ from ionspec2d.anharmonic import (
     mode_tensors,
     perturbative_third_order,
     resonant_coupling,
-    resonant_manifolds,
 )
 from ionspec2d.crystal import hessians, normal_modes, solve_equilibrium
+from oracles import resonant_manifolds
 
 KHZ = 2 * np.pi * 1e3
 

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ionspec2d
-from ionspec2d import matio, spectrum
+from ionspec2d import fock, matio, scenarios, spectrum
 from ionspec2d.cli import SCENARIOS, ConfigError, RunConfig, build_config, main, run_scenario
 
 # any value json.loads can return (NaN, infinities and big ints included), with
@@ -468,6 +468,46 @@ class TestManifest:
 
         n = grid_points(cfg.t_max_s * cfg.grid_scale, cfg.dt_s)
         assert grid.shape == (n, n)
+
+
+class TestRealOperators:
+    """Every operator that is real in the Fock basis is built as float64, so
+    no run diagonalizes a complex matrix."""
+
+    def test_no_complex_matrix_reaches_eigh(self, tmp_path, monkeypatch):
+        dtypes = []
+        eigh = np.linalg.eigh
+
+        def recording(a, *args, **kwargs):
+            dtypes.append(np.asarray(a).dtype)
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", recording)
+        for raw in (
+            {"scenario": "kerr", "dims": [5, 3, 3], "nbar": [0.8, 2.0, 2.0], "grid_scale": 0.15},
+            {"scenario": "resonance", "dims": [4, 3], "nbar": [0.3, 0.1],
+             "heating_quanta_per_ms": [0.2, 0.1], "grid_scale": 0.05},
+        ):
+            dtypes.clear()
+            manifest = run_scenario(build_config(dict(raw, out_dir=str(tmp_path / raw["scenario"]))))
+            assert manifest["status"] == "ok"
+            assert dtypes and set(dtypes) == {np.dtype(np.float64)}
+
+    def test_fock_operators_are_real(self):
+        assert fock.destroy(5).dtype == np.float64
+        assert {op.dtype for op in fock.mode_operators(5)} == {np.dtype(np.float64)}
+        assert fock.thermal_state(0.5, 4)[0].dtype == np.float64
+
+    def test_model_operators_are_real(self):
+        kerr = scenarios.KerrModel(
+            omega_si=1.0, delta_zz=0.1, rate_y=0.2, rate_eg=0.3, dims=(4, 3, 3), nbar=(0.5, 1.0, 1.0)
+        )
+        assert kerr.zz_hamiltonian().dtype == np.float64
+        assert kerr.full_hamiltonian().dtype == np.float64
+        model = scenarios.resonance_model(1.0, dims=(4, 3))
+        assert model.hamiltonian.dtype == np.float64
+        assert model.collapse_ops
+        assert {op.dtype for op, _ in model.collapse_ops} == {np.dtype(np.float64)}
 
 
 class TestMainEntry:

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ionspec2d import fock
+from ionspec2d import dynamics, fock
 from ionspec2d.fock import (
     FockRegister,
     destroy,
@@ -80,6 +80,19 @@ class TestDisplacement:
     def test_large_alpha_warns(self):
         with pytest.warns(UserWarning, match="truncation"):
             displacement(2.0, 4)
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.25, 0.25j, 0.3 - 0.4j, 0.8 * np.exp(0.7j)])
+    @pytest.mark.parametrize("dim", [2, 9, 15])
+    def test_matches_numpy_expm(self, alpha, dim):
+        # the real-eigensystem form against the Pade exponential of the
+        # complex generator; needs no scipy
+        a = destroy(dim)
+        ref = dynamics.expm(alpha * a.T - np.conj(alpha) * a)
+        assert np.max(np.abs(displacement(alpha, dim) - ref)) <= 1e-13
+        # a phase rotates the pulse: D(alpha e^(i phi)) = e^(i phi n) D(alpha) e^(-i phi n)
+        rotate = np.exp(1.1j * np.arange(dim))
+        rotated = rotate[:, None] * displacement(alpha, dim) * rotate.conj()
+        assert np.max(np.abs(displacement(alpha * np.exp(1.1j), dim) - rotated)) <= 1e-13
 
 
 class TestThermalState:

@@ -23,6 +23,7 @@ from ionspec2d.protocol import (
     run_once,
     scan,
 )
+from oracles import cycled_pair
 
 TWO_PI = 2 * np.pi
 
@@ -305,6 +306,15 @@ class TestScanEngine:
         for k1, k3 in ((0, 0), (0, 5), (3, 2), (6, 1), (6, 6)):
             oracle = _oracle(model, rho0, seq, k1 * dt, k3 * dt, cache)
             assert abs(grid.values[k1, k3] - oracle) < 1e-10
+
+    @pytest.mark.parametrize("seq", [PulseSequence(), ASYMMETRIC])
+    @pytest.mark.parametrize("dims", [(9,), (6, 3)])
+    def test_cycled_pair_matches_kron_loop(self, seq, dims):
+        model = LindbladModel(
+            hamiltonian=np.zeros((np.prod(dims),) * 2), register=FockRegister(dims, ("a", "b")[: len(dims)])
+        )
+        ref = cycled_pair(seq, dims[0])
+        assert np.max(np.abs(protocol._pulse_set(model, seq)[1] - ref)) <= 1e-14 * np.max(np.abs(ref))
 
     def test_one_point_grid(self):
         model, rho0 = _heated_exchange()

@@ -4,12 +4,14 @@ import pytest
 from ionspec2d.protocol import SignalGrid
 from ionspec2d.spectrum import (
     Peak,
+    Spectrum2D,
     find_peaks,
     fft2,
     fwhm,
     notch_carrier,
     project_1d,
 )
+from oracles import centroid_peaks
 
 TWO_PI = 2 * np.pi
 
@@ -148,6 +150,17 @@ class TestFindPeaks:
         spec = fft2(SignalGrid(t1=t, t3=t, values=values))
         p = list(find_peaks(spec, threshold=0.5))[0]
         assert abs(p.omega1 - (-w0)) < 0.5 * spec.bin_width
+
+    @pytest.mark.parametrize("threshold", [0.01, 0.2])
+    def test_centroids_match_per_peak_loop(self, threshold):
+        # a rough spectrum with maxima on its edges and corners too
+        rng = np.random.default_rng(3)
+        values = rng.standard_normal((24, 20)) + 1j * rng.standard_normal((24, 20))
+        spec = Spectrum2D(omega1=np.arange(24) * 3.0 - 7.0, omega3=np.arange(20) * 2.5 + 1.0, values=values)
+        got = [(p.omega1, p.omega3, p.magnitude) for p in find_peaks(spec, threshold)]
+        ref = centroid_peaks(spec.omega1, spec.omega3, spec.magnitude, threshold)
+        assert len(got) == len(ref) > 10
+        np.testing.assert_allclose(got, ref, rtol=1e-15, atol=0)
 
     def test_threshold_validation(self):
         spec = self._two_bump_spec()
