@@ -4,21 +4,21 @@ Four scenarios: ``kerr`` (self-interaction spectrum near the structural
 transition), ``resonance`` (zigzag-stretch exchange spectrum under heating),
 ``tables`` (effective-parameter tables only), and ``noise-table`` (the laser
 phase-noise contrast-loss table).  ``kerr`` always runs the sector-averaged
-closed form ``scenarios.kerr_scan_fast``; ``resonance`` runs
-``protocol.scan``.  Each is one phase-cycled contraction, not a thread pool,
-so the ``threads`` setting is validated but has no effect; importing this
-module pins the BLAS thread variables to 1 unless the caller set them.  The
+``scenarios.kerr_scan_fast``; ``resonance`` runs ``protocol.scan``; both
+step the kept charge sectors of ``dynamics.evolution_lines``.  Each is one
+phase-cycled contraction, not a thread pool, so the ``threads`` setting is
+validated but has no effect; importing this module pins the BLAS thread
+variables to 1 unless the caller set them.  The
 spectrum stage makes one ``spectrum.fft2``; the two 1D projections are means
 of that spectrum, taken before the optional carrier notch.  It writes each
 quantity once: ``signal_grid.bin``, ``spectrum.bin`` (complex; its two
 affine omega axes are the manifest's ``spectrum_axes``, start, step and count),
 the two projections and ``peaks.csv``.  ``build_config`` rejects an invalid
 configuration with ConfigError (exit 2) before any work starts, a scan past
-the memory budget included (for a heated ``resonance``, the columns of its
-kept charge sectors and its largest sector's step map).  Every run,
-successful or not, leaves a manifest.json with the resolved configuration,
-derived parameters, regime diagnostics (the RWA ratio of ``kerr`` and
-``tables``), every warning the run raised (each also re-emitted once the
+the memory budget included (the columns of its kept charge sectors and its
+largest sector's step map).  Every run, successful or not, leaves a
+manifest.json with the resolved configuration, derived parameters, regime
+diagnostics (the RWA ratio of ``kerr`` and ``tables``), every warning the run raised (each also re-emitted once the
 manifest is written) and checksums of all outputs: SHA-256, from CPython's
 built-in module rather than ``hashlib``, whose import loads OpenSSL's
 libcrypto (about 3.4 MB of resident memory) in every run.  ``argparse`` is
@@ -252,20 +252,21 @@ def build_config(raw: dict) -> RunConfig:
     if cfg.scenario in _MODE_COUNT:
         # the scan's own guard, before any operator is built; the resonance
         # pulses target slot 0, the zigzag (RunConfig.sequence)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the run warns when it builds the sequence
+            seq = cfg.sequence()
         try:
             if cfg.scenario == "kerr":
-                scenarios.check_kerr_budget(cfg.dims, n)
+                scenarios.check_kerr_budget(cfg.dims, n, seq)
             else:
-                # the operators alone first, a lower bound on either path: this
-                # bounds d before resonance_charge allocates its d entries,
-                # which a config's huge dims would otherwise make this check
-                # itself run out of memory on
+                # the operators alone first, a lower bound: this bounds d
+                # before resonance_charge allocates its d entries, which a
+                # config's huge dims would otherwise make this check itself
+                # run out of memory on; then the kept sectors' columns and
+                # the largest sector's map
                 protocol.check_scan_budget(cfg.dims, n, 0, (0, 0, 0))
-                columns = None  # the closed form, without heating
-                if any(cfg.heating_quanta_per_ms):
-                    # the kept sectors' columns and the largest sector's map
-                    charge = scenarios.resonance_charge(cfg.dims)
-                    columns = protocol.sector_columns(charge, cfg.dims, cfg.sequence())
+                charge = scenarios.resonance_charge(cfg.dims)
+                columns = protocol.sector_columns(charge, cfg.dims, seq)
                 protocol.check_scan_budget(cfg.dims, n, 0, columns)
         except dynamics.PropagatorSizeError as exc:
             raise ConfigError(str(exc)) from None

@@ -3,32 +3,29 @@ Lindblad dissipation; hbar = 1 and all generators are in rad/s.
 
 Scans use ``evolution_lines``: the forward line P^k(rho) and the backward
 (Heisenberg) line (P^+)^k(A) of the one-step free evolution P on a uniform
-time grid.  Dissipation-free models take both in closed form from one
-eigendecomposition of H by ``np.linalg.eigh`` (exact unit vectors when H is
-diagonal; the real solver for the real Hamiltonians of both scenarios),
-re-hermitized.  Models hold the dtype they are given: Hamiltonians and jump
-operators that are real in the Fock basis stay float64, while states, lines
-and the Liouvillian are complex.  A Lindblad model may declare a conserved
-charge Q (``LindbladModel.charge``); its Liouvillian then keeps
-c = Q_ket - Q_bra, and its diagonal blocks are the sectors of c
+time grid, for every model by one mechanism.  Models hold the dtype they are
+given: Hamiltonians and jump operators that are real in the Fock basis stay
+float64, while states, lines and the Liouvillian are complex.  A model may
+declare a conserved charge Q (``LindbladModel.charge``); its Liouvillian then
+keeps c = Q_ket - Q_bra, and its diagonal blocks are the sectors of c
 (``liouvillian_blocks``; symmetry reduction of Lindblad generators: Buca &
 Prosen, New J. Phys. 14, 073007 (2012); Albert & Jiang, Phys. Rev. A 89,
-022118 (2014)).  Each sector is gathered densely (``liouvillian``) and
-stepped with its one-step map exp(L_c dt), and only the sectors the caller
-keeps are stepped and held, compact, one column per kept vec index: a
-scan's phase cycle passes only pathways whose pulses change c by the kept
-coherence orders (``protocol._kept_sectors``).  Besides those, the sector
-c = 0 of the forward line is stepped for the trace-drift check and the
-mirror -c of each line's largest kept sector c for the reality check, which
-bounds the line's difference from its conjugate transpose there; each
-check-only line is dropped once checked.  A larger anti-Hermitian part
-raises SignalRealityError on both paths.
+022118 (2014)); a model without one is the single sector c = 0.  Each sector
+is gathered densely (``liouvillian``) and stepped with its one-step map
+exp(L_c dt), and only the sectors the caller keeps are stepped and held,
+compact, one column per kept vec index: a scan's phase cycle passes only
+pathways whose pulses change c by the kept coherence orders
+(``protocol._kept_sectors``).  Besides those, the sector c = 0 of the
+forward line is stepped for the trace-drift check and the mirror -c of each
+line's largest kept sector c for the reality check, which bounds the line's
+difference from its conjugate transpose there (SignalRealityError); each
+check-only line is dropped once checked.
 
 ``build_propagator`` builds exp(L dt) for one fixed step as the dense
-exponential of the Liouvillian, exact for closed and open models alike; it
-serves single protocol executions (``protocol.run_once``), the independent
-oracle the line engine is tested against.  Every matrix exponential is
-``expm``, a numpy scaling-and-squaring Pade approximant.
+exponential of the Liouvillian; it serves single protocol executions
+(``protocol.run_once``), the independent oracle the line engine is tested
+against.  Every matrix exponential is ``expm``, a numpy scaling-and-squaring
+Pade approximant.
 """
 
 from __future__ import annotations
@@ -105,10 +102,6 @@ class LindbladModel:
     @property
     def dim(self) -> int:
         return self.hamiltonian.shape[0]
-
-    @property
-    def dissipative(self) -> bool:
-        return any(rate > 0 for _, rate in self.collapse_ops)
 
     def charge_weight(self, slot: int) -> int:
         """The fixed change w of the charge per quantum of register mode
@@ -281,38 +274,18 @@ def build_propagator(model: LindbladModel, dt: float) -> Propagator:
     return Propagator(step=dt, dim=d, matrix=expm(liouvillian(model) * dt))
 
 
-def _chunks(line: np.ndarray) -> list[slice]:
-    """At most 8 slices of whole grid points (the first axis), so that a
-    chunk's temporaries stay small against the line."""
-    step = -(-len(line) // 8)
-    return [slice(k, k + step) for k in range(0, len(line), step)]
-
-
 def _check_skew(x: np.ndarray, mirror: np.ndarray) -> None:
     """SignalRealityError when a line's anti-Hermitian part, half of
     max |x - conj(mirror)| for x and mirror holding its entries (i, j) and
     (j, i), exceeds IMAG_TOL * max(1, max|x|): it would make the signal
-    complex.  Taken a chunk of grid points at a time, so no full-size
-    temporary is formed."""
-    skew = scale = 0.0
-    for s in _chunks(x):
-        skew = max(skew, 0.5 * float(np.max(np.abs(x[s] - np.conj(mirror[s])))))
-        scale = max(scale, float(np.max(np.abs(x[s]))))
-    bound = IMAG_TOL * max(1.0, scale)
+    complex.  |x - conj(mirror)| is taken from the real and imaginary
+    parts, so no complex temporary of the line's size is formed."""
+    skew = 0.5 * float(np.max(np.hypot(x.real - mirror.real, x.imag + mirror.imag)))
+    bound = IMAG_TOL * max(1.0, float(np.max(np.abs(x))))
     if skew > bound:
         raise SignalRealityError(
             f"imaginary residual: a line's anti-Hermitian part {skew:.2e} exceeds {bound:.2e}"
         )
-
-
-def _hermitize(ops: np.ndarray) -> None:
-    """Replace each square matrix X over the last two axes of ``ops`` by
-    (X + X^+)/2, once ``_check_skew`` has bounded X - X^+."""
-    _check_skew(ops, np.swapaxes(ops, -1, -2))
-    for s in _chunks(ops):
-        part = ops[s]
-        part += np.conj(np.swapaxes(part, -1, -2))
-        part *= 0.5
 
 
 def _check_trace_drift(diagonal: np.ndarray) -> None:
@@ -335,28 +308,53 @@ def _in_class(c, cls: tuple[int, int]):
     return c == offset if step == 0 else (c - offset) % step == 0
 
 
-def _sector_lines(
+def evolution_lines(
     model: LindbladModel,
-    vec0: np.ndarray,
-    cov0: np.ndarray,
+    state: np.ndarray,
+    observables: np.ndarray,
     n: int,
     dt: float,
-    sectors: tuple[tuple[int, int], tuple[int, int]],
+    sectors: tuple[tuple[int, int], tuple[int, int]] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The Lindblad lines of ``evolution_lines`` on the charge sectors that
-    ``sectors`` keeps, compact: (forward (n, K_f), covectors (n, m, K_c),
-    forward vec indices (K_f,), covector vec indices (K_c,)), each kept
-    sector a run of columns in ascending c.  Each stepped sector's map is
-    built once and walks every line that needs the sector: in place where
-    the line keeps it, else into a check-only line for c = 0 of the forward
-    line (trace drift) or the mirror -c of a line's largest kept sector c
-    (reality).  Every check runs as soon as its data exist, and a
-    check-only line is dropped once checked.  Each line's largest kept
+    """Forward and backward lines of the one-step evolution P = exp(L dt).
+
+    Returns ``(forward, covectors, forward_index, covector_index)`` in the
+    register basis for grid points k = 0 .. n-1, both lines compact: column
+    j holds the row-major vec index ``forward_index[j]`` (covectors:
+    ``covector_index[j]``), for every entry that reaches the caller.
+
+    - ``forward[k]`` holds vec(P^k(state)), shape (n, K_f);
+    - ``covectors[k, j]`` holds the vec of ((P^+)^k(A_j))^T for each of the
+      m ``observables`` A_j (the Heisenberg picture), shape (n, m, K_c), so
+      that tr[A_j P^k(rho)] = covectors[k, j] @ vec(rho)[covector_index]
+      for rho in the kept sectors.
+
+    Every model steps the sectors of its charge c = Q_ket - Q_bra
+    (``liouvillian_blocks``; one d^2 sector without a declared charge).
+    ``sectors`` = (forward class, covector class), each (offset, step) for
+    c in offset + step Z, names the sectors that reach the caller (None
+    keeps all); only those are held, each a run of columns in ascending c.
+    P_c = exp(L_c dt) is built once for each stepped sector (the largest
+    map's size checked against the memory budget first), which steps the
+    forward column with P_c and the covector rows with P_c from the right
+    (the transpose) along the grid.  Two more sectors are stepped for the
+    checks, on the line they check alone, and dropped once checked: c = 0,
+    where a forward trace drift above TRACE_TOL_PER_STEP per grid point
+    raises PropagatorAccuracyError, and the mirror -c of each line's
+    largest kept sector c, where the line's difference from its conjugate
+    transpose is bounded (``_check_skew``, SignalRealityError).  Each
+    stepped sector's map walks every line that needs the sector, every
+    check runs as soon as its data exist, and each line's largest kept
     sector is stepped first, so a check-only line waits for its mirror only
-    when the mirrors of the two lines' largest sectors are each other's."""
-    d, m = model.dim, len(cov0)
+    when the mirrors of the two lines' largest sectors are each other's.
+    """
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    d, m = model.dim, len(observables)
+    vec0 = state.reshape(d * d)
+    cov0 = np.swapaxes(observables, 1, 2).reshape(m, d * d)  # vec(A^T): tr[A rho] = vec(A^T) . vec(rho)
     blocks = liouvillian_blocks(model)
-    kept = [[c for c in blocks if _in_class(c, cls)] for cls in sectors]
+    kept = [[c for c in blocks if _in_class(c, cls)] for cls in sectors or ((0, 1), (0, 1))]
     index, cols = [], []  # per line: the kept vec indices and {c: the columns of sector c}
     for k in kept:
         ends = np.cumsum([0] + [blocks[c].size for c in k]).tolist()
@@ -411,78 +409,6 @@ def _sector_lines(
                 check(j, s, held.pop((j, s)) if (j, s) in held else lines[j][..., cols[j][s]])
         del step
     return lines[0], lines[1], index[0], index[1]
-
-
-def evolution_lines(
-    model: LindbladModel,
-    state: np.ndarray,
-    observables: np.ndarray,
-    n: int,
-    dt: float,
-    sectors: tuple[tuple[int, int], tuple[int, int]] | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Forward and backward lines of the one-step evolution P = exp(L dt).
-
-    Returns ``(forward, covectors, forward_index, covector_index)`` in the
-    register basis for grid points k = 0 .. n-1, both lines compact: column
-    j holds the row-major vec index ``forward_index[j]`` (covectors:
-    ``covector_index[j]``), for every entry that reaches the caller.
-
-    - ``forward[k]`` holds vec(P^k(state)), shape (n, K_f);
-    - ``covectors[k, j]`` holds the vec of ((P^+)^k(A_j))^T for each of the
-      m ``observables`` A_j (the Heisenberg picture), shape (n, m, K_c), so
-      that tr[A_j P^k(rho)] = covectors[k, j] @ vec(rho)[covector_index]
-      for rho in the kept sectors.
-
-    Dissipation-free models use the closed form (no stepping, no drift) in
-    the eigenbasis of H, with both lines rotated back once and
-    re-hermitized by ``_hermitize``, which first bounds their anti-Hermitian
-    part (SignalRealityError); they return all d^2 vec indices in order.
-
-    Lindblad models step the sectors of the declared charge c = Q_ket -
-    Q_bra (``liouvillian_blocks``).  ``sectors`` = (forward class, covector
-    class), each (offset, step) for c in offset + step Z, names the sectors
-    that reach the caller (None keeps all); only those are held, each a run
-    of columns.  P_c = exp(L_c dt) is built once for each stepped sector
-    (the largest map's size checked against the memory budget first), which
-    steps the forward column with P_c and the covector rows with P_c from
-    the right (the transpose) along the grid.  Two more sectors are stepped
-    for the checks, on the line they check alone, and dropped once checked:
-    c = 0, where a forward trace drift above TRACE_TOL_PER_STEP per grid
-    point raises PropagatorAccuracyError, and the mirror -c of each line's
-    largest kept sector c, where the line's difference from its conjugate
-    transpose is bounded as in ``_hermitize``.  A model without a declared
-    charge is one d^2 sector, which is correct but slower.
-    """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    d, m = model.dim, len(observables)
-    covectors0 = np.swapaxes(observables, 1, 2)  # A^T: tr[A rho] = vec(A^T) . vec(rho)
-    if model.dissipative:
-        return _sector_lines(
-            model, state.reshape(d * d), covectors0.reshape(m, d * d), n, dt,
-            sectors or ((0, 1), (0, 1)),
-        )
-    energies, basis = np.linalg.eigh(model.hamiltonian)
-    state = basis.conj().T @ state @ basis
-    covectors0 = basis.T @ covectors0 @ basis.conj()  # (V^+ A V)^T
-    # P^k multiplies rho_ab by exp(-i (E_a - E_b) k dt); P^+ multiplies
-    # A_ab by the conjugate phase, i.e. (A^T)_ab by the same phase.  Rotated
-    # back by V X V^+ and, for the transposes, V* X V^T, a chunk at a time
-    t = np.arange(n) * dt
-    gaps = energies[:, None] - energies[None, :]
-    forward = np.empty((n, d, d), dtype=complex)
-    back = np.empty((n, m, d, d), dtype=complex)
-    for s in _chunks(forward):
-        phases = np.exp(-1j * t[s, None, None] * gaps)
-        forward[s] = basis @ (state * phases) @ basis.conj().T
-        back[s] = basis.conj() @ (covectors0[None] * phases[:, None]) @ basis.T
-    _hermitize(forward)
-    _hermitize(back)
-    forward = forward.reshape(n, d * d)
-    _check_trace_drift(forward[:, :: d + 1])  # vec indices i (d + 1)
-    every = np.arange(d * d)
-    return forward, back.reshape(n, m, d * d), every, every
 
 
 def heating_dissipator(

@@ -54,9 +54,10 @@ def mode_operators(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return a, a.conj().T, a.conj().T @ a
 
 
-def displacement(alpha: complex, dim: int) -> np.ndarray:
-    """D(alpha) = exp(alpha a+ - alpha* a) on the truncated mode, from one
-    real symmetric eigensystem.
+def displacement(alpha: complex | np.ndarray, dim: int) -> np.ndarray:
+    """D(alpha) = exp(alpha a+ - alpha* a) on the truncated mode, for a
+    scalar alpha or each entry of an array of them (shape alpha.shape +
+    (dim, dim)), from one real symmetric eigensystem.
 
     With x = a + a+ = V diag(lambda) V^T (``np.linalg.eigh``, real), and
     S = diag(i^n), i (a+ - a) = S x S^+; a phase rotates the generator,
@@ -68,7 +69,8 @@ def displacement(alpha: complex, dim: int) -> np.ndarray:
     state stays well inside the register, so a warning is raised when
     3 |alpha|^2 exceeds the dimension.
     """
-    if 3.0 * abs(alpha) ** 2 > dim:
+    alpha = np.asarray(alpha)
+    if 3.0 * np.max(np.abs(alpha), initial=0.0) ** 2 > dim:
         warnings.warn(
             f"displacement alpha={alpha} is large for dim={dim}; "
             "truncation error may be significant",
@@ -76,8 +78,9 @@ def displacement(alpha: complex, dim: int) -> np.ndarray:
         )
     a = destroy(dim)
     lam, vec = np.linalg.eigh(a + a.T)
-    p = np.exp(1j * (np.angle(alpha) + 0.5 * np.pi) * np.arange(dim))
-    return p[:, None] * ((vec * np.exp(-1j * abs(alpha) * lam)) @ vec.T) * p.conj()
+    p = np.exp(1j * (np.angle(alpha)[..., None] + 0.5 * np.pi) * np.arange(dim))
+    rotated = (vec * np.exp(-1j * np.abs(alpha)[..., None, None] * lam)) @ vec.T
+    return p[..., :, None] * rotated * p[..., None, :].conj()
 
 
 def thermal_populations(nbar: float, dim: int) -> tuple[np.ndarray, float]:

@@ -10,8 +10,11 @@ coherence-transfer pathways of interest; for a strictly harmonic model the
 Phase cycling is a linear filter (H.-S. Tan, J. Chem. Phys. 129, 124501
 (2008)), so ``scan`` applies the Fourier weights to the pulses and the
 observable before it contracts anything: one pre-cycled pathway contraction,
-no per-phase signal.  ``run_once`` and ``phase_cycle`` do it the experiment's
-way, one execution per phase tuple, as the test oracle.
+no per-phase signal.  The free evolutions are the lines of
+``dynamics.evolution_lines``, stepped on the charge sectors the cycle keeps
+(``_kept_sectors``), one mechanism for every model.  ``run_once`` and
+``phase_cycle`` do it the experiment's way, one execution per phase tuple,
+as the test oracle.
 
 Free evolution is simulated in the rotating frame of the normal modes; the
 nominal carrier is reattached as a frequency-axis offset downstream.
@@ -171,37 +174,24 @@ def grid_points(t_max: float, dt: float) -> int:
     return int(np.floor(t_max / dt * (1.0 + 1e-9))) + 1
 
 
-def _working_set_bytes(d: int, n: int, d_target: int, columns: tuple[int, int, int] | None = None) -> int:
-    """Upper bound on the bytes a scan holds at once.  Both paths hold the
-    grid twice, a few d x d operators and the pre-cycled pulse pair with
-    its products.
-
-    The closed form (``columns`` None) holds every vec index: 5 (n, d, d)
-    complex lines, fitted to its tracemalloc peak (the forward and the two
-    covector lines; then the forward line, the combined covector and the
-    temporaries of the chunked closed form, the reality check and the
-    contraction).  The sector path, ``columns`` = (K_f, K_c, b) from
-    ``sector_columns``, holds n (2 K_f + 3 K_c + 3 b) entries at most: the
-    forward and the two covector lines with at most one check-only line of
-    each (b columns or fewer; both at once only when their mirrors cross)
-    while the lines are built, then the forward line and the combined
-    covector with the contraction's gathers of both; and the step map of
-    the largest sector, b vec indices, built while the lines are held
-    (``dynamics._map_bytes``)."""
-    common = 2 * n * n + 8 * d * d + 3 * d_target**4
-    if columns is None:
-        return 16 * (5 * n * d * d + common)
+def _working_set_bytes(d: int, n: int, d_target: int, columns: tuple[int, int, int]) -> int:
+    """Upper bound on the bytes a scan holds at once, with ``columns`` =
+    (K_f, K_c, b) from ``sector_columns``: the grid twice, a few d x d
+    operators and the pre-cycled pulse pair with its products, and
+    n (2 K_f + 3 K_c + 3 b) line entries at most: the forward and the two
+    covector lines with at most one check-only line of each (b columns or
+    fewer; both at once only when their mirrors cross) while the lines are
+    built, then the forward line and the combined covector with the
+    contraction's gathers of both; and the step map of the largest sector,
+    b vec indices, built while the lines are held (``dynamics._map_bytes``)."""
     k_f, k_c, b = columns
-    return 16 * (n * (2 * k_f + 3 * k_c + 3 * b) + common) + _map_bytes(b)
+    return 16 * (n * (2 * k_f + 3 * k_c + 3 * b) + 2 * n * n + 8 * d * d + 3 * d_target**4) + _map_bytes(b)
 
 
-def check_scan_budget(
-    dims: tuple[int, ...], n: int, target: int, columns: tuple[int, int, int] | None = None
-) -> None:
+def check_scan_budget(dims: tuple[int, ...], n: int, target: int, columns: tuple[int, int, int]) -> None:
     """PropagatorSizeError when a scan of the register ``dims`` over n grid
-    points would exceed the memory budget: on the closed form, or on the
-    sector path with the ``columns`` of ``sector_columns``;
-    ``cli.build_config`` calls it too."""
+    points would exceed the memory budget, with the ``columns`` of
+    ``sector_columns``; ``cli.build_config`` calls it too."""
     d = math.prod(dims)  # exact even for a config's huge dims
     _check_budget(_working_set_bytes(d, n, dims[target], columns), f"scan (dim {d}, {n} grid points)")
 
@@ -223,10 +213,10 @@ def _class_size(charge: np.ndarray, cls: tuple[int, int]) -> int:
 
 
 def sector_columns(charge: np.ndarray, dims: tuple[int, ...], seq: PulseSequence) -> tuple[int, int, int]:
-    """(K_f, K_c, b) of a Lindblad scan of the register ``dims`` with the
-    declared ``charge``, from the two alone: the kept forward and covector
-    columns (``_kept_sectors``) and the largest stepped sector, c = 0
-    (``dynamics.largest_sector``)."""
+    """(K_f, K_c, b) of a scan of the register ``dims`` with the declared
+    ``charge`` (zero without one), from the two alone: the kept forward and
+    covector columns (``_kept_sectors``) and the largest stepped sector,
+    c = 0 (``dynamics.largest_sector``)."""
     kept = _kept_sectors(_charge_weight(charge, dims, seq.target), seq)
     return (*(_class_size(charge, cls) for cls in kept), largest_sector(charge))
 
@@ -244,16 +234,16 @@ def _pulse_set(model: LindbladModel, seq: PulseSequence) -> tuple[np.ndarray, ..
     dim = model.register.dims[seq.target]
     w2, w3, w4 = _cycle_weights(seq.signature, seq.n_phases)
 
-    def kicks(k: int) -> list[np.ndarray]:
-        alpha = seq.amplitudes[k - 1]
-        return [displacement(alpha * np.exp(1j * p), dim) for p in seq.phase_grid(k)]
+    def kicks(k: int) -> np.ndarray:  # pulse k's displacement at each phase, (N_k, d, d)
+        return displacement(seq.amplitudes[k - 1] * np.exp(1j * seq.phase_grid(k)), dim)
 
     # K32 over (pulse-2 phase, pulse-3 phase) as rows of (i, k) entries:
     # sum w K32[i, k] conj(K32[j, l]) in one product, reordered to (i j, k l)
-    k32 = (np.stack(kicks(3)) @ np.stack(kicks(2))[:, None]).reshape(-1, dim * dim)
+    k32 = (kicks(3) @ kicks(2)[:, None]).reshape(-1, dim * dim)
     cycled = (np.outer(w2, w3).reshape(-1, 1) * k32).T @ k32.conj()
     cycled = cycled.reshape((dim,) * 4).transpose(0, 2, 1, 3).reshape(dim * dim, dim * dim)
-    measured = np.stack([k4.conj().T @ np.diag(np.arange(dim)) @ k4 for k4 in kicks(4)])
+    k4 = kicks(4)
+    measured = np.swapaxes(k4.conj(), 1, 2) @ np.diag(np.arange(dim)) @ k4
     parts = [np.tensordot(w, measured, 1) for w in (w4.real, w4.imag)]
     return d1, cycled, np.stack([embed(h, seq.target, model.register) for h in parts])
 
@@ -270,10 +260,10 @@ def _kept_sectors(w: int, seq: PulseSequence) -> tuple[tuple[int, int], ...]:
     Ernst, J. Magn. Reson. 58, 370 (1984)), and the target population is
     read in c = 0.  So the covector line needs c3 in -w q4 + w N4 Z, and
     the forward line c1 in -w (q2 + q3 + q4) + w gcd(N2, N3, N4) Z: every
-    sector when the phase counts are coprime.  Both engines contract these
-    classes alone: ``scan`` on the Lindblad sector lines, and
-    ``scenarios.kerr_scan_fast`` on the zigzag coherence orders (charge n,
-    w = 1) of its closed form.
+    sector when the phase counts are coprime.  Both engines step and
+    contract these classes alone (``dynamics.evolution_lines``): ``scan``
+    on the register's charge, and ``scenarios.kerr_scan_fast`` on the
+    zigzag coherence orders (charge n, w = 1).
     """
     (q2, q3, q4), (n2, n3, n4) = seq.signature, seq.n_phases
     return (-w * (q2 + q3 + q4), w * math.gcd(n2, n3, n4)), (-w * q4, w * n4)
@@ -302,24 +292,22 @@ def scan(
     Only the charge sectors c = Q_ket - Q_bra of the model's declared charge
     that the phase cycle keeps reach the signal (``_kept_sectors``):
     ``dynamics.evolution_lines`` steps and holds the forward line and the
-    covector lines of H_R and H_I on those alone (a Lindblad model; the
-    closed form gives every sector), one column per kept vec index, and the
-    pre-cycled pulse pair, which acts on the target-mode ket and bra axes,
-    is applied to the kept forward entries and read on the kept covector
-    entries only, each found through a vec-index-to-column table, one
-    spectator charge difference at a time (no embedded d x d pulse is
-    formed).  A model
-    without a declared charge is one sector, contracted in full.  The
-    working set (on the sector path: the kept columns and the largest
-    sector's step map, ``sector_columns``) is checked against the memory
-    budget (``check_scan_budget``) before any operator is built.
+    covector lines of H_R and H_I on those alone, one column per kept vec
+    index, and the pre-cycled pulse pair, which acts on the target-mode ket
+    and bra axes, is applied to the kept forward entries and read on the
+    kept covector entries only, each found through a vec-index-to-column
+    table, one spectator charge difference at a time (no embedded d x d
+    pulse is formed).  A model without a declared charge is one sector,
+    stepped and contracted in full.  The working set (the kept columns and
+    the largest sector's step map, ``sector_columns``) is checked against
+    the memory budget (``check_scan_budget``) before any operator is
+    built.
     """
     if model.register is None:
         raise ValueError("model needs a register to embed pulses")
     dims, n, d = model.register.dims, grid_points(t_max, dt), model.dim
     d_t = dims[seq.target]
-    columns = sector_columns(model.charge, dims, seq) if model.dissipative else None
-    check_scan_budget(dims, n, seq.target, columns)
+    check_scan_budget(dims, n, seq.target, sector_columns(model.charge, dims, seq))
     d1, cycled, observables = _pulse_set(model, seq)
     w = model.charge_weight(seq.target)
     kept_forward, kept_covector = kept = _kept_sectors(w, seq)

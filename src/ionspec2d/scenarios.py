@@ -12,13 +12,16 @@ over the coherence orders the (1, -1, -1) cycle keeps alone: D1 and D3 in
 dephasing by spectator populations exactly, and ``kerr_scan_full`` on the
 product register is its oracle.  The resonance scenario probes coherent
 zigzag-stretch energy exchange at anisotropy 20/63 under heating: a Lindblad
-model on the two-mode register.  It declares
-the conserved charge Q = n_zz + 2 n_str, so its Liouvillian keeps
-c = Q_ket - Q_bra (the heating jumps shift ket and bra alike), and its scan
-steps one small dense map per sector of c along the time grid, only on
-the sectors the (1, -1, -1) cycle keeps: c in 1 + 4Z for N_phi = 4, plus
-c = 0 and c = -1 for the trace and reality checks: 11 of the 37 sectors
-at dims (9, 6), 720 of the 2916 vec indices kept.
+model on the two-mode register that declares the conserved charge
+Q = n_zz + 2 n_str (the heating jumps shift ket and bra alike).
+
+Both scenarios take their lines from one engine,
+``dynamics.evolution_lines``: it steps one small dense map per sector of the
+charge c = Q_ket - Q_bra along the time grid, only on the sectors the
+(1, -1, -1) cycle keeps, c in 1 + 4Z for N_phi = 4 (the zigzag's coherence
+order a - b for kerr, with charge n), plus c = 0 and c = -1 for the trace
+and reality checks: 6 of the 17 sectors at the kerr zigzag dim 9, and 11 of
+the 37 sectors at resonance dims (9, 6), 720 of the 2916 vec indices kept.
 """
 
 from __future__ import annotations
@@ -135,23 +138,29 @@ def _thermal_characteristic(nbar: float, dim: int, phase: np.ndarray) -> np.ndar
     return (1.0 - q) / (1.0 - q**dim) * (1.0 - x_dim) / (1.0 - x)
 
 
-def check_kerr_budget(dims: tuple[int, ...], n: int) -> None:
+def check_kerr_budget(dims: tuple[int, ...], n: int, seq: PulseSequence) -> None:
     """PropagatorSizeError when ``kerr_scan_fast`` on the zigzag dim dims[0]
     over n grid points would exceed the memory budget; ``cli.build_config``
-    calls it too.  The bound counts the bytes held at once: the lines with
-    the temporaries of their closed form and hermitization, the combined and
-    reordered lines, the states by order D1; one order's chi table with its
-    index, partial sums and product; the grid twice; the pre-cycled pulse
-    pair.  It counts all 2d - 1 coherence orders, an upper bound on the
-    orders the phase cycle keeps, so that the bound does not depend on the
-    cycle."""
+    calls it too.  The bound counts the bytes held at once: the kept
+    columns of the zigzag's charge n (as ``protocol.sector_columns`` counts
+    them) in the forward line, the two covector lines and the combined
+    covector, with the check-only lines and the states by order D1; the
+    largest sector's step map (``dynamics._map_bytes``); one order's chi
+    table with its index, partial sums and product; the grid twice; the chi
+    line; the pre-cycled pulse pair.  It counts all 2d - 1 coherence orders
+    for the states and the chi gathers, an upper bound on the orders the
+    phase cycle keeps."""
     d = dims[0]
     n_orders = 2 * d - 1
-    need = (
-        16 * n * d * d * (12 + n_orders)
-        + 8 * n * n * (3 * n_orders + 2 * d + 6)
-        + 16 * 4 * d**4
-    )
+    need = 8 * n * n * (3 * n_orders + 2 * d + 6) + 16 * (4 * d**4 + 24 * n * d)
+    if need <= dynamics.DEFAULT_MEMORY_BUDGET:  # d is small enough to count its columns
+        orders = np.arange(1 - d, d)  # order a - b, sector c of d - |c| vec indices
+        k_f, k_c = (
+            int(np.sum(d - np.abs(orders[dynamics._in_class(orders, cls)])))
+            for cls in protocol._kept_sectors(1, seq)
+        )
+        # the largest sector is c = 0, d vec indices
+        need += 16 * n * (2 * k_f + 4 * k_c + 3 * d + n_orders * k_c) + dynamics._map_bytes(d)
     dynamics._check_budget(need, f"kerr sector scan (dim {d}, {n} grid points)")
 
 
@@ -179,25 +188,26 @@ def kerr_scan_fast(
     not depend on the spectator truncations.
 
     The pulses and the observable are phase-cycled before contracting
-    (``protocol._pulse_set``), so one forward line and the two covector
-    lines of the pre-cycled observable's Hermitian parts are built for the
-    shift-free Hamiltonian (closed form, re-hermitized with the line
-    reality check, trace-drift checked).  The zigzag model declares its
-    charge n, so its coherence order a - b is the charge sector c of
+    (``protocol._pulse_set``).  The zigzag model declares its charge n, so
+    its coherence order a - b is the charge sector c of
     ``protocol._kept_sectors`` (weight 1), and only the orders the phase
     cycle keeps reach the signal: D1 in the forward class and D3 in the
-    covector class (the other orders hold rounding alone).  The pre-cycled
-    pulse pair acts on the forward line one kept D1 at a time, giving
-    states(k1, D1, y) on the entries y of the kept D3 only, and per kept D3
-    the grid gains sum_y sum_D1 chi(D1 k1 + D3 k3) states(k1, D1, y)
-    A(k3, y): one chi gather per kept D3 (4 of the 2d - 1 orders at d = 9
-    for the (1, -1, -1) cycle).  No per-sector line, per-phase signal or
-    full phase table is formed, and the working set is checked against the
-    memory budget before any operator is built.
+    covector class.  ``dynamics.evolution_lines`` steps the forward line and
+    the two covector lines of the pre-cycled observable's Hermitian parts on
+    those orders alone, for the shift-free Hamiltonian (trace-drift and
+    reality checked), each kept order a run of compact columns; the order of
+    vec index i d + j is i - j.  The pre-cycled pulse pair acts on the
+    forward line one kept D1 at a time, giving states(k1, D1, y) on the
+    kept covector entries y, and per kept D3 the grid gains
+    sum_y sum_D1 chi(D1 k1 + D3 k3) states(k1, D1, y) A(k3, y): one chi
+    gather per kept D3 (4 of the 2d - 1 orders at d = 9 for the (1, -1, -1)
+    cycle).  No per-sector line, per-phase signal or full phase table is
+    formed, and the working set is checked against the memory budget before
+    any operator is built.
     """
     d = model.dims[0]
     n = protocol.grid_points(t_max, dt)
-    check_kerr_budget(model.dims, n)
+    check_kerr_budget(model.dims, n, seq)
 
     reg = fock.FockRegister(dims=(d,), labels=("zz",))
     zz = dynamics.LindbladModel(
@@ -205,7 +215,10 @@ def kerr_scan_fast(
     )
     rho0, _ = fock.thermal_state(model.nbar[0], d)
     d1, cycled, observables = protocol._pulse_set(zz, seq)
-    line, covectors, _, _ = dynamics.evolution_lines(zz, d1 @ rho0 @ d1.conj().T, observables, n, dt)
+    kept = protocol._kept_sectors(zz.charge_weight(0), seq)
+    line, covectors, index_f, index_c = dynamics.evolution_lines(
+        zz, d1 @ rho0 @ d1.conj().T, observables, n, dt, kept
+    )
 
     # chi(m) for every m = D1 k1 + D3 k3, |m| <= (d - 1)(2n - 2)
     m_max = (d - 1) * (2 * n - 2)
@@ -216,31 +229,32 @@ def kerr_scan_fast(
         * _thermal_characteristic(model.nbar[2], model.dims[2], model.rate_eg * m_dt)
     )
 
-    # the coherence orders the cycle keeps, and the entries (a, b) of each
-    # order a - b; the kept covector entries sorted by order, so that each
-    # kept D3 is a slice
-    orders = np.arange(1 - d, d)
-    kept_forward, kept_covector = protocol._kept_sectors(zz.charge_weight(0), seq)
-    orders1 = orders[dynamics._in_class(orders, kept_forward)]
-    orders3 = orders[dynamics._in_class(orders, kept_covector)]
-    entry_order = np.subtract.outer(np.arange(d), np.arange(d)).ravel()
-    entries = {o: np.flatnonzero(entry_order == o) for o in orders}
-    read = np.concatenate([entries[o] for o in orders3] or [np.zeros(0, np.intp)])
-    bounds = np.cumsum([0] + [entries[o].size for o in orders3]).tolist()
-    covector = (covectors[:, 0] + 1j * covectors[:, 1])[:, read]  # vec(A(k3)^T), (k3, entry)
-    states = np.empty((n, orders1.size, read.size), dtype=complex)  # (k1, D1, entry)
-    for i, o in enumerate(orders1):
-        states[:, i, :] = line[:, entries[o]] @ cycled[np.ix_(read, entries[o])].T
+    def runs(index):
+        # each order a - b that a line keeps, ascending, and its run of columns
+        order = index // d - index % d
+        orders = np.arange(1 - d, d)
+        lo, hi = np.searchsorted(order, orders), np.searchsorted(order, orders, side="right")
+        held = hi > lo
+        return orders[held], [slice(a, b) for a, b in zip(lo[held], hi[held])]
+
+    orders1, runs1 = runs(index_f)
+    orders3, runs3 = runs(index_c)
+    covector = covectors[:, 1] * 1j  # vec(A(k3)^T), (k3, K_c)
+    covector += covectors[:, 0]
+    pair = cycled[np.ix_(index_c, index_f)]  # the pulse pair from kept D1 to kept D3 entries
+    states = np.empty((n, orders1.size, index_c.size), dtype=complex)  # (k1, D1, entry)
+    for i, run in enumerate(runs1):
+        states[:, i, :] = line[:, run] @ pair[:, run].T
     k = np.arange(n)
     base = np.multiply.outer(k, orders1) + m_max  # chi index of D1 k1, (k1, D1)
     values = np.zeros((n, n), dtype=complex)  # (k1, k3)
-    for o3, start, stop in zip(orders3, bounds[:-1], bounds[1:]):
+    for o3, run in zip(orders3, runs3):
         # chi(D1 k1 + D3 k3) as (k1, k3, D1) times states(k1, D1, entry), one
         # expression so that no order's temporaries outlive it
         values += np.einsum(
             "ije,je->ij",
-            chi[base[:, None, :] + o3 * k[None, :, None]] @ states[:, :, start:stop],
-            covector[:, start:stop],
+            chi[base[:, None, :] + o3 * k[None, :, None]] @ states[:, :, run],
+            covector[:, run],
         )
     t_axis = np.arange(n) * dt
     return SignalGrid(t1=t_axis, t3=t_axis, values=values)
@@ -254,15 +268,21 @@ def kerr_scan_full(
 ) -> SignalGrid:
     """Reference path: the full product-register evolution (no averaging).
 
-    Memory grows with (number of grid points) x (register dimension)^2, so
-    this is the test oracle of ``kerr_scan_fast`` at reduced truncations.
+    The product-register H is diagonal, so every basis state is conserved:
+    the register declares its mixed-radix basis index as the charge, which
+    has a fixed weight per mode, and its largest sector holds D vec indices
+    for a register of dimension D.  Memory grows with (number of grid
+    points) x D^2, so this is the test oracle of ``kerr_scan_fast`` at
+    reduced truncations.
     """
     reg = model.full_register()
     states = [
         fock.thermal_state(model.nbar[s], model.dims[s])[0] for s in range(3)
     ]
     rho0 = fock.product_state(states)
-    full = dynamics.LindbladModel(hamiltonian=model.full_hamiltonian(), register=reg)
+    full = dynamics.LindbladModel(
+        hamiltonian=model.full_hamiltonian(), register=reg, charge=np.arange(reg.dim)
+    )
     return protocol.scan(full, rho0, seq, t_max, dt)
 
 

@@ -105,7 +105,9 @@ def project_1d(spec: Spectrum2D, axis: str) -> Spectrum1D:
 
 
 def find_peaks(spec: Spectrum2D, threshold: float = 0.1) -> list[Peak]:
-    """Local maxima above threshold * max, centroid-refined on 3x3 patches."""
+    """Local maxima above threshold * max, centroid-refined on 3x3 patches,
+    largest first: magnitudes are compared rounded to 1e-12 of the maximum,
+    and ties are ordered by ascending (omega1, omega3)."""
     if not 0.0 < threshold < 1.0:
         raise ValueError("threshold must be in (0, 1)")
     mag = spec.magnitude
@@ -129,12 +131,11 @@ def find_peaks(spec: Spectrum2D, threshold: float = 0.1) -> list[Peak]:
     total = patches.sum(axis=(1, 2))
     off_i = (patches * step[:, None]).sum(axis=(1, 2)) / total
     off_j = (patches * step).sum(axis=(1, 2)) / total
-    peaks = [
-        Peak(omega1=float(w1), omega3=float(w3), magnitude=float(m))
-        for w1, w3, m in zip(spec.omega1[i] + off_i * d1, spec.omega3[j] + off_j * d3, mag[i, j])
-    ]
-    peaks.sort(key=lambda p: p.magnitude, reverse=True)
-    return peaks
+    w1, w3, m = spec.omega1[i] + off_i * d1, spec.omega3[j] + off_j * d3, mag[i, j]
+    # largest magnitude first, rounded to 1e-12 of the maximum so that peaks
+    # tied to rounding (mirror pairs) keep one order: ascending (omega1, omega3)
+    order = np.lexsort((w3, w1, -np.round(m / (1e-12 * mag.max()))))
+    return [Peak(omega1=float(w1[k]), omega3=float(w3[k]), magnitude=float(m[k])) for k in order]
 
 
 def notch_carrier(spec: Spectrum2D, width_bins: int = 1) -> Spectrum2D:

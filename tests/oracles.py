@@ -5,6 +5,8 @@ Hamiltonian block by block over its conserved charge n_zz + 2 n_str, the
 closed-form reference of the resonance peak positions.  ``cycled_pair`` and
 ``centroid_peaks`` are the per-term loops that ``protocol._pulse_set`` and
 ``spectrum.find_peaks`` replace with array expressions.
+``closed_form_lines`` is the eigendecomposition of a dissipation-free H in
+place of the stepped sector lines of ``dynamics.evolution_lines``.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ionspec2d import fock, protocol
+from ionspec2d import dynamics, fock, protocol
 
 
 @dataclass(frozen=True)
@@ -97,3 +99,59 @@ def centroid_peaks(omega1, omega3, mag, threshold) -> list[tuple[float, float, f
                 float(mag[i, j]),
             ))
     return sorted(out, key=lambda p: p[2], reverse=True)
+
+
+def _chunks(line: np.ndarray) -> list[slice]:
+    """At most 8 slices of whole grid points (the first axis), so that a
+    chunk's temporaries stay small against the line."""
+    step = -(-len(line) // 8)
+    return [slice(k, k + step) for k in range(0, len(line), step)]
+
+
+def _hermitize(ops: np.ndarray) -> None:
+    """Replace each square matrix X over the last two axes of ``ops`` by
+    (X + X^+)/2, once ``dynamics._check_skew`` has bounded X - X^+."""
+    dynamics._check_skew(ops, np.swapaxes(ops, -1, -2))
+    for s in _chunks(ops):
+        part = ops[s]
+        part += np.conj(np.swapaxes(part, -1, -2))
+        part *= 0.5
+
+
+def closed_form_lines(model, state, observables, n, dt, sectors=None):
+    """``dynamics.evolution_lines`` of a dissipation-free model in closed
+    form: no stepping, no drift, in the eigenbasis of H (``np.linalg.eigh``),
+    both lines rotated back once and re-hermitized.  Without ``sectors`` it
+    returns all d^2 vec indices in order; with them, the columns of the
+    kept sectors in the order the stepped lines hold them, so that it can
+    stand in for ``evolution_lines`` in a scan."""
+    d, m = model.dim, len(observables)
+    covectors0 = np.swapaxes(observables, 1, 2)  # A^T: tr[A rho] = vec(A^T) . vec(rho)
+    energies, basis = np.linalg.eigh(model.hamiltonian)
+    state = basis.conj().T @ state @ basis
+    covectors0 = basis.T @ covectors0 @ basis.conj()  # (V^+ A V)^T
+    # P^k multiplies rho_ab by exp(-i (E_a - E_b) k dt); P^+ multiplies
+    # A_ab by the conjugate phase, i.e. (A^T)_ab by the same phase.  Rotated
+    # back by V X V^+ and, for the transposes, V* X V^T, a chunk at a time
+    t = np.arange(n) * dt
+    gaps = energies[:, None] - energies[None, :]
+    forward = np.empty((n, d, d), dtype=complex)
+    back = np.empty((n, m, d, d), dtype=complex)
+    for s in _chunks(forward):
+        phases = np.exp(-1j * t[s, None, None] * gaps)
+        forward[s] = basis @ (state * phases) @ basis.conj().T
+        back[s] = basis.conj() @ (covectors0[None] * phases[:, None]) @ basis.T
+    _hermitize(forward)
+    _hermitize(back)
+    forward = forward.reshape(n, d * d)
+    dynamics._check_trace_drift(forward[:, :: d + 1])  # vec indices i (d + 1)
+    back = back.reshape(n, m, d * d)
+    if sectors is None:
+        every = np.arange(d * d)
+        return forward, back, every, every
+    blocks = dynamics.liouvillian_blocks(model)
+    index = [
+        np.concatenate([idx for c, idx in blocks.items() if dynamics._in_class(c, cls)] or [np.zeros(0, np.int64)])
+        for cls in sectors
+    ]
+    return forward[:, index[0]], back[..., index[1]], index[0], index[1]

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -204,6 +205,14 @@ class TestConfigValidation:
         assert main(["--config", str(cfg_path)]) == 2
         assert match in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("scenario", ["kerr", "resonance"])
+    def test_budget_check_does_not_warn(self, scenario):
+        # the guard builds the pulse sequence; its small-N_phi warning is
+        # raised by the run, into the manifest, not by build_config
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert build_config({"scenario": scenario, "n_phases": [2, 2, 2]}).n_phases == (2, 2, 2)
 
     def test_heated_resonance_charged_for_its_kept_columns(self):
         # 378 grid points on a 400-level register: five full (n, d^2) lines
@@ -475,23 +484,31 @@ class TestRealOperators:
     no run diagonalizes a complex matrix."""
 
     def test_no_complex_matrix_reaches_eigh(self, tmp_path, monkeypatch):
-        dtypes = []
+        # and the only matrices diagonalized are the three-ion chain's axial
+        # potential (3 x 3) and the pulses' quadrature a + a^+ of the target
+        # mode (d x d): no run takes a closed form of its Hamiltonian
+        seen = []
         eigh = np.linalg.eigh
 
         def recording(a, *args, **kwargs):
-            dtypes.append(np.asarray(a).dtype)
+            seen.append(np.asarray(a))
             return eigh(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigh", recording)
-        for raw in (
-            {"scenario": "kerr", "dims": [5, 3, 3], "nbar": [0.8, 2.0, 2.0], "grid_scale": 0.15},
-            {"scenario": "resonance", "dims": [4, 3], "nbar": [0.3, 0.1],
-             "heating_quanta_per_ms": [0.2, 0.1], "grid_scale": 0.05},
+        for name, raw in (
+            ("kerr", {"scenario": "kerr", "dims": [5, 3, 3], "nbar": [0.8, 2.0, 2.0], "grid_scale": 0.15}),
+            ("heated", {"scenario": "resonance", "dims": [4, 3], "nbar": [0.3, 0.1],
+                        "heating_quanta_per_ms": [0.2, 0.1], "grid_scale": 0.05}),
+            ("heating-free", {"scenario": "resonance", "dims": [4, 3], "nbar": [0.3, 0.1],
+                              "heating_quanta_per_ms": [0.0, 0.0], "grid_scale": 0.05}),
         ):
-            dtypes.clear()
-            manifest = run_scenario(build_config(dict(raw, out_dir=str(tmp_path / raw["scenario"]))))
+            seen.clear()
+            manifest = run_scenario(build_config(dict(raw, out_dir=str(tmp_path / name))))
             assert manifest["status"] == "ok"
-            assert dtypes and set(dtypes) == {np.dtype(np.float64)}
+            assert seen and {a.dtype for a in seen} == {np.dtype(np.float64)}
+            quadrature = fock.destroy(raw["dims"][0]) + fock.destroy(raw["dims"][0]).T
+            pulses = [a for a in seen if a.shape != (3, 3)]
+            assert pulses and all(np.array_equal(a, quadrature) for a in pulses)
 
     def test_fock_operators_are_real(self):
         assert fock.destroy(5).dtype == np.float64

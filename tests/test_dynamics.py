@@ -47,7 +47,7 @@ class TestFreeEvolution:
 
     @pytest.mark.parametrize("ladder", ["anharmonic", "degenerate-kerr"])
     def test_diagonal_and_dense_paths_agree(self, ladder):
-        # the eigh closed form of a diagonal H against the dense oracle map;
+        # the stepped line of a diagonal H against the dense oracle map;
         # the Kerr ladder 0.5 K n(n-1) has E0 = E1, a degenerate eigenspace
         dim = 6
         reg = _single_mode(dim)

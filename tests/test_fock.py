@@ -80,6 +80,16 @@ class TestDisplacement:
     def test_large_alpha_warns(self):
         with pytest.warns(UserWarning, match="truncation"):
             displacement(2.0, 4)
+        with pytest.warns(UserWarning, match="truncation"):
+            displacement(np.array([0.1, 2.0]), 4)
+
+    def test_array_of_amplitudes_is_one_call_per_entry(self):
+        # one eigensystem for every entry, bit for bit the scalar calls
+        alphas = 0.25 * np.exp(2j * np.pi * np.arange(6).reshape(2, 3) / 6)
+        batch = displacement(alphas, 9)
+        assert batch.shape == (2, 3, 9, 9)
+        for idx in np.ndindex(alphas.shape):
+            assert np.array_equal(batch[idx], displacement(alphas[idx], 9))
 
     @pytest.mark.parametrize("alpha", [0.0, 0.25, 0.25j, 0.3 - 0.4j, 0.8 * np.exp(0.7j)])
     @pytest.mark.parametrize("dim", [2, 9, 15])

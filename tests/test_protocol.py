@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ionspec2d import cli, dynamics, fock, protocol, scenarios
+from ionspec2d import cli, dynamics, fock, matio, protocol, scenarios
 from ionspec2d.dynamics import (
     LindbladModel,
     PropagatorAccuracyError,
@@ -23,7 +23,7 @@ from ionspec2d.protocol import (
     run_once,
     scan,
 )
-from oracles import cycled_pair
+from oracles import closed_form_lines, cycled_pair
 
 TWO_PI = 2 * np.pi
 
@@ -173,7 +173,7 @@ class TestGrid:
 
 
 def _kerr_mode(dim=7):
-    """Diagonal H: the closed form takes the phases directly."""
+    """Diagonal H without a declared charge: one d^2 sector of phases."""
     reg = FockRegister(dims=(dim,), labels=("m",))
     n_op = np.diag(np.arange(dim)).astype(complex)
     h = TWO_PI * 12e3 * n_op + TWO_PI * 2.5e3 * (n_op @ n_op - n_op)
@@ -181,7 +181,7 @@ def _kerr_mode(dim=7):
 
 
 def _driven_kerr_mode(dim=7):
-    """Non-diagonal Hermitian H: the closed form diagonalizes it."""
+    """Non-diagonal Hermitian H: one dense d^2 sector."""
     model, rho0 = _kerr_mode(dim)
     a = destroy(dim)
     drive = TWO_PI * 1.5e3 * np.exp(0.7j) * a
@@ -525,6 +525,33 @@ class TestScanEngine:
         assert peak < 16 * n * d2 * (1 + m)
 
 
+class TestClosedFormOracle:
+    @pytest.mark.parametrize(
+        "raw",
+        [{"scenario": "kerr"}, {"scenario": "resonance", "heating_quanta_per_ms": [0.0, 0.0]}],
+        ids=["kerr", "resonance-heating-free"],
+    )
+    def test_stepped_lines_match_the_closed_form(self, raw, tmp_path, monkeypatch):
+        # the reference grid from the stepped sector lines against the same
+        # run on the eigendecomposition of the dissipation-free H
+        def grid(name):
+            cli.run_scenario(cli.build_config(dict(raw, out_dir=str(tmp_path / name))))
+            return matio.read_matrix(tmp_path / name / "signal_grid.bin")
+
+        stepped = grid("stepped")
+        calls = []
+
+        def closed_form(*args):
+            calls.append(args[0].dim)
+            return closed_form_lines(*args)
+
+        monkeypatch.setattr(dynamics, "evolution_lines", closed_form)
+        monkeypatch.setattr(protocol, "evolution_lines", closed_form)
+        closed = grid("closed")
+        assert len(calls) == 1
+        assert np.max(np.abs(stepped - closed)) <= 1e-12 * np.max(np.abs(closed))
+
+
 class TestKerrDualPath:
     def test_fast_path_matches_full_register(self, table_params):
         model = scenarios.kerr_model_from_params(
@@ -575,10 +602,10 @@ def _traced_peak(call) -> int:
 
 class TestMemoryGuards:
     @pytest.mark.parametrize("dims, n", [((6, 4), 12), ((10, 6), 40)])
-    @pytest.mark.parametrize("heated", [False, True], ids=["eigh", "blocks"])
+    @pytest.mark.parametrize("heated", [False, True], ids=["heating-free", "heated"])
     def test_scan_guard_bounds_the_traced_peak(self, dims, n, heated):
-        # the exchange model without heating takes the eigh path, with it
-        # the sector path, whose bound adds the largest sector's step map
+        # the exchange model with and without heating: both step the kept
+        # sectors, and the bound adds the largest sector's step map
         reg = FockRegister(dims=dims, labels=("zz", "str"))
         a = fock.embed(destroy(dims[0]), 0, reg)
         c = fock.embed(destroy(dims[1]), 1, reg)
@@ -591,7 +618,7 @@ class TestMemoryGuards:
         rho0 = fock.product_state([thermal_state(0.5, dim)[0] for dim in dims])
         dt = 2e-5
         peak = _traced_peak(lambda: scan(model, rho0, PulseSequence(), (n - 1) * dt, dt))
-        columns = protocol.sector_columns(model.charge, dims, PulseSequence()) if heated else None
+        columns = protocol.sector_columns(model.charge, dims, PulseSequence())
         assert protocol._working_set_bytes(model.dim, n, dims[0], columns) >= peak
 
     @pytest.mark.parametrize("dims", [(7, 5), (9, 6)])
@@ -609,15 +636,16 @@ class TestMemoryGuards:
         charge = np.subtract.outer(model.charge, model.charge).ravel()
         kept = protocol._kept_sectors(model.charge_weight(0), seq)
         assert columns[:2] == tuple(int(np.sum(dynamics._in_class(charge, cls))) for cls in kept)
-        need = protocol._working_set_bytes(model.dim, n, dims[0], columns)
-        assert peak <= need < protocol._working_set_bytes(model.dim, n, dims[0])
+        assert peak <= protocol._working_set_bytes(model.dim, n, dims[0], columns)
 
     @pytest.mark.parametrize("d, n", [(5, 11), (9, 80)])
     def test_kerr_guard_bounds_the_traced_peak(self, d, n, monkeypatch):
+        # the scan's own guard; the sector lines also check their step map
         budget = []
 
         def record(need, what):
-            budget.append(need)
+            if what.startswith("kerr sector scan"):
+                budget.append(need)
 
         monkeypatch.setattr(dynamics, "_check_budget", record)
         model = scenarios.KerrModel(
@@ -653,7 +681,12 @@ def _random_quadratic_two_mode(seed: int):
 
 
 class TestHarmonicNull:
-    def test_unitary_two_mode_null(self):
+    def test_unitary_two_mode_null(self, monkeypatch):
+        # squeezing and drives conserve no charge, so the stepped lines would
+        # need one 123904^2 map: the scan runs on the closed-form oracle
+        # lines, and the memory guard, which charges that map, is skipped
+        monkeypatch.setattr(protocol, "evolution_lines", closed_form_lines)
+        monkeypatch.setattr(protocol, "check_scan_budget", lambda *args: None)
         model, reg = _random_quadratic_two_mode(seed=11)
         rho0 = fock.product_state(
             [thermal_state(0.15, 22)[0], thermal_state(0.1, 16)[0]]

@@ -260,8 +260,8 @@ class TestKerrSectorAverage:
     def test_non_hermitian_state_raises(self, engine, monkeypatch):
         # every pulse acts by conjugation, so each line equals its conjugate
         # transpose up to rounding; the skew is injected into the entries
-        # that dynamics._check_skew compares with their mirrors (the whole
-        # line on the eigh path, the largest kept sector on the sector path)
+        # that dynamics._check_skew compares with their mirrors (the largest
+        # kept sector of each line)
         exact = dynamics._check_skew
 
         def skewed(ops, mirror):

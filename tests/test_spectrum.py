@@ -162,6 +162,23 @@ class TestFindPeaks:
         assert len(got) == len(ref) > 10
         np.testing.assert_allclose(got, ref, rtol=1e-15, atol=0)
 
+    def test_rounding_keeps_the_order_of_mirror_pairs(self):
+        # a point-symmetric spectrum: each peak at (w1, w3) has a mirror at
+        # (-w1, -w3) of equal magnitude, and a perturbation of 1e-16 of the
+        # maximum must not swap the rows of any pair
+        rng = np.random.default_rng(5)
+        half = rng.standard_normal((21, 21)) + 1j * rng.standard_normal((21, 21))
+        values = half + half[::-1, ::-1]
+        axis = np.arange(-10, 11) * 2.0
+        noise = 1e-16 * np.max(np.abs(values)) * rng.standard_normal(values.shape)
+        rows = [
+            [(p.omega1, p.omega3) for p in find_peaks(Spectrum2D(omega1=axis, omega3=axis, values=v), 0.2)]
+            for v in (values, values + noise)
+        ]
+        mags = [p.magnitude for p in find_peaks(Spectrum2D(omega1=axis, omega3=axis, values=values), 0.2)]
+        assert sum(a == b for a, b in zip(mags, mags[1:])) > 10  # mirror pairs tie
+        np.testing.assert_allclose(rows[0], rows[1], rtol=0, atol=1e-12)
+
     def test_threshold_validation(self):
         spec = self._two_bump_spec()
         with pytest.raises(ValueError):
