@@ -102,14 +102,19 @@ def _pair_sum_tensor(chain: EquilibriumChain, k: int) -> np.ndarray:
 
     w_pq is (-1)^k / k! times the k-th derivative of the pair's Coulomb term
     1/|d| at d = u_p - u_q: sign(d)/|d|^4 for k = 3 and 1/|d|^5 for k = 4.
+    One matmul over the pairs: the weighted pair vectors w e against the
+    rows of the (k-1)-fold outer power of e, whose entries are exact.
     """
     u = np.asarray(chain.u, dtype=float)
-    p, q = np.triu_indices(len(u), 1)
+    n = len(u)
+    p, q = np.triu_indices(n, 1)
     d = u[p] - u[q]
     w = np.sign(d) / np.abs(d) ** 4 if k == 3 else 1.0 / np.abs(d) ** 5
-    e = np.eye(len(u))[p] - np.eye(len(u))[q]
-    idx = "ijkl"[:k]
-    return np.einsum(f"a,{','.join('a' + i for i in idx)}->{idx}", w, *[e] * k, optimize=True)
+    e = np.eye(n)[p] - np.eye(n)[q]
+    power = e
+    for _ in range(k - 2):
+        power = (power[:, :, None] * e[:, None, :]).reshape(len(e), -1)
+    return ((w[:, None] * e).T @ power).reshape((n,) * k)
 
 
 def c3_tensor(chain: EquilibriumChain) -> np.ndarray:
@@ -131,10 +136,19 @@ def mode_tensors(c3: np.ndarray, c4: np.ndarray, m: np.ndarray) -> ModeTensors:
 
     All entries with a center-of-mass index (mode 0) vanish because Coulomb
     forces cannot change the crystal's total momentum.
+
+    The ion indices are contracted one at a time, first to last, each by
+    ``np.tensordot(t, m, (0, 0))``: it sums the leading ion index of t
+    against the rows of m and appends the mode index, so after every ion
+    index is contracted the mode indices stand in the ion indices' order.
     """
-    d3 = np.einsum("ijk,in,jm,kp->nmp", c3, m, m, m, optimize=True)
-    d4 = np.einsum("ijkl,in,jm,kp,lq->nmpq", c4, m, m, m, m, optimize=True)
-    return ModeTensors(d3=d3, d4=d4)
+
+    def to_modes(c: np.ndarray) -> np.ndarray:
+        for _ in range(c.ndim):
+            c = np.tensordot(c, m, (0, 0))
+        return c
+
+    return ModeTensors(d3=to_modes(c3), d4=to_modes(c4))
 
 
 def tensors_for_chain(chain: EquilibriumChain, modes: NormalModes) -> ModeTensors:

@@ -19,7 +19,8 @@ the memory budget included (the columns of its kept charge sectors and its
 largest sector's step map).  Every run, successful or not, leaves a
 manifest.json with the resolved configuration, derived parameters, regime
 diagnostics (the RWA ratio of ``kerr`` and ``tables``), every warning the run raised (each also re-emitted once the
-manifest is written) and checksums of all outputs: SHA-256, from CPython's
+manifest is written) and checksums of all outputs: SHA-256 of the bytes each
+``matio`` writer returns (no artifact is read back), from CPython's
 built-in module rather than ``hashlib``, whose import loads OpenSSL's
 libcrypto (about 3.4 MB of resident memory) in every run.  ``argparse`` is
 imported by ``main`` alone, so ``build_config`` and ``run_scenario`` load
@@ -287,14 +288,14 @@ def build_config(raw: dict) -> RunConfig:
     return cfg
 
 
-def _sha256(path: Path) -> str:
-    return _new_sha256(path.read_bytes()).hexdigest()
+def _sha256(data: bytes) -> str:
+    return _new_sha256(data).hexdigest()
 
 
-def _write_tables(out: Path, params: anharmonic.EffectiveParams) -> list[Path]:
+def _write_tables(out: Path, params: anharmonic.EffectiveParams) -> dict[str, str]:
     """The shift and dephasing CSV tables (kHz), one row per order: the x, y
     and z modes in ascending mode number, COM dropped, and in the x zigzag's
-    column its own shift and Omega_SI/2."""
+    column its own shift and Omega_SI/2.  Returns {file name: sha256}."""
     khz = 2 * np.pi * 1e3
     n = params.effective.delta.shape[1]
     labels = [anharmonic.mode_label(d, m) for d in "xyz" for m in range(1, n)]
@@ -308,36 +309,32 @@ def _write_tables(out: Path, params: anharmonic.EffectiveParams) -> list[Path]:
         deph[0, -1] = par.omega_si / 2
         shift_rows.append([order_name] + (par.delta[:, 1:] / khz).ravel().tolist())
         deph_rows.append([order_name] + (deph[:, 1:] / khz).ravel().tolist())
-    shifts, deph = out / "freq_shifts_khz.csv", out / "dephasing_rates_khz.csv"
-    matio.write_csv(shifts, shift_header, shift_rows)
-    matio.write_csv(deph, deph_header, deph_rows)
-    return [shifts, deph]
+    shifts, deph = "freq_shifts_khz.csv", "dephasing_rates_khz.csv"
+    return {
+        shifts: _sha256(matio.write_csv(out / shifts, shift_header, shift_rows)),
+        deph: _sha256(matio.write_csv(out / deph, deph_header, deph_rows)),
+    }
 
 
-def _write_spectrum_products(out: Path, grid, spec, proj1, proj3, peaks) -> list[Path]:
+def _write_spectrum_products(out: Path, grid, spec, proj1, proj3, peaks) -> dict[str, str]:
     """The spectrum stage's artifacts, each quantity once: the phase-cycled
     grid (``signal_grid.bin``), the complex 2D spectrum (``spectrum.bin``;
     its axes are in the manifest, ``_axis``), the two 1D projections and
-    the peak list."""
-    names = (
-        "signal_grid.bin", "spectrum.bin",
-        "projection_omega1.csv", "projection_omega3.csv", "peaks.csv",
-    )
-    paths = [out / name for name in names]
-    grid_path, spec_path, proj1_path, proj3_path, peaks_path = paths
-    matio.write_matrix(grid_path, grid.values)
-    matio.write_matrix(spec_path, spec.values)
-    for path, proj in ((proj1_path, proj1), (proj3_path, proj3)):
-        matio.write_csv(
-            path, ["omega_rad_s", "magnitude"],
+    the peak list.  Returns {file name: sha256}."""
+    digests = {}
+    for name, values in (("signal_grid.bin", grid.values), ("spectrum.bin", spec.values)):
+        digests[name] = _sha256(matio.write_matrix(out / name, values))
+    for name, proj in (("projection_omega1.csv", proj1), ("projection_omega3.csv", proj3)):
+        digests[name] = _sha256(matio.write_csv(
+            out / name, ["omega_rad_s", "magnitude"],
             np.column_stack([proj.omega, proj.magnitude]).tolist(),
-        )
-    matio.write_csv(
-        peaks_path,
+        ))
+    digests["peaks.csv"] = _sha256(matio.write_csv(
+        out / "peaks.csv",
         ["omega1_rad_s", "omega3_rad_s", "magnitude", "label"],
         [[pk.omega1, pk.omega3, pk.magnitude, pk.label] for pk in peaks],
-    )
-    return paths
+    ))
+    return digests
 
 
 def _axis(omega: np.ndarray) -> dict:
@@ -395,14 +392,15 @@ def run_scenario(cfg: RunConfig) -> dict:
         manifest["wall_time_s"] = time.time() - started
         manifest["warnings"] = [{"category": w.category.__name__, "message": str(w.message)} for w in caught]
         if outputs is not None:
-            manifest["outputs"] = {p.name: _sha256(p) for p in outputs}
+            manifest["outputs"] = outputs
         (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
         for w in caught:  # re-emitted once the manifest is written: stderr by default
             warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
     return manifest
 
 
-def _dispatch(cfg: RunConfig, out: Path, manifest: dict) -> list[Path]:
+def _dispatch(cfg: RunConfig, out: Path, manifest: dict) -> dict[str, str]:
+    """Run the configured scenario; returns {artifact name: sha256}."""
     if cfg.scenario == "noise-table":
         rows = phasenoise.loss_table(
             t1=cfg.noise_t1_s,
@@ -411,14 +409,13 @@ def _dispatch(cfg: RunConfig, out: Path, manifest: dict) -> list[Path]:
             n_paths=cfg.mc_paths,
             seed=cfg.seed,
         )
-        path = out / "noise_loss.csv"
-        matio.write_csv(
-            path,
+        written = matio.write_csv(
+            out / "noise_loss.csv",
             ["p2", "p3", "p4", "loss_analytic", "loss_mc"],
             [[r["p2"], r["p3"], r["p4"], r["loss"], r.get("loss_mc", "")] for r in rows],
         )
         manifest["derived"] = {"diffusion_rad2_s": cfg.phase_noise_diffusion or phasenoise.DEFAULT_DIFFUSION}
-        return [path]
+        return {"noise_loss.csv": _sha256(written)}
 
     data = scenarios.derive_modes(cfg.trap())
     derived = {
@@ -450,7 +447,7 @@ def _dispatch(cfg: RunConfig, out: Path, manifest: dict) -> list[Path]:
         manifest["dissipation_free"] = True
         manifest["truncation"] = _truncation(model.full_register().labels, cfg)
         grid = scenarios.kerr_scan_fast(model, seq, t_max, cfg.dt_s)
-        table_paths = _write_tables(out, params)
+        tables = _write_tables(out, params)
     else:  # resonance
         res = scenarios.resonance_parameters(data)
         derived["omega_t_hz"] = res.omega_t / (2 * np.pi)
@@ -463,7 +460,7 @@ def _dispatch(cfg: RunConfig, out: Path, manifest: dict) -> list[Path]:
         manifest["truncation"] = _truncation(model.register.labels, cfg)
         rho0 = scenarios.resonance_initial_state(tuple(cfg.dims), tuple(cfg.nbar))
         grid = protocol.scan(model, rho0, seq, t_max, cfg.dt_s)
-        table_paths = []
+        tables = {}
 
     if cfg.phase_noise_diffusion > 0:
         grid = _apply_phase_noise(grid, cfg.signature, cfg.phase_noise_diffusion)
@@ -486,7 +483,7 @@ def _dispatch(cfg: RunConfig, out: Path, manifest: dict) -> list[Path]:
             scenarios.predicted_resonance_peaks(data.omega_zz, res.omega_t),
             1.5 * spec.bin_width,
         )
-    return table_paths + _write_spectrum_products(out, grid, spec, proj1, proj3, peaks)
+    return tables | _write_spectrum_products(out, grid, spec, proj1, proj3, peaks)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -24,8 +24,11 @@ check-only line is dropped once checked.
 ``build_propagator`` builds exp(L dt) for one fixed step as the dense
 exponential of the Liouvillian; it serves single protocol executions
 (``protocol.run_once``), the independent oracle the line engine is tested
-against.  Every matrix exponential is ``expm``, a numpy scaling-and-squaring
-Pade approximant.
+against.  Every matrix exponential is ``expm``: exp of the diagonal when the
+matrix has no nonzero entry off it (every sector map of a dissipation-free
+model whose Hamiltonian is diagonal in the Fock basis, such as the Kerr
+model, so that a ``kerr`` run makes no LU solve), else a numpy
+scaling-and-squaring Pade approximant.
 """
 
 from __future__ import annotations
@@ -170,12 +173,18 @@ _THETA13 = 5.371920351148152
 
 
 def expm(a: np.ndarray) -> np.ndarray:
-    """exp(a) of a square matrix by scaling and squaring (Higham 2005): a is
-    scaled by 2^-s until its 1-norm is at most theta_13, the [13/13] Pade
-    approximant (V - U)^-1 (V + U) is formed from a^2, a^4 and a^6 (U odd
-    and V even in a), and the result is squared s times.  The Pade sums
-    are formed in place, term by term in the order they are written, so
-    at most 8 matrices are held at a time."""
+    """exp(a) of a square matrix.  A diagonal a (no nonzero entry off the
+    diagonal, counted without forming an a-sized temporary) gives
+    diag(exp(a_ii)), exact to the rounding of each exp and with no solve.
+    Any other a goes by scaling and squaring (Higham 2005): a is scaled by
+    2^-s until its 1-norm is at most theta_13, the [13/13] Pade approximant
+    (V - U)^-1 (V + U) is formed from a^2, a^4 and a^6 (U odd and V even in
+    a), and the result is squared s times.  The Pade sums are formed in
+    place, term by term in the order they are written, so at most 8
+    matrices are held at a time."""
+    diagonal = np.diagonal(a)
+    if np.count_nonzero(a) == np.count_nonzero(diagonal):
+        return np.diag(np.exp(diagonal))
     norm = float(np.abs(a).sum(axis=0).max(initial=0.0))
     s = max(0, math.ceil(math.log2(norm / _THETA13))) if norm > 0 else 0
     a = a / 2.0**s

@@ -7,12 +7,17 @@ float64 payload.
 
 CSV rows go through ``csv.writer`` with ``"\\n"`` line ends, each float
 formatted ``.17g`` (repr-exact, locale-free) and every other value by
-``str``, so the bytes of an artifact depend only on its values.
+``str``, encoded UTF-8, so the bytes of an artifact depend only on its values.
+
+Both writers build a file's bytes in memory, write them in one call and
+return them, so that a caller can hash what was written without reading the
+file back.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import struct
 from pathlib import Path
 
@@ -24,23 +29,26 @@ _DTYPE_REAL = 0
 _DTYPE_COMPLEX = 1
 
 
-def write_matrix(path: str | Path, matrix: np.ndarray) -> None:
+def write_matrix(path: str | Path, matrix: np.ndarray) -> bytearray:
+    """Write ``matrix`` in the binary layout; returns the bytes written."""
     m = np.asarray(matrix)
     if m.ndim != 2:
         raise ValueError("only 2-D matrices are supported")
     complex_ = np.iscomplexobj(m)
     code = _DTYPE_COMPLEX if complex_ else _DTYPE_REAL
+    rows, cols = m.shape
+    width = 2 * cols if complex_ else cols  # float64 values per row
+    data = bytearray(32 + 8 * rows * width)
+    struct.pack_into("<8sIIQQ", data, 0, MAGIC, VERSION, code, rows, cols)
+    payload = np.frombuffer(data, dtype="<f8", offset=32).reshape(rows, width)
+    if complex_:
+        payload[:, 0::2] = m.real
+        payload[:, 1::2] = m.imag
+    else:
+        payload[...] = m
     with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<II", VERSION, code))
-        fh.write(struct.pack("<QQ", m.shape[0], m.shape[1]))
-        if complex_:
-            inter = np.empty((m.shape[0], m.shape[1] * 2))
-            inter[:, 0::2] = m.real
-            inter[:, 1::2] = m.imag
-            fh.write(inter.astype("<f8").tobytes())
-        else:
-            fh.write(m.astype("<f8").tobytes())
+        fh.write(data)
+    return data
 
 
 def read_matrix(path: str | Path) -> np.ndarray:
@@ -68,10 +76,15 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def write_csv(path: str | Path, header: list[str], rows: list[list]) -> None:
-    """CSV with deterministic float formatting (repr-exact, locale-free)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+def write_csv(path: str | Path, header: list[str], rows: list[list]) -> bytes:
+    """CSV with deterministic float formatting (repr-exact, locale-free);
+    returns the bytes written."""
+    text = io.StringIO(newline="")
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([_fmt(v) for v in row])
+    data = text.getvalue().encode()
+    with open(path, "wb") as fh:
+        fh.write(data)
+    return data

@@ -7,6 +7,9 @@ closed-form reference of the resonance peak positions.  ``cycled_pair`` and
 ``spectrum.find_peaks`` replace with array expressions.
 ``closed_form_lines`` is the eigendecomposition of a dissipation-free H in
 place of the stepped sector lines of ``dynamics.evolution_lines``.
+``pair_sum_tensor_einsum`` and ``mode_tensors_einsum`` are the coupling
+tensors as single ``np.einsum`` calls with numpy's path search, the
+reference of the fixed-order contractions of ``anharmonic``.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ionspec2d import dynamics, fock, protocol
+from ionspec2d import anharmonic, dynamics, fock, protocol
 
 
 @dataclass(frozen=True)
@@ -58,6 +61,25 @@ def resonant_manifolds(omega_t: float, max_quanta: int) -> list[Manifold]:
             )
         )
     return out
+
+
+def pair_sum_tensor_einsum(chain, k: int) -> np.ndarray:
+    """``anharmonic._pair_sum_tensor``, C_k = sum_{p<q} w_pq (e_p - e_q)^(x k),
+    as one einsum over the ion pairs."""
+    u = np.asarray(chain.u, dtype=float)
+    p, q = np.triu_indices(len(u), 1)
+    d = u[p] - u[q]
+    w = np.sign(d) / np.abs(d) ** 4 if k == 3 else 1.0 / np.abs(d) ** 5
+    e = np.eye(len(u))[p] - np.eye(len(u))[q]
+    idx = "ijkl"[:k]
+    return np.einsum(f"a,{','.join('a' + i for i in idx)}->{idx}", w, *[e] * k, optimize=True)
+
+
+def mode_tensors_einsum(c3: np.ndarray, c4: np.ndarray, m: np.ndarray) -> anharmonic.ModeTensors:
+    """``anharmonic.mode_tensors`` as one einsum per tensor."""
+    d3 = np.einsum("ijk,in,jm,kp->nmp", c3, m, m, m, optimize=True)
+    d4 = np.einsum("ijkl,in,jm,kp,lq->nmpq", c4, m, m, m, m, optimize=True)
+    return anharmonic.ModeTensors(d3=d3, d4=d4)
 
 
 def cycled_pair(seq: protocol.PulseSequence, dim: int) -> np.ndarray:

@@ -19,7 +19,7 @@ from ionspec2d.anharmonic import (
     resonant_coupling,
 )
 from ionspec2d.crystal import hessians, normal_modes, solve_equilibrium
-from oracles import resonant_manifolds
+from oracles import mode_tensors_einsum, pair_sum_tensor_einsum, resonant_manifolds
 
 KHZ = 2 * np.pi * 1e3
 
@@ -250,6 +250,23 @@ def test_pair_sums_match_case_split(n):
         off = np.ones(got.shape, dtype=bool)
         off[(np.arange(n),) * got.ndim] = False
         assert np.array_equal(got[off], ref[off])
+
+
+@pytest.mark.parametrize(
+    "n, omega_x_hz, omega_y_hz", [(3, 3.1012e6, 5e6), (5, 5e6, 6e6), (20, 2.0e7, 2.2e7)]
+)
+def test_fixed_order_contractions_match_einsum(n, omega_x_hz, omega_y_hz):
+    # 20 ions: the chain of the tables-n20 benchmark workload
+    chain, modes = crystal.modes_for_trap(_chain_trap(n, omega_x_hz, omega_y_hz))
+    c3, c4 = c3_tensor(chain), c4_tensor(chain)
+    got, ref = mode_tensors(c3, c4, modes.M), mode_tensors_einsum(c3, c4, modes.M)
+    pairs = [
+        (c3, pair_sum_tensor_einsum(chain, 3)), (c4, pair_sum_tensor_einsum(chain, 4)),
+        (got.d3, ref.d3), (got.d4, ref.d4),
+    ]
+    for fixed, einsum in pairs:
+        assert fixed.shape == einsum.shape
+        assert np.max(np.abs(fixed - einsum)) <= 1e-13 * np.max(np.abs(einsum))
 
 
 class TestC3:

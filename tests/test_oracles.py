@@ -1,6 +1,7 @@
 """The numpy-only runtime against scipy, which only the tests import: the
-matrix exponential of the Lindblad block maps and of ``build_propagator``,
-the displacement pulses and the physical constants."""
+matrix exponential of the Lindblad block maps and of ``build_propagator``
+(its diagonal case against numpy's exp), the displacement pulses and the
+physical constants."""
 
 import numpy as np
 import pytest
@@ -28,6 +29,34 @@ class TestExpm:
         np.testing.assert_allclose(
             dynamics.expm(a), scipy_linalg.expm(a), rtol=RTOL, atol=1e-15
         )
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_diagonal_is_exp_of_the_diagonal(self, dtype):
+        # no Pade step: each entry is numpy's exp, exactly, at any norm
+        rng = np.random.default_rng(3)
+        d = 40.0 * rng.standard_normal(9).astype(dtype)
+        if dtype is complex:
+            d += 40.0j * rng.standard_normal(9)
+        d[4] = 0.0
+        got = dynamics.expm(np.diag(d))
+        assert got.dtype == np.diag(np.exp(d)).dtype
+        assert np.array_equal(got, np.diag(np.exp(d)))
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_zero_matrix_gives_the_identity(self, dtype):
+        assert np.array_equal(dynamics.expm(np.zeros((6, 6), dtype=dtype)), np.eye(6))
+
+    def test_tiny_off_diagonal_entry_takes_the_pade_path(self, monkeypatch):
+        # one nonzero entry off the diagonal, however small, is not diagonal
+        rng = np.random.default_rng(4)
+        a = np.diag(rng.standard_normal(6) + 1j * rng.standard_normal(6))
+        a[1, 4] = 1e-300
+        ref = scipy_linalg.expm(a)
+        solve, solves = np.linalg.solve, []
+        monkeypatch.setattr(np.linalg, "solve", lambda *args: solves.append(args) or solve(*args))
+        got = dynamics.expm(a)
+        assert len(solves) == 1
+        np.testing.assert_allclose(got, ref, rtol=RTOL, atol=1e-15)
 
     def test_jordan_block(self):
         # exp(lam I + N) = exp(lam) sum_k N^k / k! for the nilpotent shift N

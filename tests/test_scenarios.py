@@ -277,6 +277,26 @@ class TestKerrSectorAverage:
                 model, rho0 = _heated_exchange()
                 scan(model, rho0, PulseSequence(), 6 * DT, DT)
 
+    def test_reference_run_needs_no_solve_and_no_einsum(self, monkeypatch):
+        # every Kerr sector Liouvillian is diagonal, so each sector map is
+        # exp of its diagonal with no LU solve; the mode tensors contract in
+        # a fixed order with no einsum path search
+        cfg = build_config({"scenario": "kerr"})
+
+        def forbidden(*args, **kwargs):
+            pytest.fail("forbidden call in a reference kerr run")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(np, "einsum", forbidden)
+            data = scenarios.derive_modes(cfg.trap())
+        model = scenarios.kerr_model_from_params(
+            scenarios.kerr_parameters(data), dims=tuple(cfg.dims), nbar=tuple(cfg.nbar)
+        )
+        monkeypatch.setattr(np.linalg, "solve", forbidden)
+        grid = scenarios.kerr_scan_fast(model, cfg.sequence(), cfg.effective_t_max, cfg.dt_s)
+        assert grid.values.shape == (80, 80)
+        assert np.all(np.isfinite(grid.values)) and np.any(grid.values)
+
     def test_memory_guard_trips_before_any_work(self, monkeypatch):
         def no_pulses(*args, **kwargs):
             pytest.fail("pulse operators built before the memory guard")
