@@ -14,9 +14,10 @@ of that spectrum, taken before the optional carrier notch.  It writes each
 quantity once: ``signal_grid.bin``, ``spectrum.bin`` (complex; its two
 affine omega axes are the manifest's ``spectrum_axes``, start, step and count),
 the two projections and ``peaks.csv``.  ``build_config`` rejects an invalid
-configuration with ConfigError (exit 2) before any work starts, a scan past
-the memory budget included (the columns of its kept charge sectors and its
-largest sector's step map).  Every run, successful or not, leaves a
+configuration with ConfigError (exit 2) before any work starts, a stage past
+the memory budget included: the scan (the columns of its kept charge sectors
+and its largest sector's step map), the zero-padded spectrum and the Monte
+Carlo paths of ``noise-table``.  Every run, successful or not, leaves a
 manifest.json with the resolved configuration, derived parameters, regime
 diagnostics (the RWA ratio of ``kerr`` and ``tables``), every warning the run raised (each also re-emitted once the
 manifest is written) and checksums of all outputs: SHA-256 of the bytes each
@@ -250,27 +251,36 @@ def build_config(raw: dict) -> RunConfig:
             raise ConfigError(
                 "t_max_s * grid_scale must be at least dt_s: a one-point grid has no spectrum"
             )
-    if cfg.scenario in _MODE_COUNT:
-        # the scan's own guard, before any operator is built; the resonance
-        # pulses target slot 0, the zigzag (RunConfig.sequence)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # the run warns when it builds the sequence
-            seq = cfg.sequence()
-        try:
+    try:
+        if cfg.scenario == "noise-table":
+            # at most three (mc_paths, 2) float64 arrays at once: the normal
+            # draws, their steps and sums, then the paths and phase sums
+            dynamics._check_budget(48 * cfg.mc_paths, f"Monte Carlo phase noise ({cfg.mc_paths} paths)")
+        elif cfg.scenario in _MODE_COUNT:
+            # the scan's own guard, before any operator is built; the
+            # resonance pulses target slot 0, the zigzag (RunConfig.sequence)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # the run warns when it builds the sequence
+                seq = cfg.sequence()
             if cfg.scenario == "kerr":
                 scenarios.check_kerr_budget(cfg.dims, n, seq)
             else:
-                # the operators alone first, a lower bound: this bounds d
-                # before resonance_charge allocates its d entries, which a
-                # config's huge dims would otherwise make this check itself
-                # run out of memory on; then the kept sectors' columns and
-                # the largest sector's map
+                # the operators alone first, a lower bound: this bounds the
+                # dims before sector_columns builds the charge histogram and
+                # its autocorrelation, which grow with them, so that a
+                # config's huge dims cannot make this check itself run out of
+                # memory; then the kept sectors' columns and the largest map
                 protocol.check_scan_budget(cfg.dims, n, 0, (0, 0, 0))
-                charge = scenarios.resonance_charge(cfg.dims)
-                columns = protocol.sector_columns(charge, cfg.dims, seq)
-                protocol.check_scan_budget(cfg.dims, n, 0, columns)
-        except dynamics.PropagatorSizeError as exc:
-            raise ConfigError(str(exc)) from None
+                weights = scenarios.RESONANCE_CHARGE_WEIGHTS
+                protocol.check_scan_budget(cfg.dims, n, 0, protocol.sector_columns(weights, cfg.dims, seq))
+            # the spectrum stage holds at most four complex (n zero_pad)^2
+            # arrays at once: the spectrum beside fft2's unshifted output,
+            # the notch's copy or the bytes of spectrum.bin, and find_peaks'
+            # magnitudes with their padded copies
+            side = n * cfg.zero_pad
+            dynamics._check_budget(64 * side * side, f"spectrum ({side} x {side} bins)")
+    except dynamics.PropagatorSizeError as exc:
+        raise ConfigError(str(exc)) from None
     if cfg.scenario in _MODE_COUNT and cfg.phase_noise_diffusion > 0:
         # the loss grows with t1 and t3, so the last grid point bounds it
         t_last = (n - 1) * cfg.dt_s

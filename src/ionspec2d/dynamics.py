@@ -6,8 +6,9 @@ Scans use ``evolution_lines``: the forward line P^k(rho) and the backward
 time grid, for every model by one mechanism.  Models hold the dtype they are
 given: Hamiltonians and jump operators that are real in the Fock basis stay
 float64, while states, lines and the Liouvillian are complex.  A model may
-declare a conserved charge Q (``LindbladModel.charge``); its Liouvillian then
-keeps c = Q_ket - Q_bra, and its diagonal blocks are the sectors of c
+declare a conserved charge Q = sum_s w_s n_s by one integer weight w_s per
+register mode (``LindbladModel.charge_weights``); its Liouvillian then keeps
+c = Q_ket - Q_bra, and its diagonal blocks are the sectors of c
 (``liouvillian_blocks``; symmetry reduction of Lindblad generators: Buca &
 Prosen, New J. Phys. 14, 073007 (2012); Albert & Jiang, Phys. Rev. A 89,
 022118 (2014)); a model without one is the single sector c = 0.  Each sector
@@ -35,7 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -61,20 +62,21 @@ class SignalRealityError(RuntimeError):
 @dataclass
 class LindbladModel:
     """Hamiltonian (rad/s) plus collapse operators with rates (1/s), and
-    optionally a declared conserved charge: the integer diagonal of Q.
+    optionally a declared conserved charge Q = sum_s w_s n_s: one integer
+    weight w_s per register mode (``charge_weights``).
 
-    A declared charge is checked once: [Q, H] = 0, every collapse operator
-    shifts Q by one fixed amount, and with a register each mode's quantum
-    changes Q by a fixed weight (``charge_weight``).  Then the Liouvillian
-    keeps c = Q_ket - Q_bra, its blocks are the sectors of c
+    A declared charge is checked once: [Q, H] = 0 and every collapse
+    operator shifts Q by one fixed amount.  Then the Liouvillian keeps
+    c = Q_ket - Q_bra, its blocks are the sectors of c
     (``liouvillian_blocks``) and a scan steps only the sectors its phase
-    cycle keeps.  A model without one gets the zero charge: one block.
+    cycle keeps.  A model without one gets the zero charge, one block (with
+    a register, the zero weights).
     """
 
     hamiltonian: np.ndarray
     collapse_ops: list[tuple[np.ndarray, float]] = field(default_factory=list)
     register: FockRegister | None = None
-    charge: np.ndarray | None = None
+    charge_weights: tuple[int, ...] | None = None
 
     def __post_init__(self):
         h = np.asarray(self.hamiltonian)
@@ -84,32 +86,36 @@ class LindbladModel:
         for _, rate in self.collapse_ops:
             if rate < 0:
                 raise ValueError("collapse rates must be >= 0")
-        if self.charge is None:
-            self.charge = np.zeros(self.dim, dtype=np.int64)
+        w = self.charge_weights
+        if w is None:
+            if self.register is not None:
+                self.charge_weights = (0,) * self.register.n_modes
             return
-        q = np.asarray(self.charge)
-        if q.shape != (self.dim,) or not np.array_equal(q, np.round(q)):
-            raise ValueError("charge must hold one integer per basis state")
-        self.charge = q = q.astype(np.int64)
-        shift = np.subtract.outer(q, q)  # Q_i - Q_k at (i, k)
+        if self.register is None or len(w) != self.register.n_modes or any(
+            isinstance(x, bool) or not isinstance(x, (int, np.integer)) for x in w
+        ):
+            raise ValueError("charge_weights must hold one integer per register mode")
+        self.charge_weights = tuple(map(int, w))
+        shift = np.subtract.outer(self.charge, self.charge)  # Q_i - Q_k at (i, k)
         if np.any(h[shift != 0]):
             raise ValueError("Hamiltonian does not conserve the declared charge")
         for op, _ in self.collapse_ops:
             moved = shift[np.asarray(op) != 0]
             if moved.size and moved.min() != moved.max():
                 raise ValueError("a collapse operator shifts the declared charge by more than one amount")
-        if self.register is not None:
-            for slot in range(self.register.n_modes):
-                self.charge_weight(slot)
 
     @property
     def dim(self) -> int:
         return self.hamiltonian.shape[0]
 
-    def charge_weight(self, slot: int) -> int:
-        """The fixed change w of the charge per quantum of register mode
-        ``slot``; ValueError when it is not one fixed amount."""
-        return _charge_weight(self.charge, self.register.dims, slot)
+    @cached_property
+    def charge(self) -> np.ndarray:
+        """The int64 diagonal of Q = sum_s w_s n_s in the register basis
+        (slot 0 slowest); zero without declared weights."""
+        if self.charge_weights is None:
+            return np.zeros(self.dim, dtype=np.int64)
+        combs = (w * np.arange(d, dtype=np.int64) for w, d in zip(self.charge_weights, self.register.dims))
+        return reduce(np.add.outer, combs).ravel()
 
     @cached_property
     def generator(self) -> tuple[np.ndarray, list[tuple[np.ndarray, float]]]:
@@ -140,15 +146,6 @@ class Propagator:
         b, d, _ = states.shape
         out = self.matrix @ states.reshape(b, d * d).T
         return np.ascontiguousarray(out.T).reshape(b, d, d)
-
-
-def _charge_weight(charge: np.ndarray, dims: tuple[int, ...], slot: int) -> int:
-    """``LindbladModel.charge_weight`` of a charge diagonal on the register
-    ``dims``, before any model is built."""
-    steps = np.diff(np.reshape(charge, dims), axis=slot)
-    if np.any(steps != steps.flat[0]):
-        raise ValueError(f"declared charge has no fixed weight in mode {slot}")
-    return int(steps.flat[0])
 
 
 def _check_budget(need: int, what: str) -> None:
@@ -264,14 +261,6 @@ def liouvillian_blocks(model: LindbladModel) -> dict[int, np.ndarray]:
     order = np.argsort(c, kind="stable")
     charges, starts = np.unique(c[order], return_index=True)
     return dict(zip(charges.tolist(), np.split(order, starts[1:])))
-
-
-def largest_sector(charge: np.ndarray) -> int:
-    """Vec indices in the largest sector of ``liouvillian_blocks``, c = 0:
-    sum_q N_q^2 over the N_q basis states of charge q (by Cauchy-Schwarz no
-    sector c holds more than sum_q N_q N_(q+c) <= sum_q N_q^2)."""
-    counts = np.unique(charge, return_counts=True)[1]
-    return int(np.sum(counts.astype(np.int64) ** 2))
 
 
 def build_propagator(model: LindbladModel, dt: float) -> Propagator:

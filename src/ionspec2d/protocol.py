@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import IMAG_TOL, LindbladModel, SignalRealityError  # noqa: F401  (re-exported)
-from .dynamics import _charge_weight, _check_budget, _in_class, _map_bytes, build_propagator, evolution_lines, largest_sector
+from .dynamics import _check_budget, _in_class, _map_bytes, build_propagator, evolution_lines
 from .fock import displacement, embed
 
 
@@ -196,29 +196,24 @@ def check_scan_budget(dims: tuple[int, ...], n: int, target: int, columns: tuple
     _check_budget(_working_set_bytes(d, n, dims[target], columns), f"scan (dim {d}, {n} grid points)")
 
 
-def _class_size(charge: np.ndarray, cls: tuple[int, int]) -> int:
-    """Vec indices d i + j whose sector c = Q_i - Q_j lies in the class
-    (offset, step) of ``dynamics._in_class``, from the charge's histogram
-    N_q alone: the sum of N_q N_q' over the charges q, q' with q - q' in
-    the class, taken over residues mod step when step is not 0."""
-    offset, step = cls
-    q, count = np.unique(charge, return_counts=True)
-    if step:
-        step = abs(step)
-        residues = np.zeros(step, dtype=np.int64)
-        np.add.at(residues, q % step, count)
-        return int(residues @ residues[(np.arange(step) - offset) % step])
-    hist = dict(zip(q.tolist(), count.tolist()))
-    return sum(k * hist.get(v - offset, 0) for v, k in hist.items())
+def sector_columns(weights: tuple[int, ...], dims: tuple[int, ...], seq: PulseSequence) -> tuple[int, int, int]:
+    """(K_f, K_c, b) of a scan of the register ``dims`` with the charge
+    Q = sum_s w_s n_s of the per-mode ``weights``, from the two alone: the
+    kept forward and covector columns (``_kept_sectors``) and the largest
+    stepped sector, c = 0.
 
-
-def sector_columns(charge: np.ndarray, dims: tuple[int, ...], seq: PulseSequence) -> tuple[int, int, int]:
-    """(K_f, K_c, b) of a scan of the register ``dims`` with the declared
-    ``charge`` (zero without one), from the two alone: the kept forward and
-    covector columns (``_kept_sectors``) and the largest stepped sector,
-    c = 0 (``dynamics.largest_sector``)."""
-    kept = _kept_sectors(_charge_weight(charge, dims, seq.target), seq)
-    return (*(_class_size(charge, cls) for cls in kept), largest_sector(charge))
+    The histogram N_q of Q is the convolution of the per-mode combs, and
+    the sector c = Q_i - Q_j holds sum_q N_q N_(q-c) vec indices, the
+    histogram's autocorrelation; a negative weight reflects its comb, which
+    leaves the autocorrelation as it is.  By Cauchy-Schwarz no sector holds
+    more than c = 0."""
+    hist = np.ones(1, dtype=np.int64)
+    for w, d in zip(weights, dims):
+        hist = np.convolve(hist, np.bincount(abs(w) * np.arange(d)))
+    sizes = np.correlate(hist, hist, "full")  # sector c at c + hist.size - 1
+    c = np.arange(sizes.size) - (hist.size - 1)
+    kept = _kept_sectors(weights[seq.target], seq)
+    return (*(int(sizes[_in_class(c, cls)].sum()) for cls in kept), int(sizes[hist.size - 1]))
 
 
 def _pulse_set(model: LindbladModel, seq: PulseSequence) -> tuple[np.ndarray, ...]:
@@ -254,7 +249,7 @@ def _kept_sectors(w: int, seq: PulseSequence) -> tuple[tuple[int, int], ...]:
     step) for c in offset + step Z.
 
     A pulse changes c by w Dp, with w the target's charge weight
-    (``LindbladModel.charge_weight``; 0 without a declared charge) and Dp
+    (``LindbladModel.charge_weights``; 0 without a declared charge) and Dp
     its change of the target's coherence order; the phase cycle of pulse k
     keeps Dp_k = q_k mod N_k (pathway selection: Bodenhausen, Kogler &
     Ernst, J. Magn. Reson. 58, 370 (1984)), and the target population is
@@ -263,7 +258,7 @@ def _kept_sectors(w: int, seq: PulseSequence) -> tuple[tuple[int, int], ...]:
     sector when the phase counts are coprime.  Both engines step and
     contract these classes alone (``dynamics.evolution_lines``): ``scan``
     on the register's charge, and ``scenarios.kerr_scan_fast`` on the
-    zigzag coherence orders (charge n, w = 1).
+    zigzag coherence orders (weight 1, charge n).
     """
     (q2, q3, q4), (n2, n3, n4) = seq.signature, seq.n_phases
     return (-w * (q2 + q3 + q4), w * math.gcd(n2, n3, n4)), (-w * q4, w * n4)
@@ -289,8 +284,9 @@ def scan(
     (``_pulse_set``): only a finite sum is reordered, so the phase-cycle
     aliasing is the experiment's.
 
-    Only the charge sectors c = Q_ket - Q_bra of the model's declared charge
-    that the phase cycle keeps reach the signal (``_kept_sectors``):
+    Only the sectors c = Q_ket - Q_bra of the charge the model declares by
+    its per-mode weights that the phase cycle keeps reach the signal
+    (``_kept_sectors``, on the target's weight):
     ``dynamics.evolution_lines`` steps and holds the forward line and the
     covector lines of H_R and H_I on those alone, one column per kept vec
     index, and the pre-cycled pulse pair, which acts on the target-mode ket
@@ -299,17 +295,17 @@ def scan(
     table, one spectator charge difference at a time (no embedded d x d
     pulse is formed).  A model without a declared charge is one sector,
     stepped and contracted in full.  The working set (the kept columns and
-    the largest sector's step map, ``sector_columns``) is checked against
-    the memory budget (``check_scan_budget``) before any operator is
-    built.
+    the largest sector's step map, counted from the weights and dims by
+    ``sector_columns``) is checked against the memory budget
+    (``check_scan_budget``) before any operator is built.
     """
     if model.register is None:
         raise ValueError("model needs a register to embed pulses")
     dims, n, d = model.register.dims, grid_points(t_max, dt), model.dim
     d_t = dims[seq.target]
-    check_scan_budget(dims, n, seq.target, sector_columns(model.charge, dims, seq))
+    check_scan_budget(dims, n, seq.target, sector_columns(model.charge_weights, dims, seq))
     d1, cycled, observables = _pulse_set(model, seq)
-    w = model.charge_weight(seq.target)
+    w = model.charge_weights[seq.target]
     kept_forward, kept_covector = kept = _kept_sectors(w, seq)
     line, covectors, *kept_index = evolution_lines(model, d1 @ rho0 @ d1.conj().T, observables, n, dt, kept)
     covector = covectors[:, 1] * 1j  # vec(A(k3)^T) = vec(H_R^T) + i vec(H_I^T), (k3, K_c)

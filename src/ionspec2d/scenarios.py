@@ -13,13 +13,14 @@ dephasing by spectator populations exactly, and ``kerr_scan_full`` on the
 product register is its oracle.  The resonance scenario probes coherent
 zigzag-stretch energy exchange at anisotropy 20/63 under heating: a Lindblad
 model on the two-mode register that declares the conserved charge
-Q = n_zz + 2 n_str (the heating jumps shift ket and bra alike).
+Q = n_zz + 2 n_str by its mode weights (1, 2) (the heating jumps shift ket
+and bra alike).
 
 Both scenarios take their lines from one engine,
 ``dynamics.evolution_lines``: it steps one small dense map per sector of the
 charge c = Q_ket - Q_bra along the time grid, only on the sectors the
 (1, -1, -1) cycle keeps, c in 1 + 4Z for N_phi = 4 (the zigzag's coherence
-order a - b for kerr, with charge n), plus c = 0 and c = -1 for the trace
+order a - b for kerr, with weight 1), plus c = 0 and c = -1 for the trace
 and reality checks: 6 of the 17 sectors at the kerr zigzag dim 9, and 11 of
 the 37 sectors at resonance dims (9, 6), 720 of the 2916 vec indices kept.
 """
@@ -142,8 +143,8 @@ def check_kerr_budget(dims: tuple[int, ...], n: int, seq: PulseSequence) -> None
     """PropagatorSizeError when ``kerr_scan_fast`` on the zigzag dim dims[0]
     over n grid points would exceed the memory budget; ``cli.build_config``
     calls it too.  The bound counts the bytes held at once: the kept
-    columns of the zigzag's charge n (as ``protocol.sector_columns`` counts
-    them) in the forward line, the two covector lines and the combined
+    columns of the zigzag's charge n (``protocol.sector_columns`` of the
+    weight 1) in the forward line, the two covector lines and the combined
     covector, with the check-only lines and the states by order D1; the
     largest sector's step map (``dynamics._map_bytes``); one order's chi
     table with its index, partial sums and product; the grid twice; the chi
@@ -154,13 +155,8 @@ def check_kerr_budget(dims: tuple[int, ...], n: int, seq: PulseSequence) -> None
     n_orders = 2 * d - 1
     need = 8 * n * n * (3 * n_orders + 2 * d + 6) + 16 * (4 * d**4 + 24 * n * d)
     if need <= dynamics.DEFAULT_MEMORY_BUDGET:  # d is small enough to count its columns
-        orders = np.arange(1 - d, d)  # order a - b, sector c of d - |c| vec indices
-        k_f, k_c = (
-            int(np.sum(d - np.abs(orders[dynamics._in_class(orders, cls)])))
-            for cls in protocol._kept_sectors(1, seq)
-        )
-        # the largest sector is c = 0, d vec indices
-        need += 16 * n * (2 * k_f + 4 * k_c + 3 * d + n_orders * k_c) + dynamics._map_bytes(d)
+        k_f, k_c, b = protocol.sector_columns((1,), (d,), seq)
+        need += 16 * n * (2 * k_f + 4 * k_c + 3 * b + n_orders * k_c) + dynamics._map_bytes(b)
     dynamics._check_budget(need, f"kerr sector scan (dim {d}, {n} grid points)")
 
 
@@ -188,9 +184,9 @@ def kerr_scan_fast(
     not depend on the spectator truncations.
 
     The pulses and the observable are phase-cycled before contracting
-    (``protocol._pulse_set``).  The zigzag model declares its charge n, so
-    its coherence order a - b is the charge sector c of
-    ``protocol._kept_sectors`` (weight 1), and only the orders the phase
+    (``protocol._pulse_set``).  The zigzag model declares the weight 1, so
+    its charge is n and its coherence order a - b is the charge sector c of
+    ``protocol._kept_sectors``, and only the orders the phase
     cycle keeps reach the signal: D1 in the forward class and D3 in the
     covector class.  ``dynamics.evolution_lines`` steps the forward line and
     the two covector lines of the pre-cycled observable's Hermitian parts on
@@ -211,11 +207,11 @@ def kerr_scan_fast(
 
     reg = fock.FockRegister(dims=(d,), labels=("zz",))
     zz = dynamics.LindbladModel(
-        hamiltonian=model.zz_hamiltonian(), register=reg, charge=np.arange(d)
+        hamiltonian=model.zz_hamiltonian(), register=reg, charge_weights=(1,)
     )
     rho0, _ = fock.thermal_state(model.nbar[0], d)
     d1, cycled, observables = protocol._pulse_set(zz, seq)
-    kept = protocol._kept_sectors(zz.charge_weight(0), seq)
+    kept = protocol._kept_sectors(zz.charge_weights[0], seq)
     line, covectors, index_f, index_c = dynamics.evolution_lines(
         zz, d1 @ rho0 @ d1.conj().T, observables, n, dt, kept
     )
@@ -269,9 +265,9 @@ def kerr_scan_full(
     """Reference path: the full product-register evolution (no averaging).
 
     The product-register H is diagonal, so every basis state is conserved:
-    the register declares its mixed-radix basis index as the charge, which
-    has a fixed weight per mode, and its largest sector holds D vec indices
-    for a register of dimension D.  Memory grows with (number of grid
+    the register declares its mixed-radix basis index as the charge, by the
+    weights (d1 d2, d2, 1), and its largest sector holds D vec indices for
+    a register of dimension D.  Memory grows with (number of grid
     points) x D^2, so this is the test oracle of ``kerr_scan_fast`` at
     reduced truncations.
     """
@@ -280,8 +276,9 @@ def kerr_scan_full(
         fock.thermal_state(model.nbar[s], model.dims[s])[0] for s in range(3)
     ]
     rho0 = fock.product_state(states)
+    d1, d2 = model.dims[1:]
     full = dynamics.LindbladModel(
-        hamiltonian=model.full_hamiltonian(), register=reg, charge=np.arange(reg.dim)
+        hamiltonian=model.full_hamiltonian(), register=reg, charge_weights=(d1 * d2, d2, 1)
     )
     return protocol.scan(full, rho0, seq, t_max, dt)
 
@@ -290,11 +287,9 @@ def kerr_scan_full(
 # resonance scenario
 
 
-def resonance_charge(dims: tuple[int, int]) -> np.ndarray:
-    """The conserved charge Q = n_zz + 2 n_str of the resonance register,
-    one integer per basis state: the exchange trades two zigzag quanta for
-    one stretch quantum."""
-    return np.add.outer(np.arange(dims[0]), 2 * np.arange(dims[1])).ravel()
+# Q = n_zz + 2 n_str, conserved by the resonance register: the exchange
+# trades two zigzag quanta for one stretch quantum
+RESONANCE_CHARGE_WEIGHTS = (1, 2)
 
 
 def resonance_model(
@@ -303,8 +298,8 @@ def resonance_model(
     heating_quanta_per_s: tuple[float, float] = (200.0, 100.0),
 ) -> dynamics.LindbladModel:
     """Resonant exchange Hamiltonian Omega_T (a_zz^2 c_str+ + h.c.) + heating,
-    with its conserved charge declared (``resonance_charge``): each heating
-    jump moves Q by the mode's weight."""
+    with its conserved charge declared (``RESONANCE_CHARGE_WEIGHTS``): each
+    heating jump moves Q by the mode's weight."""
     reg = fock.FockRegister(dims=dims, labels=("zz", "str"))
     a = fock.embed(fock.destroy(dims[0]), 0, reg)
     c = fock.embed(fock.destroy(dims[1]), 1, reg)
@@ -313,7 +308,7 @@ def resonance_model(
     for slot, rate in enumerate(heating_quanta_per_s):
         collapse.extend(dynamics.heating_dissipator(slot, rate, reg))
     return dynamics.LindbladModel(
-        hamiltonian=h, collapse_ops=collapse, register=reg, charge=resonance_charge(dims)
+        hamiltonian=h, collapse_ops=collapse, register=reg, charge_weights=RESONANCE_CHARGE_WEIGHTS
     )
 
 

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from dataclasses import fields
 from pathlib import Path
@@ -17,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ionspec2d
-from ionspec2d import fock, matio, scenarios, spectrum
+from ionspec2d import dynamics, fock, matio, scenarios, spectrum
 from ionspec2d.cli import SCENARIOS, ConfigError, RunConfig, build_config, main, run_scenario
 
 # any value json.loads can return (NaN, infinities and big ints included), with
@@ -195,6 +196,10 @@ class TestConfigValidation:
             # a heated scan's largest charge sector, c = 0 of Q = n_zz + 2 n_str,
             # has 6,760 vec indices: its step map (6.8 GiB) dwarfs the lines
             ({"scenario": "resonance", "dims": [30, 20], "grid_scale": 0.011}, "budget"),
+            # the spectrum stage on a 16,000^2 zero-padded grid (~15 GiB)
+            ({"scenario": "kerr", "zero_pad": 200}, "budget"),
+            # the Monte Carlo paths of a trillion-path noise table (~44 TiB)
+            ({"scenario": "noise-table", "mc_paths": 10**12}, "budget"),
         ],
     )
     def test_rejected_before_any_work(self, raw, match, tmp_path, capsys):
@@ -213,6 +218,43 @@ class TestConfigValidation:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert build_config({"scenario": scenario, "n_phases": [2, 2, 2]}).n_phases == (2, 2, 2)
+
+    @pytest.mark.parametrize(
+        "raw, stage",
+        [
+            ({"scenario": "kerr", "grid_scale": 0.125, "zero_pad": 60}, "spectrum"),
+            (
+                {"scenario": "kerr", "grid_scale": 0.125, "zero_pad": 60, "window": "cosine", "baseline_notch": True},
+                "spectrum",
+            ),
+            ({"scenario": "resonance", "grid_scale": 0.06, "zero_pad": 50, "baseline_notch": True}, "spectrum"),
+            ({"scenario": "noise-table", "mc_paths": 200_000}, "Monte Carlo"),
+        ],
+    )
+    def test_stage_bound_covers_the_traced_run(self, raw, stage, tmp_path, monkeypatch):
+        # runs on a 10- or 12-point grid padded to 600^2 bins (or with
+        # 200,000 Monte Carlo paths), so that the stage dominates the run:
+        # the bytes build_config charges for it cover the whole run's traced
+        # peak, and the stage is over half of them
+        charged = []
+        exact = dynamics._check_budget
+
+        def record(need, what):
+            if what.startswith(stage):
+                charged.append(need)
+            exact(need, what)
+
+        monkeypatch.setattr(dynamics, "_check_budget", record)
+        cfg = build_config(dict(raw, out_dir=str(tmp_path)))
+        [need] = charged
+        run_scenario(cfg)  # lazy imports
+        tracemalloc.start()
+        try:
+            run_scenario(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert need / 2 < peak <= need
 
     def test_heated_resonance_charged_for_its_kept_columns(self):
         # 378 grid points on a 400-level register: five full (n, d^2) lines

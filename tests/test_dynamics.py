@@ -225,14 +225,14 @@ class TestModelValidation:
         a = fock.embed(destroy(4), 0, reg)
         c = fock.embed(destroy(3), 1, reg)
         h = 2 * np.pi * 5e3 * (a @ a @ c.conj().T + a.conj().T @ a.conj().T @ c)
-        charge = np.add.outer(np.arange(4), 2 * np.arange(3)).ravel()
-        args = dict(hamiltonian=h, collapse_ops=heating_dissipator(1, 0.2e3, reg), register=reg, charge=charge)
+        args = dict(hamiltonian=h, collapse_ops=heating_dissipator(1, 0.2e3, reg), register=reg, charge_weights=(1, 2))
         return LindbladModel(**(args | kw)), a, c
 
     def test_declared_charge_accepted(self):
-        model, _, _ = self._exchange()
-        assert (model.charge_weight(0), model.charge_weight(1)) == (1, 2)
+        model, _, _ = self._exchange(charge_weights=[np.int64(1), 2])
+        assert model.charge_weights == (1, 2)
         assert model.charge.dtype == np.int64
+        assert np.array_equal(model.charge, np.add.outer(np.arange(4), 2 * np.arange(3)).ravel())
 
     def test_charge_breaking_hamiltonian_rejected(self):
         model, a, _ = self._exchange()
@@ -246,20 +246,18 @@ class TestModelValidation:
         with pytest.raises(ValueError, match="collapse"):
             self._exchange(collapse_ops=[(a + c, 1e2)])
 
-    def test_charge_without_a_fixed_mode_weight_rejected(self):
-        # Q = n_zz^2 commutes with the diagonal H and the dephasing jump, but
-        # a zigzag quantum changes it by 1, 3, 5, ...: no pulse rule exists
-        reg = FockRegister(dims=(4, 3), labels=("zz", "str"))
-        n_zz = np.repeat(np.arange(4), 3)
-        with pytest.raises(ValueError, match="weight"):
-            LindbladModel(
-                hamiltonian=np.diag(n_zz).astype(complex), register=reg, charge=n_zz**2
-            )
-
-    @pytest.mark.parametrize("charge", [np.arange(11), np.arange(12) + 0.5])
+    @pytest.mark.parametrize(
+        "charge",
+        [
+            dict(charge_weights=(1,)),  # one weight for two modes
+            dict(charge_weights=(1, 2.0)),
+            dict(charge_weights=(True, 2)),
+            dict(register=None),
+        ],
+    )
     def test_malformed_charge_rejected(self, charge):
         with pytest.raises(ValueError, match="integer"):
-            self._exchange(charge=charge)
+            self._exchange(**charge)
 
     def test_liouvillian_against_direct_equation(self):
         # one explicit Lindblad step: L(rho) from the superoperator matches

@@ -1,5 +1,6 @@
 import dataclasses
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -200,11 +201,6 @@ def _damped_kerr_mode(dim=7):
     return damped, rho0
 
 
-def _exchange_charge(dims):
-    """Diagonal of Q = n_zz + 2 n_str on the register (zz, str)."""
-    return np.add.outer(np.arange(dims[0]), 2 * np.arange(dims[1])).ravel()
-
-
 def _heated_exchange(dims=(4, 3)):
     """Two-mode Lindblad model with its conserved charge Q = n_zz + 2 n_str
     declared: the sector path.  The complex coupling and the extra cooling
@@ -220,7 +216,7 @@ def _heated_exchange(dims=(4, 3)):
         + heating_dissipator(1, 0.2e3, reg)
         + [(a, 0.3e3)],
         register=reg,
-        charge=_exchange_charge(dims),
+        charge_weights=(1, 2),
     )
     rho0 = fock.product_state([thermal_state(0.5, dims[0])[0], thermal_state(0.2, dims[1])[0]])
     return model, rho0
@@ -255,7 +251,7 @@ def _three_mode_middle_target():
         hamiltonian=h,
         collapse_ops=heating_dissipator(1, 0.3e3, reg) + [(c, 0.5e3)],
         register=reg,
-        charge=np.add.outer(np.add.outer(np.arange(2), np.arange(3)), 2 * np.arange(3)).ravel(),
+        charge_weights=(1, 1, 2),
     )
     rho0 = fock.product_state(
         [thermal_state(nbar, dim)[0] for nbar, dim in zip((0.3, 0.5, 0.2), reg.dims)]
@@ -341,7 +337,7 @@ class TestScanEngine:
         model = scenarios.resonance_model(omega_t, dims=dims)
         blocks = dynamics.liouvillian_blocks(model)
         assert (len(blocks), max(map(len, blocks.values()))) == (count, largest)
-        assert dynamics.largest_sector(model.charge) == largest
+        assert protocol.sector_columns(model.charge_weights, dims, PulseSequence())[2] == largest
         assert np.array_equal(np.sort(np.concatenate(list(blocks.values()))), np.arange(model.dim**2))
         # each block is the sector of one value of c = Q_ket - Q_bra
         ket, bra = np.divmod(np.arange(model.dim**2), model.dim)
@@ -351,10 +347,11 @@ class TestScanEngine:
 
     @pytest.mark.parametrize("dims, c0", [((2, 2), 4), ((4, 3), 20), ((3, 7), 33), ((30, 20), 6760)])
     def test_largest_sector_is_c0_from_the_dims(self, dims, c0):
-        # the memory guard's sector size, from the declared charge alone
-        charge = scenarios.resonance_charge(dims)
+        # the memory guard's sector size, from the charge weights alone
+        charge = np.add.outer(np.arange(dims[0]), 2 * np.arange(dims[1])).ravel()
         c = np.subtract.outer(charge, charge)
-        assert dynamics.largest_sector(charge) == np.unique(c, return_counts=True)[1].max() == np.sum(c == 0) == c0
+        largest = protocol.sector_columns(scenarios.RESONANCE_CHARGE_WEIGHTS, dims, PulseSequence())[2]
+        assert largest == np.unique(c, return_counts=True)[1].max() == np.sum(c == 0) == c0
 
     @pytest.mark.parametrize("dims", [(7, 5), (9, 6)])
     def test_kept_sectors_match_every_sector_stepped(self, resonance_data, dims):
@@ -388,7 +385,7 @@ class TestScanEngine:
     def test_charge_breaking_drive_is_one_block(self):
         model, _ = _driven_heated_exchange()
         assert len(dynamics.liouvillian_blocks(model)) == 1
-        assert dynamics.largest_sector(model.charge) == model.dim**2
+        assert protocol.sector_columns(model.charge_weights, model.register.dims, PulseSequence())[2] == model.dim**2
 
     def test_block_map_guard_trips_before_expm(self, monkeypatch):
         def no_expm(a):
@@ -430,7 +427,7 @@ class TestScanEngine:
         # only its reality check against c can see the fault
         model, rho0 = _heated_exchange()
         seq = PulseSequence()
-        kept = protocol._kept_sectors(model.charge_weight(seq.target), seq)
+        kept = protocol._kept_sectors(model.charge_weights[seq.target], seq)
         blocks = dynamics.liouvillian_blocks(model)
         c = max((c for c in blocks if dynamics._in_class(c, kept[0])), key=lambda c: blocks[c].size)
         assert not any(dynamics._in_class(-c, cls) for cls in kept)
@@ -459,7 +456,7 @@ class TestScanEngine:
         model, rho0 = build()
         d1, _, observables = protocol._pulse_set(model, seq)
         args = (model, d1 @ rho0 @ d1.conj().T, observables, 9, 2e-5)
-        kept = protocol._kept_sectors(model.charge_weight(seq.target), seq)
+        kept = protocol._kept_sectors(model.charge_weights[seq.target], seq)
         *compact, index_f, index_c = dynamics.evolution_lines(*args, kept)
         *full, every_f, every_c = dynamics.evolution_lines(*args)
         charge = np.subtract.outer(model.charge, model.charge).ravel()
@@ -514,15 +511,59 @@ class TestScanEngine:
         tracemalloc.start()
         try:
             _, _, index_f, index_c = dynamics.evolution_lines(
-                model, state, observables, n, cfg.dt_s, protocol._kept_sectors(model.charge_weight(seq.target), seq)
+                model, state, observables, n, cfg.dt_s, protocol._kept_sectors(model.charge_weights[seq.target], seq)
             )
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        d2, m, b = model.dim**2, len(observables), dynamics.largest_sector(model.charge)
+        d2, m, b = model.dim**2, len(observables), protocol.sector_columns(model.charge_weights, dims, seq)[2]
         lines = 16 * n * (index_f.size + m * index_c.size)
         assert peak <= lines + dynamics._map_bytes(b) + 16 * n * m * b
         assert peak < 16 * n * d2 * (1 + m)
+
+
+class TestChargeSectors:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        modes=st.lists(st.tuples(st.integers(2, 5), st.integers(-3, 3)), min_size=1, max_size=3),
+        n_phases=st.tuples(st.integers(1, 6), st.integers(1, 6), st.integers(1, 6)),
+        signature=st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.integers(-3, 3)),
+        data=st.data(),
+    )
+    def test_sector_columns_match_a_brute_force_count(self, modes, n_phases, signature, data):
+        # every c = Q_i - Q_j of the product basis counted, zero and
+        # negative weights included, against the counter of the weights
+        dims, weights = (tuple(x) for x in zip(*modes))
+        target = data.draw(st.integers(0, len(dims) - 1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # a small N_phi warns of aliasing
+            seq = PulseSequence(n_phases=n_phases, signature=signature, target=target)
+        charge = np.tensordot(weights, np.indices(dims).reshape(len(dims), -1), 1)
+        reg = FockRegister(dims=dims, labels=tuple("abc"[: len(dims)]))
+        model = LindbladModel(hamiltonian=np.zeros((charge.size,) * 2), register=reg, charge_weights=weights)
+        assert np.array_equal(model.charge, charge)
+        c = np.subtract.outer(charge, charge).ravel()
+        counts = [int(np.sum(dynamics._in_class(c, cls))) for cls in protocol._kept_sectors(weights[target], seq)]
+        assert protocol.sector_columns(weights, dims, seq) == (*counts, int(np.sum(c == 0)))
+
+    def test_charge_diagonals_are_pinned(self, monkeypatch):
+        # the sectors each scenario steps: the zigzag's n, the product
+        # register's basis index and the resonance register's n_zz + 2 n_str
+        models = []
+        exact = dynamics.evolution_lines
+        monkeypatch.setattr(dynamics, "evolution_lines", lambda model, *args: models.append(model) or exact(model, *args))
+        monkeypatch.setattr(protocol, "scan", lambda model, *args: models.append(model))
+        kerr = scenarios.KerrModel(
+            omega_si=TWO_PI * 2.6e3, delta_zz=TWO_PI * 0.9e3, rate_y=TWO_PI * 1.2e3,
+            rate_eg=-TWO_PI * 0.8e3, dims=(5, 3, 3), nbar=(0.8, 1.5, 2.5),
+        )
+        scenarios.kerr_scan_fast(kerr, PulseSequence(), 4 * 25.3e-6, 25.3e-6)
+        scenarios.kerr_scan_full(kerr, PulseSequence(), 4 * 25.3e-6, 25.3e-6)
+        zigzag, full = models
+        assert np.array_equal(zigzag.charge, np.arange(5))
+        assert np.array_equal(full.charge, np.arange(45))
+        resonance = scenarios.resonance_model(TWO_PI * 5e3, dims=(9, 6))
+        assert np.array_equal(resonance.charge, np.add.outer(np.arange(9), 2 * np.arange(6)).ravel())
 
 
 class TestClosedFormOracle:
@@ -613,17 +654,17 @@ class TestMemoryGuards:
         heating = heating_dissipator(0, 0.4e3, reg) + heating_dissipator(1, 0.2e3, reg)
         model = LindbladModel(
             hamiltonian=h, collapse_ops=heating if heated else [], register=reg,
-            charge=_exchange_charge(dims),
+            charge_weights=(1, 2),
         )
         rho0 = fock.product_state([thermal_state(0.5, dim)[0] for dim in dims])
         dt = 2e-5
         peak = _traced_peak(lambda: scan(model, rho0, PulseSequence(), (n - 1) * dt, dt))
-        columns = protocol.sector_columns(model.charge, dims, PulseSequence())
+        columns = protocol.sector_columns(model.charge_weights, dims, PulseSequence())
         assert protocol._working_set_bytes(model.dim, n, dims[0], columns) >= peak
 
     @pytest.mark.parametrize("dims", [(7, 5), (9, 6)])
     def test_sector_guard_bounds_the_heated_resonance_peak(self, resonance_data, dims):
-        # the sector path's count, from the dims and the declared charge alone,
+        # the sector path's count, from the dims and the charge weights alone,
         # against the reference grid's traced peak
         cfg = cli.build_config({"scenario": "resonance", "dims": list(dims)})
         omega_t = scenarios.resonance_parameters(resonance_data).omega_t
@@ -632,9 +673,9 @@ class TestMemoryGuards:
         rho0 = scenarios.resonance_initial_state(dims, tuple(cfg.nbar))
         seq, n = cfg.sequence(), grid_points(cfg.t_max_s, cfg.dt_s)
         peak = _traced_peak(lambda: scan(model, rho0, seq, cfg.t_max_s, cfg.dt_s))
-        columns = protocol.sector_columns(scenarios.resonance_charge(dims), dims, seq)
+        columns = protocol.sector_columns(scenarios.RESONANCE_CHARGE_WEIGHTS, dims, seq)
         charge = np.subtract.outer(model.charge, model.charge).ravel()
-        kept = protocol._kept_sectors(model.charge_weight(0), seq)
+        kept = protocol._kept_sectors(model.charge_weights[0], seq)
         assert columns[:2] == tuple(int(np.sum(dynamics._in_class(charge, cls))) for cls in kept)
         assert peak <= protocol._working_set_bytes(model.dim, n, dims[0], columns)
 
