@@ -28,7 +28,7 @@ from functools import reduce
 
 import numpy as np
 
-from .crystal import HBAR, EquilibriumChain, NormalModes, TrapConfig, length_scale
+from .crystal import HBAR, NormalModes, TrapConfig, length_scale
 
 RESONANT_ANISOTROPY = 20.0 / 63.0  # 2*omega_zz = omega_stretch for N=3
 
@@ -97,7 +97,7 @@ def mode_label(direction: str, index0: int) -> str:
     return f"{direction}{index0 + 1}"
 
 
-def _pair_sum_tensor(chain: EquilibriumChain, k: int) -> np.ndarray:
+def _pair_sum_tensor(u: np.ndarray, k: int) -> np.ndarray:
     """C_k = sum_{p<q} w_pq (e_p - e_q)^(x k) over ion pairs.
 
     w_pq is (-1)^k / k! times the k-th derivative of the pair's Coulomb term
@@ -105,7 +105,7 @@ def _pair_sum_tensor(chain: EquilibriumChain, k: int) -> np.ndarray:
     One matmul over the pairs: the weighted pair vectors w e against the
     rows of the (k-1)-fold outer power of e, whose entries are exact.
     """
-    u = np.asarray(chain.u, dtype=float)
+    u = np.asarray(u, dtype=float)
     n = len(u)
     p, q = np.triu_indices(n, 1)
     d = u[p] - u[q]
@@ -117,18 +117,18 @@ def _pair_sum_tensor(chain: EquilibriumChain, k: int) -> np.ndarray:
     return ((w[:, None] * e).T @ power).reshape((n,) * k)
 
 
-def c3_tensor(chain: EquilibriumChain) -> np.ndarray:
+def c3_tensor(u: np.ndarray) -> np.ndarray:
     """Cubic Coulomb tensor over ion indices, fully symmetric.
 
     Entries vanish whenever all three indices differ; the remaining cases are
     signed inverse fourth powers of the ion separations.
     """
-    return _pair_sum_tensor(chain, 3)
+    return _pair_sum_tensor(u, 3)
 
 
-def c4_tensor(chain: EquilibriumChain) -> np.ndarray:
+def c4_tensor(u: np.ndarray) -> np.ndarray:
     """Quartic Coulomb tensor, fully symmetric in its four ion indices."""
-    return _pair_sum_tensor(chain, 4)
+    return _pair_sum_tensor(u, 4)
 
 
 def mode_tensors(c3: np.ndarray, c4: np.ndarray, m: np.ndarray) -> ModeTensors:
@@ -151,18 +151,11 @@ def mode_tensors(c3: np.ndarray, c4: np.ndarray, m: np.ndarray) -> ModeTensors:
     return ModeTensors(d3=to_modes(c3), d4=to_modes(c4))
 
 
-def tensors_for_chain(chain: EquilibriumChain, modes: NormalModes) -> ModeTensors:
-    return mode_tensors(c3_tensor(chain), c4_tensor(chain), modes.M)
-
-
-def ground_state_spread(trap: TrapConfig) -> float:
-    """Axial COM zero-point spread z0 = sqrt(hbar / (2 m omega_z))."""
-    return float(np.sqrt(HBAR / (2.0 * trap.mass * trap.omega_z)))
-
-
 def anharmonic_prefactor(trap: TrapConfig) -> float:
-    """The small expansion parameter z0 / (4 l_z), typically ~1e-3."""
-    return ground_state_spread(trap) / (4.0 * length_scale(trap.mass, trap.omega_z))
+    """The small expansion parameter z0 / (4 l_z), typically ~1e-3, with the
+    axial COM zero-point spread z0 = sqrt(hbar / (2 m omega_z))."""
+    z0 = float(np.sqrt(HBAR / (2.0 * trap.mass * trap.omega_z)))
+    return z0 / (4.0 * length_scale(trap.mass, trap.omega_z))
 
 
 def effective_kerr(
@@ -322,15 +315,6 @@ def combine_orders(third: KerrParams, fourth: KerrParams) -> EffectiveParams:
         dephasing=third.dephasing + fourth.dephasing,
     )
     return EffectiveParams(third=third, fourth=fourth, effective=effective)
-
-
-def derive_effective_params(
-    trap: TrapConfig, modes: NormalModes, tensors: ModeTensors
-) -> EffectiveParams:
-    return combine_orders(
-        perturbative_third_order(trap, modes, tensors),
-        effective_kerr(trap, modes, tensors),
-    )
 
 
 def resonant_coupling(

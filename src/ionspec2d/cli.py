@@ -126,12 +126,7 @@ class RunConfig:
 
 # per-scenario defaults layered over the dataclass defaults
 _SCENARIO_DEFAULTS = {
-    "kerr": {
-        "dims": (9, 15, 15),
-        "nbar": (1.0, 4.0, 4.0),
-        "dt_s": 25.3e-6,
-        "heating_quanta_per_ms": (0.0, 0.0, 0.0),
-    },
+    "kerr": {"heating_quanta_per_ms": (0.0, 0.0, 0.0)},
     "resonance": {
         "omega_x_hz": 2.0e6 * float(np.sqrt(63.0 / 20.0)),
         "dims": (9, 6),
@@ -266,10 +261,10 @@ def build_config(raw: dict) -> RunConfig:
                 scenarios.check_kerr_budget(cfg.dims, n, seq)
             else:
                 # the operators alone first, a lower bound: this bounds the
-                # dims before sector_columns builds the charge histogram and
-                # its autocorrelation, which grow with them, so that a
-                # config's huge dims cannot make this check itself run out of
-                # memory; then the kept sectors' columns and the largest map
+                # dims before sector_columns builds the charge of every basis
+                # state and the pairs of its values, which grow with them, so
+                # that a config's huge dims cannot make this check itself run
+                # out of memory; then the kept sectors' columns and the largest map
                 protocol.check_scan_budget(cfg.dims, n, 0, (0, 0, 0))
                 weights = scenarios.RESONANCE_CHARGE_WEIGHTS
                 protocol.check_scan_budget(cfg.dims, n, 0, protocol.sector_columns(weights, cfg.dims, seq))

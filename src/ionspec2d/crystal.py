@@ -73,17 +73,6 @@ class TrapConfig:
 
 
 @dataclass(frozen=True)
-class EquilibriumChain:
-    """Dimensionless equilibrium positions u (ascending), in units of l_z."""
-
-    u: np.ndarray
-
-    @property
-    def n_ions(self) -> int:
-        return len(self.u)
-
-
-@dataclass(frozen=True)
 class NormalModes:
     """Shared eigensystem of the three Hessians.
 
@@ -170,11 +159,6 @@ def length_scale(mass: float, omega_z: float) -> float:
     return float((coulomb / (mass * omega_z**2)) ** (1.0 / 3.0))
 
 
-def solve_chain(trap: TrapConfig) -> EquilibriumChain:
-    """Convenience wrapper: the equilibrium positions of the trap's ions."""
-    return EquilibriumChain(u=solve_equilibrium(trap.n_ions))
-
-
 def _axial_hessian(u: np.ndarray) -> np.ndarray:
     d = np.abs(u[:, None] - u[None, :])
     np.fill_diagonal(d, np.inf)
@@ -185,9 +169,9 @@ def _axial_hessian(u: np.ndarray) -> np.ndarray:
 
 
 def hessians(
-    chain: EquilibriumChain, alpha_x: float, alpha_y: float
+    u: np.ndarray, alpha_x: float, alpha_y: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Dimensionless Hessians (V_z, V_x, V_y) at the chain equilibrium.
+    """Dimensionless Hessians (V_z, V_x, V_y) at the equilibrium positions u.
 
     The radial Hessians follow from the axial one through the exact identity
     V_(x/y) = (1/alpha + 1/2) I - V_z / 2, which ties all three matrices to a
@@ -195,9 +179,8 @@ def hessians(
     """
     if alpha_x <= 0 or alpha_y <= 0:
         raise ValueError("anisotropies must be positive")
-    v_z = _axial_hessian(np.asarray(chain.u, dtype=float))
-    n = len(chain.u)
-    eye = np.eye(n)
+    v_z = _axial_hessian(np.asarray(u, dtype=float))
+    eye = np.eye(len(u))
     v_x = (1.0 / alpha_x + 0.5) * eye - 0.5 * v_z
     v_y = (1.0 / alpha_y + 0.5) * eye - 0.5 * v_z
     return v_z, v_x, v_y
@@ -245,10 +228,10 @@ def normal_modes(
     )
 
 
-def modes_for_trap(trap: TrapConfig) -> tuple[EquilibriumChain, NormalModes]:
-    chain = solve_chain(trap)
-    v_z, v_x, v_y = hessians(chain, trap.alpha_x, trap.alpha_y)
-    return chain, normal_modes(v_z, v_x, v_y)
+def modes_for_trap(trap: TrapConfig) -> tuple[np.ndarray, NormalModes]:
+    """The equilibrium positions u of the trap's ions and their modes."""
+    u = solve_equilibrium(trap.n_ions)
+    return u, normal_modes(*hessians(u, trap.alpha_x, trap.alpha_y))
 
 
 def critical_anisotropy(n_ions: int) -> float:

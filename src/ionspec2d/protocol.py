@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -202,18 +203,23 @@ def sector_columns(weights: tuple[int, ...], dims: tuple[int, ...], seq: PulseSe
     kept forward and covector columns (``_kept_sectors``) and the largest
     stepped sector, c = 0.
 
-    The histogram N_q of Q is the convolution of the per-mode combs, and
-    the sector c = Q_i - Q_j holds sum_q N_q N_(q-c) vec indices, the
-    histogram's autocorrelation; a negative weight reflects its comb, which
-    leaves the autocorrelation as it is.  By Cauchy-Schwarz no sector holds
-    more than c = 0."""
-    hist = np.ones(1, dtype=np.int64)
+    The sector c = Q_i - Q_j holds sum_q N_q N_(q-c) vec indices, with N_q
+    the number of basis states of charge q.  Only the charges that occur
+    are counted, at most one per basis state, and each pair of them adds
+    N_q N_q' to the sector q - q', so neither the time nor the memory grows
+    with the size of the weights.  By Cauchy-Schwarz no sector holds more
+    than c = 0."""
+    q = np.zeros(1, dtype=np.int64)
     for w, d in zip(weights, dims):
-        hist = np.convolve(hist, np.bincount(abs(w) * np.arange(d)))
-    sizes = np.correlate(hist, hist, "full")  # sector c at c + hist.size - 1
-    c = np.arange(sizes.size) - (hist.size - 1)
+        q = np.add.outer(q, w * np.arange(d, dtype=np.int64)).ravel()
+    # counted without a sort: np.unique would load numpy's sort kernels,
+    # about 0.25 MB of resident memory, into every kerr run
+    hist = Counter(q.tolist())
+    charges, counts = np.array(list(hist)), np.array(list(hist.values()))
+    c = np.subtract.outer(charges, charges)
+    sizes = np.multiply.outer(counts, counts)
     kept = _kept_sectors(weights[seq.target], seq)
-    return (*(int(sizes[_in_class(c, cls)].sum()) for cls in kept), int(sizes[hist.size - 1]))
+    return (*(int(sizes[_in_class(c, cls)].sum()) for cls in kept), int(counts @ counts))
 
 
 def _pulse_set(model: LindbladModel, seq: PulseSequence) -> tuple[np.ndarray, ...]:

@@ -33,7 +33,7 @@ import numpy as np
 
 from . import anharmonic, crystal, dynamics, fock, protocol
 from .anharmonic import EffectiveParams, ResonantCoupling
-from .crystal import EquilibriumChain, NormalModes, TrapConfig
+from .crystal import NormalModes, TrapConfig
 from .protocol import PulseSequence, SignalGrid
 
 SQRT2 = float(np.sqrt(2.0))
@@ -45,7 +45,6 @@ class ModeData:
     """Everything derived from the trap alone."""
 
     trap: TrapConfig
-    chain: EquilibriumChain
     modes: NormalModes
     tensors: anharmonic.ModeTensors
 
@@ -56,17 +55,16 @@ class ModeData:
 
 
 def derive_modes(trap: TrapConfig) -> ModeData:
-    chain, modes = crystal.modes_for_trap(trap)
-    return ModeData(
-        trap=trap,
-        chain=chain,
-        modes=modes,
-        tensors=anharmonic.tensors_for_chain(chain, modes),
-    )
+    u, modes = crystal.modes_for_trap(trap)
+    tensors = anharmonic.mode_tensors(anharmonic.c3_tensor(u), anharmonic.c4_tensor(u), modes.M)
+    return ModeData(trap=trap, modes=modes, tensors=tensors)
 
 
 def kerr_parameters(data: ModeData) -> EffectiveParams:
-    return anharmonic.derive_effective_params(data.trap, data.modes, data.tensors)
+    return anharmonic.combine_orders(
+        anharmonic.perturbative_third_order(data.trap, data.modes, data.tensors),
+        anharmonic.effective_kerr(data.trap, data.modes, data.tensors),
+    )
 
 
 def resonance_parameters(data: ModeData) -> ResonantCoupling:
@@ -112,9 +110,7 @@ class KerrModel:
 
 
 def kerr_model_from_params(
-    params: EffectiveParams,
-    dims: tuple[int, int, int] = (9, 15, 15),
-    nbar: tuple[float, float, float] = (1.0, 4.0, 4.0),
+    params: EffectiveParams, dims: tuple[int, int, int], nbar: tuple[float, float, float]
 ) -> KerrModel:
     eff = params.effective
     return KerrModel(
@@ -293,9 +289,7 @@ RESONANCE_CHARGE_WEIGHTS = (1, 2)
 
 
 def resonance_model(
-    omega_t: float,
-    dims: tuple[int, int] = (9, 6),
-    heating_quanta_per_s: tuple[float, float] = (200.0, 100.0),
+    omega_t: float, dims: tuple[int, int], heating_quanta_per_s: tuple[float, float]
 ) -> dynamics.LindbladModel:
     """Resonant exchange Hamiltonian Omega_T (a_zz^2 c_str+ + h.c.) + heating,
     with its conserved charge declared (``RESONANCE_CHARGE_WEIGHTS``): each
@@ -312,9 +306,7 @@ def resonance_model(
     )
 
 
-def resonance_initial_state(
-    dims: tuple[int, int] = (9, 6), nbar: tuple[float, float] = (0.7, 0.2)
-) -> np.ndarray:
+def resonance_initial_state(dims: tuple[int, int], nbar: tuple[float, float]) -> np.ndarray:
     return fock.product_state(
         [fock.thermal_state(nb, d)[0] for nb, d in zip(nbar, dims)]
     )

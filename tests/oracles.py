@@ -63,10 +63,10 @@ def resonant_manifolds(omega_t: float, max_quanta: int) -> list[Manifold]:
     return out
 
 
-def pair_sum_tensor_einsum(chain, k: int) -> np.ndarray:
+def pair_sum_tensor_einsum(u: np.ndarray, k: int) -> np.ndarray:
     """``anharmonic._pair_sum_tensor``, C_k = sum_{p<q} w_pq (e_p - e_q)^(x k),
     as one einsum over the ion pairs."""
-    u = np.asarray(chain.u, dtype=float)
+    u = np.asarray(u, dtype=float)
     p, q = np.triu_indices(len(u), 1)
     d = u[p] - u[q]
     w = np.sign(d) / np.abs(d) ** 4 if k == 3 else 1.0 / np.abs(d) ** 5

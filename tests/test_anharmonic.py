@@ -47,7 +47,7 @@ LOOSE = {("effective", "x2")}
 
 
 def _chain(n):
-    return crystal.EquilibriumChain(u=solve_equilibrium(n))
+    return solve_equilibrium(n)
 
 
 def _spacing(n=2):
@@ -208,7 +208,7 @@ class TestThirdOrderOracle:
 
 def _loop_c3(chain):
     """Oracle of c3_tensor: the entry-by-entry case split over ion indices."""
-    u = np.asarray(chain.u, dtype=float)
+    u = np.asarray(chain, dtype=float)
     n = len(u)
     d = u[:, None] - u[None, :]
     np.fill_diagonal(d, np.inf)
@@ -224,7 +224,7 @@ def _loop_c3(chain):
 
 def _loop_c4(chain):
     """Oracle of c4_tensor: the entry-by-entry case split over ion indices."""
-    u = np.asarray(chain.u, dtype=float)
+    u = np.asarray(chain, dtype=float)
     n = len(u)
     d = np.abs(u[:, None] - u[None, :])
     np.fill_diagonal(d, np.inf)
@@ -332,11 +332,10 @@ class TestTaylorOracle:
     def test_quartic_taylor_expansion(self, n):
         rng = np.random.default_rng(5)
         u = solve_equilibrium(n)
-        chain = crystal.EquilibriumChain(u=u)
         ax, ay = 0.21, 0.08
-        v_z, v_x, v_y = hessians(chain, ax, ay)
-        c3 = c3_tensor(chain)
-        c4 = c4_tensor(chain)
+        v_z, v_x, v_y = hessians(u, ax, ay)
+        c3 = c3_tensor(u)
+        c4 = c4_tensor(u)
 
         def potential(x, y, z):
             pos = u + z
@@ -394,7 +393,7 @@ class TestModeTensors:
         d3 = table_data.tensors.d3
         direct = np.einsum(
             "ijk,in,jm,kp->nmp",
-            c3_tensor(table_data.chain),
+            c3_tensor(solve_equilibrium(table_data.trap.n_ions)),
             table_data.modes.M,
             table_data.modes.M,
             table_data.modes.M,

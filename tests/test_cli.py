@@ -200,6 +200,12 @@ class TestConfigValidation:
             ({"scenario": "kerr", "zero_pad": 200}, "budget"),
             # the Monte Carlo paths of a trillion-path noise table (~44 TiB)
             ({"scenario": "noise-table", "mc_paths": 10**12}, "budget"),
+            # a grid longer than any array index, an integer past 64 bits, an
+            # integer past the float range, and a pulse without a phase
+            ({"scenario": "kerr", "grid_scale": 1e300}, "grid index"),
+            ({"scenario": "kerr", "seed": 2**64}, "64 bits"),
+            ({"scenario": "kerr", "dt_s": 10**400}, "finite"),
+            ({"scenario": "kerr", "n_phases": [0, 4, 4]}, "n_phases"),
         ],
     )
     def test_rejected_before_any_work(self, raw, match, tmp_path, capsys):
@@ -563,7 +569,7 @@ class TestRealOperators:
         )
         assert kerr.zz_hamiltonian().dtype == np.float64
         assert kerr.full_hamiltonian().dtype == np.float64
-        model = scenarios.resonance_model(1.0, dims=(4, 3))
+        model = scenarios.resonance_model(1.0, dims=(4, 3), heating_quanta_per_s=(200.0, 100.0))
         assert model.hamiltonian.dtype == np.float64
         assert model.collapse_ops
         assert {op.dtype for op, _ in model.collapse_ops} == {np.dtype(np.float64)}

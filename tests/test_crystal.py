@@ -78,7 +78,7 @@ class TestLengthScale:
 
 
 def _chain(n):
-    return crystal.EquilibriumChain(u=solve_equilibrium(n))
+    return solve_equilibrium(n)
 
 
 class TestHessians:
@@ -96,9 +96,8 @@ class TestHessians:
         # direct transverse curvatures: 1/alpha on the diagonal minus the
         # pairwise Coulomb term -1/d^3 (diag) / +1/d^3 (offdiag)
         n, ax, ay = 4, 0.27, 0.09
-        chain = _chain(n)
-        u = chain.u
-        v_z, v_x, v_y = hessians(chain, ax, ay)
+        u = _chain(n)
+        v_z, v_x, v_y = hessians(u, ax, ay)
         for alpha, v in ((ax, v_x), (ay, v_y)):
             direct = np.zeros((n, n))
             for i in range(n):
@@ -120,10 +119,10 @@ class TestHessians:
         h = 1e-4
 
         def pot(x):
-            w = 0.5 / ax * np.dot(x, x) + 0.5 * np.dot(chain.u, chain.u)
+            w = 0.5 / ax * np.dot(x, x) + 0.5 * np.dot(chain, chain)
             for i in range(n):
                 for j in range(i + 1, n):
-                    w += 1.0 / np.hypot(chain.u[i] - chain.u[j], x[i] - x[j])
+                    w += 1.0 / np.hypot(chain[i] - chain[j], x[i] - x[j])
             return w
 
         for i in range(n):

@@ -1,4 +1,5 @@
 import dataclasses
+import time
 import tracemalloc
 import warnings
 
@@ -334,7 +335,7 @@ class TestScanEngine:
     @pytest.mark.parametrize("dims, count, largest", [((9, 6), 37, 186), ((7, 5), 29, 97)])
     def test_resonance_block_structure(self, resonance_data, dims, count, largest):
         omega_t = scenarios.resonance_parameters(resonance_data).omega_t
-        model = scenarios.resonance_model(omega_t, dims=dims)
+        model = scenarios.resonance_model(omega_t, dims=dims, heating_quanta_per_s=(200.0, 100.0))
         blocks = dynamics.liouvillian_blocks(model)
         assert (len(blocks), max(map(len, blocks.values()))) == (count, largest)
         assert protocol.sector_columns(model.charge_weights, dims, PulseSequence())[2] == largest
@@ -546,6 +547,20 @@ class TestChargeSectors:
         counts = [int(np.sum(dynamics._in_class(c, cls))) for cls in protocol._kept_sectors(weights[target], seq)]
         assert protocol.sector_columns(weights, dims, seq) == (*counts, int(np.sum(c == 0)))
 
+    @pytest.mark.parametrize("target", [0, 1])
+    def test_sector_columns_do_not_grow_with_the_weights(self, target):
+        # 12 basis states whose charges span 2e5 + 4 values: the brute-force
+        # count over the basis, within a second
+        weights, dims = (1, 10**5), (4, 3)
+        seq = PulseSequence(target=target)
+        charge = np.tensordot(weights, np.indices(dims).reshape(2, -1), 1)
+        c = np.subtract.outer(charge, charge).ravel()
+        counts = [int(np.sum(dynamics._in_class(c, cls))) for cls in protocol._kept_sectors(weights[target], seq)]
+        start = time.perf_counter()
+        columns = protocol.sector_columns(weights, dims, seq)
+        assert time.perf_counter() - start < 1.0
+        assert columns == (*counts, int(np.sum(c == 0)))
+
     def test_charge_diagonals_are_pinned(self, monkeypatch):
         # the sectors each scenario steps: the zigzag's n, the product
         # register's basis index and the resonance register's n_zz + 2 n_str
@@ -562,7 +577,7 @@ class TestChargeSectors:
         zigzag, full = models
         assert np.array_equal(zigzag.charge, np.arange(5))
         assert np.array_equal(full.charge, np.arange(45))
-        resonance = scenarios.resonance_model(TWO_PI * 5e3, dims=(9, 6))
+        resonance = scenarios.resonance_model(TWO_PI * 5e3, dims=(9, 6), heating_quanta_per_s=(200.0, 100.0))
         assert np.array_equal(resonance.charge, np.add.outer(np.arange(9), 2 * np.arange(6)).ravel())
 
 

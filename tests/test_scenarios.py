@@ -190,7 +190,9 @@ class TestKerrSpectators:
         with open(tmp_path / "dephasing_rates_khz.csv") as fh:
             table = {row["order"]: row for row in csv.DictReader(fh)}["effective"]
         data = scenarios.derive_modes(build_config({"scenario": "kerr", **trap}).trap())
-        model = scenarios.kerr_model_from_params(scenarios.kerr_parameters(data))
+        model = scenarios.kerr_model_from_params(
+            scenarios.kerr_parameters(data), dims=(9, 15, 15), nbar=(1.0, 4.0, 4.0)
+        )
         assert model.rate_y / KHZ == pytest.approx(float(table[f"od_y{n_ions}"]), rel=1e-12)
         assert model.rate_eg / KHZ == pytest.approx(float(table[f"od_z{n_ions}"]), rel=1e-12)
 
