@@ -3,14 +3,15 @@
 Four scenarios: ``kerr`` (self-interaction spectrum near the structural
 transition), ``resonance`` (zigzag-stretch exchange spectrum under heating),
 ``tables`` (effective-parameter tables only), and ``noise-table`` (the laser
-phase-noise contrast-loss table).  ``kerr`` always runs the sector-averaged
-``scenarios.kerr_scan_fast``; ``resonance`` runs ``protocol.scan``; both
-step the kept charge sectors of ``dynamics.evolution_lines``.  Each is one
-phase-cycled contraction, not a thread pool, so the ``threads`` setting is
-validated but has no effect; importing this module pins the BLAS thread
-variables to 1 unless the caller set them.  The
-spectrum stage makes one ``spectrum.fft2``; the two 1D projections are means
-of that spectrum, taken before the optional carrier notch.  It writes each
+phase-noise contrast-loss table).  Both spectrum scenarios run one engine,
+``protocol.scan``: ``resonance`` on its register, ``kerr`` through
+``scenarios.kerr_scan_fast`` on the zigzag alone, with the spectator
+average as scan's chi weight.  Each is one phase-cycled contraction, not a
+thread pool, so the ``threads`` setting is validated but has no effect;
+importing this module pins the BLAS thread variables to 1 unless the
+caller set them.  The spectrum stage makes one ``spectrum.fft2``; the two
+1D projections are means of that spectrum, taken before the optional
+carrier notch.  It writes each
 quantity once: ``signal_grid.bin``, ``spectrum.bin`` (complex; its two
 affine omega axes are the manifest's ``spectrum_axes``, start, step and count),
 the two projections and ``peaks.csv``.  ``build_config`` rejects an invalid
@@ -252,22 +253,15 @@ def build_config(raw: dict) -> RunConfig:
             # draws, their steps and sums, then the paths and phase sums
             dynamics._check_budget(48 * cfg.mc_paths, f"Monte Carlo phase noise ({cfg.mc_paths} paths)")
         elif cfg.scenario in _MODE_COUNT:
-            # the scan's own guard, before any operator is built; the
-            # resonance pulses target slot 0, the zigzag (RunConfig.sequence)
+            # the scan's own guard, before any operator is built; kerr scans
+            # the zigzag alone, and the pulses target slot 0 (RunConfig.sequence)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")  # the run warns when it builds the sequence
                 seq = cfg.sequence()
             if cfg.scenario == "kerr":
-                scenarios.check_kerr_budget(cfg.dims, n, seq)
+                protocol.check_scan_budget((1,), cfg.dims[:1], n, seq, chi=True)
             else:
-                # the operators alone first, a lower bound: this bounds the
-                # dims before sector_columns builds the charge of every basis
-                # state and the pairs of its values, which grow with them, so
-                # that a config's huge dims cannot make this check itself run
-                # out of memory; then the kept sectors' columns and the largest map
-                protocol.check_scan_budget(cfg.dims, n, 0, (0, 0, 0))
-                weights = scenarios.RESONANCE_CHARGE_WEIGHTS
-                protocol.check_scan_budget(cfg.dims, n, 0, protocol.sector_columns(weights, cfg.dims, seq))
+                protocol.check_scan_budget(scenarios.RESONANCE_CHARGE_WEIGHTS, cfg.dims, n, seq)
             # the spectrum stage holds at most four complex (n zero_pad)^2
             # arrays at once: the spectrum beside fft2's unshifted output,
             # the notch's copy or the bytes of spectrum.bin, and find_peaks'

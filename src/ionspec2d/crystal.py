@@ -233,11 +233,3 @@ def modes_for_trap(trap: TrapConfig) -> tuple[np.ndarray, NormalModes]:
     u = solve_equilibrium(trap.n_ions)
     return u, normal_modes(*hessians(u, trap.alpha_x, trap.alpha_y))
 
-
-def critical_anisotropy(n_ions: int) -> float:
-    """Anisotropy alpha_x at which the zigzag mode goes soft (gamma_N = 0)."""
-    if n_ions < 3:
-        raise ValueError("critical anisotropy needs n_ions >= 3")
-    u = solve_equilibrium(n_ions)
-    lam = np.linalg.eigvalsh(_axial_hessian(u))
-    return 2.0 / (lam[-1] - 1.0)

@@ -48,12 +48,6 @@ def destroy(dim: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1, dim)), 1)
 
 
-def mode_operators(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(a, a_dagger, n) on a single truncated mode."""
-    a = destroy(dim)
-    return a, a.conj().T, a.conj().T @ a
-
-
 def displacement(alpha: complex | np.ndarray, dim: int) -> np.ndarray:
     """D(alpha) = exp(alpha a+ - alpha* a) on the truncated mode, for a
     scalar alpha or each entry of an array of them (shape alpha.shape +

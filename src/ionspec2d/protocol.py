@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 import warnings
 from collections import Counter
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -175,7 +176,7 @@ def grid_points(t_max: float, dt: float) -> int:
     return int(np.floor(t_max / dt * (1.0 + 1e-9))) + 1
 
 
-def _working_set_bytes(d: int, n: int, d_target: int, columns: tuple[int, int, int]) -> int:
+def _working_set_bytes(d: int, n: int, d_target: int, columns: tuple[int, int, int], span: int | None = None) -> int:
     """Upper bound on the bytes a scan holds at once, with ``columns`` =
     (K_f, K_c, b) from ``sector_columns``: the grid twice, a few d x d
     operators and the pre-cycled pulse pair with its products, and
@@ -184,17 +185,33 @@ def _working_set_bytes(d: int, n: int, d_target: int, columns: tuple[int, int, i
     fewer; both at once only when their mirrors cross) while the lines are
     built, then the forward line and the combined covector with the
     contraction's gathers of both; and the step map of the largest sector,
-    b vec indices, built while the lines are held (``dynamics._map_bytes``)."""
+    b vec indices, built while the lines are held (``dynamics._map_bytes``).
+
+    A chi weight (``span`` = max Q - min Q) adds its table, 4 span (n - 1)
+    + 1 entries, and with o = 2 d_target - 1 forward charges at most: the
+    states by forward charge and one covector charge's copy, n o (K_c + b),
+    its covector, n b, and its chi gather, index and product, n^2 (3o/2 + b)."""
     k_f, k_c, b = columns
-    return 16 * (n * (2 * k_f + 3 * k_c + 3 * b) + 2 * n * n + 8 * d * d + 3 * d_target**4) + _map_bytes(b)
+    need = 16 * (n * (2 * k_f + 3 * k_c + 3 * b) + 2 * n * n + 8 * d * d + 3 * d_target**4) + _map_bytes(b)
+    if span is not None:
+        o = 2 * d_target - 1
+        need += 16 * (4 * span * (n - 1) + 1 + n * (o * (k_c + b) + b) + n * n * b) + 24 * n * n * o
+    return need
 
 
-def check_scan_budget(dims: tuple[int, ...], n: int, target: int, columns: tuple[int, int, int]) -> None:
-    """PropagatorSizeError when a scan of the register ``dims`` over n grid
-    points would exceed the memory budget, with the ``columns`` of
-    ``sector_columns``; ``cli.build_config`` calls it too."""
+def check_scan_budget(
+    weights: tuple[int, ...], dims: tuple[int, ...], n: int, seq: PulseSequence, chi: bool = False
+) -> None:
+    """PropagatorSizeError when a scan of the register ``dims`` with the
+    charge ``weights`` over n grid points, with a chi weight or not, would
+    exceed the memory budget; ``cli.build_config`` calls it too.  The
+    operators alone are checked first, so that huge dims fail before
+    ``sector_columns`` counts their columns."""
     d = math.prod(dims)  # exact even for a config's huge dims
-    _check_budget(_working_set_bytes(d, n, dims[target], columns), f"scan (dim {d}, {n} grid points)")
+    span = sum(abs(w) * (k - 1) for w, k in zip(weights, dims)) if chi else None
+    d_t, what = dims[seq.target], f"scan (dim {d}, {n} grid points)"
+    _check_budget(_working_set_bytes(d, n, d_t, (0, 0, 0), span), what)
+    _check_budget(_working_set_bytes(d, n, d_t, sector_columns(weights, dims, seq), span), what)
 
 
 def sector_columns(weights: tuple[int, ...], dims: tuple[int, ...], seq: PulseSequence) -> tuple[int, int, int]:
@@ -261,10 +278,9 @@ def _kept_sectors(w: int, seq: PulseSequence) -> tuple[tuple[int, int], ...]:
     Ernst, J. Magn. Reson. 58, 370 (1984)), and the target population is
     read in c = 0.  So the covector line needs c3 in -w q4 + w N4 Z, and
     the forward line c1 in -w (q2 + q3 + q4) + w gcd(N2, N3, N4) Z: every
-    sector when the phase counts are coprime.  Both engines step and
-    contract these classes alone (``dynamics.evolution_lines``): ``scan``
-    on the register's charge, and ``scenarios.kerr_scan_fast`` on the
-    zigzag coherence orders (weight 1, charge n).
+    sector when the phase counts are coprime.  ``scan`` steps and
+    contracts these classes alone (``dynamics.evolution_lines``), for
+    ``kerr`` on the zigzag coherence orders (weight 1, charge n).
     """
     (q2, q3, q4), (n2, n3, n4) = seq.signature, seq.n_phases
     return (-w * (q2 + q3 + q4), w * math.gcd(n2, n3, n4)), (-w * q4, w * n4)
@@ -276,6 +292,7 @@ def scan(
     seq: PulseSequence,
     t_max: float,
     dt: float,
+    chi: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> SignalGrid:
     """Full (t1, t3) scan of the signature component, phase-cycled before
     contracting.
@@ -304,12 +321,20 @@ def scan(
     the largest sector's step map, counted from the weights and dims by
     ``sector_columns``) is checked against the memory budget
     (``check_scan_budget``) before any operator is built.
+
+    ``chi``, when given, maps an array of tau to the characteristic
+    function E[exp(-i sigma tau)] of a static shift sigma Q over an
+    ensemble.  The shift turns sector c into exp(-i sigma c t) times itself,
+    so the ensemble weights the pathway from forward charge c1 to covector
+    charge c3 by chi((c1 k1 + c3 k3) dt), inhomogeneous dephasing (Hamm &
+    Zanni, Concepts and Methods of 2D Infrared Spectroscopy, 2011); the
+    contraction then splits by c1 and c3, with one chi gather per c3.
     """
     if model.register is None:
         raise ValueError("model needs a register to embed pulses")
     dims, n, d = model.register.dims, grid_points(t_max, dt), model.dim
     d_t = dims[seq.target]
-    check_scan_budget(dims, n, seq.target, sector_columns(model.charge_weights, dims, seq))
+    check_scan_budget(model.charge_weights, dims, n, seq, chi is not None)
     d1, cycled, observables = _pulse_set(model, seq)
     w = model.charge_weights[seq.target]
     kept_forward, kept_covector = kept = _kept_sectors(w, seq)
@@ -331,13 +356,37 @@ def scan(
     spread = np.subtract.outer(model.charge[ket], model.charge[ket]).ravel()
     orders = w * np.subtract.outer(np.arange(d_t), np.arange(d_t)).ravel()
     values = np.zeros((n, n), dtype=complex)
+    if chi is not None:
+        # chi(m dt) for every |m| <= |c1 k1 + c3 k3| <= 2 (max Q - min Q)(n - 1)
+        m_max = 2 * int(model.charge.max() - model.charge.min()) * (n - 1)
+        table = chi(np.arange(-m_max, m_max + 1) * dt)
+        k = np.arange(n)
     for c in sorted(set(spread.tolist())):
         # C maps the target block's kept forward entries to its kept
         # covector entries, one spectator charge difference at a time
         pairs = base[spread == c, None]
         src = np.flatnonzero(_in_class(orders + c, kept_forward))
         dst = np.flatnonzero(_in_class(orders + c, kept_covector))
-        states = line[:, column[0, pairs + offset[src]]] @ cycled[np.ix_(dst, src)].T
-        values += states.reshape(n, -1) @ covector[:, column[1, pairs + offset[dst]]].reshape(n, -1).T
+        pair = cycled[np.ix_(dst, src)]
+        if chi is None:
+            states = line[:, column[0, pairs + offset[src]]] @ pair.T
+            values += states.reshape(n, -1) @ covector[:, column[1, pairs + offset[dst]]].reshape(n, -1).T
+            continue
+        # states(k1, c1, pair, entry) for each forward charge c1, then per
+        # covector charge c3 the grid gains sum chi((c1 k1 + c3 k3) dt)
+        # states(k1, c1, y) A(k3, y) over c1 and the entries y of charge c3
+        c1, c3 = orders[src] + c, orders[dst] + c
+        charges = sorted(set(c1.tolist()))
+        states = np.empty((n, len(charges), pairs.size, dst.size), dtype=complex)
+        for i, q in enumerate(charges):
+            states[:, i] = line[:, column[0, pairs + offset[src[c1 == q]]]] @ pair[:, c1 == q].T
+        first = np.multiply.outer(k, charges) + m_max  # table index of c1 k1, (k1, c1)
+        for q in sorted(set(c3.tolist())):
+            # one expression, so that no charge's temporaries outlive it
+            values += np.einsum(
+                "ije,je->ij",
+                table[first[:, None, :] + q * k[None, :, None]] @ states[..., c3 == q].reshape(n, len(charges), -1),
+                covector[:, column[1, pairs + offset[dst[c3 == q]]]].reshape(n, -1),
+            )
     t_axis = np.arange(n) * dt
     return SignalGrid(t1=t_axis, t3=t_axis, values=values)

@@ -5,19 +5,16 @@ transition: the effective Hamiltonian is diagonal in the product Fock basis,
 and the thermal spectator occupations (n_y, n_eg) only shift the zigzag
 frequency.  Averaging over them multiplies each Liouville pathway by the
 characteristic function of that shift at the pathway's coherence orders, so
-the simulation runs one zigzag-only contraction weighted by it, with the
-pulses and the observable phase-cycled before it (as in ``protocol.scan``),
-over the coherence orders the (1, -1, -1) cycle keeps alone: D1 and D3 in
-1 + 4Z, 4 of the 17 orders on each side at d = 9 -- this treats the static
-dephasing by spectator populations exactly, and ``kerr_scan_full`` on the
-product register is its oracle.  The resonance scenario probes coherent
-zigzag-stretch energy exchange at anisotropy 20/63 under heating: a Lindblad
-model on the two-mode register that declares the conserved charge
-Q = n_zz + 2 n_str by its mode weights (1, 2) (the heating jumps shift ket
-and bra alike).
+the simulation is one ``protocol.scan`` of the zigzag-only model with that
+function as its chi weight -- this treats the static dephasing by spectator
+populations exactly, and ``kerr_scan_full`` on the product register is its
+oracle.  The resonance scenario probes coherent zigzag-stretch energy
+exchange at anisotropy 20/63 under heating: a Lindblad model on the
+two-mode register that declares the conserved charge Q = n_zz + 2 n_str by
+its mode weights (1, 2) (the heating jumps shift ket and bra alike).
 
-Both scenarios take their lines from one engine,
-``dynamics.evolution_lines``: it steps one small dense map per sector of the
+Both scenarios run one engine, ``protocol.scan``, whose lines
+(``dynamics.evolution_lines``) step one small dense map per sector of the
 charge c = Q_ket - Q_bra along the time grid, only on the sectors the
 (1, -1, -1) cycle keeps, c in 1 + 4Z for N_phi = 4 (the zigzag's coherence
 order a - b for kerr, with weight 1), plus c = 0 and c = -1 for the trace
@@ -93,7 +90,8 @@ class KerrModel:
 
     def zz_hamiltonian(self) -> np.ndarray:
         """Diagonal zigzag self-Kerr Hamiltonian; the frequency shift
-        delta_zz is counted with the spectator shifts in ``kerr_scan_fast``."""
+        delta_zz is counted with the spectator shifts in the chi weight
+        that ``kerr_scan_fast`` passes to ``protocol.scan``."""
         n = np.arange(self.dims[0])
         return np.diag(0.5 * self.omega_si * n * (n - 1))
 
@@ -135,27 +133,6 @@ def _thermal_characteristic(nbar: float, dim: int, phase: np.ndarray) -> np.ndar
     return (1.0 - q) / (1.0 - q**dim) * (1.0 - x_dim) / (1.0 - x)
 
 
-def check_kerr_budget(dims: tuple[int, ...], n: int, seq: PulseSequence) -> None:
-    """PropagatorSizeError when ``kerr_scan_fast`` on the zigzag dim dims[0]
-    over n grid points would exceed the memory budget; ``cli.build_config``
-    calls it too.  The bound counts the bytes held at once: the kept
-    columns of the zigzag's charge n (``protocol.sector_columns`` of the
-    weight 1) in the forward line, the two covector lines and the combined
-    covector, with the check-only lines and the states by order D1; the
-    largest sector's step map (``dynamics._map_bytes``); one order's chi
-    table with its index, partial sums and product; the grid twice; the chi
-    line; the pre-cycled pulse pair.  It counts all 2d - 1 coherence orders
-    for the states and the chi gathers, an upper bound on the orders the
-    phase cycle keeps."""
-    d = dims[0]
-    n_orders = 2 * d - 1
-    need = 8 * n * n * (3 * n_orders + 2 * d + 6) + 16 * (4 * d**4 + 24 * n * d)
-    if need <= dynamics.DEFAULT_MEMORY_BUDGET:  # d is small enough to count its columns
-        k_f, k_c, b = protocol.sector_columns((1,), (d,), seq)
-        need += 16 * n * (2 * k_f + 4 * k_c + 3 * b + n_orders * k_c) + dynamics._map_bytes(b)
-    dynamics._check_budget(need, f"kerr sector scan (dim {d}, {n} grid points)")
-
-
 def kerr_scan_fast(
     model: KerrModel,
     seq: PulseSequence,
@@ -164,92 +141,26 @@ def kerr_scan_fast(
 ) -> SignalGrid:
     """Sector-averaged zigzag scan: exact for the diagonal Hamiltonian.
 
-    A spectator sector s = (n_y, n_eg) adds sigma_s n_zz to H, with
-    sigma_s = delta_zz + rate_y n_y + rate_eg n_eg, and n_zz commutes with
-    H and is untouched by the measurement.  So a Liouville pathway whose
-    zigzag coherence orders are D1 = a - b during t1 = k1 dt and D3 during
-    t3 = k3 dt differs between sectors only by exp(-i sigma_s (D1 k1 +
-    D3 k3) dt), and the thermal sector average is the characteristic
-    function chi(m) = sum_s w_s exp(-i sigma_s m dt) of the shift, taken at
-    m = D1 k1 + D3 k3: inhomogeneous dephasing in the bra/ket pathway
-    picture (Mukamel, Principles of Nonlinear Optical Spectroscopy, 1995).
-    The weights w_s are a product of the two thermal distributions and the
-    shift is a sum, so chi(m) = exp(-i delta_zz m dt) chi_y(m) chi_eg(m),
-    each spectator factor a truncated geometric sum in closed form
+    A spectator sector (n_y, n_eg) adds sigma n_zz to H, with sigma =
+    delta_zz + rate_y n_y + rate_eg n_eg: a static shift of the zigzag's
+    charge n_zz.  So this is ``protocol.scan`` of the zigzag-only model
+    (weight 1) with the chi weight exp(-i delta_zz tau) chi_y(tau)
+    chi_eg(tau), each spectator factor in closed form
     (``_thermal_characteristic``): no sector is visited, and the cost does
     not depend on the spectator truncations.
-
-    The pulses and the observable are phase-cycled before contracting
-    (``protocol._pulse_set``).  The zigzag model declares the weight 1, so
-    its charge is n and its coherence order a - b is the charge sector c of
-    ``protocol._kept_sectors``, and only the orders the phase
-    cycle keeps reach the signal: D1 in the forward class and D3 in the
-    covector class.  ``dynamics.evolution_lines`` steps the forward line and
-    the two covector lines of the pre-cycled observable's Hermitian parts on
-    those orders alone, for the shift-free Hamiltonian (trace-drift and
-    reality checked), each kept order a run of compact columns; the order of
-    vec index i d + j is i - j.  The pre-cycled pulse pair acts on the
-    forward line one kept D1 at a time, giving states(k1, D1, y) on the
-    kept covector entries y, and per kept D3 the grid gains
-    sum_y sum_D1 chi(D1 k1 + D3 k3) states(k1, D1, y) A(k3, y): one chi
-    gather per kept D3 (4 of the 2d - 1 orders at d = 9 for the (1, -1, -1)
-    cycle).  No per-sector line, per-phase signal or full phase table is
-    formed, and the working set is checked against the memory budget before
-    any operator is built.
     """
     d = model.dims[0]
-    n = protocol.grid_points(t_max, dt)
-    check_kerr_budget(model.dims, n, seq)
-
-    reg = fock.FockRegister(dims=(d,), labels=("zz",))
+    # scan's guard, before the d x d zigzag model is built
+    protocol.check_scan_budget((1,), (d,), protocol.grid_points(t_max, dt), seq, chi=True)
     zz = dynamics.LindbladModel(
-        hamiltonian=model.zz_hamiltonian(), register=reg, charge_weights=(1,)
+        hamiltonian=model.zz_hamiltonian(), register=fock.FockRegister(dims=(d,), labels=("zz",)), charge_weights=(1,)
     )
-    rho0, _ = fock.thermal_state(model.nbar[0], d)
-    d1, cycled, observables = protocol._pulse_set(zz, seq)
-    kept = protocol._kept_sectors(zz.charge_weights[0], seq)
-    line, covectors, index_f, index_c = dynamics.evolution_lines(
-        zz, d1 @ rho0 @ d1.conj().T, observables, n, dt, kept
+    return protocol.scan(
+        zz, fock.thermal_state(model.nbar[0], d)[0], seq, t_max, dt,
+        chi=lambda tau: np.exp(-1j * model.delta_zz * tau)
+        * _thermal_characteristic(model.nbar[1], model.dims[1], model.rate_y * tau)
+        * _thermal_characteristic(model.nbar[2], model.dims[2], model.rate_eg * tau),
     )
-
-    # chi(m) for every m = D1 k1 + D3 k3, |m| <= (d - 1)(2n - 2)
-    m_max = (d - 1) * (2 * n - 2)
-    m_dt = np.arange(-m_max, m_max + 1) * dt
-    chi = (
-        np.exp(-1j * model.delta_zz * m_dt)
-        * _thermal_characteristic(model.nbar[1], model.dims[1], model.rate_y * m_dt)
-        * _thermal_characteristic(model.nbar[2], model.dims[2], model.rate_eg * m_dt)
-    )
-
-    def runs(index):
-        # each order a - b that a line keeps, ascending, and its run of columns
-        order = index // d - index % d
-        orders = np.arange(1 - d, d)
-        lo, hi = np.searchsorted(order, orders), np.searchsorted(order, orders, side="right")
-        held = hi > lo
-        return orders[held], [slice(a, b) for a, b in zip(lo[held], hi[held])]
-
-    orders1, runs1 = runs(index_f)
-    orders3, runs3 = runs(index_c)
-    covector = covectors[:, 1] * 1j  # vec(A(k3)^T), (k3, K_c)
-    covector += covectors[:, 0]
-    pair = cycled[np.ix_(index_c, index_f)]  # the pulse pair from kept D1 to kept D3 entries
-    states = np.empty((n, orders1.size, index_c.size), dtype=complex)  # (k1, D1, entry)
-    for i, run in enumerate(runs1):
-        states[:, i, :] = line[:, run] @ pair[:, run].T
-    k = np.arange(n)
-    base = np.multiply.outer(k, orders1) + m_max  # chi index of D1 k1, (k1, D1)
-    values = np.zeros((n, n), dtype=complex)  # (k1, k3)
-    for o3, run in zip(orders3, runs3):
-        # chi(D1 k1 + D3 k3) as (k1, k3, D1) times states(k1, D1, entry), one
-        # expression so that no order's temporaries outlive it
-        values += np.einsum(
-            "ije,je->ij",
-            chi[base[:, None, :] + o3 * k[None, :, None]] @ states[:, :, run],
-            covector[:, run],
-        )
-    t_axis = np.arange(n) * dt
-    return SignalGrid(t1=t_axis, t3=t_axis, values=values)
 
 
 def kerr_scan_full(

@@ -10,6 +10,9 @@ place of the stepped sector lines of ``dynamics.evolution_lines``.
 ``pair_sum_tensor_einsum`` and ``mode_tensors_einsum`` are the coupling
 tensors as single ``np.einsum`` calls with numpy's path search, the
 reference of the fixed-order contractions of ``anharmonic``.
+``critical_anisotropy`` (the zigzag threshold) and ``mode_operators`` (the
+ladder and number operators of one mode) are physics references that no
+module of the package calls.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ionspec2d import anharmonic, dynamics, fock, protocol
+from ionspec2d import anharmonic, crystal, dynamics, fock, protocol
 
 
 @dataclass(frozen=True)
@@ -32,6 +35,21 @@ class Manifold:
     charge: int
     states: list[tuple[int, int]]
     eigenvalues: np.ndarray
+
+
+def critical_anisotropy(n_ions: int) -> float:
+    """Anisotropy alpha_x at which the zigzag mode goes soft (gamma_N = 0)."""
+    if n_ions < 3:
+        raise ValueError("critical anisotropy needs n_ions >= 3")
+    u = crystal.solve_equilibrium(n_ions)
+    lam = np.linalg.eigvalsh(crystal._axial_hessian(u))
+    return 2.0 / (lam[-1] - 1.0)
+
+
+def mode_operators(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(a, a_dagger, n) on a single truncated mode."""
+    a = fock.destroy(dim)
+    return a, a.conj().T, a.conj().T @ a
 
 
 def resonant_manifolds(omega_t: float, max_quanta: int) -> list[Manifold]:

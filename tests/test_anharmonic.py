@@ -19,7 +19,7 @@ from ionspec2d.anharmonic import (
     resonant_coupling,
 )
 from ionspec2d.crystal import hessians, normal_modes, solve_equilibrium
-from oracles import mode_tensors_einsum, pair_sum_tensor_einsum, resonant_manifolds
+from oracles import critical_anisotropy, mode_tensors_einsum, pair_sum_tensor_einsum, resonant_manifolds
 
 KHZ = 2 * np.pi * 1e3
 
@@ -493,7 +493,7 @@ class TestEffectiveParameters:
             assert e == pytest.approx(ref, rel=1e-12)
 
     def test_near_critical_regime_error(self):
-        alpha_c = crystal.critical_anisotropy(3)
+        alpha_c = critical_anisotropy(3)
         wz = 2 * np.pi * 2e6
         trap = crystal.TrapConfig(
             n_ions=3, mass=crystal.MASS_CA40,

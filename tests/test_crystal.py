@@ -8,12 +8,12 @@ from ionspec2d.crystal import (
     DegenerateModesError,
     TrapConfig,
     axial_gradient,
-    critical_anisotropy,
     hessians,
     length_scale,
     normal_modes,
     solve_equilibrium,
 )
+from oracles import critical_anisotropy
 
 
 class TestEquilibrium:

