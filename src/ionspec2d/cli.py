@@ -7,8 +7,10 @@ phase-noise contrast-loss table).  Both spectrum scenarios run one engine,
 ``protocol.scan``: ``resonance`` on its register, ``kerr`` through
 ``scenarios.kerr_scan_fast`` on the zigzag alone, with the spectator
 average as scan's chi weight.  Each is one phase-cycled contraction, not a
-thread pool, so the ``threads`` setting is validated but has no effect;
-importing this module pins the BLAS thread variables to 1 unless the
+thread pool, so the ``threads`` setting is validated but has no effect, and
+neither has ``seed``: no run draws a random number.  Laser phase noise
+multiplies a grid by its exact attenuation ``phasenoise.attenuation``.
+Importing this module pins the BLAS thread variables to 1 unless the
 caller set them.  The spectrum stage makes one ``spectrum.fft2``; the two
 1D projections are means of that spectrum, taken before the optional
 carrier notch.  It writes each
@@ -17,11 +19,11 @@ affine omega axes are the manifest's ``spectrum_axes``, start, step and count),
 the two projections and ``peaks.csv``.  ``build_config`` rejects an invalid
 configuration with ConfigError (exit 2) before any work starts, a stage past
 the memory budget included: the scan (the columns of its kept charge sectors
-and its largest sector's step map), the zero-padded spectrum and the Monte
-Carlo paths of ``noise-table``.  Every run, successful or not, leaves a
-manifest.json with the resolved configuration, derived parameters, regime
-diagnostics (the RWA ratio of ``kerr`` and ``tables``), every warning the run raised (each also re-emitted once the
-manifest is written) and checksums of all outputs: SHA-256 of the bytes each
+and its largest sector's step map) and the zero-padded spectrum.  Every
+run, successful or not, leaves a manifest.json with the resolved
+configuration, derived parameters, regime diagnostics (the RWA ratio of
+``kerr`` and ``tables``), every warning the run raised (each also
+re-emitted once the manifest is written) and checksums of all outputs: SHA-256 of the bytes each
 ``matio`` writer returns (no artifact is read back), from CPython's
 built-in module rather than ``hashlib``, whose import loads OpenSSL's
 libcrypto (about 3.4 MB of resident memory) in every run.  ``argparse`` is
@@ -73,8 +75,11 @@ class ConfigError(ValueError):
 
 @dataclass
 class RunConfig:
-    """One run's settings.  ``threads`` is validated (a positive integer)
-    and recorded, but has no effect: each scan is one contraction."""
+    """One run's settings.  ``threads`` (a positive integer) and ``seed`` (a
+    non-negative one) are validated and recorded, but have no effect: each
+    scan is one contraction, and no run draws a random number.  The two keys
+    are accepted only because the benchmark's workload configs still pass
+    them; both go once those stop (ROADMAP item 1)."""
 
     scenario: str
     n_ions: int = 3
@@ -101,7 +106,6 @@ class RunConfig:
     phase_noise_diffusion: float = 0.0
     noise_t1_s: float = 2.5e-3
     noise_t3_s: float = 2.5e-3
-    mc_paths: int = 100_000
 
     def trap(self) -> TrapConfig:
         return TrapConfig(
@@ -146,13 +150,13 @@ _TUPLE_FIELDS = {
     "n_phases": int,
     "signature": int,
 }
-_INT_FIELDS = ("n_ions", "seed", "threads", "zero_pad", "mc_paths")
+_INT_FIELDS = ("n_ions", "seed", "threads", "zero_pad")
 # ranges checked for every scenario, so that no value fails only after the run
 _POSITIVE = (
     "mass_amu", "omega_z_hz", "omega_x_hz", "omega_y_hz",
     "t_max_s", "dt_s", "grid_scale", "threads", "zero_pad",
 )
-_NON_NEGATIVE = ("seed", "mc_paths", "phase_noise_diffusion", "noise_t1_s", "noise_t3_s")
+_NON_NEGATIVE = ("seed", "phase_noise_diffusion", "noise_t1_s", "noise_t3_s")
 
 
 def _scalar(name: str, value, kind: type):
@@ -247,17 +251,12 @@ def build_config(raw: dict) -> RunConfig:
             raise ConfigError(
                 "t_max_s * grid_scale must be at least dt_s: a one-point grid has no spectrum"
             )
-    try:
-        if cfg.scenario == "noise-table":
-            # at most three (mc_paths, 2) float64 arrays at once: the normal
-            # draws, their steps and sums, then the paths and phase sums
-            dynamics._check_budget(48 * cfg.mc_paths, f"Monte Carlo phase noise ({cfg.mc_paths} paths)")
-        elif cfg.scenario in _MODE_COUNT:
-            # the scan's own guard, before any operator is built; kerr scans
-            # the zigzag alone, and the pulses target slot 0 (RunConfig.sequence)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")  # the run warns when it builds the sequence
-                seq = cfg.sequence()
+        # the scan's own guard, before any operator is built; kerr scans
+        # the zigzag alone, and the pulses target slot 0 (RunConfig.sequence)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the run warns when it builds the sequence
+            seq = cfg.sequence()
+        try:
             if cfg.scenario == "kerr":
                 protocol.check_scan_budget((1,), cfg.dims[:1], n, seq, chi=True)
             else:
@@ -268,22 +267,8 @@ def build_config(raw: dict) -> RunConfig:
             # magnitudes with their padded copies
             side = n * cfg.zero_pad
             dynamics._check_budget(64 * side * side, f"spectrum ({side} x {side} bins)")
-    except dynamics.PropagatorSizeError as exc:
-        raise ConfigError(str(exc)) from None
-    if cfg.scenario in _MODE_COUNT and cfg.phase_noise_diffusion > 0:
-        # the loss grows with t1 and t3, so the last grid point bounds it
-        t_last = (n - 1) * cfg.dt_s
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # the run warns when it applies the loss
-            worst = phasenoise.contrast_loss(
-                cfg.signature, t_last, t_last, cfg.phase_noise_diffusion
-            )
-        if worst >= 1.0:
-            raise ConfigError(
-                f"phase_noise_diffusion {cfg.phase_noise_diffusion:g} rad^2/s gives a "
-                f"contrast loss of {worst:.3g} at the end of the grid; a loss >= 1 "
-                "would flip the sign of the signal"
-            )
+        except dynamics.PropagatorSizeError as exc:
+            raise ConfigError(str(exc)) from None
     return cfg
 
 
@@ -347,11 +332,10 @@ def _axis(omega: np.ndarray) -> dict:
 
 
 def _apply_phase_noise(grid, signature, diffusion):
-    """Pointwise analytic attenuation of the phase-cycled grid; build_config
-    has already rejected a loss that would reach 1 and flip the sign."""
+    """The phase-cycled grid times its exact pointwise attenuation exp(-L)."""
     t1, t3 = np.meshgrid(grid.t1, grid.t3, indexing="ij")
-    loss = phasenoise.contrast_loss(signature, t1, t3, diffusion)
-    return protocol.SignalGrid(t1=grid.t1, t3=grid.t3, values=grid.values * (1 - loss))
+    factor = phasenoise.attenuation(signature, t1, t3, diffusion)
+    return protocol.SignalGrid(t1=grid.t1, t3=grid.t3, values=grid.values * factor)
 
 
 def _truncation(labels: tuple[str, ...], cfg: RunConfig) -> dict:
@@ -405,13 +389,11 @@ def _dispatch(cfg: RunConfig, out: Path, manifest: dict) -> dict[str, str]:
             t1=cfg.noise_t1_s,
             t3=cfg.noise_t3_s,
             diffusion=cfg.phase_noise_diffusion or phasenoise.DEFAULT_DIFFUSION,
-            n_paths=cfg.mc_paths,
-            seed=cfg.seed,
         )
         written = matio.write_csv(
             out / "noise_loss.csv",
-            ["p2", "p3", "p4", "loss_analytic", "loss_mc"],
-            [[r["p2"], r["p3"], r["p4"], r["loss"], r.get("loss_mc", "")] for r in rows],
+            ["p2", "p3", "p4", "loss_analytic", "loss_exact"],
+            [[r["p2"], r["p3"], r["p4"], r["loss"], r["loss_exact"]] for r in rows],
         )
         manifest["derived"] = {"diffusion_rad2_s": cfg.phase_noise_diffusion or phasenoise.DEFAULT_DIFFUSION}
         return {"noise_loss.csv": _sha256(written)}
@@ -496,8 +478,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--scenario", choices=SCENARIOS)
     parser.add_argument("--out-dir", dest="out_dir")
     parser.add_argument("--grid-scale", dest="grid_scale", type=float)
-    parser.add_argument("--threads", type=int)
-    parser.add_argument("--seed", type=int)
     args = parser.parse_args(argv)
 
     raw: dict = {}
@@ -510,7 +490,7 @@ def main(argv: list[str] | None = None) -> int:
         if not isinstance(raw, dict):
             print("error: config must be a JSON object", file=sys.stderr)
             return 2
-    for key in ("scenario", "out_dir", "grid_scale", "threads", "seed"):
+    for key in ("scenario", "out_dir", "grid_scale"):
         value = getattr(args, key)
         if value is not None:
             raw[key] = value

@@ -150,36 +150,3 @@ def notch_carrier(spec: Spectrum2D, width_bins: int = 1) -> Spectrum2D:
         omega1=spec.omega1, omega3=spec.omega3, values=values, carrier=spec.carrier
     )
 
-
-def fwhm(spec: Spectrum2D, peak: Peak, axis: str) -> float:
-    """Full width at half maximum through the peak along omega1 or omega3.
-
-    Crossings are linearly interpolated; the width is capped at the axis span
-    if the profile never drops below half height.
-    """
-    i = int(np.argmin(np.abs(spec.omega1 - peak.omega1)))
-    j = int(np.argmin(np.abs(spec.omega3 - peak.omega3)))
-    if axis == "omega1":
-        profile = spec.magnitude[:, j]
-        coords = spec.omega1
-        k0 = i
-    elif axis == "omega3":
-        profile = spec.magnitude[i, :]
-        coords = spec.omega3
-        k0 = j
-    else:
-        raise ValueError("axis must be 'omega1' or 'omega3'")
-    half = profile[k0] / 2.0
-
-    def cross(direction: int) -> float:
-        k = k0
-        while 0 <= k + direction < len(profile) and profile[k + direction] >= half:
-            k += direction
-        if not 0 <= k + direction < len(profile):
-            return coords[k]
-        # linear interpolation between k and k+direction
-        y0, y1 = profile[k], profile[k + direction]
-        frac = (y0 - half) / (y0 - y1)
-        return coords[k] + frac * (coords[k + direction] - coords[k])
-
-    return float(abs(cross(+1) - cross(-1)))

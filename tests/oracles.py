@@ -10,9 +10,12 @@ place of the stepped sector lines of ``dynamics.evolution_lines``.
 ``pair_sum_tensor_einsum`` and ``mode_tensors_einsum`` are the coupling
 tensors as single ``np.einsum`` calls with numpy's path search, the
 reference of the fixed-order contractions of ``anharmonic``.
-``critical_anisotropy`` (the zigzag threshold) and ``mode_operators`` (the
-ladder and number operators of one mode) are physics references that no
-module of the package calls.
+``critical_anisotropy`` (the zigzag threshold), ``mode_operators`` (the
+ladder and number operators of one mode) and ``fwhm`` (a peak's half-height
+width along one axis) are references that no module of the package calls.
+``WienerPhaseModel``, ``sample_paths`` and ``monte_carlo_loss`` draw the
+laser phase as a Wiener process, the Monte Carlo reference of the exact
+attenuation ``phasenoise.attenuation``.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ionspec2d import anharmonic, crystal, dynamics, fock, protocol
+from ionspec2d import anharmonic, crystal, dynamics, fock, phasenoise, protocol, spectrum
 
 
 @dataclass(frozen=True)
@@ -195,3 +198,80 @@ def closed_form_lines(model, state, observables, n, dt, sectors=None):
         for cls in sectors
     ]
     return forward[:, index[0]], back[..., index[1]], index[0], index[1]
+
+
+def fwhm(spec: spectrum.Spectrum2D, peak: spectrum.Peak, axis: str) -> float:
+    """Full width at half maximum through the peak along omega1 or omega3.
+
+    Crossings are linearly interpolated; the width is capped at the axis span
+    if the profile never drops below half height.
+    """
+    i = int(np.argmin(np.abs(spec.omega1 - peak.omega1)))
+    j = int(np.argmin(np.abs(spec.omega3 - peak.omega3)))
+    if axis == "omega1":
+        profile = spec.magnitude[:, j]
+        coords = spec.omega1
+        k0 = i
+    elif axis == "omega3":
+        profile = spec.magnitude[i, :]
+        coords = spec.omega3
+        k0 = j
+    else:
+        raise ValueError("axis must be 'omega1' or 'omega3'")
+    half = profile[k0] / 2.0
+
+    def cross(direction: int) -> float:
+        k = k0
+        while 0 <= k + direction < len(profile) and profile[k + direction] >= half:
+            k += direction
+        if not 0 <= k + direction < len(profile):
+            return coords[k]
+        # linear interpolation between k and k+direction
+        y0, y1 = profile[k], profile[k + direction]
+        frac = (y0 - half) / (y0 - y1)
+        return coords[k] + frac * (coords[k + direction] - coords[k])
+
+    return float(abs(cross(+1) - cross(-1)))
+
+
+@dataclass(frozen=True)
+class WienerPhaseModel:
+    diffusion: float = phasenoise.DEFAULT_DIFFUSION
+    seed: int = 0
+
+    def __post_init__(self):
+        if self.diffusion < 0:
+            raise ValueError("diffusion must be >= 0")
+
+
+def sample_paths(
+    model: WienerPhaseModel, times: np.ndarray, n_paths: int
+) -> np.ndarray:
+    """(n_paths, len(times)) Wiener samples with Var = c t, Cov = c min(s, t)."""
+    times = np.asarray(times, dtype=float)
+    if np.any(np.diff(times) < 0):
+        raise ValueError("times must be ascending")
+    if np.any(times < 0):
+        raise ValueError("times must be >= 0")
+    rng = np.random.default_rng(model.seed)
+    increments = np.diff(np.concatenate([[0.0], times]))
+    steps = rng.standard_normal((n_paths, len(times))) * np.sqrt(
+        model.diffusion * increments
+    )
+    return np.cumsum(steps, axis=1)
+
+
+def monte_carlo_loss(
+    signature: tuple[int, int, int],
+    t1: float,
+    t3: float,
+    diffusion: float = phasenoise.DEFAULT_DIFFUSION,
+    n_paths: int = 100_000,
+    seed: int = 0,
+) -> float:
+    """Monte Carlo estimate of the pathway attenuation 1 - <cos(sum p dphi)>."""
+    model = WienerPhaseModel(diffusion=diffusion, seed=seed)
+    p2, p3, p4 = signature
+    paths = sample_paths(model, np.array([t1, t1 + t3]), n_paths)
+    total = (p2 + p3) * paths[:, 0] + p4 * paths[:, 1]
+    return float(1.0 - np.mean(np.cos(total)))

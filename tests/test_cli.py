@@ -87,9 +87,9 @@ _CSV_CASES = {
             [np.float64(2.5), np.float64(-0.0), 1e22],
         ],
     ),
-    # noise_loss.csv: ints, floats, and "" where the Monte Carlo column is empty
+    # noise_loss.csv's columns: ints and floats, with some fields empty
     "noise_loss": (
-        ["p2", "p3", "p4", "loss_analytic", "loss_mc"],
+        ["p2", "p3", "p4", "loss_analytic", "loss_exact"],
         [
             [1, 0, 0, 0.01, ""],
             [1, 1, 0, 0.025, 0.02498],
@@ -184,7 +184,7 @@ class TestConfigValidation:
             ({"scenario": "kerr", "zero_pad": 0}, "zero_pad"),
             ({"scenario": "kerr", "peak_threshold": 1.5}, "peak_threshold"),
             ({"scenario": "kerr", "mass_amu": -1}, "mass_amu"),
-            ({"scenario": "noise-table", "mc_paths": -1}, "mc_paths"),
+            ({"scenario": "noise-table", "mc_paths": 5000}, "unknown"),
             ({"scenario": "kerr", "phase_noise_diffusion": -1.0}, "phase_noise_diffusion"),
             ({"scenario": "kerr", "threads": 0}, "threads"),
             # kerr_scan_fast is dissipation-free: heating would be ignored silently
@@ -199,10 +199,10 @@ class TestConfigValidation:
             ({"scenario": "resonance", "dims": [30, 20], "grid_scale": 0.011}, "budget"),
             # the spectrum stage on a 16,000^2 zero-padded grid (~15 GiB)
             ({"scenario": "kerr", "zero_pad": 200}, "budget"),
-            # the Monte Carlo paths of a trillion-path noise table (~44 TiB)
-            ({"scenario": "noise-table", "mc_paths": 10**12}, "budget"),
-            # a grid longer than any array index, an integer past 64 bits, an
-            # integer past the float range, and a pulse without a phase
+            # seed has no effect, but is still validated; a grid longer than
+            # any array index, an integer past 64 bits, an integer past the
+            # float range, and a pulse without a phase
+            ({"scenario": "kerr", "seed": -1}, "seed"),
             ({"scenario": "kerr", "grid_scale": 1e300}, "grid index"),
             ({"scenario": "kerr", "seed": 2**64}, "64 bits"),
             ({"scenario": "kerr", "dt_s": 10**400}, "finite"),
@@ -235,12 +235,11 @@ class TestConfigValidation:
                 "spectrum",
             ),
             ({"scenario": "resonance", "grid_scale": 0.06, "zero_pad": 50, "baseline_notch": True}, "spectrum"),
-            ({"scenario": "noise-table", "mc_paths": 200_000}, "Monte Carlo"),
         ],
     )
     def test_stage_bound_covers_the_traced_run(self, raw, stage, tmp_path, monkeypatch):
-        # runs on a 10- or 12-point grid padded to 600^2 bins (or with
-        # 200,000 Monte Carlo paths), so that the stage dominates the run:
+        # runs on a 10- or 12-point grid padded to 600^2 bins, so that the
+        # stage dominates the run:
         # the bytes build_config charges for it cover the whole run's traced
         # peak, and the stage is over half of them
         charged = []
@@ -336,7 +335,7 @@ class TestTablesScenario:
 class TestNoiseTableScenario:
     def test_csv_rows(self, tmp_path):
         cfg = build_config(
-            {"scenario": "noise-table", "out_dir": str(tmp_path), "mc_paths": 5000}
+            {"scenario": "noise-table", "out_dir": str(tmp_path)}
         )
         manifest = run_scenario(cfg)
         assert manifest["status"] == "ok"
@@ -424,7 +423,7 @@ class TestManifest:
                  "projection_omega3.csv", "peaks.csv"},
             ),
             ({"scenario": "tables"}, {"freq_shifts_khz.csv", "dephasing_rates_khz.csv"}),
-            ({"scenario": "noise-table", "mc_paths": 5000}, {"noise_loss.csv"}),
+            ({"scenario": "noise-table"}, {"noise_loss.csv"}),
         ],
         ids=SCENARIOS,
     )
@@ -470,21 +469,21 @@ class TestManifest:
 
     @pytest.mark.parametrize("fails", [False, True])
     def test_warnings_recorded_and_reemitted(self, fails, tmp_path, monkeypatch):
-        # 300 rad^2/s reaches c*(t1 + t3) = 0.17 at the end of the tiny grid,
-        # past the small-fluctuation limit 0.1: the warning is in the
-        # manifest, on the error manifest too, and still reaches the caller
+        # two phases on pulse 2 alias its signature component 1 onto the
+        # target: the warning is in the manifest, on the error manifest too,
+        # and still reaches the caller
         cfg = self._tiny_kerr(tmp_path)
-        cfg.phase_noise_diffusion = 300.0
+        cfg.n_phases = (2, 4, 4)
         if fails:
             monkeypatch.setattr(spectrum, "fft2", lambda *a, **kw: 1 / 0)
         failure = pytest.raises(ZeroDivisionError) if fails else contextlib.nullcontext()
-        with pytest.warns(UserWarning, match="small-fluctuation"), failure:
+        with pytest.warns(UserWarning, match="aliasing"), failure:
             run_scenario(cfg)
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["status"] == ("error" if fails else "ok")
         (warning,) = manifest["warnings"]
         assert warning["category"] == "UserWarning"
-        assert "small-fluctuation" in warning["message"]
+        assert "N_phi = 2" in warning["message"]
 
     def test_truncation_kept_weight(self, tmp_path):
         def kept(nbar, dim):  # geometric thermal weight on levels 0 .. dim-1
@@ -633,30 +632,36 @@ class TestPhaseNoiseAttenuation:
         t1, t3 = np.meshgrid(t, t, indexing="ij")
         q = base.signature
         loss = 0.5 * 3.9478 * ((q[0] + q[1] + q[2]) ** 2 * t1 + q[2] ** 2 * t3)
-        np.testing.assert_allclose(noisy, clean * (1 - loss), rtol=1e-12, atol=1e-18)
+        np.testing.assert_allclose(noisy, clean * np.exp(-loss), rtol=1e-12, atol=1e-18)
 
-    def test_sign_flipping_loss_rejected(self, tmp_path, capsys):
-        # 2000 rad^2/s reaches a loss of ~4 at the end of the 2 ms grid
-        with pytest.raises(ConfigError, match="flip"):
-            build_config({"scenario": "resonance", "phase_noise_diffusion": 2000.0})
-        # on a 0.2 ms grid the same diffusion loses at most ~0.38
-        build_config(
-            {"scenario": "resonance", "phase_noise_diffusion": 2000.0, "grid_scale": 0.1}
-        )
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(
-            json.dumps({"scenario": "kerr", "phase_noise_diffusion": 2000.0,
-                        "out_dir": str(tmp_path / "out")})
-        )
-        assert main(["--config", str(cfg_path)]) == 2
-        assert "flip" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
+    def test_strong_noise_runs_with_exact_attenuation(self, tmp_path):
+        # 2000 rad^2/s reaches L = 4 at the end of the 2 ms grid, where the
+        # quadratic 1 - L would have flipped the sign; exp(-L) stays in (0, 1]
+        build_config({"scenario": "resonance", "phase_noise_diffusion": 2000.0})
+        for name, diffusion in (("clean", 0.0), ("noisy", 2000.0)):
+            cfg_path = tmp_path / f"{name}.json"
+            cfg_path.write_text(json.dumps({"scenario": "kerr", "phase_noise_diffusion": diffusion,
+                                            "out_dir": str(tmp_path / name)}))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert main(["--config", str(cfg_path)]) == 0
+            assert json.loads((tmp_path / name / "manifest.json").read_text())["warnings"] == []
+        clean = matio.read_matrix(tmp_path / "clean" / "signal_grid.bin")
+        noisy = matio.read_matrix(tmp_path / "noisy" / "signal_grid.bin")
+        ref = build_config({"scenario": "kerr"})
+        t = np.arange(clean.shape[0]) * ref.dt_s
+        t1, t3 = np.meshgrid(t, t, indexing="ij")
+        q = ref.signature
+        loss = 0.5 * 2000.0 * ((q[0] + q[1] + q[2]) ** 2 * t1 + q[2] ** 2 * t3)
+        assert loss.max() == pytest.approx(4.0, rel=0.02)
+        np.testing.assert_allclose(noisy, clean * np.exp(-loss), rtol=1e-12, atol=1e-18)
 
 
-# run in a fresh interpreter, since the suite itself imports scipy for its
-# oracles: build both configs, then list the scipy modules loaded, the
-# modules the runs added and which of hashlib (OpenSSL's libcrypto) and
-# argparse were loaded
+# run in a fresh interpreter, since the suite itself imports scipy and
+# numpy.random for its oracles: build the configs, then list the scipy
+# modules loaded, the modules the runs added, which of numpy.random and
+# secrets (which imports hashlib), which of hashlib (OpenSSL's libcrypto)
+# and whether argparse were loaded
 _RUN_AND_LIST_MODULES = """
 import json, sys
 from ionspec2d import cli
@@ -667,6 +672,7 @@ for cfg in configs:
 print(json.dumps({
     "scipy": sorted(name for name in sys.modules if name.split(".")[0] == "scipy"),
     "added": sorted(set(sys.modules) - before),
+    "random": sorted({"numpy.random", "secrets"} & set(sys.modules)),
     "hashlib": sorted({"hashlib", "_hashlib"} & set(sys.modules)),
     "argparse": "argparse" in sys.modules,
 }))
@@ -679,6 +685,7 @@ def test_runs_import_no_scipy_and_load_no_module(tmp_path):
          "grid_scale": 0.15, "out_dir": str(tmp_path / "kerr")},
         {"scenario": "resonance", "dims": [3, 3], "nbar": [0.3, 0.1],
          "grid_scale": 0.1, "out_dir": str(tmp_path / "resonance")},
+        {"scenario": "noise-table", "out_dir": str(tmp_path / "noise-table")},
     ]
     src = str(Path(ionspec2d.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -691,8 +698,8 @@ def test_runs_import_no_scipy_and_load_no_module(tmp_path):
     hashlib_loaded = loaded.pop("hashlib")
     if any(map(importlib.util.find_spec, ("_sha2", "_sha256"))):  # else cli falls back to hashlib
         assert hashlib_loaded == []
-    assert loaded == {"scipy": [], "added": [], "argparse": False}
-    for name in ("kerr", "resonance"):
+    assert loaded == {"scipy": [], "added": [], "random": [], "argparse": False}
+    for name in ("kerr", "resonance", "noise-table"):
         assert json.loads((tmp_path / name / "manifest.json").read_text())["status"] == "ok"
 
 

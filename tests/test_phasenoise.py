@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,12 +8,11 @@ from hypothesis import strategies as st
 from ionspec2d.phasenoise import (
     DEFAULT_DIFFUSION,
     TABLE_SIGNATURES,
-    WienerPhaseModel,
+    attenuation,
     contrast_loss,
     loss_table,
-    monte_carlo_loss,
-    sample_paths,
 )
+from oracles import WienerPhaseModel, monte_carlo_loss, sample_paths
 
 # published loss table at t1 = t3 = 2.5 ms, c = 4 pi^2 / 10 (percent,
 # rounded to one decimal as printed)
@@ -61,6 +62,35 @@ class TestContrastLoss:
             loss = contrast_loss((1, -2, -1), t, 2 * t, diffusion=1.0)
         # 0.5 c [(p2+p3+p4)^2 t1 + p4^2 t3] = 0.5 (4 t + 2 t)
         np.testing.assert_allclose(loss, 3.0 * t, rtol=1e-15)
+
+
+class TestAttenuation:
+    def test_exact_factor_without_warning_at_any_strength(self):
+        # c*(t1+t3) reaches 6, sixty times the small-fluctuation limit
+        t = np.array([0.0, 1e-3, 2e-3])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            factor = attenuation((1, -2, -1), t, 2 * t, diffusion=1e3)
+        # exp(-0.5 c [(p2+p3+p4)^2 t1 + p4^2 t3]) = exp(-0.5 c (4 t + 2 t))
+        np.testing.assert_allclose(factor, np.exp(-3e3 * t), rtol=1e-14)
+        assert factor[0] == 1.0 and factor[-1] > 0.0  # in (0, 1]: no sign flip
+
+    @pytest.mark.parametrize("diffusion", [40.0, 300.0])
+    @pytest.mark.parametrize("sig", TABLE_SIGNATURES)
+    def test_matches_monte_carlo(self, sig, diffusion):
+        # at 40 rad^2/s the quadratic loss is 0.1-0.5 against an exact
+        # 0.095-0.39, at 300 rad^2/s 0.75-3.75 against 0.53-0.98
+        t1 = t3 = 2.5e-3
+        n, seed = 200_000, 17
+        mc = monte_carlo_loss(sig, t1, t3, diffusion, n_paths=n, seed=seed)
+        # the sample standard error of <cos(phi)>, over the same paths
+        paths = sample_paths(WienerPhaseModel(diffusion, seed), np.array([t1, t1 + t3]), n)
+        cos = np.cos((sig[0] + sig[1]) * paths[:, 0] + sig[2] * paths[:, 1])
+        se = cos.std(ddof=1) / np.sqrt(n)
+        assert abs(mc - (1.0 - attenuation(sig, t1, t3, diffusion))) < 4 * se
+        # the published quadratic is off by more than that here
+        with pytest.warns(UserWarning, match="small-fluctuation"):
+            assert abs(mc - contrast_loss(sig, t1, t3, diffusion)) > 4 * se
 
 
 class TestSamplePaths:
@@ -123,13 +153,8 @@ class TestMonteCarlo:
 
 
 class TestLossTable:
-    def test_rows_and_mc_column(self):
-        rows = loss_table(n_paths=20_000, seed=5)
+    def test_rows_and_exact_column(self):
+        rows = loss_table()
         assert [(r["p2"], r["p3"], r["p4"]) for r in rows] == TABLE_SIGNATURES
         for row in rows:
-            assert "loss_mc" in row
-            assert abs(row["loss_mc"] - row["loss"]) < 0.005
-
-    def test_analytic_only(self):
-        rows = loss_table()
-        assert all("loss_mc" not in r for r in rows)
+            assert row["loss_exact"] == 1.0 - np.exp(-row["loss"])

@@ -7,11 +7,10 @@ from ionspec2d.spectrum import (
     Spectrum2D,
     find_peaks,
     fft2,
-    fwhm,
     notch_carrier,
     project_1d,
 )
-from oracles import centroid_peaks
+from oracles import centroid_peaks, fwhm
 
 TWO_PI = 2 * np.pi
 
