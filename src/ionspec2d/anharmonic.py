@@ -31,6 +31,8 @@ import numpy as np
 from .crystal import HBAR, NormalModes, TrapConfig, length_scale
 
 RESONANT_ANISOTROPY = 20.0 / 63.0  # 2*omega_zz = omega_stretch for N=3
+RESONANCE_WINDOW = 0.02  # |alpha_x - 20/63| counted as on resonance
+GAMMA_MIN = 1e-5  # gamma_zz at or below this ends the 1/gamma_zz expansion
 
 
 class PerturbativeRegimeError(RuntimeError):
@@ -162,7 +164,6 @@ def effective_kerr(
     trap: TrapConfig,
     modes: NormalModes,
     tensors: ModeTensors,
-    gamma_min: float = 1e-5,
 ) -> KerrParams:
     """Fourth-order Kerr parameters of the x zigzag mode.
 
@@ -176,9 +177,9 @@ def effective_kerr(
     n = modes.n_ions
     zz = n - 1
     gx, gy, lz = modes.gamma_x, modes.gamma_y, modes.lambda_z
-    if gx[zz] <= gamma_min:
+    if gx[zz] <= GAMMA_MIN:
         raise PerturbativeRegimeError(
-            f"gamma_zz = {gx[zz]:.3e} <= {gamma_min:.1e}; too close to the "
+            f"gamma_zz = {gx[zz]:.3e} <= {GAMMA_MIN:.1e}; too close to the "
             "structural transition for the perturbative expansion"
         )
     kappa = anharmonic_prefactor(trap) ** 2
@@ -318,10 +319,7 @@ def combine_orders(third: KerrParams, fourth: KerrParams) -> EffectiveParams:
 
 
 def resonant_coupling(
-    trap: TrapConfig,
-    modes: NormalModes,
-    tensors: ModeTensors,
-    anisotropy_window: float = 0.02,
+    trap: TrapConfig, modes: NormalModes, tensors: ModeTensors
 ) -> ResonantCoupling:
     """Exchange rate Omega_T between zigzag pairs and stretch quanta.
 
@@ -340,10 +338,10 @@ def resonant_coupling(
     detuning = (
         2.0 * np.sqrt(modes.gamma_x[zz]) - np.sqrt(modes.lambda_z[stretch])
     ) * trap.omega_z
-    on_resonance = abs(modes.alpha_x - RESONANT_ANISOTROPY) <= anisotropy_window
+    on_resonance = abs(trap.alpha_x - RESONANT_ANISOTROPY) <= RESONANCE_WINDOW
     if not on_resonance:
         warnings.warn(
-            f"anisotropy {modes.alpha_x:.5f} is outside the resonance window "
+            f"anisotropy {trap.alpha_x:.5f} is outside the resonance window "
             f"around 20/63; detuning {detuning / (2 * np.pi):.1f} Hz",
             stacklevel=2,
         )

@@ -74,19 +74,19 @@ class TrapConfig:
 
 @dataclass(frozen=True)
 class NormalModes:
-    """Shared eigensystem of the three Hessians.
+    """Shared eigensystem of the axial and the two radial Hessians.
 
     ``lambda_z`` ascends with mode index n (COM first), ``gamma_x``/``gamma_y``
     descend, and column n of the orthogonal matrix ``M`` is the common
-    eigenvector of mode n in every direction.
+    eigenvector of mode n in every direction.  The anisotropies that set the
+    radial eigenvalues are the trap's, :attr:`TrapConfig.alpha_x` and
+    :attr:`TrapConfig.alpha_y`.
     """
 
     lambda_z: np.ndarray
     gamma_x: np.ndarray
     gamma_y: np.ndarray
     M: np.ndarray
-    alpha_x: float
-    alpha_y: float
 
     @property
     def n_ions(self) -> int:
@@ -168,33 +168,16 @@ def _axial_hessian(u: np.ndarray) -> np.ndarray:
     return v
 
 
-def hessians(
-    u: np.ndarray, alpha_x: float, alpha_y: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Dimensionless Hessians (V_z, V_x, V_y) at the equilibrium positions u.
+def normal_modes(v_z: np.ndarray, alpha_x: float, alpha_y: float) -> NormalModes:
+    """Joint eigensystem of the axial Hessian V_z and the radial Hessians.
 
-    The radial Hessians follow from the axial one through the exact identity
-    V_(x/y) = (1/alpha + 1/2) I - V_z / 2, which ties all three matrices to a
-    common eigenbasis.
-    """
-    if alpha_x <= 0 or alpha_y <= 0:
-        raise ValueError("anisotropies must be positive")
-    v_z = _axial_hessian(np.asarray(u, dtype=float))
-    eye = np.eye(len(u))
-    v_x = (1.0 / alpha_x + 0.5) * eye - 0.5 * v_z
-    v_y = (1.0 / alpha_y + 0.5) * eye - 0.5 * v_z
-    return v_z, v_x, v_y
-
-
-def normal_modes(
-    v_z: np.ndarray, v_x: np.ndarray, v_y: np.ndarray
-) -> NormalModes:
-    """Joint eigensystem of the three Hessians.
-
-    Only V_z is diagonalized; the radial eigenvalues come from the closed-form
-    identity gamma_n = 1/alpha + 1/2 - lambda_n/2 so that the three directions
-    share one eigenvector matrix with no ordering ambiguity.  Eigenvector signs
-    are fixed so each column's largest-magnitude entry is positive.
+    Only V_z is diagonalized.  The radial Hessians are never built: the exact
+    identity V_(x/y) = (1/alpha + 1/2) I - V_z / 2 (James, Appl. Phys. B 66,
+    181 (1998)) gives them V_z's eigenvectors and the eigenvalues
+    gamma_n = 1/alpha + 1/2 - lambda_n/2, so the three directions share one
+    eigenvector matrix with no ordering ambiguity.  The full radial matrices
+    are built only by the test oracles in ``tests/oracles.py``.  Eigenvector
+    signs are fixed so each column's largest-magnitude entry is positive.
     """
     lam, m = np.linalg.eigh(v_z)
     gaps = np.diff(lam)
@@ -207,29 +190,19 @@ def normal_modes(
         if m[k, n] < 0:
             m[:, n] = -m[:, n]
 
-    # Recover (1/alpha + 1/2) from the matrices themselves.
-    c_x = v_x[0, 0] + 0.5 * v_z[0, 0]
-    c_y = v_y[0, 0] + 0.5 * v_z[0, 0]
-    gamma_x = c_x - 0.5 * lam
-    gamma_y = c_y - 0.5 * lam
+    gamma_x = 1.0 / alpha_x + 0.5 - 0.5 * lam
+    gamma_y = 1.0 / alpha_y + 0.5 - 0.5 * lam
     if gamma_x[-1] <= 0 or gamma_y[-1] <= 0:
         direction = "x" if gamma_x[-1] <= 0 else "y"
         raise ChainUnstableError(
             f"zigzag mode unstable in {direction}: gamma_N = "
             f"{min(gamma_x[-1], gamma_y[-1]):.4e} <= 0"
         )
-    return NormalModes(
-        lambda_z=lam,
-        gamma_x=gamma_x,
-        gamma_y=gamma_y,
-        M=m,
-        alpha_x=1.0 / (c_x - 0.5),
-        alpha_y=1.0 / (c_y - 0.5),
-    )
+    return NormalModes(lambda_z=lam, gamma_x=gamma_x, gamma_y=gamma_y, M=m)
 
 
 def modes_for_trap(trap: TrapConfig) -> tuple[np.ndarray, NormalModes]:
     """The equilibrium positions u of the trap's ions and their modes."""
     u = solve_equilibrium(trap.n_ions)
-    return u, normal_modes(*hessians(u, trap.alpha_x, trap.alpha_y))
+    return u, normal_modes(_axial_hessian(u), trap.alpha_x, trap.alpha_y)
 

@@ -10,6 +10,10 @@ place of the stepped sector lines of ``dynamics.evolution_lines``.
 ``pair_sum_tensor_einsum`` and ``mode_tensors_einsum`` are the coupling
 tensors as single ``np.einsum`` calls with numpy's path search, the
 reference of the fixed-order contractions of ``anharmonic``.
+``radial_hessians`` builds the full N x N radial Hessians from the axial
+one, the matrices whose eigenvalues ``crystal.normal_modes`` writes in
+closed form.  ``exact_zigzag_ladder`` diagonalizes the cubic and quartic
+zigzag Hamiltonian exactly, the reference of the perturbative Omega_SI.
 ``critical_anisotropy`` (the zigzag threshold), ``mode_operators`` (the
 ladder and number operators of one mode) and ``fwhm`` (a peak's half-height
 width along one axis) are references that no module of the package calls.
@@ -38,6 +42,70 @@ class Manifold:
     charge: int
     states: list[tuple[int, int]]
     eigenvalues: np.ndarray
+
+
+def radial_hessians(
+    u: np.ndarray, alpha_x: float, alpha_y: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Dimensionless Hessians (V_z, V_x, V_y) at the equilibrium positions u.
+
+    The radial Hessians follow from the axial one through the exact identity
+    V_(x/y) = (1/alpha + 1/2) I - V_z / 2, which ties all three matrices to a
+    common eigenbasis.
+    """
+    if alpha_x <= 0 or alpha_y <= 0:
+        raise ValueError("anisotropies must be positive")
+    v_z = crystal._axial_hessian(np.asarray(u, dtype=float))
+    eye = np.eye(len(u))
+    v_x = (1.0 / alpha_x + 0.5) * eye - 0.5 * v_z
+    v_y = (1.0 / alpha_y + 0.5) * eye - 0.5 * v_z
+    return v_z, v_x, v_y
+
+
+def exact_zigzag_ladder(data, dims: tuple[int, ...] = (12, 4, 4, 4)) -> float:
+    """Omega_SI (rad/s) of the x zigzag by exact diagonalization.
+
+    H / omega_z on the register (x zigzag, the other x modes, the z modes
+    but COM), with ``dims`` levels per mode, so four entries at N = 3: the
+    bare frequencies, exactly the cubic
+    terms ``anharmonic._second_order_shifts`` keeps (G_bp X_zz X_b Z_p and
+    g_zz,zz,p X_zz^2 Z_p), and the full c X_zz^4 with c = 3 kappa D4_zzzz /
+    gamma_zz, with no RWA.  E(n) is the eigenvalue of the eigenstate of
+    largest overlap with the bare |n, 0, ...>, and Omega_SI = E(2) - 2 E(1)
+    + E(0), the n_zz^2 coefficient that the perturbative orders give as
+    Omega_SI / 2.
+    """
+    trap, modes, tensors = data.trap, data.modes, data.tensors
+    n = modes.n_ions
+    zz = n - 1
+    labels = ["zz"] + [anharmonic.mode_label("x", b) for b in range(1, zz)]
+    labels += [anharmonic.mode_label("z", p) for p in range(1, n)]
+    register = fock.FockRegister(dims=tuple(dims), labels=tuple(labels))
+    freqs = np.sqrt(np.concatenate(
+        [modes.gamma_x[[zz]], modes.gamma_x[1:zz], modes.lambda_z[1:]]
+    ))
+    x = [fock.embed(fock.destroy(d) + fock.destroy(d).T, k, register)
+         for k, d in enumerate(dims)]
+    h = sum(w * fock.embed(np.diag(np.arange(d, dtype=float)), k, register)
+            for k, (w, d) in enumerate(zip(freqs, dims)))
+    eps = anharmonic.anharmonic_prefactor(trap)
+    d3 = np.where(np.abs(tensors.d3) < 1e-14, 0.0, tensors.d3)
+
+    def g3(a: int, b: int, p: int) -> float:
+        return 3.0 * eps * d3[a, b, p] / (
+            modes.gamma_x[a] * modes.gamma_x[b] * modes.lambda_z[p]) ** 0.25
+
+    for kp, p in enumerate(range(1, n), start=n - 1):
+        h += g3(zz, zz, p) * x[0] @ x[0] @ x[kp]
+        for kb, b in enumerate(range(1, zz), start=1):
+            h += (g3(zz, b, p) + g3(b, zz, p)) * x[0] @ x[kb] @ x[kp]
+    x2 = x[0] @ x[0]
+    h += 3.0 * eps**2 * tensors.d4[zz, zz, zz, zz] / modes.gamma_x[zz] * x2 @ x2
+    energies, vecs = np.linalg.eigh(h)
+    # |k, 0, ...> is basis state k * (levels of the other modes)
+    stride = register.dim // dims[0]
+    e0, e1, e2 = (energies[np.argmax(np.abs(vecs[k * stride]))] for k in range(3))
+    return float((e2 - 2.0 * e1 + e0) * trap.omega_z)
 
 
 def critical_anisotropy(n_ions: int) -> float:

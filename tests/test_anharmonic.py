@@ -18,8 +18,15 @@ from ionspec2d.anharmonic import (
     perturbative_third_order,
     resonant_coupling,
 )
-from ionspec2d.crystal import hessians, normal_modes, solve_equilibrium
-from oracles import critical_anisotropy, mode_tensors_einsum, pair_sum_tensor_einsum, resonant_manifolds
+from ionspec2d.crystal import normal_modes, solve_equilibrium
+from oracles import (
+    critical_anisotropy,
+    exact_zigzag_ladder,
+    mode_tensors_einsum,
+    pair_sum_tensor_einsum,
+    radial_hessians,
+    resonant_manifolds,
+)
 
 KHZ = 2 * np.pi * 1e3
 
@@ -333,7 +340,7 @@ class TestTaylorOracle:
         rng = np.random.default_rng(5)
         u = solve_equilibrium(n)
         ax, ay = 0.21, 0.08
-        v_z, v_x, v_y = hessians(u, ax, ay)
+        v_z, v_x, v_y = radial_hessians(u, ax, ay)
         c3 = c3_tensor(u)
         c4 = c4_tensor(u)
 
@@ -381,7 +388,9 @@ class TestModeTensors:
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_com_entries_vanish(self, n):
         chain = _chain(n)
-        modes = normal_modes(*hessians(chain, 0.1 if n < 5 else 0.05, 0.05))
+        alpha_x = 0.1 if n < 5 else 0.05
+        v_z, _, _ = radial_hessians(chain, alpha_x, 0.05)
+        modes = normal_modes(v_z, alpha_x, 0.05)
         t = mode_tensors(c3_tensor(chain), c4_tensor(chain), modes.M)
         assert np.max(np.abs(t.d3[0])) < 1e-12
         assert np.max(np.abs(t.d3[:, 0, :])) < 1e-12
@@ -656,3 +665,26 @@ class TestScalingTowardTransition:
         slope_d = np.polyfit(np.log(gammas), np.log(od), 1)[0]
         assert slope_si == pytest.approx(-1.0, abs=0.05)
         assert slope_d == pytest.approx(-0.5, abs=0.025)
+
+
+class TestExactLadder:
+    """The paper's perturbative Omega_SI (third plus fourth order, with the
+    RWA on the quartic term) against ``exact_zigzag_ladder``, the second
+    difference of the exactly diagonalized zigzag ladder."""
+
+    @pytest.mark.parametrize("omega_x_hz", [3.6e6, 3.15e6, 3.12e6])
+    def test_perturbative_within_one_percent_far_from_transition(self, omega_x_hz):
+        # gamma_zz = 0.84, 8.1e-2 and 3.4e-2
+        data = scenarios.derive_modes(_chain_trap(3, omega_x_hz, 5e6))
+        perturbative = scenarios.kerr_parameters(data).omega_si
+        assert perturbative == pytest.approx(exact_zigzag_ladder(data), rel=0.01)
+
+    def test_reference_gap(self, table_data, table_params):
+        # at gamma_zz = 4.4e-3 the perturbative Omega_SI/2pi is 5114 Hz and
+        # the exact ladder's 4419 Hz: the gap (exact - perturbative) /
+        # perturbative is -13.6 %, which no regime guard reports
+        perturbative = table_params.omega_si
+        exact = exact_zigzag_ladder(table_data)
+        assert perturbative / (2 * np.pi) == pytest.approx(5114.3, abs=0.5)
+        assert exact / (2 * np.pi) == pytest.approx(4418.7, abs=0.5)
+        assert (exact - perturbative) / perturbative == pytest.approx(-0.136, abs=0.005)

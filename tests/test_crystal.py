@@ -8,12 +8,11 @@ from ionspec2d.crystal import (
     DegenerateModesError,
     TrapConfig,
     axial_gradient,
-    hessians,
     length_scale,
     normal_modes,
     solve_equilibrium,
 )
-from oracles import critical_anisotropy
+from oracles import critical_anisotropy, radial_hessians
 
 
 class TestEquilibrium:
@@ -81,15 +80,19 @@ def _chain(n):
     return solve_equilibrium(n)
 
 
+def _axial(n):
+    return crystal._axial_hessian(_chain(n))
+
+
 class TestHessians:
     def test_two_ion_axial_matrix(self):
         # spacing d = 2*(1/4)^(1/3) has d^3 = 2 exactly
-        v_z, _, _ = hessians(_chain(2), 0.3, 0.1)
+        v_z, _, _ = radial_hessians(_chain(2), 0.3, 0.1)
         assert v_z == pytest.approx(np.array([[2.0, -1.0], [-1.0, 2.0]]), abs=1e-12)
 
     @pytest.mark.parametrize("n", [2, 3, 5, 8])
     def test_rows_sum_to_com_eigenvalue(self, n):
-        v_z, _, _ = hessians(_chain(n), 0.3, 0.1)
+        v_z, _, _ = radial_hessians(_chain(n), 0.3, 0.1)
         assert v_z.sum(axis=1) == pytest.approx(np.ones(n), abs=1e-12)
 
     def test_radial_identity_vs_direct_second_derivatives(self):
@@ -97,7 +100,7 @@ class TestHessians:
         # pairwise Coulomb term -1/d^3 (diag) / +1/d^3 (offdiag)
         n, ax, ay = 4, 0.27, 0.09
         u = _chain(n)
-        v_z, v_x, v_y = hessians(u, ax, ay)
+        v_z, v_x, v_y = radial_hessians(u, ax, ay)
         for alpha, v in ((ax, v_x), (ay, v_y)):
             direct = np.zeros((n, n))
             for i in range(n):
@@ -115,7 +118,7 @@ class TestHessians:
         n = 3
         chain = _chain(n)
         ax = table_trap.alpha_x
-        _, v_x, _ = hessians(chain, ax, table_trap.alpha_y)
+        _, v_x, _ = radial_hessians(chain, ax, table_trap.alpha_y)
         h = 1e-4
 
         def pot(x):
@@ -137,8 +140,7 @@ class TestHessians:
 
 class TestNormalModes:
     def test_three_ion_axial_eigenvalues(self):
-        chain = _chain(3)
-        modes = normal_modes(*hessians(chain, 0.3, 0.1))
+        modes = normal_modes(_axial(3), 0.3, 0.1)
         assert modes.lambda_z == pytest.approx([1.0, 3.0, 29.0 / 5.0], abs=1e-10)
 
     def test_table_trap_zigzag_frequency(self, table_trap, table_data):
@@ -149,8 +151,8 @@ class TestNormalModes:
     def test_structural_invariants(self, n):
         chain = _chain(n)
         alpha = 0.8 * critical_anisotropy(n) if n >= 3 else 0.3
-        v_z, v_x, v_y = hessians(chain, alpha, 0.6 * alpha)
-        modes = normal_modes(v_z, v_x, v_y)
+        v_z, v_x, v_y = radial_hessians(chain, alpha, 0.6 * alpha)
+        modes = normal_modes(v_z, alpha, 0.6 * alpha)
         assert np.max(np.abs(modes.M.T @ modes.M - np.eye(n))) < 1e-12
         assert abs(modes.lambda_z[0] - 1.0) < 1e-10
         assert modes.M[:, 0] == pytest.approx(np.ones(n) / np.sqrt(n), abs=1e-10)
@@ -159,20 +161,32 @@ class TestNormalModes:
         off = rebuilt - np.diag(np.diag(rebuilt))
         assert np.max(np.abs(off)) < 1e-10 * np.max(np.abs(rebuilt))
         # closed-form radial eigenvalues, exact by construction
-        c_x = v_x[0, 0] + 0.5 * v_z[0, 0]
-        assert modes.gamma_x == pytest.approx(c_x - modes.lambda_z / 2, abs=0)
+        assert modes.gamma_x == pytest.approx(1 / alpha + 0.5 - modes.lambda_z / 2, abs=0)
         assert np.all(np.diff(modes.gamma_x) < 0)
+        # the same M diagonalizes the radial Hessians, with eigenvalues gamma
+        for v, gamma in ((v_x, modes.gamma_x), (v_y, modes.gamma_y)):
+            rebuilt = modes.M.T @ v @ modes.M
+            off = rebuilt - np.diag(np.diag(rebuilt))
+            assert np.max(np.abs(off)) < 1e-10 * np.max(np.abs(rebuilt))
+            assert np.diag(rebuilt) == pytest.approx(gamma, abs=1e-12)
+
+    def test_table_trap_gammas_from_trap_anisotropies(self, table_trap, table_data):
+        # each gamma is written once from TrapConfig's anisotropy; reading
+        # 1/alpha + 1/2 back from the radial Hessians' [0, 0] entries put
+        # gamma_y one ulp (8.9e-16) off this value
+        modes = table_data.modes
+        for alpha, gamma in ((table_trap.alpha_x, modes.gamma_x),
+                             (table_trap.alpha_y, modes.gamma_y)):
+            assert np.array_equal(gamma, 1 / alpha + 0.5 - 0.5 * modes.lambda_z)
 
     def test_unstable_chain_raises(self):
-        chain = _chain(4)
         alpha_c = critical_anisotropy(4)
         with pytest.raises(ChainUnstableError, match="zigzag"):
-            normal_modes(*hessians(chain, alpha_c * 1.05, 0.1))
+            normal_modes(_axial(4), alpha_c * 1.05, 0.1)
 
     def test_degenerate_spectrum_rejected(self):
-        eye = np.eye(3)
         with pytest.raises(DegenerateModesError):
-            normal_modes(eye, 2 * eye, 3 * eye)
+            normal_modes(np.eye(3), 0.3, 0.1)
 
 
 class TestCriticalAnisotropy:
@@ -185,25 +199,24 @@ class TestCriticalAnisotropy:
         chain = _chain(3)
 
         def gamma_zz(alpha):
-            v_z, v_x, _ = hessians(chain, alpha, alpha)
-            lam = np.linalg.eigvalsh(v_z)
-            return 1.0 / alpha + 0.5 - lam[-1] / 2.0
+            # the radial Hessian's lowest eigenvalue is gamma_zz
+            _, v_x, _ = radial_hessians(chain, alpha, alpha)
+            return np.linalg.eigvalsh(v_x)[0]
 
         root = optimize.brentq(gamma_zz, 0.2, 0.9, xtol=1e-13)
         assert critical_anisotropy(3) == pytest.approx(root, abs=1e-10)
 
     def test_stable_below_critical(self):
         alpha_c = critical_anisotropy(3)
-        chain = _chain(3)
+        v_z = _axial(3)
         for alpha in np.linspace(0.05, alpha_c * 0.999, 7):
-            modes = normal_modes(*hessians(chain, alpha, alpha * 0.5))
+            modes = normal_modes(v_z, alpha, alpha * 0.5)
             assert modes.gamma_x[-1] > 0
 
     def test_resonant_anisotropy_identity(self):
         # at alpha_x = 20/63: gamma_zz = 63/20 + 1/2 - 29/10 = 3/4 and
         # lambda_str = 3, so 2*omega_zz = omega_str exactly
-        chain = _chain(3)
-        modes = normal_modes(*hessians(chain, 20.0 / 63.0, 0.16))
+        modes = normal_modes(_axial(3), 20.0 / 63.0, 0.16)
         assert modes.gamma_x[-1] == pytest.approx(0.75, abs=1e-12)
         assert modes.lambda_z[1] == pytest.approx(3.0, abs=1e-12)
         assert 2 * np.sqrt(modes.gamma_x[-1]) == pytest.approx(
