@@ -13,10 +13,10 @@ c = Q_ket - Q_bra, and its diagonal blocks are the sectors of c
 Prosen, New J. Phys. 14, 073007 (2012); Albert & Jiang, Phys. Rev. A 89,
 022118 (2014)); a model without one is the single sector c = 0.  Each sector
 is gathered densely (``liouvillian``) and stepped with its one-step map
-exp(L_c dt), and only the sectors the caller keeps are stepped and held,
-compact, one column per kept vec index: a scan's phase cycle passes only
-pathways whose pulses change c by the kept coherence orders
-(``protocol._kept_sectors``).  Besides those, the sector c = 0 of the
+exp(L_c dt) (``_step_map``), and only the sectors the caller keeps are
+stepped and held, compact, one column per kept vec index: a scan's phase
+cycle passes only pathways whose pulses change c by the kept coherence
+orders (``protocol._kept_sectors``).  Besides those, the sector c = 0 of the
 forward line is stepped for the trace-drift check and the mirror -c of each
 line's largest kept sector c for the reality check, which bounds the line's
 difference from its conjugate transpose there (SignalRealityError); each
@@ -29,7 +29,14 @@ against.  Every matrix exponential is ``expm``: exp of the diagonal when the
 matrix has no nonzero entry off it (every sector map of a dissipation-free
 model whose Hamiltonian is diagonal in the Fock basis, such as the Kerr
 model, so that a ``kerr`` run makes no LU solve), else a numpy
-scaling-and-squaring Pade approximant.
+scaling-and-squaring Pade approximant.  A model whose Hamiltonian is real
+and odd under a mode parity, with real jumps of definite parity
+(``LindbladModel.parity``; the resonance exchange under the stretch parity
+(-1)^n_str), has every sector generator real after a diagonal change of
+basis by 1s and i's, the device ``fock.displacement`` uses too; its sector
+maps are exponentiated in float64, with real products and a real LU solve,
+and rotated back.  The lines, the checks and ``build_propagator`` stay
+complex.
 """
 
 from __future__ import annotations
@@ -37,6 +44,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
+from itertools import product
 
 import numpy as np
 
@@ -114,8 +122,33 @@ class LindbladModel:
         (slot 0 slowest); zero without declared weights."""
         if self.charge_weights is None:
             return np.zeros(self.dim, dtype=np.int64)
-        combs = (w * np.arange(d, dtype=np.int64) for w, d in zip(self.charge_weights, self.register.dims))
-        return reduce(np.add.outer, combs).ravel()
+        return _mode_sum(self.charge_weights, self.register.dims)
+
+    @cached_property
+    def parity(self) -> tuple[int, ...] | None:
+        """The first nonempty mode subset p, one 0/1 flag per register mode
+        in binary counting order, whose parity sigma = (-1)^(sum_s p_s n_s)
+        makes the Hamiltonian real and odd, sigma H sigma = -H, and every
+        jump with rate > 0 real and of one parity, sigma c sigma = +-c, all
+        exactly; None without a register or without such a subset.
+
+        Then S = sigma kron sigma on vec indices gives S L S = conj(L):
+        -i[H, .] joins only indices of opposite S, with imaginary entries,
+        while the dissipator and the real part of K keep S and are real.
+        So each sector generator is real after the diagonal change of basis
+        by 1 (S = +1) and i (S = -1) that ``_step_map`` applies."""
+        if self.register is None:
+            return None
+        ops = [np.asarray(self.hamiltonian)] + [np.asarray(op) for op, rate in self.collapse_ops if rate > 0]
+        if any(np.any(np.imag(op)) for op in ops) or np.any(np.diagonal(ops[0])):
+            return None
+        entries = [np.nonzero(op) for op in ops]
+        for p in list(product((0, 1), repeat=self.register.n_modes))[1:]:
+            odd = _mode_sum(p, self.register.dims) % 2 == 1
+            flips = [odd[i] != odd[k] for i, k in entries]  # per nonzero entry: does it flip sigma?
+            if flips[0].all() and all(f.all() or not f.any() for f in flips[1:]):
+                return p
+        return None
 
     @cached_property
     def generator(self) -> tuple[np.ndarray, list[tuple[np.ndarray, float]]]:
@@ -126,6 +159,12 @@ class LindbladModel:
         for c, rate in jumps:
             k -= 0.5 * rate * (c.conj().T @ c)
         return k, jumps
+
+
+def _mode_sum(weights: tuple[int, ...], dims: tuple[int, ...]) -> np.ndarray:
+    """The int64 diagonal of sum_s w_s n_s on the register ``dims``, slot 0
+    slowest."""
+    return reduce(np.add.outer, (w * np.arange(d, dtype=np.int64) for w, d in zip(weights, dims))).ravel()
 
 
 @dataclass(frozen=True)
@@ -214,7 +253,9 @@ def expm(a: np.ndarray) -> np.ndarray:
 def _map_bytes(b: int) -> int:
     """Upper bound on the bytes held while one b x b step map is built: the
     gather of ``liouvillian`` with its temporaries, then the matrices
-    ``expm`` works in, at most 10 b x b complex matrices at a time."""
+    ``expm`` works in, at most 10 b x b complex matrices at a time.  A map
+    built in real arithmetic (``_step_map`` of a model with a parity) holds
+    about half of it: ``expm`` then works in float64."""
     return 16 * 10 * b * b
 
 
@@ -270,6 +311,36 @@ def build_propagator(model: LindbladModel, dt: float) -> Propagator:
     d = model.dim
     _check_budget(_map_bytes(d * d), f"superoperator (dim {d} -> {d * d}^2)")
     return Propagator(step=dt, dim=d, matrix=expm(liouvillian(model) * dt))
+
+
+def _step_map(model: LindbladModel, idx: np.ndarray, dt: float) -> np.ndarray:
+    """exp(L_c dt) of the sector with vec indices ``idx``.
+
+    A model with a parity (``LindbladModel.parity``) has L_c dt rotated to
+    B = U^-1 L_c dt U, U = diag(u) with u = i at the vec indices whose ket
+    and bra differ in parity and 1 elsewhere: each entry is multiplied by
+    1 or +-i, which swaps its real and imaginary parts exactly, so B is
+    real to the bit and ``expm`` runs in float64 with a real LU solve.  The
+    map is U exp(B) U^-1.  A rotated generator with any imaginary entry
+    left is exponentiated in complex arithmetic, so a generator that lacks
+    the parity still gives its own exponential.
+    """
+    a = liouvillian(model, idx)
+    a *= dt
+    if model.parity is None:
+        return expm(a)
+    odd = _mode_sum(model.parity, model.register.dims) % 2 == 1
+    ket, bra = np.divmod(idx, model.dim)
+    u = np.where(odd[ket] != odd[bra], 1j, 1.0)
+    a *= u.conj()[:, None]
+    a *= u
+    if not np.any(a.imag):
+        a = a.real.copy()  # drops the complex generator
+    p = expm(a)
+    del a
+    p = p * u[:, None]
+    p *= u.conj()
+    return p
 
 
 def _check_skew(x: np.ndarray, mirror: np.ndarray) -> None:
@@ -333,7 +404,8 @@ def evolution_lines(
     c in offset + step Z, names the sectors that reach the caller (None
     keeps all); only those are held, each a run of columns in ascending c.
     P_c = exp(L_c dt) is built once for each stepped sector (the largest
-    map's size checked against the memory budget first), which steps the
+    map's size checked against the memory budget first; in real arithmetic
+    for a model with a parity, ``_step_map``), which steps the
     forward column with P_c and the covector rows with P_c from the right
     (the transpose) along the grid.  Two more sectors are stepped for the
     checks, on the line they check alone, and dropped once checked: c = 0,
@@ -393,7 +465,7 @@ def evolution_lines(
 
     held, walked = {}, set()  # check-only lines awaiting their check; (line, sector) pairs stepped
     for c in stepped:
-        step = expm(liouvillian(model, blocks[c]) * dt)
+        step = _step_map(model, blocks[c], dt)
         for i in (0, 1):
             if c in cols[i]:
                 walk(step, i, c, lines[i][..., cols[i][c]])

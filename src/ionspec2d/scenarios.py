@@ -11,7 +11,12 @@ populations exactly, and ``kerr_scan_full`` on the product register is its
 oracle.  The resonance scenario probes coherent zigzag-stretch energy
 exchange at anisotropy 20/63 under heating: a Lindblad model on the
 two-mode register that declares the conserved charge Q = n_zz + 2 n_str by
-its mode weights (1, 2) (the heating jumps shift ket and bra alike).
+its mode weights (1, 2) (the heating jumps shift ket and bra alike).  Its
+exchange Hamiltonian is real and odd under the stretch parity (-1)^n_str,
+and each heating jump has a definite parity, so every sector map of a
+resonance run is exponentiated in real arithmetic
+(``dynamics.LindbladModel.parity``); the diagonal Kerr model has no such
+parity, and its maps are exp of their diagonals.
 
 Both scenarios run one engine, ``protocol.scan``, whose lines
 (``dynamics.evolution_lines``) step one small dense map per sector of the

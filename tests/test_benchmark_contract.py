@@ -48,3 +48,20 @@ def test_benchmark_configs_names_and_kerr_call_structure(tmp_path):
     names = [span[0] for span in tracer.spans]
     [fast] = [i for i, name in enumerate(names) if name == "scenarios.kerr_scan_fast"]
     assert [span[3] for span in tracer.spans if span[0] == "protocol.scan"] == [fast]
+
+
+def test_gated_models_take_the_expected_step_map_path(tmp_path, monkeypatch):
+    # resonance-lindblad steps real sector maps through its mode parity;
+    # kerr-sectors' diagonal zigzag model has none and keeps the complex path
+    workloads = _bench_module("workloads")
+    scan, parities = protocol.scan, []
+
+    def recording(model, *args, **kwargs):
+        parities.append(model.parity)
+        return scan(model, *args, **kwargs)
+
+    monkeypatch.setattr(protocol, "scan", recording)
+    for name, parity in (("resonance-lindblad", (0, 1)), ("kerr-sectors", None)):
+        parities.clear()
+        cli.run_scenario(cli.build_config(workloads.config(name, tmp_path / name, seed=1)))
+        assert parities == [parity], name

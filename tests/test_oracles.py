@@ -71,13 +71,18 @@ class TestExpm:
         assert _relative_error(dynamics.expm(jordan), scipy_linalg.expm(jordan)) <= RTOL
 
     def test_every_resonance_block_map(self, resonance_data):
-        # the reference resonance model at the reference dt of the scenario
+        # the reference resonance model at the reference dt of the scenario,
+        # as the complex exponential and as the real one of the rotated
+        # generator, U exp(B) U^-1 (its stretch parity)
         omega_t = scenarios.resonance_parameters(resonance_data).omega_t
         model = scenarios.resonance_model(omega_t, dims=(9, 6), heating_quanta_per_s=(200.0, 100.0))
+        assert model.parity is not None
         dt = 10.6e-6
         for idx in dynamics.liouvillian_blocks(model).values():
             step = dynamics.liouvillian(model, idx) * dt
-            assert _relative_error(dynamics.expm(step), scipy_linalg.expm(step)) <= RTOL
+            ref = scipy_linalg.expm(step)
+            assert _relative_error(dynamics.expm(step), ref) <= RTOL
+            assert _relative_error(dynamics._step_map(model, idx, dt), ref) <= RTOL
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.25, 0.25j, 0.3 - 0.4j, 0.8 * np.exp(0.7j)])

@@ -108,6 +108,22 @@ class TestResonanceReference:
             assert abs(found[label].omega1 - w1) <= 1.5 * bin_width, label
             assert abs(found[label].omega3 - w3) <= 1.5 * bin_width, label
 
+    def test_small_run_makes_no_complex_solve(self, tmp_path, monkeypatch):
+        # the stretch parity makes every sector generator real after a
+        # diagonal change of basis, so each step map's Pade solve is real
+        solve, real_solves = np.linalg.solve, []
+
+        def real_only(a, b):
+            if np.iscomplexobj(a) or np.iscomplexobj(b):
+                pytest.fail("complex LU solve in a resonance run")
+            real_solves.append(a.shape)
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", real_only)
+        raw = {"scenario": "resonance", "dims": [5, 3], "grid_scale": 0.1, "out_dir": str(tmp_path)}
+        assert run_scenario(build_config(raw))["status"] == "ok"
+        assert real_solves
+
 
 KHZ = 2 * np.pi * 1e3
 DT = 25.3e-6
