@@ -483,7 +483,12 @@ def main(argv: list[str] | None = None) -> int:
     raw: dict = {}
     if args.config is not None:
         try:
-            raw = json.loads(Path(args.config).read_text())
+            text = Path(args.config).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            print(f"error: cannot read config {args.config}: {exc}", file=sys.stderr)
+            return 2
+        try:
+            raw = json.loads(text)
         except json.JSONDecodeError as exc:
             print(f"error: config is not valid JSON: {exc}", file=sys.stderr)
             return 2

@@ -17,10 +17,11 @@ exp(L_c dt) (``_step_map``), and only the sectors the caller keeps are
 stepped and held, compact, one column per kept vec index: a scan's phase
 cycle passes only pathways whose pulses change c by the kept coherence
 orders (``protocol._kept_sectors``).  Besides those, the sector c = 0 of the
-forward line is stepped for the trace-drift check and the mirror -c of each
-line's largest kept sector c for the reality check, which bounds the line's
-difference from its conjugate transpose there (SignalRealityError); each
-check-only line is dropped once checked.
+forward line is stepped for the trace-drift check, and for the reality check
+the line of each line's adjoint start (state^+, A^+) in the mirror -c of the
+line's largest kept sector c: P^+ commutes with the adjoint, so the check
+bounds the line's difference there from the adjoint of its adjoint's line
+(SignalRealityError).  Both checks run once, after the walks.
 
 ``build_propagator`` builds exp(L dt) for one fixed step as the dense
 exponential of the Liouvillian; it serves single protocol executions
@@ -344,11 +345,13 @@ def _step_map(model: LindbladModel, idx: np.ndarray, dt: float) -> np.ndarray:
 
 
 def _check_skew(x: np.ndarray, mirror: np.ndarray) -> None:
-    """SignalRealityError when a line's anti-Hermitian part, half of
-    max |x - conj(mirror)| for x and mirror holding its entries (i, j) and
-    (j, i), exceeds IMAG_TOL * max(1, max|x|): it would make the signal
-    complex.  |x - conj(mirror)| is taken from the real and imaginary
-    parts, so no complex temporary of the line's size is formed."""
+    """SignalRealityError when half of max |x - conj(mirror)|, for x holding
+    a line's entries (i, j) and mirror the entries (j, i) of its adjoint's
+    line (the line itself for a Hermitian start), exceeds
+    IMAG_TOL * max(1, max|x|): the step map has stopped preserving the
+    adjoint, which would make each raw signal complex.  |x - conj(mirror)|
+    is taken from the real and imaginary parts, so no complex temporary of
+    the line's size is formed."""
     skew = 0.5 * float(np.max(np.hypot(x.real - mirror.real, x.imag + mirror.imag)))
     bound = IMAG_TOL * max(1.0, float(np.max(np.abs(x))))
     if skew > bound:
@@ -380,23 +383,23 @@ def _in_class(c, cls: tuple[int, int]):
 def evolution_lines(
     model: LindbladModel,
     state: np.ndarray,
-    observables: np.ndarray,
+    observable: np.ndarray,
     n: int,
     dt: float,
     sectors: tuple[tuple[int, int], tuple[int, int]] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Forward and backward lines of the one-step evolution P = exp(L dt).
 
-    Returns ``(forward, covectors, forward_index, covector_index)`` in the
-    register basis for grid points k = 0 .. n-1, both lines compact: column
-    j holds the row-major vec index ``forward_index[j]`` (covectors:
-    ``covector_index[j]``), for every entry that reaches the caller.
+    Returns ``(forward, covector, forward_index, covector_index)`` in the
+    register basis for grid points k = 0 .. n-1, both lines compact and
+    shaped (n, K): column j holds the row-major vec index
+    ``forward_index[j]`` (covector: ``covector_index[j]``), for every entry
+    that reaches the caller.
 
-    - ``forward[k]`` holds vec(P^k(state)), shape (n, K_f);
-    - ``covectors[k, j]`` holds the vec of ((P^+)^k(A_j))^T for each of the
-      m ``observables`` A_j (the Heisenberg picture), shape (n, m, K_c), so
-      that tr[A_j P^k(rho)] = covectors[k, j] @ vec(rho)[covector_index]
-      for rho in the kept sectors.
+    - ``forward[k]`` holds vec(P^k(state));
+    - ``covector[k]`` holds vec(((P^+)^k(A))^T) of the ``observable`` A (the
+      Heisenberg picture), so that tr[A P^k(rho)] = covector[k] @
+      vec(rho)[covector_index] for rho in the kept sectors.
 
     Every model steps the sectors of its charge c = Q_ket - Q_bra
     (``liouvillian_blocks``; one d^2 sector without a declared charge).
@@ -405,79 +408,63 @@ def evolution_lines(
     keeps all); only those are held, each a run of columns in ascending c.
     P_c = exp(L_c dt) is built once for each stepped sector (the largest
     map's size checked against the memory budget first; in real arithmetic
-    for a model with a parity, ``_step_map``), which steps the
-    forward column with P_c and the covector rows with P_c from the right
-    (the transpose) along the grid.  Two more sectors are stepped for the
-    checks, on the line they check alone, and dropped once checked: c = 0,
-    where a forward trace drift above TRACE_TOL_PER_STEP per grid point
-    raises PropagatorAccuracyError, and the mirror -c of each line's
-    largest kept sector c, where the line's difference from its conjugate
-    transpose is bounded (``_check_skew``, SignalRealityError).  Each
-    stepped sector's map walks every line that needs the sector, every
-    check runs as soon as its data exist, and each line's largest kept
-    sector is stepped first, so a check-only line waits for its mirror only
-    when the mirrors of the two lines' largest sectors are each other's.
+    for a model with a parity, ``_step_map``), and it steps every line that
+    needs the sector: the forward column with P_c and the covector row with
+    P_c from the right (the transpose) along the grid.  Up to three more
+    lines are walked for the checks alone and held until both checks run,
+    after the walks: the forward sector c = 0 when it is not kept, where a
+    trace drift above TRACE_TOL_PER_STEP per grid point raises
+    PropagatorAccuracyError, and for each line its adjoint's line in the
+    mirror -c of the line's largest kept sector c.  P^+ commutes with the
+    adjoint, so X(k)^+ = (X^+)(k) for each line X, started from vec(state^+)
+    for the forward line and vec(conj A) for the covector; ``_check_skew``
+    bounds the difference (SignalRealityError).
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    d, m = model.dim, len(observables)
-    vec0 = state.reshape(d * d)
-    cov0 = np.swapaxes(observables, 1, 2).reshape(m, d * d)  # vec(A^T): tr[A rho] = vec(A^T) . vec(rho)
+    d = model.dim
+    # tr[A rho] = vec(A^T) . vec(rho); the adjoints' starts are vec(state^+) and vec((A^+)^T)
+    starts = state.reshape(d * d), observable.T.reshape(d * d)
+    adjoints = state.conj().T.reshape(d * d), observable.conj().reshape(d * d)
     blocks = liouvillian_blocks(model)
     kept = [[c for c in blocks if _in_class(c, cls)] for cls in sectors or ((0, 1), (0, 1))]
+    walks = {}  # {sector c: [(line, start, out)]}, every walk P_c steps
     index, cols = [], []  # per line: the kept vec indices and {c: the columns of sector c}
-    for k in kept:
+    lines = []
+    for i, k in enumerate(kept):
         ends = np.cumsum([0] + [blocks[c].size for c in k]).tolist()
         index.append(np.concatenate([blocks[c] for c in k] or [np.zeros(0, np.int64)]))
         cols.append(dict(zip(k, map(slice, ends[:-1], ends[1:]))))
-    lines = np.empty((n, index[0].size), dtype=complex), np.empty((n, m, index[1].size), dtype=complex)
-    largest = [max(k, key=lambda c: blocks[c].size, default=None) for k in kept]
-    # {(line, sector) checked: the (line, sector) pairs it reads}: the trace
-    # lives in c = 0 of the forward line, and the reality check reads each
-    # line's largest kept sector c against its mirror -c
-    needs = {(0, 0): {(0, 0)}}
-    for i, c in enumerate(largest):
-        if c is not None:
-            needs.setdefault((i, -c), {(i, -c)}).add((i, c))
-    first = [c for c in largest if c is not None]  # so that their mirrors find them walked
-    stepped = dict.fromkeys(first + sorted({*cols[0], *cols[1]}) + sorted(c for _, c in needs))
-    b = max(blocks[c].size for c in stepped)
-    _check_budget(_map_bytes(b), f"Liouvillian block map ({b}^2)")
+        lines.append(np.empty((n, index[i].size), dtype=complex))
+        for c in k:
+            walks.setdefault(c, []).append((i, starts[i], lines[i][:, cols[i][c]]))
 
-    def walk(step, i, c, out):
-        # P_c^k vec0[idx] down the forward line (i = 0), cov0[:, idx] P_c^k along the covectors
-        out[0] = (vec0, cov0)[i][..., blocks[c]]
-        for k in range(1, n):
-            if i:
-                np.matmul(out[k - 1], step, out=out[k])
-            else:
-                np.matmul(step, out[k - 1], out=out[k])
+    def hold(i, c, start):  # a check-only line: sector c of line i from ``start``
+        out = np.empty((n, blocks[c].size), dtype=complex)
+        walks.setdefault(c, []).append((i, start, out))
         return out
 
-    def check(i, c, line):
-        # the trace of sector 0 of the forward line, or the entries (i, j) of
-        # the line's largest kept sector against their mirrors (j, i) in c
-        if c == 0 and i == 0:
-            _check_trace_drift(line[:, np.searchsorted(blocks[0], np.arange(d) * (d + 1))])
-        if largest[i] is not None and c == -largest[i]:
-            idx = blocks[-c]
-            _check_skew(lines[i][..., cols[i][-c]], line[..., np.searchsorted(blocks[c], idx % d * d + idx // d)])
-
-    held, walked = {}, set()  # check-only lines awaiting their check; (line, sector) pairs stepped
-    for c in stepped:
+    trace = lines[0][:, cols[0][0]] if 0 in cols[0] else hold(0, 0, starts[0])
+    largest = [max(k, key=lambda c: blocks[c].size, default=None) for k in kept]
+    mirrors = [None if c is None else hold(i, -c, adjoints[i]) for i, c in enumerate(largest)]
+    b = max(blocks[c].size for c in walks)
+    _check_budget(_map_bytes(b), f"Liouvillian block map ({b}^2)")
+    for c in sorted(walks):
         step = _step_map(model, blocks[c], dt)
-        for i in (0, 1):
-            if c in cols[i]:
-                walk(step, i, c, lines[i][..., cols[i][c]])
-            elif (i, c) in needs:
-                held[i, c] = walk(step, i, c, np.empty(lines[i].shape[:-1] + blocks[c].shape, dtype=complex))
-            else:
-                continue
-            walked.add((i, c))
-            for j, s in [key for key, reads in needs.items() if reads <= walked]:
-                del needs[j, s]
-                check(j, s, held.pop((j, s)) if (j, s) in held else lines[j][..., cols[j][s]])
+        for i, start, out in walks[c]:
+            out[0] = start[blocks[c]]
+            for k in range(1, n):
+                if i:
+                    np.matmul(out[k - 1], step, out=out[k])
+                else:
+                    np.matmul(step, out[k - 1], out=out[k])
         del step
+    _check_trace_drift(trace[:, np.searchsorted(blocks[0], np.arange(d) * (d + 1))])
+    for i, c in enumerate(largest):
+        # entries (i, j) of the line's largest kept sector against (j, i) of its adjoint's line
+        if c is not None:
+            idx = blocks[c]
+            _check_skew(lines[i][:, cols[i][c]], mirrors[i][:, np.searchsorted(blocks[-c], idx % d * d + idx // d)])
     return lines[0], lines[1], index[0], index[1]
 
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import IMAG_TOL, LindbladModel, SignalRealityError  # noqa: F401  (re-exported)
-from .dynamics import _check_budget, _in_class, _map_bytes, build_propagator, evolution_lines
+from .dynamics import _check_budget, _in_class, _map_bytes, _mode_sum, build_propagator, evolution_lines
 from .fock import displacement, embed
 
 
@@ -180,19 +180,19 @@ def _working_set_bytes(d: int, n: int, d_target: int, columns: tuple[int, int, i
     """Upper bound on the bytes a scan holds at once, with ``columns`` =
     (K_f, K_c, b) from ``sector_columns``: the grid twice, a few d x d
     operators and the pre-cycled pulse pair with its products, and
-    n (2 K_f + 3 K_c + 3 b) line entries at most: the forward and the two
-    covector lines with at most one check-only line of each (b columns or
-    fewer; both at once only when their mirrors cross) while the lines are
-    built, then the forward line and the combined covector with the
-    contraction's gathers of both; and the step map of the largest sector,
-    b vec indices, built while the lines are held (``dynamics._map_bytes``).
+    n (2 K_f + 2 K_c + 3 b) line entries at most: the forward and covector
+    lines with up to three check-only lines of b columns or fewer (the
+    forward c = 0 and the two adjoint mirrors) while the lines are built,
+    then the two lines with the contraction's gathers of both; and the step
+    map of the largest sector, b vec indices, built while the lines are
+    held (``dynamics._map_bytes``).
 
     A chi weight (``span`` = max Q - min Q) adds its table, 4 span (n - 1)
     + 1 entries, and with o = 2 d_target - 1 forward charges at most: the
     states by forward charge and one covector charge's copy, n o (K_c + b),
     its covector, n b, and its chi gather, index and product, n^2 (3o/2 + b)."""
     k_f, k_c, b = columns
-    need = 16 * (n * (2 * k_f + 3 * k_c + 3 * b) + 2 * n * n + 8 * d * d + 3 * d_target**4) + _map_bytes(b)
+    need = 16 * (n * (2 * k_f + 2 * k_c + 3 * b) + 2 * n * n + 8 * d * d + 3 * d_target**4) + _map_bytes(b)
     if span is not None:
         o = 2 * d_target - 1
         need += 16 * (4 * span * (n - 1) + 1 + n * (o * (k_c + b) + b) + n * n * b) + 24 * n * n * o
@@ -226,9 +226,7 @@ def sector_columns(weights: tuple[int, ...], dims: tuple[int, ...], seq: PulseSe
     N_q N_q' to the sector q - q', so neither the time nor the memory grows
     with the size of the weights.  By Cauchy-Schwarz no sector holds more
     than c = 0."""
-    q = np.zeros(1, dtype=np.int64)
-    for w, d in zip(weights, dims):
-        q = np.add.outer(q, w * np.arange(d, dtype=np.int64)).ravel()
+    q = _mode_sum(weights, dims)
     # counted without a sort: np.unique would load numpy's sort kernels,
     # about 0.25 MB of resident memory, into every kerr run
     hist = Counter(q.tolist())
@@ -246,7 +244,7 @@ def _pulse_set(model: LindbladModel, seq: PulseSequence) -> tuple[np.ndarray, ..
     K32 kron conj(K32) of the target-mode displacements K32 = K3 K2, which
     maps the row-major vec of the target block of rho to that of
     sum w2 w3 D32 rho D32^+ (d_t^2 x d_t^2); and the pre-cycled observable
-    sum w4 D4^+ M D4 = H_R + i H_I as its embedded Hermitian parts (2, d, d).
+    A = sum w4 D4^+ M D4, embedded, one complex (d, d) matrix.
     """
     d1 = pulse_operator(model, seq, 1, 0.0)
     dim = model.register.dims[seq.target]
@@ -262,8 +260,7 @@ def _pulse_set(model: LindbladModel, seq: PulseSequence) -> tuple[np.ndarray, ..
     cycled = cycled.reshape((dim,) * 4).transpose(0, 2, 1, 3).reshape(dim * dim, dim * dim)
     k4 = kicks(4)
     measured = np.swapaxes(k4.conj(), 1, 2) @ np.diag(np.arange(dim)) @ k4
-    parts = [np.tensordot(w, measured, 1) for w in (w4.real, w4.imag)]
-    return d1, cycled, np.stack([embed(h, seq.target, model.register) for h in parts])
+    return d1, cycled, embed(np.tensordot(w4, measured, 1), seq.target, model.register)
 
 
 def _kept_sectors(w: int, seq: PulseSequence) -> tuple[tuple[int, int], ...]:
@@ -303,22 +300,22 @@ def scan(
     nonlinear response (Mukamel, Principles of Nonlinear Optical
     Spectroscopy, 1995).  The signature component is linear in the raw
     signals, so s(k1, k3) = tr[A(k3) S(k1)] with the pre-cycled state
-    S = sum w2 w3 D32 rho D32^+ and observable A = sum w4 A_j4 = H_R + i H_I
+    S = sum w2 w3 D32 rho D32^+ and observable A = sum w4 A_j4
     (``_pulse_set``): only a finite sum is reordered, so the phase-cycle
     aliasing is the experiment's.
 
     Only the sectors c = Q_ket - Q_bra of the charge the model declares by
     its per-mode weights that the phase cycle keeps reach the signal
     (``_kept_sectors``, on the target's weight):
-    ``dynamics.evolution_lines`` steps and holds the forward line and the
-    covector lines of H_R and H_I on those alone, one column per kept vec
-    index, and the pre-cycled pulse pair, which acts on the target-mode ket
-    and bra axes, is applied to the kept forward entries and read on the
-    kept covector entries only, each found through a vec-index-to-column
-    table, one spectator charge difference at a time (no embedded d x d
-    pulse is formed).  A model without a declared charge is one sector,
-    stepped and contracted in full.  The working set (the kept columns and
-    the largest sector's step map, counted from the weights and dims by
+    ``dynamics.evolution_lines`` steps and holds the forward line and A's
+    covector line on those alone, one column per kept vec index, and the
+    pre-cycled pulse pair, which acts on the target-mode ket and bra axes,
+    is applied to the kept forward entries and read on the kept covector
+    entries only, each found through a vec-index-to-column table, one
+    spectator charge difference at a time (no embedded d x d pulse is
+    formed).  A model without a declared charge is one sector, stepped and
+    contracted in full.  The working set (the kept columns and the largest
+    sector's step map, counted from the weights and dims by
     ``sector_columns``) is checked against the memory budget
     (``check_scan_budget``) before any operator is built.
 
@@ -335,13 +332,10 @@ def scan(
     dims, n, d = model.register.dims, grid_points(t_max, dt), model.dim
     d_t = dims[seq.target]
     check_scan_budget(model.charge_weights, dims, n, seq, chi is not None)
-    d1, cycled, observables = _pulse_set(model, seq)
+    d1, cycled, observable = _pulse_set(model, seq)
     w = model.charge_weights[seq.target]
     kept_forward, kept_covector = kept = _kept_sectors(w, seq)
-    line, covectors, *kept_index = evolution_lines(model, d1 @ rho0 @ d1.conj().T, observables, n, dt, kept)
-    covector = covectors[:, 1] * 1j  # vec(A(k3)^T) = vec(H_R^T) + i vec(H_I^T), (k3, K_c)
-    covector += covectors[:, 0]
-    del covectors
+    line, covector, *kept_index = evolution_lines(model, d1 @ rho0 @ d1.conj().T, observable, n, dt, kept)
     column = np.zeros((2, d * d), dtype=np.intp)  # the compact column of each kept vec index
     for col, idx in zip(column, kept_index):
         col[idx] = np.arange(idx.size)

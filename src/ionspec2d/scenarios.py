@@ -22,9 +22,10 @@ Both scenarios run one engine, ``protocol.scan``, whose lines
 (``dynamics.evolution_lines``) step one small dense map per sector of the
 charge c = Q_ket - Q_bra along the time grid, only on the sectors the
 (1, -1, -1) cycle keeps, c in 1 + 4Z for N_phi = 4 (the zigzag's coherence
-order a - b for kerr, with weight 1), plus c = 0 and c = -1 for the trace
-and reality checks: 6 of the 17 sectors at the kerr zigzag dim 9, and 11 of
-the 37 sectors at resonance dims (9, 6), 720 of the 2916 vec indices kept.
+order a - b for kerr, with weight 1), plus c = 0 for the trace check and
+c = -1, walked from the adjoint starts, for the reality checks: 6 of the 17
+sectors at the kerr zigzag dim 9, and 11 of the 37 sectors at resonance
+dims (9, 6), with 720 of the 2916 vec indices kept on each line.
 """
 
 from __future__ import annotations

@@ -229,34 +229,32 @@ def _hermitize(ops: np.ndarray) -> None:
         part *= 0.5
 
 
-def closed_form_lines(model, state, observables, n, dt, sectors=None):
+def closed_form_lines(model, state, observable, n, dt, sectors=None):
     """``dynamics.evolution_lines`` of a dissipation-free model in closed
     form: no stepping, no drift, in the eigenbasis of H (``np.linalg.eigh``),
-    both lines rotated back once and re-hermitized.  Without ``sectors`` it
-    returns all d^2 vec indices in order; with them, the columns of the
-    kept sectors in the order the stepped lines hold them, so that it can
-    stand in for ``evolution_lines`` in a scan."""
-    d, m = model.dim, len(observables)
-    covectors0 = np.swapaxes(observables, 1, 2)  # A^T: tr[A rho] = vec(A^T) . vec(rho)
+    both lines rotated back once and the forward line re-hermitized.
+    Without ``sectors`` it returns all d^2 vec indices in order; with them,
+    the columns of the kept sectors in the order the stepped lines hold
+    them, so that it can stand in for ``evolution_lines`` in a scan."""
+    d = model.dim
     energies, basis = np.linalg.eigh(model.hamiltonian)
     state = basis.conj().T @ state @ basis
-    covectors0 = basis.T @ covectors0 @ basis.conj()  # (V^+ A V)^T
+    covector0 = basis.T @ observable.T @ basis.conj()  # (V^+ A V)^T: tr[A rho] = vec(A^T) . vec(rho)
     # P^k multiplies rho_ab by exp(-i (E_a - E_b) k dt); P^+ multiplies
     # A_ab by the conjugate phase, i.e. (A^T)_ab by the same phase.  Rotated
     # back by V X V^+ and, for the transposes, V* X V^T, a chunk at a time
     t = np.arange(n) * dt
     gaps = energies[:, None] - energies[None, :]
     forward = np.empty((n, d, d), dtype=complex)
-    back = np.empty((n, m, d, d), dtype=complex)
+    back = np.empty((n, d, d), dtype=complex)
     for s in _chunks(forward):
         phases = np.exp(-1j * t[s, None, None] * gaps)
         forward[s] = basis @ (state * phases) @ basis.conj().T
-        back[s] = basis.conj() @ (covectors0[None] * phases[:, None]) @ basis.T
+        back[s] = basis.conj() @ (covector0 * phases) @ basis.T
     _hermitize(forward)
-    _hermitize(back)
     forward = forward.reshape(n, d * d)
     dynamics._check_trace_drift(forward[:, :: d + 1])  # vec indices i (d + 1)
-    back = back.reshape(n, m, d * d)
+    back = back.reshape(n, d * d)
     if sectors is None:
         every = np.arange(d * d)
         return forward, back, every, every
@@ -265,7 +263,7 @@ def closed_form_lines(model, state, observables, n, dt, sectors=None):
         np.concatenate([idx for c, idx in blocks.items() if dynamics._in_class(c, cls)] or [np.zeros(0, np.int64)])
         for cls in sectors
     ]
-    return forward[:, index[0]], back[..., index[1]], index[0], index[1]
+    return forward[:, index[0]], back[:, index[1]], index[0], index[1]
 
 
 def fwhm(spec: spectrum.Spectrum2D, peak: spectrum.Peak, axis: str) -> float:

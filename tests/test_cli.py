@@ -599,6 +599,16 @@ class TestMainEntry:
         cfg_path.write_text("{not json")
         assert main(["--config", str(cfg_path)]) == 2
 
+    @pytest.mark.parametrize("case", ["missing", "directory", "not_utf8"])
+    def test_unreadable_config_errors(self, tmp_path, capsys, case):
+        cfg_path = tmp_path / "cfg.json"
+        if case == "directory":
+            cfg_path.mkdir()
+        elif case == "not_utf8":
+            cfg_path.write_bytes(b'{"scenario": "tables", "out_dir": "\xff"}')
+        assert main(["--config", str(cfg_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_failing_run_exits_nonzero(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(

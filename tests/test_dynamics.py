@@ -26,7 +26,7 @@ def _coherence_state(dim):
 def _line(model, rho, steps, dt):
     """Forward line P^k(rho), k = 0 .. steps, of evolution_lines, its
     columns put back at their vec indices."""
-    identity = np.eye(model.dim, dtype=complex)[None]
+    identity = np.eye(model.dim, dtype=complex)
     forward, _, index, _ = evolution_lines(model, rho, identity, steps + 1, dt)
     line = np.empty((steps + 1, model.dim**2), dtype=complex)
     line[:, index] = forward
@@ -201,7 +201,7 @@ class TestEvolveEdges:
         with pytest.raises(ValueError):
             build_propagator(model, 0.0)
         with pytest.raises(ValueError):
-            evolution_lines(model, np.eye(3), np.eye(3)[None], 2, 0.0)
+            evolution_lines(model, np.eye(3), np.eye(3), 2, 0.0)
 
 
 class TestModelValidation:
@@ -339,9 +339,9 @@ class TestParity:
         rates = tuple(1e3 * r for r in cfg.heating_quanta_per_ms)
         model = self._resonance(resonance_data, dims=(7, 5), rates=rates)
         seq = cfg.sequence()
-        d1, _, observables = protocol._pulse_set(model, seq)
+        d1, _, observable = protocol._pulse_set(model, seq)
         state = d1 @ scenarios.resonance_initial_state((7, 5), tuple(cfg.nbar)) @ d1.conj().T
-        args = (model, state, observables, protocol.grid_points(cfg.effective_t_max, cfg.dt_s), cfg.dt_s)
+        args = (model, state, observable, protocol.grid_points(cfg.effective_t_max, cfg.dt_s), cfg.dt_s)
         kept = protocol._kept_sectors(model.charge_weights[seq.target], seq)
         with monkeypatch.context() as patch:
             patch.setattr(LindbladModel, "parity", None)

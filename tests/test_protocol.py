@@ -367,9 +367,9 @@ class TestScanEngine:
         grid = scan(model, rho0, seq, cfg.t_max_s, dt).values
 
         d, d_t = model.dim, dims[0]
-        d1, cycled, observables = protocol._pulse_set(model, seq)
+        d1, cycled, observable = protocol._pulse_set(model, seq)
         vec0 = (d1 @ rho0 @ d1.conj().T).reshape(d * d)
-        cov0 = (observables[0] + 1j * observables[1]).T.reshape(d * d)  # vec(A^T), pre-cycled A
+        cov0 = observable.T.reshape(d * d)  # vec(A^T), pre-cycled A
         forward = np.empty((n, d * d), dtype=complex)
         covector = np.empty((n, d * d), dtype=complex)
         for idx in dynamics.liouvillian_blocks(model).values():
@@ -396,9 +396,9 @@ class TestScanEngine:
         # the one 144-entry block's map needs ~3.2 MiB against a 1 MiB budget
         monkeypatch.setattr(dynamics, "DEFAULT_MEMORY_BUDGET", 1024**2)
         model, rho0 = _driven_heated_exchange()
-        observables = np.eye(12, dtype=complex)[None]
+        observable = np.eye(12, dtype=complex)
         with pytest.raises(PropagatorSizeError, match="block"):
-            dynamics.evolution_lines(model, rho0, observables, 4, 2e-5)
+            dynamics.evolution_lines(model, rho0, observable, 4, 2e-5)
 
     def test_step_map_bound_covers_gather_and_expm(self):
         # the one 144-entry block built by build_propagator: the dense
@@ -444,6 +444,53 @@ class TestScanEngine:
         with pytest.raises(SignalRealityError, match="imaginary"):
             scan(model, rho0, seq, t_max=6 * 2e-5, dt=2e-5)
 
+    def test_fault_in_the_covector_mirror_sector_raises(self, monkeypatch):
+        # signature (1, -2, -1) keeps the forward sectors 2 + 4Z and the
+        # covector sectors 1 + 4Z: the forward line's mirror -(-2) = 2 is
+        # kept, while the covector's largest kept sector 1 has its mirror -1
+        # in neither class, so only the covector's reality check reads -1
+        model, rho0 = _heated_exchange()
+        seq = PulseSequence(signature=(1, -2, -1))
+        kept = protocol._kept_sectors(model.charge_weights[seq.target], seq)
+        blocks = dynamics.liouvillian_blocks(model)
+        forward, covector = (
+            max((c for c in blocks if dynamics._in_class(c, cls)), key=lambda c: blocks[c].size) for cls in kept
+        )
+        assert abs(forward) == 2 and dynamics._in_class(-forward, kept[0])
+        assert covector == 1 and not any(dynamics._in_class(-1, cls) for cls in kept)
+        exact = dynamics.liouvillian
+
+        def faulty(model, idx=None):
+            out = exact(model, idx)
+            if idx is not None and np.array_equal(idx, blocks[-1]):
+                out += 1e3j * np.eye(idx.size)
+            return out
+
+        monkeypatch.setattr(dynamics, "liouvillian", faulty)
+        with pytest.raises(SignalRealityError, match="imaginary"):
+            scan(model, rho0, seq, t_max=6 * 2e-5, dt=2e-5)
+
+    def test_non_hermitian_observable_passes_the_reality_check(self, resonance_data):
+        # a_zz on the heated resonance model: its covector line is checked
+        # against the line of a_zz^+, and it is the line of its Hermitian
+        # part H_R plus i times that of H_I
+        dims = (5, 3)
+        cfg = cli.build_config({"scenario": "resonance", "dims": list(dims)})
+        omega_t = scenarios.resonance_parameters(resonance_data).omega_t
+        rates = tuple(1e3 * r for r in cfg.heating_quanta_per_ms)
+        model = scenarios.resonance_model(omega_t, dims=dims, heating_quanta_per_s=rates)
+        seq = cfg.sequence()
+        state = scenarios.resonance_initial_state(dims, tuple(cfg.nbar))
+        kept = protocol._kept_sectors(model.charge_weights[seq.target], seq)
+        a = fock.embed(destroy(dims[0]), 0, model.register)
+
+        def covector(observable):
+            return dynamics.evolution_lines(model, state, observable, 9, cfg.dt_s, kept)[1]
+
+        ref = covector((a + a.conj().T) / 2) + 1j * covector((a - a.conj().T) / 2j)
+        assert np.max(np.abs(ref)) > 0
+        assert np.max(np.abs(covector(a) - ref)) <= 1e-13 * np.max(np.abs(ref))
+
     @pytest.mark.parametrize(
         "build, seq",
         [
@@ -455,8 +502,8 @@ class TestScanEngine:
         # the lines on the kept sectors against every sector stepped, entry
         # for entry at the returned vec indices
         model, rho0 = build()
-        d1, _, observables = protocol._pulse_set(model, seq)
-        args = (model, d1 @ rho0 @ d1.conj().T, observables, 9, 2e-5)
+        d1, _, observable = protocol._pulse_set(model, seq)
+        args = (model, d1 @ rho0 @ d1.conj().T, observable, 9, 2e-5)
         kept = protocol._kept_sectors(model.charge_weights[seq.target], seq)
         *compact, index_f, index_c = dynamics.evolution_lines(*args, kept)
         *full, every_f, every_c = dynamics.evolution_lines(*args)
@@ -480,8 +527,8 @@ class TestScanEngine:
     )
     def test_each_stepped_sector_builds_one_map(self, monkeypatch, sectors, stepped):
         model, rho0 = _heated_exchange()
-        d1, _, observables = protocol._pulse_set(model, PulseSequence())
-        args = (model, d1 @ rho0 @ d1.conj().T, observables, 9, 2e-5)
+        d1, _, observable = protocol._pulse_set(model, PulseSequence())
+        args = (model, d1 @ rho0 @ d1.conj().T, observable, 9, 2e-5)
         *full, every_f, every_c = dynamics.evolution_lines(*args)
         exact_expm, exact_gather, exact_skew = dynamics.expm, dynamics.liouvillian, dynamics._check_skew
         maps, gathered, skews = [], [], []
@@ -500,24 +547,24 @@ class TestScanEngine:
 
     def test_compact_lines_memory(self, resonance_data):
         # the sector path holds the kept columns, the largest sector's map
-        # and one check-only line at a time: below zero-padded (n, d^2) lines
+        # and the check-only lines: below zero-padded (n, d^2) lines
         dims, n = (7, 5), 120
         cfg = cli.build_config({"scenario": "resonance", "dims": list(dims)})
         omega_t = scenarios.resonance_parameters(resonance_data).omega_t
         rates = tuple(1e3 * r for r in cfg.heating_quanta_per_ms)
         model = scenarios.resonance_model(omega_t, dims=dims, heating_quanta_per_s=rates)
         seq = cfg.sequence()
-        d1, _, observables = protocol._pulse_set(model, seq)
+        d1, _, observable = protocol._pulse_set(model, seq)
         state = d1 @ scenarios.resonance_initial_state(dims, tuple(cfg.nbar)) @ d1.conj().T
         tracemalloc.start()
         try:
             _, _, index_f, index_c = dynamics.evolution_lines(
-                model, state, observables, n, cfg.dt_s, protocol._kept_sectors(model.charge_weights[seq.target], seq)
+                model, state, observable, n, cfg.dt_s, protocol._kept_sectors(model.charge_weights[seq.target], seq)
             )
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        d2, m, b = model.dim**2, len(observables), protocol.sector_columns(model.charge_weights, dims, seq)[2]
+        d2, m, b = model.dim**2, 1, protocol.sector_columns(model.charge_weights, dims, seq)[2]  # one covector row
         lines = 16 * n * (index_f.size + m * index_c.size)
         assert peak <= lines + dynamics._map_bytes(b) + 16 * n * m * b
         assert peak < 16 * n * d2 * (1 + m)

@@ -169,8 +169,8 @@ def _all_orders_scan(model, seq, t_max, dt):
     n = grid_points(t_max, dt)
     zz = LindbladModel(hamiltonian=model.zz_hamiltonian(), register=FockRegister(dims=(d,), labels=("zz",)))
     rho0, _ = thermal_state(model.nbar[0], d)
-    d1, cycled, observables = protocol._pulse_set(zz, seq)
-    line, covectors, _, _ = dynamics.evolution_lines(zz, d1 @ rho0 @ d1.conj().T, observables, n, dt)
+    d1, cycled, observable = protocol._pulse_set(zz, seq)
+    line, covector, _, _ = dynamics.evolution_lines(zz, d1 @ rho0 @ d1.conj().T, observable, n, dt)
     m_max = (d - 1) * (2 * n - 2)
     m_dt = np.arange(-m_max, m_max + 1) * dt
     chi = (
@@ -180,7 +180,6 @@ def _all_orders_scan(model, seq, t_max, dt):
     )
     orders = np.arange(1 - d, d)
     entry_order = np.subtract.outer(np.arange(d), np.arange(d)).ravel()
-    covector = covectors[:, 0] + 1j * covectors[:, 1]
     k = np.arange(n)
     values = np.zeros((n, n), dtype=complex)
     for o1 in orders:
