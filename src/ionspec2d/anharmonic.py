@@ -22,7 +22,6 @@ numbering ("x2" is the second x mode, i.e. index 1), produced only by
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from functools import reduce
 
@@ -30,8 +29,6 @@ import numpy as np
 
 from .crystal import HBAR, NormalModes, TrapConfig, length_scale
 
-RESONANT_ANISOTROPY = 20.0 / 63.0  # 2*omega_zz = omega_stretch for N=3
-RESONANCE_WINDOW = 0.02  # |alpha_x - 20/63| counted as on resonance
 GAMMA_MIN = 1e-5  # gamma_zz at or below this ends the 1/gamma_zz expansion
 
 
@@ -87,11 +84,14 @@ class EffectiveParams:
 
 @dataclass(frozen=True)
 class ResonantCoupling:
-    """Zigzag-stretch exchange rate and the residual resonance detuning."""
+    """Zigzag-stretch exchange rate Omega_T and the detuning
+    2 omega_zz - omega_str (rad/s), which vanishes at the N = 3 resonance
+    alpha_x = 20/63.  The exchange model (``scenarios.resonance_model``)
+    omits the detuning; a ``resonance`` run warns when it exceeds the
+    tolerance of the peak labels."""
 
     omega_t: float
     detuning: float
-    on_resonance: bool
 
 
 def mode_label(direction: str, index0: int) -> str:
@@ -323,9 +323,9 @@ def resonant_coupling(
 ) -> ResonantCoupling:
     """Exchange rate Omega_T between zigzag pairs and stretch quanta.
 
-    Valid at (and near) the anisotropy 20/63 where 2*omega_zz equals the
-    stretch frequency; off resonance the returned detuning is annotated with
-    a warning rather than an error.
+    Valid at (and near) the anisotropy where 2*omega_zz equals the
+    stretch frequency, 20/63 for three ions; the detuning from it is
+    returned, not judged here.
     """
     n = modes.n_ions
     zz, stretch = n - 1, 1
@@ -338,16 +338,7 @@ def resonant_coupling(
     detuning = (
         2.0 * np.sqrt(modes.gamma_x[zz]) - np.sqrt(modes.lambda_z[stretch])
     ) * trap.omega_z
-    on_resonance = abs(trap.alpha_x - RESONANT_ANISOTROPY) <= RESONANCE_WINDOW
-    if not on_resonance:
-        warnings.warn(
-            f"anisotropy {trap.alpha_x:.5f} is outside the resonance window "
-            f"around 20/63; detuning {detuning / (2 * np.pi):.1f} Hz",
-            stacklevel=2,
-        )
-    return ResonantCoupling(
-        omega_t=float(omega_t), detuning=float(detuning), on_resonance=on_resonance
-    )
+    return ResonantCoupling(omega_t=float(omega_t), detuning=float(detuning))
 
 
 def max_nonsecular_ratio(

@@ -16,7 +16,11 @@ caller set them.  The spectrum stage makes one ``spectrum.fft2``; the two
 carrier notch.  It writes each
 quantity once: ``signal_grid.bin``, ``spectrum.bin`` (complex; its two
 affine omega axes are the manifest's ``spectrum_axes``, start, step and count),
-the two projections and ``peaks.csv``.  ``build_config`` rejects an invalid
+the two projections and ``peaks.csv``.  A ``resonance`` run labels its peaks
+with the letters that ``scenarios.predicted_peaks`` places from the charge
+blocks of its exchange model, within 1.5 bins, and warns when the detuning
+2 omega_zz - omega_str, which that model omits, exceeds the same tolerance.
+``build_config`` rejects an invalid
 configuration with ConfigError (exit 2) before any work starts, a stage past
 the memory budget included: the scan (the columns of its kept charge sectors
 and its largest sector's step map) and the zero-padded spectrum.  Every
@@ -459,11 +463,15 @@ def _dispatch(cfg: RunConfig, out: Path, manifest: dict) -> dict[str, str]:
     }
     peaks = spectrum.find_peaks(spec, threshold=cfg.peak_threshold)
     if cfg.scenario == "resonance":
-        scenarios.label_peaks(
-            peaks,
-            scenarios.predicted_resonance_peaks(data.omega_zz, res.omega_t),
-            1.5 * spec.bin_width,
-        )
+        tol = 1.5 * spec.bin_width
+        if abs(res.detuning) > tol:  # the exchange model omits it, and it moves the peaks
+            warnings.warn(
+                f"detuning 2 omega_zz - omega_str = {res.detuning / (2 * np.pi):.1f} Hz is not in the exchange "
+                f"model and exceeds the peak-label tolerance {tol / (2 * np.pi):.1f} Hz: the labels cannot be trusted",
+                stacklevel=2,
+            )
+        predicted = scenarios.predicted_peaks(model, data.omega_zz, scenarios.RESONANCE_LETTERS)
+        scenarios.label_peaks(peaks, predicted, tol)
     return tables | _write_spectrum_products(out, grid, spec, proj1, proj3, peaks)
 
 

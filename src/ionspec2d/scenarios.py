@@ -16,7 +16,9 @@ exchange Hamiltonian is real and odd under the stretch parity (-1)^n_str,
 and each heating jump has a definite parity, so every sector map of a
 resonance run is exponentiated in real arithmetic
 (``dynamics.LindbladModel.parity``); the diagonal Kerr model has no such
-parity, and its maps are exp of their diagonals.
+parity, and its maps are exp of their diagonals.  The charge also makes the
+Hamiltonian block diagonal, so ``predicted_peaks`` places the paper's peaks
+a-f (``RESONANCE_LETTERS``) from the eigenvalues of the model's own blocks.
 
 Both scenarios run one engine, ``protocol.scan``, whose lines
 (``dynamics.evolution_lines``) step one small dense map per sector of the
@@ -38,9 +40,6 @@ from . import anharmonic, crystal, dynamics, fock, protocol
 from .anharmonic import EffectiveParams, ResonantCoupling
 from .crystal import NormalModes, TrapConfig
 from .protocol import PulseSequence, SignalGrid
-
-SQRT2 = float(np.sqrt(2.0))
-SQRT6 = float(np.sqrt(6.0))
 
 
 @dataclass(frozen=True)
@@ -229,30 +228,54 @@ def resonance_initial_state(dims: tuple[int, int], nbar: tuple[float, float]) ->
     )
 
 
-def predicted_resonance_peaks(
-    omega_zz: float, omega_t: float
-) -> dict[str, tuple[float, float]]:
-    """Peak coordinates relative to the carrier, including mirror images.
+# The paper's resonance peaks a-f.  Each letter is a (t1, t3) pair of
+# one-quantum transitions (Q, i, j) of the probed mode: from eigenstate j of
+# charge block Q to eigenstate i of block Q + w, w the mode's charge weight,
+# each block's eigenvalues in ascending order (``predicted_peaks``).  At
+# exact resonance the blocks Q = 2, 3, 4 hold (-sqrt2, sqrt2),
+# (-sqrt6, sqrt6) and (-4, 0, 4) in units of |Omega_T|.
+RESONANCE_LETTERS = {
+    "a": ((0, 0, 0), (0, 0, 0)),
+    "b": ((0, 0, 0), (1, 0, 0)),
+    "c": ((2, 0, 0), (2, 0, 0)),
+    "d": ((1, 0, 0), (1, 0, 0)),
+    "e": ((2, 0, 0), (3, 0, 0)),
+    "f": ((2, 0, 1), (2, 0, 1)),
+}
 
-    All peaks sit at the carrier (-omega_zz, -omega_zz) displaced by manifold
-    eigenvalue combinations of the exchange Hamiltonian; primed labels are the
-    point reflections through the carrier.
+
+def predicted_peaks(
+    model: dynamics.LindbladModel, omega_zz: float, letters: dict
+) -> dict[str, tuple[float, float]]:
+    """(omega1, omega3) of each letter of ``letters`` (``RESONANCE_LETTERS``
+    is the paper's), from the eigenvalues of the model's Hamiltonian block
+    by block over its declared charge, which makes it block diagonal.
+
+    The pulses drive register slot 0 (``cli.RunConfig.sequence``), so w is
+    its charge weight, and a transition (Q, i, j) sits at
+    -(omega_zz + E(Q + w, i) - E(Q, j)), the carrier shifted by its energy
+    change.  A primed letter reverses each eigenvalue order, the point
+    reflection through the carrier at exact resonance; it is not listed
+    when that names the same transitions (a' is a).  A letter whose blocks
+    lack a state (a truncated register) is left out.  The order of
+    ``letters`` is kept, each letter before its prime: ``label_peaks``
+    gives a shared peak to the first.
     """
-    w = -omega_zz
-    t = abs(omega_t)
-    base = {
-        "a": (0.0, 0.0),
-        "b": (0.0, SQRT2 * t),
-        "c": ((SQRT6 - SQRT2) * t, (SQRT6 - SQRT2) * t),
-        "d": (SQRT2 * t, SQRT2 * t),
-        "e": ((SQRT6 - SQRT2) * t, (4.0 - SQRT6) * t),
-        "f": ((SQRT6 + SQRT2) * t, (SQRT6 + SQRT2) * t),
-    }
+    q = model.charge
+    levels = {c: np.linalg.eigvalsh(model.hamiltonian[np.ix_(q == c, q == c)]) for c in set(q.tolist())}
+    w = model.charge_weights[0]
+
+    def size(c: int) -> int:
+        return len(levels.get(c, ()))
+
     out = {}
-    for label, (x1, x3) in base.items():
-        out[label] = (w + x1, w + x3)
-        if (x1, x3) != (0.0, 0.0):
-            out[label + "'"] = (w - x1, w - x3)
+    for letter, moves in letters.items():
+        mirror = tuple((c, size(c + w) - 1 - i, size(c) - 1 - j) for c, i, j in moves)
+        for name, pair in ((letter, moves), (letter + "'", mirror)):
+            if (name == letter or pair != moves) and all(
+                0 <= i < size(c + w) and 0 <= j < size(c) for c, i, j in pair
+            ):
+                out[name] = tuple(-omega_zz + (levels[c][j] - levels[c + w][i]) for c, i, j in pair)
     return out
 
 

@@ -52,7 +52,9 @@ def test_benchmark_configs_names_and_kerr_call_structure(tmp_path):
 
 def test_gated_models_take_the_expected_step_map_path(tmp_path, monkeypatch):
     # resonance-lindblad steps real sector maps through its mode parity;
-    # kerr-sectors' diagonal zigzag model has none and keeps the complex path
+    # kerr-sectors' diagonal zigzag model has none and keeps the complex path.
+    # Each run's grid and labelled peaks also match the benchmark's committed
+    # reference outputs, within the tolerances of its workload
     workloads = _bench_module("workloads")
     scan, parities = protocol.scan, []
 
@@ -65,3 +67,4 @@ def test_gated_models_take_the_expected_step_map_path(tmp_path, monkeypatch):
         parities.clear()
         cli.run_scenario(cli.build_config(workloads.config(name, tmp_path / name, seed=1)))
         assert parities == [parity], name
+        assert workloads.check(name, tmp_path / name) == [], name

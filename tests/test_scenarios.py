@@ -10,22 +10,28 @@ from ionspec2d.dynamics import LindbladModel, PropagatorSizeError
 from ionspec2d.fock import FockRegister, thermal_state
 from ionspec2d.protocol import PulseSequence, SignalRealityError, grid_points, scan
 from ionspec2d.spectrum import Peak, Spectrum2D, find_peaks
+from oracles import resonant_manifolds
 from test_protocol import ASYMMETRIC, _heated_exchange
 
 OMEGA_ZZ = 2 * np.pi * 130e3
 OMEGA_T = 2 * np.pi * 6e3
 
 
+def _exchange_peaks(omega_t, dims=(9, 6)):
+    model = scenarios.resonance_model(omega_t, dims, (200.0, 100.0))
+    return scenarios.predicted_peaks(model, OMEGA_ZZ, scenarios.RESONANCE_LETTERS)
+
+
 class TestPredictedResonancePeaks:
     def test_labels_and_carrier_without_mirror(self):
-        pred = scenarios.predicted_resonance_peaks(OMEGA_ZZ, OMEGA_T)
-        assert sorted(pred) == sorted(
-            ["a", "b", "b'", "c", "c'", "d", "d'", "e", "e'", "f", "f'"]
-        )
+        pred = _exchange_peaks(OMEGA_T)
+        # in table order, each letter before its prime: label_peaks gives
+        # a shared peak to the first
+        assert list(pred) == ["a", "b", "b'", "c", "c'", "d", "d'", "e", "e'", "f", "f'"]
         assert pred["a"] == (-OMEGA_ZZ, -OMEGA_ZZ)
 
     def test_primed_peaks_mirror_through_the_carrier(self):
-        pred = scenarios.predicted_resonance_peaks(OMEGA_ZZ, OMEGA_T)
+        pred = _exchange_peaks(OMEGA_T)
         carrier = pred["a"]
         for label in "bcdef":
             (x1, x3), (m1, m3) = pred[label], pred[label + "'"]
@@ -34,9 +40,56 @@ class TestPredictedResonancePeaks:
             assert (x1, x3) != (m1, m3)
 
     def test_sign_of_coupling_does_not_move_peaks(self):
-        assert scenarios.predicted_resonance_peaks(
-            OMEGA_ZZ, -OMEGA_T
-        ) == scenarios.predicted_resonance_peaks(OMEGA_ZZ, OMEGA_T)
+        plus, minus = _exchange_peaks(OMEGA_T), _exchange_peaks(-OMEGA_T)
+        assert list(minus) == list(plus)
+        np.testing.assert_allclose(list(minus.values()), list(plus.values()), rtol=0, atol=1e-6)
+
+    def test_closed_form_at_zero_detuning(self):
+        # the exactly resonant blocks Q = 2, 3, 4 hold +-sqrt2, +-sqrt6 and
+        # (-4, 0, 4) in units of |Omega_T|; primes are point reflections
+        s2, s6, t = np.sqrt(2.0), np.sqrt(6.0), abs(OMEGA_T)
+        shifts = {
+            "a": (0.0, 0.0),
+            "b": (0.0, s2),
+            "c": (s6 - s2, s6 - s2),
+            "d": (s2, s2),
+            "e": (s6 - s2, 4.0 - s6),
+            "f": (s6 + s2, s6 + s2),
+        }
+        expected = {}
+        for label, (x1, x3) in shifts.items():
+            expected[label] = (-OMEGA_ZZ + x1 * t, -OMEGA_ZZ + x3 * t)
+            if label != "a":
+                expected[label + "'"] = (-OMEGA_ZZ - x1 * t, -OMEGA_ZZ - x3 * t)
+        for dims in ((9, 6), (5, 3)):
+            pred = _exchange_peaks(OMEGA_T, dims)
+            assert pred.keys() == expected.keys(), dims
+            for label, pos in expected.items():
+                np.testing.assert_allclose(pred[label], pos, rtol=1e-14, atol=1e-9 * t, err_msg=label)
+
+    def test_blocks_match_the_manifold_oracle(self):
+        # the same letters read from the hand-built blocks of the oracle,
+        # with the trivial blocks Q = 0, 1 added
+        levels = {0: np.zeros(1), 1: np.zeros(1)}
+        levels |= {m.charge: m.eigenvalues for m in resonant_manifolds(OMEGA_T, 5)}
+        pred = _exchange_peaks(OMEGA_T)
+        for letter, moves in scenarios.RESONANCE_LETTERS.items():
+            for name, order in ((letter, 1), (letter + "'", -1)):
+                if name in pred:
+                    pos = [-OMEGA_ZZ + levels[q][::order][j] - levels[q + 1][::order][i] for q, i, j in moves]
+                    np.testing.assert_allclose(pred[name], pos, rtol=1e-14, err_msg=name)
+        assert len(pred) == 2 * len(scenarios.RESONANCE_LETTERS) - 1  # all but a'
+
+    def test_truncated_register_drops_the_letters_its_blocks_cannot_hold(self):
+        # at dims (2, 2) the charge blocks Q = 0..3 hold one state each
+        # (|2_zz> and |3_zz> are cut) and Q = 4 is empty: e and f need a
+        # second state or the Q = 4 block, and with one state per block a
+        # prime names the same transitions as its letter.  The exchange
+        # a_zz^2 vanishes, so what is left sits at the carrier
+        pred = _exchange_peaks(OMEGA_T, (2, 2))
+        assert list(pred) == ["a", "b", "c", "d"]
+        for pos in pred.values():
+            assert pos == (-OMEGA_ZZ, -OMEGA_ZZ)
 
 
 class TestLabelPeaks:
@@ -75,10 +128,9 @@ class TestResonanceReference:
         with open(tmp_path / "peaks.csv") as fh:
             peaks = {r["label"]: r for r in csv.DictReader(fh) if r["label"]}
         derived = manifest["derived"]
-        pred = scenarios.predicted_resonance_peaks(
-            2 * np.pi * derived["omega_zz_hz"], 2 * np.pi * derived["omega_t_hz"]
-        )
         cfg = build_config({"scenario": "resonance"})
+        model = scenarios.resonance_model(2 * np.pi * derived["omega_t_hz"], cfg.dims, (200.0, 100.0))
+        pred = scenarios.predicted_peaks(model, 2 * np.pi * derived["omega_zz_hz"], scenarios.RESONANCE_LETTERS)
         n = grid_points(cfg.t_max_s, cfg.dt_s)
         assert n == 189
         bin_width = 2 * np.pi / (n * cfg.dt_s)
@@ -123,6 +175,48 @@ class TestResonanceReference:
         raw = {"scenario": "resonance", "dims": [5, 3], "grid_scale": 0.1, "out_dir": str(tmp_path)}
         assert run_scenario(build_config(raw))["status"] == "ok"
         assert real_solves
+
+
+# anisotropy 1e-4 above the three-ion resonance 20/63: 2 omega_zz - omega_str
+# is -2291.5 Hz, 0.39 Omega_T, which the exchange model omits
+DETUNED_OMEGA_X_HZ = 2.0e6 / np.sqrt(20.0 / 63.0 + 1e-4)
+
+
+class TestDetuningGuard:
+    """A resonance run warns when the detuning that its exchange model omits
+    exceeds the peak-label tolerance, 1.5 bins of its own spectrum."""
+
+    @staticmethod
+    def _run(tmp_path, **raw):
+        cfg = {"scenario": "resonance", "dims": [5, 3], "grid_scale": 0.25, "out_dir": str(tmp_path)}
+        return run_scenario(build_config(cfg | raw))
+
+    def _assert_warns_with_detuning(self, tmp_path, **raw):
+        with pytest.warns(UserWarning, match="detuning") as record:
+            manifest = self._run(tmp_path, **raw)
+        detuning = f"{manifest['derived']['detuning_hz']:.1f} Hz"
+        assert any(detuning in str(w.message) for w in record)
+        assert any(detuning in w["message"] for w in manifest["warnings"])
+
+    def test_detuned_run_warns(self, tmp_path):
+        # 2291.5 Hz against 1.5 bins of 500 Hz at the full grid
+        self._assert_warns_with_detuning(tmp_path, omega_x_hz=DETUNED_OMEGA_X_HZ, grid_scale=1.0)
+
+    def test_two_ion_run_warns(self, tmp_path):
+        # 20/63 is the three-ion resonance: two ions are 2.40 MHz off
+        self._assert_warns_with_detuning(tmp_path, n_ions=2)
+
+    def test_reference_trap_does_not_warn(self, tmp_path):
+        # the reference detuning is rounding of 20/63, about 1e-9 Hz
+        assert self._run(tmp_path)["warnings"] == []
+        assert self._run(tmp_path, grid_scale=1.0)["warnings"] == []
+
+    def test_tolerance_is_the_runs_bin_width(self, tmp_path):
+        # the same 2291.5 Hz is within 1.5 bins of 1965 Hz on the coarser
+        # quarter grid, where the labels cannot tell it apart
+        manifest = self._run(tmp_path, omega_x_hz=DETUNED_OMEGA_X_HZ)
+        assert manifest["warnings"] == []
+        assert abs(manifest["derived"]["detuning_hz"]) == pytest.approx(2291.5, abs=0.1)
 
 
 KHZ = 2 * np.pi * 1e3
