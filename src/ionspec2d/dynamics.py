@@ -5,13 +5,13 @@ Scans use ``evolution_lines``: the forward line P^k(rho) and the backward
 (Heisenberg) line (P^+)^k(A) of the one-step free evolution P on a uniform
 time grid, for every model by one mechanism.  Models hold the dtype they are
 given: Hamiltonians and jump operators that are real in the Fock basis stay
-float64, while states, lines and the Liouvillian are complex.  A model may
-declare a conserved charge Q = sum_s w_s n_s by one integer weight w_s per
-register mode (``LindbladModel.charge_weights``); its Liouvillian then keeps
+float64, while states and lines are complex.  A model declares a conserved
+charge Q = sum_s w_s n_s by one integer weight w_s per register mode
+(``LindbladModel.charge_weights``); its Liouvillian then keeps
 c = Q_ket - Q_bra, and its diagonal blocks are the sectors of c
 (``liouvillian_blocks``; symmetry reduction of Lindblad generators: Buca &
 Prosen, New J. Phys. 14, 073007 (2012); Albert & Jiang, Phys. Rev. A 89,
-022118 (2014)); a model without one is the single sector c = 0.  Each sector
+022118 (2014)); zero weights give the single sector c = 0.  Each sector
 is gathered densely (``liouvillian``) and stepped with its one-step map
 exp(L_c dt) (``_step_map``), and only the sectors the caller keeps are
 stepped and held, compact, one column per kept vec index: a scan's phase
@@ -30,14 +30,12 @@ against.  Every matrix exponential is ``expm``: exp of the diagonal when the
 matrix has no nonzero entry off it (every sector map of a dissipation-free
 model whose Hamiltonian is diagonal in the Fock basis, such as the Kerr
 model, so that a ``kerr`` run makes no LU solve), else a numpy
-scaling-and-squaring Pade approximant.  A model whose Hamiltonian is real
-and odd under a mode parity, with real jumps of definite parity
-(``LindbladModel.parity``; the resonance exchange under the stretch parity
-(-1)^n_str), has every sector generator real after a diagonal change of
-basis by 1s and i's, the device ``fock.displacement`` uses too; its sector
-maps are exponentiated in float64, with real products and a real LU solve,
-and rotated back.  The lines, the checks and ``build_propagator`` stay
-complex.
+scaling-and-squaring Pade approximant.  A model whose generator
+K = -iH - 1/2 sum r c^+ c and jumps have no imaginary part holds them as
+float64 (``LindbladModel.generator``; the resonance exchange, written in
+the frame where its -iH is real): its Liouvillian blocks are gathered real
+and its sector maps exponentiated in float64, with real products and a
+real LU solve.  The lines and the checks stay complex.
 """
 
 from __future__ import annotations
@@ -45,7 +43,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
-from itertools import product
 
 import numpy as np
 
@@ -70,21 +67,21 @@ class SignalRealityError(RuntimeError):
 
 @dataclass
 class LindbladModel:
-    """Hamiltonian (rad/s) plus collapse operators with rates (1/s), and
-    optionally a declared conserved charge Q = sum_s w_s n_s: one integer
-    weight w_s per register mode (``charge_weights``).
+    """Hamiltonian (rad/s) on a register plus collapse operators with rates
+    (1/s), and a declared conserved charge Q = sum_s w_s n_s: one integer
+    weight w_s per register mode (``charge_weights``, zero weights when
+    omitted).
 
-    A declared charge is checked once: [Q, H] = 0 and every collapse
-    operator shifts Q by one fixed amount.  Then the Liouvillian keeps
+    The charge is checked once: [Q, H] = 0 and every collapse operator
+    shifts Q by one fixed amount.  Then the Liouvillian keeps
     c = Q_ket - Q_bra, its blocks are the sectors of c
     (``liouvillian_blocks``) and a scan steps only the sectors its phase
-    cycle keeps.  A model without one gets the zero charge, one block (with
-    a register, the zero weights).
+    cycle keeps.  Zero weights give one block.
     """
 
     hamiltonian: np.ndarray
+    register: FockRegister
     collapse_ops: list[tuple[np.ndarray, float]] = field(default_factory=list)
-    register: FockRegister | None = None
     charge_weights: tuple[int, ...] | None = None
 
     def __post_init__(self):
@@ -95,12 +92,8 @@ class LindbladModel:
         for _, rate in self.collapse_ops:
             if rate < 0:
                 raise ValueError("collapse rates must be >= 0")
-        w = self.charge_weights
-        if w is None:
-            if self.register is not None:
-                self.charge_weights = (0,) * self.register.n_modes
-            return
-        if self.register is None or len(w) != self.register.n_modes or any(
+        w = (0,) * self.register.n_modes if self.charge_weights is None else self.charge_weights
+        if len(w) != self.register.n_modes or any(
             isinstance(x, bool) or not isinstance(x, (int, np.integer)) for x in w
         ):
             raise ValueError("charge_weights must hold one integer per register mode")
@@ -120,45 +113,22 @@ class LindbladModel:
     @cached_property
     def charge(self) -> np.ndarray:
         """The int64 diagonal of Q = sum_s w_s n_s in the register basis
-        (slot 0 slowest); zero without declared weights."""
-        if self.charge_weights is None:
-            return np.zeros(self.dim, dtype=np.int64)
+        (slot 0 slowest)."""
         return _mode_sum(self.charge_weights, self.register.dims)
-
-    @cached_property
-    def parity(self) -> tuple[int, ...] | None:
-        """The first nonempty mode subset p, one 0/1 flag per register mode
-        in binary counting order, whose parity sigma = (-1)^(sum_s p_s n_s)
-        makes the Hamiltonian real and odd, sigma H sigma = -H, and every
-        jump with rate > 0 real and of one parity, sigma c sigma = +-c, all
-        exactly; None without a register or without such a subset.
-
-        Then S = sigma kron sigma on vec indices gives S L S = conj(L):
-        -i[H, .] joins only indices of opposite S, with imaginary entries,
-        while the dissipator and the real part of K keep S and are real.
-        So each sector generator is real after the diagonal change of basis
-        by 1 (S = +1) and i (S = -1) that ``_step_map`` applies."""
-        if self.register is None:
-            return None
-        ops = [np.asarray(self.hamiltonian)] + [np.asarray(op) for op, rate in self.collapse_ops if rate > 0]
-        if any(np.any(np.imag(op)) for op in ops) or np.any(np.diagonal(ops[0])):
-            return None
-        entries = [np.nonzero(op) for op in ops]
-        for p in list(product((0, 1), repeat=self.register.n_modes))[1:]:
-            odd = _mode_sum(p, self.register.dims) % 2 == 1
-            flips = [odd[i] != odd[k] for i, k in entries]  # per nonzero entry: does it flip sigma?
-            if flips[0].all() and all(f.all() or not f.any() for f in flips[1:]):
-                return p
-        return None
 
     @cached_property
     def generator(self) -> tuple[np.ndarray, list[tuple[np.ndarray, float]]]:
         """(K, jumps): K = -iH - 1/2 sum_c r c^+ c and the (c, r) pairs with
-        r > 0, formed once per model for every block ``liouvillian`` gathers."""
+        r > 0, formed once per model for every block ``liouvillian`` gathers;
+        all float64 when neither K nor any jump has an imaginary part, so
+        that the blocks are gathered, and their maps exponentiated, in real
+        arithmetic."""
         jumps = [(np.asarray(op), rate) for op, rate in self.collapse_ops if rate > 0]
         k = -1j * np.asarray(self.hamiltonian)
         for c, rate in jumps:
             k -= 0.5 * rate * (c.conj().T @ c)
+        if not np.any(k.imag) and not any(np.any(np.imag(c)) for c, _ in jumps):
+            return k.real.copy(), [(np.real(c), rate) for c, rate in jumps]
         return k, jumps
 
 
@@ -255,8 +225,8 @@ def _map_bytes(b: int) -> int:
     """Upper bound on the bytes held while one b x b step map is built: the
     gather of ``liouvillian`` with its temporaries, then the matrices
     ``expm`` works in, at most 10 b x b complex matrices at a time.  A map
-    built in real arithmetic (``_step_map`` of a model with a parity) holds
-    about half of it: ``expm`` then works in float64."""
+    of a real generator (``LindbladModel.generator``) holds about half of
+    it: ``expm`` then works in float64."""
     return 16 * 10 * b * b
 
 
@@ -315,33 +285,10 @@ def build_propagator(model: LindbladModel, dt: float) -> Propagator:
 
 
 def _step_map(model: LindbladModel, idx: np.ndarray, dt: float) -> np.ndarray:
-    """exp(L_c dt) of the sector with vec indices ``idx``.
-
-    A model with a parity (``LindbladModel.parity``) has L_c dt rotated to
-    B = U^-1 L_c dt U, U = diag(u) with u = i at the vec indices whose ket
-    and bra differ in parity and 1 elsewhere: each entry is multiplied by
-    1 or +-i, which swaps its real and imaginary parts exactly, so B is
-    real to the bit and ``expm`` runs in float64 with a real LU solve.  The
-    map is U exp(B) U^-1.  A rotated generator with any imaginary entry
-    left is exponentiated in complex arithmetic, so a generator that lacks
-    the parity still gives its own exponential.
-    """
-    a = liouvillian(model, idx)
-    a *= dt
-    if model.parity is None:
-        return expm(a)
-    odd = _mode_sum(model.parity, model.register.dims) % 2 == 1
-    ket, bra = np.divmod(idx, model.dim)
-    u = np.where(odd[ket] != odd[bra], 1j, 1.0)
-    a *= u.conj()[:, None]
-    a *= u
-    if not np.any(a.imag):
-        a = a.real.copy()  # drops the complex generator
-    p = expm(a)
-    del a
-    p = p * u[:, None]
-    p *= u.conj()
-    return p
+    """exp(L_c dt) of the sector with vec indices ``idx``, exponentiated in
+    the generator's dtype (float64 for a real one, with a real LU solve) and
+    cast to complex once, for the complex walks of ``evolution_lines``."""
+    return expm(liouvillian(model, idx) * dt).astype(complex, copy=False)
 
 
 def _check_skew(x: np.ndarray, mirror: np.ndarray) -> None:
@@ -408,7 +355,7 @@ def evolution_lines(
     keeps all); only those are held, each a run of columns in ascending c.
     P_c = exp(L_c dt) is built once for each stepped sector (the largest
     map's size checked against the memory budget first; in real arithmetic
-    for a model with a parity, ``_step_map``), and it steps every line that
+    for a real generator, ``_step_map``), and it steps every line that
     needs the sector: the forward column with P_c and the covector row with
     P_c from the right (the transpose) along the grid.  Up to three more
     lines are walked for the checks alone and held until both checks run,

@@ -91,8 +91,6 @@ class SignalGrid:
 
 def pulse_operator(model: LindbladModel, seq: PulseSequence, k: int, phase: float) -> np.ndarray:
     """Embedded displacement operator for pulse k at the given phase."""
-    if model.register is None:
-        raise ValueError("model needs a register to embed pulses")
     dim = model.register.dims[seq.target]
     alpha = seq.amplitudes[k - 1] * np.exp(1j * phase)
     return embed(displacement(alpha, dim), seq.target, model.register)
@@ -327,8 +325,6 @@ def scan(
     Zanni, Concepts and Methods of 2D Infrared Spectroscopy, 2011); the
     contraction then splits by c1 and c3, with one chi gather per c3.
     """
-    if model.register is None:
-        raise ValueError("model needs a register to embed pulses")
     dims, n, d = model.register.dims, grid_points(t_max, dt), model.dim
     d_t = dims[seq.target]
     check_scan_budget(model.charge_weights, dims, n, seq, chi is not None)

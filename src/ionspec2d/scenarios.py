@@ -12,13 +12,13 @@ oracle.  The resonance scenario probes coherent zigzag-stretch energy
 exchange at anisotropy 20/63 under heating: a Lindblad model on the
 two-mode register that declares the conserved charge Q = n_zz + 2 n_str by
 its mode weights (1, 2) (the heating jumps shift ket and bra alike).  Its
-exchange Hamiltonian is real and odd under the stretch parity (-1)^n_str,
-and each heating jump has a definite parity, so every sector map of a
-resonance run is exponentiated in real arithmetic
-(``dynamics.LindbladModel.parity``); the diagonal Kerr model has no such
-parity, and its maps are exp of their diagonals.  The charge also makes the
-Hamiltonian block diagonal, so ``predicted_peaks`` places the paper's peaks
-a-f (``RESONANCE_LETTERS``) from the eigenvalues of the model's own blocks.
+exchange is written in the frame where -iH is real, so every sector map of
+a resonance run is exponentiated in real arithmetic
+(``dynamics.LindbladModel.generator``); the diagonal Kerr model has a
+complex generator, and its maps are exp of their diagonals.  The charge
+also makes the Hamiltonian block diagonal, so ``predicted_peaks`` places
+the paper's peaks a-f (``RESONANCE_LETTERS``) from the eigenvalues of the
+model's own blocks.
 
 Both scenarios run one engine, ``protocol.scan``, whose lines
 (``dynamics.evolution_lines``) step one small dense map per sector of the
@@ -207,13 +207,23 @@ RESONANCE_CHARGE_WEIGHTS = (1, 2)
 def resonance_model(
     omega_t: float, dims: tuple[int, int], heating_quanta_per_s: tuple[float, float]
 ) -> dynamics.LindbladModel:
-    """Resonant exchange Hamiltonian Omega_T (a_zz^2 c_str+ + h.c.) + heating,
-    with its conserved charge declared (``RESONANCE_CHARGE_WEIGHTS``): each
-    heating jump moves Q by the mode's weight."""
+    """The paper's resonant exchange Omega_T (a_zz^2 c_str+ + h.c.) plus
+    heating, with its conserved charge declared (``RESONANCE_CHARGE_WEIGHTS``):
+    each heating jump moves Q by the mode's weight.
+
+    The exchange is written in the frame S = diag(i^n_str) on the stretch,
+    where S+ c S = i c turns it into -i Omega_T (a_zz^2 c_str+ - a_zz+^2 c_str),
+    so that -iH and the generator K = -iH - 1/2 sum r c+ c are real
+    (``dynamics.LindbladModel.generator``).  S commutes with everything a
+    run applies: the pulses and the readout on slot 0, the product thermal
+    start and Q.  The heating dissipator does not see a jump's phase, and
+    each charge block of H keeps its eigenvalues, so ``predicted_peaks``
+    places the same letters.  An operator acting on the stretch would have
+    to be taken into the frame as S+ X S."""
     reg = fock.FockRegister(dims=dims, labels=("zz", "str"))
     a = fock.embed(fock.destroy(dims[0]), 0, reg)
     c = fock.embed(fock.destroy(dims[1]), 1, reg)
-    h = omega_t * (a @ a @ c.conj().T + a.conj().T @ a.conj().T @ c)
+    h = -1j * omega_t * (a @ a @ c.conj().T - a.conj().T @ a.conj().T @ c)
     collapse = []
     for slot, rate in enumerate(heating_quanta_per_s):
         collapse.extend(dynamics.heating_dissipator(slot, rate, reg))

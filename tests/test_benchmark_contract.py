@@ -9,6 +9,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+import numpy as np
+
 from ionspec2d import cli, dynamics, protocol, scenarios
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -51,20 +53,21 @@ def test_benchmark_configs_names_and_kerr_call_structure(tmp_path):
 
 
 def test_gated_models_take_the_expected_step_map_path(tmp_path, monkeypatch):
-    # resonance-lindblad steps real sector maps through its mode parity;
-    # kerr-sectors' diagonal zigzag model has none and keeps the complex path.
-    # Each run's grid and labelled peaks also match the benchmark's committed
-    # reference outputs, within the tolerances of its workload
+    # resonance-lindblad steps real sector maps through its real generator;
+    # kerr-sectors' diagonal zigzag model has a complex one and keeps the
+    # complex path.  Each run's grid and labelled peaks also match the
+    # benchmark's committed reference outputs, within the tolerances of its
+    # workload
     workloads = _bench_module("workloads")
-    scan, parities = protocol.scan, []
+    scan, dtypes = protocol.scan, []
 
     def recording(model, *args, **kwargs):
-        parities.append(model.parity)
+        dtypes.append(model.generator[0].dtype)
         return scan(model, *args, **kwargs)
 
     monkeypatch.setattr(protocol, "scan", recording)
-    for name, parity in (("resonance-lindblad", (0, 1)), ("kerr-sectors", None)):
-        parities.clear()
+    for name, dtype in (("resonance-lindblad", np.float64), ("kerr-sectors", np.complex128)):
+        dtypes.clear()
         cli.run_scenario(cli.build_config(workloads.config(name, tmp_path / name, seed=1)))
-        assert parities == [parity], name
+        assert dtypes == [dtype], name
         assert workloads.check(name, tmp_path / name) == [], name

@@ -528,8 +528,10 @@ class TestManifest:
 
 
 class TestRealOperators:
-    """Every operator that is real in the Fock basis is built as float64, so
-    no run diagonalizes a complex matrix."""
+    """Every operator that is real in the Fock basis is built as float64, and
+    the resonance generator is real in the frame its exchange is written in,
+    so ``eigh`` sees only real matrices.  ``predicted_peaks`` takes
+    ``eigvalsh`` of the complex Hermitian blocks of that exchange."""
 
     def test_no_complex_matrix_reaches_eigh(self, tmp_path, monkeypatch):
         # and the only matrices diagonalized are the three-ion chain's axial
@@ -570,9 +572,10 @@ class TestRealOperators:
         assert kerr.zz_hamiltonian().dtype == np.float64
         assert kerr.full_hamiltonian().dtype == np.float64
         model = scenarios.resonance_model(1.0, dims=(4, 3), heating_quanta_per_s=(200.0, 100.0))
-        assert model.hamiltonian.dtype == np.float64
-        assert model.collapse_ops
-        assert {op.dtype for op, _ in model.collapse_ops} == {np.dtype(np.float64)}
+        k, jumps = model.generator
+        assert k.dtype == np.float64
+        assert jumps
+        assert {c.dtype for c, _ in jumps} == {np.dtype(np.float64)}
 
 
 class TestMainEntry:

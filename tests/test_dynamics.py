@@ -1,7 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from ionspec2d import cli, dynamics, fock, protocol, scenarios
+from ionspec2d import dynamics, fock, protocol, scenarios
 from ionspec2d.dynamics import (
     LindbladModel,
     PropagatorSizeError,
@@ -208,7 +210,7 @@ class TestModelValidation:
     def test_non_hermitian_rejected(self):
         h = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
         with pytest.raises(ValueError, match="Hermitian"):
-            LindbladModel(hamiltonian=h)
+            LindbladModel(hamiltonian=h, register=_single_mode(2))
 
     def test_negative_rate_rejected(self):
         reg = _single_mode(3)
@@ -252,7 +254,6 @@ class TestModelValidation:
             dict(charge_weights=(1,)),  # one weight for two modes
             dict(charge_weights=(1, 2.0)),
             dict(charge_weights=(True, 2)),
-            dict(register=None),
         ],
     )
     def test_malformed_charge_rejected(self, charge):
@@ -281,82 +282,60 @@ class TestModelValidation:
 
 
 class TestParity:
-    """The mode parity that makes every sector generator real
-    (``LindbladModel.parity``) and the real-arithmetic step maps."""
+    """The real generator of the resonance exchange, written in the frame
+    S = diag(i^n_str), whose square is the stretch parity: the model holds
+    K and its jumps as float64 (``LindbladModel.generator``), so every
+    Liouvillian block is gathered real, and any other model keeps a complex
+    generator."""
 
     def _resonance(self, resonance_data, dims=(9, 6), rates=(200.0, 100.0)):
         omega_t = scenarios.resonance_parameters(resonance_data).omega_t
         return scenarios.resonance_model(omega_t, dims=dims, heating_quanta_per_s=rates)
 
-    def _with(self, model, **kw):
-        """``model`` with some fields replaced and no declared charge, which
-        the mixed jumps would break."""
-        fields = dict(hamiltonian=model.hamiltonian, collapse_ops=model.collapse_ops, register=model.register)
-        return LindbladModel(**fields | kw)
-
-    def test_resonance_has_the_stretch_parity_and_real_sectors(self, resonance_data):
+    def test_resonance_generator_and_blocks_are_real(self, resonance_data):
         model = self._resonance(resonance_data)
-        assert model.parity == (0, 1)
-        odd = np.add.outer(np.zeros(9, dtype=int), np.arange(6)).ravel() % 2 == 1
+        k, jumps = model.generator
+        assert k.dtype == np.float64
+        assert len(jumps) == 4 and {c.dtype for c, _ in jumps} == {np.dtype(np.float64)}
         for idx in dynamics.liouvillian_blocks(model).values():
-            ket, bra = np.divmod(idx, model.dim)
-            u = np.where(odd[ket] != odd[bra], 1j, 1.0)
-            rotated = liouvillian(model, idx) * 10.6e-6 * u.conj()[:, None] * u
-            assert not np.any(rotated.imag)
+            assert liouvillian(model, idx).dtype == np.float64
 
-    def test_kerr_zigzag_model_has_no_parity(self):
-        # the diagonal Kerr Hamiltonian has a nonzero diagonal, which no
-        # sigma H sigma = -H allows
+    def test_kerr_zigzag_generator_is_complex(self):
+        # the diagonal Kerr Hamiltonian is real, so -iH is imaginary
         kerr = scenarios.KerrModel(
             omega_si=2 * np.pi * 2.6e3, delta_zz=0.0, rate_y=0.0, rate_eg=0.0, dims=(9, 3, 3), nbar=(0.5, 0.5, 0.5)
         )
         zz = LindbladModel(
             hamiltonian=kerr.zz_hamiltonian(), register=FockRegister(dims=(9,), labels=("zz",)), charge_weights=(1,)
         )
-        assert zz.parity is None
+        assert zz.generator[0].dtype == np.complex128
 
-    def test_detuned_complex_or_mixed_models_have_no_parity(self, resonance_data):
+    def test_detuned_or_complex_models_keep_a_complex_generator(self, resonance_data):
         model = self._resonance(resonance_data, dims=(5, 3))
         reg = model.register
         a = fock.embed(destroy(5), 0, reg)
         c = fock.embed(destroy(3), 1, reg)
-        detuned = model.hamiltonian + 2 * np.pi * 1e3 * (a.conj().T @ a)
-        phased = np.exp(0.3j) * (a @ a @ c.conj().T)
-        phased = 2 * np.pi * 5e3 * (phased + phased.conj().T)
-        # c + c^+ c is odd plus even under every subset for which H is odd
-        mixed = model.collapse_ops + [(c + c.conj().T @ c, 50.0)]
-        for variant in (dict(hamiltonian=detuned), dict(hamiltonian=phased), dict(collapse_ops=mixed)):
-            assert self._with(model, **variant).parity is None
-        # a_zz + a_str lowers n_zz + n_str by one on every entry: the total
-        # parity, which also makes the exchange odd, takes it
-        assert self._with(model, collapse_ops=model.collapse_ops + [(a + c, 50.0)]).parity == (1, 1)
+        # a detuning delta n_str, and the paper's real exchange, whose -iH is imaginary
+        detuned = model.hamiltonian + 2 * np.pi * 1e3 * (c.conj().T @ c)
+        paper = 2 * np.pi * 5e3 * (a @ a @ c.conj().T + a.conj().T @ a.conj().T @ c)
+        for h in (detuned, paper):
+            variant = dataclasses.replace(model, hamiltonian=h)
+            assert variant.generator[0].dtype == np.complex128
+            assert liouvillian(variant, dynamics.liouvillian_blocks(variant)[0]).dtype == np.complex128
+        # a complex jump makes the generator complex too
+        phased = dataclasses.replace(model, collapse_ops=model.collapse_ops + [(np.exp(0.3j) * c, 50.0)])
+        assert phased.generator[0].dtype == np.complex128
         # a zero-rate jump is not part of the generator
-        assert self._with(model, collapse_ops=model.collapse_ops + [(c + c.conj().T @ c, 0.0)]).parity == (0, 1)
-
-    def test_lines_with_and_without_the_parity_agree(self, resonance_data, monkeypatch):
-        # the gated benchmark config: dims (7, 5) at a quarter of the grid
-        cfg = cli.build_config({"scenario": "resonance", "dims": [7, 5], "grid_scale": 0.25})
-        rates = tuple(1e3 * r for r in cfg.heating_quanta_per_ms)
-        model = self._resonance(resonance_data, dims=(7, 5), rates=rates)
-        seq = cfg.sequence()
-        d1, _, observable = protocol._pulse_set(model, seq)
-        state = d1 @ scenarios.resonance_initial_state((7, 5), tuple(cfg.nbar)) @ d1.conj().T
-        args = (model, state, observable, protocol.grid_points(cfg.effective_t_max, cfg.dt_s), cfg.dt_s)
-        kept = protocol._kept_sectors(model.charge_weights[seq.target], seq)
-        with monkeypatch.context() as patch:
-            patch.setattr(LindbladModel, "parity", None)
-            complex_lines = evolution_lines(*args, kept)
-        assert model.parity == (0, 1)
-        real_lines = evolution_lines(*args, kept)
-        for got, ref in zip(real_lines, complex_lines):
-            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+        idle = dataclasses.replace(model, collapse_ops=model.collapse_ops + [(np.exp(0.3j) * c, 0.0)])
+        assert idle.generator[0].dtype == np.float64
 
     def test_fault_in_a_parity_model_mirror_sector_raises(self, resonance_data, monkeypatch):
         # an imaginary diagonal injected into the mirror -c of the forward
-        # line's largest kept sector c leaves the rotated generator complex:
-        # it is exponentiated as it is, and the reality check sees the fault
+        # line's largest kept sector c makes that block of the real
+        # generator complex: it is exponentiated as it is, and the reality
+        # check sees the fault
         model = self._resonance(resonance_data, dims=(5, 3))
-        assert model.parity == (0, 1)
+        assert model.generator[0].dtype == np.float64
         seq = protocol.PulseSequence()
         kept = protocol._kept_sectors(model.charge_weights[seq.target], seq)
         blocks = dynamics.liouvillian_blocks(model)
@@ -366,7 +345,7 @@ class TestParity:
         def faulty(model, idx=None):
             out = exact(model, idx)
             if idx is not None and np.array_equal(idx, blocks[-c]):
-                out += 1e3j * np.eye(idx.size)
+                return out + 1e3j * np.eye(idx.size)
             return out
 
         monkeypatch.setattr(dynamics, "liouvillian", faulty)

@@ -72,11 +72,10 @@ class TestExpm:
 
     def test_every_resonance_block_map(self, resonance_data):
         # the reference resonance model at the reference dt of the scenario,
-        # as the complex exponential and as the real one of the rotated
-        # generator, U exp(B) U^-1 (its stretch parity)
+        # its real sector generators exponentiated as they are and as the
+        # step maps of the lines
         omega_t = scenarios.resonance_parameters(resonance_data).omega_t
         model = scenarios.resonance_model(omega_t, dims=(9, 6), heating_quanta_per_s=(200.0, 100.0))
-        assert model.parity is not None
         dt = 10.6e-6
         for idx in dynamics.liouvillian_blocks(model).values():
             step = dynamics.liouvillian(model, idx) * dt

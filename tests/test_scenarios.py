@@ -4,7 +4,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from ionspec2d import dynamics, matio, protocol, scenarios
+from ionspec2d import dynamics, fock, matio, protocol, scenarios
 from ionspec2d.cli import build_config, run_scenario
 from ionspec2d.dynamics import LindbladModel, PropagatorSizeError
 from ionspec2d.fock import FockRegister, thermal_state
@@ -92,6 +92,33 @@ class TestPredictedResonancePeaks:
             assert pos == (-OMEGA_ZZ, -OMEGA_ZZ)
 
 
+class TestResonanceFrame:
+    def test_paper_frame_model_gives_the_same_scan_and_peaks(self, resonance_data):
+        # the paper's H = Omega_T (a^2 c^+ + h.c.), whose generator is
+        # complex, against resonance_model's real frame S = diag(i^n_str):
+        # the same jumps and charge weights, the same run at dims (5, 3)
+        cfg = build_config({"scenario": "resonance", "dims": [5, 3], "grid_scale": 0.25})
+        omega_t = scenarios.resonance_parameters(resonance_data).omega_t
+        rates = tuple(1e3 * r for r in cfg.heating_quanta_per_ms)
+        model = scenarios.resonance_model(omega_t, (5, 3), rates)
+        reg = model.register
+        a = fock.embed(fock.destroy(5), 0, reg)
+        c = fock.embed(fock.destroy(3), 1, reg)
+        paper = LindbladModel(
+            hamiltonian=omega_t * (a @ a @ c.conj().T + a.conj().T @ a.conj().T @ c),
+            register=reg,
+            collapse_ops=model.collapse_ops,
+            charge_weights=(1, 2),
+        )
+        assert paper.generator[0].dtype == np.complex128
+        assert model.generator[0].dtype == np.float64
+        rho0 = scenarios.resonance_initial_state((5, 3), tuple(cfg.nbar))
+        grids = [scan(m, rho0, cfg.sequence(), cfg.effective_t_max, cfg.dt_s).values for m in (paper, model)]
+        assert np.max(np.abs(grids[1] - grids[0])) <= 1e-12 * np.max(np.abs(grids[0]))
+        peaks = [scenarios.predicted_peaks(m, OMEGA_ZZ, scenarios.RESONANCE_LETTERS) for m in (paper, model)]
+        assert peaks[1] == peaks[0]
+
+
 class TestLabelPeaks:
     def test_tolerance_edge_is_inclusive(self):
         inside = Peak(omega1=1.5, omega3=-1.0, magnitude=1.0)
@@ -161,8 +188,8 @@ class TestResonanceReference:
             assert abs(found[label].omega3 - w3) <= 1.5 * bin_width, label
 
     def test_small_run_makes_no_complex_solve(self, tmp_path, monkeypatch):
-        # the stretch parity makes every sector generator real after a
-        # diagonal change of basis, so each step map's Pade solve is real
+        # the exchange is written where its generator is real, so every
+        # sector map is exponentiated in float64 with a real Pade solve
         solve, real_solves = np.linalg.solve, []
 
         def real_only(a, b):
