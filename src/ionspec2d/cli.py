@@ -65,12 +65,13 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import numpy as np  # noqa: E402
 
-from . import __version__, anharmonic, dynamics, fock, matio, phasenoise, protocol, scenarios, spectrum  # noqa: E402
+from . import __version__, anharmonic, dynamics, matio, phasenoise, protocol, scenarios, spectrum  # noqa: E402
 from .crystal import ATOMIC_MASS, TrapConfig  # noqa: E402
 
 SCENARIOS = ("kerr", "resonance", "tables", "noise-table")
-# register modes of the simulated scenarios: (zz, y zigzag, Egyptian) and (zz, stretch)
-_MODE_COUNT = {"kerr": 3, "resonance": 2}
+# register modes of the simulated scenarios, slot 0 the probed zigzag: (zz,
+# y zigzag, Egyptian) and (zz, stretch); the manifest's kept_weight keys
+_MODE_LABELS = {"kerr": ("zz", "yzz", "eg"), "resonance": ("zz", "str")}
 
 
 class ConfigError(ValueError):
@@ -125,7 +126,6 @@ class RunConfig:
             amplitudes=(self.alpha,) * 4,
             n_phases=tuple(self.n_phases),
             signature=tuple(self.signature),
-            target=0,
         )
 
     @property
@@ -144,7 +144,7 @@ _SCENARIO_DEFAULTS = {
         "dt_s": 10.6e-6,
     },
     "tables": {},
-    "noise-table": {},
+    "noise-table": {"phase_noise_diffusion": phasenoise.DEFAULT_DIFFUSION},
 }
 
 _TUPLE_FIELDS = {
@@ -229,12 +229,12 @@ def build_config(raw: dict) -> RunConfig:
     min_ions = {"noise-table": 0, "kerr": 3}.get(cfg.scenario, 2)
     if cfg.n_ions < min_ions:
         raise ConfigError(f"{cfg.scenario} needs n_ions >= {min_ions}, got {cfg.n_ions}")
-    if cfg.scenario in _MODE_COUNT:
+    if cfg.scenario in _MODE_LABELS:
         if len(cfg.dims) != len(cfg.nbar):
             raise ConfigError("dims and nbar must have matching lengths")
-        if len(cfg.dims) != _MODE_COUNT[cfg.scenario]:
+        if len(cfg.dims) != len(_MODE_LABELS[cfg.scenario]):
             raise ConfigError(
-                f"{cfg.scenario} needs {_MODE_COUNT[cfg.scenario]} dims, got {len(cfg.dims)}"
+                f"{cfg.scenario} needs {len(_MODE_LABELS[cfg.scenario])} dims, got {len(cfg.dims)}"
             )
         if min(cfg.dims) < 2:
             raise ConfigError("every dim must be >= 2")
@@ -246,7 +246,7 @@ def build_config(raw: dict) -> RunConfig:
         raise ConfigError("resonance needs two heating_quanta_per_ms values >= 0")
     if cfg.scenario == "kerr" and any(cfg.heating_quanta_per_ms):
         raise ConfigError("kerr is dissipation-free: heating_quanta_per_ms must be zero")
-    if cfg.scenario in _MODE_COUNT:
+    if cfg.scenario in _MODE_LABELS:
         # also false when t_max_s * grid_scale overflows to infinity
         if not cfg.effective_t_max / cfg.dt_s < 2**62:
             raise ConfigError("t_max_s * grid_scale / dt_s is too large for a grid index")
@@ -256,7 +256,8 @@ def build_config(raw: dict) -> RunConfig:
                 "t_max_s * grid_scale must be at least dt_s: a one-point grid has no spectrum"
             )
         # the scan's own guard, before any operator is built; kerr scans
-        # the zigzag alone, and the pulses target slot 0 (RunConfig.sequence)
+        # the zigzag alone, and the pulses drive slot 0 (the protocol's
+        # probed mode)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # the run warns when it builds the sequence
             seq = cfg.sequence()
@@ -342,13 +343,14 @@ def _apply_phase_noise(grid, signature, diffusion):
     return protocol.SignalGrid(t1=grid.t1, t3=grid.t3, values=grid.values * factor)
 
 
-def _truncation(labels: tuple[str, ...], cfg: RunConfig) -> dict:
-    """Thermal weight each mode keeps in its truncated Fock space; the
-    initial state is renormalized over it."""
+def _truncation(cfg: RunConfig) -> dict:
+    """Thermal weight each mode keeps in its truncated Fock space,
+    1 - (nbar/(1+nbar))^dim in closed form, so that a huge spectator dim
+    costs nothing; the initial state is renormalized over it."""
     return {
         "kept_weight": {
-            label: fock.thermal_populations(nbar, dim)[1]
-            for label, dim, nbar in zip(labels, cfg.dims, cfg.nbar)
+            label: 1.0 - (nbar / (1.0 + nbar)) ** dim
+            for label, dim, nbar in zip(_MODE_LABELS[cfg.scenario], cfg.dims, cfg.nbar)
         }
     }
 
@@ -392,14 +394,14 @@ def _dispatch(cfg: RunConfig, out: Path, manifest: dict) -> dict[str, str]:
         rows = phasenoise.loss_table(
             t1=cfg.noise_t1_s,
             t3=cfg.noise_t3_s,
-            diffusion=cfg.phase_noise_diffusion or phasenoise.DEFAULT_DIFFUSION,
+            diffusion=cfg.phase_noise_diffusion,
         )
         written = matio.write_csv(
             out / "noise_loss.csv",
             ["p2", "p3", "p4", "loss_analytic", "loss_exact"],
             [[r["p2"], r["p3"], r["p4"], r["loss"], r["loss_exact"]] for r in rows],
         )
-        manifest["derived"] = {"diffusion_rad2_s": cfg.phase_noise_diffusion or phasenoise.DEFAULT_DIFFUSION}
+        manifest["derived"] = {"diffusion_rad2_s": cfg.phase_noise_diffusion}
         return {"noise_loss.csv": _sha256(written)}
 
     data = scenarios.derive_modes(cfg.trap())
@@ -425,12 +427,12 @@ def _dispatch(cfg: RunConfig, out: Path, manifest: dict) -> dict[str, str]:
 
     seq = cfg.sequence()
     t_max = cfg.effective_t_max
+    manifest["truncation"] = _truncation(cfg)
     if cfg.scenario == "kerr":
         model = scenarios.kerr_model_from_params(
             params, dims=tuple(cfg.dims), nbar=tuple(cfg.nbar)
         )
         manifest["dissipation_free"] = True
-        manifest["truncation"] = _truncation(model.full_register().labels, cfg)
         grid = scenarios.kerr_scan_fast(model, seq, t_max, cfg.dt_s)
         tables = _write_tables(out, params)
     else:  # resonance
@@ -442,7 +444,6 @@ def _dispatch(cfg: RunConfig, out: Path, manifest: dict) -> dict[str, str]:
         model = scenarios.resonance_model(
             res.omega_t, dims=tuple(cfg.dims), heating_quanta_per_s=rates
         )
-        manifest["truncation"] = _truncation(model.register.labels, cfg)
         rho0 = scenarios.resonance_initial_state(tuple(cfg.dims), tuple(cfg.nbar))
         grid = protocol.scan(model, rho0, seq, t_max, cfg.dt_s)
         tables = {}

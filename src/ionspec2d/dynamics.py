@@ -5,8 +5,9 @@ Scans use ``evolution_lines``: the forward line P^k(rho) and the backward
 (Heisenberg) line (P^+)^k(A) of the one-step free evolution P on a uniform
 time grid, for every model by one mechanism.  Models hold the dtype they are
 given: Hamiltonians and jump operators that are real in the Fock basis stay
-float64, while states and lines are complex.  A model declares a conserved
-charge Q = sum_s w_s n_s by one integer weight w_s per register mode
+float64, while states and lines are complex.  A model's register is its
+mode dims (``LindbladModel.dims``), and it declares a conserved charge
+Q = sum_s w_s n_s by one integer weight w_s per register mode
 (``LindbladModel.charge_weights``); its Liouvillian then keeps
 c = Q_ket - Q_bra, and its diagonal blocks are the sectors of c
 (``liouvillian_blocks``; symmetry reduction of Lindblad generators: Buca &
@@ -46,7 +47,7 @@ from functools import cached_property, reduce
 
 import numpy as np
 
-from .fock import FockRegister, destroy, embed
+from .fock import destroy, embed
 
 DEFAULT_MEMORY_BUDGET = 6 * 1024**3  # bytes, the one limit _check_budget applies
 TRACE_TOL_PER_STEP = 1e-9
@@ -67,10 +68,10 @@ class SignalRealityError(RuntimeError):
 
 @dataclass
 class LindbladModel:
-    """Hamiltonian (rad/s) on a register plus collapse operators with rates
-    (1/s), and a declared conserved charge Q = sum_s w_s n_s: one integer
-    weight w_s per register mode (``charge_weights``, zero weights when
-    omitted).
+    """Hamiltonian (rad/s) on the register ``dims`` (one truncation dim per
+    mode, slot 0 slowest) plus collapse operators with rates (1/s), and a
+    declared conserved charge Q = sum_s w_s n_s: one integer weight w_s per
+    register mode (``charge_weights``, zero weights when omitted).
 
     The charge is checked once: [Q, H] = 0 and every collapse operator
     shifts Q by one fixed amount.  Then the Liouvillian keeps
@@ -80,20 +81,24 @@ class LindbladModel:
     """
 
     hamiltonian: np.ndarray
-    register: FockRegister
+    dims: tuple[int, ...]
     collapse_ops: list[tuple[np.ndarray, float]] = field(default_factory=list)
     charge_weights: tuple[int, ...] | None = None
 
     def __post_init__(self):
+        if any(d < 2 for d in self.dims):
+            raise ValueError("every mode needs dimension >= 2")
         h = np.asarray(self.hamiltonian)
+        if h.shape != (math.prod(self.dims),) * 2:
+            raise ValueError(f"Hamiltonian shape {h.shape} does not match the register dims {self.dims}")
         herm = np.max(np.abs(h - h.conj().T))
         if herm > 1e-10 * max(1.0, np.max(np.abs(h))):
             raise ValueError(f"Hamiltonian not Hermitian (residual {herm:.2e})")
         for _, rate in self.collapse_ops:
             if rate < 0:
                 raise ValueError("collapse rates must be >= 0")
-        w = (0,) * self.register.n_modes if self.charge_weights is None else self.charge_weights
-        if len(w) != self.register.n_modes or any(
+        w = (0,) * len(self.dims) if self.charge_weights is None else self.charge_weights
+        if len(w) != len(self.dims) or any(
             isinstance(x, bool) or not isinstance(x, (int, np.integer)) for x in w
         ):
             raise ValueError("charge_weights must hold one integer per register mode")
@@ -114,7 +119,7 @@ class LindbladModel:
     def charge(self) -> np.ndarray:
         """The int64 diagonal of Q = sum_s w_s n_s in the register basis
         (slot 0 slowest)."""
-        return _mode_sum(self.charge_weights, self.register.dims)
+        return _mode_sum(self.charge_weights, self.dims)
 
     @cached_property
     def generator(self) -> tuple[np.ndarray, list[tuple[np.ndarray, float]]]:
@@ -415,10 +420,9 @@ def evolution_lines(
     return lines[0], lines[1], index[0], index[1]
 
 
-def heating_dissipator(
-    slot: int, rate_ndot: float, register: FockRegister
-) -> list[tuple[np.ndarray, float]]:
-    """Infinite-temperature heating: sqrt(ndot) a and sqrt(ndot) a+.
+def heating_dissipator(slot: int, rate_ndot: float, dims: tuple[int, ...]) -> list[tuple[np.ndarray, float]]:
+    """Infinite-temperature heating of mode ``slot`` of the register
+    ``dims``: sqrt(ndot) a and sqrt(ndot) a+.
 
     Both jump directions at the same rate give d<n>/dt = ndot independent of
     the occupation, i.e. the mean phonon number grows linearly.
@@ -427,6 +431,6 @@ def heating_dissipator(
         raise ValueError("heating rate must be >= 0")
     if rate_ndot == 0:
         return []
-    a = embed(destroy(register.dims[slot]), slot, register)
+    a = embed(destroy(dims[slot]), slot, dims)
     return [(a, rate_ndot), (a.conj().T, rate_ndot)]
 

@@ -1,5 +1,7 @@
 """Truncated Fock-space operators, displacement pulses and thermal states.
 
+A register is the tuple of its modes' truncation dims, slot 0 slowest in
+the product basis; ``embed`` places a single-mode operator in it.
 Everything is dense: the registers used here stay small (a few thousand
 dimensions at most), and a scan builds these operators a fixed number of
 times, independent of its grid, so its time lines and branch contractions
@@ -11,34 +13,9 @@ pulses, and the states they act on, are complex.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
-
-
-@dataclass(frozen=True)
-class FockRegister:
-    """Ordered collection of truncated bosonic modes."""
-
-    dims: tuple[int, ...]
-    labels: tuple[str, ...]
-
-    def __post_init__(self):
-        if len(self.dims) != len(self.labels):
-            raise ValueError("dims and labels must have equal length")
-        if any(d < 2 for d in self.dims):
-            raise ValueError("every mode needs dimension >= 2")
-        if len(set(self.labels)) != len(self.labels):
-            raise ValueError("mode labels must be unique")
-
-    @property
-    def dim(self) -> int:
-        return int(np.prod(self.dims))
-
-    @property
-    def n_modes(self) -> int:
-        return len(self.dims)
 
 
 def destroy(dim: int) -> np.ndarray:
@@ -77,37 +54,31 @@ def displacement(alpha: complex | np.ndarray, dim: int) -> np.ndarray:
     return p[..., :, None] * rotated * p[..., None, :].conj()
 
 
-def thermal_populations(nbar: float, dim: int) -> tuple[np.ndarray, float]:
-    """Truncated thermal populations and the probability kept by the truncation.
-
-    The geometric distribution p_n ~ (nbar/(1+nbar))^n is renormalized on the
-    first ``dim`` levels; the returned kept probability, 1 - (nbar/(1+nbar))^dim,
-    is the weight the untruncated state puts on those levels.
-    """
+def thermal_populations(nbar: float, dim: int) -> np.ndarray:
+    """Truncated thermal populations: the geometric distribution
+    p_n ~ (nbar/(1+nbar))^n renormalized on the first ``dim`` levels, which
+    hold the weight 1 - (nbar/(1+nbar))^dim of the untruncated state."""
     if nbar < 0:
         raise ValueError("nbar must be >= 0")
     ratio = nbar / (1.0 + nbar)
     weights = ratio ** np.arange(dim) / (1.0 + nbar)
-    kept = float(weights.sum())
-    return weights / kept, kept
+    return weights / weights.sum()
 
 
-def thermal_state(nbar: float, dim: int) -> tuple[np.ndarray, float]:
-    """Truncated thermal density matrix, diagonal in the Fock basis, and the
-    probability kept by the truncation (see :func:`thermal_populations`)."""
-    pops, kept = thermal_populations(nbar, dim)
-    return np.diag(pops), kept
+def thermal_state(nbar: float, dim: int) -> np.ndarray:
+    """Truncated thermal density matrix, diagonal in the Fock basis
+    (see :func:`thermal_populations`)."""
+    return np.diag(thermal_populations(nbar, dim))
 
 
-def embed(op: np.ndarray, slot: int, register: FockRegister) -> np.ndarray:
-    """Tensor the single-mode operator with identities on the other slots."""
-    if not 0 <= slot < register.n_modes:
-        raise IndexError(f"slot {slot} out of range for {register.n_modes} modes")
-    if op.shape != (register.dims[slot], register.dims[slot]):
-        raise ValueError(
-            f"operator shape {op.shape} does not match dim {register.dims[slot]}"
-        )
-    factors = [op if s == slot else np.eye(d) for s, d in enumerate(register.dims)]
+def embed(op: np.ndarray, slot: int, dims: tuple[int, ...]) -> np.ndarray:
+    """Tensor the single-mode operator with identities on the other slots
+    of the register ``dims``."""
+    if not 0 <= slot < len(dims):
+        raise IndexError(f"slot {slot} out of range for {len(dims)} modes")
+    if op.shape != (dims[slot], dims[slot]):
+        raise ValueError(f"operator shape {op.shape} does not match dim {dims[slot]}")
+    factors = [op if s == slot else np.eye(d) for s, d in enumerate(dims)]
     return reduce(np.kron, factors)
 
 

@@ -2,10 +2,12 @@
 
 The sequence is pulse 1 (phase reference, phi_1 = 0), free evolution t1,
 pulses 2 and 3 back to back, free evolution t3, pulse 4, then a measurement
-of the target-mode population.  Repeating over a uniform grid of pulse phases
-and Fourier-extracting a chosen integer phase signature isolates the
-coherence-transfer pathways of interest; for a strictly harmonic model the
-(1,-1,-1) signature vanishes identically.
+of the probed mode's population.  The probed mode is register slot 0: all
+four pulses displace it and the readout counts its quanta, and every model
+puts the mode it probes there (the zigzag, in both scenarios).  Repeating
+over a uniform grid of pulse phases and Fourier-extracting a chosen integer
+phase signature isolates the coherence-transfer pathways of interest; for a
+strictly harmonic model the (1,-1,-1) signature vanishes identically.
 
 Phase cycling is a linear filter (H.-S. Tan, J. Chem. Phys. 129, 124501
 (2008)), so ``scan`` applies the Fourier weights to the pulses and the
@@ -40,14 +42,13 @@ class PulseSequence:
     """Amplitudes |alpha_k|, phase-cycle counts, and the target signature.
 
     ``n_phases`` and ``signature`` refer to pulses 2..4; the first pulse sets
-    the phase reference.  The measured operator is the population of the
-    ``target`` mode slot.
+    the phase reference.  Every pulse drives, and the readout measures, the
+    probed mode, register slot 0.
     """
 
     amplitudes: tuple[float, float, float, float] = (0.25, 0.25, 0.25, 0.25)
     n_phases: tuple[int, int, int] = (4, 4, 4)
     signature: tuple[int, int, int] = (1, -1, -1)
-    target: int = 0
 
     def __post_init__(self):
         if len(self.amplitudes) != 4:
@@ -91,14 +92,12 @@ class SignalGrid:
 
 def pulse_operator(model: LindbladModel, seq: PulseSequence, k: int, phase: float) -> np.ndarray:
     """Embedded displacement operator for pulse k at the given phase."""
-    dim = model.register.dims[seq.target]
     alpha = seq.amplitudes[k - 1] * np.exp(1j * phase)
-    return embed(displacement(alpha, dim), seq.target, model.register)
+    return embed(displacement(alpha, model.dims[0]), 0, model.dims)
 
 
-def measurement_operator(model: LindbladModel, seq: PulseSequence) -> np.ndarray:
-    dim = model.register.dims[seq.target]
-    return embed(np.diag(np.arange(dim)), seq.target, model.register)
+def measurement_operator(model: LindbladModel) -> np.ndarray:
+    return embed(np.diag(np.arange(model.dims[0])), 0, model.dims)
 
 
 def _real_signal(value: complex) -> float:
@@ -142,7 +141,7 @@ def run_once(
     d2 = pulse_operator(model, seq, 2, phases[0])
     d3 = pulse_operator(model, seq, 3, phases[1])
     d4 = pulse_operator(model, seq, 4, phases[2])
-    m = measurement_operator(model, seq)
+    m = measurement_operator(model)
 
     rho = d1 @ rho0 @ d1.conj().T
     rho = free(rho, t1)
@@ -174,7 +173,7 @@ def grid_points(t_max: float, dt: float) -> int:
     return int(np.floor(t_max / dt * (1.0 + 1e-9))) + 1
 
 
-def _working_set_bytes(d: int, n: int, d_target: int, columns: tuple[int, int, int], span: int | None = None) -> int:
+def _working_set_bytes(d: int, n: int, d_probe: int, columns: tuple[int, int, int], span: int | None = None) -> int:
     """Upper bound on the bytes a scan holds at once, with ``columns`` =
     (K_f, K_c, b) from ``sector_columns``: the grid twice, a few d x d
     operators and the pre-cycled pulse pair with its products, and
@@ -186,13 +185,13 @@ def _working_set_bytes(d: int, n: int, d_target: int, columns: tuple[int, int, i
     held (``dynamics._map_bytes``).
 
     A chi weight (``span`` = max Q - min Q) adds its table, 4 span (n - 1)
-    + 1 entries, and with o = 2 d_target - 1 forward charges at most: the
+    + 1 entries, and with o = 2 d_probe - 1 forward charges at most: the
     states by forward charge and one covector charge's copy, n o (K_c + b),
     its covector, n b, and its chi gather, index and product, n^2 (3o/2 + b)."""
     k_f, k_c, b = columns
-    need = 16 * (n * (2 * k_f + 2 * k_c + 3 * b) + 2 * n * n + 8 * d * d + 3 * d_target**4) + _map_bytes(b)
+    need = 16 * (n * (2 * k_f + 2 * k_c + 3 * b) + 2 * n * n + 8 * d * d + 3 * d_probe**4) + _map_bytes(b)
     if span is not None:
-        o = 2 * d_target - 1
+        o = 2 * d_probe - 1
         need += 16 * (4 * span * (n - 1) + 1 + n * (o * (k_c + b) + b) + n * n * b) + 24 * n * n * o
     return need
 
@@ -207,7 +206,7 @@ def check_scan_budget(
     ``sector_columns`` counts their columns."""
     d = math.prod(dims)  # exact even for a config's huge dims
     span = sum(abs(w) * (k - 1) for w, k in zip(weights, dims)) if chi else None
-    d_t, what = dims[seq.target], f"scan (dim {d}, {n} grid points)"
+    d_t, what = dims[0], f"scan (dim {d}, {n} grid points)"
     _check_budget(_working_set_bytes(d, n, d_t, (0, 0, 0), span), what)
     _check_budget(_working_set_bytes(d, n, d_t, sector_columns(weights, dims, seq), span), what)
 
@@ -231,7 +230,7 @@ def sector_columns(weights: tuple[int, ...], dims: tuple[int, ...], seq: PulseSe
     charges, counts = np.array(list(hist)), np.array(list(hist.values()))
     c = np.subtract.outer(charges, charges)
     sizes = np.multiply.outer(counts, counts)
-    kept = _kept_sectors(weights[seq.target], seq)
+    kept = _kept_sectors(weights[0], seq)
     return (*(int(sizes[_in_class(c, cls)].sum()) for cls in kept), int(counts @ counts))
 
 
@@ -239,13 +238,13 @@ def _pulse_set(model: LindbladModel, seq: PulseSequence) -> tuple[np.ndarray, ..
     """Every operator a scan applies, phase-cycled before any contraction.
 
     Returns the embedded D1; the pre-cycled pulse pair C = sum w2 w3
-    K32 kron conj(K32) of the target-mode displacements K32 = K3 K2, which
-    maps the row-major vec of the target block of rho to that of
+    K32 kron conj(K32) of the probed mode's displacements K32 = K3 K2, which
+    maps the row-major vec of the probed block of rho to that of
     sum w2 w3 D32 rho D32^+ (d_t^2 x d_t^2); and the pre-cycled observable
     A = sum w4 D4^+ M D4, embedded, one complex (d, d) matrix.
     """
     d1 = pulse_operator(model, seq, 1, 0.0)
-    dim = model.register.dims[seq.target]
+    dim = model.dims[0]
     w2, w3, w4 = _cycle_weights(seq.signature, seq.n_phases)
 
     def kicks(k: int) -> np.ndarray:  # pulse k's displacement at each phase, (N_k, d, d)
@@ -258,7 +257,7 @@ def _pulse_set(model: LindbladModel, seq: PulseSequence) -> tuple[np.ndarray, ..
     cycled = cycled.reshape((dim,) * 4).transpose(0, 2, 1, 3).reshape(dim * dim, dim * dim)
     k4 = kicks(4)
     measured = np.swapaxes(k4.conj(), 1, 2) @ np.diag(np.arange(dim)) @ k4
-    return d1, cycled, embed(np.tensordot(w4, measured, 1), seq.target, model.register)
+    return d1, cycled, embed(np.tensordot(w4, measured, 1), 0, model.dims)
 
 
 def _kept_sectors(w: int, seq: PulseSequence) -> tuple[tuple[int, int], ...]:
@@ -266,16 +265,17 @@ def _kept_sectors(w: int, seq: PulseSequence) -> tuple[tuple[int, int], ...]:
     covector line that reach the signature component, each as (offset,
     step) for c in offset + step Z.
 
-    A pulse changes c by w Dp, with w the target's charge weight
-    (``LindbladModel.charge_weights``; 0 without a declared charge) and Dp
-    its change of the target's coherence order; the phase cycle of pulse k
-    keeps Dp_k = q_k mod N_k (pathway selection: Bodenhausen, Kogler &
-    Ernst, J. Magn. Reson. 58, 370 (1984)), and the target population is
-    read in c = 0.  So the covector line needs c3 in -w q4 + w N4 Z, and
-    the forward line c1 in -w (q2 + q3 + q4) + w gcd(N2, N3, N4) Z: every
-    sector when the phase counts are coprime.  ``scan`` steps and
-    contracts these classes alone (``dynamics.evolution_lines``), for
-    ``kerr`` on the zigzag coherence orders (weight 1, charge n).
+    A pulse changes c by w Dp, with w the probed mode's (slot 0's) charge
+    weight (``LindbladModel.charge_weights``; 0 without a declared charge)
+    and Dp its change of that mode's coherence order; the phase cycle of
+    pulse k keeps Dp_k = q_k mod N_k (pathway selection: Bodenhausen,
+    Kogler & Ernst, J. Magn. Reson. 58, 370 (1984)), and the probed
+    population is read in c = 0.  So the covector line needs c3 in
+    -w q4 + w N4 Z, and the forward line c1 in -w (q2 + q3 + q4) +
+    w gcd(N2, N3, N4) Z: every sector when the phase counts are coprime.
+    ``scan`` steps and contracts these classes alone
+    (``dynamics.evolution_lines``), for ``kerr`` on the zigzag coherence
+    orders (weight 1, charge n).
     """
     (q2, q3, q4), (n2, n3, n4) = seq.signature, seq.n_phases
     return (-w * (q2 + q3 + q4), w * math.gcd(n2, n3, n4)), (-w * q4, w * n4)
@@ -304,10 +304,10 @@ def scan(
 
     Only the sectors c = Q_ket - Q_bra of the charge the model declares by
     its per-mode weights that the phase cycle keeps reach the signal
-    (``_kept_sectors``, on the target's weight):
+    (``_kept_sectors``, on slot 0's weight):
     ``dynamics.evolution_lines`` steps and holds the forward line and A's
     covector line on those alone, one column per kept vec index, and the
-    pre-cycled pulse pair, which acts on the target-mode ket and bra axes,
+    pre-cycled pulse pair, which acts on the probed mode's ket and bra axes,
     is applied to the kept forward entries and read on the kept covector
     entries only, each found through a vec-index-to-column table, one
     spectator charge difference at a time (no embedded d x d pulse is
@@ -325,22 +325,20 @@ def scan(
     Zanni, Concepts and Methods of 2D Infrared Spectroscopy, 2011); the
     contraction then splits by c1 and c3, with one chi gather per c3.
     """
-    dims, n, d = model.register.dims, grid_points(t_max, dt), model.dim
-    d_t = dims[seq.target]
-    check_scan_budget(model.charge_weights, dims, n, seq, chi is not None)
+    n, d, d_t = grid_points(t_max, dt), model.dim, model.dims[0]
+    check_scan_budget(model.charge_weights, model.dims, n, seq, chi is not None)
     d1, cycled, observable = _pulse_set(model, seq)
-    w = model.charge_weights[seq.target]
+    w = model.charge_weights[0]
     kept_forward, kept_covector = kept = _kept_sectors(w, seq)
     line, covector, *kept_index = evolution_lines(model, d1 @ rho0 @ d1.conj().T, observable, n, dt, kept)
     column = np.zeros((2, d * d), dtype=np.intp)  # the compact column of each kept vec index
     for col, idx in zip(column, kept_index):
         col[idx] = np.arange(idx.size)
-    # vec index of ket (l, a, r), bra (m, b, s) with target indices a, b:
-    # base[(l, r), (m, s)] + offset[a, b]; its charge is the spectators'
-    # difference spread[(l, r), (m, s)] plus w (a - b)
-    left = int(np.prod(dims[: seq.target]))
-    right = d // (left * d_t)
-    ket = np.add.outer(np.arange(left) * d_t * right, np.arange(right)).ravel()
+    # vec index of ket (a, r), bra (b, s) with probed indices a, b:
+    # base[r, s] + offset[a, b]; its charge is the spectators' difference
+    # spread[r, s] plus w (a - b)
+    right = d // d_t
+    ket = np.arange(right)
     base = np.add.outer(ket * d, ket).ravel()
     offset = np.add.outer(np.arange(d_t) * right * d, np.arange(d_t) * right).ravel()
     spread = np.subtract.outer(model.charge[ket], model.charge[ket]).ravel()
@@ -352,7 +350,7 @@ def scan(
         table = chi(np.arange(-m_max, m_max + 1) * dt)
         k = np.arange(n)
     for c in sorted(set(spread.tolist())):
-        # C maps the target block's kept forward entries to its kept
+        # C maps the probed block's kept forward entries to its kept
         # covector entries, one spectator charge difference at a time
         pairs = base[spread == c, None]
         src = np.flatnonzero(_in_class(orders + c, kept_forward))

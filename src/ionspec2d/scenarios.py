@@ -100,12 +100,8 @@ class KerrModel:
         n = np.arange(self.dims[0])
         return np.diag(0.5 * self.omega_si * n * (n - 1))
 
-    def full_register(self) -> fock.FockRegister:
-        return fock.FockRegister(dims=self.dims, labels=("zz", "yzz", "eg"))
-
     def full_hamiltonian(self) -> np.ndarray:
-        reg = self.full_register()
-        n_ops = [fock.embed(np.diag(np.arange(d)), s, reg) for s, d in enumerate(self.dims)]
+        n_ops = [fock.embed(np.diag(np.arange(d)), s, self.dims) for s, d in enumerate(self.dims)]
         n_zz = n_ops[0]
         h = 0.5 * self.omega_si * (n_zz @ n_zz - n_zz) + self.delta_zz * n_zz
         h += self.rate_y * n_zz @ n_ops[1] + self.rate_eg * n_zz @ n_ops[2]
@@ -157,11 +153,9 @@ def kerr_scan_fast(
     d = model.dims[0]
     # scan's guard, before the d x d zigzag model is built
     protocol.check_scan_budget((1,), (d,), protocol.grid_points(t_max, dt), seq, chi=True)
-    zz = dynamics.LindbladModel(
-        hamiltonian=model.zz_hamiltonian(), register=fock.FockRegister(dims=(d,), labels=("zz",)), charge_weights=(1,)
-    )
+    zz = dynamics.LindbladModel(hamiltonian=model.zz_hamiltonian(), dims=(d,), charge_weights=(1,))
     return protocol.scan(
-        zz, fock.thermal_state(model.nbar[0], d)[0], seq, t_max, dt,
+        zz, fock.thermal_state(model.nbar[0], d), seq, t_max, dt,
         chi=lambda tau: np.exp(-1j * model.delta_zz * tau)
         * _thermal_characteristic(model.nbar[1], model.dims[1], model.rate_y * tau)
         * _thermal_characteristic(model.nbar[2], model.dims[2], model.rate_eg * tau),
@@ -183,14 +177,10 @@ def kerr_scan_full(
     points) x D^2, so this is the test oracle of ``kerr_scan_fast`` at
     reduced truncations.
     """
-    reg = model.full_register()
-    states = [
-        fock.thermal_state(model.nbar[s], model.dims[s])[0] for s in range(3)
-    ]
-    rho0 = fock.product_state(states)
+    rho0 = fock.product_state([fock.thermal_state(nb, d) for nb, d in zip(model.nbar, model.dims)])
     d1, d2 = model.dims[1:]
     full = dynamics.LindbladModel(
-        hamiltonian=model.full_hamiltonian(), register=reg, charge_weights=(d1 * d2, d2, 1)
+        hamiltonian=model.full_hamiltonian(), dims=model.dims, charge_weights=(d1 * d2, d2, 1)
     )
     return protocol.scan(full, rho0, seq, t_max, dt)
 
@@ -220,22 +210,19 @@ def resonance_model(
     each charge block of H keeps its eigenvalues, so ``predicted_peaks``
     places the same letters.  An operator acting on the stretch would have
     to be taken into the frame as S+ X S."""
-    reg = fock.FockRegister(dims=dims, labels=("zz", "str"))
-    a = fock.embed(fock.destroy(dims[0]), 0, reg)
-    c = fock.embed(fock.destroy(dims[1]), 1, reg)
+    a = fock.embed(fock.destroy(dims[0]), 0, dims)
+    c = fock.embed(fock.destroy(dims[1]), 1, dims)
     h = -1j * omega_t * (a @ a @ c.conj().T - a.conj().T @ a.conj().T @ c)
     collapse = []
     for slot, rate in enumerate(heating_quanta_per_s):
-        collapse.extend(dynamics.heating_dissipator(slot, rate, reg))
+        collapse.extend(dynamics.heating_dissipator(slot, rate, dims))
     return dynamics.LindbladModel(
-        hamiltonian=h, collapse_ops=collapse, register=reg, charge_weights=RESONANCE_CHARGE_WEIGHTS
+        hamiltonian=h, collapse_ops=collapse, dims=dims, charge_weights=RESONANCE_CHARGE_WEIGHTS
     )
 
 
 def resonance_initial_state(dims: tuple[int, int], nbar: tuple[float, float]) -> np.ndarray:
-    return fock.product_state(
-        [fock.thermal_state(nb, d)[0] for nb, d in zip(nbar, dims)]
-    )
+    return fock.product_state([fock.thermal_state(nb, d) for nb, d in zip(nbar, dims)])
 
 
 # The paper's resonance peaks a-f.  Each letter is a (t1, t3) pair of
@@ -261,8 +248,8 @@ def predicted_peaks(
     is the paper's), from the eigenvalues of the model's Hamiltonian block
     by block over its declared charge, which makes it block diagonal.
 
-    The pulses drive register slot 0 (``cli.RunConfig.sequence``), so w is
-    its charge weight, and a transition (Q, i, j) sits at
+    The pulses drive register slot 0 (the probed mode of ``protocol``), so
+    w is its charge weight, and a transition (Q, i, j) sits at
     -(omega_zz + E(Q + w, i) - E(Q, j)), the carrier shifted by its energy
     change.  A primed letter reverses each eigenvalue order, the point
     reflection through the carrier at exact resonance; it is not listed

@@ -78,15 +78,14 @@ def exact_zigzag_ladder(data, dims: tuple[int, ...] = (12, 4, 4, 4)) -> float:
     trap, modes, tensors = data.trap, data.modes, data.tensors
     n = modes.n_ions
     zz = n - 1
-    labels = ["zz"] + [anharmonic.mode_label("x", b) for b in range(1, zz)]
-    labels += [anharmonic.mode_label("z", p) for p in range(1, n)]
-    register = fock.FockRegister(dims=tuple(dims), labels=tuple(labels))
+    if len(dims) != 2 * n - 2:
+        raise ValueError(f"dims needs {2 * n - 2} entries, one per mode, got {len(dims)}")
     freqs = np.sqrt(np.concatenate(
         [modes.gamma_x[[zz]], modes.gamma_x[1:zz], modes.lambda_z[1:]]
     ))
-    x = [fock.embed(fock.destroy(d) + fock.destroy(d).T, k, register)
+    x = [fock.embed(fock.destroy(d) + fock.destroy(d).T, k, dims)
          for k, d in enumerate(dims)]
-    h = sum(w * fock.embed(np.diag(np.arange(d, dtype=float)), k, register)
+    h = sum(w * fock.embed(np.diag(np.arange(d, dtype=float)), k, dims)
             for k, (w, d) in enumerate(zip(freqs, dims)))
     eps = anharmonic.anharmonic_prefactor(trap)
     d3 = np.where(np.abs(tensors.d3) < 1e-14, 0.0, tensors.d3)
@@ -103,7 +102,7 @@ def exact_zigzag_ladder(data, dims: tuple[int, ...] = (12, 4, 4, 4)) -> float:
     h += 3.0 * eps**2 * tensors.d4[zz, zz, zz, zz] / modes.gamma_x[zz] * x2 @ x2
     energies, vecs = np.linalg.eigh(h)
     # |k, 0, ...> is basis state k * (levels of the other modes)
-    stride = register.dim // dims[0]
+    stride = int(np.prod(dims[1:]))
     e0, e1, e2 = (energies[np.argmax(np.abs(vecs[k * stride]))] for k in range(3))
     return float((e2 - 2.0 * e1 + e0) * trap.omega_z)
 

@@ -618,9 +618,8 @@ class TestResonantManifolds:
         # independent route: the exchange Hamiltonian built from truncated
         # ladder operators, block-extracted per conserved charge
         omega_t = 2 * np.pi * 5.9e3
-        reg = fock.FockRegister(dims=(8, 5), labels=("zz", "str"))
-        a = fock.embed(fock.destroy(8), 0, reg)
-        c = fock.embed(fock.destroy(5), 1, reg)
+        a = fock.embed(fock.destroy(8), 0, (8, 5))
+        c = fock.embed(fock.destroy(5), 1, (8, 5))
         h = omega_t * (a @ a @ c.conj().T + a.conj().T @ a.conj().T @ c)
         for man in resonant_manifolds(omega_t, 5):
             idx = [nz * 5 + ns for ns, nz in man.states]

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ionspec2d
-from ionspec2d import dynamics, fock, matio, scenarios, spectrum
+from ionspec2d import cli, dynamics, fock, matio, phasenoise, scenarios, spectrum
 from ionspec2d.cli import SCENARIOS, ConfigError, RunConfig, build_config, main, run_scenario
 from oracles import mode_operators
 
@@ -346,6 +346,28 @@ class TestNoiseTableScenario:
         for row, pub in zip(rows, published):
             assert abs(100 * float(row["loss_analytic"]) - pub) <= 0.1
 
+    def test_diffusion_is_the_one_resolved(self, tmp_path):
+        # the default is a config default, so the manifest's resolved and
+        # derived diffusions agree, and an explicit value, 0 included, is
+        # the one the table uses
+        runs = {}
+        for name, extra in (
+            ("default", {}),
+            ("explicit-default", {"phase_noise_diffusion": phasenoise.DEFAULT_DIFFUSION}),
+            ("zero", {"phase_noise_diffusion": 0.0}),
+            ("seven", {"phase_noise_diffusion": 7.0}),
+        ):
+            manifest = run_scenario(build_config({"scenario": "noise-table", "out_dir": str(tmp_path / name)} | extra))
+            resolved = manifest["resolved_config"]["phase_noise_diffusion"]
+            assert manifest["derived"]["diffusion_rad2_s"] == resolved
+            runs[name] = (resolved, (tmp_path / name / "noise_loss.csv").read_bytes())
+        assert runs["default"] == runs["explicit-default"]
+        assert [runs[name][0] for name in ("default", "zero", "seven")] == [phasenoise.DEFAULT_DIFFUSION, 0.0, 7.0]
+        with open(tmp_path / "zero" / "noise_loss.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert all(float(row[col]) == 0.0 for row in rows for col in ("loss_analytic", "loss_exact"))
+        assert runs["seven"][1] != runs["default"][1]
+
 
 class TestManifest:
     def _tiny_kerr(self, out_dir, threads=1):
@@ -500,6 +522,21 @@ class TestManifest:
         assert res["truncation"]["kept_weight"] == pytest.approx(
             {"zz": kept(0.3, 4), "str": kept(0.1, 3)}, rel=1e-12
         )
+        # the reference kerr dims, nbar = 0 and a million levels
+        reference = cli._truncation(build_config({"scenario": "kerr"}))["kept_weight"]
+        assert reference == pytest.approx({"zz": 0.998, "yzz": 0.9648, "eg": 0.9648}, abs=5e-4)
+        assert reference == pytest.approx({"zz": 1.0 - 2.0**-9, "yzz": 1.0 - 0.8**15, "eg": 1.0 - 0.8**15}, rel=1e-12)
+        cold = RunConfig(scenario="resonance", dims=(9, 10**6), nbar=(0.0, 4.0))
+        assert cli._truncation(cold)["kept_weight"] == {"zz": 1.0, "str": 1.0}
+
+    def test_huge_spectator_dim_runs(self, tmp_path):
+        # the chi weight and the kept weight are closed forms, so a kerr run
+        # never holds a spectator's levels
+        manifest = run_scenario(build_config(
+            {"scenario": "kerr", "dims": [9, 10**12, 2], "grid_scale": 0.1, "out_dir": str(tmp_path)}
+        ))
+        assert manifest["status"] == "ok"
+        assert manifest["truncation"]["kept_weight"]["yzz"] == 1.0
 
     def test_dissipation_free_flag(self, tmp_path):
         cfg = build_config(
@@ -563,7 +600,7 @@ class TestRealOperators:
     def test_fock_operators_are_real(self):
         assert fock.destroy(5).dtype == np.float64
         assert {op.dtype for op in mode_operators(5)} == {np.dtype(np.float64)}
-        assert fock.thermal_state(0.5, 4)[0].dtype == np.float64
+        assert fock.thermal_state(0.5, 4).dtype == np.float64
 
     def test_model_operators_are_real(self):
         kerr = scenarios.KerrModel(

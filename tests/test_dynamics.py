@@ -12,11 +12,7 @@ from ionspec2d.dynamics import (
     heating_dissipator,
     liouvillian,
 )
-from ionspec2d.fock import FockRegister, destroy, thermal_state
-
-
-def _single_mode(dim, labels=("m",)):
-    return FockRegister(dims=(dim,), labels=labels)
+from ionspec2d.fock import destroy, thermal_state
 
 
 def _coherence_state(dim):
@@ -39,9 +35,8 @@ class TestFreeEvolution:
     def test_coherence_phase(self):
         omega = 2 * np.pi * 50e3
         dim = 4
-        reg = _single_mode(dim)
         h = omega * np.diag(np.arange(dim)).astype(complex)
-        model = LindbladModel(hamiltonian=h, register=reg)
+        model = LindbladModel(hamiltonian=h, dims=(dim,))
         dt = 1e-6
         rho = _line(model, _coherence_state(dim), 1, dt)[1]
         # |1><0| element advances by exp(-i omega dt)
@@ -52,15 +47,14 @@ class TestFreeEvolution:
         # the stepped line of a diagonal H against the dense oracle map;
         # the Kerr ladder 0.5 K n(n-1) has E0 = E1, a degenerate eigenspace
         dim = 6
-        reg = _single_mode(dim)
         n = np.diag(np.arange(dim)).astype(complex)
         if ladder == "anharmonic":
             h = 2 * np.pi * 80e3 * n + 2 * np.pi * 4e3 * n @ n
         else:
             h = 0.5 * 2 * np.pi * 30e3 * n @ (n - np.eye(dim))
-        model = LindbladModel(hamiltonian=h, register=reg)
+        model = LindbladModel(hamiltonian=h, dims=(dim,))
         dt = 2.5e-6
-        rho0, _ = thermal_state(0.8, dim)
+        rho0 = thermal_state(0.8, dim)
         d = fock.displacement(0.3, dim)
         rho0 = d @ rho0 @ d.conj().T
         prop = build_propagator(model, dt)
@@ -72,11 +66,10 @@ class TestFreeEvolution:
 
     def test_unitary_preserves_spectrum(self):
         dim = 5
-        reg = _single_mode(dim)
         a = destroy(dim)
         h = 2 * np.pi * 1e4 * (a + a.conj().T)  # non-diagonal
-        model = LindbladModel(hamiltonian=h, register=reg)
-        rho0, _ = thermal_state(1.2, dim)
+        model = LindbladModel(hamiltonian=h, dims=(dim,))
+        rho0 = thermal_state(1.2, dim)
         rho = _line(model, rho0, 5, 1e-5)[5]
         np.testing.assert_allclose(
             np.sort(np.linalg.eigvalsh(rho)),
@@ -87,17 +80,16 @@ class TestFreeEvolution:
 
 class TestHeating:
     def test_zero_rate_empty(self):
-        reg = _single_mode(5)
-        assert heating_dissipator(0, 0.0, reg) == []
+        assert heating_dissipator(0, 0.0, (5,)) == []
 
     def test_linear_phonon_growth(self):
         # rate equation: nbar(t) = nbar0 + ndot t, independent of nbar
         dim, ndot = 15, 0.2e3  # 0.2 quanta/ms
-        reg = _single_mode(dim)
+        dims = (dim,)
         model = LindbladModel(
             hamiltonian=np.zeros((dim, dim), dtype=complex),
-            collapse_ops=heating_dissipator(0, ndot, reg),
-            register=reg,
+            collapse_ops=heating_dissipator(0, ndot, dims),
+            dims=dims,
         )
         rho = np.zeros((dim, dim), dtype=complex)
         rho[0, 0] = 1.0
@@ -110,11 +102,11 @@ class TestHeating:
 
     def test_purity_strictly_decreases(self):
         dim = 10
-        reg = _single_mode(dim)
+        dims = (dim,)
         model = LindbladModel(
             hamiltonian=np.zeros((dim, dim), dtype=complex),
-            collapse_ops=heating_dissipator(0, 0.1e3, reg),
-            register=reg,
+            collapse_ops=heating_dissipator(0, 0.1e3, dims),
+            dims=dims,
         )
         d = fock.displacement(0.4, dim)
         rho = d[:, [0]] @ d[:, [0]].conj().T  # pure coherent state
@@ -125,13 +117,13 @@ class TestHeating:
 
     def test_trace_preserved_under_heating(self):
         dim = 8
-        reg = _single_mode(dim)
+        dims = (dim,)
         model = LindbladModel(
             hamiltonian=2 * np.pi * 1e4 * np.diag(np.arange(dim)).astype(complex),
-            collapse_ops=heating_dissipator(0, 0.3e3, reg),
-            register=reg,
+            collapse_ops=heating_dissipator(0, 0.3e3, dims),
+            dims=dims,
         )
-        rho, _ = thermal_state(0.5, dim)
+        rho = thermal_state(0.5, dim)
         out = _line(model, rho, 50, 1e-5)[50]
         assert np.trace(out).real == pytest.approx(1.0, abs=50 * 1e-9)
 
@@ -141,12 +133,11 @@ class TestDephasing:
         # diagonal Hamiltonian plus a number-operator collapse: populations
         # are exactly conserved while coherences decay
         dim = 6
-        reg = _single_mode(dim)
         n_op = np.diag(np.arange(dim)).astype(complex)
         model = LindbladModel(
             hamiltonian=2 * np.pi * 2e4 * n_op,
             collapse_ops=[(n_op, 1e3)],
-            register=reg,
+            dims=(dim,),
         )
         d = fock.displacement(0.5, dim)
         rho0 = d[:, [0]] @ d[:, [0]].conj().T
@@ -160,13 +151,13 @@ class TestSemigroup:
     @pytest.mark.parametrize("dissipative", [False, True])
     def test_two_small_steps_equal_one_double_step(self, dissipative):
         dim = 7
-        reg = _single_mode(dim)
+        dims = (dim,)
         a = destroy(dim)
         h = 2 * np.pi * 3e4 * (a.conj().T @ a) + 2 * np.pi * 5e3 * (a + a.conj().T)
-        collapse = heating_dissipator(0, 0.2e3, reg) if dissipative else []
-        model = LindbladModel(hamiltonian=h, collapse_ops=collapse, register=reg)
+        collapse = heating_dissipator(0, 0.2e3, dims) if dissipative else []
+        model = LindbladModel(hamiltonian=h, collapse_ops=collapse, dims=dims)
         dt = 4e-6
-        rho, _ = thermal_state(0.6, dim)
+        rho = thermal_state(0.6, dim)
         # two steps of the line against one double step of the oracle map
         two_small = _line(model, rho, 2, dt)[2]
         one_double = build_propagator(model, 2 * dt).apply(rho)
@@ -178,28 +169,26 @@ class TestEvolveEdges:
 
     def test_zero_steps_identity(self):
         dim = 4
-        reg = _single_mode(dim)
         model = LindbladModel(
-            hamiltonian=np.diag(np.arange(dim)).astype(complex), register=reg
+            hamiltonian=np.diag(np.arange(dim)).astype(complex), dims=(dim,)
         )
-        rho, _ = thermal_state(0.3, dim)
+        rho = thermal_state(0.3, dim)
         assert np.array_equal(_line(model, rho, 0, 1.0)[0], rho)
 
     def test_size_guard(self, monkeypatch):
         dim = 12
-        reg = _single_mode(dim)
+        dims = (dim,)
         model = LindbladModel(
             hamiltonian=np.zeros((dim, dim), dtype=complex),
-            collapse_ops=heating_dissipator(0, 1e3, reg),
-            register=reg,
+            collapse_ops=heating_dissipator(0, 1e3, dims),
+            dims=dims,
         )
         monkeypatch.setattr(dynamics, "DEFAULT_MEMORY_BUDGET", 1024)
         with pytest.raises(PropagatorSizeError, match="GiB"):
             build_propagator(model, 1e-6)
 
     def test_invalid_dt(self):
-        reg = _single_mode(3)
-        model = LindbladModel(hamiltonian=np.zeros((3, 3), dtype=complex), register=reg)
+        model = LindbladModel(hamiltonian=np.zeros((3, 3), dtype=complex), dims=(3,))
         with pytest.raises(ValueError):
             build_propagator(model, 0.0)
         with pytest.raises(ValueError):
@@ -210,24 +199,37 @@ class TestModelValidation:
     def test_non_hermitian_rejected(self):
         h = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
         with pytest.raises(ValueError, match="Hermitian"):
-            LindbladModel(hamiltonian=h, register=_single_mode(2))
+            LindbladModel(hamiltonian=h, dims=(2,))
 
     def test_negative_rate_rejected(self):
-        reg = _single_mode(3)
         with pytest.raises(ValueError, match="rates"):
             LindbladModel(
                 hamiltonian=np.zeros((3, 3), dtype=complex),
                 collapse_ops=[(destroy(3), -1.0)],
-                register=reg,
+                dims=(3,),
             )
+
+    def test_dim_below_two_rejected(self):
+        # a one-level mode has no ladder, even where the total size matches
+        for dims in ((1, 4), (4, 1), (1,)):
+            with pytest.raises(ValueError, match="dimension >= 2"):
+                LindbladModel(hamiltonian=np.zeros((4, 4)), dims=dims)
+
+    def test_hamiltonian_size_must_match_dims(self):
+        # the register (4, 3) has 12 levels, so it takes only a 12 x 12 H;
+        # a mismatch is a ValueError before the charge check indexes H
+        assert LindbladModel(hamiltonian=np.zeros((12, 12)), dims=(4, 3), charge_weights=(1, 2)).dim == 12
+        for shape in ((11, 11), (6, 6), (12, 6), (12,)):
+            with pytest.raises(ValueError, match="does not match the register dims"):
+                LindbladModel(hamiltonian=np.zeros(shape), dims=(4, 3), charge_weights=(1, 2))
 
     def _exchange(self, **kw):
         """Two-for-one exchange on (zz, str) with Q = n_zz + 2 n_str."""
-        reg = FockRegister(dims=(4, 3), labels=("zz", "str"))
-        a = fock.embed(destroy(4), 0, reg)
-        c = fock.embed(destroy(3), 1, reg)
+        dims = (4, 3)
+        a = fock.embed(destroy(4), 0, dims)
+        c = fock.embed(destroy(3), 1, dims)
         h = 2 * np.pi * 5e3 * (a @ a @ c.conj().T + a.conj().T @ a.conj().T @ c)
-        args = dict(hamiltonian=h, collapse_ops=heating_dissipator(1, 0.2e3, reg), register=reg, charge_weights=(1, 2))
+        args = dict(hamiltonian=h, collapse_ops=heating_dissipator(1, 0.2e3, dims), dims=dims, charge_weights=(1, 2))
         return LindbladModel(**(args | kw)), a, c
 
     def test_declared_charge_accepted(self):
@@ -264,13 +266,12 @@ class TestModelValidation:
         # one explicit Lindblad step: L(rho) from the superoperator matches
         # -i[H,rho] + sum_k r_k (C rho C+ - {C+C, rho}/2) computed directly
         dim = 4
-        reg = _single_mode(dim)
         a = destroy(dim)
         h = 2 * np.pi * 1e4 * (a.conj().T @ a + 0.3 * (a + a.conj().T))
         ops = [(a, 250.0), (a.conj().T, 120.0)]
-        model = LindbladModel(hamiltonian=h, collapse_ops=ops, register=reg)
+        model = LindbladModel(hamiltonian=h, collapse_ops=ops, dims=(dim,))
         lv = liouvillian(model)
-        rho, _ = thermal_state(0.9, dim)
+        rho = thermal_state(0.9, dim)
         d = fock.displacement(0.2, dim)
         rho = d @ rho @ d.conj().T
         direct = -1j * (h @ rho - rho @ h)
@@ -306,15 +307,15 @@ class TestParity:
             omega_si=2 * np.pi * 2.6e3, delta_zz=0.0, rate_y=0.0, rate_eg=0.0, dims=(9, 3, 3), nbar=(0.5, 0.5, 0.5)
         )
         zz = LindbladModel(
-            hamiltonian=kerr.zz_hamiltonian(), register=FockRegister(dims=(9,), labels=("zz",)), charge_weights=(1,)
+            hamiltonian=kerr.zz_hamiltonian(), dims=(9,), charge_weights=(1,)
         )
         assert zz.generator[0].dtype == np.complex128
 
     def test_detuned_or_complex_models_keep_a_complex_generator(self, resonance_data):
         model = self._resonance(resonance_data, dims=(5, 3))
-        reg = model.register
-        a = fock.embed(destroy(5), 0, reg)
-        c = fock.embed(destroy(3), 1, reg)
+        dims = model.dims
+        a = fock.embed(destroy(5), 0, dims)
+        c = fock.embed(destroy(3), 1, dims)
         # a detuning delta n_str, and the paper's real exchange, whose -iH is imaginary
         detuned = model.hamiltonian + 2 * np.pi * 1e3 * (c.conj().T @ c)
         paper = 2 * np.pi * 5e3 * (a @ a @ c.conj().T + a.conj().T @ a.conj().T @ c)
@@ -337,7 +338,7 @@ class TestParity:
         model = self._resonance(resonance_data, dims=(5, 3))
         assert model.generator[0].dtype == np.float64
         seq = protocol.PulseSequence()
-        kept = protocol._kept_sectors(model.charge_weights[seq.target], seq)
+        kept = protocol._kept_sectors(model.charge_weights[0], seq)
         blocks = dynamics.liouvillian_blocks(model)
         c = max((c for c in blocks if dynamics._in_class(c, kept[0])), key=lambda c: blocks[c].size)
         exact = dynamics.liouvillian

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from ionspec2d import dynamics, fock
 from ionspec2d.fock import (
-    FockRegister,
     destroy,
     displacement,
     embed,
@@ -107,55 +106,57 @@ class TestDisplacement:
 
 class TestThermalState:
     def test_zero_temperature_is_vacuum(self):
-        rho, captured = thermal_state(0.0, 6)
+        rho = thermal_state(0.0, 6)
         expected = np.zeros((6, 6))
         expected[0, 0] = 1.0
         assert np.allclose(rho, expected)
-        assert captured == 1.0
 
     def test_captured_probability_closed_forms(self):
-        _, captured_zz = thermal_state(1.0, 9)
-        assert captured_zz == pytest.approx(1.0 - 2.0**-9, rel=1e-12)
-        assert captured_zz == pytest.approx(0.998, abs=5e-4)
-        _, captured_spectator = thermal_state(4.0, 15)
-        assert captured_spectator == pytest.approx(1.0 - 0.8**15, rel=1e-12)
-        assert captured_spectator == pytest.approx(0.9648, abs=5e-4)
+        # the populations are the untruncated p_n = q^n / (1 + nbar),
+        # q = nbar / (1 + nbar), divided by the captured 1 - q^dim; the
+        # manifest's kept_weight pins are in test_cli
+        for nbar, dim in ((1.0, 9), (4.0, 15), (0.7, 9)):
+            q = nbar / (1.0 + nbar)
+            untruncated = q ** np.arange(dim) / (1.0 + nbar)
+            np.testing.assert_allclose(
+                thermal_populations(nbar, dim) * (1.0 - q**dim), untruncated, rtol=1e-12
+            )
 
     @pytest.mark.parametrize("nbar,dim", [(1.0, 9), (0.7, 9), (0.2, 6)])
     def test_renormalized_mean_close_to_nbar(self, nbar, dim):
-        rho, _ = thermal_state(nbar, dim)
+        rho = thermal_state(nbar, dim)
         mean = float(np.real(np.trace(np.diag(np.arange(dim)) @ rho)))
         assert abs(mean - nbar) / nbar < 0.02
 
     def test_renormalized_mean_heavy_tail_truncation(self):
         # for nbar = 4 at 15 levels the n-weighted tail is substantial: the
         # renormalized mean is exactly (nbar - tail)/captured = 3.4530
-        rho, captured = thermal_state(4.0, 15)
+        rho = thermal_state(4.0, 15)
         mean = float(np.real(np.trace(np.diag(np.arange(15)) @ rho)))
         r = 4.0 / 5.0
+        captured = 1.0 - r**15
         tail = (1 - r) * r**15 * (15 * (1 - r) + r) / (1 - r) ** 2
         assert mean == pytest.approx((4.0 - tail) / captured, rel=1e-12)
         assert mean == pytest.approx(3.4530, abs=1e-4)
 
     def test_valid_density_matrix(self):
-        rho, _ = thermal_state(2.5, 12)
+        rho = thermal_state(2.5, 12)
         assert np.max(np.abs(rho - rho.conj().T)) < 1e-12
         assert np.trace(rho).real == pytest.approx(1.0, abs=1e-10)
         assert np.min(np.linalg.eigvalsh(rho)) > -1e-10
 
     def test_populations_at_a_million_levels(self):
-        # no dim x dim matrix: the kept weight of a huge truncation is cheap
+        # no dim x dim matrix: the populations of a huge truncation are cheap
         nbar, dim = 4.0, 10**6
-        pops, kept = thermal_populations(nbar, dim)
+        pops = thermal_populations(nbar, dim)
         assert pops.shape == (dim,)
-        assert kept == pytest.approx(1.0 - (nbar / (1.0 + nbar)) ** dim, rel=1e-12)
+        assert pops[0] == pytest.approx(1.0 / (1.0 + nbar), rel=1e-12)  # nothing is cut off
         assert pops.sum() == pytest.approx(1.0, rel=1e-12)
 
     def test_state_is_diagonal_of_populations(self):
-        pops, kept = thermal_populations(2.5, 12)
-        rho, captured = thermal_state(2.5, 12)
-        assert np.array_equal(rho, np.diag(pops).astype(complex))
-        assert captured == kept
+        pops = thermal_populations(2.5, 12)
+        rho = thermal_state(2.5, 12)
+        assert np.array_equal(rho, np.diag(pops))
 
     def test_negative_nbar_rejected(self):
         with pytest.raises(ValueError):
@@ -164,23 +165,22 @@ class TestThermalState:
 
 class TestEmbed:
     def setup_method(self):
-        self.reg = FockRegister(dims=(3, 4, 2), labels=("a", "b", "c"))
+        self.dims = (3, 4, 2)
 
     def test_identity_embeds_to_identity(self):
         eye = np.eye(4, dtype=complex)
-        assert np.array_equal(embed(eye, 1, self.reg), np.eye(24))
+        assert np.array_equal(embed(eye, 1, self.dims), np.eye(24))
 
     def test_disjoint_slots_commute(self):
-        op_a = embed(destroy(3), 0, self.reg)
-        op_b = embed(destroy(4), 1, self.reg)
+        op_a = embed(destroy(3), 0, self.dims)
+        op_b = embed(destroy(4), 1, self.dims)
         assert np.max(np.abs(op_a @ op_b - op_b @ op_a)) < 1e-14
 
     def test_thermal_product_expectation_oracle(self):
-        reg = FockRegister(dims=(9, 15), labels=("zz", "spec"))
-        rho_zz, cap_zz = thermal_state(1.0, 9)
-        rho_sp, _ = thermal_state(4.0, 15)
+        rho_zz, rho_sp = thermal_state(1.0, 9), thermal_state(4.0, 15)
+        cap_zz = 1.0 - 2.0**-9
         rho = product_state([rho_zz, rho_sp])
-        n_zz = embed(np.diag(np.arange(9)).astype(complex), 0, reg)
+        n_zz = embed(np.diag(np.arange(9)).astype(complex), 0, (9, 15))
         got = float(np.real(np.trace(n_zz @ rho)))
         # direct sum over the renormalized truncated distribution
         weights = 0.5 ** np.arange(1, 10)
@@ -189,7 +189,7 @@ class TestEmbed:
 
     def test_spectrum_preserved(self):
         op = destroy(3) + destroy(3).conj().T
-        big = embed(op, 0, self.reg)
+        big = embed(op, 0, self.dims)
         small_eigs = np.sort(np.linalg.eigvalsh(op))
         big_eigs = np.sort(np.linalg.eigvalsh(big))
         # each eigenvalue of the small operator appears with multiplicity 8
@@ -199,22 +199,9 @@ class TestEmbed:
 
     def test_slot_out_of_range(self):
         with pytest.raises(IndexError):
-            embed(np.eye(3, dtype=complex), 3, self.reg)
+            embed(np.eye(3, dtype=complex), 3, self.dims)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            embed(np.eye(5, dtype=complex), 0, self.reg)
+            embed(np.eye(5, dtype=complex), 0, self.dims)
 
-
-class TestRegister:
-    def test_total_dimension(self):
-        reg = FockRegister(dims=(9, 15, 15), labels=("zz", "y3", "eg"))
-        assert reg.dim == 9 * 15 * 15
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            FockRegister(dims=(1, 4), labels=("a", "b"))
-        with pytest.raises(ValueError):
-            FockRegister(dims=(2, 4), labels=("a",))
-        with pytest.raises(ValueError):
-            FockRegister(dims=(2, 4), labels=("a", "a"))

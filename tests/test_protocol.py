@@ -15,7 +15,7 @@ from ionspec2d.dynamics import (
     PropagatorSizeError,
     heating_dissipator,
 )
-from ionspec2d.fock import FockRegister, destroy, thermal_state
+from ionspec2d.fock import destroy, thermal_state
 from ionspec2d.protocol import (
     PulseSequence,
     SignalGrid,
@@ -31,15 +31,14 @@ TWO_PI = 2 * np.pi
 
 
 def _free_mode(dim, omega=TWO_PI * 20e3):
-    reg = FockRegister(dims=(dim,), labels=("m",))
     h = omega * np.diag(np.arange(dim)).astype(complex)
-    return LindbladModel(hamiltonian=h, register=reg)
+    return LindbladModel(hamiltonian=h, dims=(dim,))
 
 
 class TestRunOnce:
     def test_no_pulses_returns_initial_population(self):
         model = _free_mode(8)
-        rho0, _ = thermal_state(0.9, 8)
+        rho0 = thermal_state(0.9, 8)
         nbar = float(np.real(np.trace(np.diag(np.arange(8)) @ rho0)))
         seq = PulseSequence(amplitudes=(0.0,) * 4)
         cache = {}
@@ -152,7 +151,7 @@ class TestGrid:
 
     def test_scan_consistent_with_run_once(self):
         model = _free_mode(7, omega=TWO_PI * 30e3)
-        rho0, _ = thermal_state(0.5, 7)
+        rho0 = thermal_state(0.5, 7)
         with pytest.warns(UserWarning, match="aliasing"):
             seq = PulseSequence(n_phases=(2, 2, 2))
         dt = 1e-5
@@ -176,10 +175,9 @@ class TestGrid:
 
 def _kerr_mode(dim=7):
     """Diagonal H without a declared charge: one d^2 sector of phases."""
-    reg = FockRegister(dims=(dim,), labels=("m",))
     n_op = np.diag(np.arange(dim)).astype(complex)
     h = TWO_PI * 12e3 * n_op + TWO_PI * 2.5e3 * (n_op @ n_op - n_op)
-    return LindbladModel(hamiltonian=h, register=reg), thermal_state(0.4, dim)[0]
+    return LindbladModel(hamiltonian=h, dims=(dim,)), thermal_state(0.4, dim)
 
 
 def _driven_kerr_mode(dim=7):
@@ -188,7 +186,7 @@ def _driven_kerr_mode(dim=7):
     a = destroy(dim)
     drive = TWO_PI * 1.5e3 * np.exp(0.7j) * a
     h = model.hamiltonian + drive + drive.conj().T
-    return LindbladModel(hamiltonian=h, register=model.register), rho0
+    return LindbladModel(hamiltonian=h, dims=model.dims), rho0
 
 
 def _damped_kerr_mode(dim=7):
@@ -197,7 +195,7 @@ def _damped_kerr_mode(dim=7):
     is not symmetric and its blocks are only weakly connected."""
     model, rho0 = _kerr_mode(dim)
     damped = LindbladModel(
-        hamiltonian=model.hamiltonian, collapse_ops=[(destroy(dim), 2e3)], register=model.register
+        hamiltonian=model.hamiltonian, collapse_ops=[(destroy(dim), 2e3)], dims=model.dims
     )
     return damped, rho0
 
@@ -206,20 +204,19 @@ def _heated_exchange(dims=(4, 3)):
     """Two-mode Lindblad model with its conserved charge Q = n_zz + 2 n_str
     declared: the sector path.  The complex coupling and the extra cooling
     jump make L differ from its transpose."""
-    reg = FockRegister(dims=dims, labels=("zz", "str"))
-    a = fock.embed(destroy(dims[0]), 0, reg)
-    c = fock.embed(destroy(dims[1]), 1, reg)
+    a = fock.embed(destroy(dims[0]), 0, dims)
+    c = fock.embed(destroy(dims[1]), 1, dims)
     g = TWO_PI * 5e3 * np.exp(0.3j)
     h = g * (a @ a @ c.conj().T) + np.conj(g) * (a.conj().T @ a.conj().T @ c)
     model = LindbladModel(
         hamiltonian=h,
-        collapse_ops=heating_dissipator(0, 0.4e3, reg)
-        + heating_dissipator(1, 0.2e3, reg)
+        collapse_ops=heating_dissipator(0, 0.4e3, dims)
+        + heating_dissipator(1, 0.2e3, dims)
         + [(a, 0.3e3)],
-        register=reg,
+        dims=dims,
         charge_weights=(1, 2),
     )
-    rho0 = fock.product_state([thermal_state(0.5, dims[0])[0], thermal_state(0.2, dims[1])[0]])
+    rho0 = fock.product_state([thermal_state(0.5, dims[0]), thermal_state(0.2, dims[1])])
     return model, rho0
 
 
@@ -229,20 +226,20 @@ def _driven_heated_exchange():
     is one block.  (A stretch drive c + c^+ moves Q by two and keeps the
     parity of Q_ket - Q_bra, so it leaves two blocks.)"""
     model, rho0 = _heated_exchange()
-    a = fock.embed(destroy(4), 0, model.register)
+    a = fock.embed(destroy(4), 0, model.dims)
     h = model.hamiltonian + TWO_PI * 2e3 * (a + a.conj().T)
-    driven = LindbladModel(hamiltonian=h, collapse_ops=model.collapse_ops, register=model.register)
+    driven = LindbladModel(hamiltonian=h, collapse_ops=model.collapse_ops, dims=model.dims)
     return driven, rho0
 
 
-def _three_mode_middle_target():
-    """Three-mode Lindblad register measured on its middle slot, so the
-    pre-cycled pulses act between spectator axes on both sides: a Kerr
-    target with a complex exchange to the left mode, a two-for-one exchange
-    with the right mode, heating on the target and cooling on the right.
-    It declares its conserved charge Q = n_l + n_m + 2 n_r."""
-    reg = FockRegister(dims=(2, 3, 3), labels=("l", "m", "r"))
-    a, b, c = (fock.embed(destroy(dim), slot, reg) for slot, dim in enumerate(reg.dims))
+def _three_mode_exchange():
+    """Three-mode Lindblad register probed on slot 0, so the pre-cycled
+    pulses act beside a spectator axis of two modes: a Kerr probed mode m
+    with a complex exchange to the mode l, a two-for-one exchange with the
+    mode r, heating on m and cooling on r.  It declares its conserved
+    charge Q = n_m + n_l + 2 n_r."""
+    dims = (3, 2, 3)
+    b, a, c = (fock.embed(destroy(dim), slot, dims) for slot, dim in enumerate(dims))
     nb = b.conj().T @ b
     g = TWO_PI * 3e3 * np.exp(0.4j)
     h = TWO_PI * 12e3 * nb + TWO_PI * 2.5e3 * (nb @ nb - nb)
@@ -250,13 +247,11 @@ def _three_mode_middle_target():
     h = h + TWO_PI * 2e3 * (b @ b @ c.conj().T + b.conj().T @ b.conj().T @ c)
     model = LindbladModel(
         hamiltonian=h,
-        collapse_ops=heating_dissipator(1, 0.3e3, reg) + [(c, 0.5e3)],
-        register=reg,
+        collapse_ops=heating_dissipator(0, 0.3e3, dims) + [(c, 0.5e3)],
+        dims=dims,
         charge_weights=(1, 1, 2),
     )
-    rho0 = fock.product_state(
-        [thermal_state(nbar, dim)[0] for nbar, dim in zip((0.3, 0.5, 0.2), reg.dims)]
-    )
+    rho0 = fock.product_state([thermal_state(nbar, dim) for nbar, dim in zip((0.5, 0.3, 0.2), dims)])
     return model, rho0
 
 
@@ -264,20 +259,11 @@ def _three_mode_middle_target():
 # swapped or conjugated phase weights change the result
 ASYMMETRIC = PulseSequence(n_phases=(3, 4, 5), signature=(1, -2, 1))
 ORACLE_MODELS = (
-    _kerr_mode, _driven_kerr_mode, _damped_kerr_mode, _heated_exchange, _driven_heated_exchange
+    _kerr_mode, _driven_kerr_mode, _damped_kerr_mode, _heated_exchange, _driven_heated_exchange, _three_mode_exchange
 )
-ORACLE_CASES = (
-    [pytest.param(b, PulseSequence(), id=b.__name__) for b in ORACLE_MODELS]
-    + [pytest.param(b, ASYMMETRIC, id=f"{b.__name__}-asymmetric") for b in ORACLE_MODELS]
-    + [
-        pytest.param(_three_mode_middle_target, PulseSequence(target=1), id="middle-target"),
-        pytest.param(
-            _three_mode_middle_target,
-            dataclasses.replace(ASYMMETRIC, target=1),
-            id="middle-target-asymmetric",
-        ),
-    ]
-)
+ORACLE_CASES = [pytest.param(b, PulseSequence(), id=b.__name__) for b in ORACLE_MODELS] + [
+    pytest.param(b, ASYMMETRIC, id=f"{b.__name__}-asymmetric") for b in ORACLE_MODELS
+]
 
 
 def _oracle(model, rho0, seq, t1, t3, cache):
@@ -307,9 +293,7 @@ class TestScanEngine:
     @pytest.mark.parametrize("seq", [PulseSequence(), ASYMMETRIC])
     @pytest.mark.parametrize("dims", [(9,), (6, 3)])
     def test_cycled_pair_matches_kron_loop(self, seq, dims):
-        model = LindbladModel(
-            hamiltonian=np.zeros((np.prod(dims),) * 2), register=FockRegister(dims, ("a", "b")[: len(dims)])
-        )
+        model = LindbladModel(hamiltonian=np.zeros((np.prod(dims),) * 2), dims=dims)
         ref = cycled_pair(seq, dims[0])
         assert np.max(np.abs(protocol._pulse_set(model, seq)[1] - ref)) <= 1e-14 * np.max(np.abs(ref))
 
@@ -326,8 +310,7 @@ class TestScanEngine:
 
         monkeypatch.setattr(protocol, "pulse_operator", no_pulses)
         # a 900-level register on a 189-point grid needs ~27 GiB
-        reg = FockRegister(dims=(30, 30), labels=("zz", "str"))
-        model = LindbladModel(hamiltonian=np.zeros((900, 900), dtype=complex), register=reg)
+        model = LindbladModel(hamiltonian=np.zeros((900, 900), dtype=complex), dims=(30, 30))
         rho0 = np.zeros((900, 900), dtype=complex)
         with pytest.raises(PropagatorSizeError, match="GiB"):
             scan(model, rho0, PulseSequence(), t_max=2e-3, dt=10.6e-6)
@@ -386,7 +369,7 @@ class TestScanEngine:
     def test_charge_breaking_drive_is_one_block(self):
         model, _ = _driven_heated_exchange()
         assert len(dynamics.liouvillian_blocks(model)) == 1
-        assert protocol.sector_columns(model.charge_weights, model.register.dims, PulseSequence())[2] == model.dim**2
+        assert protocol.sector_columns(model.charge_weights, model.dims, PulseSequence())[2] == model.dim**2
 
     def test_block_map_guard_trips_before_expm(self, monkeypatch):
         def no_expm(a):
@@ -428,7 +411,7 @@ class TestScanEngine:
         # only its reality check against c can see the fault
         model, rho0 = _heated_exchange()
         seq = PulseSequence()
-        kept = protocol._kept_sectors(model.charge_weights[seq.target], seq)
+        kept = protocol._kept_sectors(model.charge_weights[0], seq)
         blocks = dynamics.liouvillian_blocks(model)
         c = max((c for c in blocks if dynamics._in_class(c, kept[0])), key=lambda c: blocks[c].size)
         assert not any(dynamics._in_class(-c, cls) for cls in kept)
@@ -451,7 +434,7 @@ class TestScanEngine:
         # in neither class, so only the covector's reality check reads -1
         model, rho0 = _heated_exchange()
         seq = PulseSequence(signature=(1, -2, -1))
-        kept = protocol._kept_sectors(model.charge_weights[seq.target], seq)
+        kept = protocol._kept_sectors(model.charge_weights[0], seq)
         blocks = dynamics.liouvillian_blocks(model)
         forward, covector = (
             max((c for c in blocks if dynamics._in_class(c, cls)), key=lambda c: blocks[c].size) for cls in kept
@@ -481,8 +464,8 @@ class TestScanEngine:
         model = scenarios.resonance_model(omega_t, dims=dims, heating_quanta_per_s=rates)
         seq = cfg.sequence()
         state = scenarios.resonance_initial_state(dims, tuple(cfg.nbar))
-        kept = protocol._kept_sectors(model.charge_weights[seq.target], seq)
-        a = fock.embed(destroy(dims[0]), 0, model.register)
+        kept = protocol._kept_sectors(model.charge_weights[0], seq)
+        a = fock.embed(destroy(dims[0]), 0, model.dims)
 
         def covector(observable):
             return dynamics.evolution_lines(model, state, observable, 9, cfg.dt_s, kept)[1]
@@ -495,7 +478,7 @@ class TestScanEngine:
         "build, seq",
         [
             pytest.param(_heated_exchange, PulseSequence(), id="exchange"),
-            pytest.param(_three_mode_middle_target, dataclasses.replace(ASYMMETRIC, target=1), id="middle-target"),
+            pytest.param(_three_mode_exchange, ASYMMETRIC, id="three-mode"),
         ],
     )
     def test_compact_lines_hold_the_full_lines(self, build, seq):
@@ -504,7 +487,7 @@ class TestScanEngine:
         model, rho0 = build()
         d1, _, observable = protocol._pulse_set(model, seq)
         args = (model, d1 @ rho0 @ d1.conj().T, observable, 9, 2e-5)
-        kept = protocol._kept_sectors(model.charge_weights[seq.target], seq)
+        kept = protocol._kept_sectors(model.charge_weights[0], seq)
         *compact, index_f, index_c = dynamics.evolution_lines(*args, kept)
         *full, every_f, every_c = dynamics.evolution_lines(*args)
         charge = np.subtract.outer(model.charge, model.charge).ravel()
@@ -559,7 +542,7 @@ class TestScanEngine:
         tracemalloc.start()
         try:
             _, _, index_f, index_c = dynamics.evolution_lines(
-                model, state, observable, n, cfg.dt_s, protocol._kept_sectors(model.charge_weights[seq.target], seq)
+                model, state, observable, n, cfg.dt_s, protocol._kept_sectors(model.charge_weights[0], seq)
             )
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -608,33 +591,31 @@ class TestChargeSectors:
         modes=st.lists(st.tuples(st.integers(2, 5), st.integers(-3, 3)), min_size=1, max_size=3),
         n_phases=st.tuples(st.integers(1, 6), st.integers(1, 6), st.integers(1, 6)),
         signature=st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.integers(-3, 3)),
-        data=st.data(),
     )
-    def test_sector_columns_match_a_brute_force_count(self, modes, n_phases, signature, data):
+    def test_sector_columns_match_a_brute_force_count(self, modes, n_phases, signature):
         # every c = Q_i - Q_j of the product basis counted, zero and
         # negative weights included, against the counter of the weights
         dims, weights = (tuple(x) for x in zip(*modes))
-        target = data.draw(st.integers(0, len(dims) - 1))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # a small N_phi warns of aliasing
-            seq = PulseSequence(n_phases=n_phases, signature=signature, target=target)
+            seq = PulseSequence(n_phases=n_phases, signature=signature)
         charge = np.tensordot(weights, np.indices(dims).reshape(len(dims), -1), 1)
-        reg = FockRegister(dims=dims, labels=tuple("abc"[: len(dims)]))
-        model = LindbladModel(hamiltonian=np.zeros((charge.size,) * 2), register=reg, charge_weights=weights)
+        model = LindbladModel(hamiltonian=np.zeros((charge.size,) * 2), dims=dims, charge_weights=weights)
         assert np.array_equal(model.charge, charge)
         c = np.subtract.outer(charge, charge).ravel()
-        counts = [int(np.sum(dynamics._in_class(c, cls))) for cls in protocol._kept_sectors(weights[target], seq)]
+        counts = [int(np.sum(dynamics._in_class(c, cls))) for cls in protocol._kept_sectors(weights[0], seq)]
         assert protocol.sector_columns(weights, dims, seq) == (*counts, int(np.sum(c == 0)))
 
-    @pytest.mark.parametrize("target", [0, 1])
-    def test_sector_columns_do_not_grow_with_the_weights(self, target):
-        # 12 basis states whose charges span 2e5 + 4 values: the brute-force
-        # count over the basis, within a second
-        weights, dims = (1, 10**5), (4, 3)
-        seq = PulseSequence(target=target)
+    @pytest.mark.parametrize("slot", [0, 1])
+    def test_sector_columns_do_not_grow_with_the_weights(self, slot):
+        # 12 basis states whose charges span over 2e5 values, with the
+        # weight 10^5 on the spectator or on the probed slot 0: the
+        # brute-force count over the basis, within a second
+        weights, dims = tuple(10**5 if s == slot else 1 for s in range(2)), (4, 3)
+        seq = PulseSequence()
         charge = np.tensordot(weights, np.indices(dims).reshape(2, -1), 1)
         c = np.subtract.outer(charge, charge).ravel()
-        counts = [int(np.sum(dynamics._in_class(c, cls))) for cls in protocol._kept_sectors(weights[target], seq)]
+        counts = [int(np.sum(dynamics._in_class(c, cls))) for cls in protocol._kept_sectors(weights[0], seq)]
         start = time.perf_counter()
         columns = protocol.sector_columns(weights, dims, seq)
         assert time.perf_counter() - start < 1.0
@@ -701,18 +682,18 @@ class TestDeterminism:
     def test_thread_count_does_not_change_bits(self):
         # a scan is one contraction with no thread pool of its own, so two
         # identical calls must agree bit for bit (dissipative two-mode model)
-        reg = FockRegister(dims=(4, 3), labels=("zz", "str"))
-        a = fock.embed(destroy(4), 0, reg)
-        c = fock.embed(destroy(3), 1, reg)
+        dims = (4, 3)
+        a = fock.embed(destroy(4), 0, dims)
+        c = fock.embed(destroy(3), 1, dims)
         h = TWO_PI * 5e3 * (a @ a @ c.conj().T + a.conj().T @ a.conj().T @ c)
         model = LindbladModel(
             hamiltonian=h,
-            collapse_ops=heating_dissipator(0, 0.2e3, reg)
-            + heating_dissipator(1, 0.1e3, reg),
-            register=reg,
+            collapse_ops=heating_dissipator(0, 0.2e3, dims)
+            + heating_dissipator(1, 0.1e3, dims),
+            dims=dims,
         )
         rho0 = fock.product_state(
-            [thermal_state(0.5, 4)[0], thermal_state(0.2, 3)[0]]
+            [thermal_state(0.5, 4), thermal_state(0.2, 3)]
         )
         seq = PulseSequence()
         kw = dict(t_max=6 * 2e-5, dt=2e-5)
@@ -739,16 +720,15 @@ class TestMemoryGuards:
     def test_scan_guard_bounds_the_traced_peak(self, dims, n, heated):
         # the exchange model with and without heating: both step the kept
         # sectors, and the bound adds the largest sector's step map
-        reg = FockRegister(dims=dims, labels=("zz", "str"))
-        a = fock.embed(destroy(dims[0]), 0, reg)
-        c = fock.embed(destroy(dims[1]), 1, reg)
+        a = fock.embed(destroy(dims[0]), 0, dims)
+        c = fock.embed(destroy(dims[1]), 1, dims)
         h = TWO_PI * 5e3 * (a @ a @ c.conj().T + a.conj().T @ a.conj().T @ c)
-        heating = heating_dissipator(0, 0.4e3, reg) + heating_dissipator(1, 0.2e3, reg)
+        heating = heating_dissipator(0, 0.4e3, dims) + heating_dissipator(1, 0.2e3, dims)
         model = LindbladModel(
-            hamiltonian=h, collapse_ops=heating if heated else [], register=reg,
+            hamiltonian=h, collapse_ops=heating if heated else [], dims=dims,
             charge_weights=(1, 2),
         )
-        rho0 = fock.product_state([thermal_state(0.5, dim)[0] for dim in dims])
+        rho0 = fock.product_state([thermal_state(0.5, dim) for dim in dims])
         dt = 2e-5
         peak = _traced_peak(lambda: scan(model, rho0, PulseSequence(), (n - 1) * dt, dt))
         columns = protocol.sector_columns(model.charge_weights, dims, PulseSequence())
@@ -817,9 +797,9 @@ def _random_quadratic_two_mode(seed: int):
     rng = np.random.default_rng(seed)
     # dims sized so truncation leakage stays far below the null threshold:
     # the displaced/squeezed thermal state must never reach the boundary
-    reg = FockRegister(dims=(22, 16), labels=("m0", "m1"))
-    a = fock.embed(destroy(22), 0, reg)
-    b = fock.embed(destroy(16), 1, reg)
+    dims = (22, 16)
+    a = fock.embed(destroy(22), 0, dims)
+    b = fock.embed(destroy(16), 1, dims)
     h = TWO_PI * (
         rng.uniform(5e3, 20e3) * (a.conj().T @ a)
         + rng.uniform(5e3, 20e3) * (b.conj().T @ b)
@@ -830,7 +810,7 @@ def _random_quadratic_two_mode(seed: int):
     h = h + sq * (a @ a) + np.conj(sq) * (a.conj().T @ a.conj().T)
     drive = TWO_PI * rng.uniform(0.5e3, 2e3) * np.exp(1j * rng.uniform(0, TWO_PI))
     h = h + drive * a + np.conj(drive) * a.conj().T
-    return LindbladModel(hamiltonian=h, register=reg), reg
+    return LindbladModel(hamiltonian=h, dims=dims)
 
 
 class TestHarmonicNull:
@@ -840,9 +820,9 @@ class TestHarmonicNull:
         # lines, and the memory guard, which charges that map, is skipped
         monkeypatch.setattr(protocol, "evolution_lines", closed_form_lines)
         monkeypatch.setattr(protocol, "check_scan_budget", lambda *args: None)
-        model, reg = _random_quadratic_two_mode(seed=11)
+        model = _random_quadratic_two_mode(seed=11)
         rho0 = fock.product_state(
-            [thermal_state(0.15, 22)[0], thermal_state(0.1, 16)[0]]
+            [thermal_state(0.15, 22), thermal_state(0.1, 16)]
         )
         seq = PulseSequence()
         grid = scan(model, rho0, seq, t_max=7 * 2.5e-5, dt=2.5e-5)
@@ -852,7 +832,7 @@ class TestHarmonicNull:
     def test_dissipative_single_mode_null(self):
         rng = np.random.default_rng(23)
         dim = 24
-        reg = FockRegister(dims=(dim,), labels=("m",))
+        dims = (dim,)
         a = destroy(dim)
         h = TWO_PI * (
             rng.uniform(5e3, 15e3) * (a.conj().T @ a)
@@ -860,10 +840,10 @@ class TestHarmonicNull:
         )
         model = LindbladModel(
             hamiltonian=h,
-            collapse_ops=heating_dissipator(0, 0.05e3, reg),
-            register=reg,
+            collapse_ops=heating_dissipator(0, 0.05e3, dims),
+            dims=dims,
         )
-        rho0, _ = thermal_state(0.2, dim)
+        rho0 = thermal_state(0.2, dim)
         seq = PulseSequence()
         grid = scan(model, rho0, seq, t_max=7 * 2.5e-5, dt=2.5e-5)
         assert np.max(np.abs(grid.values)) < 1e-8 * 0.25**3
@@ -872,11 +852,10 @@ class TestHarmonicNull:
         # control: adding a Kerr term must produce a signal well above the
         # null threshold, so the null tests are not vacuously passing
         dim = 14
-        reg = FockRegister(dims=(dim,), labels=("m",))
         n_op = np.diag(np.arange(dim)).astype(complex)
         h = TWO_PI * 10e3 * n_op + TWO_PI * 3e3 * (n_op @ n_op - n_op)
-        model = LindbladModel(hamiltonian=h, register=reg)
-        rho0, _ = thermal_state(0.2, dim)
+        model = LindbladModel(hamiltonian=h, dims=(dim,))
+        rho0 = thermal_state(0.2, dim)
         seq = PulseSequence()
         grid = scan(model, rho0, seq, t_max=7 * 2.5e-5, dt=2.5e-5)
         assert np.max(np.abs(grid.values)) > 1e-4 * 0.25**3

@@ -7,7 +7,7 @@ import pytest
 from ionspec2d import dynamics, fock, matio, protocol, scenarios
 from ionspec2d.cli import build_config, run_scenario
 from ionspec2d.dynamics import LindbladModel, PropagatorSizeError
-from ionspec2d.fock import FockRegister, thermal_state
+from ionspec2d.fock import thermal_state
 from ionspec2d.protocol import PulseSequence, SignalRealityError, grid_points, scan
 from ionspec2d.spectrum import Peak, Spectrum2D, find_peaks
 from oracles import resonant_manifolds
@@ -101,12 +101,11 @@ class TestResonanceFrame:
         omega_t = scenarios.resonance_parameters(resonance_data).omega_t
         rates = tuple(1e3 * r for r in cfg.heating_quanta_per_ms)
         model = scenarios.resonance_model(omega_t, (5, 3), rates)
-        reg = model.register
-        a = fock.embed(fock.destroy(5), 0, reg)
-        c = fock.embed(fock.destroy(3), 1, reg)
+        a = fock.embed(fock.destroy(5), 0, model.dims)
+        c = fock.embed(fock.destroy(3), 1, model.dims)
         paper = LindbladModel(
             hamiltonian=omega_t * (a @ a @ c.conj().T + a.conj().T @ a.conj().T @ c),
-            register=reg,
+            dims=model.dims,
             collapse_ops=model.collapse_ops,
             charge_weights=(1, 2),
         )
@@ -268,16 +267,15 @@ def _sector_loop(model, seq, t_max, dt):
     shifted zigzag Hamiltonian per spectator occupation (n_y, n_eg)."""
     d = model.dims[0]
     n = np.arange(d)
-    reg = FockRegister(dims=(d,), labels=("zz",))
-    rho0, _ = thermal_state(model.nbar[0], d)
-    p_y = np.diag(thermal_state(model.nbar[1], model.dims[1])[0]).real
-    p_eg = np.diag(thermal_state(model.nbar[2], model.dims[2])[0]).real
+    rho0 = thermal_state(model.nbar[0], d)
+    p_y = np.diag(thermal_state(model.nbar[1], model.dims[1])).real
+    p_eg = np.diag(thermal_state(model.nbar[2], model.dims[2])).real
     total = 0.0
     for n_y in range(model.dims[1]):
         for n_eg in range(model.dims[2]):
             shift = model.delta_zz + model.rate_y * n_y + model.rate_eg * n_eg
             h = np.diag(0.5 * model.omega_si * n * (n - 1) + shift * n).astype(complex)
-            grid = scan(LindbladModel(hamiltonian=h, register=reg), rho0, seq, t_max, dt)
+            grid = scan(LindbladModel(hamiltonian=h, dims=(d,)), rho0, seq, t_max, dt)
             total = total + p_y[n_y] * p_eg[n_eg] * grid.values
     return total
 
@@ -288,8 +286,8 @@ def _all_orders_scan(model, seq, t_max, dt):
     kept-order contraction."""
     d = model.dims[0]
     n = grid_points(t_max, dt)
-    zz = LindbladModel(hamiltonian=model.zz_hamiltonian(), register=FockRegister(dims=(d,), labels=("zz",)))
-    rho0, _ = thermal_state(model.nbar[0], d)
+    zz = LindbladModel(hamiltonian=model.zz_hamiltonian(), dims=(d,))
+    rho0 = thermal_state(model.nbar[0], d)
     d1, cycled, observable = protocol._pulse_set(zz, seq)
     line, covector, _, _ = dynamics.evolution_lines(zz, d1 @ rho0 @ d1.conj().T, observable, n, dt)
     m_max = (d - 1) * (2 * n - 2)
