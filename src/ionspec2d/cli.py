@@ -22,8 +22,9 @@ blocks of its exchange model, within 1.5 bins, and warns when the detuning
 2 omega_zz - omega_str, which that model omits, exceeds the same tolerance.
 ``build_config`` rejects an invalid
 configuration with ConfigError (exit 2) before any work starts, a stage past
-the memory budget included: the scan (the columns of its kept charge sectors
-and its largest sector's step map) and the zero-padded spectrum.  Every
+the memory budget included: the coupling tensors of the ion number, the
+scan (the columns of its kept charge sectors, its largest sector's step
+map and its phase-cycle stacks) and the zero-padded spectrum.  Every
 run, successful or not, leaves a manifest.json with the resolved
 configuration, derived parameters, regime diagnostics (the RWA ratio of
 ``kerr`` and ``tables``), every warning the run raised (each also
@@ -65,7 +66,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import numpy as np  # noqa: E402
 
-from . import __version__, anharmonic, dynamics, matio, phasenoise, protocol, scenarios, spectrum  # noqa: E402
+from . import __version__, anharmonic, dynamics, fock, matio, phasenoise, protocol, scenarios, spectrum  # noqa: E402
 from .crystal import ATOMIC_MASS, TrapConfig  # noqa: E402
 
 SCENARIOS = ("kerr", "resonance", "tables", "noise-table")
@@ -246,22 +247,30 @@ def build_config(raw: dict) -> RunConfig:
         raise ConfigError("resonance needs two heating_quanta_per_ms values >= 0")
     if cfg.scenario == "kerr" and any(cfg.heating_quanta_per_ms):
         raise ConfigError("kerr is dissipation-free: heating_quanta_per_ms must be zero")
-    if cfg.scenario in _MODE_LABELS:
-        # also false when t_max_s * grid_scale overflows to infinity
-        if not cfg.effective_t_max / cfg.dt_s < 2**62:
-            raise ConfigError("t_max_s * grid_scale / dt_s is too large for a grid index")
-        n = protocol.grid_points(cfg.effective_t_max, cfg.dt_s)
-        if n < 2:
-            raise ConfigError(
-                "t_max_s * grid_scale must be at least dt_s: a one-point grid has no spectrum"
-            )
-        # the scan's own guard, before any operator is built; kerr scans
-        # the zigzag alone, and the pulses drive slot 0 (the protocol's
-        # probed mode)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # the run warns when it builds the sequence
-            seq = cfg.sequence()
-        try:
+    try:
+        if cfg.scenario != "noise-table":
+            # the coupling tensors of N ions, one stage at a time: C4's
+            # outer powers over the N (N - 1)/2 ion pairs, (pairs, N^2) and
+            # (pairs, N^3) (anharmonic._pair_sum_tensor), or the RWA ratio's
+            # (2N)^4 rotation frequencies with their mask and temporaries
+            # (kerr and tables); beside them the four tensors up to N^4
+            need = 8 * max(cfg.n_ions**3 * (cfg.n_ions**2 - 1) // 2, 20 * cfg.n_ions**4) + 32 * cfg.n_ions**4
+            dynamics._check_budget(need, f"coupling tensors ({cfg.n_ions} ions)")
+        if cfg.scenario in _MODE_LABELS:
+            # also false when t_max_s * grid_scale overflows to infinity
+            if not cfg.effective_t_max / cfg.dt_s < 2**62:
+                raise ConfigError("t_max_s * grid_scale / dt_s is too large for a grid index")
+            n = protocol.grid_points(cfg.effective_t_max, cfg.dt_s)
+            if n < 2:
+                raise ConfigError(
+                    "t_max_s * grid_scale must be at least dt_s: a one-point grid has no spectrum"
+                )
+            # the scan's own guard, before any operator is built; kerr
+            # scans the zigzag alone, and the pulses drive slot 0 (the
+            # protocol's probed mode)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # the run warns when it builds the sequence
+                seq = cfg.sequence()
             if cfg.scenario == "kerr":
                 protocol.check_scan_budget((1,), cfg.dims[:1], n, seq, chi=True)
             else:
@@ -272,8 +281,8 @@ def build_config(raw: dict) -> RunConfig:
             # magnitudes with their padded copies
             side = n * cfg.zero_pad
             dynamics._check_budget(64 * side * side, f"spectrum ({side} x {side} bins)")
-        except dynamics.PropagatorSizeError as exc:
-            raise ConfigError(str(exc)) from None
+    except dynamics.PropagatorSizeError as exc:
+        raise ConfigError(str(exc)) from None
     return cfg
 
 
@@ -345,11 +354,12 @@ def _apply_phase_noise(grid, signature, diffusion):
 
 def _truncation(cfg: RunConfig) -> dict:
     """Thermal weight each mode keeps in its truncated Fock space,
-    1 - (nbar/(1+nbar))^dim in closed form, so that a huge spectator dim
-    costs nothing; the initial state is renormalized over it."""
+    1 - (nbar/(1+nbar))^dim in closed form (``fock.thermal_sum``), so that
+    a huge spectator dim or nbar costs nothing; the initial state is
+    renormalized over it."""
     return {
         "kept_weight": {
-            label: 1.0 - (nbar / (1.0 + nbar)) ** dim
+            label: float(fock.thermal_sum(nbar, dim).real)
             for label, dim, nbar in zip(_MODE_LABELS[cfg.scenario], cfg.dims, cfg.nbar)
         }
     }

@@ -14,14 +14,16 @@ c = Q_ket - Q_bra, and its diagonal blocks are the sectors of c
 Prosen, New J. Phys. 14, 073007 (2012); Albert & Jiang, Phys. Rev. A 89,
 022118 (2014)); zero weights give the single sector c = 0.  Each sector
 is gathered densely (``liouvillian``) and stepped with its one-step map
-exp(L_c dt) (``_step_map``), and only the sectors the caller keeps are
-stepped and held, compact, one column per kept vec index: a scan's phase
-cycle passes only pathways whose pulses change c by the kept coherence
-orders (``protocol._kept_sectors``).  Besides those, the sector c = 0 of the
-forward line is stepped for the trace-drift check, and for the reality check
-the line of each line's adjoint start (state^+, A^+) in the mirror -c of the
-line's largest kept sector c: P^+ commutes with the adjoint, so the check
-bounds the line's difference there from the adjoint of its adjoint's line
+P_c = exp(L_c dt) (``_step_map``), every line by one product form x -> M x
+(M = P_c for a forward column, its transpose for a covector row), and
+only the sectors the caller keeps are stepped and held, compact, one
+column per kept vec index: a scan's phase cycle passes only pathways whose
+pulses change c by the kept coherence orders (``protocol._kept_sectors``).
+Besides those, the sector c = 0 of the forward line is stepped for the
+trace-drift check, and for the reality check the line of each line's
+adjoint start (state^+, A^+) in the mirror -c of the line's largest kept
+sector c: P^+ commutes with the adjoint, so the check bounds the line's
+difference there from the adjoint of its adjoint's line
 (SignalRealityError).  Both checks run once, after the walks.
 
 ``build_propagator`` builds exp(L dt) for one fixed step as the dense
@@ -361,8 +363,9 @@ def evolution_lines(
     P_c = exp(L_c dt) is built once for each stepped sector (the largest
     map's size checked against the memory budget first; in real arithmetic
     for a real generator, ``_step_map``), and it steps every line that
-    needs the sector: the forward column with P_c and the covector row with
-    P_c from the right (the transpose) along the grid.  Up to three more
+    needs the sector along the grid in one form, x_k = M x_(k-1): M = P_c
+    for the forward column, and M = P_c^T for the covector row, which
+    P_c acts on from the right (y P_c = P_c^T y).  Up to three more
     lines are walked for the checks alone and held until both checks run,
     after the walks: the forward sector c = 0 when it is not kept, where a
     trace drift above TRACE_TOL_PER_STEP per grid point raises
@@ -404,13 +407,11 @@ def evolution_lines(
     for c in sorted(walks):
         step = _step_map(model, blocks[c], dt)
         for i, start, out in walks[c]:
+            m = step.T if i else step  # a covector row steps by P_c from the right
             out[0] = start[blocks[c]]
             for k in range(1, n):
-                if i:
-                    np.matmul(out[k - 1], step, out=out[k])
-                else:
-                    np.matmul(step, out[k - 1], out=out[k])
-        del step
+                np.matmul(m, out[k - 1], out=out[k])
+        del step, m  # m may view the map: neither outlives its sector
     _check_trace_drift(trace[:, np.searchsorted(blocks[0], np.arange(d) * (d + 1))])
     for i, c in enumerate(largest):
         # entries (i, j) of the line's largest kept sector against (j, i) of its adjoint's line

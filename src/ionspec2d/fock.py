@@ -65,6 +65,24 @@ def thermal_populations(nbar: float, dim: int) -> np.ndarray:
     return weights / weights.sum()
 
 
+def thermal_sum(nbar: float, dim: int, phase: float | np.ndarray = 0.0) -> complex | np.ndarray:
+    """sum_(n < dim) p_n exp(-i n phase) over the untruncated thermal
+    weights p_n = r q^n, with r = 1/(1 + nbar) and q = 1 - r: at phase 0
+    the weight a truncation to ``dim`` levels keeps, and over that weight
+    the characteristic function of :func:`thermal_populations`.
+
+    The closed form r (1 - q^D e^(-i D phase)) / (1 - q e^(-i phase)) is
+    written as r (W - q^D expm1(-i D phase)) / (r - q expm1(-i phase)),
+    with W = 1 - q^D = -expm1(D log1p(-r)): no term cancels, so the sum
+    stays accurate where q rounds to 1 (nbar >= 1e16), and nbar = 0 gives
+    exactly 1 (log q = -inf, q^D = 0).  The cost does not depend on D.
+    """
+    r = 1.0 / (1.0 + nbar)
+    log_q = np.log1p(-r) if nbar else -np.inf  # log1p(-1) would warn
+    kept, q_dim = -np.expm1(dim * log_q), np.exp(dim * log_q)
+    return r * (kept - q_dim * np.expm1(-1j * dim * phase)) / (r - (1.0 - r) * np.expm1(-1j * phase))
+
+
 def thermal_state(nbar: float, dim: int) -> np.ndarray:
     """Truncated thermal density matrix, diagonal in the Fock basis
     (see :func:`thermal_populations`)."""

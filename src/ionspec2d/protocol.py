@@ -12,7 +12,9 @@ strictly harmonic model the (1,-1,-1) signature vanishes identically.
 Phase cycling is a linear filter (H.-S. Tan, J. Chem. Phys. 129, 124501
 (2008)), so ``scan`` applies the Fourier weights to the pulses and the
 observable before it contracts anything: one pre-cycled pathway contraction,
-no per-phase signal.  The free evolutions are the lines of
+no per-phase signal.  That contraction is one loop of n x n GEMM blocks for
+every model; an optional chi weight (the ``kerr`` spectators' static shift)
+scales each block, and forks nothing.  The free evolutions are the lines of
 ``dynamics.evolution_lines``, stepped on the charge sectors the cycle keeps
 (``_kept_sectors``), one mechanism for every model.  ``run_once`` and
 ``phase_cycle`` do it the experiment's way, one execution per phase tuple,
@@ -173,26 +175,30 @@ def grid_points(t_max: float, dt: float) -> int:
     return int(np.floor(t_max / dt * (1.0 + 1e-9))) + 1
 
 
-def _working_set_bytes(d: int, n: int, d_probe: int, columns: tuple[int, int, int], span: int | None = None) -> int:
-    """Upper bound on the bytes a scan holds at once, with ``columns`` =
-    (K_f, K_c, b) from ``sector_columns``: the grid twice, a few d x d
-    operators and the pre-cycled pulse pair with its products, and
-    n (2 K_f + 2 K_c + 3 b) line entries at most: the forward and covector
-    lines with up to three check-only lines of b columns or fewer (the
-    forward c = 0 and the two adjoint mirrors) while the lines are built,
-    then the two lines with the contraction's gathers of both; and the step
-    map of the largest sector, b vec indices, built while the lines are
-    held (``dynamics._map_bytes``).
+def _working_set_bytes(
+    dims: tuple[int, ...], n: int, seq: PulseSequence, columns: tuple[int, int, int], span: int | None = None
+) -> int:
+    """Upper bound on the bytes a scan of the register ``dims`` holds at
+    once, with ``columns`` = (K_f, K_c, b) from ``sector_columns``: the
+    grid and one contraction block, 2 n^2; a few d x d operators; the
+    probed mode's pulse stacks (``_pulse_set``), K32 over the N2 N3 phase
+    pairs three times, up to four copies of each pulse's N_k
+    displacements and the pre-cycled pair with its products, three
+    d_t^2 x d_t^2; n (2 K_f + 2 K_c + 3 b) line entries at most: the
+    forward and covector lines with up to three check-only lines of b
+    columns or fewer (the forward c = 0 and the two adjoint mirrors) while
+    the lines are built, then the two lines with the contraction's gathers
+    of both; the step map of the largest sector, b vec indices, built
+    while the lines are held (``dynamics._map_bytes``); and 32 KiB of
+    Python objects and array headers.
 
     A chi weight (``span`` = max Q - min Q) adds its table, 4 span (n - 1)
-    + 1 entries, and with o = 2 d_probe - 1 forward charges at most: the
-    states by forward charge and one covector charge's copy, n o (K_c + b),
-    its covector, n b, and its chi gather, index and product, n^2 (3o/2 + b)."""
-    k_f, k_c, b = columns
-    need = 16 * (n * (2 * k_f + 2 * k_c + 3 * b) + 2 * n * n + 8 * d * d + 3 * d_probe**4) + _map_bytes(b)
+    + 1 entries, and one block's weight with its gather index, 2 n^2."""
+    (k_f, k_c, b), (n2, n3, n4), d = columns, seq.n_phases, math.prod(dims)  # exact even for huge dims
+    stacks = dims[0] ** 2 * (3 * n2 * n3 + 4 * (n2 + n3 + n4) + 3 * dims[0] ** 2)
+    need = 16 * (n * (2 * k_f + 2 * k_c + 3 * b) + 2 * n * n + 8 * d * d + stacks) + _map_bytes(b) + 2**15
     if span is not None:
-        o = 2 * d_probe - 1
-        need += 16 * (4 * span * (n - 1) + 1 + n * (o * (k_c + b) + b) + n * n * b) + 24 * n * n * o
+        need += 16 * (4 * span * (n - 1) + 1 + 2 * n * n)
     return need
 
 
@@ -202,13 +208,12 @@ def check_scan_budget(
     """PropagatorSizeError when a scan of the register ``dims`` with the
     charge ``weights`` over n grid points, with a chi weight or not, would
     exceed the memory budget; ``cli.build_config`` calls it too.  The
-    operators alone are checked first, so that huge dims fail before
-    ``sector_columns`` counts their columns."""
-    d = math.prod(dims)  # exact even for a config's huge dims
+    operators and the phase-cycle stacks alone are checked first, so that
+    huge dims fail before ``sector_columns`` counts their columns."""
     span = sum(abs(w) * (k - 1) for w, k in zip(weights, dims)) if chi else None
-    d_t, what = dims[0], f"scan (dim {d}, {n} grid points)"
-    _check_budget(_working_set_bytes(d, n, d_t, (0, 0, 0), span), what)
-    _check_budget(_working_set_bytes(d, n, d_t, sector_columns(weights, dims, seq), span), what)
+    what = f"scan (dim {math.prod(dims)}, {n} grid points)"
+    _check_budget(_working_set_bytes(dims, n, seq, (0, 0, 0), span), what)
+    _check_budget(_working_set_bytes(dims, n, seq, sector_columns(weights, dims, seq), span), what)
 
 
 def sector_columns(weights: tuple[int, ...], dims: tuple[int, ...], seq: PulseSequence) -> tuple[int, int, int]:
@@ -322,8 +327,14 @@ def scan(
     ensemble.  The shift turns sector c into exp(-i sigma c t) times itself,
     so the ensemble weights the pathway from forward charge c1 to covector
     charge c3 by chi((c1 k1 + c3 k3) dt), inhomogeneous dephasing (Hamm &
-    Zanni, Concepts and Methods of 2D Infrared Spectroscopy, 2011); the
-    contraction then splits by c1 and c3, with one chi gather per c3.
+    Zanni, Concepts and Methods of 2D Infrared Spectroscopy, 2011).
+
+    The contraction is one loop for both: per spectator charge difference,
+    per forward charge c1 and per covector charge c3, one GEMM of the
+    pulsed forward entries against the covector entries gives an n x n
+    block, which chi scales by its gather chi((c1 k1 + c3 k3) dt) before
+    it is added to the grid.  Without chi every charge is one group and no
+    block is scaled.
     """
     n, d, d_t = grid_points(t_max, dt), model.dim, model.dims[0]
     check_scan_budget(model.charge_weights, model.dims, n, seq, chi is not None)
@@ -343,38 +354,31 @@ def scan(
     offset = np.add.outer(np.arange(d_t) * right * d, np.arange(d_t) * right).ravel()
     spread = np.subtract.outer(model.charge[ket], model.charge[ket]).ravel()
     orders = w * np.subtract.outer(np.arange(d_t), np.arange(d_t)).ravel()
-    values = np.zeros((n, n), dtype=complex)
+    values, block = np.zeros((n, n), dtype=complex), np.empty((n, n), dtype=complex)
     if chi is not None:
         # chi(m dt) for every |m| <= |c1 k1 + c3 k3| <= 2 (max Q - min Q)(n - 1)
         m_max = 2 * int(model.charge.max() - model.charge.min()) * (n - 1)
         table = chi(np.arange(-m_max, m_max + 1) * dt)
         k = np.arange(n)
+
+    def by_charge(charges):  # {charge: its entries}; without chi, every entry in one group
+        return {0: slice(None)} if chi is None else {q: charges == q for q in sorted(set(charges.tolist()))}
+
     for c in sorted(set(spread.tolist())):
         # C maps the probed block's kept forward entries to its kept
-        # covector entries, one spectator charge difference at a time
+        # covector entries, one spectator charge difference at a time; the
+        # pathway from forward charge q1 to covector charge q3 gains
+        # chi((q1 k1 + q3 k3) dt)
         pairs = base[spread == c, None]
         src = np.flatnonzero(_in_class(orders + c, kept_forward))
         dst = np.flatnonzero(_in_class(orders + c, kept_covector))
-        pair = cycled[np.ix_(dst, src)]
-        if chi is None:
-            states = line[:, column[0, pairs + offset[src]]] @ pair.T
-            values += states.reshape(n, -1) @ covector[:, column[1, pairs + offset[dst]]].reshape(n, -1).T
-            continue
-        # states(k1, c1, pair, entry) for each forward charge c1, then per
-        # covector charge c3 the grid gains sum chi((c1 k1 + c3 k3) dt)
-        # states(k1, c1, y) A(k3, y) over c1 and the entries y of charge c3
-        c1, c3 = orders[src] + c, orders[dst] + c
-        charges = sorted(set(c1.tolist()))
-        states = np.empty((n, len(charges), pairs.size, dst.size), dtype=complex)
-        for i, q in enumerate(charges):
-            states[:, i] = line[:, column[0, pairs + offset[src[c1 == q]]]] @ pair[:, c1 == q].T
-        first = np.multiply.outer(k, charges) + m_max  # table index of c1 k1, (k1, c1)
-        for q in sorted(set(c3.tolist())):
-            # one expression, so that no charge's temporaries outlive it
-            values += np.einsum(
-                "ije,je->ij",
-                table[first[:, None, :] + q * k[None, :, None]] @ states[..., c3 == q].reshape(n, len(charges), -1),
-                covector[:, column[1, pairs + offset[dst[c3 == q]]]].reshape(n, -1),
-            )
+        for q1, g1 in by_charge(orders[src] + c).items():
+            states = line[:, column[0, pairs + offset[src[g1]]]] @ cycled[np.ix_(dst, src[g1])].T
+            for q3, g3 in by_charge(orders[dst] + c).items():
+                entries = covector[:, column[1, pairs + offset[dst[g3]]]].reshape(n, -1)
+                np.matmul(states[..., g3].reshape(n, -1), entries.T, out=block)
+                if chi is not None:
+                    block *= table[np.add.outer(q1 * k, q3 * k + m_max)]
+                values += block
     t_axis = np.arange(n) * dt
     return SignalGrid(t1=t_axis, t3=t_axis, values=values)

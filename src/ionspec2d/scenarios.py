@@ -124,14 +124,10 @@ def kerr_model_from_params(
 
 def _thermal_characteristic(nbar: float, dim: int, phase: np.ndarray) -> np.ndarray:
     """sum_n p_n exp(-i n phase) over the truncated thermal populations p_n
-    of ``fock.thermal_populations``, as the truncated geometric sum
-    (1 - q)/(1 - q^D) (1 - x^D)/(1 - x) with q = nbar/(1 + nbar),
-    x = q exp(-i phase) and D = dim; it is exactly 1 when nbar = 0, and
-    its cost does not depend on D."""
-    q = nbar / (1.0 + nbar)
-    x = q * np.exp(-1j * phase)
-    x_dim = q**dim * np.exp(-1j * dim * phase)
-    return (1.0 - q) / (1.0 - q**dim) * (1.0 - x_dim) / (1.0 - x)
+    of ``fock.thermal_populations``: ``fock.thermal_sum`` over the weight
+    the truncation keeps.  It is exactly 1 when nbar = 0, and its cost does
+    not depend on D."""
+    return fock.thermal_sum(nbar, dim, phase) / fock.thermal_sum(nbar, dim)
 
 
 def kerr_scan_fast(

@@ -189,10 +189,10 @@ class TestConfigValidation:
             ({"scenario": "kerr", "threads": 0}, "threads"),
             # kerr_scan_fast is dissipation-free: heating would be ignored silently
             ({"scenario": "kerr", "heating_quanta_per_ms": [5, 5, 5]}, "heating"),
-            # the scan's working set (~27 GiB on the 189-point grid) is checked
+            # the scan's working set (~21 GiB on the 189-point grid) is checked
             # before resonance_model builds its 900 x 900 operators
             ({"scenario": "resonance", "dims": [30, 30]}, "budget"),
-            # kerr_scan_fast's working set on a 200-level zigzag (~115 GiB)
+            # kerr_scan_fast's working set on a 200-level zigzag (~72 GiB)
             ({"scenario": "kerr", "dims": [200, 2, 2]}, "budget"),
             # a heated scan's largest charge sector, c = 0 of Q = n_zz + 2 n_str,
             # has 6,760 vec indices: its step map (6.8 GiB) dwarfs the lines
@@ -207,6 +207,11 @@ class TestConfigValidation:
             ({"scenario": "kerr", "seed": 2**64}, "64 bits"),
             ({"scenario": "kerr", "dt_s": 10**400}, "finite"),
             ({"scenario": "kerr", "n_phases": [0, 4, 4]}, "n_phases"),
+            # the phase-cycle stacks of K32 over 10^10 phase pairs (~35 TiB)
+            ({"scenario": "kerr", "n_phases": [100000, 100000, 4]}, "budget"),
+            # the coupling tensors of 100 ions (~40 GiB), before any mode is solved
+            ({"scenario": "tables", "n_ions": 100, "omega_x_hz": 2e8, "omega_y_hz": 2.2e8}, "budget"),
+            ({"scenario": "kerr", "n_ions": 100, "omega_x_hz": 2e8, "omega_y_hz": 2.2e8}, "budget"),
         ],
     )
     def test_rejected_before_any_work(self, raw, match, tmp_path, capsys):
@@ -235,11 +240,12 @@ class TestConfigValidation:
                 "spectrum",
             ),
             ({"scenario": "resonance", "grid_scale": 0.06, "zero_pad": 50, "baseline_notch": True}, "spectrum"),
+            ({"scenario": "tables", "n_ions": 20, "omega_x_hz": 2e7, "omega_y_hz": 2.2e7}, "coupling tensors"),
         ],
     )
     def test_stage_bound_covers_the_traced_run(self, raw, stage, tmp_path, monkeypatch):
-        # runs on a 10- or 12-point grid padded to 600^2 bins, so that the
-        # stage dominates the run:
+        # runs on a 10- or 12-point grid padded to 600^2 bins, or with 20
+        # ions, so that the stage dominates the run:
         # the bytes build_config charges for it cover the whole run's traced
         # peak, and the stage is over half of them
         charged = []
@@ -261,6 +267,11 @@ class TestConfigValidation:
         finally:
             tracemalloc.stop()
         assert need / 2 < peak <= need
+
+    def test_long_kerr_grid_is_accepted(self):
+        # 4,744 grid points: the chi weight adds its table and one block's
+        # weight, ~1.3 GiB in all, not a weight per forward charge
+        assert build_config({"scenario": "kerr", "grid_scale": 60}).grid_scale == 60
 
     def test_heated_resonance_charged_for_its_kept_columns(self):
         # 378 grid points on a 400-level register: five full (n, d^2) lines
@@ -528,6 +539,15 @@ class TestManifest:
         assert reference == pytest.approx({"zz": 1.0 - 2.0**-9, "yzz": 1.0 - 0.8**15, "eg": 1.0 - 0.8**15}, rel=1e-12)
         cold = RunConfig(scenario="resonance", dims=(9, 10**6), nbar=(0.0, 4.0))
         assert cli._truncation(cold)["kept_weight"] == {"zz": 1.0, "str": 1.0}
+
+    def test_huge_spectator_nbar_runs(self, tmp_path):
+        # q = nbar/(1 + nbar) rounds to 1 at nbar = 1e17: the kept weight
+        # 1 - q^15 and the chi weight are taken in r = 1/(1 + nbar)
+        manifest = run_scenario(build_config(
+            {"scenario": "kerr", "nbar": [1.0, 1e17, 4.0], "grid_scale": 0.1, "out_dir": str(tmp_path)}
+        ))
+        assert manifest["status"] == "ok"
+        assert manifest["truncation"]["kept_weight"]["yzz"] == pytest.approx(15 / (1 + 1e17), rel=1e-9)
 
     def test_huge_spectator_dim_runs(self, tmp_path):
         # the chi weight and the kept weight are closed forms, so a kerr run

@@ -11,6 +11,7 @@ from ionspec2d.fock import (
     product_state,
     thermal_populations,
     thermal_state,
+    thermal_sum,
 )
 from oracles import mode_operators
 
@@ -121,6 +122,18 @@ class TestThermalState:
             np.testing.assert_allclose(
                 thermal_populations(nbar, dim) * (1.0 - q**dim), untruncated, rtol=1e-12
             )
+
+    @pytest.mark.parametrize("nbar, dim", [(0.0, 4), (0.7, 9), (4.0, 15), (1e3, 40), (1e17, 15)])
+    def test_thermal_sum_matches_the_direct_sum(self, nbar, dim):
+        # sum_(n < dim) r q^n exp(-i n phase), r = 1/(1 + nbar), term by
+        # term; at nbar = 1e17, q = 1 - r rounds to 1, which moves the terms
+        # by n r only
+        r = 1.0 / (1.0 + nbar)
+        phase = np.linspace(-7.0, 7.0, 201)
+        direct = r * (1.0 - r) ** np.arange(dim)
+        ref = np.exp(-1j * np.outer(phase, np.arange(dim))) @ direct
+        assert np.max(np.abs(thermal_sum(nbar, dim, phase) - ref)) <= 1e-13 * direct.sum()
+        assert thermal_sum(nbar, dim).real == pytest.approx(direct.sum(), rel=1e-13)
 
     @pytest.mark.parametrize("nbar,dim", [(1.0, 9), (0.7, 9), (0.2, 6)])
     def test_renormalized_mean_close_to_nbar(self, nbar, dim):

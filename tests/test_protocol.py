@@ -309,7 +309,7 @@ class TestScanEngine:
             pytest.fail("pulse operators built before the memory guard")
 
         monkeypatch.setattr(protocol, "pulse_operator", no_pulses)
-        # a 900-level register on a 189-point grid needs ~27 GiB
+        # a 900-level register on a 189-point grid needs ~21 GiB
         model = LindbladModel(hamiltonian=np.zeros((900, 900), dtype=complex), dims=(30, 30))
         rho0 = np.zeros((900, 900), dtype=complex)
         with pytest.raises(PropagatorSizeError, match="GiB"):
@@ -732,7 +732,7 @@ class TestMemoryGuards:
         dt = 2e-5
         peak = _traced_peak(lambda: scan(model, rho0, PulseSequence(), (n - 1) * dt, dt))
         columns = protocol.sector_columns(model.charge_weights, dims, PulseSequence())
-        assert protocol._working_set_bytes(model.dim, n, dims[0], columns) >= peak
+        assert protocol._working_set_bytes(dims, n, PulseSequence(), columns) >= peak
 
     @pytest.mark.parametrize("dims", [(7, 5), (9, 6)])
     def test_sector_guard_bounds_the_heated_resonance_peak(self, resonance_data, dims):
@@ -749,10 +749,20 @@ class TestMemoryGuards:
         charge = np.subtract.outer(model.charge, model.charge).ravel()
         kept = protocol._kept_sectors(model.charge_weights[0], seq)
         assert columns[:2] == tuple(int(np.sum(dynamics._in_class(charge, cls))) for cls in kept)
-        assert peak <= protocol._working_set_bytes(model.dim, n, dims[0], columns)
+        assert peak <= protocol._working_set_bytes(dims, n, seq, columns)
 
-    @pytest.mark.parametrize("d, n", [(5, 11), (9, 80)])
-    def test_kerr_guard_bounds_the_traced_peak(self, d, n, monkeypatch):
+    @pytest.mark.parametrize(
+        "d, n, n_phases",
+        [
+            pytest.param(5, 11, (4, 4, 4), id="5-11"),
+            pytest.param(9, 80, (4, 4, 4), id="9-80"),
+            # the chi weight of one block and its gather index, 2 n^2, dominate
+            pytest.param(9, 400, (4, 4, 4), id="9-400"),
+            # the phase-cycle stacks of K32 over 64 x 64 phase pairs dominate
+            pytest.param(5, 11, (64, 64, 4), id="5-11-cycle-64x64x4"),
+        ],
+    )
+    def test_kerr_guard_bounds_the_traced_peak(self, d, n, n_phases, monkeypatch):
         # the scan's own guard, which protocol imports by name; the sector
         # lines also check their step map
         budget = []
@@ -768,7 +778,7 @@ class TestMemoryGuards:
             rate_eg=-TWO_PI * 0.8e3, dims=(d, 15, 15), nbar=(0.8, 1.5, 2.5),
         )
         dt = 25.3e-6
-        seq = PulseSequence()
+        seq = PulseSequence(n_phases=n_phases)
         peak = _traced_peak(lambda: scenarios.kerr_scan_fast(model, seq, (n - 1) * dt, dt))
         assert budget and min(budget) >= peak
 
@@ -789,6 +799,39 @@ class TestMemoryGuards:
             lambda: scan(model, rho0, PulseSequence(), 39 * dt, dt, chi=lambda tau: np.exp(-1j * shift * tau))
         )
         assert budget and max(budget) >= peak
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        modes=st.lists(st.tuples(st.integers(2, 5), st.integers(-2, 2)), min_size=1, max_size=2),
+        n_phases=st.tuples(st.integers(1, 64), st.integers(1, 64), st.integers(1, 64)),
+        signature=st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.integers(-3, 3)),
+        n=st.integers(2, 30),
+        shift=st.none() | st.floats(-TWO_PI * 1e4, TWO_PI * 1e4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_guard_bounds_the_traced_peak_of_any_scan(self, modes, n_phases, signature, n, shift, seed):
+        # a random Hamiltonian on 1-2 modes that keeps the declared charge,
+        # any cycle and grid, with no weight or a phase chi(tau) =
+        # exp(-i shift tau): the need that check_scan_budget records covers
+        # the traced peak.  H = i B with B real antisymmetric has a real
+        # generator -iH = B, the float64 maps of resonance, which keeps an
+        # uncharged 25-level register (one 625-entry sector) fast
+        dims, weights = (tuple(x) for x in zip(*modes))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # a small N_phi warns of aliasing
+            seq = PulseSequence(n_phases=n_phases, signature=signature)
+        charge = dynamics._mode_sum(weights, dims)
+        b = np.random.default_rng(seed).normal(size=(charge.size,) * 2)
+        h = TWO_PI * 1e3j * (b - b.T) * (np.subtract.outer(charge, charge) == 0)
+        model = LindbladModel(hamiltonian=h, dims=dims, charge_weights=weights)
+        rho0 = fock.product_state([thermal_state(0.5, d) for d in dims])
+        chi = None if shift is None else (lambda tau: np.exp(-1j * shift * tau))
+        needs = []
+        exact = protocol._check_budget
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(protocol, "_check_budget", lambda need, what: needs.append(need) or exact(need, what))
+            peak = _traced_peak(lambda: scan(model, rho0, seq, (n - 1) * 2e-5, 2e-5, chi=chi))
+        assert peak <= max(needs)
 
 
 def _random_quadratic_two_mode(seed: int):

@@ -381,6 +381,36 @@ class TestKerrSectorAverage:
         assert scale > 1e-6
         assert np.max(np.abs(fast.values - oracle)) <= 1e-12 * scale
 
+    def test_characteristic_of_a_huge_nbar_is_uniform(self):
+        # q = nbar/(1 + nbar) rounds to 1 at nbar >= 1e16: the truncated
+        # thermal law is then the uniform one over the D levels
+        phase = np.linspace(-7.0, 7.0, 201)
+        for dim in (4, 15):
+            uniform = np.exp(-1j * np.outer(phase, np.arange(dim))).mean(axis=1)
+            chi = scenarios._thermal_characteristic(1e17, dim, phase)
+            assert np.max(np.abs(chi - uniform)) <= 1e-10
+        # and the ground state's factor stays exactly 1
+        assert np.all(scenarios._thermal_characteristic(0.0, 15, phase) == 1.0)
+
+    def test_reference_grid_against_the_geometric_closed_form(self, monkeypatch):
+        # the characteristic in r = 1/(1 + nbar) moves the reference kerr
+        # grid by rounding alone from (1 - q)/(1 - q^D) (1 - x^D)/(1 - x),
+        # x = q exp(-i phase)
+        def geometric(nbar, dim, phase):
+            q = nbar / (1.0 + nbar)
+            x, x_dim = q * np.exp(-1j * phase), q**dim * np.exp(-1j * dim * phase)
+            return (1.0 - q) / (1.0 - q**dim) * (1.0 - x_dim) / (1.0 - x)
+
+        cfg = build_config({"scenario": "kerr"})
+        model = scenarios.kerr_model_from_params(
+            scenarios.kerr_parameters(scenarios.derive_modes(cfg.trap())), dims=cfg.dims, nbar=cfg.nbar
+        )
+        args = (model, cfg.sequence(), cfg.effective_t_max, cfg.dt_s)
+        grid = scenarios.kerr_scan_fast(*args).values
+        monkeypatch.setattr(scenarios, "_thermal_characteristic", geometric)
+        closed = scenarios.kerr_scan_fast(*args).values
+        assert np.max(np.abs(grid - closed)) <= 1e-15 * np.max(np.abs(closed))
+
     def test_million_level_spectator(self):
         # at nbar = 0.5 the thermal weight beyond 30 levels is 3^-30 ~ 5e-15,
         # so a 10^6-level y zigzag must match the 30-level sector loop
@@ -438,6 +468,6 @@ class TestKerrSectorAverage:
             pytest.fail("pulse operators built before the memory guard")
 
         monkeypatch.setattr(protocol, "pulse_operator", no_pulses)
-        # 6001 grid points: the chi tables of one order alone need ~11 GiB
+        # 12,001 grid points: the grid, one block and its chi weight need ~8.6 GiB
         with pytest.raises(PropagatorSizeError, match="GiB"):
-            scenarios.kerr_scan_fast(_kerr_model(), PulseSequence(), 6000 * DT, DT)
+            scenarios.kerr_scan_fast(_kerr_model(), PulseSequence(), 12000 * DT, DT)
