@@ -351,17 +351,22 @@ def max_nonsecular_ratio(
     pattern (+omega_m for a raising, -omega_m for a lowering operator), that
     share the quartet's coefficient 3 kappa omega_z D4 / (gamma^4)^(1/4).
     Terms rotating slower than 1e-9 omega_z are secular and kept by the RWA;
-    the ratio is the figure of merit for dropping all the others.
+    the ratio is the figure of merit for dropping all the others.  The
+    first operator's mode is looped over, and then its sign, so that (2N)^3
+    frequencies are held at a time, not (2N)^4.
     """
     n = modes.n_ions
     wz = trap.omega_z
     gx = modes.gamma_x
-    coeff = (
-        3.0 * anharmonic_prefactor(trap) ** 2 * wz * tensors.d4
-        / reduce(np.multiply, np.ix_(gx, gx, gx, gx)) ** 0.25
-    )
+    scale = 3.0 * anharmonic_prefactor(trap) ** 2 * wz
     rot = np.concatenate([modes.omega_radial_x(wz), -modes.omega_radial_x(wz)])
-    freq = reduce(np.add, np.ix_(rot, rot, rot, rot)).reshape((2, n) * 4)
-    np.abs(freq, out=freq)
-    freq[freq < 1e-9 * wz] = np.inf  # secular terms drop out of the ratio
-    return float(np.divide(np.abs(coeff).reshape((1, n) * 4), freq, out=freq).max())
+    gammas, axes = np.ix_(gx, gx, gx), np.ix_(rot, rot, rot)
+    best = 0.0
+    for m in range(n):
+        coeff = np.abs(scale * tensors.d4[m] / reduce(np.multiply, (gx[m], *gammas)) ** 0.25).reshape((1, n) * 3)
+        for first in rot[m], rot[m + n]:  # a raising, then a lowering operator
+            freq = reduce(np.add, (first, *axes)).reshape((2, n) * 3)
+            np.abs(freq, out=freq)
+            freq[freq < 1e-9 * wz] = np.inf  # secular terms drop out of the ratio
+            best = max(best, float(np.divide(coeff, freq, out=freq).max()))
+    return best

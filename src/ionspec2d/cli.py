@@ -252,9 +252,10 @@ def build_config(raw: dict) -> RunConfig:
             # the coupling tensors of N ions, one stage at a time: C4's
             # outer powers over the N (N - 1)/2 ion pairs, (pairs, N^2) and
             # (pairs, N^3) (anharmonic._pair_sum_tensor), or the RWA ratio's
-            # (2N)^4 rotation frequencies with their mask and temporaries
-            # (kerr and tables); beside them the four tensors up to N^4
-            need = 8 * max(cfg.n_ions**3 * (cfg.n_ions**2 - 1) // 2, 20 * cfg.n_ions**4) + 32 * cfg.n_ions**4
+            # (2N)^3 rotation frequencies of one first operator with their
+            # mask and temporaries (kerr and tables); beside them the four
+            # tensors up to N^4
+            need = 8 * max(cfg.n_ions**3 * (cfg.n_ions**2 - 1) // 2, 24 * cfg.n_ions**3) + 32 * cfg.n_ions**4
             dynamics._check_budget(need, f"coupling tensors ({cfg.n_ions} ions)")
         if cfg.scenario in _MODE_LABELS:
             # also false when t_max_s * grid_scale overflows to infinity

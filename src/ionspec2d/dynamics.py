@@ -12,19 +12,24 @@ Q = sum_s w_s n_s by one integer weight w_s per register mode
 c = Q_ket - Q_bra, and its diagonal blocks are the sectors of c
 (``liouvillian_blocks``; symmetry reduction of Lindblad generators: Buca &
 Prosen, New J. Phys. 14, 073007 (2012); Albert & Jiang, Phys. Rev. A 89,
-022118 (2014)); zero weights give the single sector c = 0.  Each sector
-is gathered densely (``liouvillian``) and stepped with its one-step map
-P_c = exp(L_c dt) (``_step_map``), every line by one product form x -> M x
-(M = P_c for a forward column, its transpose for a covector row), and
-only the sectors the caller keeps are stepped and held, compact, one
-column per kept vec index: a scan's phase cycle passes only pathways whose
-pulses change c by the kept coherence orders (``protocol._kept_sectors``).
-Besides those, the sector c = 0 of the forward line is stepped for the
-trace-drift check, and for the reality check the line of each line's
-adjoint start (state^+, A^+) in the mirror -c of the line's largest kept
-sector c: P^+ commutes with the adjoint, so the check bounds the line's
-difference there from the adjoint of its adjoint's line
-(SignalRealityError).  Both checks run once, after the walks.
+022118 (2014)); zero weights give the single sector c = 0.  The model
+holds the nonzero entries of its Liouvillian once, as (rows, cols, values)
+(``LindbladModel.liouvillian_entries``), while the maps are built: each
+sector's block is scattered from them (``liouvillian``) and stepped with
+its one-step map P_c = exp(L_c dt) (``_step_map``), every line by one
+product form x -> M x (M = P_c for a forward column, its transpose for a
+covector row), and only the sectors the caller keeps are stepped and held,
+compact, one column per kept vec index: a scan's phase cycle passes only
+pathways whose pulses change c by the kept coherence orders
+(``protocol._kept_sectors``).  A line whose start is exactly zero on a
+sector stays zero there, P_c being linear: its columns are zero-filled,
+and a sector with no other line builds no map.  Besides the kept sectors,
+the sector c = 0 of the forward line is stepped for the trace-drift check,
+and for the reality check the line of each line's adjoint start (state^+,
+A^+) in the mirror -c of the line's largest kept sector c: P^+ commutes
+with the adjoint, so the check bounds the line's difference there from the
+adjoint of its adjoint's line (SignalRealityError).  Both checks run once,
+after the walks.
 
 ``build_propagator`` builds exp(L dt) for one fixed step as the dense
 exponential of the Liouvillian; it serves single protocol executions
@@ -36,9 +41,11 @@ model, so that a ``kerr`` run makes no LU solve), else a numpy
 scaling-and-squaring Pade approximant.  A model whose generator
 K = -iH - 1/2 sum r c^+ c and jumps have no imaginary part holds them as
 float64 (``LindbladModel.generator``; the resonance exchange, written in
-the frame where its -iH is real): its Liouvillian blocks are gathered real
+the frame where its -iH is real): its Liouvillian blocks are scattered real
 and its sector maps exponentiated in float64, with real products and a
-real LU solve.  The lines and the checks stay complex.
+real LU solve.  The lines and the checks stay complex; a real map steps
+each complex line as its (b, 2) float64 view, real and imaginary parts as
+two columns of one real product.
 """
 
 from __future__ import annotations
@@ -126,10 +133,9 @@ class LindbladModel:
     @cached_property
     def generator(self) -> tuple[np.ndarray, list[tuple[np.ndarray, float]]]:
         """(K, jumps): K = -iH - 1/2 sum_c r c^+ c and the (c, r) pairs with
-        r > 0, formed once per model for every block ``liouvillian`` gathers;
-        all float64 when neither K nor any jump has an imaginary part, so
-        that the blocks are gathered, and their maps exponentiated, in real
-        arithmetic."""
+        r > 0, formed once per model for ``liouvillian_entries``; all float64
+        when neither K nor any jump has an imaginary part, so that the blocks
+        are scattered, and their maps exponentiated, in real arithmetic."""
         jumps = [(np.asarray(op), rate) for op, rate in self.collapse_ops if rate > 0]
         k = -1j * np.asarray(self.hamiltonian)
         for c, rate in jumps:
@@ -137,6 +143,40 @@ class LindbladModel:
         if not np.any(k.imag) and not any(np.any(np.imag(c)) for c, _ in jumps):
             return k.real.copy(), [(np.real(c), rate) for c, rate in jumps]
         return k, jumps
+
+    @cached_property
+    def liouvillian_entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(rows, cols, values): the terms of the Liouvillian
+        L = K kron I + I kron conj(K) + sum_c r c kron conj(c) at row-major
+        vec indices, from the nonzeros of K and of each jump (``generator``),
+        formed once for every block ``liouvillian`` scatters and released by
+        ``evolution_lines`` when its maps are built, so that they are not
+        held through the caller's contraction.  In this order: K_ik at
+        (d i + j, d k + j) for every bra index j, then conj(K_jl) at
+        (d i + j, d i + l) for every ket index i, then (r c_ik) conj(c_jl)
+        at (d i + j, d k + l) for each pair of nonzeros of each jump.  A
+        position may repeat (every diagonal one does); the values have the
+        generator's dtype."""
+        k, jumps = self.generator
+        d = self.dim
+        every = np.arange(d)
+        i, j = np.nonzero(k)
+        nonzeros = [np.nonzero(c) for c, _ in jumps]
+        size = 2 * d * i.size + sum(a.size**2 for a, _ in nonzeros)
+        entries = np.empty(size, np.intp), np.empty(size, np.intp), np.empty(size, k.dtype)
+
+        def put(at, *term):  # copy one term's (rows, cols, values) in at ``at``, one term held at a time
+            n = term[2].size
+            for out, part in zip(entries, term):
+                out[at : at + n] = part.ravel()
+            return at + n
+
+        at = put(0, np.add.outer(d * i, every), np.add.outer(d * j, every), np.repeat(k[i, j], d))
+        at = put(at, np.add.outer(d * every, i), np.add.outer(d * every, j), np.tile(k[i, j].conj(), d))
+        for (c, rate), (a, b) in zip(jumps, nonzeros):
+            x = c[a, b]
+            at = put(at, np.add.outer(d * a, a), np.add.outer(d * b, b), np.multiply.outer(x * rate, x.conj()))
+        return entries
 
 
 def _mode_sum(weights: tuple[int, ...], dims: tuple[int, ...]) -> np.ndarray:
@@ -228,40 +268,53 @@ def expm(a: np.ndarray) -> np.ndarray:
     return r
 
 
-def _map_bytes(b: int) -> int:
+def _map_bytes(b: int, model: LindbladModel | None = None) -> int:
     """Upper bound on the bytes held while one b x b step map is built: the
-    gather of ``liouvillian`` with its temporaries, then the matrices
-    ``expm`` works in, at most 10 b x b complex matrices at a time.  A map
-    of a real generator (``LindbladModel.generator``) holds about half of
-    it: ``expm`` then works in float64."""
-    return 16 * 10 * b * b
+    block ``liouvillian`` scatters, then the matrices ``expm`` works in, at
+    most 10 b x b complex matrices at a time.  A map of a real generator
+    (``LindbladModel.generator``) holds about half of it: ``expm`` then
+    works in float64.  With the ``model``, the scatter's own memory too:
+    the model's Liouvillian entries (``LindbladModel.liouvillian_entries``,
+    counted from the nonzeros of its generator), two intp arrays and the
+    values, with the scatter's per-entry temporaries, 96 bytes an entry in
+    all, and the d^2 intp position table."""
+    need = 16 * 10 * b * b
+    if model is not None:
+        k, jumps = model.generator
+        entries = 2 * model.dim * np.count_nonzero(k) + sum(np.count_nonzero(c) ** 2 for c, _ in jumps)
+        need += 96 * entries + 8 * model.dim**2
+    return need
 
 
 def liouvillian(model: LindbladModel, idx: np.ndarray | None = None) -> np.ndarray:
     """Dense superoperator -i[H, .] + dissipators in row-major vectorization,
     vec(A rho B) = (A kron B^T) vec(rho), restricted to the rows and columns
-    ``idx`` (every vec index when None).
+    ``idx`` (every vec index when None), in the generator's dtype.
 
     With K = -iH - 1/2 sum_c r c^+ c (``LindbladModel.generator``),
     L = K kron I + I kron conj(K) + sum_c r c kron conj(c), so the entry at
     vec indices (d i + j, d k + l) is K_ik [j = l] + [i = k] conj(K_jl) +
-    sum_c r c_ik conj(c_jl), gathered without forming L.
+    sum_c r c_ik conj(c_jl).  The block is scattered from the model's
+    entries (``LindbladModel.liouvillian_entries``) whose row and column
+    both lie in ``idx``, through a d^2 position table, by one
+    ``np.bincount`` over the real parts of the values: it sums the entries
+    of a repeated position in the order the model holds them, which is the
+    order of the three terms, in float64 (a single-precision model's block
+    is rounded to its dtype once, after the sum).
     """
-    k, jumps = model.generator
-    d = model.dim
-    ket, bra = np.divmod(np.arange(d * d) if idx is None else idx, d)
-    kets, bras = np.ix_(ket, ket), np.ix_(bra, bra)
-    out = k[kets]
-    out *= bra[:, None] == bra
-    term = k.conj()[bras]
-    term *= ket[:, None] == ket
-    out += term
-    for c, rate in jumps:
-        term = c[kets]
-        term *= rate
-        term *= c.conj()[bras]
-        out += term
-    return out
+    rows, cols, values = model.liouvillian_entries
+    d2 = model.dim**2
+    idx = np.arange(d2) if idx is None else idx
+    real = values.real.dtype
+    b, parts = idx.size, values.itemsize // real.itemsize  # real parts per value: 1 real, 2 complex
+    pos = np.full(d2, -1)
+    pos[idx] = np.arange(b)
+    row, col = pos[rows], pos[cols]
+    keep = (row >= 0) & (col >= 0)
+    flat = (row[keep] * b + col[keep]) * parts
+    flat = np.add.outer(flat, np.arange(parts)).ravel()
+    out = np.bincount(flat, values[keep].view(real), minlength=b * b * parts)  # summed in float64
+    return out.astype(real, copy=False).view(values.dtype).reshape(b, b)
 
 
 def liouvillian_blocks(model: LindbladModel) -> dict[int, np.ndarray]:
@@ -287,15 +340,16 @@ def build_propagator(model: LindbladModel, dt: float) -> Propagator:
     if dt <= 0:
         raise ValueError("dt must be positive")
     d = model.dim
-    _check_budget(_map_bytes(d * d), f"superoperator (dim {d} -> {d * d}^2)")
+    _check_budget(_map_bytes(d * d, model), f"superoperator (dim {d} -> {d * d}^2)")
     return Propagator(step=dt, dim=d, matrix=expm(liouvillian(model) * dt))
 
 
 def _step_map(model: LindbladModel, idx: np.ndarray, dt: float) -> np.ndarray:
-    """exp(L_c dt) of the sector with vec indices ``idx``, exponentiated in
-    the generator's dtype (float64 for a real one, with a real LU solve) and
-    cast to complex once, for the complex walks of ``evolution_lines``."""
-    return expm(liouvillian(model, idx) * dt).astype(complex, copy=False)
+    """exp(L_c dt) of the sector with vec indices ``idx``, scattered and
+    exponentiated in the generator's dtype (float64 for a real one, with a
+    real LU solve) and returned in it: ``evolution_lines`` steps a complex
+    line by a real map through the line's float64 view."""
+    return expm(liouvillian(model, idx) * dt)
 
 
 def _check_skew(x: np.ndarray, mirror: np.ndarray) -> None:
@@ -361,16 +415,22 @@ def evolution_lines(
     c in offset + step Z, names the sectors that reach the caller (None
     keeps all); only those are held, each a run of columns in ascending c.
     P_c = exp(L_c dt) is built once for each stepped sector (the largest
-    map's size checked against the memory budget first; in real arithmetic
-    for a real generator, ``_step_map``), and it steps every line that
-    needs the sector along the grid in one form, x_k = M x_(k-1): M = P_c
-    for the forward column, and M = P_c^T for the covector row, which
-    P_c acts on from the right (y P_c = P_c^T y).  Up to three more
-    lines are walked for the checks alone and held until both checks run,
-    after the walks: the forward sector c = 0 when it is not kept, where a
-    trace drift above TRACE_TOL_PER_STEP per grid point raises
-    PropagatorAccuracyError, and for each line its adjoint's line in the
-    mirror -c of the line's largest kept sector c.  P^+ commutes with the
+    map's size and the model's Liouvillian entries checked against the
+    memory budget first; in real arithmetic for a real generator,
+    ``_step_map``), and it steps every line that needs the sector along
+    the grid in one form, x_k = M x_(k-1): M = P_c for the forward column,
+    and M = P_c^T for the covector row, which P_c acts on from the right
+    (y P_c = P_c^T y).  A real P_c steps the (b, 2) float64 view of each
+    complex row x_k, its real and imaginary parts at once.  A line whose
+    start is exactly zero on sector c is not stepped there: P_c is linear,
+    so its columns are zero-filled, and a sector whose every line starts
+    at zero builds no map.  Once every map is built the model's
+    Liouvillian entries are released.  Up to three more lines are walked
+    for the checks alone and held until both checks run, after the walks:
+    the forward sector c = 0 when it is not kept, where a trace drift
+    above TRACE_TOL_PER_STEP per grid point raises PropagatorAccuracyError,
+    and for each line its adjoint's line in the mirror -c of the line's
+    largest kept sector c.  P^+ commutes with the
     adjoint, so X(k)^+ = (X^+)(k) for each line X, started from vec(state^+)
     for the forward line and vec(conj A) for the covector; ``_check_skew``
     bounds the difference (SignalRealityError).
@@ -383,7 +443,16 @@ def evolution_lines(
     adjoints = state.conj().T.reshape(d * d), observable.conj().reshape(d * d)
     blocks = liouvillian_blocks(model)
     kept = [[c for c in blocks if _in_class(c, cls)] for cls in sectors or ((0, 1), (0, 1))]
-    walks = {}  # {sector c: [(line, start, out)]}, every walk P_c steps
+    walks = {}  # {sector c: [(line, start on c, out)]}, every walk P_c steps
+
+    def walk(i, c, start, out):  # line i's columns ``out`` of sector c, from ``start``
+        x = start[blocks[c]]
+        if np.any(x):
+            walks.setdefault(c, []).append((i, x, out))
+        else:
+            out[...] = 0  # a zero start stays zero under the linear P_c
+        return out
+
     index, cols = [], []  # per line: the kept vec indices and {c: the columns of sector c}
     lines = []
     for i, k in enumerate(kept):
@@ -392,26 +461,29 @@ def evolution_lines(
         cols.append(dict(zip(k, map(slice, ends[:-1], ends[1:]))))
         lines.append(np.empty((n, index[i].size), dtype=complex))
         for c in k:
-            walks.setdefault(c, []).append((i, starts[i], lines[i][:, cols[i][c]]))
+            walk(i, c, starts[i], lines[i][:, cols[i][c]])
 
     def hold(i, c, start):  # a check-only line: sector c of line i from ``start``
-        out = np.empty((n, blocks[c].size), dtype=complex)
-        walks.setdefault(c, []).append((i, start, out))
-        return out
+        return walk(i, c, start, np.empty((n, blocks[c].size), dtype=complex))
 
     trace = lines[0][:, cols[0][0]] if 0 in cols[0] else hold(0, 0, starts[0])
     largest = [max(k, key=lambda c: blocks[c].size, default=None) for k in kept]
     mirrors = [None if c is None else hold(i, -c, adjoints[i]) for i, c in enumerate(largest)]
-    b = max(blocks[c].size for c in walks)
-    _check_budget(_map_bytes(b), f"Liouvillian block map ({b}^2)")
+    b = max((blocks[c].size for c in walks), default=0)
+    _check_budget(_map_bytes(b, model), f"Liouvillian block map ({b}^2)")
     for c in sorted(walks):
         step = _step_map(model, blocks[c], dt)
-        for i, start, out in walks[c]:
+        for i, x, out in walks[c]:
             m = step.T if i else step  # a covector row steps by P_c from the right
-            out[0] = start[blocks[c]]
+            out[0] = x
+            if not np.iscomplexobj(step):  # a real map steps each row as b (re, im) pairs
+                pairs = out.view(np.float64).reshape(n, -1, 2)
+                assert np.shares_memory(pairs, out)  # a view: each step writes into the line
+                out = pairs
             for k in range(1, n):
                 np.matmul(m, out[k - 1], out=out[k])
         del step, m  # m may view the map: neither outlives its sector
+    vars(model).pop("liouvillian_entries", None)  # every map is built: the entries need not outlive them
     _check_trace_drift(trace[:, np.searchsorted(blocks[0], np.arange(d) * (d + 1))])
     for i, c in enumerate(largest):
         # entries (i, j) of the line's largest kept sector against (j, i) of its adjoint's line

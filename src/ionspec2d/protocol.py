@@ -190,7 +190,9 @@ def _working_set_bytes(
     the lines are built, then the two lines with the contraction's gathers
     of both; the step map of the largest sector, b vec indices, built
     while the lines are held (``dynamics._map_bytes``); and 32 KiB of
-    Python objects and array headers.
+    Python objects and array headers.  The model's Liouvillian entries,
+    whose count the dims do not fix, are charged where the model is known:
+    ``evolution_lines`` checks ``_map_bytes`` with the model.
 
     A chi weight (``span`` = max Q - min Q) adds its table, 4 span (n - 1)
     + 1 entries, and one block's weight with its gather index, 2 n^2."""

@@ -25,9 +25,12 @@ Both scenarios run one engine, ``protocol.scan``, whose lines
 charge c = Q_ket - Q_bra along the time grid, only on the sectors the
 (1, -1, -1) cycle keeps, c in 1 + 4Z for N_phi = 4 (the zigzag's coherence
 order a - b for kerr, with weight 1), plus c = 0 for the trace check and
-c = -1, walked from the adjoint starts, for the reality checks: 6 of the 17
-sectors at the kerr zigzag dim 9, and 11 of the 37 sectors at resonance
-dims (9, 6), with 720 of the 2916 vec indices kept on each line.
+c = -1, walked from the adjoint starts, for the reality checks, and of
+those only the sectors where a line starts nonzero.  The pulses and the
+readout act on the zigzag alone, so a start lies in |c| < d_zz: the maps
+are the 6 sectors c = -7, -3, -1, 0, 1 and 5 of the 17 at the kerr zigzag
+dim 9, and the same 6 of the 37 at resonance dims (9, 6), where 720 of the
+2916 vec indices are kept on each line.
 """
 
 from __future__ import annotations

@@ -7,6 +7,11 @@ closed-form reference of the resonance peak positions.  ``cycled_pair`` and
 ``spectrum.find_peaks`` replace with array expressions.
 ``closed_form_lines`` is the eigendecomposition of a dissipation-free H in
 place of the stepped sector lines of ``dynamics.evolution_lines``.
+``max_nonsecular_ratio_oneshot`` forms all (2N)^4 rotation frequencies at
+once, the reference of the loop of ``anharmonic.max_nonsecular_ratio``.
+``dense_liouvillian`` gathers a Liouvillian block densely from the
+generator, the reference of the block ``dynamics.liouvillian`` scatters
+from the model's sparse entries.
 ``pair_sum_tensor_einsum`` and ``mode_tensors_einsum`` are the coupling
 tensors as single ``np.einsum`` calls with numpy's path search, the
 reference of the fixed-order contractions of ``anharmonic``.
@@ -25,6 +30,7 @@ attenuation ``phasenoise.attenuation``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -263,6 +269,46 @@ def closed_form_lines(model, state, observable, n, dt, sectors=None):
         for cls in sectors
     ]
     return forward[:, index[0]], back[:, index[1]], index[0], index[1]
+
+
+def max_nonsecular_ratio_oneshot(trap: crystal.TrapConfig, modes: crystal.NormalModes, tensors) -> float:
+    """``anharmonic.max_nonsecular_ratio`` with every quartet's 16 rotation
+    frequencies formed at once, a (2N)^4 array and its mask."""
+    n = modes.n_ions
+    wz = trap.omega_z
+    gx = modes.gamma_x
+    coeff = (
+        3.0 * anharmonic.anharmonic_prefactor(trap) ** 2 * wz * tensors.d4
+        / reduce(np.multiply, np.ix_(gx, gx, gx, gx)) ** 0.25
+    )
+    rot = np.concatenate([modes.omega_radial_x(wz), -modes.omega_radial_x(wz)])
+    freq = reduce(np.add, np.ix_(rot, rot, rot, rot)).reshape((2, n) * 4)
+    np.abs(freq, out=freq)
+    freq[freq < 1e-9 * wz] = np.inf  # secular terms drop out of the ratio
+    return float(np.divide(np.abs(coeff).reshape((1, n) * 4), freq, out=freq).max())
+
+
+def dense_liouvillian(model: dynamics.LindbladModel, idx: np.ndarray | None = None) -> np.ndarray:
+    """The block of L = K kron I + I kron conj(K) + sum_c r c kron conj(c)
+    on the vec indices ``idx`` (every one when None), gathered densely: the
+    entry at (d i + j, d k + l) is K_ik [j = l] + [i = k] conj(K_jl) +
+    sum_c r c_ik conj(c_jl), in that order, from b x b gathers of K and of
+    each jump, without forming L."""
+    k, jumps = model.generator
+    d = model.dim
+    ket, bra = np.divmod(np.arange(d * d) if idx is None else idx, d)
+    kets, bras = np.ix_(ket, ket), np.ix_(bra, bra)
+    out = k[kets]
+    out *= bra[:, None] == bra
+    term = k.conj()[bras]
+    term *= ket[:, None] == ket
+    out += term
+    for c, rate in jumps:
+        term = c[kets]
+        term *= rate
+        term *= c.conj()[bras]
+        out += term
+    return out
 
 
 def fwhm(spec: spectrum.Spectrum2D, peak: spectrum.Peak, axis: str) -> float:

@@ -1,9 +1,10 @@
+import tracemalloc
 from itertools import permutations, product
 
 import numpy as np
 import pytest
 
-from ionspec2d import anharmonic, crystal, fock, scenarios
+from ionspec2d import anharmonic, cli, crystal, fock, scenarios
 from ionspec2d.anharmonic import (
     KerrParams,
     NearResonanceError,
@@ -22,6 +23,7 @@ from ionspec2d.crystal import normal_modes, solve_equilibrium
 from oracles import (
     critical_anisotropy,
     exact_zigzag_ladder,
+    max_nonsecular_ratio_oneshot,
     mode_tensors_einsum,
     pair_sum_tensor_einsum,
     radial_hessians,
@@ -595,6 +597,34 @@ class TestRWAReport:
         ratio = max_nonsecular_ratio(table_trap, table_data.modes, table_data.tensors)
         assert ratio == pytest.approx(8.13e-3, rel=0.02)
         assert ratio < 1e-2
+
+    @pytest.mark.parametrize("n_ions", [3, 5, 20])
+    def test_loop_is_the_oneshot_form(self, n_ions, table_trap):
+        # the loop over the first operator against all (2N)^4 frequencies
+        # at once: the same quotients, so the same maximum, exactly
+        if n_ions == 3:
+            trap = table_trap
+        else:
+            raw = {"scenario": "tables", "n_ions": n_ions, "omega_x_hz": 2.0e7, "omega_y_hz": 2.2e7}
+            trap = cli.build_config(raw).trap()
+        data = scenarios.derive_modes(trap)
+        ratio = max_nonsecular_ratio(trap, data.modes, data.tensors)
+        assert ratio > 0
+        assert ratio == max_nonsecular_ratio_oneshot(trap, data.modes, data.tensors)
+
+    def test_twenty_ion_tables_run_memory(self, tmp_path):
+        # the traced peak of a 20-ion tables run: the (2N)^4 = 2.56e6
+        # frequencies and their mask took 24.3 of its 25.7 MB when formed at
+        # once; looped over the first operator they hold (2N)^3
+        raw = {"scenario": "tables", "n_ions": 20, "omega_x_hz": 2.0e7, "omega_y_hz": 2.2e7}
+        cli.run_scenario(cli.build_config(dict(raw, out_dir=str(tmp_path / "warm"))))
+        tracemalloc.start()
+        try:
+            cli.run_scenario(cli.build_config(dict(raw, out_dir=str(tmp_path / "run"))))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 15e6
 
 
 class TestResonantManifolds:

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from ionspec2d.dynamics import (
     liouvillian,
 )
 from ionspec2d.fock import destroy, thermal_state
+from oracles import dense_liouvillian
 
 
 def _coherence_state(dim):
@@ -286,7 +288,7 @@ class TestParity:
     """The real generator of the resonance exchange, written in the frame
     S = diag(i^n_str), whose square is the stretch parity: the model holds
     K and its jumps as float64 (``LindbladModel.generator``), so every
-    Liouvillian block is gathered real, and any other model keeps a complex
+    Liouvillian block is scattered real, and any other model keeps a complex
     generator."""
 
     def _resonance(self, resonance_data, dims=(9, 6), rates=(200.0, 100.0)):
@@ -353,3 +355,95 @@ class TestParity:
         rho0 = scenarios.resonance_initial_state((5, 3), (0.5, 0.2))
         with pytest.raises(dynamics.SignalRealityError, match="imaginary"):
             protocol.scan(model, rho0, seq, t_max=6 * 2e-5, dt=2e-5)
+
+
+def _heated_resonance(resonance_data):
+    omega_t = scenarios.resonance_parameters(resonance_data).omega_t
+    return scenarios.resonance_model(omega_t, dims=(7, 5), heating_quanta_per_s=(200.0, 100.0))
+
+
+def _kerr_zigzag():
+    kerr = scenarios.KerrModel(
+        omega_si=2 * np.pi * 2.6e3, delta_zz=2 * np.pi * 0.9e3, rate_y=0.0, rate_eg=0.0,
+        dims=(9, 3, 3), nbar=(0.5, 0.5, 0.5),
+    )
+    return LindbladModel(hamiltonian=kerr.zz_hamiltonian(), dims=(9,), charge_weights=(1,))
+
+
+def _uncharged_exchange():
+    """Zero charge weights, so one block: a complex exchange, heating and a
+    complex jump make K and the jumps complex, and a dephasing jump puts a
+    third term on the diagonal, where the order of the sum shows."""
+    dims = (4, 3)
+    a = fock.embed(destroy(4), 0, dims)
+    c = fock.embed(destroy(3), 1, dims)
+    g = 2 * np.pi * 5e3 * np.exp(0.3j)
+    h = g * (a @ a @ c.conj().T) + np.conj(g) * (a.conj().T @ a.conj().T @ c)
+    jumps = heating_dissipator(0, 0.4e3, dims) + [(np.exp(0.7j) * c, 0.3e3), (c.conj().T @ c, 0.2e3)]
+    return LindbladModel(hamiltonian=h, dims=dims, collapse_ops=jumps)
+
+
+class TestScatter:
+    """``liouvillian`` scatters each block from the model's sparse entries
+    (``LindbladModel.liouvillian_entries``); the dense gather of
+    ``dense_liouvillian`` is its reference, entry for entry and in dtype."""
+
+    @pytest.mark.parametrize(
+        "name, dtype",
+        [("heated-resonance", np.float64), ("kerr-zigzag", np.complex128), ("uncharged", np.complex128)],
+    )
+    def test_scatter_is_the_dense_gather(self, resonance_data, name, dtype):
+        model = {
+            "heated-resonance": lambda: _heated_resonance(resonance_data),
+            "kerr-zigzag": _kerr_zigzag,
+            "uncharged": _uncharged_exchange,
+        }[name]()
+        for idx in [*dynamics.liouvillian_blocks(model).values(), None]:
+            scattered, gathered = liouvillian(model, idx), dense_liouvillian(model, idx)
+            assert scattered.dtype == gathered.dtype == dtype
+            assert np.array_equal(scattered, gathered)
+
+    def test_single_precision_model_keeps_its_dtype(self):
+        # float32 operators give a complex64 generator: the block is summed
+        # in float64 and rounded once, against the gather's float32 sums
+        a = destroy(4).astype(np.float32)
+        h = (2 * np.pi * 1e4 * (a.T @ a + 0.3 * (a + a.T))).astype(np.float32)
+        model = LindbladModel(hamiltonian=h, dims=(4,), collapse_ops=[(a, 250.0), (a.T, 120.0)])
+        scattered, gathered = liouvillian(model), dense_liouvillian(model)
+        assert scattered.dtype == gathered.dtype == np.complex64
+        assert np.max(np.abs(scattered - gathered)) <= 1e-6 * np.max(np.abs(gathered))
+
+    def test_entries_are_formed_once_charged_and_released(self, resonance_data):
+        model = _heated_resonance(resonance_data)
+        entries = model.liouvillian_entries
+        liouvillian(model, dynamics.liouvillian_blocks(model)[0])
+        assert model.liouvillian_entries is entries
+        k, jumps = model.generator
+        # K kron I and I kron conj(K) from the nonzeros of K, one entry per
+        # pair of nonzeros of each jump: the count the memory guard charges
+        count = 2 * model.dim * np.count_nonzero(k) + sum(np.count_nonzero(c) ** 2 for c, _ in jumps)
+        assert {part.size for part in entries} == {count}
+        assert dynamics._map_bytes(0, model) == 96 * count + 8 * model.dim**2
+        # the lines release them once their maps are built, and a later
+        # scatter forms them again
+        state = np.eye(model.dim) / model.dim
+        evolution_lines(model, state, state, 3, 1e-5, ((0, 0), (0, 0)))
+        assert "liouvillian_entries" not in vars(model)
+        idx = dynamics.liouvillian_blocks(model)[0]
+        assert np.array_equal(liouvillian(model, idx), dense_liouvillian(model, idx))
+
+    @pytest.mark.parametrize("name", ["heated-resonance", "uncharged"])
+    def test_scatter_memory_is_charged(self, resonance_data, name):
+        # the first scatter of a fresh model forms its entries: the entries,
+        # the scatter's temporaries and its position table stay within what
+        # _map_bytes charges for them, beside the block itself
+        model = _heated_resonance(resonance_data) if name == "heated-resonance" else _uncharged_exchange()
+        model.generator  # noqa: B018 -- formed before the trace, as in a scan
+        idx = dynamics.liouvillian_blocks(model)[0]
+        tracemalloc.start()
+        try:
+            block = liouvillian(model, idx)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= dynamics._map_bytes(0, model) + block.nbytes

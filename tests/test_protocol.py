@@ -504,8 +504,12 @@ class TestScanEngine:
         [
             # each line keeps the other's check-only mirror: {1, -1} and c = 0
             pytest.param(((1, 0), (-1, 0)), 3, id="crossed-mirrors"),
-            # every sector forward; the covector's mirror -1 is kept forward
-            pytest.param(((0, 1), (1, 4)), 15, id="every-beside-narrow"),
+            # every sector forward, but only the live ones build a map: the
+            # start D1 rho0 D1^+ displaces a diagonal rho0 on slot 0 (dim 4,
+            # weight 1) alone, so it is nonzero on c = n_zz - n_zz' in -3..3,
+            # 7 of the 15 sectors; the covector's live kept sectors -3 and 1
+            # of 1 + 4Z, its mirror -1 and the trace's c = 0 are among them
+            pytest.param(((0, 1), (1, 4)), 7, id="every-beside-narrow"),
         ],
     )
     def test_each_stepped_sector_builds_one_map(self, monkeypatch, sectors, stepped):
@@ -527,6 +531,43 @@ class TestScanEngine:
             column = np.empty(model.dim**2, dtype=int)
             column[every] = np.arange(every.size)
             assert np.array_equal(line, whole[..., column[index]])
+
+    def test_dead_sectors_build_no_map(self, monkeypatch):
+        # both lines keep 1 + 4Z, the sectors -7, -3, 1 and 5, but the
+        # pulses and the readout act on slot 0 (dim 4, weight 1) of a
+        # diagonal rho0, so both starts are nonzero on |c| <= 3 alone: -7
+        # and 5 get exact-zero columns and no map, and the maps built are
+        # the live -3 and 1, the trace's 0 and the mirror -1 of the largest
+        # kept sector 1
+        model, rho0 = _heated_exchange()
+        d1, _, observable = protocol._pulse_set(model, PulseSequence())
+        state, n, dt = d1 @ rho0 @ d1.conj().T, 9, 2e-5
+        blocks = dynamics.liouvillian_blocks(model)
+        dead = np.concatenate([blocks[-7], blocks[5]])
+        assert not np.any(state.reshape(-1)[dead]) and not np.any(observable.T.reshape(-1)[dead])
+        # the dense one-step map of every sector, walked in full, is the
+        # reference of both lines
+        step = dynamics.build_propagator(model, dt).matrix
+        x, y = state.reshape(-1), observable.T.reshape(-1)
+        reference = np.empty((2, n, model.dim**2), dtype=complex)
+        for k in range(n):
+            reference[:, k] = x, y
+            x, y = step @ x, y @ step
+        *full, every_f, every_c = dynamics.evolution_lines(model, state, observable, n, dt)
+        exact_expm, exact_scatter = dynamics.expm, dynamics.liouvillian
+        maps, scattered = [], []
+        monkeypatch.setattr(dynamics, "expm", lambda a: maps.append(a.shape) or exact_expm(a))
+        monkeypatch.setattr(
+            dynamics, "liouvillian", lambda model, idx: scattered.append(tuple(idx)) or exact_scatter(model, idx)
+        )
+        *compact, index_f, index_c = dynamics.evolution_lines(model, state, observable, n, dt, ((1, 4), (1, 4)))
+        assert len(maps) == 4 and set(scattered) == {tuple(blocks[c]) for c in (-3, -1, 0, 1)}
+        for line, index, whole, every, ref in zip(compact, (index_f, index_c), full, (every_f, every_c), reference):
+            assert np.all(line[:, np.isin(index, dead)] == 0)
+            column = np.empty(model.dim**2, dtype=int)
+            column[every] = np.arange(every.size)
+            assert np.array_equal(line, whole[..., column[index]])
+            assert np.max(np.abs(line - ref[:, index])) <= 1e-12 * np.max(np.abs(ref))
 
     def test_compact_lines_memory(self, resonance_data):
         # the sector path holds the kept columns, the largest sector's map
