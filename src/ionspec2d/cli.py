@@ -11,20 +11,24 @@ thread pool, so the ``threads`` setting is validated but has no effect, and
 neither has ``seed``: no run draws a random number.  Laser phase noise
 multiplies a grid by its exact attenuation ``phasenoise.attenuation``.
 Importing this module pins the BLAS thread variables to 1 unless the
-caller set them.  The spectrum stage makes one ``spectrum.fft2``; the two
-1D projections are means of that spectrum, taken before the optional
-carrier notch.  It writes each
-quantity once: ``signal_grid.bin``, ``spectrum.bin`` (complex; its two
-affine omega axes are the manifest's ``spectrum_axes``, start, step and count),
-the two projections and ``peaks.csv``.  A ``resonance`` run labels its peaks
-with the letters that ``scenarios.predicted_peaks`` places from the charge
-blocks of its exchange model, within 1.5 bins, and warns when the detuning
-2 omega_zz - omega_str, which that model omits, exceeds the same tolerance.
-``build_config`` rejects an invalid
-configuration with ConfigError (exit 2) before any work starts, a stage past
-the memory budget included: the coupling tensors of the ion number, the
-scan (the columns of its kept charge sectors, its largest sector's step
-map and its phase-cycle stacks) and the zero-padded spectrum.  Every
+caller set them.  A signal grid is its values and its one time step dt,
+at t1 = k1 dt and t3 = k3 dt.  The spectrum stage makes one
+``spectrum.fft2``; the two 1D projections are plain complex arrays, the
+means of that spectrum over one axis, taken before the optional carrier
+notch.  It writes each quantity once: ``signal_grid.bin``,
+``spectrum.bin`` (complex; its two affine omega axes are the manifest's
+``spectrum_axes``, start, step and count), each projection as the
+spectrum's own axis beside the projection's magnitude, and ``peaks.csv``.
+A ``resonance`` run labels its peaks with the letters that
+``scenarios.predicted_peaks`` places from the charge blocks of its exchange
+model, within 1.5 bins, and warns when the detuning 2 omega_zz -
+omega_str, which that model omits, exceeds the same tolerance.
+``build_config`` parses each field as the kind of its default and rejects
+an invalid configuration with ConfigError (exit 2) before any work starts,
+a stage past the memory budget included: the coupling tensors of the ion
+number, the scan (the columns of its kept charge sectors, its largest
+sector's step map and its phase-cycle stacks) and the zero-padded
+spectrum.  Every
 run, successful or not, leaves a manifest.json with the resolved
 configuration, derived parameters, regime diagnostics (the RWA ratio of
 ``kerr`` and ``tables``), every warning the run raised (each also
@@ -89,7 +93,7 @@ class RunConfig:
 
     scenario: str
     n_ions: int = 3
-    mass_amu: float = 39.9625909
+    mass_amu: float = 39.9625909  # 40Ca+; the electron-mass correction is below every tolerance
     omega_z_hz: float = 2.0e6
     omega_x_hz: float = 3.1012e6
     omega_y_hz: float = 5.0e6
@@ -148,14 +152,6 @@ _SCENARIO_DEFAULTS = {
     "noise-table": {"phase_noise_diffusion": phasenoise.DEFAULT_DIFFUSION},
 }
 
-_TUPLE_FIELDS = {
-    "dims": int,
-    "nbar": float,
-    "heating_quanta_per_ms": float,
-    "n_phases": int,
-    "signature": int,
-}
-_INT_FIELDS = ("n_ions", "seed", "threads", "zero_pad")
 # ranges checked for every scenario, so that no value fails only after the run
 _POSITIVE = (
     "mass_amu", "omega_z_hz", "omega_x_hz", "omega_y_hz",
@@ -183,7 +179,8 @@ def _scalar(name: str, value, kind: type):
 
 
 def build_config(raw: dict) -> RunConfig:
-    """Validated config from a JSON-compatible dict; unknown keys rejected."""
+    """Validated config from a JSON-compatible dict; unknown keys rejected.
+    Each field is parsed as the kind of its ``RunConfig`` default."""
     known = {f.name for f in fields(RunConfig)}
     unknown = set(raw) - known
     if unknown:
@@ -193,23 +190,22 @@ def build_config(raw: dict) -> RunConfig:
         raise ConfigError(f"scenario must be one of {SCENARIOS}, got {scenario!r}")
     merged = dict(_SCENARIO_DEFAULTS[scenario])
     merged.update(raw)
-    cfg_kwargs = {}
+    cfg_kwargs = {"scenario": scenario}
+    # each field parses as the kind of its default: a tuple as its first
+    # entry's, and bool before int, whose subclass it is
     for f in fields(RunConfig):
-        if f.name not in merged:
+        if f.name == "scenario" or f.name not in merged:
             continue
-        value = merged[f.name]
-        if f.name in _TUPLE_FIELDS:
+        value, default = merged[f.name], f.default
+        if isinstance(default, tuple):
             if not isinstance(value, (list, tuple)):
                 raise ConfigError(f"{f.name} must be a list")
-            value = tuple(_scalar(f"{f.name} entry", v, _TUPLE_FIELDS[f.name]) for v in value)
-        elif f.name in ("scenario", "out_dir", "window"):
-            if not isinstance(value, str):
-                raise ConfigError(f"{f.name} must be a string")
-        elif f.name == "baseline_notch":
-            if not isinstance(value, bool):
-                raise ConfigError(f"{f.name} must be a boolean")
+            value = tuple(_scalar(f"{f.name} entry", v, type(default[0])) for v in value)
+        elif isinstance(default, (bool, str)):
+            if not isinstance(value, type(default)):
+                raise ConfigError(f"{f.name} must be a {'boolean' if isinstance(default, bool) else 'string'}")
         else:
-            value = _scalar(f.name, value, int if f.name in _INT_FIELDS else float)
+            value = _scalar(f.name, value, type(default))
         cfg_kwargs[f.name] = value
     cfg = RunConfig(**cfg_kwargs)
     for name in _POSITIVE:
@@ -315,18 +311,21 @@ def _write_tables(out: Path, params: anharmonic.EffectiveParams) -> dict[str, st
     }
 
 
-def _write_spectrum_products(out: Path, grid, spec, proj1, proj3, peaks) -> dict[str, str]:
+def _write_spectrum_products(out: Path, grid, spec, projections, peaks) -> dict[str, str]:
     """The spectrum stage's artifacts, each quantity once: the phase-cycled
     grid (``signal_grid.bin``), the complex 2D spectrum (``spectrum.bin``;
-    its axes are in the manifest, ``_axis``), the two 1D projections and
-    the peak list.  Returns {file name: sha256}."""
+    its axes are in the manifest, ``_axis``), the 1D projections
+    ({axis: complex array on the spectrum's axis}), each written as its
+    axis beside its magnitude, and the peak list.  Returns {file name:
+    sha256}."""
     digests = {}
     for name, values in (("signal_grid.bin", grid.values), ("spectrum.bin", spec.values)):
         digests[name] = _sha256(matio.write_matrix(out / name, values))
-    for name, proj in (("projection_omega1.csv", proj1), ("projection_omega3.csv", proj3)):
+    for axis, proj in projections.items():
+        name = f"projection_{axis}.csv"
         digests[name] = _sha256(matio.write_csv(
             out / name, ["omega_rad_s", "magnitude"],
-            np.column_stack([proj.omega, proj.magnitude]).tolist(),
+            np.column_stack([getattr(spec, axis), np.abs(proj)]).tolist(),
         ))
     digests["peaks.csv"] = _sha256(matio.write_csv(
         out / "peaks.csv",
@@ -347,10 +346,11 @@ def _axis(omega: np.ndarray) -> dict:
 
 
 def _apply_phase_noise(grid, signature, diffusion):
-    """The phase-cycled grid times its exact pointwise attenuation exp(-L)."""
-    t1, t3 = np.meshgrid(grid.t1, grid.t3, indexing="ij")
-    factor = phasenoise.attenuation(signature, t1, t3, diffusion)
-    return protocol.SignalGrid(t1=grid.t1, t3=grid.t3, values=grid.values * factor)
+    """The phase-cycled grid times its exact pointwise attenuation exp(-L),
+    at t1 = k1 dt down the rows and t3 = k3 dt along the columns."""
+    n1, n3 = grid.values.shape
+    factor = phasenoise.attenuation(signature, np.arange(n1)[:, None] * grid.dt, np.arange(n3) * grid.dt, diffusion)
+    return protocol.SignalGrid(values=grid.values * factor, dt=grid.dt)
 
 
 def _truncation(cfg: RunConfig) -> dict:
@@ -466,8 +466,7 @@ def _dispatch(cfg: RunConfig, out: Path, manifest: dict) -> dict[str, str]:
         grid, window=cfg.window, zero_pad=cfg.zero_pad, carrier_offset=-data.omega_zz
     )
     # the projections average the whole spectrum, so they are taken before the notch
-    proj1 = spectrum.project_1d(spec, "omega1")
-    proj3 = spectrum.project_1d(spec, "omega3")
+    projections = {axis: spectrum.project_1d(spec, axis) for axis in ("omega1", "omega3")}
     if cfg.baseline_notch:
         spec = spectrum.notch_carrier(spec)
     manifest["spectrum_axes"] = {
@@ -484,7 +483,7 @@ def _dispatch(cfg: RunConfig, out: Path, manifest: dict) -> dict[str, str]:
             )
         predicted = scenarios.predicted_peaks(model, data.omega_zz, scenarios.RESONANCE_LETTERS)
         scenarios.label_peaks(peaks, predicted, tol)
-    return tables | _write_spectrum_products(out, grid, spec, proj1, proj3, peaks)
+    return tables | _write_spectrum_products(out, grid, spec, projections, peaks)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -19,9 +19,6 @@ ATOMIC_MASS = 1.66053906892e-27  # kg
 ELEMENTARY_CHARGE = 1.602176634e-19  # C
 EPSILON_0 = 8.8541878188e-12  # F/m
 
-# 40Ca+ ion mass (kg); electron-mass correction is irrelevant at our tolerances
-MASS_CA40 = 39.9625909 * ATOMIC_MASS
-
 _NEWTON_TOL = 1e-13
 _NEWTON_MAX_ITER = 200
 

@@ -234,16 +234,16 @@ def expm(a: np.ndarray) -> np.ndarray:
     2^-s until its 1-norm is at most theta_13, the [13/13] Pade approximant
     (V - U)^-1 (V + U) is formed from a^2, a^4 and a^6 (U odd and V even in
     a), and the result is squared s times.  The Pade sums are formed in
-    place, term by term in the order they are written, so at most 8
-    matrices are held at a time."""
+    place, term by term in the order they are written, and the identity
+    terms b0 I and b1 I are added on the diagonal, so at most 7 matrices
+    are held at a time."""
     diagonal = np.diagonal(a)
     if np.count_nonzero(a) == np.count_nonzero(diagonal):
         return np.diag(np.exp(diagonal))
     norm = float(np.abs(a).sum(axis=0).max(initial=0.0))
     s = max(0, math.ceil(math.log2(norm / _THETA13))) if norm > 0 else 0
     a = a / 2.0**s
-    b = _PADE13
-    eye = np.eye(a.shape[0], dtype=a.dtype)
+    b, diag = _PADE13, slice(None, None, a.shape[0] + 1)  # the diagonal, in a.flat
     a2 = a @ a
     a4 = a2 @ a2
     a6 = a4 @ a2
@@ -255,10 +255,13 @@ def expm(a: np.ndarray) -> np.ndarray:
         return out
 
     v = a6 @ terms(np.multiply(b[12], a6, out=x), y, (b[10], a4), (b[8], a2))
-    terms(v, y, (b[6], a6), (b[4], a4), (b[2], a2), (b[0], eye))
+    terms(v, y, (b[6], a6), (b[4], a4), (b[2], a2))
+    v.flat[diag] += b[0]
     np.matmul(a6, terms(np.multiply(b[13], a6, out=x), y, (b[11], a4), (b[9], a2)), out=y)
-    u = np.matmul(a, terms(y, x, (b[7], a6), (b[5], a4), (b[3], a2), (b[1], eye)), out=x)
-    del a, a2, a4, a6, eye
+    terms(y, x, (b[7], a6), (b[5], a4), (b[3], a2))
+    y.flat[diag] += b[1]
+    u = np.matmul(a, y, out=x)
+    del a, a2, a4, a6
     np.add(v, u, out=y)  # V + U, before V - U overwrites V
     v -= u
     del u, x

@@ -73,23 +73,18 @@ class PulseSequence:
 
 @dataclass(frozen=True)
 class SignalGrid:
-    """Phase-cycled complex signal s(t1, t3) on uniform time axes."""
+    """Phase-cycled complex signal: ``values[k1, k3]`` is s(k1 dt, k3 dt).
+    Both time axes start at 0 and share the one step ``dt``, so a grid is
+    its values and its step."""
 
-    t1: np.ndarray
-    t3: np.ndarray
     values: np.ndarray
+    dt: float
 
     def __post_init__(self):
-        for ax in (self.t1, self.t3):
-            steps = np.diff(ax)
-            if len(steps) and not np.allclose(steps, steps[0], rtol=1e-9):
-                raise ValueError("time axes must be uniform")
+        if not 0 < self.dt < math.inf:
+            raise ValueError(f"dt must be positive and finite, got {self.dt!r}")
         if not np.all(np.isfinite(self.values)):
             raise ValueError("signal grid contains non-finite values")
-
-    @property
-    def dt(self) -> float:
-        return float(self.t1[1] - self.t1[0]) if len(self.t1) > 1 else 0.0
 
 
 def pulse_operator(model: LindbladModel, seq: PulseSequence, k: int, phase: float) -> np.ndarray:
@@ -382,5 +377,4 @@ def scan(
                 if chi is not None:
                     block *= table[np.add.outer(q1 * k, q3 * k + m_max)]
                 values += block
-    t_axis = np.arange(n) * dt
-    return SignalGrid(t1=t_axis, t3=t_axis, values=values)
+    return SignalGrid(values=values, dt=dt)

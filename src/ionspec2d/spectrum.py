@@ -3,8 +3,10 @@
 Axis conventions: a signal component exp(-i w t) lands at frequency -w, so
 coherences rotating at positive effective energies show up below the carrier.
 The carrier itself (the rotating-frame origin) is reattached as a pure axis
-offset; magnitudes carry the raw DFT normalization.  ``fft2`` is the one
-transform: the 1D projections are means of its spectrum over one axis.
+offset; magnitudes carry the raw DFT normalization.  A signal grid has one
+time step, so both frequency axes come from it.  ``fft2`` is the one
+transform: a 1D projection is the mean of its spectrum over one axis, a
+plain complex array on the other axis, ``omega1`` or ``omega3``.
 """
 
 from __future__ import annotations
@@ -35,16 +37,6 @@ class Spectrum2D:
         return float(self.omega1[1] - self.omega1[0])
 
 
-@dataclass(frozen=True)
-class Spectrum1D:
-    omega: np.ndarray
-    values: np.ndarray
-
-    @property
-    def magnitude(self) -> np.ndarray:
-        return np.abs(self.values)
-
-
 @dataclass
 class Peak:
     omega1: float
@@ -71,37 +63,36 @@ def fft2(
 ) -> Spectrum2D:
     """2D DFT of the phase-cycled signal with labeled axes.
 
+    An axis of n samples at the grid's one step dt, zero-padded to
+    n ``zero_pad`` bins, is 2 pi fftfreq(n zero_pad, dt): its spacing is
+    2 pi / (n zero_pad dt), so a grid of unequal sides has unequal
+    spacings, and a one-point grid is one bin at the carrier.
     ``zero_pad`` multiplies the grid size (interpolating the spectrum without
     moving peak positions); ``carrier_offset`` is added to both axes.
     """
     if zero_pad < 1:
         raise ValueError("zero_pad must be >= 1")
     n1, n3 = grid.values.shape
-    dt = grid.dt
     w = np.outer(_window(n1, window), _window(n3, window))
     padded = (n1 * zero_pad, n3 * zero_pad)
     f = np.fft.fftshift(np.fft.fft2(grid.values * w, s=padded))
-    omega1 = 2 * np.pi * np.fft.fftshift(np.fft.fftfreq(padded[0], dt)) + carrier_offset
-    omega3 = 2 * np.pi * np.fft.fftshift(np.fft.fftfreq(padded[1], dt)) + carrier_offset
+    omega1, omega3 = (2 * np.pi * np.fft.fftshift(np.fft.fftfreq(m, grid.dt)) + carrier_offset for m in padded)
     return Spectrum2D(omega1=omega1, omega3=omega3, values=f, carrier=carrier_offset)
 
 
-def project_1d(spec: Spectrum2D, axis: str) -> Spectrum1D:
+def project_1d(spec: Spectrum2D, axis: str) -> np.ndarray:
     """The 1D-experiment spectrum on ``axis`` ("omega1" or "omega3"): the
-    mean of the 2D spectrum over the other axis.
+    complex mean of the 2D spectrum over the other axis, a plain array
+    whose frequencies are ``spec.omega1`` or ``spec.omega3``.
 
     By the projection-slice theorem this is the DFT of the t3 = 0 (or
     t1 = 0) slice of the grid, windowed and zero-padded as in ``fft2``
     (every window is 1 at t = 0).  Take it before ``notch_carrier``, whose
     zeroed carrier bins would otherwise drop out of the sum.
     """
-    if axis == "omega1":
-        other, omega = 1, spec.omega1
-    elif axis == "omega3":
-        other, omega = 0, spec.omega3
-    else:
+    if axis not in ("omega1", "omega3"):
         raise ValueError("axis must be 'omega1' or 'omega3'")
-    return Spectrum1D(omega=omega, values=spec.values.sum(axis=other) / spec.values.shape[other])
+    return spec.values.mean(axis=1 if axis == "omega1" else 0)
 
 
 def find_peaks(spec: Spectrum2D, threshold: float = 0.1) -> list[Peak]:

@@ -9,7 +9,10 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # after the pin: OpenBLAS reads it when numpy loads
 import pytest
 
-from ionspec2d import anharmonic, crystal, scenarios
+from ionspec2d import anharmonic, cli, crystal, scenarios
+
+# the 40Ca+ mass (kg) of every run, from the one place it is declared
+MASS_CA40 = cli.RunConfig.mass_amu * crystal.ATOMIC_MASS
 
 
 @pytest.fixture(scope="session")
@@ -17,7 +20,7 @@ def table_trap():
     """The reference three-ion trap of the Kerr-scenario simulations."""
     return crystal.TrapConfig(
         n_ions=3,
-        mass=crystal.MASS_CA40,
+        mass=MASS_CA40,
         omega_x=2 * np.pi * 3.1012e6,
         omega_y=2 * np.pi * 5e6,
         omega_z=2 * np.pi * 2e6,
@@ -30,7 +33,7 @@ def resonance_trap():
     wz = 2 * np.pi * 2e6
     return crystal.TrapConfig(
         n_ions=3,
-        mass=crystal.MASS_CA40,
+        mass=MASS_CA40,
         omega_x=wz * np.sqrt(63.0 / 20.0),
         omega_y=2 * np.pi * 5e6,
         omega_z=wz,

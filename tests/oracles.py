@@ -11,7 +11,9 @@ place of the stepped sector lines of ``dynamics.evolution_lines``.
 once, the reference of the loop of ``anharmonic.max_nonsecular_ratio``.
 ``dense_liouvillian`` gathers a Liouvillian block densely from the
 generator, the reference of the block ``dynamics.liouvillian`` scatters
-from the model's sparse entries.
+from the model's sparse entries.  ``expm_with_eye`` is the matrix
+exponential with the dense identity that ``dynamics.expm`` replaces by
+adding the Pade identity terms on the diagonal.
 ``pair_sum_tensor_einsum`` and ``mode_tensors_einsum`` are the coupling
 tensors as single ``np.einsum`` calls with numpy's path search, the
 reference of the fixed-order contractions of ``anharmonic``.
@@ -29,6 +31,7 @@ attenuation ``phasenoise.attenuation``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import reduce
 
@@ -309,6 +312,42 @@ def dense_liouvillian(model: dynamics.LindbladModel, idx: np.ndarray | None = No
         term *= c.conj()[bras]
         out += term
     return out
+
+
+def expm_with_eye(a: np.ndarray) -> np.ndarray:
+    """``dynamics.expm`` with a dense identity: b0 I and b1 I enter the Pade
+    sums as the last terms, each b I added to the whole matrix, so every
+    off-diagonal entry gains 0.0 and the diagonal gains b."""
+    diagonal = np.diagonal(a)
+    if np.count_nonzero(a) == np.count_nonzero(diagonal):
+        return np.diag(np.exp(diagonal))
+    norm = float(np.abs(a).sum(axis=0).max(initial=0.0))
+    s = max(0, math.ceil(math.log2(norm / dynamics._THETA13))) if norm > 0 else 0
+    a = a / 2.0**s
+    b = dynamics._PADE13
+    eye = np.eye(a.shape[0], dtype=a.dtype)
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    x, y = np.empty_like(a), np.empty_like(a)
+
+    def terms(out, scratch, *pairs):
+        for c, m in pairs:
+            out += np.multiply(c, m, out=scratch)
+        return out
+
+    v = a6 @ terms(np.multiply(b[12], a6, out=x), y, (b[10], a4), (b[8], a2))
+    terms(v, y, (b[6], a6), (b[4], a4), (b[2], a2), (b[0], eye))
+    np.matmul(a6, terms(np.multiply(b[13], a6, out=x), y, (b[11], a4), (b[9], a2)), out=y)
+    u = np.matmul(a, terms(y, x, (b[7], a6), (b[5], a4), (b[3], a2), (b[1], eye)), out=x)
+    del a, a2, a4, a6, eye
+    np.add(v, u, out=y)
+    v -= u
+    del u, x
+    r = np.linalg.solve(v, y)
+    for _ in range(s):
+        r = r @ r
+    return r
 
 
 def fwhm(spec: spectrum.Spectrum2D, peak: spectrum.Peak, axis: str) -> float:

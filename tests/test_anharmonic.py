@@ -20,6 +20,7 @@ from ionspec2d.anharmonic import (
     resonant_coupling,
 )
 from ionspec2d.crystal import normal_modes, solve_equilibrium
+from conftest import MASS_CA40
 from oracles import (
     critical_anisotropy,
     exact_zigzag_ladder,
@@ -67,7 +68,7 @@ def _spacing(n=2):
 def _chain_trap(n, omega_x_hz, omega_y_hz):
     """An n-ion linear chain at omega_z/2pi = 2 MHz."""
     return crystal.TrapConfig(
-        n_ions=n, mass=crystal.MASS_CA40, omega_x=2 * np.pi * omega_x_hz,
+        n_ions=n, mass=MASS_CA40, omega_x=2 * np.pi * omega_x_hz,
         omega_y=2 * np.pi * omega_y_hz, omega_z=2 * np.pi * 2e6,
     )
 
@@ -507,7 +508,7 @@ class TestEffectiveParameters:
         alpha_c = critical_anisotropy(3)
         wz = 2 * np.pi * 2e6
         trap = crystal.TrapConfig(
-            n_ions=3, mass=crystal.MASS_CA40,
+            n_ions=3, mass=MASS_CA40,
             omega_x=wz / np.sqrt(alpha_c * (1 - 1e-7)),
             omega_y=2 * np.pi * 5e6, omega_z=wz,
         )
@@ -541,7 +542,7 @@ class TestResonantCoupling:
         )
         wz2 = 2 * np.pi * 4e6
         trap2 = crystal.TrapConfig(
-            n_ions=3, mass=crystal.MASS_CA40,
+            n_ions=3, mass=MASS_CA40,
             omega_x=wz2 * np.sqrt(63.0 / 20.0),
             omega_y=2 * np.pi * 10e6, omega_z=wz2,
         )
@@ -675,7 +676,7 @@ class TestScalingTowardTransition:
             lam_max = 29.0 / 5.0
             alpha = 1.0 / (gamma_target - 0.5 + lam_max / 2.0)
             trap = crystal.TrapConfig(
-                n_ions=3, mass=crystal.MASS_CA40,
+                n_ions=3, mass=MASS_CA40,
                 omega_x=wz / np.sqrt(alpha), omega_y=2 * np.pi * 5e6, omega_z=wz,
             )
             data = scenarios.derive_modes(trap)

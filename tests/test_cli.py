@@ -161,6 +161,19 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="dt_s"):
             build_config({"scenario": "kerr", "dt_s": -25.3e-6})
 
+    def test_every_field_parses_as_its_default_kind(self):
+        # a field's kind is its RunConfig default's, a tuple's its first
+        # entry's: each field refuses a value of another kind
+        bad = {int: (2.5, "an integer"), float: ("2", "a number"), str: (1, "a string"), bool: (1, "a boolean")}
+        for f in fields(RunConfig):
+            if f.name == "scenario":  # no default; checked on its own
+                continue
+            value, kind = bad[type(f.default[0] if isinstance(f.default, tuple) else f.default)]
+            if isinstance(f.default, tuple):
+                value = [value] * len(f.default)
+            with pytest.raises(ConfigError, match=f"^{f.name}( entry)? must be {kind}$"):
+                build_config({"scenario": "tables", f.name: value})
+
     @pytest.mark.parametrize(
         "raw, match",
         [
@@ -328,6 +341,24 @@ class TestTablesScenario:
             rows = {r["order"]: r for r in csv.DictReader(fh)}
         assert float(rows["effective"]["osi_half"]) == pytest.approx(2.5615, rel=0.01)
         assert manifest["derived"]["omega_zz_hz"] == pytest.approx(131.95e3, abs=200)
+
+    def test_kerr_grows_toward_the_transition(self, tmp_path):
+        # the paper's structural-transition signature in its perturbative
+        # parameters (third plus fourth order): Omega_SI/2pi grows more than
+        # 20x as omega_x/2pi falls from 3.15 MHz to the reference 3.1012
+        # MHz, near the zigzag instability (3.09 MHz raises
+        # ChainUnstableError).  The exact ladder grows 19x over the same
+        # window (test_anharmonic.py, TestExactLadder).  The growth is not
+        # monotone over a wider sweep: Omega_SI changes sign near 3.3 MHz,
+        # where it reads -0.41 Hz.
+        omega_si_hz = [
+            run_scenario(build_config(
+                {"scenario": "tables", "omega_x_hz": omega_x_hz, "out_dir": str(tmp_path / str(omega_x_hz))}
+            ))["derived"]["omega_si_hz"]
+            for omega_x_hz in (3.15e6, 3.1012e6)
+        ]
+        assert omega_si_hz == pytest.approx([234.0, 5114.3], abs=0.05)
+        assert omega_si_hz[1] > 20 * omega_si_hz[0]
 
     def test_two_ion_chain_tables(self, tmp_path):
         # N=2 has only COM + stretch: no other x mode, so no x cross-Kerr

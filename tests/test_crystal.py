@@ -12,6 +12,7 @@ from ionspec2d.crystal import (
     normal_modes,
     solve_equilibrium,
 )
+from conftest import MASS_CA40
 from oracles import critical_anisotropy, radial_hessians
 
 
@@ -66,7 +67,7 @@ class TestLengthScale:
         assert lz == pytest.approx(2.80e-6, abs=0.005e-6)
 
     def test_power_laws(self):
-        m, wz = crystal.MASS_CA40, 2 * np.pi * 2e6
+        m, wz = MASS_CA40, 2 * np.pi * 2e6
         base = length_scale(m, wz)
         assert length_scale(m, 4 * wz) == pytest.approx(base / 4 ** (2 / 3), rel=1e-12)
         assert length_scale(2 * m, wz) == pytest.approx(base / 2 ** (1 / 3), rel=1e-12)

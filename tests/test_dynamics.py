@@ -14,7 +14,7 @@ from ionspec2d.dynamics import (
     liouvillian,
 )
 from ionspec2d.fock import destroy, thermal_state
-from oracles import dense_liouvillian
+from oracles import dense_liouvillian, expm_with_eye
 
 
 def _coherence_state(dim):
@@ -447,3 +447,51 @@ class TestScatter:
         finally:
             tracemalloc.stop()
         assert peak <= dynamics._map_bytes(0, model) + block.nbytes
+
+
+class TestExpmIdentityTerms:
+    """``expm`` adds the Pade identity terms b0 I and b1 I on the diagonal;
+    the dense-identity form ``expm_with_eye`` is its reference, bit for bit
+    (off the diagonal that form adds 0.0, which changes no value)."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_random_matrices(self, dtype):
+        # 1-norms from 1e-3 to about 50, with and without squarings
+        rng = np.random.default_rng(5)
+        for size in [*range(1, 60), 100, 200]:
+            a = rng.standard_normal((size, size)).astype(dtype)
+            if dtype is np.complex128:
+                a += 1j * rng.standard_normal((size, size))
+            a *= 10.0 ** rng.uniform(-3.0, 1.7) / np.abs(a).sum(axis=0).max()
+            assert np.array_equal(dynamics.expm(a), expm_with_eye(a))
+
+    @pytest.mark.parametrize("dims, count", [((7, 5), 29), ((9, 6), 37)])
+    def test_every_heated_resonance_block(self, resonance_data, dims, count):
+        # every sector block of the heated resonance model at the scenario's dt
+        omega_t = scenarios.resonance_parameters(resonance_data).omega_t
+        model = scenarios.resonance_model(omega_t, dims=dims, heating_quanta_per_s=(200.0, 100.0))
+        blocks = dynamics.liouvillian_blocks(model)
+        assert len(blocks) == count
+        for idx in blocks.values():
+            a = liouvillian(model, idx) * 10.6e-6
+            assert np.array_equal(dynamics.expm(a), expm_with_eye(a))
+
+    def test_one_matrix_fewer(self, resonance_data):
+        # the c = 0 block of the reference resonance model, b = 186 in
+        # float64: the dense-identity form peaks at 8.0 b^2, expm one b^2
+        # lower
+        omega_t = scenarios.resonance_parameters(resonance_data).omega_t
+        model = scenarios.resonance_model(omega_t, dims=(9, 6), heating_quanta_per_s=(200.0, 100.0))
+        a = liouvillian(model, dynamics.liouvillian_blocks(model)[0]) * 10.6e-6
+        matrix = a.nbytes
+        assert a.shape == (186, 186) and a.dtype == np.float64
+        peaks = []
+        for expm in (expm_with_eye, dynamics.expm):
+            tracemalloc.start()
+            try:
+                expm(a)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert 7.9 * matrix <= peaks[0] <= 8.1 * matrix
+        assert peaks[1] <= 7.1 * matrix

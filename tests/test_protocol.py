@@ -141,13 +141,17 @@ class TestGrid:
         assert grid_points(1e-3, 10.6e-6) == 95
         assert grid_points(1e-3, 25.3e-6) == 40
 
-    def test_uniform_axis_validation(self):
-        with pytest.raises(ValueError, match="uniform"):
-            SignalGrid(
-                t1=np.array([0.0, 1.0, 3.0]),
-                t3=np.array([0.0, 1.0, 2.0]),
-                values=np.zeros((3, 3), dtype=complex),
-            )
+    @pytest.mark.parametrize(
+        "value, dt, match",
+        [(0.0, 0.0, "dt must be positive"), (0.0, -1e-5, "dt must be positive"),
+         (0.0, np.nan, "dt must be positive"), (0.0, np.inf, "dt must be positive"),
+         (np.nan, 1e-5, "non-finite")],
+    )
+    def test_grid_validation(self, value, dt, match):
+        # a grid is its values and its one step: a step that labels no
+        # frequency axis, or a value no spectrum can hold, is refused
+        with pytest.raises(ValueError, match=match):
+            SignalGrid(values=np.full((3, 3), value, dtype=complex), dt=dt)
 
     def test_scan_consistent_with_run_once(self):
         model = _free_mode(7, omega=TWO_PI * 30e3)

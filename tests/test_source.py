@@ -1,8 +1,11 @@
 """Checks on the package source itself.
 
 Code that nothing calls gets deleted (ROADMAP aim 2): every module-level
-function and class of ``src/ionspec2d``, and every method of such a class,
-is referenced by its name, or as an attribute, somewhere in ``src/``.
+function, class and constant of ``src/ionspec2d``, and every method of such
+a class, is referenced by its name, or as an attribute, somewhere in
+``src/``.  A name that is only assigned is not a reference.  Class
+attributes are not checked: the benchmark under perfbench/ reads
+``Propagator.kind``, which nothing in ``src/`` reads.
 """
 
 import ast
@@ -15,16 +18,26 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "ionspec2d"
 BENCHMARK_ONLY = {"protocol.run_once", "protocol.phase_cycle", "scenarios.kerr_scan_full", "matio.read_matrix"}
 
 
+def _dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
 def _definitions(module: str, tree: ast.Module):
-    """(qualified name, name) of each module-level function and class, and
-    of each method of such a class; dunder methods are called implicitly."""
+    """(qualified name, name) of each module-level function, class and
+    constant (a name a module-level assignment binds), and of each method of
+    such a class; dunder names are read implicitly."""
     defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     for node in tree.body:
         if isinstance(node, defs):
             yield f"{module}.{node.name}", node.name
             for item in node.body if isinstance(node, ast.ClassDef) else ():
-                if isinstance(item, defs) and not (item.name.startswith("__") and item.name.endswith("__")):
+                if isinstance(item, defs) and not _dunder(item.name):
                     yield f"{module}.{node.name}.{item.name}", item.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                for name in ast.walk(target):  # the target, or each name of a tuple target
+                    if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Store) and not _dunder(name.id):
+                        yield f"{module}.{name.id}", name.id
 
 
 def test_every_definition_is_referenced():
@@ -32,7 +45,7 @@ def test_every_definition_is_referenced():
     used = set()
     for tree in trees.values():
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)

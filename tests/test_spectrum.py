@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from ionspec2d.protocol import SignalGrid
+from ionspec2d.dynamics import LindbladModel
+from ionspec2d.fock import thermal_state
+from ionspec2d.protocol import PulseSequence, SignalGrid, scan
 from ionspec2d.spectrum import (
     Peak,
     Spectrum2D,
@@ -19,7 +21,7 @@ def _tone_grid(n=64, dt=2.5e-5, w1=-TWO_PI * 4e3, w3=-TWO_PI * 4e3, decay=0.0):
     t = np.arange(n) * dt
     t1, t3 = np.meshgrid(t, t, indexing="ij")
     values = np.exp(1j * (w1 * t1 + w3 * t3)) * np.exp(-decay * (t1 + t3))
-    return SignalGrid(t1=t, t3=t, values=values)
+    return SignalGrid(values=values, dt=dt)
 
 
 class TestFFT2:
@@ -51,8 +53,7 @@ class TestFFT2:
         rng = np.random.default_rng(8)
         n = 32
         values = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        t = np.arange(n) * 1e-5
-        grid = SignalGrid(t1=t, t3=t, values=values)
+        grid = SignalGrid(values=values, dt=1e-5)
         spec = fft2(grid, zero_pad=zero_pad)
         time_energy = np.sum(np.abs(values) ** 2)
         freq_energy = np.sum(np.abs(spec.values) ** 2) / spec.values.size
@@ -77,6 +78,24 @@ class TestFFT2:
         assert abs(p_none.omega1 - p_cos.omega1) <= none.bin_width
         assert abs(p_none.omega3 - p_cos.omega3) <= none.bin_width
 
+    def test_one_point_grid_is_one_bin_at_the_carrier(self):
+        # the grid that scan returns for t_max < dt: one sample, at t1 = t3 = 0
+        dt = 1e-5
+        model = LindbladModel(hamiltonian=np.diag([0.0, TWO_PI * 20e3]).astype(complex), dims=(2,))
+        grid = scan(model, thermal_state(0.5, 2), PulseSequence(), t_max=dt / 2, dt=dt)
+        spec = fft2(grid, carrier_offset=-TWO_PI * 1e5)
+        assert spec.values.shape == (1, 1)
+        assert spec.omega1.tolist() == spec.omega3.tolist() == [-TWO_PI * 1e5]
+        assert spec.values[0, 0] == grid.values[0, 0]
+
+    def test_unequal_sides_share_the_step(self):
+        # (4, 6) samples at one step dt: bins 2 pi / (4 dt) apart on omega1
+        # and 2 pi / (6 dt) on omega3
+        dt = 1e-5
+        spec = fft2(SignalGrid(values=np.ones((4, 6), dtype=complex), dt=dt))
+        np.testing.assert_allclose(np.diff(spec.omega1), TWO_PI / (4 * dt), rtol=1e-12)
+        np.testing.assert_allclose(np.diff(spec.omega3), TWO_PI / (6 * dt), rtol=1e-12)
+
     def test_rejects_bad_arguments(self):
         grid = _tone_grid(n=8)
         with pytest.raises(ValueError):
@@ -95,20 +114,20 @@ class TestProjection:
         rng = np.random.default_rng(3)
         n1, n3 = 24, 20
         values = rng.standard_normal((n1, n3)) + 1j * rng.standard_normal((n1, n3))
-        grid = SignalGrid(t1=np.arange(n1) * 1e-5, t3=np.arange(n3) * 1e-5, values=values)
+        grid = SignalGrid(values=values, dt=1e-5)
         proj = project_1d(fft2(grid, window=window, zero_pad=zero_pad), axis)
         slice_ = values[:, 0] if axis == "omega1" else values[0, :]
         n = len(slice_)
         taper = np.cos(0.5 * np.pi * np.arange(n) / (n - 1)) if window == "cosine" else 1.0
         manual = np.fft.fftshift(np.fft.fft(slice_ * taper, n=n * zero_pad))
-        np.testing.assert_allclose(proj.values, manual, rtol=1e-12)
+        np.testing.assert_allclose(proj, manual, rtol=1e-12)
 
     def test_pure_tone_projection_peak(self):
         w0 = TWO_PI * 6e3
         grid = _tone_grid(w1=-w0, w3=-w0)
-        proj = project_1d(fft2(grid), "omega3")
-        k = np.argmax(proj.magnitude)
-        assert proj.omega[k] == pytest.approx(-w0, abs=TWO_PI * 700)
+        spec = fft2(grid)
+        k = np.argmax(np.abs(project_1d(spec, "omega3")))
+        assert spec.omega3[k] == pytest.approx(-w0, abs=TWO_PI * 700)
 
     def test_axis_validation(self):
         with pytest.raises(ValueError):
@@ -124,7 +143,7 @@ class TestFindPeaks:
             np.exp(1j * w_a * (t[:, None] + t[None, :]))
             + 0.5 * np.exp(1j * w_b * (t[:, None] + t[None, :]))
         ) * np.exp(-900.0 * (t[:, None] + t[None, :]))
-        return fft2(SignalGrid(t1=t, t3=t, values=values))
+        return fft2(SignalGrid(values=values, dt=1e-5))
 
     def test_two_peaks_found_sorted(self):
         spec = self._two_bump_spec()
@@ -146,7 +165,7 @@ class TestFindPeaks:
         values = np.exp(-1j * w0 * (t[:, None] + t[None, :])) * np.exp(
             -500.0 * (t[:, None] + t[None, :])
         )
-        spec = fft2(SignalGrid(t1=t, t3=t, values=values))
+        spec = fft2(SignalGrid(values=values, dt=dt))
         p = list(find_peaks(spec, threshold=0.5))[0]
         assert abs(p.omega1 - (-w0)) < 0.5 * spec.bin_width
 
@@ -205,7 +224,7 @@ class TestNotchAndWidth:
         n, dt, g = 512, 5e-6, 4e3
         t = np.arange(n) * dt
         values = np.exp(-g * (t[:, None] + t[None, :]))
-        spec = fft2(SignalGrid(t1=t, t3=t, values=values.astype(complex)), zero_pad=2)
+        spec = fft2(SignalGrid(values=values.astype(complex), dt=dt), zero_pad=2)
         p = list(find_peaks(spec, threshold=0.5))[0]
         width = fwhm(spec, p, "omega1")
         # |FT of e^{-gt} theta(t)| = 1/sqrt(w^2+g^2): FWHM = 2*sqrt(3)*g
