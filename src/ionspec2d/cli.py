@@ -181,6 +181,8 @@ def _scalar(name: str, value, kind: type):
 def build_config(raw: dict) -> RunConfig:
     """Validated config from a JSON-compatible dict; unknown keys rejected.
     Each field is parsed as the kind of its ``RunConfig`` default."""
+    if not isinstance(raw, dict):
+        raise ConfigError("config must be a JSON object")
     known = {f.name for f in fields(RunConfig)}
     unknown = set(raw) - known
     if unknown:
@@ -335,14 +337,11 @@ def _write_spectrum_products(out: Path, grid, spec, projections, peaks) -> dict[
     return digests
 
 
-def _axis(omega: np.ndarray) -> dict:
-    """An affine spectrum axis as the manifest records it: omega[k] =
-    start + k * step for k < count (rad/s)."""
-    return {
-        "start": float(omega[0]),
-        "step": float(omega[-1] - omega[0]) / (omega.size - 1),
-        "count": omega.size,
-    }
+def _axis(omega: np.ndarray, dt: float) -> dict:
+    """A spectrum axis of ``count`` bins at grid step ``dt`` as the manifest
+    records it: omega[k] = start + k * step for k < count (rad/s), with the
+    exact step 2 pi / (count dt)."""
+    return {"start": float(omega[0]), "step": 2 * np.pi / (omega.size * dt), "count": omega.size}
 
 
 def _apply_phase_noise(grid, signature, diffusion):
@@ -469,9 +468,7 @@ def _dispatch(cfg: RunConfig, out: Path, manifest: dict) -> dict[str, str]:
     projections = {axis: spectrum.project_1d(spec, axis) for axis in ("omega1", "omega3")}
     if cfg.baseline_notch:
         spec = spectrum.notch_carrier(spec)
-    manifest["spectrum_axes"] = {
-        "omega1_rad_s": _axis(spec.omega1), "omega3_rad_s": _axis(spec.omega3)
-    }
+    manifest["spectrum_axes"] = {f"{axis}_rad_s": _axis(getattr(spec, axis), spec.dt) for axis in ("omega1", "omega3")}
     peaks = spectrum.find_peaks(spec, threshold=cfg.peak_threshold)
     if cfg.scenario == "resonance":
         tol = 1.5 * spec.bin_width

@@ -190,8 +190,6 @@ class Propagator:
     """exp(L dt) as a dense superoperator on row-major-vectorized density
     matrices."""
 
-    step: float
-    dim: int
     matrix: np.ndarray
     kind = "super"  # the one representation; per-kind tracing reads it
 
@@ -344,7 +342,7 @@ def build_propagator(model: LindbladModel, dt: float) -> Propagator:
         raise ValueError("dt must be positive")
     d = model.dim
     _check_budget(_map_bytes(d * d, model), f"superoperator (dim {d} -> {d * d}^2)")
-    return Propagator(step=dt, dim=d, matrix=expm(liouvillian(model) * dt))
+    return Propagator(matrix=expm(liouvillian(model) * dt))
 
 
 def _step_map(model: LindbladModel, idx: np.ndarray, dt: float) -> np.ndarray:

@@ -1,9 +1,11 @@
 """Flat-file matrix I/O: a tiny self-describing binary format plus CSV.
 
-Binary layout: 16-byte header (8-byte magic ``ISPEC2D\\0``, little-endian
-uint32 version, uint32 dtype code: 0 = float64, 1 = complex as interleaved
-re/im float64 pairs), two little-endian uint64 dimensions, then row-major
-float64 payload.
+Binary layout: a 32-byte header (8-byte magic ``ISPEC2D\\0``, then
+little-endian uint32 version, uint32 dtype code and two uint64 dimensions),
+then the row-major matrix itself as its dtype: code 0 is ``<f8``, code 1
+``<c16`` (each value re then im).  Writer and reader move the payload as one
+view of that dtype, so a matrix reads back bit for bit, NaN payloads and
+signed zeros included.
 
 CSV rows go through ``csv.writer`` with ``"\\n"`` line ends, each float
 formatted ``.17g`` (repr-exact, locale-free) and every other value by
@@ -25,8 +27,8 @@ import numpy as np
 
 MAGIC = b"ISPEC2D\x00"
 VERSION = 1
-_DTYPE_REAL = 0
-_DTYPE_COMPLEX = 1
+_HEADER = struct.Struct("<8sIIQQ")  # magic, version, dtype code, rows, cols
+_DTYPES = (np.dtype("<f8"), np.dtype("<c16"))  # indexed by dtype code
 
 
 def write_matrix(path: str | Path, matrix: np.ndarray) -> bytearray:
@@ -34,40 +36,32 @@ def write_matrix(path: str | Path, matrix: np.ndarray) -> bytearray:
     m = np.asarray(matrix)
     if m.ndim != 2:
         raise ValueError("only 2-D matrices are supported")
-    complex_ = np.iscomplexobj(m)
-    code = _DTYPE_COMPLEX if complex_ else _DTYPE_REAL
-    rows, cols = m.shape
-    width = 2 * cols if complex_ else cols  # float64 values per row
-    data = bytearray(32 + 8 * rows * width)
-    struct.pack_into("<8sIIQQ", data, 0, MAGIC, VERSION, code, rows, cols)
-    payload = np.frombuffer(data, dtype="<f8", offset=32).reshape(rows, width)
-    if complex_:
-        payload[:, 0::2] = m.real
-        payload[:, 1::2] = m.imag
-    else:
-        payload[...] = m
+    code = int(np.iscomplexobj(m))
+    dtype = _DTYPES[code]
+    data = bytearray(_HEADER.size + dtype.itemsize * m.size)
+    _HEADER.pack_into(data, 0, MAGIC, VERSION, code, *m.shape)
+    np.frombuffer(data, dtype, offset=_HEADER.size).reshape(m.shape)[...] = m
     with open(path, "wb") as fh:
         fh.write(data)
     return data
 
 
 def read_matrix(path: str | Path) -> np.ndarray:
+    """The matrix ``write_matrix`` wrote to ``path``; ValueError for a file
+    that is not one."""
     with open(path, "rb") as fh:
-        magic = fh.read(8)
-        if magic != MAGIC:
-            raise ValueError(f"bad magic {magic!r} in {path}")
-        version, code = struct.unpack("<II", fh.read(8))
-        if version != VERSION:
-            raise ValueError(f"unsupported version {version}")
-        rows, cols = struct.unpack("<QQ", fh.read(16))
-        if code == _DTYPE_REAL:
-            data = np.frombuffer(fh.read(rows * cols * 8), dtype="<f8")
-            return data.reshape(rows, cols).copy()
-        if code == _DTYPE_COMPLEX:
-            data = np.frombuffer(fh.read(rows * cols * 16), dtype="<f8")
-            inter = data.reshape(rows, 2 * cols)
-            return (inter[:, 0::2] + 1j * inter[:, 1::2]).copy()
+        data = fh.read()
+    if len(data) < _HEADER.size or data[:len(MAGIC)] != MAGIC:
+        raise ValueError(f"bad magic or short header in {path}")
+    _, version, code, rows, cols = _HEADER.unpack_from(data)
+    if version != VERSION:
+        raise ValueError(f"unsupported version {version}")
+    if code >= len(_DTYPES):
         raise ValueError(f"unknown dtype code {code}")
+    dtype = _DTYPES[code]
+    if len(data) != _HEADER.size + dtype.itemsize * rows * cols:
+        raise ValueError(f"payload of {path} does not hold a {rows} x {cols} matrix")
+    return np.frombuffer(data, dtype, offset=_HEADER.size).reshape(rows, cols).copy()
 
 
 def _fmt(value) -> str:

@@ -3,15 +3,16 @@
 Axis conventions: a signal component exp(-i w t) lands at frequency -w, so
 coherences rotating at positive effective energies show up below the carrier.
 The carrier itself (the rotating-frame origin) is reattached as a pure axis
-offset; magnitudes carry the raw DFT normalization.  A signal grid has one
-time step, so both frequency axes come from it.  ``fft2`` is the one
-transform: a 1D projection is the mean of its spectrum over one axis, a
-plain complex array on the other axis, ``omega1`` or ``omega3``.
+offset; magnitudes carry the raw DFT normalization.  A spectrum is its
+values, the grid's one time step and its carrier: both frequency axes are
+derived from them, never stored.  ``fft2`` is the one transform: a 1D
+projection is the mean of its spectrum over one axis, a plain complex array
+on the other axis, ``omega1`` or ``omega3``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import numpy.fft  # numpy loads it lazily: import it here, not inside a run
@@ -21,12 +22,25 @@ from .protocol import SignalGrid
 
 @dataclass(frozen=True)
 class Spectrum2D:
-    """Complex 2D spectrum with labeled angular-frequency axes (rad/s)."""
+    """Complex 2D spectrum of a grid sampled at step ``dt`` (s), its bins
+    fftshifted so that the carrier (rad/s) sits at bin (m1 // 2, m3 // 2).
+    An axis of m bins is 2 pi fftshift(fftfreq(m, dt)) + carrier: its bins
+    are 2 pi / (m dt) apart, and a one-bin axis is the carrier alone."""
 
-    omega1: np.ndarray
-    omega3: np.ndarray
     values: np.ndarray
+    dt: float
     carrier: float = 0.0
+
+    def _axis(self, m: int) -> np.ndarray:
+        return 2 * np.pi * np.fft.fftshift(np.fft.fftfreq(m, self.dt)) + self.carrier
+
+    @property
+    def omega1(self) -> np.ndarray:
+        return self._axis(self.values.shape[0])
+
+    @property
+    def omega3(self) -> np.ndarray:
+        return self._axis(self.values.shape[1])
 
     @property
     def magnitude(self) -> np.ndarray:
@@ -34,7 +48,8 @@ class Spectrum2D:
 
     @property
     def bin_width(self) -> float:
-        return float(self.omega1[1] - self.omega1[0])
+        """The omega1 bin spacing, 2 pi / (m1 dt)."""
+        return 2 * np.pi / (self.values.shape[0] * self.dt)
 
 
 @dataclass
@@ -61,14 +76,13 @@ def fft2(
     zero_pad: int = 1,
     carrier_offset: float = 0.0,
 ) -> Spectrum2D:
-    """2D DFT of the phase-cycled signal with labeled axes.
+    """2D DFT of the phase-cycled signal, fftshifted, at the grid's step.
 
-    An axis of n samples at the grid's one step dt, zero-padded to
-    n ``zero_pad`` bins, is 2 pi fftfreq(n zero_pad, dt): its spacing is
-    2 pi / (n zero_pad dt), so a grid of unequal sides has unequal
-    spacings, and a one-point grid is one bin at the carrier.
     ``zero_pad`` multiplies the grid size (interpolating the spectrum without
-    moving peak positions); ``carrier_offset`` is added to both axes.
+    moving peak positions): a side of n samples becomes n ``zero_pad`` bins,
+    2 pi / (n zero_pad dt) apart, so a grid of unequal sides has unequal
+    spacings, and a one-point grid is one bin at the carrier.
+    ``carrier_offset`` is the spectrum's carrier, the offset of both axes.
     """
     if zero_pad < 1:
         raise ValueError("zero_pad must be >= 1")
@@ -76,8 +90,7 @@ def fft2(
     w = np.outer(_window(n1, window), _window(n3, window))
     padded = (n1 * zero_pad, n3 * zero_pad)
     f = np.fft.fftshift(np.fft.fft2(grid.values * w, s=padded))
-    omega1, omega3 = (2 * np.pi * np.fft.fftshift(np.fft.fftfreq(m, grid.dt)) + carrier_offset for m in padded)
-    return Spectrum2D(omega1=omega1, omega3=omega3, values=f, carrier=carrier_offset)
+    return Spectrum2D(values=f, dt=grid.dt, carrier=carrier_offset)
 
 
 def project_1d(spec: Spectrum2D, axis: str) -> np.ndarray:
@@ -96,9 +109,11 @@ def project_1d(spec: Spectrum2D, axis: str) -> np.ndarray:
 
 
 def find_peaks(spec: Spectrum2D, threshold: float = 0.1) -> list[Peak]:
-    """Local maxima above threshold * max, centroid-refined on 3x3 patches,
-    largest first: magnitudes are compared rounded to 1e-12 of the maximum,
-    and ties are ordered by ascending (omega1, omega3)."""
+    """Local maxima above threshold * max, centroid-refined on 3x3 patches
+    in bins of 2 pi / (m dt) on each axis, largest first: magnitudes are
+    compared rounded to 1e-12 of the maximum, and ties are ordered by
+    ascending (omega1, omega3).  A one-bin spectrum is one peak at the
+    carrier."""
     if not 0.0 < threshold < 1.0:
         raise ValueError("threshold must be in (0, 1)")
     mag = spec.magnitude
@@ -112,8 +127,7 @@ def find_peaks(spec: Spectrum2D, threshold: float = 0.1) -> list[Peak]:
                 continue
             is_max &= core >= padded[1 + di : padded.shape[0] - 1 + di,
                                      1 + dj : padded.shape[1] - 1 + dj]
-    d1 = spec.omega1[1] - spec.omega1[0]
-    d3 = spec.omega3[1] - spec.omega3[0]
+    d1, d3 = (2 * np.pi / (m * spec.dt) for m in mag.shape)
     # the 3x3 patch around every maximum at once, zero outside the grid
     i, j = np.nonzero(is_max)
     window = np.arange(3)
@@ -129,15 +143,10 @@ def find_peaks(spec: Spectrum2D, threshold: float = 0.1) -> list[Peak]:
     return [Peak(omega1=float(w1[k]), omega3=float(w3[k]), magnitude=float(m[k])) for k in order]
 
 
-def notch_carrier(spec: Spectrum2D, width_bins: int = 1) -> Spectrum2D:
-    """Zero out the bins around the carrier point (baseline removal)."""
-    i = int(np.argmin(np.abs(spec.omega1 - spec.carrier)))
-    j = int(np.argmin(np.abs(spec.omega3 - spec.carrier)))
+def notch_carrier(spec: Spectrum2D) -> Spectrum2D:
+    """Zero the 3x3 bins around the carrier, bin (m1 // 2, m3 // 2), where
+    fftshift puts the zero frequency (baseline removal)."""
+    i, j = (m // 2 for m in spec.values.shape)
     values = spec.values.copy()
-    sl1 = slice(max(i - width_bins, 0), i + width_bins + 1)
-    sl3 = slice(max(j - width_bins, 0), j + width_bins + 1)
-    values[sl1, sl3] = 0.0
-    return Spectrum2D(
-        omega1=spec.omega1, omega3=spec.omega3, values=values, carrier=spec.carrier
-    )
-
+    values[max(i - 1, 0) : i + 2, max(j - 1, 0) : j + 2] = 0.0
+    return replace(spec, values=values)

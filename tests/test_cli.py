@@ -34,19 +34,34 @@ JSON_VALUES = st.recursive(
 )
 
 
+# a NaN with a payload: the quiet-NaN exponent and mantissa bits 0x12345
+_NAN_PAYLOAD = np.array([0x7FF8000000012345], dtype=np.uint64).view(np.float64)[0]
+REFERENCE_GRIDS = sorted((Path(__file__).resolve().parents[1] / "perfbench" / "reference").glob("*/signal_grid.bin"))
+
+
+def _assert_bitwise_round_trip(m, path):
+    matio.write_matrix(path, m)
+    got = matio.read_matrix(path)
+    assert got.dtype == m.dtype and got.shape == m.shape
+    assert np.array_equal(got.view(np.uint64), m.view(np.uint64))
+
+
 class TestBinaryFormat:
     def test_real_round_trip(self, tmp_path):
         m = np.random.default_rng(0).standard_normal((7, 5))
-        path = tmp_path / "m.bin"
-        matio.write_matrix(path, m)
-        assert np.array_equal(matio.read_matrix(path), m)
+        m[0, :4] = -0.0, np.inf, -np.inf, _NAN_PAYLOAD
+        _assert_bitwise_round_trip(m, tmp_path / "m.bin")
 
     def test_complex_round_trip(self, tmp_path):
         rng = np.random.default_rng(1)
         m = rng.standard_normal((4, 9)) + 1j * rng.standard_normal((4, 9))
-        path = tmp_path / "m.bin"
-        matio.write_matrix(path, m)
-        assert np.array_equal(matio.read_matrix(path), m)
+        m[0, :4] = complex(1, np.inf), complex(-0.0, 2), complex(-0.0, -0.0), complex(_NAN_PAYLOAD, -np.inf)
+        _assert_bitwise_round_trip(m, tmp_path / "m.bin")
+
+    @pytest.mark.parametrize("path", REFERENCE_GRIDS, ids=lambda p: p.parent.name)
+    def test_committed_reference_grids_rewrite_byte_for_byte(self, path, tmp_path):
+        # the benchmark's recorded grids: read and written back, every byte stays
+        assert matio.write_matrix(tmp_path / "m.bin", matio.read_matrix(path)) == path.read_bytes()
 
     def test_header_layout(self, tmp_path):
         path = tmp_path / "m.bin"
@@ -64,6 +79,16 @@ class TestBinaryFormat:
         path.write_bytes(b"NOTMAGIC" + bytes(64))
         with pytest.raises(ValueError, match="magic"):
             matio.read_matrix(path)
+        # the right magic, but shorter than the 32-byte header
+        path.write_bytes(b"ISPEC2D\x00" + bytes(8))
+        with pytest.raises(ValueError, match="short header"):
+            matio.read_matrix(path)
+        # a shape the payload does not hold: truncated, padded, or past any index
+        blob = matio.write_matrix(path, np.ones((2, 3), complex))
+        for bad in (blob[:-1], blob + b"\x00", blob[:16] + (2**62).to_bytes(8, "little") + blob[24:]):
+            path.write_bytes(bad)
+            with pytest.raises(ValueError, match="does not hold"):
+                matio.read_matrix(path)
 
 
 def _csv_writer_reference(path, header, rows):
@@ -144,6 +169,12 @@ class TestConfigValidation:
             build_config({})
         with pytest.raises(ConfigError, match="scenario"):
             build_config({"scenario": "sideband"})
+
+    @pytest.mark.parametrize("raw", [[], ["scenario"], None])
+    def test_non_object_rejected(self, raw):
+        # the benchmark's worker calls build_config directly, without main's check
+        with pytest.raises(ConfigError, match="JSON object"):
+            build_config(raw)
 
     def test_type_checks(self):
         with pytest.raises(ConfigError, match="dims"):
@@ -515,6 +546,7 @@ class TestManifest:
         for name, omega in (("omega1_rad_s", spec.omega1), ("omega3_rad_s", spec.omega3)):
             axis = axes[name]
             assert axis["count"] == omega.size
+            assert axis["step"] == 2 * np.pi / (axis["count"] * cfg.dt_s)
             rebuilt = axis["start"] + axis["step"] * np.arange(axis["count"])
             np.testing.assert_allclose(rebuilt, omega, rtol=1e-12, atol=1e-12 * np.abs(omega).max())
         assert np.array_equal(np.abs(matio.read_matrix(tmp_path / "spectrum.bin")), spec.magnitude)

@@ -133,6 +133,24 @@ class TestPhaseCycle:
         )
         assert mixed == pytest.approx(parts, abs=1e-14)
 
+    @pytest.mark.parametrize(
+        "scenario, share_4_8, share_8_16", [("kerr", 0.0395, 6.8e-8), ("resonance", 0.0117, 1.25e-8)]
+    )
+    def test_reference_aliasing_shares(self, scenario, share_4_8, share_8_16, tmp_path):
+        # with N phases per pulse the orders q + N m alias onto the signature
+        # q: at reference, max|S_N - S_2N| / max|S_N| of the grid S_N at
+        # n_phases (N, N, N).  The shares are quoted to three digits, and
+        # the 1 % tolerance holds them there; the N = 4 one is the aliasing
+        # that every reference run carries
+        def grid(n):
+            out = tmp_path / str(n)
+            cli.run_scenario(cli.build_config({"scenario": scenario, "n_phases": [n] * 3, "out_dir": str(out)}))
+            return matio.read_matrix(out / "signal_grid.bin")
+
+        s4, s8, s16 = grid(4), grid(8), grid(16)
+        assert np.max(np.abs(s4 - s8)) / np.max(np.abs(s4)) == pytest.approx(share_4_8, rel=0.01)
+        assert np.max(np.abs(s8 - s16)) / np.max(np.abs(s8)) == pytest.approx(share_8_16, rel=0.01)
+
 
 class TestGrid:
     def test_reference_grid_shapes(self):

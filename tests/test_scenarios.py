@@ -168,15 +168,13 @@ class TestResonanceReference:
             got = peaks[label]
             assert abs(float(got["omega1_rad_s"]) - w1) <= 1.5 * bin_width, label
             assert abs(float(got["omega3_rad_s"]) - w3) <= 1.5 * bin_width, label
-        # so they are found as local maxima of the written spectrum at 0.008
-        axes = {
-            name: axis["start"] + axis["step"] * np.arange(axis["count"])
-            for name, axis in manifest["spectrum_axes"].items()
-        }
+        # so they are found as local maxima of the written spectrum at 0.008,
+        # whose step and carrier (the middle bin) the manifest's axis records
+        axis = manifest["spectrum_axes"]["omega1_rad_s"]
         spec = Spectrum2D(
-            omega1=axes["omega1_rad_s"],
-            omega3=axes["omega3_rad_s"],
             values=matio.read_matrix(tmp_path / "spectrum.bin"),
+            dt=2 * np.pi / (axis["count"] * axis["step"]),
+            carrier=axis["start"] + axis["count"] // 2 * axis["step"],
         )
         faint = find_peaks(spec, threshold=0.008)
         scenarios.label_peaks(faint, pred, 1.5 * bin_width)

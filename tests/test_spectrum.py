@@ -87,6 +87,9 @@ class TestFFT2:
         assert spec.values.shape == (1, 1)
         assert spec.omega1.tolist() == spec.omega3.tolist() == [-TWO_PI * 1e5]
         assert spec.values[0, 0] == grid.values[0, 0]
+        assert spec.bin_width == TWO_PI / dt
+        [peak] = find_peaks(spec)
+        assert (peak.omega1, peak.omega3, peak.magnitude) == (-TWO_PI * 1e5, -TWO_PI * 1e5, abs(grid.values[0, 0]))
 
     def test_unequal_sides_share_the_step(self):
         # (4, 6) samples at one step dt: bins 2 pi / (4 dt) apart on omega1
@@ -174,7 +177,7 @@ class TestFindPeaks:
         # a rough spectrum with maxima on its edges and corners too
         rng = np.random.default_rng(3)
         values = rng.standard_normal((24, 20)) + 1j * rng.standard_normal((24, 20))
-        spec = Spectrum2D(omega1=np.arange(24) * 3.0 - 7.0, omega3=np.arange(20) * 2.5 + 1.0, values=values)
+        spec = Spectrum2D(values=values, dt=0.05, carrier=-7.0)
         got = [(p.omega1, p.omega3, p.magnitude) for p in find_peaks(spec, threshold)]
         ref = centroid_peaks(spec.omega1, spec.omega3, spec.magnitude, threshold)
         assert len(got) == len(ref) > 10
@@ -187,13 +190,13 @@ class TestFindPeaks:
         rng = np.random.default_rng(5)
         half = rng.standard_normal((21, 21)) + 1j * rng.standard_normal((21, 21))
         values = half + half[::-1, ::-1]
-        axis = np.arange(-10, 11) * 2.0
+        dt = np.pi / 21  # axes of 21 bins 2.0 apart, from -20 to 20
         noise = 1e-16 * np.max(np.abs(values)) * rng.standard_normal(values.shape)
         rows = [
-            [(p.omega1, p.omega3) for p in find_peaks(Spectrum2D(omega1=axis, omega3=axis, values=v), 0.2)]
+            [(p.omega1, p.omega3) for p in find_peaks(Spectrum2D(values=v, dt=dt), 0.2)]
             for v in (values, values + noise)
         ]
-        mags = [p.magnitude for p in find_peaks(Spectrum2D(omega1=axis, omega3=axis, values=values), 0.2)]
+        mags = [p.magnitude for p in find_peaks(Spectrum2D(values=values, dt=dt), 0.2)]
         assert sum(a == b for a, b in zip(mags, mags[1:])) > 10  # mirror pairs tie
         np.testing.assert_allclose(rows[0], rows[1], rtol=0, atol=1e-12)
 
@@ -208,7 +211,7 @@ class TestNotchAndWidth:
         grid = _tone_grid(w1=0.0, w3=0.0)
         spec = fft2(grid, carrier_offset=-TWO_PI * 2e3)
         # tone at offset 2 kHz above carrier... notch the carrier bin itself
-        notched = notch_carrier(spec, width_bins=1)
+        notched = notch_carrier(spec)
         i = np.argmin(np.abs(spec.omega1 - spec.carrier))
         j = np.argmin(np.abs(spec.omega3 - spec.carrier))
         assert notched.values[i, j] == 0.0
