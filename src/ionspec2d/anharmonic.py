@@ -67,19 +67,20 @@ class KerrParams:
 
 @dataclass(frozen=True)
 class EffectiveParams:
-    """Third-order, fourth-order and summed effective Kerr parameters."""
+    """Third-order and fourth-order effective Kerr parameters; their sum is
+    derived."""
 
     third: KerrParams
     fourth: KerrParams
-    effective: KerrParams
 
     @property
-    def omega_si(self) -> float:
-        return self.effective.omega_si
-
-    @property
-    def delta_omega_zz(self) -> float:
-        return self.effective.delta[0, -1]
+    def effective(self) -> KerrParams:
+        """The elementwise sum of the two orders."""
+        return KerrParams(
+            omega_si=self.third.omega_si + self.fourth.omega_si,
+            delta=self.third.delta + self.fourth.delta,
+            dephasing=self.third.dephasing + self.fourth.dephasing,
+        )
 
 
 @dataclass(frozen=True)
@@ -306,16 +307,6 @@ def perturbative_third_order(
     delta[::2, 1:] = ((lin - quad) * wz).reshape(2, n - 1)
     dephasing[::2, 1:] = cross.reshape(2, n - 1)
     return KerrParams(omega_si=float(2.0 * quad[zz] * wz), delta=delta, dephasing=dephasing)
-
-
-def combine_orders(third: KerrParams, fourth: KerrParams) -> EffectiveParams:
-    """Elementwise sum of the two orders, keeping the breakdown."""
-    effective = KerrParams(
-        omega_si=third.omega_si + fourth.omega_si,
-        delta=third.delta + fourth.delta,
-        dephasing=third.dephasing + fourth.dephasing,
-    )
-    return EffectiveParams(third=third, fourth=fourth, effective=effective)
 
 
 def resonant_coupling(

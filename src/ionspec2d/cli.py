@@ -12,10 +12,12 @@ neither has ``seed``: no run draws a random number.  Laser phase noise
 multiplies a grid by its exact attenuation ``phasenoise.attenuation``.
 Importing this module pins the BLAS thread variables to 1 unless the
 caller set them.  A signal grid is its values and its one time step dt,
-at t1 = k1 dt and t3 = k3 dt.  The spectrum stage makes one
-``spectrum.fft2``; the two 1D projections are plain complex arrays, the
-means of that spectrum over one axis, taken before the optional carrier
-notch.  It writes each quantity once: ``signal_grid.bin``,
+at t1 = k1 dt and t3 = k3 dt; each axis spans 2 ms times ``grid_scale``
+(the command line's ``--grid-scale``), the one grid-length setting, at
+the step ``dt_s``.  The spectrum stage makes one ``spectrum.fft2``; the
+two 1D projections are plain complex arrays, the means of that spectrum
+over one axis, taken before the optional carrier notch.  It writes each
+quantity once: ``signal_grid.bin``,
 ``spectrum.bin`` (complex; its two affine omega axes are the manifest's
 ``spectrum_axes``, start, step and count), each projection as the
 spectrum's own axis beside the projection's magnitude, and ``peaks.csv``.
@@ -28,8 +30,9 @@ an invalid configuration with ConfigError (exit 2) before any work starts,
 a stage past the memory budget included: the coupling tensors of the ion
 number, the scan (the columns of its kept charge sectors, its largest
 sector's step map and its phase-cycle stacks) and the zero-padded
-spectrum.  Every
-run, successful or not, leaves a manifest.json with the resolved
+spectrum.  ``main`` prints every ConfigError, an unreadable or invalid
+config file's included, from one handler and exits with 2.  Every run,
+successful or not, leaves a manifest.json with the resolved
 configuration, derived parameters, regime diagnostics (the RWA ratio of
 ``kerr`` and ``tables``), every warning the run raised (each also
 re-emitted once the manifest is written) and checksums of all outputs: SHA-256 of the bytes each
@@ -103,7 +106,6 @@ class RunConfig:
     alpha: float = 0.25
     n_phases: tuple[int, int, int] = (4, 4, 4)
     signature: tuple[int, int, int] = (1, -1, -1)
-    t_max_s: float = 2.0e-3
     dt_s: float = 25.3e-6
     grid_scale: float = 1.0
     seed: int = 0
@@ -135,7 +137,7 @@ class RunConfig:
 
     @property
     def effective_t_max(self) -> float:
-        return self.t_max_s * self.grid_scale
+        return 2.0e-3 * self.grid_scale  # each grid axis spans the reference 2 ms times grid_scale
 
 
 # per-scenario defaults layered over the dataclass defaults
@@ -153,10 +155,7 @@ _SCENARIO_DEFAULTS = {
 }
 
 # ranges checked for every scenario, so that no value fails only after the run
-_POSITIVE = (
-    "mass_amu", "omega_z_hz", "omega_x_hz", "omega_y_hz",
-    "t_max_s", "dt_s", "grid_scale", "threads", "zero_pad",
-)
+_POSITIVE = ("mass_amu", "omega_z_hz", "omega_x_hz", "omega_y_hz", "dt_s", "grid_scale", "threads", "zero_pad")
 _NON_NEGATIVE = ("seed", "phase_noise_diffusion", "noise_t1_s", "noise_t3_s")
 
 
@@ -256,13 +255,13 @@ def build_config(raw: dict) -> RunConfig:
             need = 8 * max(cfg.n_ions**3 * (cfg.n_ions**2 - 1) // 2, 24 * cfg.n_ions**3) + 32 * cfg.n_ions**4
             dynamics._check_budget(need, f"coupling tensors ({cfg.n_ions} ions)")
         if cfg.scenario in _MODE_LABELS:
-            # also false when t_max_s * grid_scale overflows to infinity
+            # also false when 2 ms * grid_scale overflows to infinity
             if not cfg.effective_t_max / cfg.dt_s < 2**62:
-                raise ConfigError("t_max_s * grid_scale / dt_s is too large for a grid index")
+                raise ConfigError("2 ms * grid_scale / dt_s is too large for a grid index")
             n = protocol.grid_points(cfg.effective_t_max, cfg.dt_s)
             if n < 2:
                 raise ConfigError(
-                    "t_max_s * grid_scale must be at least dt_s: a one-point grid has no spectrum"
+                    "2 ms * grid_scale must be at least dt_s: a one-point grid has no spectrum"
                 )
             # the scan's own guard, before any operator is built; kerr
             # scans the zigzag alone, and the pulses drive slot 0 (the
@@ -425,8 +424,9 @@ def _dispatch(cfg: RunConfig, out: Path, manifest: dict) -> dict[str, str]:
 
     if cfg.scenario in ("tables", "kerr"):
         params = scenarios.kerr_parameters(data)
-        derived["omega_si_hz"] = params.omega_si / (2 * np.pi)
-        derived["delta_omega_zz_hz"] = params.delta_omega_zz / (2 * np.pi)
+        eff = params.effective
+        derived["omega_si_hz"] = eff.omega_si / (2 * np.pi)
+        derived["delta_omega_zz_hz"] = eff.delta[0, -1] / (2 * np.pi)
         manifest["regime"] = {
             "rwa_max_nonsecular_ratio": anharmonic.max_nonsecular_ratio(
                 data.trap, data.modes, data.tensors
@@ -496,29 +496,13 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--grid-scale", dest="grid_scale", type=float)
     args = parser.parse_args(argv)
 
-    raw: dict = {}
-    if args.config is not None:
-        try:
-            text = Path(args.config).read_text(encoding="utf-8")
-        except (OSError, UnicodeDecodeError) as exc:
-            print(f"error: cannot read config {args.config}: {exc}", file=sys.stderr)
-            return 2
-        try:
-            raw = json.loads(text)
-        except json.JSONDecodeError as exc:
-            print(f"error: config is not valid JSON: {exc}", file=sys.stderr)
-            return 2
-        if not isinstance(raw, dict):
-            print("error: config must be a JSON object", file=sys.stderr)
-            return 2
-    for key in ("scenario", "out_dir", "grid_scale"):
-        value = getattr(args, key)
-        if value is not None:
-            raw[key] = value
-    if "scenario" not in raw:
-        print("error: --scenario (or a config with one) is required", file=sys.stderr)
-        return 2
     try:
+        try:
+            raw = json.loads(args.config.read_text(encoding="utf-8")) if args.config else {}
+        except (OSError, ValueError) as exc:  # ValueError: invalid UTF-8 or JSON
+            raise ConfigError(f"cannot read config {args.config}: {exc}") from None
+        if isinstance(raw, dict):  # the flags override its keys; build_config rejects a non-object
+            raw.update({key: value for key, value in vars(args).items() if key != "config" and value is not None})
         cfg = build_config(raw)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -16,14 +16,15 @@ Prosen, New J. Phys. 14, 073007 (2012); Albert & Jiang, Phys. Rev. A 89,
 holds the nonzero entries of its Liouvillian once, as (rows, cols, values)
 (``LindbladModel.liouvillian_entries``), while the maps are built: each
 sector's block is scattered from them (``liouvillian``) and stepped with
-its one-step map P_c = exp(L_c dt) (``_step_map``), every line by one
-product form x -> M x (M = P_c for a forward column, its transpose for a
-covector row), and only the sectors the caller keeps are stepped and held,
-compact, one column per kept vec index: a scan's phase cycle passes only
-pathways whose pulses change c by the kept coherence orders
-(``protocol._kept_sectors``).  A line whose start is exactly zero on a
-sector stays zero there, P_c being linear: its columns are zero-filled,
-and a sector with no other line builds no map.  Besides the kept sectors,
+its one-step map P_c = ``expm(liouvillian(model, idx) * dt)`` on the
+sector's vec indices idx, every line by one product form x -> M x (M =
+P_c for a forward column, its transpose for a covector row), and only the
+sectors the caller keeps are stepped and held, compact, one column per
+kept vec index: a scan's phase cycle passes only pathways whose pulses
+change c by the kept coherence orders (``protocol._kept_sectors``).  A
+line whose start is exactly zero on a sector stays zero there, P_c being
+linear: its columns are zero-filled, and a sector with no other line
+builds no map.  Besides the kept sectors,
 the sector c = 0 of the forward line is stepped for the trace-drift check,
 and for the reality check the line of each line's adjoint start (state^+,
 A^+) in the mirror -c of the line's largest kept sector c: P^+ commutes
@@ -345,14 +346,6 @@ def build_propagator(model: LindbladModel, dt: float) -> Propagator:
     return Propagator(matrix=expm(liouvillian(model) * dt))
 
 
-def _step_map(model: LindbladModel, idx: np.ndarray, dt: float) -> np.ndarray:
-    """exp(L_c dt) of the sector with vec indices ``idx``, scattered and
-    exponentiated in the generator's dtype (float64 for a real one, with a
-    real LU solve) and returned in it: ``evolution_lines`` steps a complex
-    line by a real map through the line's float64 view."""
-    return expm(liouvillian(model, idx) * dt)
-
-
 def _check_skew(x: np.ndarray, mirror: np.ndarray) -> None:
     """SignalRealityError when half of max |x - conj(mirror)|, for x holding
     a line's entries (i, j) and mirror the entries (j, i) of its adjoint's
@@ -417,10 +410,11 @@ def evolution_lines(
     keeps all); only those are held, each a run of columns in ascending c.
     P_c = exp(L_c dt) is built once for each stepped sector (the largest
     map's size and the model's Liouvillian entries checked against the
-    memory budget first; in real arithmetic for a real generator,
-    ``_step_map``), and it steps every line that needs the sector along
-    the grid in one form, x_k = M x_(k-1): M = P_c for the forward column,
-    and M = P_c^T for the covector row, which P_c acts on from the right
+    memory budget first; ``expm`` of the block that ``liouvillian``
+    scatters, in the generator's dtype, so in real arithmetic for a real
+    one), and it steps every line that needs the sector along the grid in
+    one form, x_k = M x_(k-1): M = P_c for the forward column, and
+    M = P_c^T for the covector row, which P_c acts on from the right
     (y P_c = P_c^T y).  A real P_c steps the (b, 2) float64 view of each
     complex row x_k, its real and imaginary parts at once.  A line whose
     start is exactly zero on sector c is not stepped there: P_c is linear,
@@ -473,7 +467,7 @@ def evolution_lines(
     b = max((blocks[c].size for c in walks), default=0)
     _check_budget(_map_bytes(b, model), f"Liouvillian block map ({b}^2)")
     for c in sorted(walks):
-        step = _step_map(model, blocks[c], dt)
+        step = expm(liouvillian(model, blocks[c]) * dt)
         for i, x, out in walks[c]:
             m = step.T if i else step  # a covector row steps by P_c from the right
             out[0] = x

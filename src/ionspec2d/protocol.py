@@ -55,6 +55,8 @@ class PulseSequence:
     def __post_init__(self):
         if len(self.amplitudes) != 4:
             raise ValueError("exactly four pulse amplitudes required")
+        if len(self.n_phases) != 3 or len(self.signature) != 3:
+            raise ValueError("n_phases and signature need three entries, for pulses 2..4")
         if any(n < 1 for n in self.n_phases):
             raise ValueError("phase counts must be >= 1")
         for n, q in zip(self.n_phases, self.signature):

@@ -66,9 +66,9 @@ def derive_modes(trap: TrapConfig) -> ModeData:
 
 
 def kerr_parameters(data: ModeData) -> EffectiveParams:
-    return anharmonic.combine_orders(
-        anharmonic.perturbative_third_order(data.trap, data.modes, data.tensors),
-        anharmonic.effective_kerr(data.trap, data.modes, data.tensors),
+    return EffectiveParams(
+        third=anharmonic.perturbative_third_order(data.trap, data.modes, data.tensors),
+        fourth=anharmonic.effective_kerr(data.trap, data.modes, data.tensors),
     )
 
 

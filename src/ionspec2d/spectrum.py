@@ -110,7 +110,10 @@ def project_1d(spec: Spectrum2D, axis: str) -> np.ndarray:
 
 def find_peaks(spec: Spectrum2D, threshold: float = 0.1) -> list[Peak]:
     """Local maxima above threshold * max, centroid-refined on 3x3 patches
-    in bins of 2 pi / (m dt) on each axis, largest first: magnitudes are
+    in bins of 2 pi / (m dt) on each axis, largest first.  A maximum
+    exceeds its 4 neighbours earlier in raster order and is >= the 4 later
+    ones, so of two tied neighbours only the earlier is a peak: a 2-bin or
+    2 x 2 plateau is one peak, refined to its centre.  Magnitudes are
     compared rounded to 1e-12 of the maximum, and ties are ordered by
     ascending (omega1, omega3).  A one-bin spectrum is one peak at the
     carrier."""
@@ -125,8 +128,8 @@ def find_peaks(spec: Spectrum2D, threshold: float = 0.1) -> list[Peak]:
         for dj in (-1, 0, 1):
             if di == 0 and dj == 0:
                 continue
-            is_max &= core >= padded[1 + di : padded.shape[0] - 1 + di,
-                                     1 + dj : padded.shape[1] - 1 + dj]
+            neighbour = padded[1 + di : padded.shape[0] - 1 + di, 1 + dj : padded.shape[1] - 1 + dj]
+            is_max &= core > neighbour if (di, dj) < (0, 0) else core >= neighbour
     d1, d3 = (2 * np.pi / (m * spec.dt) for m in mag.shape)
     # the 3x3 patch around every maximum at once, zero outside the grid
     i, j = np.nonzero(is_max)

@@ -196,7 +196,8 @@ def cycled_pair(seq: protocol.PulseSequence, dim: int) -> np.ndarray:
 def centroid_peaks(omega1, omega3, mag, threshold) -> list[tuple[float, float, float]]:
     """(omega1, omega3, magnitude) of every local maximum of ``mag`` above
     threshold * max, centroid-refined on its 3x3 patch (bins outside the
-    grid count 0), one bin at a time, largest magnitude first."""
+    grid count 0), one bin at a time, largest magnitude first.  Of two tied
+    neighbours only the earlier in raster order is a maximum."""
     n1, n3 = mag.shape
     cut = threshold * mag.max()
     out = []
@@ -204,7 +205,9 @@ def centroid_peaks(omega1, omega3, mag, threshold) -> list[tuple[float, float, f
         for j in range(n3):
             near = [(i + a, j + b) for a in (-1, 0, 1) for b in (-1, 0, 1)]
             inside = [(a, b) for a, b in near if 0 <= a < n1 and 0 <= b < n3]
-            if mag[i, j] <= cut or any(mag[i, j] < mag[a, b] for a, b in inside):
+            if mag[i, j] <= cut or any(
+                mag[i, j] < mag[a, b] or (mag[i, j] == mag[a, b] and (a, b) < (i, j)) for a, b in inside
+            ):
                 continue
             patch = np.zeros((3, 3))
             for a, b in inside:

@@ -212,7 +212,7 @@ class TestConfigValidation:
             ({"scenario": "resonance", "dims": [9, 6, 6], "nbar": [0.7, 0.2, 0.2]}, "2 dims"),
             ({"scenario": "tables", "n_ions": 1}, "n_ions"),
             ({"scenario": "kerr", "n_ions": 2}, "n_ions"),
-            ({"scenario": "kerr", "t_max_s": 20e-6, "dt_s": 25.3e-6}, "one-point grid"),
+            ({"scenario": "kerr", "grid_scale": 0.01, "dt_s": 25.3e-6}, "one-point grid"),
             ({"scenario": "resonance", "grid_scale": 0.001}, "one-point grid"),
             ({"scenario": "kerr", "dims": [9, 1, 15]}, "dim"),
             ({"scenario": "resonance", "nbar": [0.7, -0.2]}, "nbar"),
@@ -220,7 +220,9 @@ class TestConfigValidation:
             ({"scenario": "kerr", "n_phases": [4, 4]}, "n_phases"),
             ({"scenario": "kerr", "dims": ["a", 3, 3]}, "dims entry"),
             ({"scenario": "kerr", "dims": [None, 3, 3]}, "dims entry"),
-            ({"scenario": "kerr", "t_max_s": float("inf")}, "t_max_s"),
+            # a grid spans 2 ms times grid_scale, the one length knob: t_max_s
+            # is an unknown key, which the message names
+            ({"scenario": "kerr", "t_max_s": 1e-3}, "t_max_s"),
             ({"scenario": "kerr", "dt_s": float("nan")}, "dt_s"),
             ({"scenario": "resonance", "grid_scale": float("nan")}, "grid_scale"),
             ({"scenario": "kerr", "dims": [9.5, 15, 15]}, "dims entry"),
@@ -256,6 +258,7 @@ class TestConfigValidation:
             # the coupling tensors of 100 ions (~40 GiB), before any mode is solved
             ({"scenario": "tables", "n_ions": 100, "omega_x_hz": 2e8, "omega_y_hz": 2.2e8}, "budget"),
             ({"scenario": "kerr", "n_ions": 100, "omega_x_hz": 2e8, "omega_y_hz": 2.2e8}, "budget"),
+            ({"scenario": "kerr", "grid_scale": float("inf")}, "grid_scale"),
         ],
     )
     def test_rejected_before_any_work(self, raw, match, tmp_path, capsys):
@@ -403,6 +406,40 @@ class TestTablesScenario:
             header = fh.readline().strip().split(",")
         assert "od_x2" not in header[1:]  # column absent for N=2
         assert np.isfinite(manifest["derived"]["omega_si_hz"])
+
+
+class TestKerrLadder:
+    @pytest.mark.parametrize(
+        "omega_x_hz, grid_scale, omega_si_hz", [(3.1012e6, 1, 5114.3), (3.12e6, 4, 627.1), (3.15e6, 16, 234.0)]
+    )
+    def test_ladder_peaks_track_omega_si(self, tmp_path, omega_x_hz, grid_scale, omega_si_hz):
+        # the kerr spectrum's ladder along the approach to the zigzag
+        # transition, the spectators in their ground state (chi weight 1):
+        # each rung -(delta_zz + n Omega_SI), n = 0..4, from the carrier
+        # -omega_zz and folded into the spectrum's window, has a diagonal
+        # peak within half a bin (worst misses 0.21, 0.24 and 0.22 bins).
+        # The rungs are the run's perturbative parameters, read from its
+        # manifest, not the exact ladder; the grid grows with 1/Omega_SI
+        # so that the rungs stay a few bins apart
+        manifest = run_scenario(build_config({
+            "scenario": "kerr", "omega_x_hz": omega_x_hz, "grid_scale": grid_scale,
+            "nbar": [1, 0, 0], "out_dir": str(tmp_path),
+        }))
+        derived, axes = manifest["derived"], manifest["spectrum_axes"]
+        assert derived["omega_si_hz"] == pytest.approx(omega_si_hz, abs=0.05)
+        axis = axes["omega1_rad_s"]
+        assert axes["omega3_rad_s"] == axis
+        step, start = axis["step"], axis["start"]
+        with open(tmp_path / "peaks.csv") as fh:
+            peaks = [(float(r["omega1_rad_s"]), float(r["omega3_rad_s"])) for r in csv.DictReader(fh)]
+        diagonal = np.array([w1 for w1, w3 in peaks if abs(w1 - w3) < 1.5 * step])
+        omega_si, delta_zz, omega_zz = (
+            2 * np.pi * derived[key] for key in ("omega_si_hz", "delta_omega_zz_hz", "omega_zz_hz")
+        )
+        rungs = -omega_zz - (delta_zz + np.arange(5) * omega_si)
+        folded = start + (rungs - start) % (axis["count"] * step)
+        misses = np.min(np.abs(diagonal[:, None] - folded), axis=0) / step
+        assert np.all(misses < 0.5), misses
 
 
 class TestNoiseTableScenario:
@@ -643,7 +680,7 @@ class TestManifest:
         grid = matio.read_matrix(tmp_path / "signal_grid.bin")
         from ionspec2d.protocol import grid_points
 
-        n = grid_points(cfg.t_max_s * cfg.grid_scale, cfg.dt_s)
+        n = grid_points(cfg.effective_t_max, cfg.dt_s)
         assert grid.shape == (n, n)
 
 
@@ -721,6 +758,14 @@ class TestMainEntry:
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text("{not json")
         assert main(["--config", str(cfg_path)]) == 2
+        assert f"error: cannot read config {cfg_path}: " in capsys.readouterr().err
+
+    def test_non_object_config_errors(self, tmp_path, capsys):
+        # build_config's own check, reached with the flags not merged in
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text("[1, 2]")
+        assert main(["--config", str(cfg_path), "--scenario", "tables"]) == 2
+        assert capsys.readouterr().err == "error: config must be a JSON object\n"
 
     @pytest.mark.parametrize("case", ["missing", "directory", "not_utf8"])
     def test_unreadable_config_errors(self, tmp_path, capsys, case):
@@ -730,7 +775,7 @@ class TestMainEntry:
         elif case == "not_utf8":
             cfg_path.write_bytes(b'{"scenario": "tables", "out_dir": "\xff"}')
         assert main(["--config", str(cfg_path)]) == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        assert capsys.readouterr().err.startswith(f"error: cannot read config {cfg_path}: ")
 
     def test_failing_run_exits_nonzero(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

@@ -71,9 +71,8 @@ class TestExpm:
         assert _relative_error(dynamics.expm(jordan), scipy_linalg.expm(jordan)) <= RTOL
 
     def test_every_resonance_block_map(self, resonance_data):
-        # the reference resonance model at the reference dt of the scenario,
-        # its real sector generators exponentiated as they are and as the
-        # step maps of the lines
+        # the reference resonance model at the reference dt of the scenario:
+        # each real sector generator's map, the step map of the lines
         omega_t = scenarios.resonance_parameters(resonance_data).omega_t
         model = scenarios.resonance_model(omega_t, dims=(9, 6), heating_quanta_per_s=(200.0, 100.0))
         dt = 10.6e-6
@@ -81,7 +80,6 @@ class TestExpm:
             step = dynamics.liouvillian(model, idx) * dt
             ref = scipy_linalg.expm(step)
             assert _relative_error(dynamics.expm(step), ref) <= RTOL
-            assert _relative_error(dynamics._step_map(model, idx, dt), ref) <= RTOL
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.25, 0.25j, 0.3 - 0.4j, 0.8 * np.exp(0.7j)])

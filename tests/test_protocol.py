@@ -65,6 +65,16 @@ class TestRunOnce:
 
 
 class TestPhaseCycle:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"amplitudes": (0.25,) * 3}, {"n_phases": (4, 4)}, {"signature": (1, -1)}, {"n_phases": (4, 4, 4, 4)}],
+    )
+    def test_sequence_refuses_a_wrong_count(self, kwargs):
+        # four amplitudes, and a phase count and a signature entry for each
+        # of pulses 2..4: anything else is refused when the sequence is made
+        with pytest.raises(ValueError, match="amplitudes|three entries"):
+            PulseSequence(**kwargs)
+
     def test_constant_signal_vanishes_for_nonzero_signature(self):
         raw = np.full((4, 4, 4), 2.7)
         assert abs(phase_cycle(raw, (1, -1, -1))) < 1e-14
@@ -368,8 +378,8 @@ class TestScanEngine:
         rates = tuple(1e3 * r for r in cfg.heating_quanta_per_ms)
         model = scenarios.resonance_model(omega_t, dims=dims, heating_quanta_per_s=rates)
         rho0 = scenarios.resonance_initial_state(dims, tuple(cfg.nbar))
-        seq, n, dt = cfg.sequence(), grid_points(cfg.t_max_s, cfg.dt_s), cfg.dt_s
-        grid = scan(model, rho0, seq, cfg.t_max_s, dt).values
+        seq, n, dt = cfg.sequence(), grid_points(cfg.effective_t_max, cfg.dt_s), cfg.dt_s
+        grid = scan(model, rho0, seq, cfg.effective_t_max, dt).values
 
         d, d_t = model.dim, dims[0]
         d1, cycled, observable = protocol._pulse_set(model, seq)
@@ -406,9 +416,11 @@ class TestScanEngine:
             dynamics.evolution_lines(model, rho0, observable, 4, 2e-5)
 
     def test_step_map_bound_covers_gather_and_expm(self):
-        # the one 144-entry block built by build_propagator: the dense
-        # gather's temporaries and expm's matrices stay within the bound
-        # that both build_propagator and the block path check
+        # build_propagator's one 144 x 144 map of this one-block model: the
+        # traced peak of the build, with the block that liouvillian scatters
+        # and the matrices expm works in, stays within the model-free
+        # _map_bytes(b); build_propagator and evolution_lines check the
+        # larger bound with the model, which adds the scatter's own memory
         model, _ = _driven_heated_exchange()
         tracemalloc.start()
         try:
@@ -641,9 +653,9 @@ class TestChiWeight:
         rates = tuple(1e3 * r for r in cfg.heating_quanta_per_ms)
         model = scenarios.resonance_model(omega_t, dims=dims, heating_quanta_per_s=rates)
         rho0 = scenarios.resonance_initial_state(dims, tuple(cfg.nbar))
-        plain = scan(model, rho0, cfg.sequence(), cfg.t_max_s, cfg.dt_s).values
+        plain = scan(model, rho0, cfg.sequence(), cfg.effective_t_max, cfg.dt_s).values
         split = scan(
-            model, rho0, cfg.sequence(), cfg.t_max_s, cfg.dt_s, chi=lambda tau: np.ones(tau.shape, dtype=complex)
+            model, rho0, cfg.sequence(), cfg.effective_t_max, cfg.dt_s, chi=lambda tau: np.ones(tau.shape, dtype=complex)
         ).values
         assert np.max(np.abs(split - plain)) <= 1e-13 * np.max(np.abs(plain))
 
@@ -806,8 +818,8 @@ class TestMemoryGuards:
         rates = tuple(1e3 * r for r in cfg.heating_quanta_per_ms)
         model = scenarios.resonance_model(omega_t, dims=dims, heating_quanta_per_s=rates)
         rho0 = scenarios.resonance_initial_state(dims, tuple(cfg.nbar))
-        seq, n = cfg.sequence(), grid_points(cfg.t_max_s, cfg.dt_s)
-        peak = _traced_peak(lambda: scan(model, rho0, seq, cfg.t_max_s, cfg.dt_s))
+        seq, n = cfg.sequence(), grid_points(cfg.effective_t_max, cfg.dt_s)
+        peak = _traced_peak(lambda: scan(model, rho0, seq, cfg.effective_t_max, cfg.dt_s))
         columns = protocol.sector_columns(scenarios.RESONANCE_CHARGE_WEIGHTS, dims, seq)
         charge = np.subtract.outer(model.charge, model.charge).ravel()
         kept = protocol._kept_sectors(model.charge_weights[0], seq)

@@ -157,7 +157,7 @@ class TestResonanceReference:
         cfg = build_config({"scenario": "resonance"})
         model = scenarios.resonance_model(2 * np.pi * derived["omega_t_hz"], cfg.dims, (200.0, 100.0))
         pred = scenarios.predicted_peaks(model, 2 * np.pi * derived["omega_zz_hz"], scenarios.RESONANCE_LETTERS)
-        n = grid_points(cfg.t_max_s, cfg.dt_s)
+        n = grid_points(cfg.effective_t_max, cfg.dt_s)
         assert n == 189
         bin_width = 2 * np.pi / (n * cfg.dt_s)
         # f and f' (1.1 % of max) are below the run's 0.05 peak threshold

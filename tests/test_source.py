@@ -5,7 +5,10 @@ function, class and constant of ``src/ionspec2d``, and every method of such
 a class, is referenced by its name, or as an attribute, somewhere in
 ``src/``.  A name that is only assigned is not a reference.  Class
 attributes are not checked: the benchmark under perfbench/ reads
-``Propagator.kind``, which nothing in ``src/`` reads.
+``Propagator.kind``, which nothing in ``src/`` reads.  A setting that
+nothing reads gets deleted too: every ``RunConfig`` field is read as an
+attribute somewhere in ``src/`` outside ``build_config``, which only
+validates it.
 """
 
 import ast
@@ -16,6 +19,9 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "ionspec2d"
 # tests call; they leave src/ once the benchmark stops naming them (ROADMAP
 # item 2)
 BENCHMARK_ONLY = {"protocol.run_once", "protocol.phase_cycle", "scenarios.kerr_scan_full", "matio.read_matrix"}
+# the two validated settings without an effect: the benchmark's workload
+# configs still pass them, and they go once it stops (ROADMAP item 2)
+UNREAD_FIELDS = {"seed", "threads"}
 
 
 def _dunder(name: str) -> bool:
@@ -51,3 +57,17 @@ def test_every_definition_is_referenced():
                 used.add(node.attr)
     unused = {qual for module, tree in trees.items() for qual, name in _definitions(module, tree) if name not in used}
     assert unused == BENCHMARK_ONLY
+
+
+def test_every_config_field_is_read():
+    tops = [node for path in sorted(SRC.glob("*.py")) for node in ast.parse(path.read_text(encoding="utf-8")).body]
+    config = next(node for node in tops if isinstance(node, ast.ClassDef) and node.name == "RunConfig")
+    fields = {item.target.id for item in config.body if isinstance(item, ast.AnnAssign)}
+    read = {
+        node.attr
+        for top in tops
+        if not (isinstance(top, ast.FunctionDef) and top.name == "build_config")
+        for node in ast.walk(top)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    assert fields - read == UNREAD_FIELDS
