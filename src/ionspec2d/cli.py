@@ -30,7 +30,8 @@ an invalid configuration with ConfigError (exit 2) before any work starts,
 a stage past the memory budget included: the coupling tensors of the ion
 number, the scan (the columns of its kept charge sectors, its largest
 sector's step map and its phase-cycle stacks) and the zero-padded
-spectrum.  ``main`` prints every ConfigError, an unreadable or invalid
+spectrum.  The pulse sequence (``RunConfig.sequence``) checks its own
+settings when ``build_config`` builds it.  ``main`` prints every ConfigError, an unreadable or invalid
 config file's included, from one handler and exits with 2.  Every run,
 successful or not, leaves a manifest.json with the resolved
 configuration, derived parameters, regime diagnostics (the RWA ratio of
@@ -103,9 +104,9 @@ class RunConfig:
     dims: tuple[int, ...] = (9, 15, 15)
     nbar: tuple[float, ...] = (1.0, 4.0, 4.0)
     heating_quanta_per_ms: tuple[float, ...] = (0.0, 0.0)
-    alpha: float = 0.25
-    n_phases: tuple[int, int, int] = (4, 4, 4)
-    signature: tuple[int, int, int] = (1, -1, -1)
+    alpha: float = protocol.PulseSequence.alpha
+    n_phases: tuple[int, int, int] = protocol.PulseSequence.n_phases
+    signature: tuple[int, int, int] = protocol.PulseSequence.signature
     dt_s: float = 25.3e-6
     grid_scale: float = 1.0
     seed: int = 0
@@ -130,9 +131,7 @@ class RunConfig:
 
     def sequence(self) -> protocol.PulseSequence:
         return protocol.PulseSequence(
-            amplitudes=(self.alpha,) * 4,
-            n_phases=tuple(self.n_phases),
-            signature=tuple(self.signature),
+            alpha=self.alpha, n_phases=tuple(self.n_phases), signature=tuple(self.signature)
         )
 
     @property
@@ -219,10 +218,10 @@ def build_config(raw: dict) -> RunConfig:
         raise ConfigError("peak_threshold must be in (0, 1)")
     if cfg.window not in ("none", "cosine"):
         raise ConfigError("window must be 'none' or 'cosine'")
-    if len(cfg.n_phases) != 3 or len(cfg.signature) != 3:
-        raise ConfigError("n_phases and signature need three entries, for pulses 2..4")
-    if min(cfg.n_phases) < 1:
-        raise ConfigError("n_phases must be >= 1")
+    try:  # the sequence checks its own phase counts and signature
+        seq = cfg.sequence()
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     # kerr models a zigzag crystal of at least three ions; one ion has no zigzag
     min_ions = {"noise-table": 0, "kerr": 3}.get(cfg.scenario, 2)
     if cfg.n_ions < min_ions:
@@ -266,9 +265,6 @@ def build_config(raw: dict) -> RunConfig:
             # the scan's own guard, before any operator is built; kerr
             # scans the zigzag alone, and the pulses drive slot 0 (the
             # protocol's probed mode)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")  # the run warns when it builds the sequence
-                seq = cfg.sequence()
             if cfg.scenario == "kerr":
                 protocol.check_scan_budget((1,), cfg.dims[:1], n, seq, chi=True)
             else:

@@ -493,12 +493,11 @@ def heating_dissipator(slot: int, rate_ndot: float, dims: tuple[int, ...]) -> li
     ``dims``: sqrt(ndot) a and sqrt(ndot) a+.
 
     Both jump directions at the same rate give d<n>/dt = ndot independent of
-    the occupation, i.e. the mean phonon number grows linearly.
+    the occupation, i.e. the mean phonon number grows linearly.  A zero rate
+    gives two jumps of rate 0, which ``LindbladModel.generator`` drops.
     """
     if rate_ndot < 0:
         raise ValueError("heating rate must be >= 0")
-    if rate_ndot == 0:
-        return []
     a = embed(destroy(dims[slot]), slot, dims)
     return [(a, rate_ndot), (a.conj().T, rate_ndot)]
 

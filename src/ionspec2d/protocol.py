@@ -3,11 +3,15 @@
 The sequence is pulse 1 (phase reference, phi_1 = 0), free evolution t1,
 pulses 2 and 3 back to back, free evolution t3, pulse 4, then a measurement
 of the probed mode's population.  The probed mode is register slot 0: all
-four pulses displace it and the readout counts its quanta, and every model
-puts the mode it probes there (the zigzag, in both scenarios).  Repeating
-over a uniform grid of pulse phases and Fourier-extracting a chosen integer
-phase signature isolates the coherence-transfer pathways of interest; for a
-strictly harmonic model the (1,-1,-1) signature vanishes identically.
+four pulses displace it by the one amplitude |alpha| and the readout counts
+its quanta, and every model puts the mode it probes there (the zigzag, in
+both scenarios).  A ``PulseSequence`` is the amplitude, the phase counts and
+the signature, nothing else.  Repeating over a uniform grid of pulse phases
+and Fourier-extracting a chosen integer phase signature isolates the
+coherence-transfer pathways of interest; for a strictly harmonic model the
+(1,-1,-1) signature vanishes identically.  Orders congruent to the
+signature modulo the phase counts alias onto it, and ``scan`` warns when a
+count is too small for its signature component.
 
 Phase cycling is a linear filter (H.-S. Tan, J. Chem. Phys. 129, 124501
 (2008)), so ``scan`` applies the Fourier weights to the pulses and the
@@ -34,38 +38,32 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import IMAG_TOL, LindbladModel, SignalRealityError  # noqa: F401  (re-exported)
+from .dynamics import IMAG_TOL, LindbladModel, SignalRealityError
 from .dynamics import _check_budget, _in_class, _map_bytes, _mode_sum, build_propagator, evolution_lines
 from .fock import displacement, embed
 
 
 @dataclass(frozen=True)
 class PulseSequence:
-    """Amplitudes |alpha_k|, phase-cycle counts, and the target signature.
+    """A run's three pulse settings: the displacement amplitude |alpha| of
+    all four pulses, the phase-cycle counts N_k and the target signature.
 
     ``n_phases`` and ``signature`` refer to pulses 2..4; the first pulse sets
     the phase reference.  Every pulse drives, and the readout measures, the
-    probed mode, register slot 0.
+    probed mode, register slot 0.  A phase count too small for its
+    signature component aliases other orders onto the target, which
+    ``scan``, the code that cycles the phases, warns of.
     """
 
-    amplitudes: tuple[float, float, float, float] = (0.25, 0.25, 0.25, 0.25)
+    alpha: float = 0.25
     n_phases: tuple[int, int, int] = (4, 4, 4)
     signature: tuple[int, int, int] = (1, -1, -1)
 
     def __post_init__(self):
-        if len(self.amplitudes) != 4:
-            raise ValueError("exactly four pulse amplitudes required")
         if len(self.n_phases) != 3 or len(self.signature) != 3:
             raise ValueError("n_phases and signature need three entries, for pulses 2..4")
         if any(n < 1 for n in self.n_phases):
-            raise ValueError("phase counts must be >= 1")
-        for n, q in zip(self.n_phases, self.signature):
-            if n < abs(q) + 2:
-                warnings.warn(
-                    f"N_phi = {n} is small for signature component {q}; "
-                    "aliasing orders overlap the target",
-                    stacklevel=2,
-                )
+            raise ValueError("n_phases must be >= 1")
 
     def phase_grid(self, k: int) -> np.ndarray:
         """Uniform phases 2*pi*j/N for pulse k (k = 2, 3, 4)."""
@@ -89,22 +87,9 @@ class SignalGrid:
             raise ValueError("signal grid contains non-finite values")
 
 
-def pulse_operator(model: LindbladModel, seq: PulseSequence, k: int, phase: float) -> np.ndarray:
-    """Embedded displacement operator for pulse k at the given phase."""
-    alpha = seq.amplitudes[k - 1] * np.exp(1j * phase)
-    return embed(displacement(alpha, model.dims[0]), 0, model.dims)
-
-
-def measurement_operator(model: LindbladModel) -> np.ndarray:
-    return embed(np.diag(np.arange(model.dims[0])), 0, model.dims)
-
-
-def _real_signal(value: complex) -> float:
-    if abs(value.imag) > IMAG_TOL * max(1.0, abs(value.real)):
-        raise SignalRealityError(
-            f"imaginary residual {value.imag:.3e} on signal {value.real:.3e}"
-        )
-    return float(value.real)
+def pulse_operator(model: LindbladModel, seq: PulseSequence, phase: float) -> np.ndarray:
+    """Embedded displacement operator of a pulse at the given phase."""
+    return embed(displacement(seq.alpha * np.exp(1j * phase), model.dims[0]), 0, model.dims)
 
 
 def run_once(
@@ -136,19 +121,18 @@ def run_once(
         rho = cache[key].apply(rho)
         return 0.5 * (rho + rho.conj().T)
 
-    d1 = pulse_operator(model, seq, 1, 0.0)
-    d2 = pulse_operator(model, seq, 2, phases[0])
-    d3 = pulse_operator(model, seq, 3, phases[1])
-    d4 = pulse_operator(model, seq, 4, phases[2])
-    m = measurement_operator(model)
-
+    d1, d2, d3, d4 = (pulse_operator(model, seq, phase) for phase in (0.0, *phases))
     rho = d1 @ rho0 @ d1.conj().T
     rho = free(rho, t1)
     d32 = d3 @ d2
     rho = d32 @ rho @ d32.conj().T
     rho = free(rho, t3)
     rho = d4 @ rho @ d4.conj().T
-    return _real_signal(complex(np.trace(m @ rho)))
+    # the readout: the probed mode's population, slot 0's quanta
+    signal = complex(np.trace(embed(np.diag(np.arange(model.dims[0])), 0, model.dims) @ rho))
+    if abs(signal.imag) > IMAG_TOL * max(1.0, abs(signal.real)):
+        raise SignalRealityError(f"imaginary residual {signal.imag:.3e} on signal {signal.real:.3e}")
+    return float(signal.real)
 
 
 def _cycle_weights(signature, n_phases) -> list[np.ndarray]:
@@ -247,12 +231,12 @@ def _pulse_set(model: LindbladModel, seq: PulseSequence) -> tuple[np.ndarray, ..
     sum w2 w3 D32 rho D32^+ (d_t^2 x d_t^2); and the pre-cycled observable
     A = sum w4 D4^+ M D4, embedded, one complex (d, d) matrix.
     """
-    d1 = pulse_operator(model, seq, 1, 0.0)
+    d1 = pulse_operator(model, seq, 0.0)
     dim = model.dims[0]
     w2, w3, w4 = _cycle_weights(seq.signature, seq.n_phases)
 
     def kicks(k: int) -> np.ndarray:  # pulse k's displacement at each phase, (N_k, d, d)
-        return displacement(seq.amplitudes[k - 1] * np.exp(1j * seq.phase_grid(k)), dim)
+        return displacement(seq.alpha * np.exp(1j * seq.phase_grid(k)), dim)
 
     # K32 over (pulse-2 phase, pulse-3 phase) as rows of (i, k) entries:
     # sum w K32[i, k] conj(K32[j, l]) in one product, reordered to (i j, k l)
@@ -304,7 +288,9 @@ def scan(
     signals, so s(k1, k3) = tr[A(k3) S(k1)] with the pre-cycled state
     S = sum w2 w3 D32 rho D32^+ and observable A = sum w4 A_j4
     (``_pulse_set``): only a finite sum is reordered, so the phase-cycle
-    aliasing is the experiment's.
+    aliasing is the experiment's.  A scan first warns of it for each pulse
+    whose phase count N_k is below |q_k| + 2, too few to keep the orders
+    near its signature component q_k off the target.
 
     Only the sectors c = Q_ket - Q_bra of the charge the model declares by
     its per-mode weights that the phase cycle keeps reach the signal
@@ -335,6 +321,12 @@ def scan(
     it is added to the grid.  Without chi every charge is one group and no
     block is scaled.
     """
+    for n_k, q in zip(seq.n_phases, seq.signature):
+        if n_k < abs(q) + 2:
+            warnings.warn(
+                f"N_phi = {n_k} is small for signature component {q}; aliasing orders overlap the target",
+                stacklevel=2,
+            )
     n, d, d_t = grid_points(t_max, dt), model.dim, model.dims[0]
     check_scan_budget(model.charge_weights, model.dims, n, seq, chi is not None)
     d1, cycled, observable = _pulse_set(model, seq)

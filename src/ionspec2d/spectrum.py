@@ -108,7 +108,7 @@ def project_1d(spec: Spectrum2D, axis: str) -> np.ndarray:
     return spec.values.mean(axis=1 if axis == "omega1" else 0)
 
 
-def find_peaks(spec: Spectrum2D, threshold: float = 0.1) -> list[Peak]:
+def find_peaks(spec: Spectrum2D, threshold: float) -> list[Peak]:
     """Local maxima above threshold * max, centroid-refined on 3x3 patches
     in bins of 2 pi / (m dt) on each axis, largest first.  A maximum
     exceeds its 4 neighbours earlier in raster order and is >= the 4 later

@@ -22,8 +22,9 @@ one, the matrices whose eigenvalues ``crystal.normal_modes`` writes in
 closed form.  ``exact_zigzag_ladder`` diagonalizes the cubic and quartic
 zigzag Hamiltonian exactly, the reference of the perturbative Omega_SI.
 ``critical_anisotropy`` (the zigzag threshold), ``mode_operators`` (the
-ladder and number operators of one mode) and ``fwhm`` (a peak's half-height
-width along one axis) are references that no module of the package calls.
+ladder and number operators of one mode), ``fwhm`` (a peak's half-height
+width along one axis) and ``tilt`` (how far a peak leans along the
+diagonal) are references that no module of the package calls.
 ``WienerPhaseModel``, ``sample_paths`` and ``monte_carlo_loss`` draw the
 laser phase as a Wiener process, the Monte Carlo reference of the exact
 attenuation ``phasenoise.attenuation``.
@@ -183,7 +184,7 @@ def cycled_pair(seq: protocol.PulseSequence, dim: int) -> np.ndarray:
     """sum w2 w3 K32 kron conj(K32), K32 = K3 K2, one phase pair at a time."""
     w2, w3, _ = protocol._cycle_weights(seq.signature, seq.n_phases)
     kicks = [
-        [fock.displacement(seq.amplitudes[k - 1] * np.exp(1j * p), dim) for p in seq.phase_grid(k)]
+        [fock.displacement(seq.alpha * np.exp(1j * p), dim) for p in seq.phase_grid(k)]
         for k in (2, 3)
     ]
     out = np.zeros((dim * dim, dim * dim), dtype=complex)
@@ -385,6 +386,21 @@ def fwhm(spec: spectrum.Spectrum2D, peak: spectrum.Peak, axis: str) -> float:
         return coords[k] + frac * (coords[k + direction] - coords[k])
 
     return float(abs(cross(+1) - cross(-1)))
+
+
+def tilt(spec: spectrum.Spectrum2D, half: int) -> float:
+    """Correlation coefficient of the omega1 and omega3 bin offsets under
+    the weight |S|^2 in a window of +-``half`` of the spectrum's bins
+    around its strongest bin (clipped at the edges): near 1 for a peak
+    stretched along the diagonal, the inhomogeneous broadening of a static
+    shift distribution, and near 0 for a round one."""
+    power = spec.magnitude**2
+    i, j = np.unravel_index(np.argmax(power), power.shape)
+    w = power[max(i - half, 0) : i + half + 1, max(j - half, 0) : j + half + 1]
+    w = w / w.sum()
+    rows, cols = np.indices(w.shape)
+    dr, dc = rows - np.sum(w * rows), cols - np.sum(w * cols)
+    return float(np.sum(w * dr * dc) / np.sqrt(np.sum(w * dr**2) * np.sum(w * dc**2)))
 
 
 @dataclass(frozen=True)

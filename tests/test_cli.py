@@ -259,6 +259,9 @@ class TestConfigValidation:
             ({"scenario": "tables", "n_ions": 100, "omega_x_hz": 2e8, "omega_y_hz": 2.2e8}, "budget"),
             ({"scenario": "kerr", "n_ions": 100, "omega_x_hz": 2e8, "omega_y_hz": 2.2e8}, "budget"),
             ({"scenario": "kerr", "grid_scale": float("inf")}, "grid_scale"),
+            # the pulse sequence is checked for every scenario, those without a scan too
+            ({"scenario": "tables", "n_phases": [4, 4]}, "n_phases"),
+            ({"scenario": "noise-table", "n_phases": [0, 4, 4]}, "n_phases"),
         ],
     )
     def test_rejected_before_any_work(self, raw, match, tmp_path, capsys):
@@ -272,8 +275,8 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("scenario", ["kerr", "resonance"])
     def test_budget_check_does_not_warn(self, scenario):
-        # the guard builds the pulse sequence; its small-N_phi warning is
-        # raised by the run, into the manifest, not by build_config
+        # build_config checks the pulse sequence and the scan's budget; the
+        # small-N_phi warning comes from the run's scan, into the manifest
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert build_config({"scenario": scenario, "n_phases": [2, 2, 2]}).n_phases == (2, 2, 2)

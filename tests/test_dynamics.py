@@ -81,8 +81,13 @@ class TestFreeEvolution:
 
 
 class TestHeating:
-    def test_zero_rate_empty(self):
-        assert heating_dissipator(0, 0.0, (5,)) == []
+    def test_zero_rate_adds_no_jump(self):
+        # a zero rate gives two jumps of rate 0, which the generator drops
+        dims = (5,)
+        model = LindbladModel(
+            hamiltonian=np.zeros((5, 5), dtype=complex), collapse_ops=heating_dissipator(0, 0.0, dims), dims=dims
+        )
+        assert model.generator[1] == []
 
     def test_linear_phonon_growth(self):
         # rate equation: nbar(t) = nbar0 + ndot t, independent of nbar

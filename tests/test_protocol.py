@@ -40,7 +40,7 @@ class TestRunOnce:
         model = _free_mode(8)
         rho0 = thermal_state(0.9, 8)
         nbar = float(np.real(np.trace(np.diag(np.arange(8)) @ rho0)))
-        seq = PulseSequence(amplitudes=(0.0,) * 4)
+        seq = PulseSequence(alpha=0.0)
         cache = {}
         for t1, t3 in ((0.0, 0.0), (3e-5, 0.0), (2e-5, 7e-5)):
             s = run_once(model, rho0, seq, t1, t3, (0.3, 1.1, 2.0), prop_cache=cache)
@@ -50,8 +50,10 @@ class TestRunOnce:
         model = _free_mode(12)
         rho0 = np.zeros((12, 12), dtype=complex)
         rho0[0, 0] = 1.0
-        seq = PulseSequence(amplitudes=(0.25, 0.0, 0.0, 0.0))
-        s = run_once(model, rho0, seq, 0.0, 0.0, (0.0, 0.0, 0.0))
+        # pulses 2..4 at phases 0, 2 pi/3, 4 pi/3 displace by alpha times
+        # 1 + exp(2 pi i/3) + exp(4 pi i/3) = 0: only pulse 1's remains
+        seq = PulseSequence(alpha=0.25)
+        s = run_once(model, rho0, seq, 0.0, 0.0, (0.0, TWO_PI / 3, 2 * TWO_PI / 3))
         assert s == pytest.approx(0.0625, abs=1e-10)
 
     def test_imaginary_residual_raises(self):
@@ -59,7 +61,7 @@ class TestRunOnce:
         rho_bad = np.zeros((6, 6), dtype=complex)
         rho_bad[0, 0] = 1.0
         rho_bad[0, 1] = 1j  # not Hermitian: trace picks up an imaginary part
-        seq = PulseSequence(amplitudes=(0.25, 0.25, 0.25, 0.25))
+        seq = PulseSequence(alpha=0.25)
         with pytest.raises(SignalRealityError):
             run_once(model, rho_bad, seq, 0.0, 0.0, (0.5, 0.5, 0.5))
 
@@ -67,13 +69,21 @@ class TestRunOnce:
 class TestPhaseCycle:
     @pytest.mark.parametrize(
         "kwargs",
-        [{"amplitudes": (0.25,) * 3}, {"n_phases": (4, 4)}, {"signature": (1, -1)}, {"n_phases": (4, 4, 4, 4)}],
+        [{"n_phases": (4, 4)}, {"signature": (1, -1)}, {"n_phases": (4, 4, 4, 4)}, {"signature": (1, -1, -1, 1)}],
     )
     def test_sequence_refuses_a_wrong_count(self, kwargs):
-        # four amplitudes, and a phase count and a signature entry for each
-        # of pulses 2..4: anything else is refused when the sequence is made
-        with pytest.raises(ValueError, match="amplitudes|three entries"):
+        # a phase count and a signature entry for each of pulses 2..4:
+        # anything else is refused when the sequence is made
+        with pytest.raises(ValueError, match="three entries"):
             PulseSequence(**kwargs)
+
+    def test_scan_warns_of_aliasing_once_per_small_count(self):
+        # the sequence is built silently; the scan, the code that cycles
+        # the phases, warns for pulse 2's two phases alone
+        seq = PulseSequence(n_phases=(2, 4, 4))
+        with pytest.warns(UserWarning, match="aliasing") as record:
+            scan(_free_mode(4), thermal_state(0.5, 4), seq, t_max=1e-5, dt=1e-5)
+        assert len(record) == 1
 
     def test_constant_signal_vanishes_for_nonzero_signature(self):
         raw = np.full((4, 4, 4), 2.7)
@@ -184,10 +194,10 @@ class TestGrid:
     def test_scan_consistent_with_run_once(self):
         model = _free_mode(7, omega=TWO_PI * 30e3)
         rho0 = thermal_state(0.5, 7)
-        with pytest.warns(UserWarning, match="aliasing"):
-            seq = PulseSequence(n_phases=(2, 2, 2))
+        seq = PulseSequence(n_phases=(2, 2, 2))
         dt = 1e-5
-        grid = scan(model, rho0, seq, t_max=2 * dt, dt=dt)
+        with pytest.warns(UserWarning, match="aliasing"):
+            grid = scan(model, rho0, seq, t_max=2 * dt, dt=dt)
         assert grid.values.shape == (3, 3)
         # rebuild s(0, dt) by direct protocol executions over all phase tuples
         cache = {}
@@ -671,9 +681,7 @@ class TestChargeSectors:
         # every c = Q_i - Q_j of the product basis counted, zero and
         # negative weights included, against the counter of the weights
         dims, weights = (tuple(x) for x in zip(*modes))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # a small N_phi warns of aliasing
-            seq = PulseSequence(n_phases=n_phases, signature=signature)
+        seq = PulseSequence(n_phases=n_phases, signature=signature)
         charge = np.tensordot(weights, np.indices(dims).reshape(len(dims), -1), 1)
         model = LindbladModel(hamiltonian=np.zeros((charge.size,) * 2), dims=dims, charge_weights=weights)
         assert np.array_equal(model.charge, charge)
@@ -892,9 +900,7 @@ class TestMemoryGuards:
         # generator -iH = B, the float64 maps of resonance, which keeps an
         # uncharged 25-level register (one 625-entry sector) fast
         dims, weights = (tuple(x) for x in zip(*modes))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # a small N_phi warns of aliasing
-            seq = PulseSequence(n_phases=n_phases, signature=signature)
+        seq = PulseSequence(n_phases=n_phases, signature=signature)
         charge = dynamics._mode_sum(weights, dims)
         b = np.random.default_rng(seed).normal(size=(charge.size,) * 2)
         h = TWO_PI * 1e3j * (b - b.T) * (np.subtract.outer(charge, charge) == 0)
@@ -903,7 +909,8 @@ class TestMemoryGuards:
         chi = None if shift is None else (lambda tau: np.exp(-1j * shift * tau))
         needs = []
         exact = protocol._check_budget
-        with pytest.MonkeyPatch.context() as patch:
+        with pytest.MonkeyPatch.context() as patch, warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # a small N_phi warns of aliasing
             patch.setattr(protocol, "_check_budget", lambda need, what: needs.append(need) or exact(need, what))
             peak = _traced_peak(lambda: scan(model, rho0, seq, (n - 1) * 2e-5, 2e-5, chi=chi))
         assert peak <= max(needs)

@@ -4,13 +4,13 @@ import dataclasses
 import numpy as np
 import pytest
 
-from ionspec2d import dynamics, fock, matio, protocol, scenarios
+from ionspec2d import dynamics, fock, matio, protocol, scenarios, spectrum
 from ionspec2d.cli import build_config, run_scenario
 from ionspec2d.dynamics import LindbladModel, PropagatorSizeError
 from ionspec2d.fock import thermal_state
 from ionspec2d.protocol import PulseSequence, SignalRealityError, grid_points, scan
 from ionspec2d.spectrum import Peak, Spectrum2D, find_peaks
-from oracles import resonant_manifolds
+from oracles import fwhm, resonant_manifolds, tilt
 from test_protocol import ASYMMETRIC, _heated_exchange
 
 OMEGA_ZZ = 2 * np.pi * 130e3
@@ -204,6 +204,51 @@ class TestResonanceReference:
 # anisotropy 1e-4 above the three-ion resonance 20/63: 2 omega_zz - omega_str
 # is -2291.5 Hz, 0.39 Omega_T, which the exchange model omits
 DETUNED_OMEGA_X_HZ = 2.0e6 / np.sqrt(20.0 / 63.0 + 1e-4)
+
+
+class TestDecoherenceSignatures:
+    """The paper's reading of the decoherence channels from the 2D peak
+    shapes (ROADMAP item 8): a static spread of shifts, the kerr
+    spectators' dephasing, stretches the strongest peak along the diagonal;
+    heating widens it round; laser phase noise at 300 rad^2/s costs
+    contrast, not shape.  The reference widths are near one grid bin, so
+    every run is read at ``zero_pad`` 2: widths (``oracles.fwhm`` through
+    the strongest peak) in padded bins, the tilt (``oracles.tilt``) in a
+    window of +-6 grid bins."""
+
+    ZERO_PAD = 2
+
+    def _shape(self, tmp_path, monkeypatch, **raw) -> tuple[float, float, float]:
+        """(tilt, omega1 width, omega3 width) of the run's final spectrum."""
+        seen = []
+        find_peaks = spectrum.find_peaks
+        monkeypatch.setattr(spectrum, "find_peaks", lambda spec, **kw: seen.append(spec) or find_peaks(spec, **kw))
+        run_scenario(build_config(dict(raw, zero_pad=self.ZERO_PAD, out_dir=str(tmp_path))))
+        monkeypatch.undo()
+        (spec,) = seen
+        strongest = find_peaks(spec, threshold=0.05)[0]
+        widths = (fwhm(spec, strongest, axis) / spec.bin_width for axis in ("omega1", "omega3"))
+        return (tilt(spec, 6 * self.ZERO_PAD), *widths)
+
+    def test_spectators_tilt_the_kerr_peak(self, tmp_path, monkeypatch):
+        # 0.70 with the reference spectators (nbar 4), 0.004 without
+        assert self._shape(tmp_path / "a", monkeypatch, scenario="kerr")[0] > 0.5
+        assert abs(self._shape(tmp_path / "b", monkeypatch, scenario="kerr", nbar=[1, 0, 0])[0]) < 0.1
+
+    def test_heating_widens_the_resonance_peak_round(self, tmp_path, monkeypatch):
+        # 2.43 padded bins on both axes heating-free; 11.3 and 11.7 with
+        # heating (2.0, 1.0) quanta/ms, at tilt 0.034
+        _, *free = self._shape(tmp_path / "a", monkeypatch, scenario="resonance", heating_quanta_per_ms=[0, 0])
+        lean, *heated = self._shape(tmp_path / "b", monkeypatch, scenario="resonance", heating_quanta_per_ms=[2, 1])
+        assert all(w > 3 * w0 for w, w0 in zip(heated, free))
+        assert abs(lean) < 0.1
+
+    def test_phase_noise_keeps_the_resonance_width(self, tmp_path, monkeypatch):
+        # 2.43 against 2.47 padded bins: a contrast loss, not a shape
+        raw = {"scenario": "resonance", "heating_quanta_per_ms": [0, 0]}
+        _, *free = self._shape(tmp_path / "a", monkeypatch, **raw)
+        _, *noisy = self._shape(tmp_path / "b", monkeypatch, **raw, phase_noise_diffusion=300.0)
+        assert noisy == pytest.approx(free, rel=0.05)
 
 
 class TestDetuningGuard:

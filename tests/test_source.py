@@ -8,7 +8,9 @@ attributes are not checked: the benchmark under perfbench/ reads
 ``Propagator.kind``, which nothing in ``src/`` reads.  A setting that
 nothing reads gets deleted too: every ``RunConfig`` field is read as an
 attribute somewhere in ``src/`` outside ``build_config``, which only
-validates it.
+validates it.  And no module of ``src/`` silences a warning: a run's
+manifest holds every warning the run raises (ROADMAP aim 4), and an
+ignored one never reaches it.
 """
 
 import ast
@@ -71,3 +73,20 @@ def test_every_config_field_is_read():
         if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
     }
     assert fields - read == UNREAD_FIELDS
+
+
+def test_no_warning_is_silenced():
+    # warnings.simplefilter("ignore") or warnings.filterwarnings("ignore", ...),
+    # the action given by position or by keyword
+    silenced = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            name = node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", None)
+            actions = node.args[:1] + [k.value for k in node.keywords if k.arg == "action"]
+            if name in ("simplefilter", "filterwarnings") and any(
+                isinstance(a, ast.Constant) and a.value == "ignore" for a in actions
+            ):
+                silenced.append(f"{path.name}:{node.lineno}")
+    assert silenced == []

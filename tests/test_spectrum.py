@@ -88,7 +88,7 @@ class TestFFT2:
         assert spec.omega1.tolist() == spec.omega3.tolist() == [-TWO_PI * 1e5]
         assert spec.values[0, 0] == grid.values[0, 0]
         assert spec.bin_width == TWO_PI / dt
-        [peak] = find_peaks(spec)
+        [peak] = find_peaks(spec, threshold=0.1)
         assert (peak.omega1, peak.omega3, peak.magnitude) == (-TWO_PI * 1e5, -TWO_PI * 1e5, abs(grid.values[0, 0]))
 
     def test_unequal_sides_share_the_step(self):
