@@ -74,11 +74,12 @@ def thermal_sum(nbar: float, dim: int, phase: float | np.ndarray = 0.0) -> compl
     The closed form r (1 - q^D e^(-i D phase)) / (1 - q e^(-i phase)) is
     written as r (W - q^D expm1(-i D phase)) / (r - q expm1(-i phase)),
     with W = 1 - q^D = -expm1(D log1p(-r)): no term cancels, so the sum
-    stays accurate where q rounds to 1 (nbar >= 1e16), and nbar = 0 gives
-    exactly 1 (log q = -inf, q^D = 0).  The cost does not depend on D.
+    stays accurate where q rounds to 1 (nbar >= 1e16), and r = 1 (nbar = 0,
+    or nbar so small that 1 + nbar rounds to 1) gives exactly 1
+    (log q = -inf, q^D = 0).  The cost does not depend on D.
     """
     r = 1.0 / (1.0 + nbar)
-    log_q = np.log1p(-r) if nbar else -np.inf  # log1p(-1) would warn
+    log_q = np.log1p(-r) if r < 1.0 else -np.inf  # log1p(-1) would warn
     kept, q_dim = -np.expm1(dim * log_q), np.exp(dim * log_q)
     return r * (kept - q_dim * np.expm1(-1j * dim * phase)) / (r - (1.0 - r) * np.expm1(-1j * phase))
 

@@ -652,6 +652,20 @@ class TestManifest:
         assert manifest["status"] == "ok"
         assert manifest["truncation"]["kept_weight"]["yzz"] == pytest.approx(15 / (1 + 1e17), rel=1e-9)
 
+    def test_tiny_spectator_nbar_runs_as_zero(self, tmp_path):
+        # 1 + 1e-17 rounds to 1, so r = 1: the thermal sums are those of
+        # nbar = 0, with no log1p(-1) and no divide-by-zero warning
+        runs = [
+            run_scenario(build_config(
+                {"scenario": "kerr", "nbar": [1.0, nbar, 4.0], "grid_scale": 0.1, "out_dir": str(tmp_path / name)}
+            ))
+            for name, nbar in (("tiny", 1e-17), ("zero", 0.0))
+        ]
+        assert runs[0]["warnings"] == []
+        assert runs[0]["truncation"] == runs[1]["truncation"]
+        tiny, zero = (matio.read_matrix(tmp_path / name / "signal_grid.bin") for name in ("tiny", "zero"))
+        assert np.array_equal(tiny, zero)
+
     def test_huge_spectator_dim_runs(self, tmp_path):
         # the chi weight and the kept weight are closed forms, so a kerr run
         # never holds a spectator's levels
@@ -836,6 +850,30 @@ class TestPhaseNoiseAttenuation:
         loss = 0.5 * 2000.0 * ((q[0] + q[1] + q[2]) ** 2 * t1 + q[2] ** 2 * t3)
         assert loss.max() == pytest.approx(4.0, rel=0.02)
         np.testing.assert_allclose(noisy, clean * np.exp(-loss), rtol=1e-12, atol=1e-18)
+
+    def test_resonance_peaks_lose_the_grid_mean_attenuation(self, tmp_path):
+        # heating-free reference resonance: the six strongest peaks keep
+        # 0.740-0.746 of their magnitude under 300 rad^2/s, and exp(-L)
+        # averages 0.747 over the grid
+        peaks = {}
+        for name, diffusion in (("clean", 0.0), ("noisy", 300.0)):
+            cfg = build_config(
+                {"scenario": "resonance", "heating_quanta_per_ms": [0, 0],
+                 "phase_noise_diffusion": diffusion, "out_dir": str(tmp_path / name)}
+            )
+            run_scenario(cfg)
+            with open(tmp_path / name / "peaks.csv", newline="") as fh:
+                peaks[name] = list(csv.DictReader(fh))
+        noisy = {}
+        for row in peaks["noisy"]:  # strongest first: keep each label's first
+            noisy.setdefault(row["label"], float(row["magnitude"]))
+        strongest = peaks["clean"][:6]
+        assert all(row["label"] for row in strongest)
+        ratios = [noisy[row["label"]] / float(row["magnitude"]) for row in strongest]
+        t = np.arange(matio.read_matrix(tmp_path / "clean" / "signal_grid.bin").shape[0]) * cfg.dt_s
+        mean = phasenoise.attenuation(cfg.signature, t[:, None], t, 300.0).mean()
+        assert mean == pytest.approx(0.747, abs=5e-4)
+        assert ratios == pytest.approx([mean] * 6, rel=0.015)
 
 
 # run in a fresh interpreter, since the suite itself imports scipy and

@@ -3,9 +3,11 @@ import pytest
 from scipy import constants, optimize
 
 from ionspec2d import crystal
+from ionspec2d.cli import ConfigError, build_config
 from ionspec2d.crystal import (
     ChainUnstableError,
     DegenerateModesError,
+    EquilibriumSolveError,
     TrapConfig,
     axial_gradient,
     length_scale,
@@ -54,6 +56,30 @@ class TestEquilibrium:
         assert np.max(np.abs(axial_gradient(u))) < 1e-12
         assert np.max(np.abs(u + u[::-1])) < 1e-12
         assert np.all(np.diff(u) > 0) or n == 1
+
+    def test_every_chain_the_tables_budget_admits_solves(self):
+        # up to the largest n_ions build_config admits to tables (67 with
+        # the coupling-tensor budget of 6 GiB); the gradient's rounding
+        # floor passes _NEWTON_TOL = 1e-13 from N = 56 on
+        n_max = 2
+        with pytest.raises(ConfigError, match="coupling tensors"):
+            while build_config({"scenario": "tables", "n_ions": n_max + 1}):
+                n_max += 1
+        assert n_max >= 56
+        for n in range(1, n_max + 1):
+            u = solve_equilibrium(n)
+            d = np.diff(u)
+            assert np.array_equal(u, -u[::-1]), n
+            assert np.all(d > 0), n
+            bound = 1e-12 * np.max(1.0 / d**2, initial=1.0)
+            assert np.max(np.abs(axial_gradient(u))) <= bound, n
+
+    def test_unconverged_chain_raises(self, monkeypatch):
+        # one Newton step from the uniform start leaves a residual far
+        # above the bound
+        monkeypatch.setattr(crystal, "_NEWTON_MAX_ITER", 1)
+        with pytest.raises(EquilibriumSolveError, match="N=5: residual"):
+            solve_equilibrium(5)
 
 
 class TestLengthScale:
