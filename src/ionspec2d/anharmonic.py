@@ -22,8 +22,8 @@ numbering ("x2" is the second x mode, i.e. index 1), produced only by
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,23 +41,22 @@ class NearResonanceError(RuntimeError):
     treatment (resonant_coupling) instead."""
 
 
-@dataclass(frozen=True)
-class ModeTensors:
-    """Mode-basis coupling tensors D3 (N^3) and D4 (N^4)."""
+class ModeTensors(NamedTuple):
+    """Mode-basis coupling tensors D3 (N^3) and D4 (N^4), an immutable tuple."""
 
     d3: np.ndarray
     d4: np.ndarray
 
 
-@dataclass(frozen=True)
-class KerrParams:
+class KerrParams(NamedTuple):
     """One perturbative order's worth of effective Hamiltonian parameters.
 
     ``omega_si`` is the full self-interaction rate Omega_SI (the tables quote
     Omega_SI/2).  ``delta`` holds the frequency shifts and ``dephasing`` the
     cross-Kerr rates Omega_d with the x zigzag as (3, N) arrays over
     (direction x, y, z; mode), zero where no mode or term exists: the COM
-    column and ``dephasing[0, N-1]``, the zigzag itself.  All in rad/s.
+    column and ``dephasing[0, N-1]``, the zigzag itself.  All in rad/s; an
+    immutable tuple.
     """
 
     omega_si: float
@@ -65,10 +64,9 @@ class KerrParams:
     dephasing: np.ndarray
 
 
-@dataclass(frozen=True)
-class EffectiveParams:
-    """Third-order and fourth-order effective Kerr parameters; their sum is
-    derived."""
+class EffectiveParams(NamedTuple):
+    """Third-order and fourth-order effective Kerr parameters, an immutable
+    tuple; their sum is derived."""
 
     third: KerrParams
     fourth: KerrParams
@@ -83,13 +81,12 @@ class EffectiveParams:
         )
 
 
-@dataclass(frozen=True)
-class ResonantCoupling:
+class ResonantCoupling(NamedTuple):
     """Zigzag-stretch exchange rate Omega_T and the detuning
     2 omega_zz - omega_str (rad/s), which vanishes at the N = 3 resonance
     alpha_x = 20/63.  The exchange model (``scenarios.resonance_model``)
     omits the detuning; a ``resonance`` run warns when it exceeds the
-    tolerance of the peak labels."""
+    tolerance of the peak labels.  An immutable tuple."""
 
     omega_t: float
     detuning: float

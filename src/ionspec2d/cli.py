@@ -52,8 +52,8 @@ import os
 import sys
 import time
 import warnings
-from dataclasses import asdict, dataclass, fields
 from pathlib import Path
+from typing import NamedTuple
 
 # CPython's own SHA-256 (the same digests as hashlib's): importing hashlib
 # loads OpenSSL's libcrypto, about 3.4 MB of resident memory, to hash at
@@ -87,9 +87,9 @@ class ConfigError(ValueError):
     pass
 
 
-@dataclass
-class RunConfig:
-    """One run's settings.  ``threads`` (a positive integer) and ``seed`` (a
+class RunConfig(NamedTuple):
+    """One run's settings, an immutable tuple whose field defaults are the
+    config's.  ``threads`` (a positive integer) and ``seed`` (a
     non-negative one) are validated and recorded, but have no effect: each
     scan is one contraction, and no run draws a random number.  The two keys
     are accepted only because the benchmark's workload configs still pass
@@ -104,9 +104,9 @@ class RunConfig:
     dims: tuple[int, ...] = (9, 15, 15)
     nbar: tuple[float, ...] = (1.0, 4.0, 4.0)
     heating_quanta_per_ms: tuple[float, ...] = (0.0, 0.0)
-    alpha: float = protocol.PulseSequence.alpha
-    n_phases: tuple[int, int, int] = protocol.PulseSequence.n_phases
-    signature: tuple[int, int, int] = protocol.PulseSequence.signature
+    alpha: float = protocol.PulseSequence().alpha
+    n_phases: tuple[int, int, int] = protocol.PulseSequence().n_phases
+    signature: tuple[int, int, int] = protocol.PulseSequence().signature
     dt_s: float = 25.3e-6
     grid_scale: float = 1.0
     seed: int = 0
@@ -139,7 +139,7 @@ class RunConfig:
         return 2.0e-3 * self.grid_scale  # each grid axis spans the reference 2 ms times grid_scale
 
 
-# per-scenario defaults layered over the dataclass defaults
+# per-scenario defaults layered over the RunConfig field defaults
 _SCENARIO_DEFAULTS = {
     "kerr": {"heating_quanta_per_ms": (0.0, 0.0, 0.0)},
     "resonance": {
@@ -181,8 +181,7 @@ def build_config(raw: dict) -> RunConfig:
     Each field is parsed as the kind of its ``RunConfig`` default."""
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
-    known = {f.name for f in fields(RunConfig)}
-    unknown = set(raw) - known
+    unknown = set(raw) - set(RunConfig._fields)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     scenario = raw.get("scenario")
@@ -193,20 +192,20 @@ def build_config(raw: dict) -> RunConfig:
     cfg_kwargs = {"scenario": scenario}
     # each field parses as the kind of its default: a tuple as its first
     # entry's, and bool before int, whose subclass it is
-    for f in fields(RunConfig):
-        if f.name == "scenario" or f.name not in merged:
+    for name, default in RunConfig._field_defaults.items():
+        if name not in merged:
             continue
-        value, default = merged[f.name], f.default
+        value = merged[name]
         if isinstance(default, tuple):
             if not isinstance(value, (list, tuple)):
-                raise ConfigError(f"{f.name} must be a list")
-            value = tuple(_scalar(f"{f.name} entry", v, type(default[0])) for v in value)
+                raise ConfigError(f"{name} must be a list")
+            value = tuple(_scalar(f"{name} entry", v, type(default[0])) for v in value)
         elif isinstance(default, (bool, str)):
             if not isinstance(value, type(default)):
-                raise ConfigError(f"{f.name} must be a {'boolean' if isinstance(default, bool) else 'string'}")
+                raise ConfigError(f"{name} must be a {'boolean' if isinstance(default, bool) else 'string'}")
         else:
-            value = _scalar(f.name, value, type(default))
-        cfg_kwargs[f.name] = value
+            value = _scalar(name, value, type(default))
+        cfg_kwargs[name] = value
     cfg = RunConfig(**cfg_kwargs)
     for name in _POSITIVE:
         if getattr(cfg, name) <= 0:
@@ -370,7 +369,7 @@ def run_scenario(cfg: RunConfig) -> dict:
         "version": __version__,
         "scenario": cfg.scenario,
         "status": "running",
-        "resolved_config": asdict(cfg),
+        "resolved_config": cfg._asdict(),
     }
     outputs = None
     try:

@@ -8,7 +8,7 @@ are recovered as omega = sqrt(eigenvalue) * omega_z.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,22 +35,22 @@ class DegenerateModesError(RuntimeError):
     """Axial Hessian has (near-)degenerate eigenvalues; mode order undefined."""
 
 
-@dataclass(frozen=True)
-class TrapConfig:
+class TrapConfig(NamedTuple("TrapConfig", [
+    ("n_ions", int), ("mass", float), ("omega_x", float), ("omega_y", float), ("omega_z", float)
+])):
     """Physical trap parameters: ion number, mass and secular frequencies.
 
     Frequencies are angular (rad/s).  The trap must confine more tightly in
     the radial directions than axially for a linear chain to exist; that is
-    only checked once the modes are solved (see :func:`normal_modes`).
+    only checked once the modes are solved (see :func:`normal_modes`).  A
+    tuple checked where it is built; ``_replace`` and ``_make`` skip the
+    checks (nothing in the package calls them).
     """
 
-    n_ions: int
-    mass: float
-    omega_x: float
-    omega_y: float
-    omega_z: float
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, n_ions, mass, omega_x, omega_y, omega_z):
+        self = super().__new__(cls, n_ions, mass, omega_x, omega_y, omega_z)
         if self.n_ions < 1:
             raise ValueError(f"n_ions must be >= 1, got {self.n_ions}")
         if self.mass <= 0:
@@ -58,6 +58,7 @@ class TrapConfig:
         for name in ("omega_x", "omega_y", "omega_z"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        return self
 
     @property
     def alpha_x(self) -> float:
@@ -69,15 +70,14 @@ class TrapConfig:
         return (self.omega_z / self.omega_y) ** 2
 
 
-@dataclass(frozen=True)
-class NormalModes:
+class NormalModes(NamedTuple):
     """Shared eigensystem of the axial and the two radial Hessians.
 
     ``lambda_z`` ascends with mode index n (COM first), ``gamma_x``/``gamma_y``
     descend, and column n of the orthogonal matrix ``M`` is the common
     eigenvector of mode n in every direction.  The anisotropies that set the
     radial eigenvalues are the trap's, :attr:`TrapConfig.alpha_x` and
-    :attr:`TrapConfig.alpha_y`.
+    :attr:`TrapConfig.alpha_y`.  An immutable tuple.
     """
 
     lambda_z: np.ndarray

@@ -52,8 +52,8 @@ two columns of one real product.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import cached_property, reduce
+from typing import NamedTuple
 
 import numpy as np
 
@@ -76,7 +76,6 @@ class SignalRealityError(RuntimeError):
     """A line or a signal acquired a non-negligible imaginary part."""
 
 
-@dataclass
 class LindbladModel:
     """Hamiltonian (rad/s) on the register ``dims`` (one truncation dim per
     mode, slot 0 slowest) plus collapse operators with rates (1/s), and a
@@ -87,15 +86,15 @@ class LindbladModel:
     shifts Q by one fixed amount.  Then the Liouvillian keeps
     c = Q_ket - Q_bra, its blocks are the sectors of c
     (``liouvillian_blocks``) and a scan steps only the sectors its phase
-    cycle keeps.  Zero weights give one block.
+    cycle keeps.  Zero weights give one block.  A plain class, checked in
+    ``__init__``, whose cached properties are kept on the instance.
     """
 
-    hamiltonian: np.ndarray
-    dims: tuple[int, ...]
-    collapse_ops: list[tuple[np.ndarray, float]] = field(default_factory=list)
-    charge_weights: tuple[int, ...] | None = None
-
-    def __post_init__(self):
+    def __init__(
+        self, hamiltonian: np.ndarray, dims: tuple[int, ...], collapse_ops: list[tuple[np.ndarray, float]] = (),
+        charge_weights: tuple[int, ...] | None = None,
+    ):
+        self.hamiltonian, self.dims, self.collapse_ops = hamiltonian, dims, list(collapse_ops)
         if any(d < 2 for d in self.dims):
             raise ValueError("every mode needs dimension >= 2")
         h = np.asarray(self.hamiltonian)
@@ -107,7 +106,7 @@ class LindbladModel:
         for _, rate in self.collapse_ops:
             if rate < 0:
                 raise ValueError("collapse rates must be >= 0")
-        w = (0,) * len(self.dims) if self.charge_weights is None else self.charge_weights
+        w = (0,) * len(self.dims) if charge_weights is None else charge_weights
         if len(w) != len(self.dims) or any(
             isinstance(x, bool) or not isinstance(x, (int, np.integer)) for x in w
         ):
@@ -186,10 +185,9 @@ def _mode_sum(weights: tuple[int, ...], dims: tuple[int, ...]) -> np.ndarray:
     return reduce(np.add.outer, (w * np.arange(d, dtype=np.int64) for w, d in zip(weights, dims))).ravel()
 
 
-@dataclass(frozen=True)
-class Propagator:
+class Propagator(NamedTuple):
     """exp(L dt) as a dense superoperator on row-major-vectorized density
-    matrices."""
+    matrices, held in an immutable one-field tuple."""
 
     matrix: np.ndarray
     kind = "super"  # the one representation; per-kind tracing reads it

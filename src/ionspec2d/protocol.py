@@ -34,7 +34,7 @@ import math
 import warnings
 from collections import Counter
 from collections.abc import Callable
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,8 +43,9 @@ from .dynamics import _check_budget, _in_class, _map_bytes, _mode_sum, build_pro
 from .fock import displacement, embed
 
 
-@dataclass(frozen=True)
-class PulseSequence:
+class PulseSequence(NamedTuple("PulseSequence", [
+    ("alpha", float), ("n_phases", tuple[int, int, int]), ("signature", tuple[int, int, int])
+])):
     """A run's three pulse settings: the displacement amplitude |alpha| of
     all four pulses, the phase-cycle counts N_k and the target signature.
 
@@ -52,18 +53,20 @@ class PulseSequence:
     the phase reference.  Every pulse drives, and the readout measures, the
     probed mode, register slot 0.  A phase count too small for its
     signature component aliases other orders onto the target, which
-    ``scan``, the code that cycles the phases, warns of.
+    ``scan``, the code that cycles the phases, warns of.  A tuple checked
+    where it is built; ``_replace`` and ``_make`` skip the checks (nothing
+    in the package calls them).
     """
 
-    alpha: float = 0.25
-    n_phases: tuple[int, int, int] = (4, 4, 4)
-    signature: tuple[int, int, int] = (1, -1, -1)
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, alpha=0.25, n_phases=(4, 4, 4), signature=(1, -1, -1)):
+        self = super().__new__(cls, alpha, n_phases, signature)
         if len(self.n_phases) != 3 or len(self.signature) != 3:
             raise ValueError("n_phases and signature need three entries, for pulses 2..4")
         if any(n < 1 for n in self.n_phases):
             raise ValueError("n_phases must be >= 1")
+        return self
 
     def phase_grid(self, k: int) -> np.ndarray:
         """Uniform phases 2*pi*j/N for pulse k (k = 2, 3, 4)."""
@@ -71,20 +74,21 @@ class PulseSequence:
         return 2.0 * np.pi * np.arange(n) / n
 
 
-@dataclass(frozen=True)
-class SignalGrid:
+class SignalGrid(NamedTuple("SignalGrid", [("values", np.ndarray), ("dt", float)])):
     """Phase-cycled complex signal: ``values[k1, k3]`` is s(k1 dt, k3 dt).
     Both time axes start at 0 and share the one step ``dt``, so a grid is
-    its values and its step."""
+    its values and its step.  A tuple checked where it is built; ``_replace``
+    and ``_make`` skip the checks (nothing in the package calls them)."""
 
-    values: np.ndarray
-    dt: float
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, values, dt):
+        self = super().__new__(cls, values, dt)
         if not 0 < self.dt < math.inf:
             raise ValueError(f"dt must be positive and finite, got {self.dt!r}")
         if not np.all(np.isfinite(self.values)):
             raise ValueError("signal grid contains non-finite values")
+        return self
 
 
 def pulse_operator(model: LindbladModel, seq: PulseSequence, phase: float) -> np.ndarray:

@@ -35,7 +35,7 @@ dim 9, and the same 6 of the 37 at resonance dims (9, 6), where 720 of the
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,9 +45,8 @@ from .crystal import NormalModes, TrapConfig
 from .protocol import PulseSequence, SignalGrid
 
 
-@dataclass(frozen=True)
-class ModeData:
-    """Everything derived from the trap alone."""
+class ModeData(NamedTuple):
+    """Everything derived from the trap alone, an immutable tuple."""
 
     trap: TrapConfig
     modes: NormalModes
@@ -80,13 +79,13 @@ def resonance_parameters(data: ModeData) -> ResonantCoupling:
 # kerr scenario
 
 
-@dataclass(frozen=True)
-class KerrModel:
+class KerrModel(NamedTuple):
     """Zigzag Kerr Hamiltonian with two thermal spectator modes.
 
     Spectators are the y zigzag and the highest axial mode (the Egyptian
     mode at N = 3), entries [1, N-1] and [2, N-1] of the dephasing array,
-    whose thermal occupations shift the zigzag frequency.
+    whose thermal occupations shift the zigzag frequency.  An immutable
+    tuple.
     """
 
     omega_si: float

@@ -12,7 +12,7 @@ on the other axis, ``omega1`` or ``omega3``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 import numpy.fft  # numpy loads it lazily: import it here, not inside a run
@@ -20,12 +20,12 @@ import numpy.fft  # numpy loads it lazily: import it here, not inside a run
 from .protocol import SignalGrid
 
 
-@dataclass(frozen=True)
-class Spectrum2D:
+class Spectrum2D(NamedTuple):
     """Complex 2D spectrum of a grid sampled at step ``dt`` (s), its bins
     fftshifted so that the carrier (rad/s) sits at bin (m1 // 2, m3 // 2).
     An axis of m bins is 2 pi fftshift(fftfreq(m, dt)) + carrier: its bins
-    are 2 pi / (m dt) apart, and a one-bin axis is the carrier alone."""
+    are 2 pi / (m dt) apart, and a one-bin axis is the carrier alone.  An
+    immutable tuple."""
 
     values: np.ndarray
     dt: float
@@ -52,12 +52,13 @@ class Spectrum2D:
         return 2 * np.pi / (self.values.shape[0] * self.dt)
 
 
-@dataclass
 class Peak:
-    omega1: float
-    omega3: float
-    magnitude: float
-    label: str = ""
+    """A refined peak (rad/s), a mutable record: ``label_peaks`` labels it."""
+
+    __slots__ = ("omega1", "omega3", "magnitude", "label")
+
+    def __init__(self, omega1: float, omega3: float, magnitude: float, label: str = ""):
+        self.omega1, self.omega3, self.magnitude, self.label = omega1, omega3, magnitude, label
 
 
 def _window(n: int, kind: str) -> np.ndarray:
@@ -108,28 +109,55 @@ def project_1d(spec: Spectrum2D, axis: str) -> np.ndarray:
     return spec.values.mean(axis=1 if axis == "omega1" else 0)
 
 
+def _plateau_bins(mag: np.ndarray, starts: np.ndarray, weak: np.ndarray):
+    """One bin of each plateau, a connected (8-neighbour) set of bins of one
+    magnitude, that holds a bin of ``starts`` and is a local maximum, every
+    member in ``weak``: the member nearest the plateau's mean position, the
+    earliest in raster order on a tie (distances compared exactly, in
+    integers scaled by the member count)."""
+    seen = np.zeros(mag.shape, dtype=bool)
+    for start in zip(*np.nonzero(starts)):
+        if seen[start]:
+            continue
+        seen[start] = True
+        members, stack = [], [start]
+        while stack:
+            i, j = stack.pop()
+            members.append((i, j))
+            for a in range(max(i - 1, 0), min(i + 2, mag.shape[0])):
+                for b in range(max(j - 1, 0), min(j + 2, mag.shape[1])):
+                    if not seen[a, b] and mag[a, b] == mag[i, j]:
+                        seen[a, b] = True
+                        stack.append((a, b))
+        if all(weak[m] for m in members):
+            at = np.array(sorted(members))
+            yield tuple(at[((len(at) * at - at.sum(axis=0)) ** 2).sum(axis=1).argmin()])
+
+
 def find_peaks(spec: Spectrum2D, threshold: float) -> list[Peak]:
     """Local maxima above threshold * max, centroid-refined on 3x3 patches
-    in bins of 2 pi / (m dt) on each axis, largest first.  A maximum
-    exceeds its 4 neighbours earlier in raster order and is >= the 4 later
-    ones, so of two tied neighbours only the earlier is a peak: a 2-bin or
-    2 x 2 plateau is one peak, refined to its centre.  Magnitudes are
-    compared rounded to 1e-12 of the maximum, and ties are ordered by
-    ascending (omega1, omega3).  A one-bin spectrum is one peak at the
-    carrier."""
+    in bins of 2 pi / (m dt) on each axis, largest first.  A maximum is a
+    bin above all 8 neighbours, or a plateau of tied connected bins that no
+    neighbour exceeds: one peak, refined on the patch of the plateau bin
+    nearest its mean position (the earliest in raster order on a tie), so
+    a 2-bin or 2 x 2 plateau sits at its centre.  A tied set with a larger
+    neighbour is a shoulder, not a peak.  Magnitudes are ordered rounded to
+    1e-12 of the maximum, and ties are ordered by ascending (omega1,
+    omega3).  A one-bin spectrum is one peak at the carrier."""
     if not 0.0 < threshold < 1.0:
         raise ValueError("threshold must be in (0, 1)")
     mag = spec.magnitude
     cut = threshold * mag.max()
-    padded = np.pad(mag, 1, constant_values=-np.inf)
-    core = padded[1:-1, 1:-1]
-    is_max = core > cut
+    (m1, m3), padded = mag.shape, np.pad(mag, 1, constant_values=-np.inf)
+    around = np.full(mag.shape, -np.inf)  # the largest of each bin's 8 neighbours
     for di in (-1, 0, 1):
         for dj in (-1, 0, 1):
-            if di == 0 and dj == 0:
-                continue
-            neighbour = padded[1 + di : padded.shape[0] - 1 + di, 1 + dj : padded.shape[1] - 1 + dj]
-            is_max &= core > neighbour if (di, dj) < (0, 0) else core >= neighbour
+            if di or dj:
+                np.maximum(around, padded[1 + di : m1 + 1 + di, 1 + dj : m3 + 1 + dj], out=around)
+    is_max, weak = (mag > cut) & (mag > around), (mag > cut) & (mag >= around)
+    # a weak maximum that is not a strict one ties a neighbour: its plateau is one peak
+    for at in _plateau_bins(mag, weak & ~is_max, weak):
+        is_max[at] = True
     d1, d3 = (2 * np.pi / (m * spec.dt) for m in mag.shape)
     # the 3x3 patch around every maximum at once, zero outside the grid
     i, j = np.nonzero(is_max)
@@ -152,4 +180,4 @@ def notch_carrier(spec: Spectrum2D) -> Spectrum2D:
     i, j = (m // 2 for m in spec.values.shape)
     values = spec.values.copy()
     values[max(i - 1, 0) : i + 2, max(j - 1, 0) : j + 2] = 0.0
-    return replace(spec, values=values)
+    return spec._replace(values=values)

@@ -12,7 +12,7 @@ import pytest
 from ionspec2d import anharmonic, cli, crystal, scenarios
 
 # the 40Ca+ mass (kg) of every run, from the one place it is declared
-MASS_CA40 = cli.RunConfig.mass_amu * crystal.ATOMIC_MASS
+MASS_CA40 = cli.RunConfig._field_defaults["mass_amu"] * crystal.ATOMIC_MASS
 
 
 @pytest.fixture(scope="session")

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import reduce
 
 import numpy as np
@@ -194,22 +195,43 @@ def cycled_pair(seq: protocol.PulseSequence, dim: int) -> np.ndarray:
     return out
 
 
+def _tied_set(mag, i, j) -> set[tuple[int, int]]:
+    """The bins connected to (i, j) through 8-neighbour steps between bins of
+    exactly its magnitude, (i, j) included."""
+    n1, n3 = mag.shape
+    found, frontier = {(i, j)}, [(i, j)]
+    while frontier:
+        a, b = frontier.pop()
+        for c in range(a - 1, a + 2):
+            for d in range(b - 1, b + 2):
+                if 0 <= c < n1 and 0 <= d < n3 and (c, d) not in found and mag[c, d] == mag[i, j]:
+                    found.add((c, d))
+                    frontier.append((c, d))
+    return found
+
+
 def centroid_peaks(omega1, omega3, mag, threshold) -> list[tuple[float, float, float]]:
     """(omega1, omega3, magnitude) of every local maximum of ``mag`` above
     threshold * max, centroid-refined on its 3x3 patch (bins outside the
-    grid count 0), one bin at a time, largest magnitude first.  Of two tied
-    neighbours only the earlier in raster order is a maximum."""
+    grid count 0), one bin at a time, largest magnitude first.  A bin is a
+    maximum when no neighbour of its tied set (``_tied_set``) is larger
+    and, of that set, it is the bin nearest the set's mean position (by
+    exact fractions), the earliest in raster order on a tie."""
     n1, n3 = mag.shape
     cut = threshold * mag.max()
     out = []
     for i in range(n1):
         for j in range(n3):
-            near = [(i + a, j + b) for a in (-1, 0, 1) for b in (-1, 0, 1)]
-            inside = [(a, b) for a, b in near if 0 <= a < n1 and 0 <= b < n3]
-            if mag[i, j] <= cut or any(
-                mag[i, j] < mag[a, b] or (mag[i, j] == mag[a, b] and (a, b) < (i, j)) for a, b in inside
-            ):
+            if mag[i, j] <= cut:
                 continue
+            tied = _tied_set(mag, i, j)
+            near = {(a + c, b + d) for a, b in tied for c in (-1, 0, 1) for d in (-1, 0, 1)}
+            if any(0 <= a < n1 and 0 <= b < n3 and mag[a, b] > mag[i, j] for a, b in near):
+                continue
+            mean = [Fraction(sum(p[k] for p in tied), len(tied)) for k in (0, 1)]
+            if min(sorted(tied), key=lambda p: (p[0] - mean[0]) ** 2 + (p[1] - mean[1]) ** 2) != (i, j):
+                continue
+            inside = [(i + a, j + b) for a in (-1, 0, 1) for b in (-1, 0, 1) if 0 <= i + a < n1 and 0 <= j + b < n3]
             patch = np.zeros((3, 3))
             for a, b in inside:
                 patch[a - i + 1, b - j + 1] = mag[a, b]

@@ -9,7 +9,6 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
-from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -196,14 +195,12 @@ class TestConfigValidation:
         # a field's kind is its RunConfig default's, a tuple's its first
         # entry's: each field refuses a value of another kind
         bad = {int: (2.5, "an integer"), float: ("2", "a number"), str: (1, "a string"), bool: (1, "a boolean")}
-        for f in fields(RunConfig):
-            if f.name == "scenario":  # no default; checked on its own
-                continue
-            value, kind = bad[type(f.default[0] if isinstance(f.default, tuple) else f.default)]
-            if isinstance(f.default, tuple):
-                value = [value] * len(f.default)
-            with pytest.raises(ConfigError, match=f"^{f.name}( entry)? must be {kind}$"):
-                build_config({"scenario": "tables", f.name: value})
+        for name, default in RunConfig._field_defaults.items():  # every field but scenario, checked on its own
+            value, kind = bad[type(default[0] if isinstance(default, tuple) else default)]
+            if isinstance(default, tuple):
+                value = [value] * len(default)
+            with pytest.raises(ConfigError, match=f"^{name}( entry)? must be {kind}$"):
+                build_config({"scenario": "tables", name: value})
 
     @pytest.mark.parametrize(
         "raw, match",
@@ -334,7 +331,7 @@ class TestConfigValidation:
     @given(
         scenario=st.sampled_from(SCENARIOS),
         rest=st.dictionaries(
-            st.sampled_from([f.name for f in fields(RunConfig)]), JSON_VALUES, max_size=4
+            st.sampled_from(RunConfig._fields), JSON_VALUES, max_size=4
         ),
     )
     def test_any_json_config_builds_or_raises_config_error(self, scenario, rest):
@@ -538,7 +535,7 @@ class TestManifest:
         # the projections average the spectrum before the carrier notch
         plain = run_scenario(self._tiny_kerr(tmp_path / "a"))["outputs"]
         cfg = self._tiny_kerr(tmp_path / "b")
-        cfg.baseline_notch = True
+        cfg = cfg._replace(baseline_notch=True)
         notched = run_scenario(cfg)["outputs"]
         assert notched["spectrum.bin"] != plain["spectrum.bin"]
         for name in ("signal_grid.bin", "projection_omega1.csv", "projection_omega3.csv"):
@@ -579,7 +576,7 @@ class TestManifest:
             spectrum, "find_peaks", lambda spec, **kw: seen.append(spec) or find_peaks(spec, **kw)
         )
         cfg = self._tiny_kerr(tmp_path)
-        cfg.baseline_notch = notch
+        cfg = cfg._replace(baseline_notch=notch)
         run_scenario(cfg)
         (spec,) = seen
         axes = json.loads((tmp_path / "manifest.json").read_text())["spectrum_axes"]
@@ -609,7 +606,7 @@ class TestManifest:
         # target: the warning is in the manifest, on the error manifest too,
         # and still reaches the caller
         cfg = self._tiny_kerr(tmp_path)
-        cfg.n_phases = (2, 4, 4)
+        cfg = cfg._replace(n_phases=(2, 4, 4))
         if fails:
             monkeypatch.setattr(spectrum, "fft2", lambda *a, **kw: 1 / 0)
         failure = pytest.raises(ZeroDivisionError) if fails else contextlib.nullcontext()

@@ -257,12 +257,13 @@ class TestCriticalAnisotropy:
 
 class TestTrapConfig:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            TrapConfig(n_ions=0, mass=1.0, omega_x=1.0, omega_y=1.0, omega_z=1.0)
-        with pytest.raises(ValueError):
-            TrapConfig(n_ions=2, mass=-1.0, omega_x=1.0, omega_y=1.0, omega_z=1.0)
-        with pytest.raises(ValueError):
-            TrapConfig(n_ions=2, mass=1.0, omega_x=0.0, omega_y=1.0, omega_z=1.0)
+        # each checked field refuses its bad value where the trap is built
+        valid = {"n_ions": 2, "mass": 1.0, "omega_x": 1.0, "omega_y": 1.0, "omega_z": 1.0}
+        bad = {"n_ions": (0, "n_ions must be >= 1"), "mass": (-1.0, "mass must be positive")}
+        bad |= {name: (0.0, f"{name} must be positive") for name in ("omega_x", "omega_y", "omega_z")}
+        for name, (value, match) in bad.items():
+            with pytest.raises(ValueError, match=match):
+                TrapConfig(**(valid | {name: value}))
 
     def test_anisotropies(self, table_trap):
         assert table_trap.alpha_x == pytest.approx((2.0 / 3.1012) ** 2, rel=1e-12)

@@ -1,4 +1,3 @@
-import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -326,15 +325,20 @@ class TestParity:
         # a detuning delta n_str, and the paper's real exchange, whose -iH is imaginary
         detuned = model.hamiltonian + 2 * np.pi * 1e3 * (c.conj().T @ c)
         paper = 2 * np.pi * 5e3 * (a @ a @ c.conj().T + a.conj().T @ a.conj().T @ c)
+
+        def rebuilt(**changes):  # the model, built again with some arguments changed
+            kept = {"hamiltonian": model.hamiltonian, "collapse_ops": model.collapse_ops}
+            return LindbladModel(**(kept | changes), dims=dims, charge_weights=model.charge_weights)
+
         for h in (detuned, paper):
-            variant = dataclasses.replace(model, hamiltonian=h)
+            variant = rebuilt(hamiltonian=h)
             assert variant.generator[0].dtype == np.complex128
             assert liouvillian(variant, dynamics.liouvillian_blocks(variant)[0]).dtype == np.complex128
         # a complex jump makes the generator complex too
-        phased = dataclasses.replace(model, collapse_ops=model.collapse_ops + [(np.exp(0.3j) * c, 50.0)])
+        phased = rebuilt(collapse_ops=model.collapse_ops + [(np.exp(0.3j) * c, 50.0)])
         assert phased.generator[0].dtype == np.complex128
         # a zero-rate jump is not part of the generator
-        idle = dataclasses.replace(model, collapse_ops=model.collapse_ops + [(np.exp(0.3j) * c, 0.0)])
+        idle = rebuilt(collapse_ops=model.collapse_ops + [(np.exp(0.3j) * c, 0.0)])
         assert idle.generator[0].dtype == np.float64
 
     def test_fault_in_a_parity_model_mirror_sector_raises(self, resonance_data, monkeypatch):

@@ -1,4 +1,3 @@
-import dataclasses
 import time
 import tracemalloc
 import warnings
@@ -76,6 +75,11 @@ class TestPhaseCycle:
         # anything else is refused when the sequence is made
         with pytest.raises(ValueError, match="three entries"):
             PulseSequence(**kwargs)
+
+    @pytest.mark.parametrize("n_phases", [(0, 4, 4), (4, 0, 4), (4, 4, -1)])
+    def test_sequence_refuses_a_count_below_one(self, n_phases):
+        with pytest.raises(ValueError, match="n_phases must be >= 1"):
+            PulseSequence(n_phases=n_phases)
 
     def test_scan_warns_of_aliasing_once_per_small_count(self):
         # the sequence is built silently; the scan, the code that cycles
@@ -183,7 +187,7 @@ class TestGrid:
         "value, dt, match",
         [(0.0, 0.0, "dt must be positive"), (0.0, -1e-5, "dt must be positive"),
          (0.0, np.nan, "dt must be positive"), (0.0, np.inf, "dt must be positive"),
-         (np.nan, 1e-5, "non-finite")],
+         (np.nan, 1e-5, "non-finite"), (np.inf, 1e-5, "non-finite")],
     )
     def test_grid_validation(self, value, dt, match):
         # a grid is its values and its one step: a step that labels no
@@ -646,7 +650,12 @@ class TestChiWeight:
         # Q = n_zz + 2 n_str puts the spectator differences at +-2 and +-4
         model, rho0 = _heated_exchange()
         sigma, dt = TWO_PI * 3e3, 2e-5
-        shifted = dataclasses.replace(model, hamiltonian=model.hamiltonian + sigma * np.diag(model.charge))
+        shifted = LindbladModel(
+            hamiltonian=model.hamiltonian + sigma * np.diag(model.charge),
+            dims=model.dims,
+            collapse_ops=model.collapse_ops,
+            charge_weights=model.charge_weights,
+        )
         reference = scan(shifted, rho0, seq, 10 * dt, dt).values
         weighted = scan(model, rho0, seq, 10 * dt, dt, chi=lambda tau: np.exp(-1j * sigma * tau)).values
         scale = np.max(np.abs(reference))

@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 
 import numpy as np
 import pytest
@@ -391,7 +390,7 @@ class TestKerrSectorAverage:
         # only the orders the cycle keeps are contracted (default: 4 of 17 on
         # each side; ASYMMETRIC keeps every forward order, gcd(3, 4, 5) = 1);
         # the others hold only rounding
-        model = dataclasses.replace(_kerr_model(), dims=(9, 15, 15), nbar=(1.0, 4.0, 4.0))
+        model = _kerr_model()._replace(dims=(9, 15, 15), nbar=(1.0, 4.0, 4.0))
         fast = scenarios.kerr_scan_fast(model, seq, 8 * DT, DT)
         reference = _all_orders_scan(model, seq, 8 * DT, DT)
         scale = np.max(np.abs(reference))
@@ -416,7 +415,7 @@ class TestKerrSectorAverage:
 
     def test_spectator_in_ground_state(self):
         # nbar = 0 puts the y zigzag in |0>: its factor of chi is exactly 1
-        model = dataclasses.replace(_kerr_model(), nbar=(0.8, 0.0, 2.5))
+        model = _kerr_model()._replace(nbar=(0.8, 0.0, 2.5))
         seq = PulseSequence()
         fast = scenarios.kerr_scan_fast(model, seq, 6 * DT, DT)
         oracle = _sector_loop(model, seq, 6 * DT, DT)
@@ -457,10 +456,10 @@ class TestKerrSectorAverage:
     def test_million_level_spectator(self):
         # at nbar = 0.5 the thermal weight beyond 30 levels is 3^-30 ~ 5e-15,
         # so a 10^6-level y zigzag must match the 30-level sector loop
-        model = dataclasses.replace(_kerr_model(), dims=(5, 10**6, 4), nbar=(0.8, 0.5, 2.5))
+        model = _kerr_model()._replace(dims=(5, 10**6, 4), nbar=(0.8, 0.5, 2.5))
         seq = PulseSequence()
         fast = scenarios.kerr_scan_fast(model, seq, 2 * DT, DT)
-        oracle = _sector_loop(dataclasses.replace(model, dims=(5, 30, 4)), seq, 2 * DT, DT)
+        oracle = _sector_loop(model._replace(dims=(5, 30, 4)), seq, 2 * DT, DT)
         scale = np.max(np.abs(oracle))
         assert scale > 1e-6
         assert np.max(np.abs(fast.values - oracle)) <= 1e-12 * scale

@@ -10,7 +10,10 @@ nothing reads gets deleted too: every ``RunConfig`` field is read as an
 attribute somewhere in ``src/`` outside ``build_config``, which only
 validates it.  And no module of ``src/`` silences a warning: a run's
 manifest holds every warning the run raises (ROADMAP aim 4), and an
-ignored one never reaches it.
+ignored one never reaches it.  No module of ``src/`` imports
+``dataclasses``: each dataclass generates and compiles its methods (0.3-0.6
+ms per class) in every process, and both gated benchmark workloads are
+set-up bound, so the package's records are NamedTuples or plain classes.
 """
 
 import ast
@@ -90,3 +93,19 @@ def test_no_warning_is_silenced():
             ):
                 silenced.append(f"{path.name}:{node.lineno}")
     assert silenced == []
+
+
+def test_no_module_imports_dataclasses():
+    # each dataclass compiles its generated methods at import, in every run
+    importing = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "dataclasses" for name in names):
+                importing.append(f"{path.name}:{node.lineno}")
+    assert importing == []

@@ -200,10 +200,19 @@ class TestFindPeaks:
         assert sum(a == b for a, b in zip(mags, mags[1:])) > 10  # mirror pairs tie
         np.testing.assert_allclose(rows[0], rows[1], rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("plateau", [[(3, 3), (3, 4)], [(3, 3), (4, 3)], [(3, 3), (3, 4), (4, 3), (4, 4)]])
+    @pytest.mark.parametrize(
+        "plateau",
+        [
+            [(3, 3), (3, 4)],
+            [(3, 3), (4, 3)],
+            [(3, 3), (3, 4), (4, 3), (4, 4)],
+            [(3, 2), (3, 3), (3, 4)],  # refined on its middle bin, not its first
+            [(3, 3), (4, 2), (4, 1)],  # (4, 1) has no tied bin before it in raster order
+        ],
+    )
     def test_plateau_is_one_peak_at_its_centre(self, plateau):
-        # tied bins of an 8 x 8 spectrum: one peak, centroid-refined to the
-        # plateau's centre, as the per-bin oracle finds it
+        # tied connected bins of an 8 x 8 spectrum: one peak, centroid-refined
+        # to the plateau's centre, as the per-bin oracle finds it
         values = np.zeros((8, 8), dtype=complex)
         for i, j in plateau:
             values[i, j] = 1.0
@@ -214,6 +223,16 @@ class TestFindPeaks:
         assert peaks[0].omega1 == pytest.approx(spec.omega1[rows].mean(), abs=1e-12)
         assert peaks[0].omega3 == pytest.approx(spec.omega3[cols].mean(), abs=1e-12)
         ref = centroid_peaks(spec.omega1, spec.omega3, spec.magnitude, 0.5)
+        np.testing.assert_allclose([(p.omega1, p.omega3, p.magnitude) for p in peaks], ref, rtol=1e-15, atol=0)
+
+    def test_tied_shoulder_is_no_peak(self):
+        # two tied bins beside a larger one lean on it: one peak, the larger
+        values = np.zeros((8, 8), dtype=complex)
+        values[3, 3:6] = 1.0, 1.0, 2.0
+        spec = Spectrum2D(values=values, dt=0.05)
+        peaks = find_peaks(spec, threshold=0.2)
+        assert [p.magnitude for p in peaks] == [2.0]
+        ref = centroid_peaks(spec.omega1, spec.omega3, spec.magnitude, 0.2)
         np.testing.assert_allclose([(p.omega1, p.omega3, p.magnitude) for p in peaks], ref, rtol=1e-15, atol=0)
 
     def test_threshold_validation(self):

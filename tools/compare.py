@@ -1,0 +1,239 @@
+"""Compare this tree with a parent tree: every artifact, and the gated timings.
+
+    python3 tools/compare.py --parent <tree> --out BENCH_<n>.json
+    python3 tools/compare.py --parent <tree> --out cmp.json --pairs 0   # results only
+
+Results: each config of ``CONFIGS`` runs once per tree, in a fresh process
+with ``PYTHONPATH=<tree>/src``, through ``ionspec2d.cli.main``.  Each
+artifact is reported as ``"equal"`` (same sha256) or with max|delta| /
+max|ref| over its numbers; each manifest is compared less ``wall_time_s``
+and ``out_dir``.  Each run's ``wall_time_s`` and peak RSS are recorded.
+
+Timings: ``perfbench/run.py`` of each tree, called unchanged at the
+settings of ``BENCHMARK.json`` (its ``run_seconds``, seed 0, no trace),
+``--pairs`` times per workload listed there; the side that runs first
+alternates from pair to pair.  Per end-to-end metric the report gives each
+side's median over the pairs, the parent's quartiles and how many pairs the
+change won (a lower value).
+
+The environment is recorded beside the numbers: nproc, the Python and numpy
+versions, the BLAS library, the BLAS thread variables and
+``PYTHONDONTWRITEBYTECODE``, which decides whether the workers compile
+``src/`` from source.
+"""
+
+from __future__ import annotations
+
+import argparse
+import csv
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
+GATED = [w["name"] for w in BENCHMARK["workloads"]]
+METRICS = [m["name"] for m in BENCHMARK["end_to_end"]]
+# the four reference scenarios, the variants earlier changes checked by hand,
+# and (added by ``configs``) the gated workload configs of perfbench/
+CONFIGS = {
+    "kerr": {"scenario": "kerr"},
+    "resonance": {"scenario": "resonance"},
+    "tables": {"scenario": "tables"},
+    "noise-table": {"scenario": "noise-table"},
+    "kerr-noise": {"scenario": "kerr", "phase_noise_diffusion": 300.0},
+    "kerr-pad-cosine-notch": {
+        "scenario": "kerr", "grid_scale": 0.5, "zero_pad": 2, "window": "cosine", "baseline_notch": True,
+    },
+    "kerr-aliased": {"scenario": "kerr", "n_phases": [2, 4, 4]},
+    "resonance-noise": {"scenario": "resonance", "grid_scale": 0.5, "phase_noise_diffusion": 300.0},
+    "resonance-cycle": {"scenario": "resonance", "n_phases": [3, 4, 5], "signature": [1, -2, 1], "alpha": 0.3},
+    "resonance-no-heating": {"scenario": "resonance", "heating_quanta_per_ms": [0.0, 0.0]},
+    "tables-n20": {"scenario": "tables", "n_ions": 20, "omega_x_hz": 2.0e7, "omega_y_hz": 2.2e7},
+}
+# one run in a fresh process: the CLI on a config file, then the peak RSS
+CHILD = (
+    "import json, resource, sys\n"
+    "from ionspec2d import cli\n"
+    "code = cli.main(['--config', sys.argv[1]])\n"
+    "print(json.dumps({'exit': code, 'peak_rss_mb': resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}))\n"
+)
+
+
+def configs() -> dict[str, dict]:
+    """``CONFIGS`` plus the gated workload configs, read from perfbench/."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import workloads
+
+    gated = {name: workloads.config(name, Path("out"), 0) for name in GATED}
+    return CONFIGS | {name: {k: v for k, v in raw.items() if k != "out_dir"} for name, raw in gated.items()}
+
+
+def commit(tree: Path) -> str:
+    """The tree's git HEAD, with "-dirty" when its files differ from it;
+    "unknown" outside a git checkout."""
+    cmd = ["git", "describe", "--always", "--dirty", "--abbrev=40"]
+    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
+    return proc.stdout.strip() if proc.returncode == 0 else "unknown"
+
+
+def environment() -> dict:
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    threads = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "PYTHONDONTWRITEBYTECODE")
+    return {
+        "nproc": len(os.sched_getaffinity(0)),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": f"{blas.get('name')} {blas.get('version')}",
+        "env": {var: os.environ.get(var) for var in threads},
+    }
+
+
+def run_config(tree: Path, raw: dict, out_dir: Path) -> dict:
+    """Run one config with ``tree``'s package; {'exit', 'peak_rss_mb',
+    'wall_time_s'} (the last from the manifest, when one was written)."""
+    out_dir.mkdir(parents=True)
+    path = out_dir.with_suffix(".json")
+    path.write_text(json.dumps(dict(raw, out_dir=str(out_dir))))
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    proc = subprocess.run([sys.executable, "-c", CHILD, str(path)], env=env, capture_output=True, text=True)
+    if proc.returncode != 0 or not proc.stdout.strip():
+        return {"exit": proc.returncode, "stderr": proc.stderr.strip().splitlines()[-1:]}
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    manifest = out_dir / "manifest.json"
+    if manifest.is_file():
+        result["wall_time_s"] = json.loads(manifest.read_text()).get("wall_time_s")
+    return result
+
+
+def _numbers(path: Path):
+    """(numeric array, non-numeric cells) of an artifact."""
+    if path.suffix == ".bin":
+        sys.path.insert(0, str(ROOT / "src"))
+        from ionspec2d import matio
+
+        return matio.read_matrix(path), []
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    values, words = [], [rows[0]]
+    for row in rows[1:]:
+        for cell in row:
+            try:
+                values.append(float(cell))
+            except ValueError:
+                words.append(cell)
+    return np.array(values), words
+
+
+def _manifest(path: Path) -> dict:
+    manifest = json.loads(path.read_text())
+    manifest.pop("wall_time_s", None)
+    manifest.get("resolved_config", {}).pop("out_dir", None)
+    return manifest
+
+
+def compare_artifacts(ref_dir: Path, got_dir: Path) -> dict:
+    """{file name: 'equal', 'missing', 'differs' or {'max_abs_diff',
+    'max_abs_ref', 'rel'}} over the files of both directories."""
+    report = {}
+    for name in sorted({p.name for p in ref_dir.iterdir()} | {p.name for p in got_dir.iterdir()}):
+        ref, got = ref_dir / name, got_dir / name
+        if not (ref.is_file() and got.is_file()):
+            report[name] = "missing"
+        elif name == "manifest.json":
+            a, b = _manifest(ref), _manifest(got)
+            differing = sorted(k for k in a.keys() | b.keys() if a.get(k) != b.get(k))
+            report[name] = {"keys": differing} if differing else "equal"
+        elif ref.read_bytes() == got.read_bytes():  # the same sha256
+            report[name] = "equal"
+        else:
+            (a, words_a), (b, words_b) = _numbers(ref), _numbers(got)
+            if a.shape != b.shape or words_a != words_b:
+                report[name] = "differs"
+            else:
+                diff, scale = float(np.max(np.abs(a - b), initial=0.0)), float(np.max(np.abs(a), initial=0.0))
+                report[name] = {"max_abs_diff": diff, "max_abs_ref": scale, "rel": diff / scale if scale else diff}
+    return report
+
+
+def compare_results(parent: Path, tree: Path, raws: dict[str, dict], work: Path) -> dict:
+    """Each config run by both trees, and its artifacts compared."""
+    report, sides = {}, {"parent": parent, "change": tree}
+    for name, raw in raws.items():
+        runs = {side: run_config(root, raw, work / side / name) for side, root in sides.items()}
+        artifacts = compare_artifacts(work / "parent" / name, work / "change" / name)
+        report[name] = {
+            "runs": runs,
+            "artifacts": artifacts,
+            "equal": runs["parent"]["exit"] == runs["change"]["exit"] and all(v == "equal" for v in artifacts.values()),
+        }
+    return report
+
+
+def bench(tree: Path, workload: str) -> dict:
+    """One unchanged ``perfbench/run.py`` run in ``tree``; its result object."""
+    seconds = str(BENCHMARK["run_seconds"])
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seconds", seconds]
+    cmd += ["--seed", "0", "--trace", "0"]
+    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
+    if proc.returncode != 0:
+        return {"correct": False, "error": proc.stderr.strip().splitlines()[-1:]}
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    return {"correct": result["correct"], **{m: result["metrics"][m]["value"] for m in METRICS}}
+
+
+def time_pairs(parent: Path, tree: Path, workload: str, pairs: int) -> dict:
+    """``pairs`` alternated runs of each side, and per metric each side's
+    median, the parent's quartiles and the pairs the change won."""
+    sides = {"parent": parent, "change": tree}
+    runs = []
+    for k in range(pairs):
+        order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
+        runs.append({"first": order[0], **{side: bench(sides[side], workload) for side in order}})
+    summary = {}
+    done = [r for r in runs if r["parent"]["correct"] and r["change"]["correct"]]
+    for metric in METRICS if done else ():
+        ref, new = [r["parent"][metric] for r in done], [r["change"][metric] for r in done]
+        q1, _, q3 = statistics.quantiles(ref, n=4, method="inclusive") if len(ref) > 1 else (ref[0],) * 3
+        summary[metric] = {
+            "parent_median": statistics.median(ref),
+            "parent_q1": q1,
+            "parent_q3": q3,
+            "change_median": statistics.median(new),
+            "change_wins": sum(b < a for a, b in zip(ref, new)),
+            "pairs": len(done),
+        }
+    return {"pairs": runs, "summary": summary}
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", type=Path, required=True, help="the parent tree: src/ and perfbench/")
+    parser.add_argument("--out", type=Path, required=True, help="the JSON report to write")
+    parser.add_argument("--pairs", type=int, default=10, help="perfbench pairs per workload; 0: results only")
+    args = parser.parse_args(argv)
+    parent, tree = args.parent.resolve(), ROOT
+    report = {"environment": environment(), "parent_commit": commit(parent), "tree_head": commit(tree)}
+    with tempfile.TemporaryDirectory() as work:
+        report["results"] = compare_results(parent, tree, configs(), Path(work))
+    unequal = [name for name, entry in report["results"].items() if not entry["equal"]]
+    print(f"results: {len(report['results']) - len(unequal)} configs equal; differing: {unequal}", flush=True)
+    report["timings"] = {}
+    for workload in GATED if args.pairs > 0 else ():
+        report["timings"][workload] = timing = time_pairs(parent, tree, workload, args.pairs)
+        for metric, s in timing["summary"].items():
+            print(f"{workload} {metric}: {s['parent_median']:.6g} -> {s['change_median']:.6g} (parent q1-q3 "
+                  f"{s['parent_q1']:.6g}-{s['parent_q3']:.6g}), change won {s['change_wins']}/{s['pairs']}", flush=True)
+    args.out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
