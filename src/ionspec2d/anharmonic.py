@@ -1,16 +1,17 @@
 """Cubic and quartic Coulomb couplings and the effective mode parameters.
 
-Position-basis tensors C3/C4 are one pair sum over the ions, each pair's
-Coulomb derivative times (e_p - e_q)^(x k), built from the dimensionless
-equilibrium positions; contracting them with the normal-mode matrix gives the
-mode-basis tensors D3/D4 from which every effective rate follows: the zigzag
-self-interaction, cross-Kerr dephasing rates, frequency shifts (fourth order
-directly, third order via second-order perturbation theory), and the resonant
-zigzag-stretch exchange coupling.  Everything is array code: the second-order
-shifts are one batched sum over (spectator x mode, z mode, sign pattern)
-evaluated on the few probe states the Kerr fit reads (Marquet, Schmidt-Kaler
-& James, Appl. Phys. B 76, 199 (2003)), and the RWA census broadcasts the
-quartic coefficients over every mode quartet and its 16 sign patterns.
+The mode-basis tensors D3/D4 are one pair sum over the ions, each pair's
+Coulomb derivative at the dimensionless equilibrium positions times the
+k-fold outer power of the pair's row in the normal-mode basis, with the
+entries that the chain's mirror symmetry forbids set to exactly zero.  Every
+effective rate follows from them: the zigzag self-interaction, cross-Kerr
+dephasing rates, frequency shifts (fourth order directly, third order via
+second-order perturbation theory), and the resonant zigzag-stretch exchange
+coupling.  Everything is array code: the second-order shifts are one batched
+sum over (spectator x mode, z mode, sign pattern) evaluated on the few probe
+states the Kerr fit reads (Marquet, Schmidt-Kaler & James, Appl. Phys. B 76,
+199 (2003)), and the RWA census broadcasts the quartic coefficients over
+every mode quartet and its 16 sign patterns.
 
 Mode indexing is 0-based everywhere in code: the center-of-mass mode is index
 0 and the zigzag/highest axial mode is index N-1; the effective parameters
@@ -97,58 +98,34 @@ def mode_label(direction: str, index0: int) -> str:
     return f"{direction}{index0 + 1}"
 
 
-def _pair_sum_tensor(u: np.ndarray, k: int) -> np.ndarray:
-    """C_k = sum_{p<q} w_pq (e_p - e_q)^(x k) over ion pairs.
+def mode_tensors(u: np.ndarray, m: np.ndarray) -> ModeTensors:
+    """Cubic and quartic Coulomb couplings D3, D4 in the normal-mode basis.
 
-    w_pq is (-1)^k / k! times the k-th derivative of the pair's Coulomb term
-    1/|d| at d = u_p - u_q: sign(d)/|d|^4 for k = 3 and 1/|d|^5 for k = 4.
-    One matmul over the pairs: the weighted pair vectors w e against the
-    rows of the (k-1)-fold outer power of e, whose entries are exact.
+    D_k = sum_{p<q} w_pq E_pq^(x k) over ion pairs, where E_pq = M[p] - M[q]
+    is the pair's row in the mode basis and w_pq is (-1)^k / k! times the
+    k-th derivative of the pair's Coulomb term 1/|d| at d = u_p - u_q:
+    sign(d)/|d|^4 for k = 3 and 1/|d|^5 for k = 4.  Each tensor is one
+    matmul over the pairs against the rows of E (x) E.
+
+    All entries with a center-of-mass index (mode 0) vanish because Coulomb
+    forces cannot change the crystal's total momentum.  The chain's mirror
+    u -> -u flips D3 and keeps D4, and each mode is even or odd under it, so
+    the entries whose mode parities forbid them are set to exactly zero
+    rather than left at their rounding residue.
     """
     u = np.asarray(u, dtype=float)
     n = len(u)
     p, q = np.triu_indices(n, 1)
     d = u[p] - u[q]
-    w = np.sign(d) / np.abs(d) ** 4 if k == 3 else 1.0 / np.abs(d) ** 5
-    e = np.eye(n)[p] - np.eye(n)[q]
-    power = e
-    for _ in range(k - 2):
-        power = (power[:, :, None] * e[:, None, :]).reshape(len(e), -1)
-    return ((w[:, None] * e).T @ power).reshape((n,) * k)
-
-
-def c3_tensor(u: np.ndarray) -> np.ndarray:
-    """Cubic Coulomb tensor over ion indices, fully symmetric.
-
-    Entries vanish whenever all three indices differ; the remaining cases are
-    signed inverse fourth powers of the ion separations.
-    """
-    return _pair_sum_tensor(u, 3)
-
-
-def c4_tensor(u: np.ndarray) -> np.ndarray:
-    """Quartic Coulomb tensor, fully symmetric in its four ion indices."""
-    return _pair_sum_tensor(u, 4)
-
-
-def mode_tensors(c3: np.ndarray, c4: np.ndarray, m: np.ndarray) -> ModeTensors:
-    """Contract position-basis tensors into the normal-mode basis.
-
-    All entries with a center-of-mass index (mode 0) vanish because Coulomb
-    forces cannot change the crystal's total momentum.
-
-    The ion indices are contracted one at a time, first to last, each by
-    ``np.tensordot(t, m, (0, 0))``: it sums the leading ion index of t
-    against the rows of m and appends the mode index, so after every ion
-    index is contracted the mode indices stand in the ion indices' order.
-    """
-
-    def to_modes(c: np.ndarray) -> np.ndarray:
-        for _ in range(c.ndim):
-            c = np.tensordot(c, m, (0, 0))
-        return c
-
-    return ModeTensors(d3=to_modes(c3), d4=to_modes(c4))
+    e = m[p] - m[q]
+    ee = (e[:, :, None] * e[:, None, :]).reshape(len(e), -1)
+    d3 = ((np.sign(d) / np.abs(d) ** 4)[:, None] * e).T @ ee
+    d4 = ((1.0 / np.abs(d) ** 5)[:, None] * ee).T @ ee
+    s = np.sign(np.sum(m[::-1] * m, axis=0))  # each mode's mirror parity
+    even = np.outer(s, s).ravel() > 0  # the mode pairs of even joint parity
+    d3[np.ix_(s > 0, even)] = d3[np.ix_(s < 0, ~even)] = 0.0
+    d4[np.ix_(even, ~even)] = d4[np.ix_(~even, even)] = 0.0
+    return ModeTensors(d3=d3.reshape((n,) * 3), d4=d4.reshape((n,) * 4))
 
 
 def anharmonic_prefactor(trap: TrapConfig) -> float:
@@ -217,13 +194,16 @@ def _second_order_shifts(
     0, the two mixed-sign orderings of X_zz^2 adding up to the amplitude
     (2 n_zz + 1).  Every pattern with a nonzero coupling is checked against
     ``guard``: flipping all signs keeps |denominator|, and a pattern or its
-    flip is reachable from the vacuum or a single-quantum state.
+    flip is reachable from the vacuum or a single-quantum state.  A D3 entry
+    at or below N eps max|D3|, the rounding floor of its pair sum, counts as
+    zero: it is not resolved from zero, and its shift would be negligible.
     """
     n = modes.n_ions
     zz = n - 2  # position of the zigzag among the x modes 1..N-1
     gx, lz = modes.gamma_x[1:], modes.lambda_z[1:]
     d3 = tensors.d3[1:, 1:, 1:]
-    g = np.where(np.abs(d3) < 1e-14, 0.0, d3) * (
+    floor = n * np.finfo(float).eps * np.abs(d3).max()
+    g = np.where(np.abs(d3) <= floor, 0.0, d3) * (
         3.0 * anharmonic_prefactor(trap)
         / (gx[:, None, None] * gx[None, :, None] * lz[None, None, :]) ** 0.25
     )

@@ -244,13 +244,15 @@ def build_config(raw: dict) -> RunConfig:
         raise ConfigError("kerr is dissipation-free: heating_quanta_per_ms must be zero")
     try:
         if cfg.scenario != "noise-table":
-            # the coupling tensors of N ions, one stage at a time: C4's
-            # outer powers over the N (N - 1)/2 ion pairs, (pairs, N^2) and
-            # (pairs, N^3) (anharmonic._pair_sum_tensor), or the RWA ratio's
-            # (2N)^3 rotation frequencies of one first operator with their
-            # mask and temporaries (kerr and tables); beside them the four
-            # tensors up to N^4
-            need = 8 * max(cfg.n_ions**3 * (cfg.n_ions**2 - 1) // 2, 24 * cfg.n_ions**3) + 32 * cfg.n_ions**4
+            # the coupling tensors of N ions (kerr and tables): D4 (N^4)
+            # beside, first, the outer products of the pair rows in
+            # anharmonic.mode_tensors, weighted and not, 2 (pairs, N^2) =
+            # N^3 (N - 1) over the N (N - 1)/2 ion pairs, and then the RWA
+            # ratio's (2N)^3 rotation frequencies of one first operator with
+            # their mask and temporaries; charged as the sum, which also
+            # covers D3 and the pair rows
+            ions = cfg.n_ions
+            need = 8 * (ions**4 + ions**3 * (ions - 1) + 24 * ions**3)
             dynamics._check_budget(need, f"coupling tensors ({cfg.n_ions} ions)")
         if cfg.scenario in _MODE_LABELS:
             # also false when 2 ms * grid_scale overflows to infinity

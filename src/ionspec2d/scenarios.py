@@ -60,7 +60,7 @@ class ModeData(NamedTuple):
 
 def derive_modes(trap: TrapConfig) -> ModeData:
     u, modes = crystal.modes_for_trap(trap)
-    tensors = anharmonic.mode_tensors(anharmonic.c3_tensor(u), anharmonic.c4_tensor(u), modes.M)
+    tensors = anharmonic.mode_tensors(u, modes.M)
     return ModeData(trap=trap, modes=modes, tensors=tensors)
 
 

@@ -14,9 +14,10 @@ generator, the reference of the block ``dynamics.liouvillian`` scatters
 from the model's sparse entries.  ``expm_with_eye`` is the matrix
 exponential with the dense identity that ``dynamics.expm`` replaces by
 adding the Pade identity terms on the diagonal.
-``pair_sum_tensor_einsum`` and ``mode_tensors_einsum`` are the coupling
-tensors as single ``np.einsum`` calls with numpy's path search, the
-reference of the fixed-order contractions of ``anharmonic``.
+``pair_sum_tensor_einsum`` builds the position-basis tensors C3/C4 and
+``mode_tensors_einsum`` contracts them into the normal-mode basis, each as
+one ``np.einsum`` call with numpy's path search: the two-pass reference of
+the direct pair sum ``anharmonic.mode_tensors``.
 ``radial_hessians`` builds the full N x N radial Hessians from the axial
 one, the matrices whose eigenvalues ``crystal.normal_modes`` writes in
 closed form.  ``exact_zigzag_ladder`` diagonalizes the cubic and quartic
@@ -163,8 +164,8 @@ def resonant_manifolds(omega_t: float, max_quanta: int) -> list[Manifold]:
 
 
 def pair_sum_tensor_einsum(u: np.ndarray, k: int) -> np.ndarray:
-    """``anharmonic._pair_sum_tensor``, C_k = sum_{p<q} w_pq (e_p - e_q)^(x k),
-    as one einsum over the ion pairs."""
+    """Position-basis C_k = sum_{p<q} w_pq (e_p - e_q)^(x k) over the ion
+    pairs as one einsum, with the pair weights of ``anharmonic.mode_tensors``."""
     u = np.asarray(u, dtype=float)
     p, q = np.triu_indices(len(u), 1)
     d = u[p] - u[q]
@@ -175,7 +176,8 @@ def pair_sum_tensor_einsum(u: np.ndarray, k: int) -> np.ndarray:
 
 
 def mode_tensors_einsum(c3: np.ndarray, c4: np.ndarray, m: np.ndarray) -> anharmonic.ModeTensors:
-    """``anharmonic.mode_tensors`` as one einsum per tensor."""
+    """C3 and C4 contracted into the mode basis, one einsum per tensor: on
+    the pair sums above, ``anharmonic.mode_tensors`` up to its parity zeros."""
     d3 = np.einsum("ijk,in,jm,kp->nmp", c3, m, m, m, optimize=True)
     d4 = np.einsum("ijkl,in,jm,kp,lq->nmpq", c4, m, m, m, m, optimize=True)
     return anharmonic.ModeTensors(d3=d3, d4=d4)

@@ -10,8 +10,6 @@ from ionspec2d.anharmonic import (
     NearResonanceError,
     PerturbativeRegimeError,
     _second_order_shifts,
-    c3_tensor,
-    c4_tensor,
     effective_kerr,
     max_nonsecular_ratio,
     mode_tensors,
@@ -172,11 +170,18 @@ def _oracle_third_order(trap, modes, tensors, guard=1e-3):
     return KerrParams(omega_si=2.0 * quad[zz] * wz, delta=delta, dephasing=dephasing)
 
 
-# the table trap, a five-ion chain near its zigzag transition, an eight-ion chain
+# omega_x/2pi of a ten-ion chain where the coupling (zz, x9, z4) sits 9.4e-4
+# omega_z from resonance: mirror parity forbids it, so its rounding residue
+# of 1.5e-14 must not reach the guard
+MIRROR_TRAP_HZ = 9391964.650700087
+
+# the table trap, a five-ion chain near its zigzag transition, an eight-ion
+# chain, the ten-ion mirror trap
 ORACLE_TRAPS = {
     "table": (3, 3.1012e6, 5e6),
     "n5": (5, 5.0e6, 6e6),
     "n8": (8, 8.0e6, 9e6),
+    "n10-mirror": (10, MIRROR_TRAP_HZ, 1.1 * MIRROR_TRAP_HZ),
 }
 
 
@@ -216,7 +221,7 @@ class TestThirdOrderOracle:
 
 
 def _loop_c3(chain):
-    """Oracle of c3_tensor: the entry-by-entry case split over ion indices."""
+    """C3 entry by entry, the case split over ion indices."""
     u = np.asarray(chain, dtype=float)
     n = len(u)
     d = u[:, None] - u[None, :]
@@ -232,7 +237,7 @@ def _loop_c3(chain):
 
 
 def _loop_c4(chain):
-    """Oracle of c4_tensor: the entry-by-entry case split over ion indices."""
+    """C4 entry by entry, the case split over ion indices."""
     u = np.asarray(chain, dtype=float)
     n = len(u)
     d = np.abs(u[:, None] - u[None, :])
@@ -254,7 +259,8 @@ def test_pair_sums_match_case_split(n):
     # off-diagonal entries hold one pair term each and agree exactly; the
     # diagonal sums n - 1 terms in another order
     chain = _chain(n)
-    for got, ref in ((c3_tensor(chain), _loop_c3(chain)), (c4_tensor(chain), _loop_c4(chain))):
+    for k, loop in ((3, _loop_c3), (4, _loop_c4)):
+        got, ref = pair_sum_tensor_einsum(chain, k), loop(chain)
         np.testing.assert_allclose(got, ref, rtol=0, atol=n * np.finfo(float).eps * np.abs(ref).max())
         off = np.ones(got.shape, dtype=bool)
         off[(np.arange(n),) * got.ndim] = False
@@ -267,39 +273,50 @@ def test_pair_sums_match_case_split(n):
 def test_fixed_order_contractions_match_einsum(n, omega_x_hz, omega_y_hz):
     # 20 ions: the chain of the tables-n20 benchmark workload
     chain, modes = crystal.modes_for_trap(_chain_trap(n, omega_x_hz, omega_y_hz))
-    c3, c4 = c3_tensor(chain), c4_tensor(chain)
-    got, ref = mode_tensors(c3, c4, modes.M), mode_tensors_einsum(c3, c4, modes.M)
-    pairs = [
-        (c3, pair_sum_tensor_einsum(chain, 3)), (c4, pair_sum_tensor_einsum(chain, 4)),
-        (got.d3, ref.d3), (got.d4, ref.d4),
-    ]
-    for fixed, einsum in pairs:
-        assert fixed.shape == einsum.shape
-        assert np.max(np.abs(fixed - einsum)) <= 1e-13 * np.max(np.abs(einsum))
+    got = mode_tensors(chain, modes.M)
+    ref = mode_tensors_einsum(pair_sum_tensor_einsum(chain, 3), pair_sum_tensor_einsum(chain, 4), modes.M)
+    for direct, einsum in ((got.d3, ref.d3), (got.d4, ref.d4)):
+        assert direct.shape == einsum.shape
+        assert np.max(np.abs(direct - einsum)) <= 1e-13 * np.max(np.abs(einsum))
+
+
+@pytest.mark.parametrize("n, omega_x_hz", [(3, 3.1012e6), (10, MIRROR_TRAP_HZ), (20, 2.0e7)])
+def test_parity_forbidden_couplings_are_exactly_zero(n, omega_x_hz):
+    # under the mirror u -> -u, D3 is odd and D4 even: an entry whose modes'
+    # parities multiply to +1 (D3) or -1 (D4) vanishes, exactly
+    chain, modes = crystal.modes_for_trap(_chain_trap(n, omega_x_hz, 1.1 * omega_x_hz))
+    t = mode_tensors(chain, modes.M)
+    s = np.sign(np.sum(modes.M[::-1] * modes.M, axis=0))
+    assert np.array_equal(np.abs(s), np.ones(n))
+    odd3 = np.einsum("a,b,c->abc", s, s, s) < 0
+    even4 = np.einsum("a,b,c,d->abcd", s, s, s, s) > 0
+    assert np.all(t.d3[~odd3] == 0.0) and np.all(t.d4[~even4] == 0.0)
+    # the allowed entries are not all zero: each parity class carries couplings
+    assert np.count_nonzero(t.d3[odd3]) and np.count_nonzero(t.d4[even4])
 
 
 class TestC3:
     def test_two_ion_diagonal_entry(self):
         d = _spacing()
-        c3 = c3_tensor(_chain(2))
+        c3 = pair_sum_tensor_einsum(_chain(2), 3)
         assert c3[1, 1, 1] == pytest.approx(1.0 / d**4, rel=1e-12)
         assert c3[1, 1, 1] == pytest.approx(0.3969, abs=1e-4)
         assert c3[0, 0, 0] == pytest.approx(-1.0 / d**4, rel=1e-12)
 
     def test_middle_ion_cancellation(self):
-        c3 = c3_tensor(_chain(3))
+        c3 = pair_sum_tensor_einsum(_chain(3), 3)
         assert c3[1, 1, 1] == pytest.approx(0.0, abs=1e-14)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_sign_antisymmetry(self, n):
-        c3 = c3_tensor(_chain(n))
+        c3 = pair_sum_tensor_einsum(_chain(n), 3)
         for i in range(n):
             for k in range(n):
                 if i != k:
                     assert c3[i, i, k] == pytest.approx(-c3[k, k, i], rel=1e-12)
 
     def test_vanishes_for_distinct_indices(self):
-        c3 = c3_tensor(_chain(4))
+        c3 = pair_sum_tensor_einsum(_chain(4), 3)
         for i in range(4):
             for j in range(4):
                 for k in range(4):
@@ -307,24 +324,24 @@ class TestC3:
                         assert c3[i, j, k] == 0.0
 
     def test_symmetric_in_first_two_indices(self):
-        c3 = c3_tensor(_chain(4))
+        c3 = pair_sum_tensor_einsum(_chain(4), 3)
         assert np.max(np.abs(c3 - c3.transpose(1, 0, 2))) == 0.0
 
 
 class TestC4:
     def test_two_ion_diagonal_entry(self):
         d = _spacing()
-        c4 = c4_tensor(_chain(2))
+        c4 = pair_sum_tensor_einsum(_chain(2), 4)
         assert c4[0, 0, 0, 0] == pytest.approx(1.0 / d**5, rel=1e-12)
         assert c4[0, 0, 0, 0] == pytest.approx(0.3150, abs=1e-4)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_last_index_sums_to_zero(self, n):
-        c4 = c4_tensor(_chain(n))
+        c4 = pair_sum_tensor_einsum(_chain(n), 4)
         assert np.max(np.abs(c4.sum(axis=3))) < 1e-12
 
     def test_full_permutation_symmetry(self):
-        c4 = c4_tensor(_chain(3))
+        c4 = pair_sum_tensor_einsum(_chain(3), 4)
         for perm in permutations(range(4)):
             assert np.array_equal(c4, c4.transpose(perm))
 
@@ -343,8 +360,8 @@ class TestTaylorOracle:
         u = solve_equilibrium(n)
         ax, ay = 0.21, 0.08
         v_z, v_x, v_y = radial_hessians(u, ax, ay)
-        c3 = c3_tensor(u)
-        c4 = c4_tensor(u)
+        c3 = pair_sum_tensor_einsum(u, 3)
+        c4 = pair_sum_tensor_einsum(u, 4)
 
         def potential(x, y, z):
             pos = u + z
@@ -393,7 +410,7 @@ class TestModeTensors:
         alpha_x = 0.1 if n < 5 else 0.05
         v_z, _, _ = radial_hessians(chain, alpha_x, 0.05)
         modes = normal_modes(v_z, alpha_x, 0.05)
-        t = mode_tensors(c3_tensor(chain), c4_tensor(chain), modes.M)
+        t = mode_tensors(chain, modes.M)
         assert np.max(np.abs(t.d3[0])) < 1e-12
         assert np.max(np.abs(t.d3[:, 0, :])) < 1e-12
         assert np.max(np.abs(t.d3[:, :, 0])) < 1e-12
@@ -404,7 +421,7 @@ class TestModeTensors:
         d3 = table_data.tensors.d3
         direct = np.einsum(
             "ijk,in,jm,kp->nmp",
-            c3_tensor(solve_equilibrium(table_data.trap.n_ions)),
+            pair_sum_tensor_einsum(solve_equilibrium(table_data.trap.n_ions), 3),
             table_data.modes.M,
             table_data.modes.M,
             table_data.modes.M,
@@ -520,6 +537,17 @@ class TestEffectiveParameters:
             perturbative_third_order(
                 resonance_trap, resonance_data.modes, resonance_data.tensors
             )
+
+    @pytest.mark.parametrize("omega_x_hz", [84688578.55028766, 1e8])
+    def test_rounding_level_coupling_does_not_trip_the_guard(self, omega_x_hz):
+        # 40 ions: parity allows the couplings (zz, x24, z2), 2.1e-14 at a
+        # denominator of 1.2e-4 omega_z, and (zz, x3, z3), 1.5e-15 at
+        # 7.3e-4 omega_z; both sit below the pair sum's rounding floor of
+        # 6.4e-13, and the einsum form reads them as 2.2e-14 and 8e-16
+        trap = _chain_trap(40, omega_x_hz, 1.1 * omega_x_hz)
+        data = scenarios.derive_modes(trap)
+        third = perturbative_third_order(trap, data.modes, data.tensors)
+        assert np.isfinite(third.omega_si)
 
 
 class TestResonantCoupling:

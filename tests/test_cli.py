@@ -252,9 +252,9 @@ class TestConfigValidation:
             ({"scenario": "kerr", "n_phases": [0, 4, 4]}, "n_phases"),
             # the phase-cycle stacks of K32 over 10^10 phase pairs (~35 TiB)
             ({"scenario": "kerr", "n_phases": [100000, 100000, 4]}, "budget"),
-            # the coupling tensors of 100 ions (~40 GiB), before any mode is solved
-            ({"scenario": "tables", "n_ions": 100, "omega_x_hz": 2e8, "omega_y_hz": 2.2e8}, "budget"),
-            ({"scenario": "kerr", "n_ions": 100, "omega_x_hz": 2e8, "omega_y_hz": 2.2e8}, "budget"),
+            # the coupling tensors of 150 ions (~8.1 GiB), before any mode is solved
+            ({"scenario": "tables", "n_ions": 150, "omega_x_hz": 2e8, "omega_y_hz": 2.2e8}, "budget"),
+            ({"scenario": "kerr", "n_ions": 150, "omega_x_hz": 2e8, "omega_y_hz": 2.2e8}, "budget"),
             ({"scenario": "kerr", "grid_scale": float("inf")}, "grid_scale"),
             # the pulse sequence is checked for every scenario, those without a scan too
             ({"scenario": "tables", "n_phases": [4, 4]}, "n_phases"),
@@ -288,11 +288,12 @@ class TestConfigValidation:
             ),
             ({"scenario": "resonance", "grid_scale": 0.06, "zero_pad": 50, "baseline_notch": True}, "spectrum"),
             ({"scenario": "tables", "n_ions": 20, "omega_x_hz": 2e7, "omega_y_hz": 2.2e7}, "coupling tensors"),
+            ({"scenario": "tables", "n_ions": 40, "omega_x_hz": 2e8, "omega_y_hz": 2.2e8}, "coupling tensors"),
         ],
     )
     def test_stage_bound_covers_the_traced_run(self, raw, stage, tmp_path, monkeypatch):
-        # runs on a 10- or 12-point grid padded to 600^2 bins, or with 20
-        # ions, so that the stage dominates the run:
+        # runs on a 10- or 12-point grid padded to 600^2 bins, or with 20 or
+        # 40 ions, so that the stage dominates the run:
         # the bytes build_config charges for it cover the whole run's traced
         # peak, and the stage is over half of them
         charged = []

@@ -57,6 +57,8 @@ CONFIGS = {
     "resonance-cycle": {"scenario": "resonance", "n_phases": [3, 4, 5], "signature": [1, -2, 1], "alpha": 0.3},
     "resonance-no-heating": {"scenario": "resonance", "heating_quanta_per_ms": [0.0, 0.0]},
     "tables-n20": {"scenario": "tables", "n_ions": 20, "omega_x_hz": 2.0e7, "omega_y_hz": 2.2e7},
+    # the coupling tensors' memory: the peak RSS of a 50-ion chain
+    "tables-n50": {"scenario": "tables", "n_ions": 50, "omega_x_hz": 2.0e8, "omega_y_hz": 2.2e8},
 }
 # one run in a fresh process: the CLI on a config file, then the peak RSS
 CHILD = (
