@@ -1,17 +1,22 @@
 """Cubic and quartic Coulomb couplings and the effective mode parameters.
 
-The mode-basis tensors D3/D4 are one pair sum over the ions, each pair's
-Coulomb derivative at the dimensionless equilibrium positions times the
-k-fold outer power of the pair's row in the normal-mode basis, with the
-entries that the chain's mirror symmetry forbids set to exactly zero.  Every
-effective rate follows from them: the zigzag self-interaction, cross-Kerr
-dephasing rates, frequency shifts (fourth order directly, third order via
-second-order perturbation theory), and the resonant zigzag-stretch exchange
-coupling.  Everything is array code: the second-order shifts are one batched
-sum over (spectator x mode, z mode, sign pattern) evaluated on the few probe
-states the Kerr fit reads (Marquet, Schmidt-Kaler & James, Appl. Phys. B 76,
-199 (2003)), and the RWA census broadcasts the quartic coefficients over
-every mode quartet and its 16 sign patterns.
+The mode-basis couplings D3 and D4 are pair sums over the ions, each
+pair's Coulomb derivative at the dimensionless equilibrium positions times
+the k-fold outer power of the pair's row in the normal-mode basis, with the
+entries that the chain's mirror symmetry forbids set to exactly zero
+(``_pair_rows`` holds the rows, weights and parities).  Neither is stored:
+each reader sums the slice it reads.  The fourth-order Kerr parameters read
+the N entries D4[zz, zz, m, m], the second-order shifts the N^2 entries
+D3[zz], the exchange coupling one entry of it, and the RWA census the N^3
+entries D4[m] of one first mode m at a time.  Every effective rate
+follows: the zigzag self-interaction, cross-Kerr dephasing rates, frequency
+shifts (fourth order directly, third order via second-order perturbation
+theory), and the resonant zigzag-stretch exchange coupling.  Everything is
+array code: the second-order shifts are one batched sum over (spectator x
+mode, z mode, sign pattern) evaluated on the few probe states the Kerr fit
+reads (Marquet, Schmidt-Kaler & James, Appl. Phys. B 76, 199 (2003)), and
+the RWA census broadcasts each slice's coefficients over the mode triples
+that follow and their sign patterns.
 
 Mode indexing is 0-based everywhere in code: the center-of-mass mode is index
 0 and the zigzag/highest axial mode is index N-1; the effective parameters
@@ -40,13 +45,6 @@ class PerturbativeRegimeError(RuntimeError):
 class NearResonanceError(RuntimeError):
     """A perturbation-theory denominator is near zero; use the resonant
     treatment (resonant_coupling) instead."""
-
-
-class ModeTensors(NamedTuple):
-    """Mode-basis coupling tensors D3 (N^3) and D4 (N^4), an immutable tuple."""
-
-    d3: np.ndarray
-    d4: np.ndarray
 
 
 class KerrParams(NamedTuple):
@@ -98,34 +96,49 @@ def mode_label(direction: str, index0: int) -> str:
     return f"{direction}{index0 + 1}"
 
 
-def mode_tensors(u: np.ndarray, m: np.ndarray) -> ModeTensors:
-    """Cubic and quartic Coulomb couplings D3, D4 in the normal-mode basis.
+def _pair_rows(u: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The terms of the couplings' pair sums: (E, w3, w4, s).
 
-    D_k = sum_{p<q} w_pq E_pq^(x k) over ion pairs, where E_pq = M[p] - M[q]
-    is the pair's row in the mode basis and w_pq is (-1)^k / k! times the
-    k-th derivative of the pair's Coulomb term 1/|d| at d = u_p - u_q:
-    sign(d)/|d|^4 for k = 3 and 1/|d|^5 for k = 4.  Each tensor is one
-    matmul over the pairs against the rows of E (x) E.
-
-    All entries with a center-of-mass index (mode 0) vanish because Coulomb
-    forces cannot change the crystal's total momentum.  The chain's mirror
-    u -> -u flips D3 and keeps D4, and each mode is even or odd under it, so
-    the entries whose mode parities forbid them are set to exactly zero
-    rather than left at their rounding residue.
+    D3 = sum_{p<q} w3 E^(x 3) and D4 = sum_{p<q} w4 E^(x 4) over the ion
+    pairs, where E = M[p] - M[q] is the pair's row in the mode basis and w_k
+    is (-1)^k / k! times the k-th derivative of the pair's Coulomb term 1/|d|
+    at d = u_p - u_q: w3 = sign(d)/|d|^4 and w4 = 1/|d|^5.  All entries with
+    a center-of-mass index (mode 0) vanish because Coulomb forces cannot
+    change the crystal's total momentum.  s is each mode's parity (+1 or -1)
+    under the chain's mirror u -> -u, which flips D3 and keeps D4, so an
+    entry whose modes' parities multiply to +1 (D3) or -1 (D4) vanishes; the
+    readers set those to exactly zero rather than leave their rounding
+    residue.
     """
     u = np.asarray(u, dtype=float)
-    n = len(u)
-    p, q = np.triu_indices(n, 1)
+    p, q = np.triu_indices(len(u), 1)
     d = u[p] - u[q]
-    e = m[p] - m[q]
+    s = np.sign(np.sum(m[::-1] * m, axis=0))
+    return m[p] - m[q], np.sign(d) / np.abs(d) ** 4, 1.0 / np.abs(d) ** 5, s
+
+
+def _cubic_slice(u: np.ndarray, m: np.ndarray, a: int) -> np.ndarray:
+    """D3[a], the (N, N) cubic couplings with first mode a, its
+    parity-forbidden entries exactly zero."""
+    e, w3, _, s = _pair_rows(u, m)
+    d3 = ((w3 * e[:, a])[:, None] * e).T @ e
+    d3[np.outer(s[a] * s, s) > 0] = 0.0
+    return d3
+
+
+def _quartic_slices(u: np.ndarray, m: np.ndarray):
+    """D4[a] for a = 0 .. N-1 in turn, each (N, N^2) over (b, N c + d) with
+    its parity-forbidden entries exactly zero: the columns a N .. a N + N - 1
+    of the pair rows' (pairs, N^2) product E (x) E, weighted, against all of
+    it.  E (x) E is formed once."""
+    e, _, w4, s = _pair_rows(u, m)
+    n = e.shape[1]
     ee = (e[:, :, None] * e[:, None, :]).reshape(len(e), -1)
-    d3 = ((np.sign(d) / np.abs(d) ** 4)[:, None] * e).T @ ee
-    d4 = ((1.0 / np.abs(d) ** 5)[:, None] * ee).T @ ee
-    s = np.sign(np.sum(m[::-1] * m, axis=0))  # each mode's mirror parity
-    even = np.outer(s, s).ravel() > 0  # the mode pairs of even joint parity
-    d3[np.ix_(s > 0, even)] = d3[np.ix_(s < 0, ~even)] = 0.0
-    d4[np.ix_(even, ~even)] = d4[np.ix_(~even, even)] = 0.0
-    return ModeTensors(d3=d3.reshape((n,) * 3), d4=d4.reshape((n,) * 4))
+    even = np.outer(s, s).ravel()
+    for a in range(n):
+        d4 = (w4[:, None] * ee[:, a * n : (a + 1) * n]).T @ ee
+        d4[np.outer(s[a] * s, even) < 0] = 0.0
+        yield d4
 
 
 def anharmonic_prefactor(trap: TrapConfig) -> float:
@@ -135,11 +148,7 @@ def anharmonic_prefactor(trap: TrapConfig) -> float:
     return z0 / (4.0 * length_scale(trap.mass, trap.omega_z))
 
 
-def effective_kerr(
-    trap: TrapConfig,
-    modes: NormalModes,
-    tensors: ModeTensors,
-) -> KerrParams:
+def effective_kerr(trap: TrapConfig, modes: NormalModes, u: np.ndarray) -> KerrParams:
     """Fourth-order Kerr parameters of the x zigzag mode.
 
     Keeps the secular terms of the quartic Hamiltonian: the zigzag
@@ -147,7 +156,8 @@ def effective_kerr(
     kappa = (z0/4l_z)^2), the cross-Kerr rates with the other x modes (72),
     the y modes (24) and the z modes (-96), and the frequency shifts each of
     these implies.  The zigzag shift collects the self-interaction plus half
-    of every cross-Kerr rate.
+    of every cross-Kerr rate.  It reads the N couplings D4[zz, zz, m, m],
+    which parity always allows.
     """
     n = modes.n_ions
     zz = n - 1
@@ -159,14 +169,15 @@ def effective_kerr(
         )
     kappa = anharmonic_prefactor(trap) ** 2
     wz = trap.omega_z
-    d4 = tensors.d4
+    e, _, w4, _ = _pair_rows(u, modes.M)
+    d4 = (w4 * e[:, zz] ** 2) @ e**2  # D4[zz, zz, m, m]
 
-    omega_si = 36.0 * kappa * wz * d4[zz, zz, zz, zz] / gx[zz]
+    omega_si = 36.0 * kappa * wz * d4[zz] / gx[zz]
     x, m = np.arange(1, zz), np.arange(1, n)  # other x modes; every y and z mode but COM
     dephasing = np.zeros((3, n))
-    dephasing[0, x] = 72.0 * kappa * wz * d4[x, x, zz, zz] / np.sqrt(gx[x] * gx[zz])
-    dephasing[1, m] = 24.0 * kappa * wz * d4[zz, zz, m, m] / np.sqrt(gx[zz] * gy[m])
-    dephasing[2, m] = -96.0 * kappa * wz * d4[zz, zz, m, m] / np.sqrt(gx[zz] * lz[m])
+    dephasing[0, x] = 72.0 * kappa * wz * d4[x] / np.sqrt(gx[x] * gx[zz])
+    dephasing[1, m] = 24.0 * kappa * wz * d4[m] / np.sqrt(gx[zz] * gy[m])
+    dephasing[2, m] = -96.0 * kappa * wz * d4[m] / np.sqrt(gx[zz] * lz[m])
     delta = 0.5 * dephasing
     # summed one entry at a time in x, y, z order, as the published tables
     delta[0, zz] = omega_si + 0.5 * sum(dephasing.flat)
@@ -174,40 +185,37 @@ def effective_kerr(
 
 
 def _second_order_shifts(
-    trap: TrapConfig,
-    modes: NormalModes,
-    tensors: ModeTensors,
-    occ: np.ndarray,
-    guard: float = 1e-3,
+    trap: TrapConfig, modes: NormalModes, u: np.ndarray, occ: np.ndarray, guard: float = 1e-3
 ) -> np.ndarray:
     """Second-order energy shifts E2(n) of the cubic x-mode Hamiltonian for a
     batch of Fock states; everything in units of omega_z.
 
     Row s of ``occ`` holds the occupations of the x modes 1..N-1, then of the
     z modes 1..N-1.  Only cubic couplings g X_a X_b Z_p with a zigzag index
-    among a, b are kept: the other elements do not touch the zigzag dynamics,
-    and the published shift tables are defined with this restriction.  For
-    a spectator x mode b != zz, both orderings (zz, b) and (b, zz) reach the
-    same states and sum into one coefficient G; each of the 8 sign patterns
+    among a, b are kept, the (N-1)^2 entries D3[zz, b, p]: the other elements
+    do not touch the zigzag dynamics, and the published shift tables are
+    defined with this restriction.  For a spectator x mode b != zz, both
+    orderings (zz, b) and (b, zz) of the one symmetric entry reach the same
+    states and sum into one coefficient G = 2g; each of the 8 sign patterns
     s moves n to n + s_zz e_zz + s_b e_b + s_p e_p with |amplitude|^2
     G^2 prod (n + [s > 0]).  For b = zz the patterns move n_zz by +2, -2 or
     0, the two mixed-sign orderings of X_zz^2 adding up to the amplitude
     (2 n_zz + 1).  Every pattern with a nonzero coupling is checked against
     ``guard``: flipping all signs keeps |denominator|, and a pattern or its
-    flip is reachable from the vacuum or a single-quantum state.  A D3 entry
-    at or below N eps max|D3|, the rounding floor of its pair sum, counts as
-    zero: it is not resolved from zero, and its shift would be negligible.
+    flip is reachable from the vacuum or a single-quantum state.  An entry
+    at or below N eps max|D3[zz]|, the rounding floor of its pair sum,
+    counts as zero: it is not resolved from zero, and its shift would be
+    negligible.
     """
     n = modes.n_ions
     zz = n - 2  # position of the zigzag among the x modes 1..N-1
     gx, lz = modes.gamma_x[1:], modes.lambda_z[1:]
-    d3 = tensors.d3[1:, 1:, 1:]
+    d3 = _cubic_slice(u, modes.M, n - 1)[1:, 1:]  # D3[zz, b, p]
     floor = n * np.finfo(float).eps * np.abs(d3).max()
     g = np.where(np.abs(d3) <= floor, 0.0, d3) * (
-        3.0 * anharmonic_prefactor(trap)
-        / (gx[:, None, None] * gx[None, :, None] * lz[None, None, :]) ** 0.25
+        3.0 * anharmonic_prefactor(trap) / (gx[zz] * gx[:, None] * lz) ** 0.25
     )
-    coupling = g[zz] + g[:, zz]  # (b, p)
+    coupling = 2.0 * g  # (b, p)
     coupling[zz] = 0.0
     sign = np.array([1.0, -1.0])  # raise, lower
     rot_x = np.multiply.outer(np.sqrt(gx), sign)  # (b, s_b)
@@ -242,17 +250,14 @@ def _second_order_shifts(
     )
     self_term = np.einsum(
         "tpk,st,spk->s",
-        rates((g[zz, zz] ** 2)[:, None], gap_zz),
+        rates((g[zz] ** 2)[:, None], gap_zz),
         f_zz, fz,
     )
     return spectator + self_term
 
 
 def perturbative_third_order(
-    trap: TrapConfig,
-    modes: NormalModes,
-    tensors: ModeTensors,
-    guard: float = 1e-3,
+    trap: TrapConfig, modes: NormalModes, u: np.ndarray, guard: float = 1e-3
 ) -> KerrParams:
     """Third-order Kerr parameters from second-order perturbation theory.
 
@@ -269,7 +274,7 @@ def perturbative_third_order(
     zz = n - 2
     eye = np.eye(m)
     e2 = _second_order_shifts(
-        trap, modes, tensors, np.vstack([np.zeros(m), eye, 2 * eye, eye + eye[zz]]), guard
+        trap, modes, u, np.vstack([np.zeros(m), eye, 2 * eye, eye + eye[zz]]), guard
     )
     base, one, two, with_zz = e2[0], e2[1 : m + 1], e2[m + 1 : 2 * m + 1], e2[2 * m + 1 :]
     wz = trap.omega_z
@@ -286,9 +291,7 @@ def perturbative_third_order(
     return KerrParams(omega_si=float(2.0 * quad[zz] * wz), delta=delta, dephasing=dephasing)
 
 
-def resonant_coupling(
-    trap: TrapConfig, modes: NormalModes, tensors: ModeTensors
-) -> ResonantCoupling:
+def resonant_coupling(trap: TrapConfig, modes: NormalModes, u: np.ndarray) -> ResonantCoupling:
     """Exchange rate Omega_T between zigzag pairs and stretch quanta.
 
     Valid at (and near) the anisotropy where 2*omega_zz equals the
@@ -300,7 +303,7 @@ def resonant_coupling(
     pref = 3.0 * anharmonic_prefactor(trap) * trap.omega_z
     omega_t = (
         pref
-        * tensors.d3[zz, zz, stretch]
+        * _cubic_slice(u, modes.M, zz)[zz, stretch]
         / (modes.gamma_x[zz] ** 2 * modes.lambda_z[stretch]) ** 0.25
     )
     detuning = (
@@ -309,9 +312,7 @@ def resonant_coupling(
     return ResonantCoupling(omega_t=float(omega_t), detuning=float(detuning))
 
 
-def max_nonsecular_ratio(
-    trap: TrapConfig, modes: NormalModes, tensors: ModeTensors
-) -> float:
+def max_nonsecular_ratio(trap: TrapConfig, modes: NormalModes, u: np.ndarray) -> float:
     """Largest |coefficient / rotation frequency| of the non-secular terms of
     the quartic x-mode Hamiltonian in the interaction picture.
 
@@ -320,8 +321,11 @@ def max_nonsecular_ratio(
     share the quartet's coefficient 3 kappa omega_z D4 / (gamma^4)^(1/4).
     Terms rotating slower than 1e-9 omega_z are secular and kept by the RWA;
     the ratio is the figure of merit for dropping all the others.  The
-    first operator's mode is looped over, and then its sign, so that (2N)^3
-    frequencies are held at a time, not (2N)^4.
+    first operator's mode m is looped over, so that D4[m] and (2N)^3
+    frequencies are held at a time, not D4 and (2N)^4.  A lowering first
+    operator negates every frequency of the matching raising pattern at the
+    same coefficient, so only the raising one is walked: 8 of the 16
+    patterns.
     """
     n = modes.n_ions
     wz = trap.omega_z
@@ -330,11 +334,10 @@ def max_nonsecular_ratio(
     rot = np.concatenate([modes.omega_radial_x(wz), -modes.omega_radial_x(wz)])
     gammas, axes = np.ix_(gx, gx, gx), np.ix_(rot, rot, rot)
     best = 0.0
-    for m in range(n):
-        coeff = np.abs(scale * tensors.d4[m] / reduce(np.multiply, (gx[m], *gammas)) ** 0.25).reshape((1, n) * 3)
-        for first in rot[m], rot[m + n]:  # a raising, then a lowering operator
-            freq = reduce(np.add, (first, *axes)).reshape((2, n) * 3)
-            np.abs(freq, out=freq)
-            freq[freq < 1e-9 * wz] = np.inf  # secular terms drop out of the ratio
-            best = max(best, float(np.divide(coeff, freq, out=freq).max()))
+    for m, d4 in enumerate(_quartic_slices(u, modes.M)):
+        coeff = np.abs(scale * d4.reshape(n, n, n) / reduce(np.multiply, (gx[m], *gammas)) ** 0.25).reshape((1, n) * 3)
+        freq = reduce(np.add, (rot[m], *axes)).reshape((2, n) * 3)  # a raising first operator
+        np.abs(freq, out=freq)
+        freq[freq < 1e-9 * wz] = np.inf  # secular terms drop out of the ratio
+        best = max(best, float(np.divide(coeff, freq, out=freq).max()))
     return best

@@ -27,10 +27,10 @@ model, within 1.5 bins, and warns when the detuning 2 omega_zz -
 omega_str, which that model omits, exceeds the same tolerance.
 ``build_config`` parses each field as the kind of its default and rejects
 an invalid configuration with ConfigError (exit 2) before any work starts,
-a stage past the memory budget included: the coupling tensors of the ion
-number, the scan (the columns of its kept charge sectors, its largest
-sector's step map and its phase-cycle stacks) and the zero-padded
-spectrum.  The pulse sequence (``RunConfig.sequence``) checks its own
+a stage past the memory budget included: the couplings of the ion number
+(the RWA census's working set), the scan (the columns of its kept charge
+sectors, its largest sector's step map and its phase-cycle stacks) and the
+zero-padded spectrum.  The pulse sequence (``RunConfig.sequence``) checks its own
 settings when ``build_config`` builds it.  ``main`` prints every ConfigError, an unreadable or invalid
 config file's included, from one handler and exits with 2.  Every run,
 successful or not, leaves a manifest.json with the resolved
@@ -244,15 +244,14 @@ def build_config(raw: dict) -> RunConfig:
         raise ConfigError("kerr is dissipation-free: heating_quanta_per_ms must be zero")
     try:
         if cfg.scenario != "noise-table":
-            # the coupling tensors of N ions (kerr and tables): D4 (N^4)
-            # beside, first, the outer products of the pair rows in
-            # anharmonic.mode_tensors, weighted and not, 2 (pairs, N^2) =
-            # N^3 (N - 1) over the N (N - 1)/2 ion pairs, and then the RWA
-            # ratio's (2N)^3 rotation frequencies of one first operator with
-            # their mask and temporaries; charged as the sum, which also
-            # covers D3 and the pair rows
+            # the couplings of N ions (kerr and tables), at their largest in
+            # anharmonic.max_nonsecular_ratio: the (pairs, N^2) product of
+            # the pair rows, N^3 (N - 1)/2 over the N (N - 1)/2 ion pairs,
+            # beside one slice D4[m] (N^3) and the (2N)^3 rotation
+            # frequencies of one first mode with their mask and temporaries,
+            # charged as 24 N^3 in all; 189 ions fit
             ions = cfg.n_ions
-            need = 8 * (ions**4 + ions**3 * (ions - 1) + 24 * ions**3)
+            need = 8 * (ions**3 * (ions - 1) // 2 + 24 * ions**3)
             dynamics._check_budget(need, f"coupling tensors ({cfg.n_ions} ions)")
         if cfg.scenario in _MODE_LABELS:
             # also false when 2 ms * grid_scale overflows to infinity
@@ -425,9 +424,7 @@ def _dispatch(cfg: RunConfig, out: Path, manifest: dict) -> dict[str, str]:
         derived["omega_si_hz"] = eff.omega_si / (2 * np.pi)
         derived["delta_omega_zz_hz"] = eff.delta[0, -1] / (2 * np.pi)
         manifest["regime"] = {
-            "rwa_max_nonsecular_ratio": anharmonic.max_nonsecular_ratio(
-                data.trap, data.modes, data.tensors
-            )
+            "rwa_max_nonsecular_ratio": anharmonic.max_nonsecular_ratio(data.trap, data.modes, data.u)
         }
         if cfg.scenario == "tables":
             return _write_tables(out, params)

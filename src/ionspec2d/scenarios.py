@@ -46,11 +46,14 @@ from .protocol import PulseSequence, SignalGrid
 
 
 class ModeData(NamedTuple):
-    """Everything derived from the trap alone, an immutable tuple."""
+    """Everything derived from the trap alone, an immutable tuple: the
+    trap, the dimensionless equilibrium positions ``u`` and the normal
+    modes.  The couplings are summed from ``u`` and the modes by the
+    ``anharmonic`` functions that read them."""
 
     trap: TrapConfig
+    u: np.ndarray
     modes: NormalModes
-    tensors: anharmonic.ModeTensors
 
     @property
     def omega_zz(self) -> float:
@@ -60,19 +63,18 @@ class ModeData(NamedTuple):
 
 def derive_modes(trap: TrapConfig) -> ModeData:
     u, modes = crystal.modes_for_trap(trap)
-    tensors = anharmonic.mode_tensors(u, modes.M)
-    return ModeData(trap=trap, modes=modes, tensors=tensors)
+    return ModeData(trap=trap, u=u, modes=modes)
 
 
 def kerr_parameters(data: ModeData) -> EffectiveParams:
     return EffectiveParams(
-        third=anharmonic.perturbative_third_order(data.trap, data.modes, data.tensors),
-        fourth=anharmonic.effective_kerr(data.trap, data.modes, data.tensors),
+        third=anharmonic.perturbative_third_order(data.trap, data.modes, data.u),
+        fourth=anharmonic.effective_kerr(data.trap, data.modes, data.u),
     )
 
 
 def resonance_parameters(data: ModeData) -> ResonantCoupling:
-    return anharmonic.resonant_coupling(data.trap, data.modes, data.tensors)
+    return anharmonic.resonant_coupling(data.trap, data.modes, data.u)
 
 
 # ---------------------------------------------------------------------------

@@ -8,16 +8,18 @@ closed-form reference of the resonance peak positions.  ``cycled_pair`` and
 ``closed_form_lines`` is the eigendecomposition of a dissipation-free H in
 place of the stepped sector lines of ``dynamics.evolution_lines``.
 ``max_nonsecular_ratio_oneshot`` forms all (2N)^4 rotation frequencies at
-once, the reference of the loop of ``anharmonic.max_nonsecular_ratio``.
+once, the reference of the loop of ``anharmonic.max_nonsecular_ratio``
+over its 8 raising-first patterns.
 ``dense_liouvillian`` gathers a Liouvillian block densely from the
 generator, the reference of the block ``dynamics.liouvillian`` scatters
 from the model's sparse entries.  ``expm_with_eye`` is the matrix
 exponential with the dense identity that ``dynamics.expm`` replaces by
 adding the Pade identity terms on the diagonal.
 ``pair_sum_tensor_einsum`` builds the position-basis tensors C3/C4 and
-``mode_tensors_einsum`` contracts them into the normal-mode basis, each as
-one ``np.einsum`` call with numpy's path search: the two-pass reference of
-the direct pair sum ``anharmonic.mode_tensors``.
+``mode_tensors_einsum`` contracts them into the full normal-mode D3 and D4,
+each as one ``np.einsum`` call with numpy's path search: the two-pass
+reference of the slices that the ``anharmonic`` readers sum straight from
+the pair rows.
 ``radial_hessians`` builds the full N x N radial Hessians from the axial
 one, the matrices whose eigenvalues ``crystal.normal_modes`` writes in
 closed form.  ``exact_zigzag_ladder`` diagonalizes the cubic and quartic
@@ -87,7 +89,8 @@ def exact_zigzag_ladder(data, dims: tuple[int, ...] = (12, 4, 4, 4)) -> float:
     + E(0), the n_zz^2 coefficient that the perturbative orders give as
     Omega_SI / 2.
     """
-    trap, modes, tensors = data.trap, data.modes, data.tensors
+    trap, modes = data.trap, data.modes
+    d3, d4 = mode_tensors_einsum(pair_sum_tensor_einsum(data.u, 3), pair_sum_tensor_einsum(data.u, 4), modes.M)
     n = modes.n_ions
     zz = n - 1
     if len(dims) != 2 * n - 2:
@@ -100,7 +103,7 @@ def exact_zigzag_ladder(data, dims: tuple[int, ...] = (12, 4, 4, 4)) -> float:
     h = sum(w * fock.embed(np.diag(np.arange(d, dtype=float)), k, dims)
             for k, (w, d) in enumerate(zip(freqs, dims)))
     eps = anharmonic.anharmonic_prefactor(trap)
-    d3 = np.where(np.abs(tensors.d3) < 1e-14, 0.0, tensors.d3)
+    d3 = np.where(np.abs(d3) < 1e-14, 0.0, d3)
 
     def g3(a: int, b: int, p: int) -> float:
         return 3.0 * eps * d3[a, b, p] / (
@@ -111,7 +114,7 @@ def exact_zigzag_ladder(data, dims: tuple[int, ...] = (12, 4, 4, 4)) -> float:
         for kb, b in enumerate(range(1, zz), start=1):
             h += (g3(zz, b, p) + g3(b, zz, p)) * x[0] @ x[kb] @ x[kp]
     x2 = x[0] @ x[0]
-    h += 3.0 * eps**2 * tensors.d4[zz, zz, zz, zz] / modes.gamma_x[zz] * x2 @ x2
+    h += 3.0 * eps**2 * d4[zz, zz, zz, zz] / modes.gamma_x[zz] * x2 @ x2
     energies, vecs = np.linalg.eigh(h)
     # |k, 0, ...> is basis state k * (levels of the other modes)
     stride = int(np.prod(dims[1:]))
@@ -165,7 +168,7 @@ def resonant_manifolds(omega_t: float, max_quanta: int) -> list[Manifold]:
 
 def pair_sum_tensor_einsum(u: np.ndarray, k: int) -> np.ndarray:
     """Position-basis C_k = sum_{p<q} w_pq (e_p - e_q)^(x k) over the ion
-    pairs as one einsum, with the pair weights of ``anharmonic.mode_tensors``."""
+    pairs as one einsum, with the pair weights of ``anharmonic._pair_rows``."""
     u = np.asarray(u, dtype=float)
     p, q = np.triu_indices(len(u), 1)
     d = u[p] - u[q]
@@ -175,12 +178,13 @@ def pair_sum_tensor_einsum(u: np.ndarray, k: int) -> np.ndarray:
     return np.einsum(f"a,{','.join('a' + i for i in idx)}->{idx}", w, *[e] * k, optimize=True)
 
 
-def mode_tensors_einsum(c3: np.ndarray, c4: np.ndarray, m: np.ndarray) -> anharmonic.ModeTensors:
-    """C3 and C4 contracted into the mode basis, one einsum per tensor: on
-    the pair sums above, ``anharmonic.mode_tensors`` up to its parity zeros."""
+def mode_tensors_einsum(c3: np.ndarray, c4: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(D3, D4): C3 and C4 contracted into the mode basis, one einsum per
+    tensor.  On the pair sums above, these are the couplings the
+    ``anharmonic`` readers sum, up to their parity zeros."""
     d3 = np.einsum("ijk,in,jm,kp->nmp", c3, m, m, m, optimize=True)
     d4 = np.einsum("ijkl,in,jm,kp,lq->nmpq", c4, m, m, m, m, optimize=True)
-    return anharmonic.ModeTensors(d3=d3, d4=d4)
+    return d3, d4
 
 
 def cycled_pair(seq: protocol.PulseSequence, dim: int) -> np.ndarray:
@@ -302,14 +306,15 @@ def closed_form_lines(model, state, observable, n, dt, sectors=None):
     return forward[:, index[0]], back[:, index[1]], index[0], index[1]
 
 
-def max_nonsecular_ratio_oneshot(trap: crystal.TrapConfig, modes: crystal.NormalModes, tensors) -> float:
-    """``anharmonic.max_nonsecular_ratio`` with every quartet's 16 rotation
-    frequencies formed at once, a (2N)^4 array and its mask."""
+def max_nonsecular_ratio_oneshot(trap: crystal.TrapConfig, modes: crystal.NormalModes, d4: np.ndarray) -> float:
+    """``anharmonic.max_nonsecular_ratio`` on the quartic couplings ``d4``
+    (N^4), with every quartet's 16 rotation frequencies formed at once, a
+    (2N)^4 array and its mask."""
     n = modes.n_ions
     wz = trap.omega_z
     gx = modes.gamma_x
     coeff = (
-        3.0 * anharmonic.anharmonic_prefactor(trap) ** 2 * wz * tensors.d4
+        3.0 * anharmonic.anharmonic_prefactor(trap) ** 2 * wz * d4
         / reduce(np.multiply, np.ix_(gx, gx, gx, gx)) ** 0.25
     )
     rot = np.concatenate([modes.omega_radial_x(wz), -modes.omega_radial_x(wz)])

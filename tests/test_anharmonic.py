@@ -9,10 +9,12 @@ from ionspec2d.anharmonic import (
     KerrParams,
     NearResonanceError,
     PerturbativeRegimeError,
+    _cubic_slice,
+    _quartic_slices,
     _second_order_shifts,
+    anharmonic_prefactor,
     effective_kerr,
     max_nonsecular_ratio,
-    mode_tensors,
     perturbative_third_order,
     resonant_coupling,
 )
@@ -76,9 +78,13 @@ def _chain_trap(n, omega_x_hz, omega_y_hz):
 # the final-state amplitudes summed coherently before they are squared.
 
 
-def _oracle_couplings(trap, modes, tensors):
+def _oracle_couplings(trap, modes, u):
     """Mode list, frequencies (units of omega_z) and cubic coefficients with
-    at least one zigzag x index (units of omega_z)."""
+    at least one zigzag x index (units of omega_z), from the einsum D3 less
+    the entries that the modes' mirror parities s forbid (s_a s_b s_p > 0)."""
+    d3, _ = mode_tensors_einsum(pair_sum_tensor_einsum(u, 3), pair_sum_tensor_einsum(u, 4), modes.M)
+    s = np.sign(np.sum(modes.M[::-1] * modes.M, axis=0))
+    d3[np.einsum("a,b,c->abc", s, s, s) > 0] = 0.0
     n = modes.n_ions
     zz = n - 1
     x_modes = [("x", m) for m in range(1, n)]
@@ -92,7 +98,7 @@ def _oracle_couplings(trap, modes, tensors):
             if a != zz and b != zz:
                 continue
             for _, p in z_modes:
-                val = tensors.d3[a, b, p]
+                val = d3[a, b, p]
                 if abs(val) < 1e-14:
                     continue
                 denom = (modes.gamma_x[a] * modes.gamma_x[b] * modes.lambda_z[p]) ** 0.25
@@ -141,10 +147,10 @@ def _oracle_shift(occ, g, freqs, guard=1e-3):
     return shift
 
 
-def _oracle_third_order(trap, modes, tensors, guard=1e-3):
+def _oracle_third_order(trap, modes, u, guard=1e-3):
     """The Kerr fit of perturbative_third_order on the dict oracle, over the
     full probe grid |0>, |1_mu>, |2_mu> and every |1_mu 1_nu>."""
-    mode_list, freqs, g = _oracle_couplings(trap, modes, tensors)
+    mode_list, freqs, g = _oracle_couplings(trap, modes, u)
     wz = trap.omega_z
     n = modes.n_ions
     zz = ("x", n - 1)
@@ -190,8 +196,8 @@ class TestThirdOrderOracle:
     def test_matches_dict_oracle(self, name):
         trap = _chain_trap(*ORACLE_TRAPS[name])
         data = scenarios.derive_modes(trap)
-        got = perturbative_third_order(trap, data.modes, data.tensors)
-        ref = _oracle_third_order(trap, data.modes, data.tensors)
+        got = perturbative_third_order(trap, data.modes, data.u)
+        ref = _oracle_third_order(trap, data.modes, data.u)
         assert got.omega_si == pytest.approx(ref.omega_si, rel=1e-12)
         assert got.delta.shape == got.dephasing.shape == (3, trap.n_ions)
         assert got.delta == pytest.approx(ref.delta, rel=1e-12, abs=0)
@@ -207,16 +213,16 @@ class TestThirdOrderOracle:
         outcomes = set()
         for guard in np.geomspace(1e-3, 3.0, 25):
             try:
-                _oracle_third_order(trap, data.modes, data.tensors, guard)
+                _oracle_third_order(trap, data.modes, data.u, guard)
                 expected = False
             except NearResonanceError:
                 expected = True
             outcomes.add(expected)
             if expected:
                 with pytest.raises(NearResonanceError, match="resonant_coupling"):
-                    perturbative_third_order(trap, data.modes, data.tensors, guard)
+                    perturbative_third_order(trap, data.modes, data.u, guard)
             else:
-                perturbative_third_order(trap, data.modes, data.tensors, guard)
+                perturbative_third_order(trap, data.modes, data.u, guard)
         assert outcomes == {False, True}
 
 
@@ -267,15 +273,34 @@ def test_pair_sums_match_case_split(n):
         assert np.array_equal(got[off], ref[off])
 
 
+def _census_d4(u, m):
+    """D4 (N^4) stacked from the RWA census's D4[m] slices."""
+    return np.stack(list(_quartic_slices(u, m))).reshape((len(u),) * 4)
+
+
+def _read_couplings(n, omega_x_hz, omega_y_hz):
+    """What the readers sum on an n-ion chain: D3[zz] (N, N), the Kerr
+    couplings D4[zz, zz, m, m] for m >= 1, recovered from effective_kerr's y
+    dephasing rates, and the census's D4 stacked from its D4[m] slices; and
+    the einsum D3 and D4 of the same chain."""
+    trap = _chain_trap(n, omega_x_hz, omega_y_hz)
+    chain, modes = crystal.modes_for_trap(trap)
+    zz = n - 1
+    y_rates = effective_kerr(trap, modes, chain).dephasing[1, 1:]
+    kerr = y_rates * np.sqrt(modes.gamma_x[zz] * modes.gamma_y[1:]) / (24.0 * anharmonic_prefactor(trap) ** 2 * trap.omega_z)
+    census = _census_d4(chain, modes.M)
+    einsum = mode_tensors_einsum(pair_sum_tensor_einsum(chain, 3), pair_sum_tensor_einsum(chain, 4), modes.M)
+    return modes, _cubic_slice(chain, modes.M, zz), kerr, census, einsum
+
+
 @pytest.mark.parametrize(
     "n, omega_x_hz, omega_y_hz", [(3, 3.1012e6, 5e6), (5, 5e6, 6e6), (20, 2.0e7, 2.2e7)]
 )
 def test_fixed_order_contractions_match_einsum(n, omega_x_hz, omega_y_hz):
     # 20 ions: the chain of the tables-n20 benchmark workload
-    chain, modes = crystal.modes_for_trap(_chain_trap(n, omega_x_hz, omega_y_hz))
-    got = mode_tensors(chain, modes.M)
-    ref = mode_tensors_einsum(pair_sum_tensor_einsum(chain, 3), pair_sum_tensor_einsum(chain, 4), modes.M)
-    for direct, einsum in ((got.d3, ref.d3), (got.d4, ref.d4)):
+    _, d3_zz, kerr, census, (d3, d4) = _read_couplings(n, omega_x_hz, omega_y_hz)
+    zz, m = n - 1, np.arange(1, n)
+    for direct, einsum in ((d3_zz, d3[zz]), (kerr, d4[zz, zz, m, m]), (census, d4)):
         assert direct.shape == einsum.shape
         assert np.max(np.abs(direct - einsum)) <= 1e-13 * np.max(np.abs(einsum))
 
@@ -283,16 +308,16 @@ def test_fixed_order_contractions_match_einsum(n, omega_x_hz, omega_y_hz):
 @pytest.mark.parametrize("n, omega_x_hz", [(3, 3.1012e6), (10, MIRROR_TRAP_HZ), (20, 2.0e7)])
 def test_parity_forbidden_couplings_are_exactly_zero(n, omega_x_hz):
     # under the mirror u -> -u, D3 is odd and D4 even: an entry whose modes'
-    # parities multiply to +1 (D3) or -1 (D4) vanishes, exactly
-    chain, modes = crystal.modes_for_trap(_chain_trap(n, omega_x_hz, 1.1 * omega_x_hz))
-    t = mode_tensors(chain, modes.M)
+    # parities multiply to +1 (D3) or -1 (D4) vanishes, exactly, in D3[zz]
+    # and in every census slice D4[m]
+    modes, d3_zz, _, census, _ = _read_couplings(n, omega_x_hz, 1.1 * omega_x_hz)
     s = np.sign(np.sum(modes.M[::-1] * modes.M, axis=0))
     assert np.array_equal(np.abs(s), np.ones(n))
-    odd3 = np.einsum("a,b,c->abc", s, s, s) < 0
+    odd3 = np.einsum("a,b,c->abc", s, s, s)[n - 1] < 0
     even4 = np.einsum("a,b,c,d->abcd", s, s, s, s) > 0
-    assert np.all(t.d3[~odd3] == 0.0) and np.all(t.d4[~even4] == 0.0)
+    assert np.all(d3_zz[~odd3] == 0.0) and np.all(census[~even4] == 0.0)
     # the allowed entries are not all zero: each parity class carries couplings
-    assert np.count_nonzero(t.d3[odd3]) and np.count_nonzero(t.d4[even4])
+    assert np.count_nonzero(d3_zz[odd3]) and np.count_nonzero(census[even4])
 
 
 class TestC3:
@@ -410,15 +435,18 @@ class TestModeTensors:
         alpha_x = 0.1 if n < 5 else 0.05
         v_z, _, _ = radial_hessians(chain, alpha_x, 0.05)
         modes = normal_modes(v_z, alpha_x, 0.05)
-        t = mode_tensors(chain, modes.M)
-        assert np.max(np.abs(t.d3[0])) < 1e-12
-        assert np.max(np.abs(t.d3[:, 0, :])) < 1e-12
-        assert np.max(np.abs(t.d3[:, :, 0])) < 1e-12
-        assert np.max(np.abs(t.d4[0])) < 1e-12
-        assert np.max(np.abs(t.d4[:, :, :, 0])) < 1e-12
+        # every D3[a] and D4[a] slice that the readers sum
+        d3 = np.stack([_cubic_slice(chain, modes.M, a) for a in range(n)])
+        d4 = _census_d4(chain, modes.M)
+        assert np.max(np.abs(d3[0])) < 1e-12
+        assert np.max(np.abs(d3[:, 0, :])) < 1e-12
+        assert np.max(np.abs(d3[:, :, 0])) < 1e-12
+        assert np.max(np.abs(d4[0])) < 1e-12
+        assert np.max(np.abs(d4[:, :, :, 0])) < 1e-12
 
     def test_d3_symmetric_first_pair(self, table_data):
-        d3 = table_data.tensors.d3
+        n = table_data.trap.n_ions
+        d3 = np.stack([_cubic_slice(table_data.u, table_data.modes.M, a) for a in range(n)])
         direct = np.einsum(
             "ijk,in,jm,kp->nmp",
             pair_sum_tensor_einsum(solve_equilibrium(table_data.trap.n_ions), 3),
@@ -452,18 +480,18 @@ def _assert_table(actual: dict, expected: dict, order: str):
 
 class TestEffectiveParameters:
     def test_fourth_order_dephasing_table(self, table_trap, table_data):
-        par = effective_kerr(table_trap, table_data.modes, table_data.tensors)
+        par = effective_kerr(table_trap, table_data.modes, table_data.u)
         actual = _by_label(par.dephasing)
         actual["si_half"] = par.omega_si / 2
         _assert_table(actual, DEPHASING["fourth"], "fourth")
 
     def test_fourth_order_shift_table(self, table_trap, table_data):
-        par = effective_kerr(table_trap, table_data.modes, table_data.tensors)
+        par = effective_kerr(table_trap, table_data.modes, table_data.u)
         actual = _by_label(par.delta)
         _assert_table(actual, FREQ_SHIFTS["fourth"], "fourth")
 
     def test_third_order_tables(self, table_trap, table_data):
-        par = perturbative_third_order(table_trap, table_data.modes, table_data.tensors)
+        par = perturbative_third_order(table_trap, table_data.modes, table_data.u)
         deph = _by_label(par.dephasing)
         deph["si_half"] = par.omega_si / 2
         _assert_table(deph, DEPHASING["third"], "third")
@@ -491,7 +519,7 @@ class TestEffectiveParameters:
         eye = np.eye(m)
         pairs = [eye[i] + eye[j] for i in range(m) for j in range(i + 1, m)]
         probes = np.vstack([np.zeros(m), eye, 2 * eye, *pairs])
-        e2 = _second_order_shifts(table_trap, table_data.modes, table_data.tensors, probes)
+        e2 = _second_order_shifts(table_trap, table_data.modes, table_data.u, probes)
         base, one, two = e2[0], e2[1 : m + 1], e2[m + 1 : 2 * m + 1]
         lin = one - base
         quad = 0.5 * (two - 2 * one + base)
@@ -510,11 +538,11 @@ class TestEffectiveParameters:
         states[1, [zz, t]] = 2, 1
         states[2, [zz, t, st]] = 1
         states[3, [zz, st]] = 3, 2
-        got = _second_order_shifts(table_trap, table_data.modes, table_data.tensors, states)
+        got = _second_order_shifts(table_trap, table_data.modes, table_data.u, states)
         for occ, e in zip(states, got):
             assert e == pytest.approx(predict(occ), rel=1e-9)
         # the same states through the dict oracle
-        _, freqs, g = _oracle_couplings(table_trap, table_data.modes, table_data.tensors)
+        _, freqs, g = _oracle_couplings(table_trap, table_data.modes, table_data.u)
         names = [("x", 1), ("x", 2), ("z", 1), ("z", 2)]
         for occ, e in zip(states, got):
             ref = _oracle_shift({names[i]: int(v) for i, v in enumerate(occ) if v}, g, freqs)
@@ -530,12 +558,12 @@ class TestEffectiveParameters:
         )
         data = scenarios.derive_modes(trap)
         with pytest.raises(PerturbativeRegimeError):
-            effective_kerr(trap, data.modes, data.tensors)
+            effective_kerr(trap, data.modes, data.u)
 
     def test_resonant_trap_trips_denominator_guard(self, resonance_trap, resonance_data):
         with pytest.raises(NearResonanceError, match="resonant"):
             perturbative_third_order(
-                resonance_trap, resonance_data.modes, resonance_data.tensors
+                resonance_trap, resonance_data.modes, resonance_data.u
             )
 
     @pytest.mark.parametrize("omega_x_hz", [84688578.55028766, 1e8])
@@ -546,26 +574,26 @@ class TestEffectiveParameters:
         # 6.4e-13, and the einsum form reads them as 2.2e-14 and 8e-16
         trap = _chain_trap(40, omega_x_hz, 1.1 * omega_x_hz)
         data = scenarios.derive_modes(trap)
-        third = perturbative_third_order(trap, data.modes, data.tensors)
+        third = perturbative_third_order(trap, data.modes, data.u)
         assert np.isfinite(third.omega_si)
 
 
 class TestResonantCoupling:
     def test_exchange_rate_at_reference_point(self, resonance_trap, resonance_data):
         res = resonant_coupling(resonance_trap, resonance_data.modes,
-                                resonance_data.tensors)
+                                resonance_data.u)
         assert abs(res.omega_t) / KHZ == pytest.approx(5.9, rel=0.02)
 
     def test_detuning_vanishes_on_resonance(self, resonance_trap, resonance_data):
         res = resonant_coupling(resonance_trap, resonance_data.modes,
-                                resonance_data.tensors)
+                                resonance_data.u)
         assert abs(res.detuning) < 1e-6 * resonance_trap.omega_z
 
     def test_scaling_with_axial_frequency(self, resonance_data):
         # z0 ~ wz^(-1/2), l_z ~ wz^(-2/3): Omega_T ~ wz^(7/6) at fixed
         # anisotropy; evaluate at two axial frequencies
         res1 = resonant_coupling(
-            resonance_data.trap, resonance_data.modes, resonance_data.tensors
+            resonance_data.trap, resonance_data.modes, resonance_data.u
         )
         wz2 = 2 * np.pi * 4e6
         trap2 = crystal.TrapConfig(
@@ -574,12 +602,13 @@ class TestResonantCoupling:
             omega_y=2 * np.pi * 10e6, omega_z=wz2,
         )
         data2 = scenarios.derive_modes(trap2)
-        res2 = resonant_coupling(trap2, data2.modes, data2.tensors)
+        res2 = resonant_coupling(trap2, data2.modes, data2.u)
         assert res2.omega_t / res1.omega_t == pytest.approx(2 ** (7.0 / 6.0), rel=1e-9)
 
 
-def _rwa_term_loop(trap, modes, tensors):
-    """Largest non-secular |coefficient / frequency|, one term at a time."""
+def _rwa_term_loop(trap, modes, d4):
+    """Largest non-secular |coefficient / frequency|, one term at a time, on
+    the quartic couplings ``d4`` (N^4)."""
     n = modes.n_ions
     kappa = anharmonic.anharmonic_prefactor(trap) ** 2
     wz = trap.omega_z
@@ -587,7 +616,7 @@ def _rwa_term_loop(trap, modes, tensors):
     best = 0.0
     for quartet in np.ndindex(n, n, n, n):
         denom = np.prod([modes.gamma_x[m] for m in quartet]) ** 0.25
-        coeff = 3.0 * kappa * wz * tensors.d4[quartet] / denom
+        coeff = 3.0 * kappa * wz * d4[quartet] / denom
         for signs in product((1, -1), repeat=4):
             freq = float(sum(s * omega_x[m] for s, m in zip(signs, quartet)))
             if abs(freq) >= 1e-9 * wz:
@@ -597,8 +626,10 @@ def _rwa_term_loop(trap, modes, tensors):
 
 class TestRWAReport:
     def test_matches_term_loop(self, table_trap, table_data):
-        ratio = max_nonsecular_ratio(table_trap, table_data.modes, table_data.tensors)
-        assert ratio == _rwa_term_loop(table_trap, table_data.modes, table_data.tensors)
+        # the term loop on the census's own D4[m] slices, so the same quotients
+        ratio = max_nonsecular_ratio(table_trap, table_data.modes, table_data.u)
+        d4 = _census_d4(table_data.u, table_data.modes.M)
+        assert ratio == _rwa_term_loop(table_trap, table_data.modes, d4)
 
     def test_secular_terms_have_zero_frequency(self, table_trap, table_data):
         # the secular terms are exactly the number-conserving sign patterns
@@ -622,7 +653,7 @@ class TestRWAReport:
     def test_max_nonsecular_ratio_frozen(self, table_trap, table_data):
         # dominated by the zigzag-only quartet rotating at 2*omega_zz;
         # small compared to 1, which is what justifies the RWA
-        ratio = max_nonsecular_ratio(table_trap, table_data.modes, table_data.tensors)
+        ratio = max_nonsecular_ratio(table_trap, table_data.modes, table_data.u)
         assert ratio == pytest.approx(8.13e-3, rel=0.02)
         assert ratio < 1e-2
 
@@ -636,9 +667,9 @@ class TestRWAReport:
             raw = {"scenario": "tables", "n_ions": n_ions, "omega_x_hz": 2.0e7, "omega_y_hz": 2.2e7}
             trap = cli.build_config(raw).trap()
         data = scenarios.derive_modes(trap)
-        ratio = max_nonsecular_ratio(trap, data.modes, data.tensors)
+        ratio = max_nonsecular_ratio(trap, data.modes, data.u)
         assert ratio > 0
-        assert ratio == max_nonsecular_ratio_oneshot(trap, data.modes, data.tensors)
+        assert ratio == max_nonsecular_ratio_oneshot(trap, data.modes, _census_d4(data.u, data.modes.M))
 
     def test_twenty_ion_tables_run_memory(self, tmp_path):
         # the traced peak of a 20-ion tables run: the (2N)^4 = 2.56e6
@@ -707,7 +738,7 @@ class TestScalingTowardTransition:
                 omega_x=wz / np.sqrt(alpha), omega_y=2 * np.pi * 5e6, omega_z=wz,
             )
             data = scenarios.derive_modes(trap)
-            par = effective_kerr(trap, data.modes, data.tensors)
+            par = effective_kerr(trap, data.modes, data.u)
             gammas.append(data.modes.gamma_x[-1])
             osi.append(par.omega_si)
             od.append(abs(par.dephasing[1, -1]))  # the y zigzag

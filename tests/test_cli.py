@@ -252,9 +252,9 @@ class TestConfigValidation:
             ({"scenario": "kerr", "n_phases": [0, 4, 4]}, "n_phases"),
             # the phase-cycle stacks of K32 over 10^10 phase pairs (~35 TiB)
             ({"scenario": "kerr", "n_phases": [100000, 100000, 4]}, "budget"),
-            # the coupling tensors of 150 ions (~8.1 GiB), before any mode is solved
-            ({"scenario": "tables", "n_ions": 150, "omega_x_hz": 2e8, "omega_y_hz": 2.2e8}, "budget"),
-            ({"scenario": "kerr", "n_ions": 150, "omega_x_hz": 2e8, "omega_y_hz": 2.2e8}, "budget"),
+            # the couplings of 200 ions (~7.4 GiB; 189 fit), before any mode is solved
+            ({"scenario": "tables", "n_ions": 200, "omega_x_hz": 2e8, "omega_y_hz": 2.2e8}, "budget"),
+            ({"scenario": "kerr", "n_ions": 200, "omega_x_hz": 2e8, "omega_y_hz": 2.2e8}, "budget"),
             ({"scenario": "kerr", "grid_scale": float("inf")}, "grid_scale"),
             # the pulse sequence is checked for every scenario, those without a scan too
             ({"scenario": "tables", "n_phases": [4, 4]}, "n_phases"),

@@ -1,6 +1,7 @@
 """The comparison harness ``tools/compare.py`` on two tiny configs, with
-this tree as its own parent: every artifact and manifest is equal.  Its
-timings (perfbench runs) are not exercised here."""
+this tree as its own parent: every artifact and manifest is equal, also
+when both sides run from the copies that the harness stages.  Its timings
+(perfbench runs) are not exercised here."""
 
 import sys
 from pathlib import Path
@@ -17,7 +18,13 @@ TINY = {
 
 
 def test_tree_is_equal_to_itself(tmp_path):
-    report = compare.compare_results(ROOT, ROOT, TINY, tmp_path)
+    # both sides run from staged copies at paths of equal length: the gated
+    # peak_rss_mb moves with the length of the tree's path
+    copies = compare.stage(ROOT, ROOT, tmp_path)
+    assert len(str(copies["parent"])) == len(str(copies["change"]))
+    for tree in copies.values():
+        assert sorted(p.name for p in tree.iterdir()) == ["BENCHMARK.json", "perfbench", "src"]
+    report = compare.compare_results(copies["parent"], copies["change"], TINY, tmp_path / "runs")
     assert set(report) == set(TINY)
     for entry in report.values():
         assert entry["runs"]["parent"]["exit"] == entry["runs"]["change"]["exit"] == 0
@@ -35,3 +42,4 @@ def test_a_changed_number_is_reported(tmp_path):
     report = compare.compare_artifacts(tmp_path / "parent" / "tables", tmp_path / "change" / "tables")
     assert report["freq_shifts_khz.csv"]["max_abs_diff"] == 1.0
     assert report["dephasing_rates_khz.csv"] == report["manifest.json"] == "equal"
+

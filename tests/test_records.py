@@ -23,7 +23,6 @@ def _propagator():
 RECORDS = {
     "TrapConfig": lambda fixture: fixture("table_trap"),
     "NormalModes": lambda fixture: fixture("table_data").modes,
-    "ModeTensors": lambda fixture: fixture("table_data").tensors,
     "ModeData": lambda fixture: fixture("table_data"),
     "EffectiveParams": lambda fixture: fixture("table_params"),
     "KerrParams": lambda fixture: fixture("table_params").third,

@@ -487,8 +487,8 @@ class TestKerrSectorAverage:
 
     def test_reference_run_needs_no_solve_and_no_einsum(self, monkeypatch):
         # every Kerr sector Liouvillian is diagonal, so each sector map is
-        # exp of its diagonal with no LU solve; the mode tensors contract in
-        # a fixed order with no einsum path search
+        # exp of its diagonal with no LU solve; the couplings are summed from
+        # the pair rows in a fixed order with no einsum path search
         cfg = build_config({"scenario": "kerr"})
 
         def forbidden(*args, **kwargs):

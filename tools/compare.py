@@ -3,6 +3,11 @@
     python3 tools/compare.py --parent <tree> --out BENCH_<n>.json
     python3 tools/compare.py --parent <tree> --out cmp.json --pairs 0   # results only
 
+Both sides run from copies of their ``src/``, ``perfbench/`` and
+``BENCHMARK.json`` at ``<work>/parent`` and ``<work>/change``, paths of
+equal length: the gated ``peak_rss_mb`` moves with the length of the tree's
+path.  Each side's commit is read from its own tree.
+
 Results: each config of ``CONFIGS`` runs once per tree, in a fresh process
 with ``PYTHONPATH=<tree>/src``, through ``ionspec2d.cli.main``.  Each
 artifact is reported as ``"equal"`` (same sha256) or with max|delta| /
@@ -29,6 +34,7 @@ import csv
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -57,7 +63,8 @@ CONFIGS = {
     "resonance-cycle": {"scenario": "resonance", "n_phases": [3, 4, 5], "signature": [1, -2, 1], "alpha": 0.3},
     "resonance-no-heating": {"scenario": "resonance", "heating_quanta_per_ms": [0.0, 0.0]},
     "tables-n20": {"scenario": "tables", "n_ions": 20, "omega_x_hz": 2.0e7, "omega_y_hz": 2.2e7},
-    # the coupling tensors' memory: the peak RSS of a 50-ion chain
+    # the couplings' memory: the peak RSS of a 50-ion chain, set by the RWA
+    # census's (pairs, N^2) product of the pair rows
     "tables-n50": {"scenario": "tables", "n_ions": 50, "omega_x_hz": 2.0e8, "omega_y_hz": 2.2e8},
 }
 # one run in a fresh process: the CLI on a config file, then the peak RSS
@@ -84,6 +91,17 @@ def commit(tree: Path) -> str:
     cmd = ["git", "describe", "--always", "--dirty", "--abbrev=40"]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     return proc.stdout.strip() if proc.returncode == 0 else "unknown"
+
+
+def stage(parent: Path, tree: Path, work: Path) -> dict[str, Path]:
+    """Copies of both trees' src/, perfbench/ and BENCHMARK.json at
+    ``<work>/parent`` and ``<work>/change``, two paths of equal length."""
+    copies = {"parent": work / "parent", "change": work / "change"}
+    for root, dest in zip((parent, tree), copies.values()):
+        for name in ("src", "perfbench"):
+            shutil.copytree(root / name, dest / name, ignore=shutil.ignore_patterns("__pycache__", ".perfbench_out"))
+        shutil.copyfile(root / "BENCHMARK.json", dest / "BENCHMARK.json")
+    return copies
 
 
 def environment() -> dict:
@@ -224,15 +242,17 @@ def main(argv: list[str] | None = None) -> int:
     parent, tree = args.parent.resolve(), ROOT
     report = {"environment": environment(), "parent_commit": commit(parent), "tree_head": commit(tree)}
     with tempfile.TemporaryDirectory() as work:
-        report["results"] = compare_results(parent, tree, configs(), Path(work))
-    unequal = [name for name, entry in report["results"].items() if not entry["equal"]]
-    print(f"results: {len(report['results']) - len(unequal)} configs equal; differing: {unequal}", flush=True)
-    report["timings"] = {}
-    for workload in GATED if args.pairs > 0 else ():
-        report["timings"][workload] = timing = time_pairs(parent, tree, workload, args.pairs)
-        for metric, s in timing["summary"].items():
-            print(f"{workload} {metric}: {s['parent_median']:.6g} -> {s['change_median']:.6g} (parent q1-q3 "
-                  f"{s['parent_q1']:.6g}-{s['parent_q3']:.6g}), change won {s['change_wins']}/{s['pairs']}", flush=True)
+        copies = stage(parent, tree, Path(work))
+        report["results"] = compare_results(copies["parent"], copies["change"], configs(), Path(work) / "runs")
+        unequal = [name for name, entry in report["results"].items() if not entry["equal"]]
+        print(f"results: {len(report['results']) - len(unequal)} configs equal; differing: {unequal}", flush=True)
+        report["timings"] = {}
+        for workload in GATED if args.pairs > 0 else ():
+            report["timings"][workload] = timing = time_pairs(copies["parent"], copies["change"], workload, args.pairs)
+            for metric, s in timing["summary"].items():
+                print(f"{workload} {metric}: {s['parent_median']:.6g} -> {s['change_median']:.6g} (parent q1-q3 "
+                      f"{s['parent_q1']:.6g}-{s['parent_q3']:.6g}), change won {s['change_wins']}/{s['pairs']}",
+                      flush=True)
     args.out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     return 0
 
