@@ -12,11 +12,12 @@ entries D4[m] of one first mode m at a time.  Every effective rate
 follows: the zigzag self-interaction, cross-Kerr dephasing rates, frequency
 shifts (fourth order directly, third order via second-order perturbation
 theory), and the resonant zigzag-stretch exchange coupling.  Everything is
-array code: the second-order shifts are one batched sum over (spectator x
-mode, z mode, sign pattern) evaluated on the few probe states the Kerr fit
-reads (Marquet, Schmidt-Kaler & James, Appl. Phys. B 76, 199 (2003)), and
-the RWA census broadcasts each slice's coefficients over the mode triples
-that follow and their sign patterns.
+array code: the second-order shifts are closed forms in the sign-pattern
+denominators of each coupling (Marquet, Schmidt-Kaler & James, Appl. Phys.
+B 76, 199 (2003)), exactly quadratic in the occupations, so the Kerr
+coefficients are read off them term by term; the RWA census broadcasts
+each slice's coefficients over the mode triples that follow and their sign
+patterns.
 
 Mode indexing is 0-based everywhere in code: the center-of-mass mode is index
 0 and the zigzag/highest axial mode is index N-1; the effective parameters
@@ -25,8 +26,6 @@ Human-readable labels in parameter tables use the conventional 1-based
 numbering ("x2" is the second x mode, i.e. index 1), produced only by
 :func:`mode_label` when a table is written.
 """
-
-from __future__ import annotations
 
 from functools import reduce
 from typing import NamedTuple
@@ -184,28 +183,35 @@ def effective_kerr(trap: TrapConfig, modes: NormalModes, u: np.ndarray) -> KerrP
     return KerrParams(omega_si=omega_si, delta=delta, dephasing=dephasing)
 
 
-def _second_order_shifts(
-    trap: TrapConfig, modes: NormalModes, u: np.ndarray, occ: np.ndarray, guard: float = 1e-3
-) -> np.ndarray:
-    """Second-order energy shifts E2(n) of the cubic x-mode Hamiltonian for a
-    batch of Fock states; everything in units of omega_z.
+def perturbative_third_order(
+    trap: TrapConfig, modes: NormalModes, u: np.ndarray, guard: float = 1e-3
+) -> KerrParams:
+    """Third-order Kerr parameters from second-order perturbation theory.
 
-    Row s of ``occ`` holds the occupations of the x modes 1..N-1, then of the
-    z modes 1..N-1.  Only cubic couplings g X_a X_b Z_p with a zigzag index
-    among a, b are kept, the (N-1)^2 entries D3[zz, b, p]: the other elements
-    do not touch the zigzag dynamics, and the published shift tables are
-    defined with this restriction.  For a spectator x mode b != zz, both
-    orderings (zz, b) and (b, zz) of the one symmetric entry reach the same
-    states and sum into one coefficient G = 2g; each of the 8 sign patterns
-    s moves n to n + s_zz e_zz + s_b e_b + s_p e_p with |amplitude|^2
-    G^2 prod (n + [s > 0]).  For b = zz the patterns move n_zz by +2, -2 or
-    0, the two mixed-sign orderings of X_zz^2 adding up to the amplitude
-    (2 n_zz + 1).  Every pattern with a nonzero coupling is checked against
-    ``guard``: flipping all signs keeps |denominator|, and a pattern or its
-    flip is reachable from the vacuum or a single-quantum state.  An entry
-    at or below N eps max|D3[zz]|, the rounding floor of its pair sum,
-    counts as zero: it is not resolved from zero, and its shift would be
-    negligible.
+    Only the cubic couplings g X_a X_b Z_p with a zigzag index among the x
+    modes a, b are kept, the (N-1)^2 entries D3[zz, b, p]: the other
+    elements do not touch the zigzag dynamics, and the published shift
+    tables are defined with this restriction.  In units of omega_z, with
+    nu = n + 1/2, the shift E2 = sum_f |<f|V|n>|^2 / (E_n - E_f) of each
+    coupling is a closed form, exactly quadratic in the occupations:
+
+    * a spectator x mode b != zz, with G = 2g (both orderings of the one
+      symmetric entry): E2 = -G^2/2 (S_zz nu_b nu_p + S_b nu_zz nu_p
+      + S_p nu_zz nu_b) + const, where S_m = sum_s s_m / (s . omega) over
+      the 8 sign patterns s, or twice the sum over those with s_zz = +1;
+    * the zigzag itself, with R+- = 1 / (2 omega_zz +- omega_p):
+      E2 = g^2 [-4 nu_zz^2 / omega_p - 4 nu_zz nu_p (R+ + R-)
+      - (nu_zz^2 + 3/4)(R+ - R-)].
+
+    Writing the zigzag self term as (Omega_SI/2) n_zz^2, its n_zz^2
+    coefficient is Omega_SI/2, the n_zz n_mu coefficients are the dephasing
+    rates and the linear ones the frequency shifts.  y modes do not appear
+    in the x-mode Hamiltonian, so the y rows are exactly zero.  Every
+    denominator of a nonzero coupling is checked against ``guard``:
+    |omega_zz +- omega_b +- omega_p|, |2 omega_zz +- omega_p| and omega_p.
+    An entry at or below N eps max|D3[zz]|, the rounding floor of its pair
+    sum, counts as zero: it is not resolved from zero, and its shift would
+    be negligible.
     """
     n = modes.n_ions
     zz = n - 2  # position of the zigzag among the x modes 1..N-1
@@ -215,80 +221,38 @@ def _second_order_shifts(
     g = np.where(np.abs(d3) <= floor, 0.0, d3) * (
         3.0 * anharmonic_prefactor(trap) / (gx[zz] * gx[:, None] * lz) ** 0.25
     )
-    coupling = 2.0 * g  # (b, p)
-    coupling[zz] = 0.0
-    sign = np.array([1.0, -1.0])  # raise, lower
-    rot_x = np.multiply.outer(np.sqrt(gx), sign)  # (b, s_b)
-    rot_z = np.multiply.outer(np.sqrt(lz), sign)  # (p, s_p)
-    # E_n - E_final over (s_zz, b, s_b, p, s_p) and over (zz move, p, s_p)
-    gap = -(rot_x[zz][:, None, None, None, None] + rot_x[:, :, None, None]
-            + rot_z[None, None, :, :])
-    gap_zz = -(np.array([2.0, -2.0, 0.0])[:, None, None] * rot_x[zz, 0] + rot_z)
-
-    def rates(c2: np.ndarray, denom: np.ndarray) -> np.ndarray:
-        c2 = np.broadcast_to(c2, denom.shape)
-        near = (c2 != 0) & (np.abs(denom) < guard)
-        if near.any():
-            p = np.argwhere(near)[0][-2]
+    g2, self2 = (2.0 * g) ** 2, g[zz] ** 2  # G^2 over (b, p); g^2 of the self term over p
+    g2[zz] = 0.0
+    sign = np.array([1.0, -1.0])
+    wx, wp = np.multiply.outer(np.sqrt(gx), sign), np.multiply.outer(np.sqrt(lz), sign)
+    # the denominators s . omega = E_f - E_n, inf where the coupling is zero:
+    # the spectators' with s_zz = +1 over (b, s_b, p, s_p), as s_zz = -1 only
+    # negates them, and the self term's (2 omega_zz or 0) + s_p omega_p over
+    # (., p, s_p)
+    spect = np.where(g2[:, None, :, None] != 0, wx[zz, 0] + wx[:, :, None, None] + wp, np.inf)
+    pair = np.where(self2[:, None] != 0, np.array([2.0, 0.0])[:, None, None] * wx[zz, 0] + wp, np.inf)
+    for denom in spect, pair:
+        near = np.argwhere(np.abs(denom) < guard)
+        if len(near):
+            at = tuple(near[0])
             raise NearResonanceError(
-                f"second-order denominator {denom[near][0]:.3e} omega_z through "
-                f"mode {mode_label('z', p + 1)}; treat this resonance with resonant_coupling"
+                f"second-order denominator {-denom[at]:.3e} omega_z through "
+                f"mode {mode_label('z', at[-2] + 1)}; treat this resonance with resonant_coupling"
             )
-        return np.divide(c2, denom, out=np.zeros(denom.shape), where=c2 != 0)
-
-    nx, nz = occ[:, : n - 1], occ[:, n - 1 :]
-    fx = np.stack([nx + 1, nx], axis=-1)  # (state, b, s_b): |ladder|^2
-    fz = np.stack([nz + 1, nz], axis=-1)
-    n_zz = nx[:, zz]
-    f_zz = np.stack(
-        [(n_zz + 1) * (n_zz + 2), n_zz * (n_zz - 1), (2 * n_zz + 1) ** 2], axis=-1
-    )
-    spectator = np.einsum(
-        "zbjpk,sz,sbj,spk->s",
-        rates((coupling**2)[:, None, :, None], gap),
-        fx[:, zz], fx, fz,
-    )
-    self_term = np.einsum(
-        "tpk,st,spk->s",
-        rates((g[zz] ** 2)[:, None], gap_zz),
-        f_zz, fz,
-    )
-    return spectator + self_term
-
-
-def perturbative_third_order(
-    trap: TrapConfig, modes: NormalModes, u: np.ndarray, guard: float = 1e-3
-) -> KerrParams:
-    """Third-order Kerr parameters from second-order perturbation theory.
-
-    The state-dependent energy shifts of the cubic x-mode Hamiltonian are
-    exactly quadratic in the occupation numbers, so evaluating them on the
-    states |0>, |1_mu>, |2_mu> and |1_mu 1_zz> determines the Kerr form by an
-    exact solve.  Writing the zigzag self term as (Omega_SI/2) n_zz^2, the
-    quadratic coefficient gives Omega_SI/2, the bilinear coefficients give the
-    dephasing rates, and the linear ones the frequency shifts.  y modes do not
-    appear in the x-mode Hamiltonian, so the y rows are exactly zero.
-    """
-    n = modes.n_ions
-    m = 2 * (n - 1)  # x modes 1..N-1, then z modes 1..N-1
-    zz = n - 2
-    eye = np.eye(m)
-    e2 = _second_order_shifts(
-        trap, modes, u, np.vstack([np.zeros(m), eye, 2 * eye, eye + eye[zz]]), guard
-    )
-    base, one, two, with_zz = e2[0], e2[1 : m + 1], e2[m + 1 : 2 * m + 1], e2[2 * m + 1 :]
-    wz = trap.omega_z
-    lin = one - base
-    quad = 0.5 * (two - 2.0 * one + base)
-    cross = (with_zz - lin - lin[zz] - base) * wz
-    cross[zz] = 0.0  # |1_zz 1_zz> is |2_zz>, not a cross term
-    # Frequency shifts follow the n^2 writing of the quadratic part, i.e.
-    # delta = linear - quadratic coefficient (only the zigzag has a nonzero
-    # quadratic part here).  The y rows stay zero.
+    inv, (r, w) = 1.0 / spect, 1.0 / pair  # r: (R+, R-) over p; w: +-1/omega_p
+    s_zz = 2.0 * inv.sum(axis=(1, 3))
+    s_b = 2.0 * (inv[:, 0] - inv[:, 1]).sum(axis=-1)
+    s_p = 2.0 * (inv[..., 0] - inv[..., 1]).sum(axis=1)
+    r_sum = self2 * (r[:, 0] + r[:, 1])
+    si_half = float(np.sum(self2 * (-4.0 * w[:, 0] - r[:, 0] + r[:, 1])))
     delta, dephasing = np.zeros((3, n)), np.zeros((3, n))
-    delta[::2, 1:] = ((lin - quad) * wz).reshape(2, n - 1)
-    dephasing[::2, 1:] = cross.reshape(2, n - 1)
-    return KerrParams(omega_si=float(2.0 * quad[zz] * wz), delta=delta, dephasing=dephasing)
+    dephasing[0, 1:] = -0.5 * (g2 * s_p).sum(axis=1)
+    dephasing[2, 1:] = -0.5 * (g2 * s_b).sum(axis=0) - 4.0 * r_sum
+    delta[0, 1:] = -0.25 * (g2 * (s_zz + s_p)).sum(axis=1)
+    delta[0, n - 1] = -0.25 * np.sum(g2 * (s_b + s_p)) + si_half - 2.0 * r_sum.sum()
+    delta[2, 1:] = -0.25 * (g2 * (s_zz + s_b)).sum(axis=0) - 2.0 * r_sum
+    wz = trap.omega_z
+    return KerrParams(omega_si=2.0 * si_half * wz, delta=delta * wz, dephasing=dephasing * wz)
 
 
 def resonant_coupling(trap: TrapConfig, modes: NormalModes, u: np.ndarray) -> ResonantCoupling:

@@ -44,8 +44,6 @@ imported by ``main`` alone, so ``build_config`` and ``run_scenario`` load
 neither.
 """
 
-from __future__ import annotations
-
 import json
 import math
 import os

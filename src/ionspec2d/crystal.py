@@ -6,8 +6,6 @@ Hessian eigenvalues are measured in units of omega_z**2.  Physical frequencies
 are recovered as omega = sqrt(eigenvalue) * omega_z.
 """
 
-from __future__ import annotations
-
 from typing import NamedTuple
 
 import numpy as np

@@ -49,8 +49,6 @@ each complex line as its (b, 2) float64 view, real and imaginary parts as
 two columns of one real product.
 """
 
-from __future__ import annotations
-
 import math
 from functools import cached_property, reduce
 from typing import NamedTuple

@@ -4,13 +4,11 @@ A register is the tuple of its modes' truncation dims, slot 0 slowest in
 the product basis; ``embed`` places a single-mode operator in it.
 Everything is dense: the registers used here stay small (a few thousand
 dimensions at most), and a scan builds these operators a fixed number of
-times, independent of its grid, so its time lines and branch contractions
-dominate the cost.  Ladder and number operators, thermal states and their
+times, independent of its grid, so stepping its evolution lines and
+contracting them dominate the cost.  Ladder and number operators, thermal states and their
 embeddings are real in the Fock basis and built as float64; displacement
 pulses, and the states they act on, are complex.
 """
-
-from __future__ import annotations
 
 import warnings
 from functools import reduce

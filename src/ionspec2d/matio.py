@@ -16,8 +16,6 @@ return them, so that a caller can hash what was written without reading the
 file back.
 """
 
-from __future__ import annotations
-
 import csv
 import io
 import struct

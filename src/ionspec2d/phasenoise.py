@@ -12,8 +12,6 @@ small-fluctuation loss (``contrast_loss``, which warns outside that regime);
 only the ``noise-table`` scenario writes it, beside the exact 1 - exp(-L).
 """
 
-from __future__ import annotations
-
 import warnings
 
 import numpy as np

@@ -28,8 +28,6 @@ Free evolution is simulated in the rotating frame of the normal modes; the
 nominal carrier is reattached as a frequency-axis offset downstream.
 """
 
-from __future__ import annotations
-
 import math
 import warnings
 from collections import Counter

@@ -33,8 +33,6 @@ dim 9, and the same 6 of the 37 at resonance dims (9, 6), where 720 of the
 2916 vec indices are kept on each line.
 """
 
-from __future__ import annotations
-
 from typing import NamedTuple
 
 import numpy as np

@@ -10,8 +10,6 @@ projection is the mean of its spectrum over one axis, a plain complex array
 on the other axis, ``omega1`` or ``omega3``.
 """
 
-from __future__ import annotations
-
 from typing import NamedTuple
 
 import numpy as np

@@ -81,8 +81,8 @@ def exact_zigzag_ladder(data, dims: tuple[int, ...] = (12, 4, 4, 4)) -> float:
 
     H / omega_z on the register (x zigzag, the other x modes, the z modes
     but COM), with ``dims`` levels per mode, so four entries at N = 3: the
-    bare frequencies, exactly the cubic
-    terms ``anharmonic._second_order_shifts`` keeps (G_bp X_zz X_b Z_p and
+    bare frequencies, exactly the cubic terms that
+    ``anharmonic.perturbative_third_order`` keeps (G_bp X_zz X_b Z_p and
     g_zz,zz,p X_zz^2 Z_p), and the full c X_zz^4 with c = 3 kappa D4_zzzz /
     gamma_zz, with no RWA.  E(n) is the eigenvalue of the eigenstate of
     largest overlap with the bare |n, 0, ...>, and Omega_SI = E(2) - 2 E(1)

@@ -11,7 +11,6 @@ from ionspec2d.anharmonic import (
     PerturbativeRegimeError,
     _cubic_slice,
     _quartic_slices,
-    _second_order_shifts,
     anharmonic_prefactor,
     effective_kerr,
     max_nonsecular_ratio,
@@ -73,7 +72,7 @@ def _chain_trap(n, omega_x_hz, omega_y_hz):
 
 
 # ---------------------------------------------------------------------------
-# Oracle of the batched second-order shifts: ladder operators applied to
+# Oracle of the closed-form second-order shifts: ladder operators applied to
 # occupation dicts, one cubic coupling and one sign pattern at a time, with
 # the final-state amplitudes summed coherently before they are squared.
 
@@ -148,8 +147,8 @@ def _oracle_shift(occ, g, freqs, guard=1e-3):
 
 
 def _oracle_third_order(trap, modes, u, guard=1e-3):
-    """The Kerr fit of perturbative_third_order on the dict oracle, over the
-    full probe grid |0>, |1_mu>, |2_mu> and every |1_mu 1_nu>."""
+    """The Kerr parameters of perturbative_third_order, fitted to the dict
+    oracle on the probe grid |0>, |1_mu>, |2_mu> and every |1_mu 1_nu>."""
     mode_list, freqs, g = _oracle_couplings(trap, modes, u)
     wz = trap.omega_z
     n = modes.n_ions
@@ -512,14 +511,24 @@ class TestEffectiveParameters:
         )
 
     def test_shift_polynomial_is_exactly_quadratic(self, table_trap, table_data):
-        # the Kerr-form fit is an exact solve; states outside the fit grid
-        # must still be reproduced by the fitted polynomial.  Columns: x2, x3
-        # (zigzag), z2, z3; the fit reads |0>, |1_mu>, |2_mu>, |1_mu 1_nu>
+        # perturbative_third_order reads the Kerr coefficients off E2 as an
+        # exact quadratic in the occupations: the quadratic fitted to the
+        # dict oracle on |0>, |1_mu>, |2_mu>, |1_mu 1_nu> must reproduce
+        # states outside the fit grid.  Columns: x2, x3 (zigzag), z2, z3
+        _, freqs, g = _oracle_couplings(table_trap, table_data.modes, table_data.u)
+        names = [("x", 1), ("x", 2), ("z", 1), ("z", 2)]
+
+        def shifts(states):
+            return np.array([
+                _oracle_shift({names[i]: int(v) for i, v in enumerate(occ) if v}, g, freqs)
+                for occ in states
+            ])
+
         m = 4
         eye = np.eye(m)
         pairs = [eye[i] + eye[j] for i in range(m) for j in range(i + 1, m)]
         probes = np.vstack([np.zeros(m), eye, 2 * eye, *pairs])
-        e2 = _second_order_shifts(table_trap, table_data.modes, table_data.u, probes)
+        e2 = shifts(probes)
         base, one, two = e2[0], e2[1 : m + 1], e2[m + 1 : 2 * m + 1]
         lin = one - base
         quad = 0.5 * (two - 2 * one + base)
@@ -538,15 +547,8 @@ class TestEffectiveParameters:
         states[1, [zz, t]] = 2, 1
         states[2, [zz, t, st]] = 1
         states[3, [zz, st]] = 3, 2
-        got = _second_order_shifts(table_trap, table_data.modes, table_data.u, states)
-        for occ, e in zip(states, got):
+        for occ, e in zip(states, shifts(states)):
             assert e == pytest.approx(predict(occ), rel=1e-9)
-        # the same states through the dict oracle
-        _, freqs, g = _oracle_couplings(table_trap, table_data.modes, table_data.u)
-        names = [("x", 1), ("x", 2), ("z", 1), ("z", 2)]
-        for occ, e in zip(states, got):
-            ref = _oracle_shift({names[i]: int(v) for i, v in enumerate(occ) if v}, g, freqs)
-            assert e == pytest.approx(ref, rel=1e-12)
 
     def test_near_critical_regime_error(self):
         alpha_c = critical_anisotropy(3)

@@ -71,3 +71,12 @@ def test_gated_models_take_the_expected_step_map_path(tmp_path, monkeypatch):
         cli.run_scenario(cli.build_config(workloads.config(name, tmp_path / name, seed=1)))
         assert dtypes == [dtype], name
         assert workloads.check(name, tmp_path / name) == [], name
+
+
+def test_twenty_ion_tables_match_the_reference(tmp_path):
+    # the committed multi-ion tables of the benchmark's tables-n20 workload:
+    # every shift and dephasing rate of a 20-ion chain, third order and
+    # fourth, within the workload's tolerance
+    workloads = _bench_module("workloads")
+    cli.run_scenario(cli.build_config(workloads.config("tables-n20", tmp_path, seed=1)))
+    assert workloads.check("tables-n20", tmp_path) == []
