@@ -174,10 +174,7 @@ def normal_modes(v_z: np.ndarray, alpha_x: float, alpha_y: float) -> NormalModes
         raise DegenerateModesError(
             f"near-degenerate axial eigenvalues (min gap {np.min(gaps):.3e})"
         )
-    for n in range(m.shape[1]):
-        k = np.argmax(np.abs(m[:, n]))
-        if m[k, n] < 0:
-            m[:, n] = -m[:, n]
+    m *= np.where(m[np.abs(m).argmax(axis=0), np.arange(m.shape[1])] < 0, -1.0, 1.0)
 
     gamma_x = 1.0 / alpha_x + 0.5 - 0.5 * lam
     gamma_y = 1.0 / alpha_y + 0.5 - 0.5 * lam

@@ -152,29 +152,25 @@ class LindbladModel:
         held through the caller's contraction.  In this order: K_ik at
         (d i + j, d k + j) for every bra index j, then conj(K_jl) at
         (d i + j, d i + l) for every ket index i, then (r c_ik) conj(c_jl)
-        at (d i + j, d k + l) for each pair of nonzeros of each jump.  A
-        position may repeat (every diagonal one does); the values have the
-        generator's dtype."""
+        at (d i + j, d k + l) for each pair of nonzeros of each jump, each
+        part of the terms joined by one concatenation.  A position may
+        repeat (every diagonal one does); the values have the generator's
+        dtype."""
         k, jumps = self.generator
         d = self.dim
         every = np.arange(d)
         i, j = np.nonzero(k)
-        nonzeros = [np.nonzero(c) for c, _ in jumps]
-        size = 2 * d * i.size + sum(a.size**2 for a, _ in nonzeros)
-        entries = np.empty(size, np.intp), np.empty(size, np.intp), np.empty(size, k.dtype)
-
-        def put(at, *term):  # copy one term's (rows, cols, values) in at ``at``, one term held at a time
-            n = term[2].size
-            for out, part in zip(entries, term):
-                out[at : at + n] = part.ravel()
-            return at + n
-
-        at = put(0, np.add.outer(d * i, every), np.add.outer(d * j, every), np.repeat(k[i, j], d))
-        at = put(at, np.add.outer(d * every, i), np.add.outer(d * every, j), np.tile(k[i, j].conj(), d))
-        for (c, rate), (a, b) in zip(jumps, nonzeros):
+        terms = [
+            (np.add.outer(d * i, every), np.add.outer(d * j, every), np.repeat(k[i, j], d)),
+            (np.add.outer(d * every, i), np.add.outer(d * every, j), np.tile(k[i, j].conj(), d)),
+        ]
+        for c, rate in jumps:
+            a, b = np.nonzero(c)
             x = c[a, b]
-            at = put(at, np.add.outer(d * a, a), np.add.outer(d * b, b), np.multiply.outer(x * rate, x.conj()))
-        return entries
+            terms.append((np.add.outer(d * a, a), np.add.outer(d * b, b), np.multiply.outer(x * rate, x.conj())))
+        rows, cols, values = zip(*terms)
+        values = np.concatenate(values, axis=None, dtype=k.dtype)
+        return np.concatenate(rows, axis=None), np.concatenate(cols, axis=None), values
 
 
 def _mode_sum(weights: tuple[int, ...], dims: tuple[int, ...]) -> np.ndarray:
@@ -272,10 +268,14 @@ def _map_bytes(b: int, model: LindbladModel | None = None) -> int:
     most 10 b x b complex matrices at a time.  A map of a real generator
     (``LindbladModel.generator``) holds about half of it: ``expm`` then
     works in float64.  With the ``model``, the scatter's own memory too:
-    the model's Liouvillian entries (``LindbladModel.liouvillian_entries``,
-    counted from the nonzeros of its generator), two intp arrays and the
-    values, with the scatter's per-entry temporaries, 96 bytes an entry in
-    all, and the d^2 intp position table."""
+    96 bytes for each of the model's Liouvillian entries
+    (``LindbladModel.liouvillian_entries``, counted from the nonzeros of
+    its generator), and the d^2 intp position table.  An entry holds at
+    most 32 bytes (two intp positions and a complex value); while the
+    entries are formed, the terms they are joined from hold as much again
+    (64 bytes an entry), and while a block is summed, its temporaries add
+    51: the two positions looked up in the table (16), three masks (3) and
+    the kept positions and values (32), 83 bytes an entry in all."""
     need = 16 * 10 * b * b
     if model is not None:
         k, jumps = model.generator
@@ -295,24 +295,21 @@ def liouvillian(model: LindbladModel, idx: np.ndarray | None = None) -> np.ndarr
     sum_c r c_ik conj(c_jl).  The block is scattered from the model's
     entries (``LindbladModel.liouvillian_entries``) whose row and column
     both lie in ``idx``, through a d^2 position table, by one
-    ``np.bincount`` over the real parts of the values: it sums the entries
-    of a repeated position in the order the model holds them, which is the
-    order of the three terms, in float64 (a single-precision model's block
-    is rounded to its dtype once, after the sum).
+    ``np.add.at`` in the values' dtype: it adds the entries of a repeated
+    position in the order the model holds them, which is the order of the
+    three terms.
     """
     rows, cols, values = model.liouvillian_entries
     d2 = model.dim**2
     idx = np.arange(d2) if idx is None else idx
-    real = values.real.dtype
-    b, parts = idx.size, values.itemsize // real.itemsize  # real parts per value: 1 real, 2 complex
+    b = idx.size
     pos = np.full(d2, -1)
     pos[idx] = np.arange(b)
     row, col = pos[rows], pos[cols]
     keep = (row >= 0) & (col >= 0)
-    flat = (row[keep] * b + col[keep]) * parts
-    flat = np.add.outer(flat, np.arange(parts)).ravel()
-    out = np.bincount(flat, values[keep].view(real), minlength=b * b * parts)  # summed in float64
-    return out.astype(real, copy=False).view(values.dtype).reshape(b, b)
+    out = np.zeros((b, b), values.dtype)
+    np.add.at(out, (row[keep], col[keep]), values[keep])
+    return out
 
 
 def liouvillian_blocks(model: LindbladModel) -> dict[int, np.ndarray]:

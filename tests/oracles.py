@@ -11,8 +11,9 @@ place of the stepped sector lines of ``dynamics.evolution_lines``.
 once, the reference of the loop of ``anharmonic.max_nonsecular_ratio``
 over its 8 raising-first patterns.
 ``dense_liouvillian`` gathers a Liouvillian block densely from the
-generator, the reference of the block ``dynamics.liouvillian`` scatters
-from the model's sparse entries.  ``expm_with_eye`` is the matrix
+generator, the reference of the block ``dynamics.liouvillian`` sums from
+the model's sparse entries by one ``np.add.at``, term by term in the same
+order and dtype.  ``expm_with_eye`` is the matrix
 exponential with the dense identity that ``dynamics.expm`` replaces by
 adding the Pade identity terms on the diagonal.
 ``pair_sum_tensor_einsum`` builds the position-basis tensors C3/C4 and

@@ -1,10 +1,14 @@
 """The comparison harness ``tools/compare.py`` on two tiny configs, with
 this tree as its own parent: every artifact and manifest is equal, also
 when both sides run from the copies that the harness stages.  Its timings
-(perfbench runs) are not exercised here."""
+(perfbench runs) are not exercised here; their summary is, on synthetic
+pairs."""
 
 import sys
 from pathlib import Path
+
+import numpy as np
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "tools"))
@@ -43,3 +47,37 @@ def test_a_changed_number_is_reported(tmp_path):
     assert report["freq_shifts_khz.csv"]["max_abs_diff"] == 1.0
     assert report["dephasing_rates_khz.csv"] == report["manifest.json"] == "equal"
 
+
+def _pairs(parent, change):
+    """Synthetic pairs in run order, every metric of a side read from one
+    sequence."""
+    return [
+        {"parent": dict.fromkeys(compare.METRICS, a), "change": dict.fromkeys(compare.METRICS, b)}
+        for a, b in zip(parent, change)
+    ]
+
+
+def test_steady_drop_is_resolved():
+    # 10 % lower on every pair, each side jittered by +-1 %
+    jitter = 1 + 0.01 * np.array([1, -1, 0.5, -0.5, 0, 1, -1, 0.5, -0.5, 0])
+    for s in compare.summarize(_pairs(5e-3 * jitter, 4.5e-3 * jitter[::-1])).values():
+        assert s["change_wins"] == s["pairs"] == 10
+        assert s["resolved"]
+
+
+def test_alternating_change_is_not_resolved():
+    parent = np.full(10, 5e-3)
+    for s in compare.summarize(_pairs(parent, parent * (1 + 0.05 * np.resize([1, -1], 10)))).values():
+        assert s["change_wins"] == 5
+        assert not s["resolved"]
+
+
+def test_drift_is_reported():
+    # a parent rising linearly from 4.8 to 6.4 ms over one set, beside a
+    # steady change
+    summary = compare.summarize(_pairs(np.linspace(4.8e-3, 6.4e-3, 10), np.full(10, 5e-3)))
+    for s in summary.values():
+        assert s["parent_drift"] == pytest.approx(0.16, abs=0.005)
+        assert s["change_drift"] == 0.0
+    assert compare.summarize([]) == {}
+    assert compare.summarize(_pairs([5e-3], [4e-3]))["run_s"]["parent_drift"] == 0.0

@@ -393,9 +393,11 @@ def _uncharged_exchange():
 
 
 class TestScatter:
-    """``liouvillian`` scatters each block from the model's sparse entries
-    (``LindbladModel.liouvillian_entries``); the dense gather of
-    ``dense_liouvillian`` is its reference, entry for entry and in dtype."""
+    """``liouvillian`` sums each block from the model's sparse entries
+    (``LindbladModel.liouvillian_entries``) by one ``np.add.at`` in their
+    dtype, a repeated position's entries in the order of the three terms;
+    the dense gather of ``dense_liouvillian``, which adds the terms in that
+    order, is its reference, entry for entry and in dtype."""
 
     @pytest.mark.parametrize(
         "name, dtype",
@@ -414,7 +416,7 @@ class TestScatter:
 
     def test_single_precision_model_keeps_its_dtype(self):
         # float32 operators give a complex64 generator: the block is summed
-        # in float64 and rounded once, against the gather's float32 sums
+        # in complex64, in the gather oracle's order of the terms
         a = destroy(4).astype(np.float32)
         h = (2 * np.pi * 1e4 * (a.T @ a + 0.3 * (a + a.T))).astype(np.float32)
         model = LindbladModel(hamiltonian=h, dims=(4,), collapse_ops=[(a, 250.0), (a.T, 120.0)])

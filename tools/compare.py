@@ -18,8 +18,11 @@ Timings: ``perfbench/run.py`` of each tree, called unchanged at the
 settings of ``BENCHMARK.json`` (its ``run_seconds``, seed 0, no trace),
 ``--pairs`` times per workload listed there; the side that runs first
 alternates from pair to pair.  Per end-to-end metric the report gives each
-side's median over the pairs, the parent's quartiles and how many pairs the
-change won (a lower value).
+side's median over the pairs, the parent's quartiles, how many pairs the
+change won (a lower value), each side's drift over the set (the median of
+its later half of pairs less that of its earlier half, over its median) and
+whether a gain is resolved: the change won at least 90 % of the pairs, and
+its median lies further from the parent's than the parent's quartiles span.
 
 The environment is recorded beside the numbers: nproc, the Python and numpy
 versions, the BLAS library, the BLAS thread variables and
@@ -209,28 +212,51 @@ def bench(tree: Path, workload: str) -> dict:
     return {"correct": result["correct"], **{m: result["metrics"][m]["value"] for m in METRICS}}
 
 
+def _drift(values: list[float]) -> float:
+    """The median of the later half of ``values`` less that of the earlier
+    half, over their median (the middle value of an odd count is in
+    neither half); 0 with fewer than 2 values."""
+    half = len(values) // 2
+    if half == 0:
+        return 0.0
+    return (statistics.median(values[-half:]) - statistics.median(values[:half])) / statistics.median(values)
+
+
+def summarize(done: list[dict]) -> dict:
+    """Per metric, over the pairs ``done`` in run order: each side's median
+    and drift, the parent's quartiles, the pairs the change won and whether
+    that is a resolved gain (won at least 90 % of the pairs, and the medians
+    further apart than the parent's quartiles)."""
+    summary = {}
+    for metric in METRICS if done else ():
+        ref, new = [r["parent"][metric] for r in done], [r["change"][metric] for r in done]
+        q1, _, q3 = statistics.quantiles(ref, n=4, method="inclusive") if len(ref) > 1 else (ref[0],) * 3
+        ref_median, new_median = statistics.median(ref), statistics.median(new)
+        wins = sum(b < a for a, b in zip(ref, new))
+        summary[metric] = {
+            "parent_median": ref_median,
+            "parent_q1": q1,
+            "parent_q3": q3,
+            "parent_drift": _drift(ref),
+            "change_median": new_median,
+            "change_drift": _drift(new),
+            "change_wins": wins,
+            "pairs": len(done),
+            "resolved": wins >= 0.9 * len(done) and abs(new_median - ref_median) > q3 - q1,
+        }
+    return summary
+
+
 def time_pairs(parent: Path, tree: Path, workload: str, pairs: int) -> dict:
-    """``pairs`` alternated runs of each side, and per metric each side's
-    median, the parent's quartiles and the pairs the change won."""
+    """``pairs`` alternated runs of each side, and their ``summarize`` over
+    the pairs where both sides ran correctly."""
     sides = {"parent": parent, "change": tree}
     runs = []
     for k in range(pairs):
         order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
         runs.append({"first": order[0], **{side: bench(sides[side], workload) for side in order}})
-    summary = {}
     done = [r for r in runs if r["parent"]["correct"] and r["change"]["correct"]]
-    for metric in METRICS if done else ():
-        ref, new = [r["parent"][metric] for r in done], [r["change"][metric] for r in done]
-        q1, _, q3 = statistics.quantiles(ref, n=4, method="inclusive") if len(ref) > 1 else (ref[0],) * 3
-        summary[metric] = {
-            "parent_median": statistics.median(ref),
-            "parent_q1": q1,
-            "parent_q3": q3,
-            "change_median": statistics.median(new),
-            "change_wins": sum(b < a for a, b in zip(ref, new)),
-            "pairs": len(done),
-        }
-    return {"pairs": runs, "summary": summary}
+    return {"pairs": runs, "summary": summarize(done)}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -251,7 +277,8 @@ def main(argv: list[str] | None = None) -> int:
             report["timings"][workload] = timing = time_pairs(copies["parent"], copies["change"], workload, args.pairs)
             for metric, s in timing["summary"].items():
                 print(f"{workload} {metric}: {s['parent_median']:.6g} -> {s['change_median']:.6g} (parent q1-q3 "
-                      f"{s['parent_q1']:.6g}-{s['parent_q3']:.6g}), change won {s['change_wins']}/{s['pairs']}",
+                      f"{s['parent_q1']:.6g}-{s['parent_q3']:.6g}), change won {s['change_wins']}/{s['pairs']}, "
+                      f"drift {s['parent_drift']:+.3f} -> {s['change_drift']:+.3f}, resolved {s['resolved']}",
                       flush=True)
     args.out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     return 0
