@@ -3,11 +3,12 @@
 A register is the tuple of its modes' truncation dims, slot 0 slowest in
 the product basis; ``embed`` places a single-mode operator in it.
 Everything is dense: the registers used here stay small (a few thousand
-dimensions at most), and a scan builds these operators a fixed number of
-times, independent of its grid, so stepping its evolution lines and
-contracting them dominate the cost.  Ladder and number operators, thermal states and their
-embeddings are real in the Fock basis and built as float64; displacement
-pulses, and the states they act on, are complex.
+dimensions at most), and a scan builds all its pulses in one
+``displacement`` call, independent of its grid, so stepping its evolution
+lines and contracting them dominate the cost.  Ladder and number
+operators, thermal states and their embeddings are real in the Fock basis
+and built as float64; displacement pulses, and the states they act on, are
+complex.
 """
 
 import warnings
@@ -35,14 +36,14 @@ def displacement(alpha: complex | np.ndarray, dim: int) -> np.ndarray:
     P = diag(e^(i theta n)), theta = arg(alpha) + pi/2: unitary to rounding
     on the truncated space.  Truncation makes D only approximate the
     displacement of the infinite mode; it is accurate while the displaced
-    state stays well inside the register, so a warning is raised when
-    3 |alpha|^2 exceeds the dimension.
+    state stays well inside the register, so one warning, naming the
+    largest |alpha|, is raised when 3 |alpha|^2 exceeds the dimension.
     """
     alpha = np.asarray(alpha)
-    if 3.0 * np.max(np.abs(alpha), initial=0.0) ** 2 > dim:
+    largest = np.max(np.abs(alpha), initial=0.0)
+    if 3.0 * largest**2 > dim:
         warnings.warn(
-            f"displacement alpha={alpha} is large for dim={dim}; "
-            "truncation error may be significant",
+            f"displacement |alpha| = {largest:g} is large for dim = {dim}; truncation error may be significant",
             stacklevel=2,
         )
     a = destroy(dim)

@@ -6,7 +6,10 @@ of the probed mode's population.  The probed mode is register slot 0: all
 four pulses displace it by the one amplitude |alpha| and the readout counts
 its quanta, and every model puts the mode it probes there (the zigzag, in
 both scenarios).  A ``PulseSequence`` is the amplitude, the phase counts and
-the signature, nothing else.  Repeating over a uniform grid of pulse phases
+the signature, nothing else.  Every pulse is an entry of one
+``fock.displacement`` call over the run's phases, 0 for pulse 1 and then
+the phase grids of pulses 2, 3 and 4: one eigensystem and at most one
+truncation warning per scan.  Repeating over a uniform grid of pulse phases
 and Fourier-extracting a chosen integer phase signature isolates the
 coherence-transfer pathways of interest; for a strictly harmonic model the
 (1,-1,-1) signature vanishes identically.  Orders congruent to the
@@ -89,11 +92,6 @@ class SignalGrid(NamedTuple("SignalGrid", [("values", np.ndarray), ("dt", float)
         return self
 
 
-def pulse_operator(model: LindbladModel, seq: PulseSequence, phase: float) -> np.ndarray:
-    """Embedded displacement operator of a pulse at the given phase."""
-    return embed(displacement(seq.alpha * np.exp(1j * phase), model.dims[0]), 0, model.dims)
-
-
 def run_once(
     model: LindbladModel,
     rho0: np.ndarray,
@@ -108,9 +106,11 @@ def run_once(
 
     Each free evolution applies the exact one-step map of
     ``dynamics.build_propagator`` for the whole interval, independent of the
-    line engine ``scan`` uses.  Returns the real measured population; a
-    complex residual above IMAG_TOL raises.  Propagators are memoized in
-    ``prop_cache`` keyed by the interval.
+    line engine ``scan`` uses.  The four pulses are the embedded entries
+    of one ``fock.displacement`` call over the phases (0, *phases).
+    Returns the real measured population; a complex residual above
+    IMAG_TOL raises.  Propagators are memoized in ``prop_cache`` keyed by
+    the interval.
     """
     cache = prop_cache if prop_cache is not None else {}
 
@@ -123,7 +123,8 @@ def run_once(
         rho = cache[key].apply(rho)
         return 0.5 * (rho + rho.conj().T)
 
-    d1, d2, d3, d4 = (pulse_operator(model, seq, phase) for phase in (0.0, *phases))
+    pulses = displacement(seq.alpha * np.exp(1j * np.array((0.0, *phases))), model.dims[0])
+    d1, d2, d3, d4 = (embed(k, 0, model.dims) for k in pulses)
     rho = d1 @ rho0 @ d1.conj().T
     rho = free(rho, t1)
     d32 = d3 @ d2
@@ -164,16 +165,18 @@ def _working_set_bytes(
     """Upper bound on the bytes a scan of the register ``dims`` holds at
     once, with ``columns`` = (K_f, K_c, b) from ``sector_columns``: the
     grid and one contraction block, 2 n^2; a few d x d operators; the
-    probed mode's pulse stacks (``_pulse_set``), K32 over the N2 N3 phase
-    pairs three times, up to four copies of each pulse's N_k
-    displacements and the pre-cycled pair with its products, three
-    d_t^2 x d_t^2; n (2 K_f + 2 K_c + 3 b) line entries at most: the
-    forward and covector lines with up to three check-only lines of b
-    columns or fewer (the forward c = 0 and the two adjoint mirrors) while
-    the lines are built, then the two lines with the contraction's gathers
-    of both; the step map of the largest sector, b vec indices, built
-    while the lines are held (``dynamics._map_bytes``); and 32 KiB of
-    Python objects and array headers.  The model's Liouvillian entries,
+    probed mode's pulse stacks (``_pulse_set``): the one displacement
+    call holds all 1 + N2 + N3 + N4 displacements at once, up to four
+    copies of them with its temporaries (D1's among the d x d operators),
+    and K2, K3 and K4 stay views of that stack while K32 over the N2 N3
+    phase pairs, three times, and the pre-cycled pair with its products,
+    three d_t^2 x d_t^2, are formed; n (2 K_f + 2 K_c + 3 b) line entries
+    at most: the forward and covector lines with up to three check-only
+    lines of b columns or fewer (the forward c = 0 and the two adjoint
+    mirrors) while the lines are built, then the two lines with the
+    contraction's gathers of both; the step map of the largest sector, b
+    vec indices, built while the lines are held (``dynamics._map_bytes``);
+    and 32 KiB of Python objects and array headers.  The model's Liouvillian entries,
     whose count the dims do not fix, are charged where the model is known:
     ``evolution_lines`` checks ``_map_bytes`` with the model.
 
@@ -227,27 +230,26 @@ def sector_columns(weights: tuple[int, ...], dims: tuple[int, ...], seq: PulseSe
 def _pulse_set(model: LindbladModel, seq: PulseSequence) -> tuple[np.ndarray, ...]:
     """Every operator a scan applies, phase-cycled before any contraction.
 
-    Returns the embedded D1; the pre-cycled pulse pair C = sum w2 w3
+    One ``fock.displacement`` call over the phase 0 and the phase grids of
+    pulses 2, 3 and 4 builds every pulse of the probed mode; it is split
+    into D1 and the kicks K2, K3 and K4, (N_k, d_t, d_t) views of the one
+    stack.  Returns the embedded D1; the pre-cycled pulse pair C = sum w2 w3
     K32 kron conj(K32) of the probed mode's displacements K32 = K3 K2, which
     maps the row-major vec of the probed block of rho to that of
     sum w2 w3 D32 rho D32^+ (d_t^2 x d_t^2); and the pre-cycled observable
     A = sum w4 D4^+ M D4, embedded, one complex (d, d) matrix.
     """
-    d1 = pulse_operator(model, seq, 0.0)
-    dim = model.dims[0]
+    dim, (n2, n3, _) = model.dims[0], seq.n_phases
     w2, w3, w4 = _cycle_weights(seq.signature, seq.n_phases)
-
-    def kicks(k: int) -> np.ndarray:  # pulse k's displacement at each phase, (N_k, d, d)
-        return displacement(seq.alpha * np.exp(1j * seq.phase_grid(k)), dim)
-
+    phases = np.concatenate([[0.0], *(seq.phase_grid(k) for k in (2, 3, 4))])
+    d1, k2, k3, k4 = np.split(displacement(seq.alpha * np.exp(1j * phases), dim), np.cumsum([1, n2, n3]))
     # K32 over (pulse-2 phase, pulse-3 phase) as rows of (i, k) entries:
     # sum w K32[i, k] conj(K32[j, l]) in one product, reordered to (i j, k l)
-    k32 = (kicks(3) @ kicks(2)[:, None]).reshape(-1, dim * dim)
+    k32 = (k3 @ k2[:, None]).reshape(-1, dim * dim)
     cycled = (np.outer(w2, w3).reshape(-1, 1) * k32).T @ k32.conj()
     cycled = cycled.reshape((dim,) * 4).transpose(0, 2, 1, 3).reshape(dim * dim, dim * dim)
-    k4 = kicks(4)
     measured = np.swapaxes(k4.conj(), 1, 2) @ np.diag(np.arange(dim)) @ k4
-    return d1, cycled, embed(np.tensordot(w4, measured, 1), 0, model.dims)
+    return embed(d1[0], 0, model.dims), cycled, embed(np.tensordot(w4, measured, 1), 0, model.dims)
 
 
 def _kept_sectors(w: int, seq: PulseSequence) -> tuple[tuple[int, int], ...]:

@@ -619,6 +619,16 @@ class TestManifest:
         assert warning["category"] == "UserWarning"
         assert "N_phi = 2" in warning["message"]
 
+    def test_large_alpha_records_one_truncation_warning(self, tmp_path):
+        # every pulse of the scan comes from one displacement call, so the
+        # run warns once, on one line that names the largest |alpha|
+        cfg = build_config({"scenario": "kerr", "alpha": 2.0, "grid_scale": 0.25, "out_dir": str(tmp_path)})
+        with pytest.warns(UserWarning, match="truncation"):
+            manifest = run_scenario(cfg)
+        (warning,) = [w for w in manifest["warnings"] if "displacement" in w["message"]]
+        message = "displacement |alpha| = 2 is large for dim = 9; truncation error may be significant"
+        assert warning["message"] == message
+
     def test_truncation_kept_weight(self, tmp_path):
         def kept(nbar, dim):  # geometric thermal weight on levels 0 .. dim-1
             return 1.0 - (nbar / (1.0 + nbar)) ** dim

@@ -354,7 +354,7 @@ class TestScanEngine:
         def no_pulses(*args, **kwargs):
             pytest.fail("pulse operators built before the memory guard")
 
-        monkeypatch.setattr(protocol, "pulse_operator", no_pulses)
+        monkeypatch.setattr(protocol, "displacement", no_pulses)
         # a 900-level register on a 189-point grid needs ~21 GiB
         model = LindbladModel(hamiltonian=np.zeros((900, 900), dtype=complex), dims=(30, 30))
         rho0 = np.zeros((900, 900), dtype=complex)

@@ -509,7 +509,7 @@ class TestKerrSectorAverage:
         def no_pulses(*args, **kwargs):
             pytest.fail("pulse operators built before the memory guard")
 
-        monkeypatch.setattr(protocol, "pulse_operator", no_pulses)
+        monkeypatch.setattr(protocol, "displacement", no_pulses)
         # 12,001 grid points: the grid, one block and its chi weight need ~8.6 GiB
         with pytest.raises(PropagatorSizeError, match="GiB"):
             scenarios.kerr_scan_fast(_kerr_model(), PulseSequence(), 12000 * DT, DT)

@@ -62,6 +62,8 @@ CONFIGS = {
         "scenario": "kerr", "grid_scale": 0.5, "zero_pad": 2, "window": "cosine", "baseline_notch": True,
     },
     "kerr-aliased": {"scenario": "kerr", "n_phases": [2, 4, 4]},
+    # a truncation warning in the manifest beside the artifacts
+    "kerr-large-alpha": {"scenario": "kerr", "alpha": 2.0, "grid_scale": 0.25},
     "resonance-noise": {"scenario": "resonance", "grid_scale": 0.5, "phase_noise_diffusion": 300.0},
     "resonance-cycle": {"scenario": "resonance", "n_phases": [3, 4, 5], "signature": [1, -2, 1], "alpha": 0.3},
     "resonance-no-heating": {"scenario": "resonance", "heating_quanta_per_ms": [0.0, 0.0]},
