@@ -7,8 +7,9 @@ entries that the chain's mirror symmetry forbids set to exactly zero
 (``_pair_rows`` holds the rows, weights and parities).  Neither is stored:
 each reader sums the slice it reads.  The fourth-order Kerr parameters read
 the N entries D4[zz, zz, m, m], the second-order shifts the N^2 entries
-D3[zz], the exchange coupling one entry of it, and the RWA census the N^3
-entries D4[m] of one first mode m at a time.  Every effective rate
+D3[zz], the exchange coupling one entry of it, and the RWA census the
+entries D4[a, a:] of one first mode a at a time, each an (N, N) product of
+the pair rows per second mode b >= a.  Every effective rate
 follows: the zigzag self-interaction, cross-Kerr dephasing rates, frequency
 shifts (fourth order directly, third order via second-order perturbation
 theory), and the resonant zigzag-stretch exchange coupling.  Everything is
@@ -16,7 +17,7 @@ array code: the second-order shifts are closed forms in the sign-pattern
 denominators of each coupling (Marquet, Schmidt-Kaler & James, Appl. Phys.
 B 76, 199 (2003)), exactly quadratic in the occupations, so the Kerr
 coefficients are read off them term by term; the RWA census broadcasts
-each slice's coefficients over the mode triples that follow and their sign
+each slab's coefficients over the mode triples that follow and their sign
 patterns.
 
 Mode indexing is 0-based everywhere in code: the center-of-mass mode is index
@@ -27,7 +28,6 @@ numbering ("x2" is the second x mode, i.e. index 1), produced only by
 :func:`mode_label` when a table is written.
 """
 
-from functools import reduce
 from typing import NamedTuple
 
 import numpy as np
@@ -126,18 +126,17 @@ def _cubic_slice(u: np.ndarray, m: np.ndarray, a: int) -> np.ndarray:
 
 
 def _quartic_slices(u: np.ndarray, m: np.ndarray):
-    """D4[a] for a = 0 .. N-1 in turn, each (N, N^2) over (b, N c + d) with
-    its parity-forbidden entries exactly zero: the columns a N .. a N + N - 1
-    of the pair rows' (pairs, N^2) product E (x) E, weighted, against all of
-    it.  E (x) E is formed once."""
+    """D4[a, a:] for a = 0 .. N-1 in turn, each (N - a, N, N) over (b, c, d)
+    with its parity-forbidden entries exactly zero: for each second mode
+    b >= a the (N, N) product E^T diag(w4 E_a E_b) E of the pair rows.  D4
+    is symmetric, so these slabs hold every entry once up to the order of
+    its first two modes."""
     e, _, w4, s = _pair_rows(u, m)
     n = e.shape[1]
-    ee = (e[:, :, None] * e[:, None, :]).reshape(len(e), -1)
-    even = np.outer(s, s).ravel()
     for a in range(n):
-        d4 = (w4[:, None] * ee[:, a * n : (a + 1) * n]).T @ ee
-        d4[np.outer(s[a] * s, even) < 0] = 0.0
-        yield d4
+        slab = np.stack([((w4 * e[:, a] * e[:, b])[:, None] * e).T @ e for b in range(a, n)])
+        slab[np.multiply.outer(s[a] * s[a:], np.outer(s, s)) < 0] = 0.0
+        yield slab
 
 
 def anharmonic_prefactor(trap: TrapConfig) -> float:
@@ -285,23 +284,26 @@ def max_nonsecular_ratio(trap: TrapConfig, modes: NormalModes, u: np.ndarray) ->
     share the quartet's coefficient 3 kappa omega_z D4 / (gamma^4)^(1/4).
     Terms rotating slower than 1e-9 omega_z are secular and kept by the RWA;
     the ratio is the figure of merit for dropping all the others.  The
-    first operator's mode m is looped over, so that D4[m] and (2N)^3
-    frequencies are held at a time, not D4 and (2N)^4.  A lowering first
-    operator negates every frequency of the matching raising pattern at the
-    same coefficient, so only the raising one is walked: 8 of the 16
-    patterns.
+    first operator's mode a is looped over, so that the slab D4[a, a:] and
+    its 8 (N - a) N^2 frequencies are held at a time, not D4 and (2N)^4.
+    A lowering first operator negates every frequency of the matching
+    raising pattern at the same coefficient, so only the raising one is
+    walked: 8 of the 16 patterns.  Each unordered pair of first modes is
+    visited once, as (a, b >= a): swapping them keeps D4, the product of
+    the gammas and each |frequency| bit for bit (a sum is rounded the same
+    in either order, and its negation exactly), so the maximum is the same.
     """
-    n = modes.n_ions
     wz = trap.omega_z
-    gx = modes.gamma_x
+    gx, omega = modes.gamma_x, modes.omega_radial_x(wz)
     scale = 3.0 * anharmonic_prefactor(trap) ** 2 * wz
-    rot = np.concatenate([modes.omega_radial_x(wz), -modes.omega_radial_x(wz)])
-    gammas, axes = np.ix_(gx, gx, gx), np.ix_(rot, rot, rot)
+    rot = np.stack([omega, -omega])  # (sign, mode)
     best = 0.0
-    for m, d4 in enumerate(_quartic_slices(u, modes.M)):
-        coeff = np.abs(scale * d4.reshape(n, n, n) / reduce(np.multiply, (gx[m], *gammas)) ** 0.25).reshape((1, n) * 3)
-        freq = reduce(np.add, (rot[m], *axes)).reshape((2, n) * 3)  # a raising first operator
+    for a, d4 in enumerate(_quartic_slices(u, modes.M)):
+        coeff = np.abs(scale * d4 / (gx[a] * gx[a:, None, None] * gx[:, None] * gx) ** 0.25)
+        # over (sign, b >= a, sign, c, sign, d) for a raising first operator
+        freq = omega[a] + rot[:, a:, None, None, None, None] + rot[:, :, None, None] + rot
         np.abs(freq, out=freq)
         freq[freq < 1e-9 * wz] = np.inf  # secular terms drop out of the ratio
-        best = max(best, float(np.divide(coeff, freq, out=freq).max()))
+        best = max(best, float(np.divide(coeff[:, None, :, None], freq, out=freq).max()))
+        del d4, coeff, freq  # one first mode's block held at a time
     return best

@@ -28,10 +28,13 @@ omega_str, which that model omits, exceeds the same tolerance.
 ``build_config`` parses each field as the kind of its default and rejects
 an invalid configuration with ConfigError (exit 2) before any work starts,
 a stage past the memory budget included: the couplings of the ion number
-(the RWA census's working set), the scan (the columns of its kept charge
-sectors, its largest sector's step map and its phase-cycle stacks) and the
-zero-padded spectrum.  The pulse sequence (``RunConfig.sequence``) checks its own
-settings when ``build_config`` builds it.  ``main`` prints every ConfigError, an unreadable or invalid
+(the RWA census's working set, the pair rows and one first mode's slab of
+D4 with its rotation frequencies; 386 ions fit, the chains that the
+equilibrium solver is checked for, ``crystal.CHECKED_IONS``), the scan
+(the columns of its kept charge sectors, its largest sector's step map
+and its phase-cycle stacks) and the zero-padded spectrum.  The pulse
+sequence (``RunConfig.sequence``) checks its own settings when
+``build_config`` builds it.  ``main`` prints every ConfigError, an unreadable or invalid
 config file's included, from one handler and exits with 2.  Every run,
 successful or not, leaves a manifest.json with the resolved
 configuration, derived parameters, regime diagnostics (the RWA ratio of
@@ -73,7 +76,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # noqa: E402
 
 from . import __version__, anharmonic, dynamics, fock, matio, phasenoise, protocol, scenarios, spectrum  # noqa: E402
-from .crystal import ATOMIC_MASS, TrapConfig  # noqa: E402
+from .crystal import ATOMIC_MASS, CHECKED_IONS, TrapConfig  # noqa: E402
 
 SCENARIOS = ("kerr", "resonance", "tables", "noise-table")
 # register modes of the simulated scenarios, slot 0 the probed zigzag: (zz,
@@ -243,14 +246,15 @@ def build_config(raw: dict) -> RunConfig:
     try:
         if cfg.scenario != "noise-table":
             # the couplings of N ions (kerr and tables), at their largest in
-            # anharmonic.max_nonsecular_ratio: the (pairs, N^2) product of
-            # the pair rows, N^3 (N - 1)/2 over the N (N - 1)/2 ion pairs,
-            # beside one slice D4[m] (N^3) and the (2N)^3 rotation
-            # frequencies of one first mode with their mask and temporaries,
-            # charged as 24 N^3 in all; 189 ions fit
+            # anharmonic.max_nonsecular_ratio: the pair rows, N^2 (N - 1)/2
+            # over the N (N - 1)/2 ion pairs, and one weighted copy, beside
+            # the slab D4[0] (N^3), its coefficients and the (2N)^3 rotation
+            # frequencies of the first mode with their mask and temporaries,
+            # charged as 13 N^3 in all; 386 ions fit
             ions = cfg.n_ions
-            need = 8 * (ions**3 * (ions - 1) // 2 + 24 * ions**3)
-            dynamics._check_budget(need, f"coupling tensors ({cfg.n_ions} ions)")
+            dynamics._check_budget(8 * (ions**2 * (ions - 1) + 13 * ions**3), f"coupling tensors ({ions} ions)")
+            if ions > CHECKED_IONS:  # reached only under a larger budget
+                raise ConfigError(f"the equilibrium solver is checked for 1 to {CHECKED_IONS} ions, got n_ions = {ions}")
         if cfg.scenario in _MODE_LABELS:
             # also false when 2 ms * grid_scale overflows to infinity
             if not cfg.effective_t_max / cfg.dt_s < 2**62:

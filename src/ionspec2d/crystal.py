@@ -19,6 +19,9 @@ EPSILON_0 = 8.8541878188e-12  # F/m
 
 _NEWTON_TOL = 1e-13
 _NEWTON_MAX_ITER = 200
+# solve_equilibrium is checked for every chain of 1 to CHECKED_IONS ions,
+# and cli.build_config admits no longer one
+CHECKED_IONS = 386
 
 
 class EquilibriumSolveError(RuntimeError):
@@ -111,10 +114,11 @@ def solve_equilibrium(n_ions: int) -> np.ndarray:
     falling: that entry sums pair forces up to 1/d_min**2, so its rounding
     floor grows with N and exceeds _NEWTON_TOL from about N = 56 on.  There
     is no line search: from this start the full step converges for every N
-    up to 300 within 13 passes and never reorders the chain, and halving a
-    step at the rounding floor cannot help.  EquilibriumSolveError is raised
-    when the result is not strictly ascending or its residual exceeds
-    1e-12 max(1, 1/d_min**2), the floor scaled by the largest pair force.
+    up to CHECKED_IONS = 386 within 13 passes and never reorders the chain,
+    and halving a step at the rounding floor cannot help.
+    EquilibriumSolveError is raised when the result is not strictly
+    ascending or its residual exceeds 1e-12 max(1, 1/d_min**2), the floor
+    scaled by the largest pair force.
     """
     if n_ions < 1:
         raise ValueError("n_ions must be >= 1")

@@ -273,14 +273,19 @@ def test_pair_sums_match_case_split(n):
 
 
 def _census_d4(u, m):
-    """D4 (N^4) stacked from the RWA census's D4[m] slices."""
-    return np.stack(list(_quartic_slices(u, m))).reshape((len(u),) * 4)
+    """D4 (N^4) filled from the RWA census's D4[a, a:] slabs and the
+    symmetry in the first two modes."""
+    d4 = np.empty((len(u),) * 4)
+    for a, slab in enumerate(_quartic_slices(u, m)):
+        d4[a, a:] = slab
+        d4[a:, a] = slab
+    return d4
 
 
 def _read_couplings(n, omega_x_hz, omega_y_hz):
     """What the readers sum on an n-ion chain: D3[zz] (N, N), the Kerr
     couplings D4[zz, zz, m, m] for m >= 1, recovered from effective_kerr's y
-    dephasing rates, and the census's D4 stacked from its D4[m] slices; and
+    dephasing rates, and the census's D4 filled from its D4[a, a:] slabs; and
     the einsum D3 and D4 of the same chain."""
     trap = _chain_trap(n, omega_x_hz, omega_y_hz)
     chain, modes = crystal.modes_for_trap(trap)
@@ -308,7 +313,7 @@ def test_fixed_order_contractions_match_einsum(n, omega_x_hz, omega_y_hz):
 def test_parity_forbidden_couplings_are_exactly_zero(n, omega_x_hz):
     # under the mirror u -> -u, D3 is odd and D4 even: an entry whose modes'
     # parities multiply to +1 (D3) or -1 (D4) vanishes, exactly, in D3[zz]
-    # and in every census slice D4[m]
+    # and in every census slab D4[a, a:]
     modes, d3_zz, _, census, _ = _read_couplings(n, omega_x_hz, 1.1 * omega_x_hz)
     s = np.sign(np.sum(modes.M[::-1] * modes.M, axis=0))
     assert np.array_equal(np.abs(s), np.ones(n))
@@ -628,7 +633,7 @@ def _rwa_term_loop(trap, modes, d4):
 
 class TestRWAReport:
     def test_matches_term_loop(self, table_trap, table_data):
-        # the term loop on the census's own D4[m] slices, so the same quotients
+        # the term loop on the census's own D4[a, a:] slabs, so the same quotients
         ratio = max_nonsecular_ratio(table_trap, table_data.modes, table_data.u)
         d4 = _census_d4(table_data.u, table_data.modes.M)
         assert ratio == _rwa_term_loop(table_trap, table_data.modes, d4)
@@ -672,6 +677,22 @@ class TestRWAReport:
         ratio = max_nonsecular_ratio(trap, data.modes, data.u)
         assert ratio > 0
         assert ratio == max_nonsecular_ratio_oneshot(trap, data.modes, _census_d4(data.u, data.modes.M))
+
+    def test_census_forms_no_pair_product(self):
+        # 50 ions: the census's traced peak stays below the (pairs, N^2)
+        # product of the pair rows, 8 pairs N^2 bytes (24.5 MB), which it
+        # does not form (43.2 MB when it did; 11.5 MB from its slabs)
+        n = 50
+        raw = {"scenario": "tables", "n_ions": n, "omega_x_hz": 2.0e8, "omega_y_hz": 2.2e8}
+        trap = cli.build_config(raw).trap()
+        data = scenarios.derive_modes(trap)
+        tracemalloc.start()
+        try:
+            max_nonsecular_ratio(trap, data.modes, data.u)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * (n * (n - 1) // 2) * n**2
 
     def test_twenty_ion_tables_run_memory(self, tmp_path):
         # the traced peak of a 20-ion tables run: the (2N)^4 = 2.56e6

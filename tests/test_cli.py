@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 import ionspec2d
 from ionspec2d import cli, dynamics, fock, matio, phasenoise, scenarios, spectrum
 from ionspec2d.cli import SCENARIOS, ConfigError, RunConfig, build_config, main, run_scenario
+from ionspec2d.crystal import CHECKED_IONS
 from oracles import mode_operators
 
 # any value json.loads can return (NaN, infinities and big ints included), with
@@ -252,9 +253,9 @@ class TestConfigValidation:
             ({"scenario": "kerr", "n_phases": [0, 4, 4]}, "n_phases"),
             # the phase-cycle stacks of K32 over 10^10 phase pairs (~35 TiB)
             ({"scenario": "kerr", "n_phases": [100000, 100000, 4]}, "budget"),
-            # the couplings of 200 ions (~7.4 GiB; 189 fit), before any mode is solved
-            ({"scenario": "tables", "n_ions": 200, "omega_x_hz": 2e8, "omega_y_hz": 2.2e8}, "budget"),
-            ({"scenario": "kerr", "n_ions": 200, "omega_x_hz": 2e8, "omega_y_hz": 2.2e8}, "budget"),
+            # the couplings of 400 ions (~6.7 GiB; 386 fit), before any mode is solved
+            ({"scenario": "tables", "n_ions": 400, "omega_x_hz": 2e8, "omega_y_hz": 2.2e8}, "budget"),
+            ({"scenario": "kerr", "n_ions": 400, "omega_x_hz": 2e8, "omega_y_hz": 2.2e8}, "budget"),
             ({"scenario": "kerr", "grid_scale": float("inf")}, "grid_scale"),
             # the pulse sequence is checked for every scenario, those without a scan too
             ({"scenario": "tables", "n_phases": [4, 4]}, "n_phases"),
@@ -269,6 +270,17 @@ class TestConfigValidation:
         assert main(["--config", str(cfg_path)]) == 2
         assert match in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_ion_count_capped_at_the_solvers_checked_range(self, monkeypatch):
+        # the couplings' budget admits exactly the chains the equilibrium
+        # solver is checked for; under a larger budget the cap names them
+        raw = {"scenario": "tables", "omega_x_hz": 2e8, "omega_y_hz": 2.2e8}
+        assert build_config(dict(raw, n_ions=CHECKED_IONS)).n_ions == CHECKED_IONS
+        with pytest.raises(ConfigError, match="coupling tensors"):
+            build_config(dict(raw, n_ions=CHECKED_IONS + 1))
+        monkeypatch.setattr(dynamics, "DEFAULT_MEMORY_BUDGET", 2**40)
+        with pytest.raises(ConfigError, match=f"checked for 1 to {CHECKED_IONS} ions"):
+            build_config(dict(raw, n_ions=CHECKED_IONS + 1))
 
     @pytest.mark.parametrize("scenario", ["kerr", "resonance"])
     def test_budget_check_does_not_warn(self, scenario):

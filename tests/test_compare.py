@@ -36,6 +36,18 @@ def test_tree_is_equal_to_itself(tmp_path):
         assert entry["equal"], entry["artifacts"]
 
 
+def test_digest_tells_the_staged_trees_apart(tmp_path):
+    # the tree against itself gives equal digests; a changed file of the
+    # change side changes its digest alone
+    copies = compare.stage(ROOT, ROOT, tmp_path)
+    parent, change = compare.digest(copies["parent"]), compare.digest(copies["change"])
+    assert parent == change
+    edited = copies["change"] / "src" / "ionspec2d" / "anharmonic.py"
+    edited.write_bytes(edited.read_bytes() + b"\n")
+    assert compare.digest(copies["change"]) != change
+    assert compare.digest(copies["parent"]) == parent
+
+
 def test_a_changed_number_is_reported(tmp_path):
     compare.compare_results(ROOT, ROOT, {"tables": TINY["tables"]}, tmp_path)
     got = tmp_path / "change" / "tables" / "freq_shifts_khz.csv"

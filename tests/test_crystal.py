@@ -58,9 +58,9 @@ class TestEquilibrium:
         assert np.all(np.diff(u) > 0) or n == 1
 
     def test_every_chain_the_tables_budget_admits_solves(self):
-        # up to the largest n_ions build_config admits to tables (189 with
-        # the couplings' budget of 6 GiB); the gradient's rounding floor
-        # passes _NEWTON_TOL = 1e-13 from N = 56 on
+        # up to the largest n_ions build_config admits to tables (386 with
+        # the couplings' budget of 6 GiB, crystal.CHECKED_IONS); the
+        # gradient's rounding floor passes _NEWTON_TOL = 1e-13 from N = 56 on
         n_max = 2
         with pytest.raises(ConfigError, match="coupling tensors"):
             while build_config({"scenario": "tables", "n_ions": n_max + 1}):

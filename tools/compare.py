@@ -6,7 +6,10 @@
 Both sides run from copies of their ``src/``, ``perfbench/`` and
 ``BENCHMARK.json`` at ``<work>/parent`` and ``<work>/change``, paths of
 equal length: the gated ``peak_rss_mb`` moves with the length of the tree's
-path.  Each side's commit is read from its own tree.
+path.  Each side's commit is read from its own tree, and each staged copy's
+SHA-256 over its sorted relative paths and bytes is recorded beside it
+(``digests``): an uncommitted change's tree reads as its parent's commit
+with ``-dirty``, so only the digest tells which files were measured.
 
 Results: each config of ``CONFIGS`` runs once per tree, in a fresh process
 with ``PYTHONPATH=<tree>/src``, through ``ionspec2d.cli.main``.  Each
@@ -34,6 +37,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import hashlib
 import json
 import os
 import platform
@@ -69,7 +73,8 @@ CONFIGS = {
     "resonance-no-heating": {"scenario": "resonance", "heating_quanta_per_ms": [0.0, 0.0]},
     "tables-n20": {"scenario": "tables", "n_ions": 20, "omega_x_hz": 2.0e7, "omega_y_hz": 2.2e7},
     # the couplings' memory: the peak RSS of a 50-ion chain, set by the RWA
-    # census's (pairs, N^2) product of the pair rows
+    # census's pair rows and one first mode's slab of D4 with its rotation
+    # frequencies
     "tables-n50": {"scenario": "tables", "n_ions": 50, "omega_x_hz": 2.0e8, "omega_y_hz": 2.2e8},
 }
 # one run in a fresh process: the CLI on a config file, then the peak RSS
@@ -107,6 +112,17 @@ def stage(parent: Path, tree: Path, work: Path) -> dict[str, Path]:
             shutil.copytree(root / name, dest / name, ignore=shutil.ignore_patterns("__pycache__", ".perfbench_out"))
         shutil.copyfile(root / "BENCHMARK.json", dest / "BENCHMARK.json")
     return copies
+
+
+def digest(copy: Path) -> str:
+    """SHA-256 over the sorted relative paths and bytes of every file of a
+    staged copy, each path and byte count ahead of the file's bytes."""
+    h = hashlib.sha256()
+    for path in sorted(p for p in copy.rglob("*") if p.is_file()):
+        data = path.read_bytes()
+        h.update(f"{path.relative_to(copy).as_posix()}\0{len(data)}\0".encode())
+        h.update(data)
+    return h.hexdigest()
 
 
 def environment() -> dict:
@@ -271,6 +287,7 @@ def main(argv: list[str] | None = None) -> int:
     report = {"environment": environment(), "parent_commit": commit(parent), "tree_head": commit(tree)}
     with tempfile.TemporaryDirectory() as work:
         copies = stage(parent, tree, Path(work))
+        report["digests"] = {side: digest(copy) for side, copy in copies.items()}  # before any run writes there
         report["results"] = compare_results(copies["parent"], copies["change"], configs(), Path(work) / "runs")
         unequal = [name for name, entry in report["results"].items() if not entry["equal"]]
         print(f"results: {len(report['results']) - len(unequal)} configs equal; differing: {unequal}", flush=True)
