@@ -27,10 +27,11 @@ model, within 1.5 bins, and warns when the detuning 2 omega_zz -
 omega_str, which that model omits, exceeds the same tolerance.
 ``build_config`` parses each field as the kind of its default and rejects
 an invalid configuration with ConfigError (exit 2) before any work starts,
-a stage past the memory budget included: the couplings of the ion number
-(the RWA census's working set, the pair rows and one first mode's slab of
-D4 with its rotation frequencies; 386 ions fit, the chains that the
-equilibrium solver is checked for, ``crystal.CHECKED_IONS``), the scan
+a stage past the memory budget included: for ``kerr`` and ``tables``, the
+couplings of the ion number (the RWA census's working set, the pair rows
+and one first mode's slab of D4 with its rotation frequencies; 386 ions
+fit, the chains that the equilibrium solver is checked for,
+``crystal.CHECKED_IONS``, which caps ``resonance`` too), the scan
 (the columns of its kept charge sectors, its largest sector's step map
 and its phase-cycle stacks) and the zero-padded spectrum.  The pulse
 sequence (``RunConfig.sequence``) checks its own settings when
@@ -244,17 +245,18 @@ def build_config(raw: dict) -> RunConfig:
     if cfg.scenario == "kerr" and any(cfg.heating_quanta_per_ms):
         raise ConfigError("kerr is dissipation-free: heating_quanta_per_ms must be zero")
     try:
-        if cfg.scenario != "noise-table":
-            # the couplings of N ions (kerr and tables), at their largest in
-            # anharmonic.max_nonsecular_ratio: the pair rows, N^2 (N - 1)/2
-            # over the N (N - 1)/2 ion pairs, and one weighted copy, beside
-            # the slab D4[0] (N^3), its coefficients and the (2N)^3 rotation
-            # frequencies of the first mode with their mask and temporaries,
-            # charged as 13 N^3 in all; 386 ions fit
-            ions = cfg.n_ions
+        ions = cfg.n_ions
+        if cfg.scenario in ("kerr", "tables"):
+            # the couplings of N ions at their largest, in the RWA census
+            # that only kerr and tables take (anharmonic.max_nonsecular_ratio):
+            # the pair rows, N^2 (N - 1)/2 over the N (N - 1)/2 ion pairs,
+            # and one weighted copy, beside the slab D4[0] (N^3), its
+            # coefficients and the (2N)^3 rotation frequencies of the first
+            # mode with their mask and temporaries, charged as 13 N^3 in
+            # all; 386 ions fit
             dynamics._check_budget(8 * (ions**2 * (ions - 1) + 13 * ions**3), f"coupling tensors ({ions} ions)")
-            if ions > CHECKED_IONS:  # reached only under a larger budget
-                raise ConfigError(f"the equilibrium solver is checked for 1 to {CHECKED_IONS} ions, got n_ions = {ions}")
+        if cfg.scenario != "noise-table" and ions > CHECKED_IONS:  # kerr and tables reach it only under a larger budget
+            raise ConfigError(f"the equilibrium solver is checked for 1 to {CHECKED_IONS} ions, got n_ions = {ions}")
         if cfg.scenario in _MODE_LABELS:
             # also false when 2 ms * grid_scale overflows to infinity
             if not cfg.effective_t_max / cfg.dt_s < 2**62:

@@ -32,14 +32,14 @@ with the adjoint, so the check bounds the line's difference there from the
 adjoint of its adjoint's line (SignalRealityError).  Both checks run once,
 after the walks.
 
-``build_propagator`` builds exp(L dt) for one fixed step as the dense
-exponential of the Liouvillian; it serves single protocol executions
-(``protocol.run_once``), the independent oracle the line engine is tested
-against.  Every matrix exponential is ``expm``: exp of the diagonal when the
-matrix has no nonzero entry off it (every sector map of a dissipation-free
-model whose Hamiltonian is diagonal in the Fock basis, such as the Kerr
-model, so that a ``kerr`` run makes no LU solve), else a numpy
-scaling-and-squaring Pade approximant.  A model whose generator
+A ``Propagator`` holds exp(L t) of the full Liouvillian for one whole
+interval t, densely; ``protocol.run_once``, the single protocol execution
+that the line engine is tested against, builds and applies one per
+interval.  Every matrix exponential is ``expm``: exp of the diagonal when
+the matrix has no nonzero entry off it (every sector map of a
+dissipation-free model whose Hamiltonian is diagonal in the Fock basis,
+such as the Kerr model, so that a ``kerr`` run makes no LU solve), else a
+numpy scaling-and-squaring Pade approximant.  A model whose generator
 K = -iH - 1/2 sum r c^+ c and jumps have no imaginary part holds them as
 float64 (``LindbladModel.generator``; the resonance exchange, written in
 the frame where its -iH is real): its Liouvillian blocks are scattered real
@@ -186,9 +186,6 @@ class Propagator(NamedTuple):
     matrix: np.ndarray
     kind = "super"  # the one representation; per-kind tracing reads it
 
-    def apply(self, rho: np.ndarray) -> np.ndarray:
-        return self.apply_batch(rho[None, :, :])[0]
-
     def apply_batch(self, states: np.ndarray) -> np.ndarray:
         """Propagate a (batch, dim, dim) stack of density matrices."""
         b, d, _ = states.shape
@@ -330,15 +327,6 @@ def liouvillian_blocks(model: LindbladModel) -> dict[int, np.ndarray]:
     return dict(zip(charges.tolist(), np.split(order, starts[1:])))
 
 
-def build_propagator(model: LindbladModel, dt: float) -> Propagator:
-    """exp(L dt) as the dense exponential of the Liouvillian."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    d = model.dim
-    _check_budget(_map_bytes(d * d, model), f"superoperator (dim {d} -> {d * d}^2)")
-    return Propagator(matrix=expm(liouvillian(model) * dt))
-
-
 def _check_skew(x: np.ndarray, mirror: np.ndarray) -> None:
     """SignalRealityError when half of max |x - conj(mirror)|, for x holding
     a line's entries (i, j) and mirror the entries (j, i) of its adjoint's
@@ -381,7 +369,7 @@ def evolution_lines(
     observable: np.ndarray,
     n: int,
     dt: float,
-    sectors: tuple[tuple[int, int], tuple[int, int]] | None = None,
+    sectors: tuple[tuple[int, int], tuple[int, int]],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Forward and backward lines of the one-step evolution P = exp(L dt).
 
@@ -399,8 +387,9 @@ def evolution_lines(
     Every model steps the sectors of its charge c = Q_ket - Q_bra
     (``liouvillian_blocks``; one d^2 sector without a declared charge).
     ``sectors`` = (forward class, covector class), each (offset, step) for
-    c in offset + step Z, names the sectors that reach the caller (None
-    keeps all); only those are held, each a run of columns in ascending c.
+    c in offset + step Z, names the sectors that reach the caller
+    (((0, 1), (0, 1)) keeps all); only those are held, each a run of
+    columns in ascending c.
     P_c = exp(L_c dt) is built once for each stepped sector (the largest
     map's size and the model's Liouvillian entries checked against the
     memory budget first; ``expm`` of the block that ``liouvillian``
@@ -430,7 +419,7 @@ def evolution_lines(
     starts = state.reshape(d * d), observable.T.reshape(d * d)
     adjoints = state.conj().T.reshape(d * d), observable.conj().reshape(d * d)
     blocks = liouvillian_blocks(model)
-    kept = [[c for c in blocks if _in_class(c, cls)] for cls in sectors or ((0, 1), (0, 1))]
+    kept = [[c for c in blocks if _in_class(c, cls)] for cls in sectors]
     walks = {}  # {sector c: [(line, start on c, out)]}, every walk P_c steps
 
     def walk(i, c, start, out):  # line i's columns ``out`` of sector c, from ``start``

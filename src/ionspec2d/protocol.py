@@ -25,7 +25,7 @@ scales each block, and forks nothing.  The free evolutions are the lines of
 ``dynamics.evolution_lines``, stepped on the charge sectors the cycle keeps
 (``_kept_sectors``), one mechanism for every model.  ``run_once`` and
 ``phase_cycle`` do it the experiment's way, one execution per phase tuple,
-as the test oracle.
+each interval one dense map of the full Liouvillian, as the test oracle.
 
 Free evolution is simulated in the rotating frame of the normal modes; the
 nominal carrier is reattached as a frequency-axis offset downstream.
@@ -39,8 +39,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dynamics import IMAG_TOL, LindbladModel, SignalRealityError
-from .dynamics import _check_budget, _in_class, _map_bytes, _mode_sum, build_propagator, evolution_lines
+from .dynamics import IMAG_TOL, LindbladModel, Propagator, SignalRealityError
+from .dynamics import _check_budget, _in_class, _map_bytes, _mode_sum, evolution_lines, expm, liouvillian
 from .fock import displacement, embed
 
 
@@ -104,23 +104,29 @@ def run_once(
     """Single protocol execution for one (t1, t3, phase tuple): the test
     oracle of ``scan``.
 
-    Each free evolution applies the exact one-step map of
-    ``dynamics.build_propagator`` for the whole interval, independent of the
-    line engine ``scan`` uses.  The four pulses are the embedded entries
-    of one ``fock.displacement`` call over the phases (0, *phases).
-    Returns the real measured population; a complex residual above
-    IMAG_TOL raises.  Propagators are memoized in ``prop_cache`` keyed by
-    the interval.
+    Each free evolution applies the exact map of the whole interval t,
+    a ``dynamics.Propagator`` holding exp(L t), the dense exponential of the
+    model's full Liouvillian, independent of the line engine ``scan`` uses;
+    its working set is checked against the memory budget before it is
+    built, and a negative interval raises ValueError.  The four pulses are
+    the embedded entries of one ``fock.displacement`` call over the phases
+    (0, *phases).  Returns the real measured population; a complex residual
+    above IMAG_TOL raises.  Propagators are memoized in ``prop_cache`` keyed
+    by the interval.
     """
     cache = prop_cache if prop_cache is not None else {}
 
     def free(rho, t):
+        if t < 0:
+            raise ValueError("free-evolution intervals must be >= 0")
         if t == 0:
             return rho
         key = round(t * 1e15)
         if key not in cache:
-            cache[key] = build_propagator(model, t)
-        rho = cache[key].apply(rho)
+            d = model.dim
+            _check_budget(_map_bytes(d * d, model), f"superoperator (dim {d} -> {d * d}^2)")
+            cache[key] = Propagator(expm(liouvillian(model) * t))
+        rho = cache[key].apply_batch(rho[None])[0]
         return 0.5 * (rho + rho.conj().T)
 
     pulses = displacement(seq.alpha * np.exp(1j * np.array((0.0, *phases))), model.dims[0])
@@ -217,8 +223,11 @@ def sector_columns(weights: tuple[int, ...], dims: tuple[int, ...], seq: PulseSe
     with the size of the weights.  By Cauchy-Schwarz no sector holds more
     than c = 0."""
     q = _mode_sum(weights, dims)
-    # counted without a sort: np.unique would load numpy's sort kernels,
-    # about 0.25 MB of resident memory, into every kerr run
+    # counted without a sort: np.unique(q, return_counts=True) sorts by
+    # numpy's default unstable sort, which nothing else in a kerr run loads
+    # (liouvillian_blocks sorts only stably); that swap raised the peak RSS
+    # of a kerr run at grid_scale 0.5 from 32.36-32.45 to 32.57-32.72 MB
+    # (numpy 2.4, fresh processes)
     hist = Counter(q.tolist())
     charges, counts = np.array(list(hist)), np.array(list(hist.values()))
     c = np.subtract.outer(charges, charges)

@@ -7,11 +7,12 @@ frequency.  Averaging over them multiplies each Liouville pathway by the
 characteristic function of that shift at the pathway's coherence orders, so
 the simulation is one ``protocol.scan`` of the zigzag-only model with that
 function as its chi weight -- this treats the static dephasing by spectator
-populations exactly, and ``kerr_scan_full`` on the product register is its
-oracle.  The resonance scenario probes coherent zigzag-stretch energy
-exchange at anisotropy 20/63 under heating: a Lindblad model on the
-two-mode register that declares the conserved charge Q = n_zz + 2 n_str by
-its mode weights (1, 2) (the heating jumps shift ket and bra alike).  Its
+populations exactly, and ``kerr_scan_full``, which builds the Hamiltonian
+of the product register and scans it, is its oracle.  The resonance
+scenario probes coherent zigzag-stretch energy exchange at anisotropy
+20/63 under heating: a Lindblad model on the two-mode register that
+declares the conserved charge Q = n_zz + 2 n_str by its mode weights
+(1, 2) (the heating jumps shift ket and bra alike).  Its
 exchange is written in the frame where -iH is real, so every sector map of
 a resonance run is exponentiated in real arithmetic
 (``dynamics.LindbladModel.generator``); the diagonal Kerr model has a
@@ -102,13 +103,6 @@ class KerrModel(NamedTuple):
         n = np.arange(self.dims[0])
         return np.diag(0.5 * self.omega_si * n * (n - 1))
 
-    def full_hamiltonian(self) -> np.ndarray:
-        n_ops = [fock.embed(np.diag(np.arange(d)), s, self.dims) for s, d in enumerate(self.dims)]
-        n_zz = n_ops[0]
-        h = 0.5 * self.omega_si * (n_zz @ n_zz - n_zz) + self.delta_zz * n_zz
-        h += self.rate_y * n_zz @ n_ops[1] + self.rate_eg * n_zz @ n_ops[2]
-        return h
-
 
 def kerr_model_from_params(
     params: EffectiveParams, dims: tuple[int, int, int], nbar: tuple[float, float, float]
@@ -168,18 +162,20 @@ def kerr_scan_full(
 ) -> SignalGrid:
     """Reference path: the full product-register evolution (no averaging).
 
-    The product-register H is diagonal, so every basis state is conserved:
-    the register declares its mixed-radix basis index as the charge, by the
-    weights (d1 d2, d2, 1), and its largest sector holds D vec indices for
-    a register of dimension D.  Memory grows with (number of grid
-    points) x D^2, so this is the test oracle of ``kerr_scan_fast`` at
-    reduced truncations.
+    The product-register H = Omega_SI/2 n_zz (n_zz - 1) + delta_zz n_zz +
+    n_zz (rate_y n_y + rate_eg n_eg), built here, is diagonal, so every
+    basis state is conserved: the register declares its mixed-radix basis
+    index as the charge, by the weights (d1 d2, d2, 1), and its largest
+    sector holds D vec indices for a register of dimension D.  Memory grows
+    with (number of grid points) x D^2, so this is the test oracle of
+    ``kerr_scan_fast`` at reduced truncations.
     """
     rho0 = fock.product_state([fock.thermal_state(nb, d) for nb, d in zip(model.nbar, model.dims)])
+    n_zz, n_y, n_eg = (fock.embed(np.diag(np.arange(d)), s, model.dims) for s, d in enumerate(model.dims))
+    h = 0.5 * model.omega_si * (n_zz @ n_zz - n_zz) + model.delta_zz * n_zz
+    h += model.rate_y * n_zz @ n_y + model.rate_eg * n_zz @ n_eg
     d1, d2 = model.dims[1:]
-    full = dynamics.LindbladModel(
-        hamiltonian=model.full_hamiltonian(), dims=model.dims, charge_weights=(d1 * d2, d2, 1)
-    )
+    full = dynamics.LindbladModel(hamiltonian=h, dims=model.dims, charge_weights=(d1 * d2, d2, 1))
     return protocol.scan(full, rho0, seq, t_max, dt)
 
 

@@ -13,7 +13,10 @@ over its 8 raising-first patterns.
 ``dense_liouvillian`` gathers a Liouvillian block densely from the
 generator, the reference of the block ``dynamics.liouvillian`` sums from
 the model's sparse entries by one ``np.add.at``, term by term in the same
-order and dtype.  ``expm_with_eye`` is the matrix
+order and dtype.  ``build_propagator`` is the dense one-step map
+exp(L dt) of the whole Liouvillian, the reference of the sector maps that
+``dynamics.evolution_lines`` steps, built the way ``protocol.run_once``
+builds each interval's map.  ``expm_with_eye`` is the matrix
 exponential with the dense identity that ``dynamics.expm`` replaces by
 adding the Pade identity terms on the diagonal.
 ``pair_sum_tensor_einsum`` builds the position-basis tensors C3/C4 and
@@ -346,6 +349,15 @@ def dense_liouvillian(model: dynamics.LindbladModel, idx: np.ndarray | None = No
         term *= c.conj()[bras]
         out += term
     return out
+
+
+def build_propagator(model: dynamics.LindbladModel, dt: float) -> dynamics.Propagator:
+    """exp(L dt) as the dense exponential of the Liouvillian."""
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    d = model.dim
+    dynamics._check_budget(dynamics._map_bytes(d * d, model), f"superoperator (dim {d} -> {d * d}^2)")
+    return dynamics.Propagator(matrix=dynamics.expm(dynamics.liouvillian(model) * dt))
 
 
 def expm_with_eye(a: np.ndarray) -> np.ndarray:

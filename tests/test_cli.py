@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ionspec2d
-from ionspec2d import cli, dynamics, fock, matio, phasenoise, scenarios, spectrum
+from ionspec2d import cli, dynamics, fock, matio, phasenoise, protocol, scenarios, spectrum
 from ionspec2d.cli import SCENARIOS, ConfigError, RunConfig, build_config, main, run_scenario
 from ionspec2d.crystal import CHECKED_IONS
 from oracles import mode_operators
@@ -279,6 +279,14 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="coupling tensors"):
             build_config(dict(raw, n_ions=CHECKED_IONS + 1))
         monkeypatch.setattr(dynamics, "DEFAULT_MEMORY_BUDGET", 2**40)
+        with pytest.raises(ConfigError, match=f"checked for 1 to {CHECKED_IONS} ions"):
+            build_config(dict(raw, n_ions=CHECKED_IONS + 1))
+
+    def test_resonance_ion_count_capped_without_the_census_budget(self):
+        # resonance takes no RWA census, so no coupling bytes are charged to
+        # it; the solver's checked range still caps its ion number
+        raw = {"scenario": "resonance", "omega_x_hz": 2e8, "omega_y_hz": 2.2e8}
+        assert build_config(dict(raw, n_ions=CHECKED_IONS)).n_ions == CHECKED_IONS
         with pytest.raises(ConfigError, match=f"checked for 1 to {CHECKED_IONS} ions"):
             build_config(dict(raw, n_ions=CHECKED_IONS + 1))
 
@@ -759,12 +767,21 @@ class TestRealOperators:
         assert {op.dtype for op in mode_operators(5)} == {np.dtype(np.float64)}
         assert fock.thermal_state(0.5, 4).dtype == np.float64
 
-    def test_model_operators_are_real(self):
+    def test_model_operators_are_real(self, monkeypatch):
         kerr = scenarios.KerrModel(
             omega_si=1.0, delta_zz=0.1, rate_y=0.2, rate_eg=0.3, dims=(4, 3, 3), nbar=(0.5, 1.0, 1.0)
         )
         assert kerr.zz_hamiltonian().dtype == np.float64
-        assert kerr.full_hamiltonian().dtype == np.float64
+        # the product-register Hamiltonian, captured where kerr_scan_full builds its model
+        built, exact = [], dynamics.LindbladModel
+
+        def recording(hamiltonian, **kwargs):
+            built.append(hamiltonian)
+            return exact(hamiltonian, **kwargs)
+
+        monkeypatch.setattr(dynamics, "LindbladModel", recording)
+        scenarios.kerr_scan_full(kerr, protocol.PulseSequence(), 2e-5, 1e-5)
+        assert [h.dtype for h in built] == [np.float64]
         model = scenarios.resonance_model(1.0, dims=(4, 3), heating_quanta_per_s=(200.0, 100.0))
         k, jumps = model.generator
         assert k.dtype == np.float64

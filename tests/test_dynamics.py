@@ -7,13 +7,12 @@ from ionspec2d import dynamics, fock, protocol, scenarios
 from ionspec2d.dynamics import (
     LindbladModel,
     PropagatorSizeError,
-    build_propagator,
     evolution_lines,
     heating_dissipator,
     liouvillian,
 )
 from ionspec2d.fock import destroy, thermal_state
-from oracles import dense_liouvillian, expm_with_eye
+from oracles import build_propagator, dense_liouvillian, expm_with_eye
 
 
 def _coherence_state(dim):
@@ -26,7 +25,7 @@ def _line(model, rho, steps, dt):
     """Forward line P^k(rho), k = 0 .. steps, of evolution_lines, its
     columns put back at their vec indices."""
     identity = np.eye(model.dim, dtype=complex)
-    forward, _, index, _ = evolution_lines(model, rho, identity, steps + 1, dt)
+    forward, _, index, _ = evolution_lines(model, rho, identity, steps + 1, dt, ((0, 1), (0, 1)))
     line = np.empty((steps + 1, model.dim**2), dtype=complex)
     line[:, index] = forward
     return line.reshape(steps + 1, model.dim, model.dim)
@@ -62,7 +61,7 @@ class TestFreeEvolution:
         assert prop.kind == "super"
         dense = [rho0]
         for _ in range(7):
-            dense.append(prop.apply(dense[-1]))
+            dense.append(prop.apply_batch(dense[-1][None])[0])
         assert np.max(np.abs(_line(model, rho0, 7, dt) - np.array(dense))) < 1e-12
 
     def test_unitary_preserves_spectrum(self):
@@ -166,12 +165,13 @@ class TestSemigroup:
         rho = thermal_state(0.6, dim)
         # two steps of the line against one double step of the oracle map
         two_small = _line(model, rho, 2, dt)[2]
-        one_double = build_propagator(model, 2 * dt).apply(rho)
+        one_double = build_propagator(model, 2 * dt).apply_batch(rho[None])[0]
         assert np.max(np.abs(two_small - one_double)) < 1e-9
 
 
 class TestEvolveEdges:
-    """Edges of the forward line and of the oracle map."""
+    """Edges of the forward line and of the interval maps of the oracle
+    ``protocol.run_once``."""
 
     def test_zero_steps_identity(self):
         dim = 4
@@ -191,14 +191,14 @@ class TestEvolveEdges:
         )
         monkeypatch.setattr(dynamics, "DEFAULT_MEMORY_BUDGET", 1024)
         with pytest.raises(PropagatorSizeError, match="GiB"):
-            build_propagator(model, 1e-6)
+            protocol.run_once(model, thermal_state(0.3, dim), protocol.PulseSequence(), 1e-6, 0.0, (0.0, 0.0, 0.0))
 
     def test_invalid_dt(self):
         model = LindbladModel(hamiltonian=np.zeros((3, 3), dtype=complex), dims=(3,))
         with pytest.raises(ValueError):
-            build_propagator(model, 0.0)
+            protocol.run_once(model, np.eye(3) / 3, protocol.PulseSequence(), -1e-6, 0.0, (0.0, 0.0, 0.0))
         with pytest.raises(ValueError):
-            evolution_lines(model, np.eye(3), np.eye(3), 2, 0.0)
+            evolution_lines(model, np.eye(3), np.eye(3), 2, 0.0, ((0, 1), (0, 1)))
 
 
 class TestModelValidation:

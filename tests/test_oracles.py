@@ -1,7 +1,7 @@
 """The numpy-only runtime against scipy, which only the tests import: the
-matrix exponential of the Lindblad block maps and of ``build_propagator``
-(its diagonal case against numpy's exp), the displacement pulses and the
-physical constants."""
+matrix exponential of the Lindblad block maps and of the whole-Liouvillian
+maps of ``protocol.run_once`` (its diagonal case against numpy's exp), the
+displacement pulses and the physical constants."""
 
 import numpy as np
 import pytest

@@ -24,7 +24,7 @@ from ionspec2d.protocol import (
     run_once,
     scan,
 )
-from oracles import closed_form_lines, cycled_pair
+from oracles import build_propagator, closed_form_lines, cycled_pair
 
 TWO_PI = 2 * np.pi
 
@@ -427,18 +427,19 @@ class TestScanEngine:
         model, rho0 = _driven_heated_exchange()
         observable = np.eye(12, dtype=complex)
         with pytest.raises(PropagatorSizeError, match="block"):
-            dynamics.evolution_lines(model, rho0, observable, 4, 2e-5)
+            dynamics.evolution_lines(model, rho0, observable, 4, 2e-5, ((0, 1), (0, 1)))
 
     def test_step_map_bound_covers_gather_and_expm(self):
-        # build_propagator's one 144 x 144 map of this one-block model: the
-        # traced peak of the build, with the block that liouvillian scatters
-        # and the matrices expm works in, stays within the model-free
-        # _map_bytes(b); build_propagator and evolution_lines check the
-        # larger bound with the model, which adds the scatter's own memory
+        # the oracle build_propagator's one 144 x 144 map of this one-block
+        # model: the traced peak of the build, with the block that
+        # liouvillian scatters and the matrices expm works in, stays within
+        # the model-free _map_bytes(b); run_once and evolution_lines check
+        # the larger bound with the model, which adds the scatter's own
+        # memory
         model, _ = _driven_heated_exchange()
         tracemalloc.start()
         try:
-            dynamics.build_propagator(model, 2e-5)
+            build_propagator(model, 2e-5)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -537,7 +538,7 @@ class TestScanEngine:
         args = (model, d1 @ rho0 @ d1.conj().T, observable, 9, 2e-5)
         kept = protocol._kept_sectors(model.charge_weights[0], seq)
         *compact, index_f, index_c = dynamics.evolution_lines(*args, kept)
-        *full, every_f, every_c = dynamics.evolution_lines(*args)
+        *full, every_f, every_c = dynamics.evolution_lines(*args, ((0, 1), (0, 1)))
         charge = np.subtract.outer(model.charge, model.charge).ravel()
         for line, index, whole, every, cls in zip(compact, (index_f, index_c), full, (every_f, every_c), kept):
             assert np.array_equal(np.sort(index), np.flatnonzero(dynamics._in_class(charge, cls)))
@@ -564,7 +565,7 @@ class TestScanEngine:
         model, rho0 = _heated_exchange()
         d1, _, observable = protocol._pulse_set(model, PulseSequence())
         args = (model, d1 @ rho0 @ d1.conj().T, observable, 9, 2e-5)
-        *full, every_f, every_c = dynamics.evolution_lines(*args)
+        *full, every_f, every_c = dynamics.evolution_lines(*args, ((0, 1), (0, 1)))
         exact_expm, exact_gather, exact_skew = dynamics.expm, dynamics.liouvillian, dynamics._check_skew
         maps, gathered, skews = [], [], []
         monkeypatch.setattr(dynamics, "expm", lambda a: maps.append(a.shape) or exact_expm(a))
@@ -595,13 +596,13 @@ class TestScanEngine:
         assert not np.any(state.reshape(-1)[dead]) and not np.any(observable.T.reshape(-1)[dead])
         # the dense one-step map of every sector, walked in full, is the
         # reference of both lines
-        step = dynamics.build_propagator(model, dt).matrix
+        step = build_propagator(model, dt).matrix
         x, y = state.reshape(-1), observable.T.reshape(-1)
         reference = np.empty((2, n, model.dim**2), dtype=complex)
         for k in range(n):
             reference[:, k] = x, y
             x, y = step @ x, y @ step
-        *full, every_f, every_c = dynamics.evolution_lines(model, state, observable, n, dt)
+        *full, every_f, every_c = dynamics.evolution_lines(model, state, observable, n, dt, ((0, 1), (0, 1)))
         exact_expm, exact_scatter = dynamics.expm, dynamics.liouvillian
         maps, scattered = [], []
         monkeypatch.setattr(dynamics, "expm", lambda a: maps.append(a.shape) or exact_expm(a))

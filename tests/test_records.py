@@ -16,7 +16,7 @@ def _grid():
 
 def _propagator():
     model = dynamics.LindbladModel(hamiltonian=np.diag([0.0, 1e3]), dims=(2,))
-    return dynamics.build_propagator(model, 1e-5)
+    return dynamics.Propagator(matrix=dynamics.expm(dynamics.liouvillian(model) * 1e-5))
 
 
 # record name: builder from the conftest fixture lookup

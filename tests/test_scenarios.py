@@ -331,7 +331,9 @@ def _all_orders_scan(model, seq, t_max, dt):
     zz = LindbladModel(hamiltonian=model.zz_hamiltonian(), dims=(d,))
     rho0 = thermal_state(model.nbar[0], d)
     d1, cycled, observable = protocol._pulse_set(zz, seq)
-    line, covector, _, _ = dynamics.evolution_lines(zz, d1 @ rho0 @ d1.conj().T, observable, n, dt)
+    line, covector, _, _ = dynamics.evolution_lines(
+        zz, d1 @ rho0 @ d1.conj().T, observable, n, dt, ((0, 1), (0, 1))
+    )
     m_max = (d - 1) * (2 * n - 2)
     m_dt = np.arange(-m_max, m_max + 1) * dt
     chi = (
