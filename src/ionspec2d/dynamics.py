@@ -221,10 +221,12 @@ def expm(a: np.ndarray) -> np.ndarray:
     Any other a goes by scaling and squaring (Higham 2005): a is scaled by
     2^-s until its 1-norm is at most theta_13, the [13/13] Pade approximant
     (V - U)^-1 (V + U) is formed from a^2, a^4 and a^6 (U odd and V even in
-    a), and the result is squared s times.  The Pade sums are formed in
-    place, term by term in the order they are written, and the identity
-    terms b0 I and b1 I are added on the diagonal, so at most 7 matrices
-    are held at a time."""
+    a), and the result is squared s times.  The Pade sums are formed as
+    written, left to right, and the identity terms b0 I and b1 I are added
+    on the diagonal alone (a dense b I would turn -0.0 into +0.0 off it).
+    The traced peak is about 8 matrices of a's size and dtype (8.0 at
+    b = 97, 7.0 at b = 186, where numpy adds into its large temporaries in
+    place), within ``_map_bytes``' 10 complex b x b matrices."""
     diagonal = np.diagonal(a)
     if np.count_nonzero(a) == np.count_nonzero(diagonal):
         return np.diag(np.exp(diagonal))
@@ -235,25 +237,13 @@ def expm(a: np.ndarray) -> np.ndarray:
     a2 = a @ a
     a4 = a2 @ a2
     a6 = a4 @ a2
-    x, y = np.empty_like(a), np.empty_like(a)
-
-    def terms(out, scratch, *pairs):  # out + c m + ..., left to right, in place
-        for c, m in pairs:
-            out += np.multiply(c, m, out=scratch)
-        return out
-
-    v = a6 @ terms(np.multiply(b[12], a6, out=x), y, (b[10], a4), (b[8], a2))
-    terms(v, y, (b[6], a6), (b[4], a4), (b[2], a2))
+    v = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2) + b[6] * a6 + b[4] * a4 + b[2] * a2
     v.flat[diag] += b[0]
-    np.matmul(a6, terms(np.multiply(b[13], a6, out=x), y, (b[11], a4), (b[9], a2)), out=y)
-    terms(y, x, (b[7], a6), (b[5], a4), (b[3], a2))
+    y = a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2) + b[7] * a6 + b[5] * a4 + b[3] * a2
     y.flat[diag] += b[1]
-    u = np.matmul(a, y, out=x)
-    del a, a2, a4, a6
-    np.add(v, u, out=y)  # V + U, before V - U overwrites V
-    v -= u
-    del u, x
-    r = np.linalg.solve(v, y)
+    del a2, a4, a6
+    u = a @ y
+    r = np.linalg.solve(v - u, v + u)
     for _ in range(s):
         r = r @ r
     return r
@@ -310,9 +300,11 @@ def liouvillian(model: LindbladModel, idx: np.ndarray | None = None) -> np.ndarr
 
 
 def liouvillian_blocks(model: LindbladModel) -> dict[int, np.ndarray]:
-    """The diagonal blocks of the Liouvillian as {c: sorted row-major vec
+    """The diagonal blocks of the Liouvillian as {c: ascending row-major vec
     indices d i + j (ket i, bra j)}, one per value of the conserved charge
-    c = Q_i - Q_j of the model's declared Q.
+    c = Q_i - Q_j of the model's declared Q, in ascending c: each block is
+    the positions where c holds its value, one mask per charge (no numpy
+    sort).
 
     K = -iH - 1/2 sum r c^+ c keeps Q, so K kron I + I kron conj(K) keeps
     (Q_ket, Q_bra), and a jump shifts Q_ket and Q_bra by the same amount:
@@ -322,9 +314,7 @@ def liouvillian_blocks(model: LindbladModel) -> dict[int, np.ndarray]:
     one block c = 0.
     """
     c = np.subtract.outer(model.charge, model.charge).ravel()
-    order = np.argsort(c, kind="stable")
-    charges, starts = np.unique(c[order], return_index=True)
-    return dict(zip(charges.tolist(), np.split(order, starts[1:])))
+    return {q: np.flatnonzero(c == q) for q in sorted(set(c.tolist()))}
 
 
 def _check_skew(x: np.ndarray, mirror: np.ndarray) -> None:

@@ -225,9 +225,9 @@ def sector_columns(weights: tuple[int, ...], dims: tuple[int, ...], seq: PulseSe
     q = _mode_sum(weights, dims)
     # counted without a sort: np.unique(q, return_counts=True) sorts by
     # numpy's default unstable sort, which nothing else in a kerr run loads
-    # (liouvillian_blocks sorts only stably); that swap raised the peak RSS
-    # of a kerr run at grid_scale 0.5 from 32.36-32.45 to 32.57-32.72 MB
-    # (numpy 2.4, fresh processes)
+    # (liouvillian_blocks takes each charge by a mask, with no numpy sort);
+    # that swap raised the peak RSS of a kerr run at grid_scale 0.5 from
+    # 32.36-32.45 to 32.57-32.72 MB (numpy 2.4, fresh processes)
     hist = Counter(q.tolist())
     charges, counts = np.array(list(hist)), np.array(list(hist.values()))
     c = np.subtract.outer(charges, charges)

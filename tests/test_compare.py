@@ -2,7 +2,7 @@
 this tree as its own parent: every artifact and manifest is equal, also
 when both sides run from the copies that the harness stages.  Its timings
 (perfbench runs) are not exercised here; their summary is, on synthetic
-pairs."""
+pairs, and its suite timing is, on a tree of one trivial test."""
 
 import sys
 from pathlib import Path
@@ -58,6 +58,25 @@ def test_a_changed_number_is_reported(tmp_path):
     report = compare.compare_artifacts(tmp_path / "parent" / "tables", tmp_path / "change" / "tables")
     assert report["freq_shifts_khz.csv"]["max_abs_diff"] == 1.0
     assert report["dephasing_rates_khz.csv"] == report["manifest.json"] == "equal"
+
+
+def test_suite_runs_in_each_tree_in_alternated_order(tmp_path, monkeypatch):
+    # a tree of one trivial test, as both sides: the real suite never runs
+    # here; the tree needs no installed plugin, and loading them would cost
+    # about 0.7 s of each of the four runs
+    monkeypatch.setenv("PYTEST_DISABLE_PLUGIN_AUTOLOAD", "1")
+    tree = tmp_path / "tree"
+    (tree / "src").mkdir(parents=True)
+    (tree / "tests").mkdir()
+    (tree / "tests" / "test_trivial.py").write_text("def test_trivial():\n    pass\n")
+    runs = compare.time_suite(tree, tree)
+    assert [run["first"] for run in runs] == ["parent", "change"]
+    for run in runs:
+        for side in ("parent", "change"):
+            assert run[side]["exit"] == 0
+            assert run[side]["summary"].startswith("1 passed")
+            assert run[side]["wall_s"] > 0
+    assert not (tree / ".pytest_cache").exists()
 
 
 def _pairs(parent, change):

@@ -476,9 +476,11 @@ class TestExpmIdentityTerms:
             a *= 10.0 ** rng.uniform(-3.0, 1.7) / np.abs(a).sum(axis=0).max()
             assert np.array_equal(dynamics.expm(a), expm_with_eye(a))
 
-    @pytest.mark.parametrize("dims, count", [((7, 5), 29), ((9, 6), 37)])
+    @pytest.mark.parametrize("dims, count", [((7, 5), 29), ((9, 6), 37), ((11, 8), 49)])
     def test_every_heated_resonance_block(self, resonance_data, dims, count):
-        # every sector block of the heated resonance model at the scenario's dt
+        # every sector block of the heated resonance model at the scenario's
+        # dt; (11, 8) holds the largest maps of any compared config, up to
+        # b = 378
         omega_t = scenarios.resonance_parameters(resonance_data).omega_t
         model = scenarios.resonance_model(omega_t, dims=dims, heating_quanta_per_s=(200.0, 100.0))
         blocks = dynamics.liouvillian_blocks(model)

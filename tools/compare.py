@@ -27,6 +27,12 @@ its later half of pairs less that of its earlier half, over its median) and
 whether a gain is resolved: the change won at least 90 % of the pairs, and
 its median lies further from the parent's than the parent's quartiles span.
 
+Suite: with timings, the tier-1 suite of each tree, ``python -m pytest -q
+-p no:cacheprovider`` with ``PYTHONPATH=<tree>/src``, run in the two trees
+themselves (the staged copies hold no ``tests/``), twice per tree with the
+side that runs first alternated; each run's wall time, exit code and
+pytest's summary line.
+
 The environment is recorded beside the numbers: nproc, the Python and numpy
 versions, the BLAS library, the BLAS thread variables and
 ``PYTHONDONTWRITEBYTECODE``, which decides whether the workers compile
@@ -46,6 +52,7 @@ import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -71,6 +78,8 @@ CONFIGS = {
     "resonance-noise": {"scenario": "resonance", "grid_scale": 0.5, "phase_noise_diffusion": 300.0},
     "resonance-cycle": {"scenario": "resonance", "n_phases": [3, 4, 5], "signature": [1, -2, 1], "alpha": 0.3},
     "resonance-no-heating": {"scenario": "resonance", "heating_quanta_per_ms": [0.0, 0.0]},
+    # the largest step maps of any config, up to 378 x 378
+    "resonance-11-8": {"scenario": "resonance", "dims": [11, 8]},
     "tables-n20": {"scenario": "tables", "n_ions": 20, "omega_x_hz": 2.0e7, "omega_y_hz": 2.2e7},
     # the couplings' memory: the peak RSS of a 50-ion chain, set by the RWA
     # census's pair rows and one first mode's slab of D4 with its rotation
@@ -277,6 +286,24 @@ def time_pairs(parent: Path, tree: Path, workload: str, pairs: int) -> dict:
     return {"pairs": runs, "summary": summarize(done)}
 
 
+def suite(tree: Path) -> dict:
+    """One run of ``tree``'s tier-1 suite with its own src/: {'exit',
+    'wall_s', 'summary'}, the summary the last line pytest printed."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    start = time.perf_counter()
+    cmd = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider"]
+    proc = subprocess.run(cmd, cwd=tree, env=env, capture_output=True, text=True)
+    wall = time.perf_counter() - start
+    return {"exit": proc.returncode, "wall_s": wall, "summary": (proc.stdout.strip().splitlines() or [""])[-1]}
+
+
+def time_suite(parent: Path, tree: Path) -> list[dict]:
+    """Two alternated ``suite`` runs of each tree, in run order."""
+    sides = {"parent": parent, "change": tree}
+    orders = (("parent", "change"), ("change", "parent"))
+    return [{"first": order[0], **{side: suite(sides[side]) for side in order}} for order in orders]
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", type=Path, required=True, help="the parent tree: src/ and perfbench/")
@@ -291,6 +318,11 @@ def main(argv: list[str] | None = None) -> int:
         report["results"] = compare_results(copies["parent"], copies["change"], configs(), Path(work) / "runs")
         unequal = [name for name, entry in report["results"].items() if not entry["equal"]]
         print(f"results: {len(report['results']) - len(unequal)} configs equal; differing: {unequal}", flush=True)
+        if args.pairs > 0:
+            report["suite"] = time_suite(parent, tree)
+            for run in report["suite"]:
+                print(" | ".join(f"{side} suite {run[side]['wall_s']:.1f} s: {run[side]['summary']}"
+                                 for side in ("parent", "change")), flush=True)
         report["timings"] = {}
         for workload in GATED if args.pairs > 0 else ():
             report["timings"][workload] = timing = time_pairs(copies["parent"], copies["change"], workload, args.pairs)
