@@ -12,19 +12,17 @@ Q = sum_s w_s n_s by one integer weight w_s per register mode
 c = Q_ket - Q_bra, and its diagonal blocks are the sectors of c
 (``liouvillian_blocks``; symmetry reduction of Lindblad generators: Buca &
 Prosen, New J. Phys. 14, 073007 (2012); Albert & Jiang, Phys. Rev. A 89,
-022118 (2014)); zero weights give the single sector c = 0.  The model
-holds the nonzero entries of its Liouvillian once, as (rows, cols, values)
-(``LindbladModel.liouvillian_entries``), while the maps are built: each
-sector's block is scattered from them (``liouvillian``) and stepped with
-its one-step map P_c = ``expm(liouvillian(model, idx) * dt)`` on the
-sector's vec indices idx, every line by one product form x -> M x (M =
-P_c for a forward column, its transpose for a covector row), and only the
-sectors the caller keeps are stepped and held, compact, one column per
-kept vec index: a scan's phase cycle passes only pathways whose pulses
-change c by the kept coherence orders (``protocol._kept_sectors``).  A
-line whose start is exactly zero on a sector stays zero there, P_c being
-linear: its columns are zero-filled, and a sector with no other line
-builds no map.  Besides the kept sectors,
+022118 (2014)); zero weights give the single sector c = 0.  Each
+sector's block is gathered from the formula of the Liouvillian on the
+sector's own vec indices idx (``liouvillian``) and stepped with its
+one-step map P_c = ``expm(liouvillian(model, idx) * dt)``, every line by
+one product form x -> M x (M = P_c for a forward column, its transpose
+for a covector row), and only the sectors the caller keeps are stepped
+and held, compact, one column per kept vec index: a scan's phase cycle
+passes only pathways whose pulses change c by the kept coherence orders
+(``protocol._kept_sectors``).  A line whose start is exactly zero on a
+sector stays zero there, P_c being linear: its columns are zero-filled,
+and a sector with no other line builds no map.  Besides the kept sectors,
 the sector c = 0 of the forward line is stepped for the trace-drift check,
 and for the reality check the line of each line's adjoint start (state^+,
 A^+) in the mirror -c of the line's largest kept sector c: P^+ commutes
@@ -42,7 +40,7 @@ such as the Kerr model, so that a ``kerr`` run makes no LU solve), else a
 numpy scaling-and-squaring Pade approximant.  A model whose generator
 K = -iH - 1/2 sum r c^+ c and jumps have no imaginary part holds them as
 float64 (``LindbladModel.generator``; the resonance exchange, written in
-the frame where its -iH is real): its Liouvillian blocks are scattered real
+the frame where its -iH is real): its Liouvillian blocks are gathered real
 and its sector maps exponentiated in float64, with real products and a
 real LU solve.  The lines and the checks stay complex; a real map steps
 each complex line as its (b, 2) float64 view, real and imaginary parts as
@@ -131,9 +129,10 @@ class LindbladModel:
     @cached_property
     def generator(self) -> tuple[np.ndarray, list[tuple[np.ndarray, float]]]:
         """(K, jumps): K = -iH - 1/2 sum_c r c^+ c and the (c, r) pairs with
-        r > 0, formed once per model for ``liouvillian_entries``; all float64
-        when neither K nor any jump has an imaginary part, so that the blocks
-        are scattered, and their maps exponentiated, in real arithmetic."""
+        r > 0, formed once per model for every block ``liouvillian``
+        gathers; all float64 when neither K nor any jump has an imaginary
+        part, so that the blocks are gathered, and their maps exponentiated,
+        in real arithmetic."""
         jumps = [(np.asarray(op), rate) for op, rate in self.collapse_ops if rate > 0]
         k = -1j * np.asarray(self.hamiltonian)
         for c, rate in jumps:
@@ -141,36 +140,6 @@ class LindbladModel:
         if not np.any(k.imag) and not any(np.any(np.imag(c)) for c, _ in jumps):
             return k.real.copy(), [(np.real(c), rate) for c, rate in jumps]
         return k, jumps
-
-    @cached_property
-    def liouvillian_entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(rows, cols, values): the terms of the Liouvillian
-        L = K kron I + I kron conj(K) + sum_c r c kron conj(c) at row-major
-        vec indices, from the nonzeros of K and of each jump (``generator``),
-        formed once for every block ``liouvillian`` scatters and released by
-        ``evolution_lines`` when its maps are built, so that they are not
-        held through the caller's contraction.  In this order: K_ik at
-        (d i + j, d k + j) for every bra index j, then conj(K_jl) at
-        (d i + j, d i + l) for every ket index i, then (r c_ik) conj(c_jl)
-        at (d i + j, d k + l) for each pair of nonzeros of each jump, each
-        part of the terms joined by one concatenation.  A position may
-        repeat (every diagonal one does); the values have the generator's
-        dtype."""
-        k, jumps = self.generator
-        d = self.dim
-        every = np.arange(d)
-        i, j = np.nonzero(k)
-        terms = [
-            (np.add.outer(d * i, every), np.add.outer(d * j, every), np.repeat(k[i, j], d)),
-            (np.add.outer(d * every, i), np.add.outer(d * every, j), np.tile(k[i, j].conj(), d)),
-        ]
-        for c, rate in jumps:
-            a, b = np.nonzero(c)
-            x = c[a, b]
-            terms.append((np.add.outer(d * a, a), np.add.outer(d * b, b), np.multiply.outer(x * rate, x.conj())))
-        rows, cols, values = zip(*terms)
-        values = np.concatenate(values, axis=None, dtype=k.dtype)
-        return np.concatenate(rows, axis=None), np.concatenate(cols, axis=None), values
 
 
 def _mode_sum(weights: tuple[int, ...], dims: tuple[int, ...]) -> np.ndarray:
@@ -249,26 +218,13 @@ def expm(a: np.ndarray) -> np.ndarray:
     return r
 
 
-def _map_bytes(b: int, model: LindbladModel | None = None) -> int:
+def _map_bytes(b: int) -> int:
     """Upper bound on the bytes held while one b x b step map is built: the
-    block ``liouvillian`` scatters, then the matrices ``expm`` works in, at
+    block ``liouvillian`` gathers, then the matrices ``expm`` works in, at
     most 10 b x b complex matrices at a time.  A map of a real generator
     (``LindbladModel.generator``) holds about half of it: ``expm`` then
-    works in float64.  With the ``model``, the scatter's own memory too:
-    96 bytes for each of the model's Liouvillian entries
-    (``LindbladModel.liouvillian_entries``, counted from the nonzeros of
-    its generator), and the d^2 intp position table.  An entry holds at
-    most 32 bytes (two intp positions and a complex value); while the
-    entries are formed, the terms they are joined from hold as much again
-    (64 bytes an entry), and while a block is summed, its temporaries add
-    51: the two positions looked up in the table (16), three masks (3) and
-    the kept positions and values (32), 83 bytes an entry in all."""
-    need = 16 * 10 * b * b
-    if model is not None:
-        k, jumps = model.generator
-        entries = 2 * model.dim * np.count_nonzero(k) + sum(np.count_nonzero(c) ** 2 for c, _ in jumps)
-        need += 96 * entries + 8 * model.dim**2
-    return need
+    works in float64."""
+    return 16 * 10 * b * b
 
 
 def liouvillian(model: LindbladModel, idx: np.ndarray | None = None) -> np.ndarray:
@@ -279,23 +235,21 @@ def liouvillian(model: LindbladModel, idx: np.ndarray | None = None) -> np.ndarr
     With K = -iH - 1/2 sum_c r c^+ c (``LindbladModel.generator``),
     L = K kron I + I kron conj(K) + sum_c r c kron conj(c), so the entry at
     vec indices (d i + j, d k + l) is K_ik [j = l] + [i = k] conj(K_jl) +
-    sum_c r c_ik conj(c_jl).  The block is scattered from the model's
-    entries (``LindbladModel.liouvillian_entries``) whose row and column
-    both lie in ``idx``, through a d^2 position table, by one
-    ``np.add.at`` in the values' dtype: it adds the entries of a repeated
-    position in the order the model holds them, which is the order of the
-    three terms.
+    sum_c r c_ik conj(c_jl).  The block is gathered from that formula on
+    the b x b pairs of ``idx`` alone, each term read at the flat positions
+    d i + k of K (or c) and d j + l, and added in that order to a block of
+    zeros in the generator's dtype: a sum begun from +0.0 keeps no -0.0
+    that a masked term leaves where its mask is zero.
     """
-    rows, cols, values = model.liouvillian_entries
-    d2 = model.dim**2
-    idx = np.arange(d2) if idx is None else idx
-    b = idx.size
-    pos = np.full(d2, -1)
-    pos[idx] = np.arange(b)
-    row, col = pos[rows], pos[cols]
-    keep = (row >= 0) & (col >= 0)
-    out = np.zeros((b, b), values.dtype)
-    np.add.at(out, (row[keep], col[keep]), values[keep])
+    k, jumps = model.generator
+    d = model.dim
+    ket, bra = np.divmod(np.arange(d * d) if idx is None else idx, d)
+    kets, bras = np.add.outer(d * ket, ket), np.add.outer(d * bra, bra)  # flat (i, k) and (j, l)
+    out = np.zeros(kets.shape, k.dtype)
+    out += k.take(kets) * (bra[:, None] == bra)
+    out += k.take(bras).conj() * (ket[:, None] == ket)
+    for c, rate in jumps:
+        out += c.take(kets) * rate * c.take(bras).conj()
     return out
 
 
@@ -381,26 +335,24 @@ def evolution_lines(
     (((0, 1), (0, 1)) keeps all); only those are held, each a run of
     columns in ascending c.
     P_c = exp(L_c dt) is built once for each stepped sector (the largest
-    map's size and the model's Liouvillian entries checked against the
-    memory budget first; ``expm`` of the block that ``liouvillian``
-    scatters, in the generator's dtype, so in real arithmetic for a real
-    one), and it steps every line that needs the sector along the grid in
-    one form, x_k = M x_(k-1): M = P_c for the forward column, and
-    M = P_c^T for the covector row, which P_c acts on from the right
-    (y P_c = P_c^T y).  A real P_c steps the (b, 2) float64 view of each
-    complex row x_k, its real and imaginary parts at once.  A line whose
-    start is exactly zero on sector c is not stepped there: P_c is linear,
-    so its columns are zero-filled, and a sector whose every line starts
-    at zero builds no map.  Once every map is built the model's
-    Liouvillian entries are released.  Up to three more lines are walked
-    for the checks alone and held until both checks run, after the walks:
-    the forward sector c = 0 when it is not kept, where a trace drift
-    above TRACE_TOL_PER_STEP per grid point raises PropagatorAccuracyError,
-    and for each line its adjoint's line in the mirror -c of the line's
-    largest kept sector c.  P^+ commutes with the
-    adjoint, so X(k)^+ = (X^+)(k) for each line X, started from vec(state^+)
-    for the forward line and vec(conj A) for the covector; ``_check_skew``
-    bounds the difference (SignalRealityError).
+    map's size checked against the memory budget first; ``expm`` of the
+    block that ``liouvillian`` gathers, in the generator's dtype, so in
+    real arithmetic for a real one), and it steps every line that needs
+    the sector along the grid in one form, x_k = M x_(k-1): M = P_c for
+    the forward column, and M = P_c^T for the covector row, which P_c acts
+    on from the right (y P_c = P_c^T y).  A real P_c steps the (b, 2)
+    float64 view of each complex row x_k, its real and imaginary parts at
+    once.  A line whose start is exactly zero on sector c is not stepped
+    there: P_c is linear, so its columns are zero-filled, and a sector
+    whose every line starts at zero builds no map.  Up to three more lines
+    are walked for the checks alone and held until both checks run, after
+    the walks: the forward sector c = 0 when it is not kept, where a trace
+    drift above TRACE_TOL_PER_STEP per grid point raises
+    PropagatorAccuracyError, and for each line its adjoint's line in the
+    mirror -c of the line's largest kept sector c.  P^+ commutes with the
+    adjoint, so X(k)^+ = (X^+)(k) for each line X, started from
+    vec(state^+) for the forward line and vec(conj A) for the covector;
+    ``_check_skew`` bounds the difference (SignalRealityError).
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -437,7 +389,7 @@ def evolution_lines(
     largest = [max(k, key=lambda c: blocks[c].size, default=None) for k in kept]
     mirrors = [None if c is None else hold(i, -c, adjoints[i]) for i, c in enumerate(largest)]
     b = max((blocks[c].size for c in walks), default=0)
-    _check_budget(_map_bytes(b, model), f"Liouvillian block map ({b}^2)")
+    _check_budget(_map_bytes(b), f"Liouvillian block map ({b}^2)")
     for c in sorted(walks):
         step = expm(liouvillian(model, blocks[c]) * dt)
         for i, x, out in walks[c]:
@@ -450,7 +402,6 @@ def evolution_lines(
             for k in range(1, n):
                 np.matmul(m, out[k - 1], out=out[k])
         del step, m  # m may view the map: neither outlives its sector
-    vars(model).pop("liouvillian_entries", None)  # every map is built: the entries need not outlive them
     _check_trace_drift(trace[:, np.searchsorted(blocks[0], np.arange(d) * (d + 1))])
     for i, c in enumerate(largest):
         # entries (i, j) of the line's largest kept sector against (j, i) of its adjoint's line

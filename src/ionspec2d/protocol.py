@@ -124,7 +124,7 @@ def run_once(
         key = round(t * 1e15)
         if key not in cache:
             d = model.dim
-            _check_budget(_map_bytes(d * d, model), f"superoperator (dim {d} -> {d * d}^2)")
+            _check_budget(_map_bytes(d * d), f"superoperator (dim {d} -> {d * d}^2)")
             cache[key] = Propagator(expm(liouvillian(model) * t))
         rho = cache[key].apply_batch(rho[None])[0]
         return 0.5 * (rho + rho.conj().T)
@@ -181,10 +181,9 @@ def _working_set_bytes(
     lines of b columns or fewer (the forward c = 0 and the two adjoint
     mirrors) while the lines are built, then the two lines with the
     contraction's gathers of both; the step map of the largest sector, b
-    vec indices, built while the lines are held (``dynamics._map_bytes``);
-    and 32 KiB of Python objects and array headers.  The model's Liouvillian entries,
-    whose count the dims do not fix, are charged where the model is known:
-    ``evolution_lines`` checks ``_map_bytes`` with the model.
+    vec indices, built while the lines are held (``dynamics._map_bytes``,
+    the charge ``evolution_lines`` checks too); and 32 KiB of Python
+    objects and array headers.
 
     A chi weight (``span`` = max Q - min Q) adds its table, 4 span (n - 1)
     + 1 entries, and one block's weight with its gather index, 2 n^2."""

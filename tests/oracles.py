@@ -10,15 +10,15 @@ place of the stepped sector lines of ``dynamics.evolution_lines``.
 ``max_nonsecular_ratio_oneshot`` forms all (2N)^4 rotation frequencies at
 once, the reference of the loop of ``anharmonic.max_nonsecular_ratio``
 over its 8 raising-first patterns.
-``dense_liouvillian`` gathers a Liouvillian block densely from the
-generator, the reference of the block ``dynamics.liouvillian`` sums from
-the model's sparse entries by one ``np.add.at``, term by term in the same
-order and dtype.  ``build_propagator`` is the dense one-step map
-exp(L dt) of the whole Liouvillian, the reference of the sector maps that
-``dynamics.evolution_lines`` steps, built the way ``protocol.run_once``
-builds each interval's map.  ``expm_with_eye`` is the matrix
-exponential with the dense identity that ``dynamics.expm`` replaces by
-adding the Pade identity terms on the diagonal.
+``scattered_liouvillian`` scatters a Liouvillian block from the sparse
+entries of its three terms by one ``np.add.at``, the reference of the
+block ``dynamics.liouvillian`` gathers densely from the generator, term by
+term in the same order and dtype.  ``build_propagator`` is the dense
+one-step map exp(L dt) of the whole Liouvillian, the reference of the
+sector maps that ``dynamics.evolution_lines`` steps, built the way
+``protocol.run_once`` builds each interval's map.  ``expm_with_eye`` is
+the matrix exponential with the dense identity that ``dynamics.expm``
+replaces by adding the Pade identity terms on the diagonal.
 ``pair_sum_tensor_einsum`` builds the position-basis tensors C3/C4 and
 ``mode_tensors_einsum`` contracts them into the full normal-mode D3 and D4,
 each as one ``np.einsum`` call with numpy's path search: the two-pass
@@ -328,26 +328,38 @@ def max_nonsecular_ratio_oneshot(trap: crystal.TrapConfig, modes: crystal.Normal
     return float(np.divide(np.abs(coeff).reshape((1, n) * 4), freq, out=freq).max())
 
 
-def dense_liouvillian(model: dynamics.LindbladModel, idx: np.ndarray | None = None) -> np.ndarray:
+def scattered_liouvillian(model: dynamics.LindbladModel, idx: np.ndarray | None = None) -> np.ndarray:
     """The block of L = K kron I + I kron conj(K) + sum_c r c kron conj(c)
-    on the vec indices ``idx`` (every one when None), gathered densely: the
-    entry at (d i + j, d k + l) is K_ik [j = l] + [i = k] conj(K_jl) +
-    sum_c r c_ik conj(c_jl), in that order, from b x b gathers of K and of
-    each jump, without forming L."""
+    on the vec indices ``idx`` (every one when None), scattered from its
+    sparse (rows, cols, values): K_ik at (d i + j, d k + j) for every bra
+    index j, then conj(K_jl) at (d i + j, d i + l) for every ket index i,
+    then (r c_ik) conj(c_jl) at (d i + j, d k + l) for each pair of
+    nonzeros of each jump, from the nonzeros of the generator.  The terms
+    whose row and column both lie in ``idx`` are found through a d^2
+    position table and summed by one ``np.add.at`` in the generator's
+    dtype, a repeated position's terms in that order."""
     k, jumps = model.generator
     d = model.dim
-    ket, bra = np.divmod(np.arange(d * d) if idx is None else idx, d)
-    kets, bras = np.ix_(ket, ket), np.ix_(bra, bra)
-    out = k[kets]
-    out *= bra[:, None] == bra
-    term = k.conj()[bras]
-    term *= ket[:, None] == ket
-    out += term
+    every = np.arange(d)
+    i, j = np.nonzero(k)
+    terms = [
+        (np.add.outer(d * i, every), np.add.outer(d * j, every), np.repeat(k[i, j], d)),
+        (np.add.outer(d * every, i), np.add.outer(d * every, j), np.tile(k[i, j].conj(), d)),
+    ]
     for c, rate in jumps:
-        term = c[kets]
-        term *= rate
-        term *= c.conj()[bras]
-        out += term
+        a, b = np.nonzero(c)
+        x = c[a, b]
+        terms.append((np.add.outer(d * a, a), np.add.outer(d * b, b), np.multiply.outer(x * rate, x.conj())))
+    rows, cols, values = zip(*terms)
+    rows, cols = np.concatenate(rows, axis=None), np.concatenate(cols, axis=None)
+    values = np.concatenate(values, axis=None, dtype=k.dtype)
+    idx = np.arange(d * d) if idx is None else idx
+    pos = np.full(d * d, -1)
+    pos[idx] = np.arange(idx.size)
+    row, col = pos[rows], pos[cols]
+    keep = (row >= 0) & (col >= 0)
+    out = np.zeros((idx.size, idx.size), k.dtype)
+    np.add.at(out, (row[keep], col[keep]), values[keep])
     return out
 
 
@@ -356,7 +368,7 @@ def build_propagator(model: dynamics.LindbladModel, dt: float) -> dynamics.Propa
     if dt <= 0:
         raise ValueError("dt must be positive")
     d = model.dim
-    dynamics._check_budget(dynamics._map_bytes(d * d, model), f"superoperator (dim {d} -> {d * d}^2)")
+    dynamics._check_budget(dynamics._map_bytes(d * d), f"superoperator (dim {d} -> {d * d}^2)")
     return dynamics.Propagator(matrix=dynamics.expm(dynamics.liouvillian(model) * dt))
 
 

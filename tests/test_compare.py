@@ -2,7 +2,8 @@
 this tree as its own parent: every artifact and manifest is equal, also
 when both sides run from the copies that the harness stages.  Its timings
 (perfbench runs) are not exercised here; their summary is, on synthetic
-pairs, and its suite timing is, on a tree of one trivial test."""
+pairs, its suite timing is, on a tree of one trivial test, and its code
+line count is, on a tree of one tiny module."""
 
 import sys
 from pathlib import Path
@@ -46,6 +47,12 @@ def test_digest_tells_the_staged_trees_apart(tmp_path):
     edited.write_bytes(edited.read_bytes() + b"\n")
     assert compare.digest(copies["change"]) != change
     assert compare.digest(copies["parent"]) == parent
+
+
+def test_code_lines_leave_out_docstrings_comments_and_blank_lines(tmp_path):
+    (tmp_path / "pkg").mkdir()
+    (tmp_path / "pkg" / "tiny.py").write_text('"""A module docstring,\nover two lines."""\n\n# a comment\nx = 1\ny = x\n')
+    assert compare.code_lines(tmp_path) == 2
 
 
 def test_a_changed_number_is_reported(tmp_path):

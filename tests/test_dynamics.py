@@ -12,7 +12,7 @@ from ionspec2d.dynamics import (
     liouvillian,
 )
 from ionspec2d.fock import destroy, thermal_state
-from oracles import build_propagator, dense_liouvillian, expm_with_eye
+from oracles import build_propagator, expm_with_eye, scattered_liouvillian
 
 
 def _coherence_state(dim):
@@ -292,7 +292,7 @@ class TestParity:
     """The real generator of the resonance exchange, written in the frame
     S = diag(i^n_str), whose square is the stretch parity: the model holds
     K and its jumps as float64 (``LindbladModel.generator``), so every
-    Liouvillian block is scattered real, and any other model keeps a complex
+    Liouvillian block is gathered real, and any other model keeps a complex
     generator."""
 
     def _resonance(self, resonance_data, dims=(9, 6), rates=(200.0, 100.0)):
@@ -366,9 +366,9 @@ class TestParity:
             protocol.scan(model, rho0, seq, t_max=6 * 2e-5, dt=2e-5)
 
 
-def _heated_resonance(resonance_data):
+def _heated_resonance(resonance_data, dims=(7, 5)):
     omega_t = scenarios.resonance_parameters(resonance_data).omega_t
-    return scenarios.resonance_model(omega_t, dims=(7, 5), heating_quanta_per_s=(200.0, 100.0))
+    return scenarios.resonance_model(omega_t, dims=dims, heating_quanta_per_s=(200.0, 100.0))
 
 
 def _kerr_zigzag():
@@ -392,72 +392,59 @@ def _uncharged_exchange():
     return LindbladModel(hamiltonian=h, dims=dims, collapse_ops=jumps)
 
 
-class TestScatter:
-    """``liouvillian`` sums each block from the model's sparse entries
-    (``LindbladModel.liouvillian_entries``) by one ``np.add.at`` in their
-    dtype, a repeated position's entries in the order of the three terms;
-    the dense gather of ``dense_liouvillian``, which adds the terms in that
-    order, is its reference, entry for entry and in dtype."""
+class TestGather:
+    """``liouvillian`` gathers each block from the formula of L on the
+    block's own vec indices, the three terms added from zeros in order in
+    the generator's dtype; the sparse scatter of ``scattered_liouvillian``,
+    which adds a repeated position's terms in that order by one
+    ``np.add.at``, is its reference, byte for byte and in dtype."""
 
     @pytest.mark.parametrize(
         "name, dtype",
-        [("heated-resonance", np.float64), ("kerr-zigzag", np.complex128), ("uncharged", np.complex128)],
+        [
+            ("heated-resonance", np.float64),
+            ("heated-resonance-9x6", np.float64),
+            ("kerr-zigzag", np.complex128),
+            ("uncharged", np.complex128),
+        ],
     )
-    def test_scatter_is_the_dense_gather(self, resonance_data, name, dtype):
+    def test_gather_is_the_sparse_scatter(self, resonance_data, name, dtype):
         model = {
             "heated-resonance": lambda: _heated_resonance(resonance_data),
+            "heated-resonance-9x6": lambda: _heated_resonance(resonance_data, dims=(9, 6)),
             "kerr-zigzag": _kerr_zigzag,
             "uncharged": _uncharged_exchange,
         }[name]()
         for idx in [*dynamics.liouvillian_blocks(model).values(), None]:
-            scattered, gathered = liouvillian(model, idx), dense_liouvillian(model, idx)
-            assert scattered.dtype == gathered.dtype == dtype
-            assert np.array_equal(scattered, gathered)
+            gathered, scattered = liouvillian(model, idx), scattered_liouvillian(model, idx)
+            assert gathered.dtype == scattered.dtype == dtype
+            assert gathered.tobytes() == scattered.tobytes()
 
     def test_single_precision_model_keeps_its_dtype(self):
         # float32 operators give a complex64 generator: the block is summed
-        # in complex64, in the gather oracle's order of the terms
+        # in complex64, in the scatter oracle's order of the terms
         a = destroy(4).astype(np.float32)
         h = (2 * np.pi * 1e4 * (a.T @ a + 0.3 * (a + a.T))).astype(np.float32)
         model = LindbladModel(hamiltonian=h, dims=(4,), collapse_ops=[(a, 250.0), (a.T, 120.0)])
-        scattered, gathered = liouvillian(model), dense_liouvillian(model)
-        assert scattered.dtype == gathered.dtype == np.complex64
-        assert np.max(np.abs(scattered - gathered)) <= 1e-6 * np.max(np.abs(gathered))
-
-    def test_entries_are_formed_once_charged_and_released(self, resonance_data):
-        model = _heated_resonance(resonance_data)
-        entries = model.liouvillian_entries
-        liouvillian(model, dynamics.liouvillian_blocks(model)[0])
-        assert model.liouvillian_entries is entries
-        k, jumps = model.generator
-        # K kron I and I kron conj(K) from the nonzeros of K, one entry per
-        # pair of nonzeros of each jump: the count the memory guard charges
-        count = 2 * model.dim * np.count_nonzero(k) + sum(np.count_nonzero(c) ** 2 for c, _ in jumps)
-        assert {part.size for part in entries} == {count}
-        assert dynamics._map_bytes(0, model) == 96 * count + 8 * model.dim**2
-        # the lines release them once their maps are built, and a later
-        # scatter forms them again
-        state = np.eye(model.dim) / model.dim
-        evolution_lines(model, state, state, 3, 1e-5, ((0, 0), (0, 0)))
-        assert "liouvillian_entries" not in vars(model)
-        idx = dynamics.liouvillian_blocks(model)[0]
-        assert np.array_equal(liouvillian(model, idx), dense_liouvillian(model, idx))
+        gathered, scattered = liouvillian(model), scattered_liouvillian(model)
+        assert gathered.dtype == scattered.dtype == np.complex64
+        assert np.max(np.abs(gathered - scattered)) <= 1e-6 * np.max(np.abs(scattered))
 
     @pytest.mark.parametrize("name", ["heated-resonance", "uncharged"])
-    def test_scatter_memory_is_charged(self, resonance_data, name):
-        # the first scatter of a fresh model forms its entries: the entries,
-        # the scatter's temporaries and its position table stay within what
-        # _map_bytes charges for them, beside the block itself
+    def test_gather_memory_is_charged(self, resonance_data, name):
+        # one block's gather, its index tables and temporaries beside the
+        # block, holds at most 6 complex b x b matrices, well within the
+        # 10 that _map_bytes(b) charges for the gather and expm
         model = _heated_resonance(resonance_data) if name == "heated-resonance" else _uncharged_exchange()
         model.generator  # noqa: B018 -- formed before the trace, as in a scan
         idx = dynamics.liouvillian_blocks(model)[0]
         tracemalloc.start()
         try:
-            block = liouvillian(model, idx)
+            liouvillian(model, idx)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= dynamics._map_bytes(0, model) + block.nbytes
+        assert peak <= 6 * 16 * idx.size**2
 
 
 class TestExpmIdentityTerms:

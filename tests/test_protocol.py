@@ -432,10 +432,9 @@ class TestScanEngine:
     def test_step_map_bound_covers_gather_and_expm(self):
         # the oracle build_propagator's one 144 x 144 map of this one-block
         # model: the traced peak of the build, with the block that
-        # liouvillian scatters and the matrices expm works in, stays within
-        # the model-free _map_bytes(b); run_once and evolution_lines check
-        # the larger bound with the model, which adds the scatter's own
-        # memory
+        # liouvillian gathers and the matrices expm works in, stays within
+        # _map_bytes(b), the one bound that run_once, evolution_lines and
+        # check_scan_budget charge for a map
         model, _ = _driven_heated_exchange()
         tracemalloc.start()
         try:
@@ -603,14 +602,14 @@ class TestScanEngine:
             reference[:, k] = x, y
             x, y = step @ x, y @ step
         *full, every_f, every_c = dynamics.evolution_lines(model, state, observable, n, dt, ((0, 1), (0, 1)))
-        exact_expm, exact_scatter = dynamics.expm, dynamics.liouvillian
-        maps, scattered = [], []
+        exact_expm, exact_gather = dynamics.expm, dynamics.liouvillian
+        maps, gathered = [], []
         monkeypatch.setattr(dynamics, "expm", lambda a: maps.append(a.shape) or exact_expm(a))
         monkeypatch.setattr(
-            dynamics, "liouvillian", lambda model, idx: scattered.append(tuple(idx)) or exact_scatter(model, idx)
+            dynamics, "liouvillian", lambda model, idx: gathered.append(tuple(idx)) or exact_gather(model, idx)
         )
         *compact, index_f, index_c = dynamics.evolution_lines(model, state, observable, n, dt, ((1, 4), (1, 4)))
-        assert len(maps) == 4 and set(scattered) == {tuple(blocks[c]) for c in (-3, -1, 0, 1)}
+        assert len(maps) == 4 and set(gathered) == {tuple(blocks[c]) for c in (-3, -1, 0, 1)}
         for line, index, whole, every, ref in zip(compact, (index_f, index_c), full, (every_f, every_c), reference):
             assert np.all(line[:, np.isin(index, dead)] == 0)
             column = np.empty(model.dim**2, dtype=int)

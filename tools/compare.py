@@ -10,6 +10,8 @@ path.  Each side's commit is read from its own tree, and each staged copy's
 SHA-256 over its sorted relative paths and bytes is recorded beside it
 (``digests``): an uncommitted change's tree reads as its parent's commit
 with ``-dirty``, so only the digest tells which files were measured.
+Beside the digests, each staged ``src/``'s code lines (``code_lines``):
+non-blank lines that are neither comments nor docstrings.
 
 Results: each config of ``CONFIGS`` runs once per tree, in a fresh process
 with ``PYTHONPATH=<tree>/src``, through ``ionspec2d.cli.main``.  Each
@@ -42,6 +44,7 @@ versions, the BLAS library, the BLAS thread variables and
 from __future__ import annotations
 
 import argparse
+import ast
 import csv
 import hashlib
 import json
@@ -132,6 +135,23 @@ def digest(copy: Path) -> str:
         h.update(f"{path.relative_to(copy).as_posix()}\0{len(data)}\0".encode())
         h.update(data)
     return h.hexdigest()
+
+
+def code_lines(src: Path) -> int:
+    """The code lines of every module under ``src``: non-blank lines that
+    are neither ``#`` comments nor the docstring of a module, class or
+    function, the docstrings found with ``ast``."""
+    documented = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+    total = 0
+    for path in sorted(src.rglob("*.py")):
+        text = path.read_text()
+        docstrings = set()
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, documented) and ast.get_docstring(node, clean=False) is not None:
+                docstrings.update(range(node.body[0].lineno, node.body[0].end_lineno + 1))
+        kept = (line.strip() for n, line in enumerate(text.splitlines(), start=1) if n not in docstrings)
+        total += sum(1 for line in kept if line and not line.startswith("#"))
+    return total
 
 
 def environment() -> dict:
@@ -315,6 +335,9 @@ def main(argv: list[str] | None = None) -> int:
     with tempfile.TemporaryDirectory() as work:
         copies = stage(parent, tree, Path(work))
         report["digests"] = {side: digest(copy) for side, copy in copies.items()}  # before any run writes there
+        report["code_lines"] = {side: code_lines(copy / "src") for side, copy in copies.items()}
+        print(f"src code lines: parent {report['code_lines']['parent']}, change {report['code_lines']['change']}",
+              flush=True)
         report["results"] = compare_results(copies["parent"], copies["change"], configs(), Path(work) / "runs")
         unequal = [name for name, entry in report["results"].items() if not entry["equal"]]
         print(f"results: {len(report['results']) - len(unequal)} configs equal; differing: {unequal}", flush=True)
