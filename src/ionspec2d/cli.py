@@ -400,16 +400,8 @@ def run_scenario(cfg: RunConfig) -> dict:
 def _dispatch(cfg: RunConfig, out: Path, manifest: dict) -> dict[str, str]:
     """Run the configured scenario; returns {artifact name: sha256}."""
     if cfg.scenario == "noise-table":
-        rows = phasenoise.loss_table(
-            t1=cfg.noise_t1_s,
-            t3=cfg.noise_t3_s,
-            diffusion=cfg.phase_noise_diffusion,
-        )
-        written = matio.write_csv(
-            out / "noise_loss.csv",
-            ["p2", "p3", "p4", "loss_analytic", "loss_exact"],
-            [[r["p2"], r["p3"], r["p4"], r["loss"], r["loss_exact"]] for r in rows],
-        )
+        rows = phasenoise.loss_table(cfg.noise_t1_s, cfg.noise_t3_s, cfg.phase_noise_diffusion)
+        written = matio.write_csv(out / "noise_loss.csv", phasenoise.LOSS_COLUMNS, rows)
         manifest["derived"] = {"diffusion_rad2_s": cfg.phase_noise_diffusion}
         return {"noise_loss.csv": _sha256(written)}
 
@@ -436,11 +428,11 @@ def _dispatch(cfg: RunConfig, out: Path, manifest: dict) -> dict[str, str]:
     seq = cfg.sequence()
     t_max = cfg.effective_t_max
     manifest["truncation"] = _truncation(cfg)
+    manifest["dissipation_free"] = not any(cfg.heating_quanta_per_ms)
     if cfg.scenario == "kerr":
         model = scenarios.kerr_model_from_params(
             params, dims=tuple(cfg.dims), nbar=tuple(cfg.nbar)
         )
-        manifest["dissipation_free"] = True
         grid = scenarios.kerr_scan_fast(model, seq, t_max, cfg.dt_s)
         tables = _write_tables(out, params)
     else:  # resonance
@@ -448,7 +440,6 @@ def _dispatch(cfg: RunConfig, out: Path, manifest: dict) -> dict[str, str]:
         derived["omega_t_hz"] = res.omega_t / (2 * np.pi)
         derived["detuning_hz"] = res.detuning / (2 * np.pi)
         rates = tuple(1e3 * r for r in cfg.heating_quanta_per_ms)
-        manifest["dissipation_free"] = not any(rates)
         model = scenarios.resonance_model(
             res.omega_t, dims=tuple(cfg.dims), heating_quanta_per_s=rates
         )

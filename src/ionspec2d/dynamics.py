@@ -83,17 +83,20 @@ class LindbladModel:
     c = Q_ket - Q_bra, its blocks are the sectors of c
     (``liouvillian_blocks``) and a scan steps only the sectors its phase
     cycle keeps.  Zero weights give one block.  A plain class, checked in
-    ``__init__``, whose cached properties are kept on the instance.
+    ``__init__``, whose cached properties are kept on the instance.  The
+    Hamiltonian and each collapse operator are converted to arrays there,
+    once (an array is kept, not copied), so nested lists are accepted and
+    no method converts them again.
     """
 
     def __init__(
         self, hamiltonian: np.ndarray, dims: tuple[int, ...], collapse_ops: list[tuple[np.ndarray, float]] = (),
         charge_weights: tuple[int, ...] | None = None,
     ):
-        self.hamiltonian, self.dims, self.collapse_ops = hamiltonian, dims, list(collapse_ops)
+        self.hamiltonian = h = np.asarray(hamiltonian)
+        self.dims, self.collapse_ops = dims, [(np.asarray(op), rate) for op, rate in collapse_ops]
         if any(d < 2 for d in self.dims):
             raise ValueError("every mode needs dimension >= 2")
-        h = np.asarray(self.hamiltonian)
         if h.shape != (math.prod(self.dims),) * 2:
             raise ValueError(f"Hamiltonian shape {h.shape} does not match the register dims {self.dims}")
         herm = np.max(np.abs(h - h.conj().T))
@@ -112,7 +115,7 @@ class LindbladModel:
         if np.any(h[shift != 0]):
             raise ValueError("Hamiltonian does not conserve the declared charge")
         for op, _ in self.collapse_ops:
-            moved = shift[np.asarray(op) != 0]
+            moved = shift[op != 0]
             if moved.size and moved.min() != moved.max():
                 raise ValueError("a collapse operator shifts the declared charge by more than one amount")
 
@@ -133,8 +136,8 @@ class LindbladModel:
         gathers; all float64 when neither K nor any jump has an imaginary
         part, so that the blocks are gathered, and their maps exponentiated,
         in real arithmetic."""
-        jumps = [(np.asarray(op), rate) for op, rate in self.collapse_ops if rate > 0]
-        k = -1j * np.asarray(self.hamiltonian)
+        jumps = [(op, rate) for op, rate in self.collapse_ops if rate > 0]
+        k = -1j * self.hamiltonian
         for c, rate in jumps:
             k -= 0.5 * rate * (c.conj().T @ c)
         if not np.any(k.imag) and not any(np.any(np.imag(c)) for c, _ in jumps):

@@ -9,7 +9,8 @@ the exact attenuation of the pathway's signal, <exp(i phi)> = exp(-L)
 (``attenuation``), which the spectrum scenarios apply to their grids at any
 strength.  The supplement's contrast-loss table prints L itself, the
 small-fluctuation loss (``contrast_loss``, which warns outside that regime);
-only the ``noise-table`` scenario writes it, beside the exact 1 - exp(-L).
+only the ``noise-table`` scenario writes it, beside the exact 1 - exp(-L):
+``loss_table``'s rows under the header ``LOSS_COLUMNS``.
 """
 
 import warnings
@@ -69,19 +70,16 @@ TABLE_SIGNATURES: list[tuple[int, int, int]] = [
 ]
 
 
-def loss_table(
-    t1: float = 2.5e-3,
-    t3: float = 2.5e-3,
-    diffusion: float = DEFAULT_DIFFUSION,
-) -> list[dict]:
-    """Rows (signature, published quadratic loss, exact loss 1 - exp(-L))."""
+# the contrast-loss table's columns, the header of ``noise_loss.csv``
+LOSS_COLUMNS = ("p2", "p3", "p4", "loss_analytic", "loss_exact")
+
+
+def loss_table(t1: float, t3: float, diffusion: float) -> list[list]:
+    """One row per ``TABLE_SIGNATURES`` entry, in ``LOSS_COLUMNS`` order:
+    the signature, the published quadratic loss L and the exact loss
+    1 - exp(-L), at delays ``t1`` and ``t3`` (s) and diffusion constant
+    ``diffusion`` (rad^2/s)."""
     return [
-        {
-            "p2": sig[0],
-            "p3": sig[1],
-            "p4": sig[2],
-            "loss": contrast_loss(sig, t1, t3, diffusion),
-            "loss_exact": 1.0 - attenuation(sig, t1, t3, diffusion),
-        }
+        [*sig, contrast_loss(sig, t1, t3, diffusion), 1.0 - attenuation(sig, t1, t3, diffusion)]
         for sig in TABLE_SIGNATURES
     ]

@@ -57,7 +57,7 @@ class ModeData(NamedTuple):
     @property
     def omega_zz(self) -> float:
         """Nominal (unshifted) zigzag frequency, rad/s."""
-        return float(np.sqrt(self.modes.gamma_x[-1]) * self.trap.omega_z)
+        return float(self.modes.omega_radial_x(self.trap.omega_z)[-1])
 
 
 def derive_modes(trap: TrapConfig) -> ModeData:

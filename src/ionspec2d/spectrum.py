@@ -63,9 +63,7 @@ def _window(n: int, kind: str) -> np.ndarray:
     if kind == "none":
         return np.ones(n)
     if kind == "cosine":
-        if n == 1:
-            return np.ones(1)
-        return np.cos(0.5 * np.pi * np.arange(n) / (n - 1))
+        return np.cos(0.5 * np.pi * np.arange(n) / max(n - 1, 1))
     raise ValueError(f"unknown window {kind!r}")
 
 

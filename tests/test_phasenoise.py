@@ -5,8 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ionspec2d import matio
+from ionspec2d.cli import build_config, run_scenario
 from ionspec2d.phasenoise import (
     DEFAULT_DIFFUSION,
+    LOSS_COLUMNS,
     TABLE_SIGNATURES,
     attenuation,
     contrast_loss,
@@ -154,7 +157,19 @@ class TestMonteCarlo:
 
 class TestLossTable:
     def test_rows_and_exact_column(self):
-        rows = loss_table()
-        assert [(r["p2"], r["p3"], r["p4"]) for r in rows] == TABLE_SIGNATURES
+        # one row per signature, read by position in LOSS_COLUMNS order
+        rows = loss_table(2.5e-3, 2.5e-3, DEFAULT_DIFFUSION)
+        assert LOSS_COLUMNS == ("p2", "p3", "p4", "loss_analytic", "loss_exact")
+        assert [tuple(row[:3]) for row in rows] == TABLE_SIGNATURES
         for row in rows:
-            assert row["loss_exact"] == 1.0 - np.exp(-row["loss"])
+            assert len(row) == len(LOSS_COLUMNS)
+            assert row[3] == contrast_loss(tuple(row[:3]), 2.5e-3, 2.5e-3)
+            assert row[4] == 1.0 - np.exp(-row[3])
+
+    def test_csv_is_the_columns_over_the_rows(self, tmp_path):
+        # noise_loss.csv is the header LOSS_COLUMNS over loss_table's rows at
+        # the config's delays and diffusion, byte for byte
+        raw = {"scenario": "noise-table", "noise_t1_s": 1e-3, "phase_noise_diffusion": 7.0}
+        run_scenario(build_config(raw | {"out_dir": str(tmp_path / "run")}))
+        expected = matio.write_csv(tmp_path / "expected.csv", LOSS_COLUMNS, loss_table(1e-3, 2.5e-3, 7.0))
+        assert (tmp_path / "run" / "noise_loss.csv").read_bytes() == expected
