@@ -34,8 +34,10 @@ fit, the chains that the equilibrium solver is checked for,
 ``crystal.CHECKED_IONS``, which caps ``resonance`` too), the scan
 (the columns of its kept charge sectors, its largest sector's step map
 and its phase-cycle stacks) and the zero-padded spectrum.  The pulse
-sequence (``RunConfig.sequence``) checks its own settings when
-``build_config`` builds it.  ``main`` prints every ConfigError, an unreadable or invalid
+sequence (``RunConfig.sequence``) and, in every scenario but
+``noise-table``, which has no trap, the trap (``RunConfig.trap``, whose SI
+mass and m omega_z^2 must be finite and positive) check their own
+settings when ``build_config`` builds them.  ``main`` prints every ConfigError, an unreadable or invalid
 config file's included, from one handler and exits with 2.  Every run,
 successful or not, leaves a manifest.json with the resolved
 configuration, derived parameters, regime diagnostics (the RWA ratio of
@@ -227,6 +229,11 @@ def build_config(raw: dict) -> RunConfig:
     min_ions = {"noise-table": 0, "kerr": 3}.get(cfg.scenario, 2)
     if cfg.n_ions < min_ions:
         raise ConfigError(f"{cfg.scenario} needs n_ions >= {min_ions}, got {cfg.n_ions}")
+    if cfg.scenario != "noise-table":  # which has no trap
+        try:  # the trap checks its own mass and frequencies
+            cfg.trap()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
     if cfg.scenario in _MODE_LABELS:
         if len(cfg.dims) != len(cfg.nbar):
             raise ConfigError("dims and nbar must have matching lengths")

@@ -43,8 +43,11 @@ class TrapConfig(NamedTuple("TrapConfig", [
 
     Frequencies are angular (rad/s).  The trap must confine more tightly in
     the radial directions than axially for a linear chain to exist; that is
-    only checked once the modes are solved (see :func:`normal_modes`).  A
-    tuple checked where it is built; ``_replace`` and ``_make`` skip the
+    only checked once the modes are solved (see :func:`normal_modes`).  The
+    mass and frequencies must be positive, and m omega_z^2, the denominator
+    of :func:`length_scale`, a finite positive float: an SI mass or
+    frequency that underflows or overflows in it is refused.  A tuple
+    checked where it is built; ``_replace`` and ``_make`` skip the
     checks (nothing in the package calls them).
     """
 
@@ -59,6 +62,10 @@ class TrapConfig(NamedTuple("TrapConfig", [
         for name in ("omega_x", "omega_y", "omega_z"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        # length_scale's m omega_z^2, squared first as there, but without **,
+        # whose float power raises on overflow
+        if not 0 < self.mass * (self.omega_z * self.omega_z) < np.inf:
+            raise ValueError("mass * omega_z**2, the denominator of the length scale, must be finite and positive")
         return self
 
     @property

@@ -41,7 +41,8 @@ def displacement(alpha: complex | np.ndarray, dim: int) -> np.ndarray:
     """
     alpha = np.asarray(alpha)
     largest = np.max(np.abs(alpha), initial=0.0)
-    if 3.0 * largest**2 > dim:
+    # capped at dim, which warns as well (3 dim^2 > dim), so that no |alpha|^2 overflows
+    if 3.0 * min(largest, dim) ** 2 > dim:
         warnings.warn(
             f"displacement |alpha| = {largest:g} is large for dim = {dim}; truncation error may be significant",
             stacklevel=2,

@@ -260,6 +260,11 @@ class TestConfigValidation:
             # the pulse sequence is checked for every scenario, those without a scan too
             ({"scenario": "tables", "n_phases": [4, 4]}, "n_phases"),
             ({"scenario": "noise-table", "n_phases": [0, 4, 4]}, "n_phases"),
+            # an SI mass that underflows to 0, and an m omega_z^2 that
+            # underflows or overflows: the trap is built, and so checked, here
+            ({"scenario": "kerr", "mass_amu": 1e-300}, "mass must be positive"),
+            ({"scenario": "tables", "omega_z_hz": 1e-300}, "length scale"),
+            ({"scenario": "tables", "omega_z_hz": 1e200, "omega_x_hz": 1e201, "omega_y_hz": 2e201}, "length scale"),
         ],
     )
     def test_rejected_before_any_work(self, raw, match, tmp_path, capsys):
@@ -281,6 +286,12 @@ class TestConfigValidation:
         monkeypatch.setattr(dynamics, "DEFAULT_MEMORY_BUDGET", 2**40)
         with pytest.raises(ConfigError, match=f"checked for 1 to {CHECKED_IONS} ions"):
             build_config(dict(raw, n_ions=CHECKED_IONS + 1))
+
+    def test_noise_table_builds_no_trap(self):
+        # noise-table reads no trap setting, so a chain of no ions or an SI
+        # mass that underflows cannot fail its run
+        cfg = build_config({"scenario": "noise-table", "n_ions": 0, "mass_amu": 1e-300})
+        assert (cfg.n_ions, cfg.mass_amu) == (0, 1e-300)
 
     def test_resonance_ion_count_capped_without_the_census_budget(self):
         # resonance takes no RWA census, so no coupling bytes are charged to
@@ -641,13 +652,16 @@ class TestManifest:
 
     def test_large_alpha_records_one_truncation_warning(self, tmp_path):
         # every pulse of the scan comes from one displacement call, so the
-        # run warns once, on one line that names the largest |alpha|
-        cfg = build_config({"scenario": "kerr", "alpha": 2.0, "grid_scale": 0.25, "out_dir": str(tmp_path)})
-        with pytest.warns(UserWarning, match="truncation"):
-            manifest = run_scenario(cfg)
-        (warning,) = [w for w in manifest["warnings"] if "displacement" in w["message"]]
-        message = "displacement |alpha| = 2 is large for dim = 9; truncation error may be significant"
-        assert warning["message"] == message
+        # run warns once, on one line that names the largest |alpha|; at
+        # 1e300 the truncation test itself must not overflow
+        for alpha, shown in ((2.0, "2"), (1e300, "1e+300")):
+            out = tmp_path / shown
+            cfg = build_config({"scenario": "kerr", "alpha": alpha, "grid_scale": 0.25, "out_dir": str(out)})
+            with pytest.warns(UserWarning, match="truncation"):
+                manifest = run_scenario(cfg)
+            (warning,) = manifest["warnings"]
+            message = f"displacement |alpha| = {shown} is large for dim = 9; truncation error may be significant"
+            assert warning["message"] == message
 
     def test_truncation_kept_weight(self, tmp_path):
         def kept(nbar, dim):  # geometric thermal weight on levels 0 .. dim-1

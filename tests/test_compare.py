@@ -3,7 +3,7 @@ this tree as its own parent: every artifact and manifest is equal, also
 when both sides run from the copies that the harness stages.  Its timings
 (perfbench runs) are not exercised here; their summary is, on synthetic
 pairs, its suite timing is, on a tree of one trivial test, and its code
-line count is, on a tree of one tiny module."""
+line counts are, on trees of one and two tiny modules."""
 
 import sys
 from pathlib import Path
@@ -53,6 +53,18 @@ def test_code_lines_leave_out_docstrings_comments_and_blank_lines(tmp_path):
     (tmp_path / "pkg").mkdir()
     (tmp_path / "pkg" / "tiny.py").write_text('"""A module docstring,\nover two lines."""\n\n# a comment\nx = 1\ny = x\n')
     assert compare.code_lines(tmp_path) == 2
+
+
+def test_code_lines_by_module_sum_to_the_total_and_name_the_changed_module(tmp_path):
+    # two tiny modules per side; the change adds one statement to the first
+    for side, extra in (("parent", ""), ("change", "z = x\n")):
+        (tmp_path / side / "pkg").mkdir(parents=True)
+        (tmp_path / side / "pkg" / "a.py").write_text('"""Doc."""\nx = 1\n' + extra)
+        (tmp_path / side / "pkg" / "b.py").write_text('# a comment\n\ndef f():\n    "Doc."\n    return 1\n')
+    by_module = {side: compare.code_lines_by_module(tmp_path / side) for side in ("parent", "change")}
+    assert by_module == {"parent": {"pkg.a": 1, "pkg.b": 2}, "change": {"pkg.a": 2, "pkg.b": 2}}
+    assert compare.code_lines(tmp_path / "change") == 4
+    assert compare.changed_modules(by_module) == {"pkg.a": (1, 2)}
 
 
 def test_a_changed_number_is_reported(tmp_path):

@@ -265,6 +265,14 @@ class TestTrapConfig:
             with pytest.raises(ValueError, match=match):
                 TrapConfig(**(valid | {name: value}))
 
+    @pytest.mark.parametrize("mass, omega_z", [(1e-300, 1e-20), (1.0, 1e200), (1e-100, 1e-300), (1e-130, 1e160)])
+    def test_length_scale_denominator_is_finite_and_positive(self, mass, omega_z):
+        # m omega_z^2 underflows to 0 or overflows to inf, though each
+        # factor is a positive float; at (1e-130, 1e160) m omega_z is
+        # finite, but omega_z^2, which length_scale forms first, is not
+        with pytest.raises(ValueError, match="denominator of the length scale"):
+            TrapConfig(n_ions=2, mass=mass, omega_x=2.0 * omega_z, omega_y=3.0 * omega_z, omega_z=omega_z)
+
     def test_anisotropies(self, table_trap):
         assert table_trap.alpha_x == pytest.approx((2.0 / 3.1012) ** 2, rel=1e-12)
         assert table_trap.alpha_y == pytest.approx(0.16, rel=1e-12)

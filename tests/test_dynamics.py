@@ -288,6 +288,24 @@ class TestModelValidation:
         assert np.max(np.abs(via_super - direct)) < 1e-9 * np.max(np.abs(direct))
 
 
+class TestConversion:
+    @pytest.mark.parametrize("name", ["heated-resonance", "uncharged"])
+    def test_nested_lists_are_held_as_arrays(self, resonance_data, name):
+        # the model converts its operators once: a model built from nested
+        # lists holds ndarrays, and its generator (real or complex) has the
+        # bytes of the same model built from arrays
+        model = _heated_resonance(resonance_data) if name == "heated-resonance" else _uncharged_exchange()
+        listed = LindbladModel(
+            hamiltonian=model.hamiltonian.tolist(), dims=model.dims, charge_weights=model.charge_weights,
+            collapse_ops=[(op.tolist(), rate) for op, rate in model.collapse_ops],
+        )
+        assert type(listed.hamiltonian) is np.ndarray
+        assert all(type(op) is np.ndarray for op, _ in listed.collapse_ops)
+        (k, jumps), (k_listed, jumps_listed) = model.generator, listed.generator
+        assert k_listed.dtype == k.dtype and k_listed.tobytes() == k.tobytes()
+        assert [(c.dtype, c.tobytes(), r) for c, r in jumps_listed] == [(c.dtype, c.tobytes(), r) for c, r in jumps]
+
+
 class TestParity:
     """The real generator of the resonance exchange, written in the frame
     S = diag(i^n_str), whose square is the stretch parity: the model holds

@@ -24,6 +24,23 @@ def _exchange_peaks(omega_t, dims=(9, 6)):
 PEAK_AXES = ("omega1_rad_s", "omega3_rad_s")
 
 
+@pytest.mark.parametrize(
+    "raw",
+    [
+        {"scenario": "kerr"},
+        {"scenario": "resonance"},
+        {"scenario": "tables", "n_ions": 20, "omega_x_hz": 2.0e7, "omega_y_hz": 2.2e7},
+    ],
+    ids=["kerr", "resonance", "tables-n20"],
+)
+def test_zigzag_frequency_is_the_radial_formula(raw):
+    # omega_zz is the x zigzag's entry of NormalModes.omega_radial_x, bit for
+    # bit the sqrt(gamma_x[-1]) omega_z it used to restate
+    data = scenarios.derive_modes(build_config(raw).trap())
+    assert data.omega_zz == float(np.sqrt(data.modes.gamma_x[-1]) * data.trap.omega_z)
+    assert type(data.omega_zz) is float
+
+
 def _nearest_peaks(peaks, reference, step):
     """[(peak, nearest reference peak, distance in bins)] over ``peaks``,
     rows of peaks.csv, the distance the larger of the two axes' offsets

@@ -7,6 +7,7 @@ from ionspec2d.protocol import PulseSequence, SignalGrid, scan
 from ionspec2d.spectrum import (
     Peak,
     Spectrum2D,
+    _window,
     find_peaks,
     fft2,
     notch_carrier,
@@ -25,6 +26,12 @@ def _tone_grid(n=64, dt=2.5e-5, w1=-TWO_PI * 4e3, w3=-TWO_PI * 4e3, decay=0.0):
 
 
 class TestFFT2:
+    def test_short_cosine_windows_keep_their_values(self):
+        # one formula for every length: the one- and two-point windows are
+        # bit for bit [1] and [1, cos(pi/2)]
+        assert _window(1, "cosine").tobytes() == np.array([1.0]).tobytes()
+        assert _window(2, "cosine").tobytes() == np.array([1.0, np.cos(0.5 * np.pi)]).tobytes()
+
     def test_pure_tone_lands_on_expected_bin(self):
         w0 = TWO_PI * 4e3
         grid = _tone_grid(w1=-w0, w3=-w0)

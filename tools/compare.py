@@ -10,8 +10,10 @@ path.  Each side's commit is read from its own tree, and each staged copy's
 SHA-256 over its sorted relative paths and bytes is recorded beside it
 (``digests``): an uncommitted change's tree reads as its parent's commit
 with ``-dirty``, so only the digest tells which files were measured.
-Beside the digests, each staged ``src/``'s code lines (``code_lines``):
-non-blank lines that are neither comments nor docstrings.
+Beside the digests, each staged ``src/``'s code lines: non-blank lines
+that are neither comments nor docstrings, per module
+(``code_lines_by_module``, ``{side: {module: lines}}``) and in all
+(``code_lines``, their sum); the modules whose count changed are printed.
 
 Results: each config of ``CONFIGS`` runs once per tree, in a fresh process
 with ``PYTHONPATH=<tree>/src``, through ``ionspec2d.cli.main``.  Each
@@ -137,12 +139,12 @@ def digest(copy: Path) -> str:
     return h.hexdigest()
 
 
-def code_lines(src: Path) -> int:
-    """The code lines of every module under ``src``: non-blank lines that
-    are neither ``#`` comments nor the docstring of a module, class or
-    function, the docstrings found with ``ast``."""
+def code_lines_by_module(src: Path) -> dict[str, int]:
+    """{dotted module name: code lines} over every module under ``src``:
+    non-blank lines that are neither ``#`` comments nor the docstring of a
+    module, class or function, the docstrings found with ``ast``."""
     documented = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
-    total = 0
+    counts = {}
     for path in sorted(src.rglob("*.py")):
         text = path.read_text()
         docstrings = set()
@@ -150,8 +152,24 @@ def code_lines(src: Path) -> int:
             if isinstance(node, documented) and ast.get_docstring(node, clean=False) is not None:
                 docstrings.update(range(node.body[0].lineno, node.body[0].end_lineno + 1))
         kept = (line.strip() for n, line in enumerate(text.splitlines(), start=1) if n not in docstrings)
-        total += sum(1 for line in kept if line and not line.startswith("#"))
-    return total
+        module = ".".join(path.relative_to(src).with_suffix("").parts)
+        counts[module] = sum(1 for line in kept if line and not line.startswith("#"))
+    return counts
+
+
+def code_lines(src: Path) -> int:
+    """The code lines of every module under ``src``: the sum of
+    ``code_lines_by_module``."""
+    return sum(code_lines_by_module(src).values())
+
+
+def changed_modules(by_module: dict[str, dict[str, int]]) -> dict[str, tuple[int, int]]:
+    """{module: (parent lines, change lines)} of the modules whose count
+    differs between the two sides of ``by_module``; 0 where a side lacks
+    the module."""
+    parent, change = by_module["parent"], by_module["change"]
+    names = sorted(parent.keys() | change.keys())
+    return {m: (parent.get(m, 0), change.get(m, 0)) for m in names if parent.get(m, 0) != change.get(m, 0)}
 
 
 def environment() -> dict:
@@ -335,9 +353,13 @@ def main(argv: list[str] | None = None) -> int:
     with tempfile.TemporaryDirectory() as work:
         copies = stage(parent, tree, Path(work))
         report["digests"] = {side: digest(copy) for side, copy in copies.items()}  # before any run writes there
-        report["code_lines"] = {side: code_lines(copy / "src") for side, copy in copies.items()}
+        by_module = {side: code_lines_by_module(copy / "src") for side, copy in copies.items()}
+        report["code_lines_by_module"] = by_module
+        report["code_lines"] = {side: sum(counts.values()) for side, counts in by_module.items()}
         print(f"src code lines: parent {report['code_lines']['parent']}, change {report['code_lines']['change']}",
               flush=True)
+        for module, (old, new) in changed_modules(by_module).items():
+            print(f"  {module}: {old} -> {new}", flush=True)
         report["results"] = compare_results(copies["parent"], copies["change"], configs(), Path(work) / "runs")
         unequal = [name for name, entry in report["results"].items() if not entry["equal"]]
         print(f"results: {len(report['results']) - len(unequal)} configs equal; differing: {unequal}", flush=True)
