@@ -663,6 +663,16 @@ class TestManifest:
             message = f"displacement |alpha| = {shown} is large for dim = 9; truncation error may be significant"
             assert warning["message"] == message
 
+    def test_spectator_at_a_huge_nbar_runs_clean(self, tmp_path):
+        # at nbar = 1e300 the spectator's kept weight, 15 / (1 + nbar), is
+        # formed without a product that underflows, so its characteristic is
+        # the uniform one, not 0 / 0
+        cfg = build_config({"scenario": "kerr", "nbar": [1.0, 1e300, 1.0], "grid_scale": 0.25, "out_dir": str(tmp_path)})
+        manifest = run_scenario(cfg)
+        assert manifest["status"] == "ok" and manifest["warnings"] == []
+        assert manifest["truncation"]["kept_weight"]["yzz"] == pytest.approx(15 / (1 + 1e300), rel=1e-14)
+        assert np.all(np.isfinite(matio.read_matrix(tmp_path / "signal_grid.bin")))
+
     def test_truncation_kept_weight(self, tmp_path):
         def kept(nbar, dim):  # geometric thermal weight on levels 0 .. dim-1
             return 1.0 - (nbar / (1.0 + nbar)) ** dim

@@ -135,6 +135,18 @@ class TestThermalState:
         assert np.max(np.abs(thermal_sum(nbar, dim, phase) - ref)) <= 1e-13 * direct.sum()
         assert thermal_sum(nbar, dim).real == pytest.approx(direct.sum(), rel=1e-13)
 
+    @pytest.mark.parametrize("nbar", [1e160, 1e300])
+    def test_thermal_sum_reaches_the_uniform_limit(self, nbar):
+        # r = 1/(1 + nbar) so small that r times the kept weight D r would
+        # underflow: the kept weight is D r, and over it the sum is the
+        # q -> 1 limit, the uniform characteristic (1/D) sum_(n < D) e^(-i n phase)
+        dim = 15
+        phase = np.linspace(-50.0, 50.0, 401)
+        uniform = np.exp(-1j * np.outer(phase, np.arange(dim))).mean(axis=1)
+        kept = thermal_sum(nbar, dim)
+        assert kept.real == pytest.approx(dim / (1.0 + nbar), rel=1e-14)
+        assert np.max(np.abs(thermal_sum(nbar, dim, phase) / kept - uniform)) <= 1e-14
+
     @pytest.mark.parametrize("nbar,dim", [(1.0, 9), (0.7, 9), (0.2, 6)])
     def test_renormalized_mean_close_to_nbar(self, nbar, dim):
         rho = thermal_state(nbar, dim)
