@@ -46,7 +46,9 @@ class TrapConfig(NamedTuple("TrapConfig", [
     only checked once the modes are solved (see :func:`normal_modes`).  The
     mass and frequencies must be positive, and m omega_z^2, the denominator
     of :func:`length_scale`, a finite positive float: an SI mass or
-    frequency that underflows or overflows in it is refused.  A tuple
+    frequency that underflows or overflows in it is refused, and so is an
+    anisotropy (:attr:`alpha_x`, :attr:`alpha_y`) that is not a finite
+    positive float with a finite reciprocal.  A tuple
     checked where it is built; ``_replace`` and ``_make`` skip the
     checks (nothing in the package calls them).
     """
@@ -66,16 +68,22 @@ class TrapConfig(NamedTuple("TrapConfig", [
         # whose float power raises on overflow
         if not 0 < self.mass * (self.omega_z * self.omega_z) < np.inf:
             raise ValueError("mass * omega_z**2, the denominator of the length scale, must be finite and positive")
+        # normal_modes divides by each anisotropy
+        if not all(0 < alpha < np.inf and 1.0 / alpha < np.inf for alpha in (self.alpha_x, self.alpha_y)):
+            raise ValueError("each anisotropy (omega_z/omega)**2 and its reciprocal must be finite and positive")
         return self
 
     @property
     def alpha_x(self) -> float:
-        """Trap anisotropy (omega_z/omega_x)**2."""
-        return (self.omega_z / self.omega_x) ** 2
+        """Trap anisotropy (omega_z/omega_x)**2, squared without **, whose
+        float power raises on overflow."""
+        ratio = self.omega_z / self.omega_x
+        return ratio * ratio
 
     @property
     def alpha_y(self) -> float:
-        return (self.omega_z / self.omega_y) ** 2
+        ratio = self.omega_z / self.omega_y
+        return ratio * ratio
 
 
 class NormalModes(NamedTuple):

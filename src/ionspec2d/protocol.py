@@ -179,11 +179,12 @@ def _working_set_bytes(
     three d_t^2 x d_t^2, are formed; n (2 K_f + 2 K_c + 3 b) line entries
     at most: the forward and covector lines with up to three check-only
     lines of b columns or fewer (the forward c = 0 and the two adjoint
-    mirrors) while the lines are built, then the two lines with the
-    contraction's gathers of both; the step map of the largest sector, b
-    vec indices, built while the lines are held (``dynamics._map_bytes``,
-    the charge ``evolution_lines`` checks too); and 32 KiB of Python
-    objects and array headers.
+    mirrors) while the lines are built, then the two lines with one
+    spectator pair's gathers of both (the few integers each kept column's
+    vec index splits into stay within the d x d operators' share); the
+    step map of the largest sector, b vec indices, built while the lines
+    are held (``dynamics._map_bytes``, the charge ``evolution_lines``
+    checks too); and 32 KiB of Python objects and array headers.
 
     A chi weight (``span`` = max Q - min Q) adds its table, 4 span (n - 1)
     + 1 entries, and one block's weight with its gather index, 2 n^2."""
@@ -281,6 +282,17 @@ def _kept_sectors(w: int, seq: PulseSequence) -> tuple[tuple[int, int], ...]:
     return (-w * (q2 + q3 + q4), w * math.gcd(n2, n3, n4)), (-w * q4, w * n4)
 
 
+def _vec_pairs(index: np.ndarray, model: LindbladModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(probed pair a d_t + b, spectator pair r d_s + s, charge Q_ket -
+    Q_bra) of each row-major vec index d ket + bra of the register, its
+    ket (a, r) and bra (b, s) split into slot 0's level of d_t and the
+    spectators' state of d_s = d / d_t."""
+    d, d_t = model.dim, model.dims[0]
+    ket, bra = divmod(index, d)
+    (a, r), (b, s) = divmod(ket, d // d_t), divmod(bra, d // d_t)
+    return a * d_t + b, r * (d // d_t) + s, model.charge[ket] - model.charge[bra]
+
+
 def scan(
     model: LindbladModel,
     rho0: np.ndarray,
@@ -311,10 +323,9 @@ def scan(
     covector line on those alone, one column per kept vec index, and the
     pre-cycled pulse pair, which acts on the probed mode's ket and bra axes,
     is applied to the kept forward entries and read on the kept covector
-    entries only, each found through a vec-index-to-column table, one
-    spectator charge difference at a time (no embedded d x d pulse is
-    formed).  A model without a declared charge is one sector, stepped and
-    contracted in full.  The working set (the kept columns and the largest
+    entries only, each column placed by its own vec index (no embedded
+    d x d pulse is formed).  A model without a declared charge is one
+    sector, stepped and contracted in full.  The working set (the kept columns and the largest
     sector's step map, counted from the weights and dims by
     ``sector_columns``) is checked against the memory budget
     (``check_scan_budget``) before any operator is built.
@@ -326,11 +337,12 @@ def scan(
     charge c3 by chi((c1 k1 + c3 k3) dt), inhomogeneous dephasing (Hamm &
     Zanni, Concepts and Methods of 2D Infrared Spectroscopy, 2011).
 
-    The contraction is one loop for both: per spectator charge difference,
-    per forward charge c1 and per covector charge c3, one GEMM of the
-    pulsed forward entries against the covector entries gives an n x n
-    block, which chi scales by its gather chi((c1 k1 + c3 k3) dt) before
-    it is added to the grid.  Without chi every charge is one group and no
+    The contraction is one loop for both: per spectator pair (the
+    spectators' ket and bra states, which no pulse changes), per forward
+    charge c1 and per covector charge c3, one GEMM of the pulsed forward
+    entries against the covector entries gives an n x n block, which chi
+    scales by its gather chi((c1 k1 + c3 k3) dt) before it is added to the
+    grid.  Without chi every charge is one group and no
     block is scaled.
     """
     for n_k, q in zip(seq.n_phases, seq.signature):
@@ -339,24 +351,12 @@ def scan(
                 f"N_phi = {n_k} is small for signature component {q}; aliasing orders overlap the target",
                 stacklevel=2,
             )
-    n, d, d_t = grid_points(t_max, dt), model.dim, model.dims[0]
+    n = grid_points(t_max, dt)
     check_scan_budget(model.charge_weights, model.dims, n, seq, chi is not None)
     d1, cycled, observable = _pulse_set(model, seq)
-    w = model.charge_weights[0]
-    kept_forward, kept_covector = kept = _kept_sectors(w, seq)
-    line, covector, *kept_index = evolution_lines(model, d1 @ rho0 @ d1.conj().T, observable, n, dt, kept)
-    column = np.zeros((2, d * d), dtype=np.intp)  # the compact column of each kept vec index
-    for col, idx in zip(column, kept_index):
-        col[idx] = np.arange(idx.size)
-    # vec index of ket (a, r), bra (b, s) with probed indices a, b:
-    # base[r, s] + offset[a, b]; its charge is the spectators' difference
-    # spread[r, s] plus w (a - b)
-    right = d // d_t
-    ket = np.arange(right)
-    base = np.add.outer(ket * d, ket).ravel()
-    offset = np.add.outer(np.arange(d_t) * right * d, np.arange(d_t) * right).ravel()
-    spread = np.subtract.outer(model.charge[ket], model.charge[ket]).ravel()
-    orders = w * np.subtract.outer(np.arange(d_t), np.arange(d_t)).ravel()
+    kept = _kept_sectors(model.charge_weights[0], seq)
+    line, covector, index_f, index_c = evolution_lines(model, d1 @ rho0 @ d1.conj().T, observable, n, dt, kept)
+    (probe_f, pair_f, charge_f), (probe_c, pair_c, charge_c) = _vec_pairs(index_f, model), _vec_pairs(index_c, model)
     values, block = np.zeros((n, n), dtype=complex), np.empty((n, n), dtype=complex)
     if chi is not None:
         # chi(m dt) for every |m| <= |c1 k1 + c3 k3| <= 2 (max Q - min Q)(n - 1)
@@ -367,19 +367,15 @@ def scan(
     def by_charge(charges):  # {charge: its entries}; without chi, every entry in one group
         return {0: slice(None)} if chi is None else {q: charges == q for q in sorted(set(charges.tolist()))}
 
-    for c in sorted(set(spread.tolist())):
-        # C maps the probed block's kept forward entries to its kept
-        # covector entries, one spectator charge difference at a time; the
-        # pathway from forward charge q1 to covector charge q3 gains
-        # chi((q1 k1 + q3 k3) dt)
-        pairs = base[spread == c, None]
-        src = np.flatnonzero(_in_class(orders + c, kept_forward))
-        dst = np.flatnonzero(_in_class(orders + c, kept_covector))
-        for q1, g1 in by_charge(orders[src] + c).items():
-            states = line[:, column[0, pairs + offset[src[g1]]]] @ cycled[np.ix_(dst, src[g1])].T
-            for q3, g3 in by_charge(orders[dst] + c).items():
-                entries = covector[:, column[1, pairs + offset[dst[g3]]]].reshape(n, -1)
-                np.matmul(states[..., g3].reshape(n, -1), entries.T, out=block)
+    for key in sorted(set(pair_f.tolist())):
+        # C maps one spectator pair's kept forward columns to its kept
+        # covector columns; the pathway from forward charge q1 to covector
+        # charge q3 gains chi((q1 k1 + q3 k3) dt)
+        src, dst = np.flatnonzero(pair_f == key), np.flatnonzero(pair_c == key)
+        for q1, g1 in by_charge(charge_f[src]).items():
+            states = line[:, src[g1]] @ cycled[np.ix_(probe_c[dst], probe_f[src[g1]])].T
+            for q3, g3 in by_charge(charge_c[dst]).items():
+                np.matmul(states[:, g3], covector[:, dst[g3]].T, out=block)
                 if chi is not None:
                     block *= table[np.add.outer(q1 * k, q3 * k + m_max)]
                 values += block

@@ -265,6 +265,12 @@ class TestConfigValidation:
             ({"scenario": "kerr", "mass_amu": 1e-300}, "mass must be positive"),
             ({"scenario": "tables", "omega_z_hz": 1e-300}, "length scale"),
             ({"scenario": "tables", "omega_z_hz": 1e200, "omega_x_hz": 1e201, "omega_y_hz": 2e201}, "length scale"),
+            # an anisotropy (omega_z/omega)^2 that underflows to 0, which
+            # normal_modes divides by, or whose square overflows
+            ({"scenario": "tables", "omega_x_hz": 1e300, "omega_y_hz": 1e300}, "anisotropy"),
+            ({"scenario": "kerr", "omega_x_hz": 1e300, "omega_y_hz": 1e300}, "anisotropy"),
+            ({"scenario": "kerr", "omega_y_hz": 1e300}, "anisotropy"),
+            ({"scenario": "tables", "omega_x_hz": 1e-300}, "anisotropy"),
         ],
     )
     def test_rejected_before_any_work(self, raw, match, tmp_path, capsys):

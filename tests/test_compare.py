@@ -35,6 +35,7 @@ def test_tree_is_equal_to_itself(tmp_path):
         assert entry["runs"]["parent"]["exit"] == entry["runs"]["change"]["exit"] == 0
         assert "manifest.json" in entry["artifacts"] and len(entry["artifacts"]) > 2
         assert entry["equal"], entry["artifacts"]
+    assert compare.results_line(report) == "results: 2 configs equal; differing: none"
 
 
 def test_digest_tells_the_staged_trees_apart(tmp_path):
@@ -77,6 +78,11 @@ def test_a_changed_number_is_reported(tmp_path):
     report = compare.compare_artifacts(tmp_path / "parent" / "tables", tmp_path / "change" / "tables")
     assert report["freq_shifts_khz.csv"]["max_abs_diff"] == 1.0
     assert report["dephasing_rates_khz.csv"] == report["manifest.json"] == "equal"
+    # the results line carries the config's largest rel, and "-" for a
+    # config that differs only in its exit code
+    rel = report["freq_shifts_khz.csv"]["rel"]
+    results = {"tables": {"equal": False, "artifacts": report}, "kerr": {"equal": False, "artifacts": {}}}
+    assert compare.results_line(results) == f"results: 0 configs equal; differing: tables (rel {rel:.3g}), kerr (rel -)"
 
 
 def test_suite_runs_in_each_tree_in_alternated_order(tmp_path, monkeypatch):

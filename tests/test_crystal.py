@@ -273,6 +273,15 @@ class TestTrapConfig:
         with pytest.raises(ValueError, match="denominator of the length scale"):
             TrapConfig(n_ions=2, mass=mass, omega_x=2.0 * omega_z, omega_y=3.0 * omega_z, omega_z=omega_z)
 
+    def test_anisotropy_and_its_reciprocal_are_finite_and_positive(self):
+        # (omega_z/omega)^2 underflows to 0, is a subnormal whose reciprocal
+        # overflows, or overflows, though omega itself is a positive float
+        valid = {"n_ions": 2, "mass": 1.0, "omega_x": 2.0, "omega_y": 3.0, "omega_z": 1.0}
+        for name in ("omega_x", "omega_y"):
+            for omega in (1e200, 1e160, 1e-200):
+                with pytest.raises(ValueError, match="anisotropy"):
+                    TrapConfig(**(valid | {name: omega}))
+
     def test_anisotropies(self, table_trap):
         assert table_trap.alpha_x == pytest.approx((2.0 / 3.1012) ** 2, rel=1e-12)
         assert table_trap.alpha_y == pytest.approx(0.16, rel=1e-12)

@@ -18,8 +18,11 @@ that are neither comments nor docstrings, per module
 Results: each config of ``CONFIGS`` runs once per tree, in a fresh process
 with ``PYTHONPATH=<tree>/src``, through ``ionspec2d.cli.main``.  Each
 artifact is reported as ``"equal"`` (same sha256) or with max|delta| /
-max|ref| over its numbers; each manifest is compared less ``wall_time_s``
-and ``out_dir``.  Each run's ``wall_time_s`` and peak RSS are recorded.
+max|ref| over its numbers (``rel``); each manifest is compared less
+``wall_time_s`` and ``out_dir``.  Each run's ``wall_time_s`` and peak RSS
+are recorded.  The printed results line names each unequal config with
+its largest artifact ``rel``, so that a rounding-level change reads as
+one without the report.
 
 Timings: ``perfbench/run.py`` of each tree, called unchanged at the
 settings of ``BENCHMARK.json`` (its ``run_seconds``, seed 0, no trace),
@@ -265,6 +268,19 @@ def compare_results(parent: Path, tree: Path, raws: dict[str, dict], work: Path)
     return report
 
 
+def results_line(results: dict) -> str:
+    """The printed summary of ``compare_results``: how many configs are
+    equal, and each unequal config with the largest ``rel`` of its
+    artifacts ("-" when none has one: only an exit code, a manifest or a
+    file's shape or words differ)."""
+    unequal = [
+        (name, [a["rel"] for a in entry["artifacts"].values() if isinstance(a, dict) and "rel" in a])
+        for name, entry in results.items() if not entry["equal"]
+    ]
+    shown = ", ".join(f"{name} (rel {max(rels):.3g})" if rels else f"{name} (rel -)" for name, rels in unequal)
+    return f"results: {len(results) - len(unequal)} configs equal; differing: {shown or 'none'}"
+
+
 def bench(tree: Path, workload: str) -> dict:
     """One unchanged ``perfbench/run.py`` run in ``tree``; its result object."""
     seconds = str(BENCHMARK["run_seconds"])
@@ -361,8 +377,7 @@ def main(argv: list[str] | None = None) -> int:
         for module, (old, new) in changed_modules(by_module).items():
             print(f"  {module}: {old} -> {new}", flush=True)
         report["results"] = compare_results(copies["parent"], copies["change"], configs(), Path(work) / "runs")
-        unequal = [name for name, entry in report["results"].items() if not entry["equal"]]
-        print(f"results: {len(report['results']) - len(unequal)} configs equal; differing: {unequal}", flush=True)
+        print(results_line(report["results"]), flush=True)
         if args.pairs > 0:
             report["suite"] = time_suite(parent, tree)
             for run in report["suite"]:
