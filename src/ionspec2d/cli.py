@@ -37,8 +37,13 @@ and its phase-cycle stacks) and the zero-padded spectrum.  The pulse
 sequence (``RunConfig.sequence``) and, in every scenario but
 ``noise-table``, which has no trap, the trap (``RunConfig.trap``, whose SI
 mass and m omega_z^2 must be finite and positive) check their own
-settings when ``build_config`` builds them.  ``main`` prints every ConfigError, an unreadable or invalid
-config file's included, from one handler and exits with 2.  Every run,
+settings when ``build_config`` builds them, and ``build_config`` then
+solves the trap's chain (``crystal.modes_for_trap``, after the ion-number
+checks): a chain with no converged equilibrium, near-degenerate axial
+modes or an unstable zigzag mode is a ConfigError too.  The solve costs
+about 0.2 ms at three ions and 50 ms at 386 (one Intel Xeon core, numpy
+with OpenBLAS).  ``main`` prints every ConfigError, an unreadable or
+invalid config file's included, from one handler and exits with 2.  Every run,
 successful or not, leaves a manifest.json with the resolved
 configuration, derived parameters, regime diagnostics (the RWA ratio of
 ``kerr`` and ``tables``), every warning the run raised (each also
@@ -79,7 +84,8 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # noqa: E402
 
 from . import __version__, anharmonic, dynamics, fock, matio, phasenoise, protocol, scenarios, spectrum  # noqa: E402
-from .crystal import ATOMIC_MASS, CHECKED_IONS, TrapConfig  # noqa: E402
+from .crystal import ATOMIC_MASS, CHECKED_IONS, TrapConfig, modes_for_trap  # noqa: E402
+from .crystal import ChainUnstableError, DegenerateModesError, EquilibriumSolveError  # noqa: E402
 
 SCENARIOS = ("kerr", "resonance", "tables", "noise-table")
 # register modes of the simulated scenarios, slot 0 the probed zigzag: (zz,
@@ -229,11 +235,6 @@ def build_config(raw: dict) -> RunConfig:
     min_ions = {"noise-table": 0, "kerr": 3}.get(cfg.scenario, 2)
     if cfg.n_ions < min_ions:
         raise ConfigError(f"{cfg.scenario} needs n_ions >= {min_ions}, got {cfg.n_ions}")
-    if cfg.scenario != "noise-table":  # which has no trap
-        try:  # the trap checks its own mass and frequencies
-            cfg.trap()
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
     if cfg.scenario in _MODE_LABELS:
         if len(cfg.dims) != len(cfg.nbar):
             raise ConfigError("dims and nbar must have matching lengths")
@@ -288,6 +289,11 @@ def build_config(raw: dict) -> RunConfig:
             dynamics._check_budget(64 * side * side, f"spectrum ({side} x {side} bins)")
     except dynamics.PropagatorSizeError as exc:
         raise ConfigError(str(exc)) from None
+    if cfg.scenario != "noise-table":  # which has no trap
+        try:  # the trap checks its own mass and frequencies; its chain must be linear, stable and nondegenerate
+            modes_for_trap(cfg.trap())
+        except (ValueError, ChainUnstableError, DegenerateModesError, EquilibriumSolveError) as exc:
+            raise ConfigError(str(exc)) from None
     return cfg
 
 

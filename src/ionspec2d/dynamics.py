@@ -17,18 +17,21 @@ sector's block is gathered from the formula of the Liouvillian on the
 sector's own vec indices idx (``liouvillian``) and stepped with its
 one-step map P_c = ``expm(liouvillian(model, idx) * dt)``, every line by
 one product form x -> M x (M = P_c for a forward column, its transpose
-for a covector row), and only the sectors the caller keeps are stepped
-and held, compact, one column per kept vec index: a scan's phase cycle
-passes only pathways whose pulses change c by the kept coherence orders
-(``protocol._kept_sectors``).  A line whose start is exactly zero on a
-sector stays zero there, P_c being linear: its columns are zero-filled,
-and a sector with no other line builds no map.  Besides the kept sectors,
-the sector c = 0 of the forward line is stepped for the trace-drift check,
-and for the reality check the line of each line's adjoint start (state^+,
-A^+) in the mirror -c of the line's largest kept sector c: P^+ commutes
-with the adjoint, so the check bounds the line's difference there from the
-adjoint of its adjoint's line (SignalRealityError).  Both checks run once,
-after the walks.
+for a covector row).  A line holds its live kept sectors alone, compact,
+one column per vec index: the sectors the caller keeps (a scan's phase
+cycle passes only pathways whose pulses change c by the kept coherence
+orders, ``protocol._kept_sectors``) where the line's start is nonzero,
+since a start that is exactly zero on a sector stays zero there, P_c
+being linear.  Every line stepped is one walk (side, start, sectors) of
+one list, and every walk starts nonzero: the two returned lines; the
+sector c = 0 of the forward line, for the trace-drift check, when c = 0
+is not kept; and, for the reality check, the line of each line's adjoint
+start (state^+, A^+) in the mirror -c of the line's largest live kept
+sector c: P^+ commutes with the adjoint, so the check bounds the line's
+difference there from the adjoint of its adjoint's line
+(SignalRealityError).  A sector that no walk holds builds no map.  Both
+checks run once, after the walks, and each raises unless its residual is
+at most its bound, so a NaN fails it.
 
 A ``Propagator`` holds exp(L t) of the full Liouvillian for one whole
 interval t, densely; ``protocol.run_once``, the single protocol execution
@@ -100,7 +103,7 @@ class LindbladModel:
         if h.shape != (math.prod(self.dims),) * 2:
             raise ValueError(f"Hamiltonian shape {h.shape} does not match the register dims {self.dims}")
         herm = np.max(np.abs(h - h.conj().T))
-        if herm > 1e-10 * max(1.0, np.max(np.abs(h))):
+        if not herm <= 1e-10 * max(1.0, np.max(np.abs(h))):  # NaN fails too
             raise ValueError(f"Hamiltonian not Hermitian (residual {herm:.2e})")
         for _, rate in self.collapse_ops:
             if rate < 0:
@@ -284,7 +287,7 @@ def _check_skew(x: np.ndarray, mirror: np.ndarray) -> None:
     the line's size is formed."""
     skew = 0.5 * float(np.max(np.hypot(x.real - mirror.real, x.imag + mirror.imag)))
     bound = IMAG_TOL * max(1.0, float(np.max(np.abs(x))))
-    if skew > bound:
+    if not skew <= bound:  # NaN fails too
         raise SignalRealityError(
             f"imaginary residual: a line's anti-Hermitian part {skew:.2e} exceeds {bound:.2e}"
         )
@@ -297,7 +300,7 @@ def _check_trace_drift(diagonal: np.ndarray) -> None:
     n = len(diagonal)
     traces = np.real(diagonal.sum(axis=1))
     drift = float(np.max(np.abs(traces - traces[0])))
-    if drift > TRACE_TOL_PER_STEP * n * max(1.0, abs(traces[0])):
+    if not drift <= TRACE_TOL_PER_STEP * n * max(1.0, abs(traces[0])):  # NaN fails too
         raise PropagatorAccuracyError(
             f"forward-line trace drift {drift:.2e} over {n} grid points"
         )
@@ -324,7 +327,8 @@ def evolution_lines(
     register basis for grid points k = 0 .. n-1, both lines compact and
     shaped (n, K): column j holds the row-major vec index
     ``forward_index[j]`` (covector: ``covector_index[j]``), for every entry
-    that reaches the caller.
+    of the line's live kept sectors; every other entry that reaches the
+    caller is exactly zero.
 
     - ``forward[k]`` holds vec(P^k(state));
     - ``covector[k]`` holds vec(((P^+)^k(A))^T) of the ``observable`` A (the
@@ -335,24 +339,27 @@ def evolution_lines(
     (``liouvillian_blocks``; one d^2 sector without a declared charge).
     ``sectors`` = (forward class, covector class), each (offset, step) for
     c in offset + step Z, names the sectors that reach the caller
-    (((0, 1), (0, 1)) keeps all); only those are held, each a run of
-    columns in ascending c.
-    P_c = exp(L_c dt) is built once for each stepped sector (the largest
-    map's size checked against the memory budget first; ``expm`` of the
-    block that ``liouvillian`` gathers, in the generator's dtype, so in
-    real arithmetic for a real one), and it steps every line that needs
-    the sector along the grid in one form, x_k = M x_(k-1): M = P_c for
-    the forward column, and M = P_c^T for the covector row, which P_c acts
-    on from the right (y P_c = P_c^T y).  A real P_c steps the (b, 2)
-    float64 view of each complex row x_k, its real and imaginary parts at
-    once.  A line whose start is exactly zero on sector c is not stepped
-    there: P_c is linear, so its columns are zero-filled, and a sector
-    whose every line starts at zero builds no map.  Up to three more lines
-    are walked for the checks alone and held until both checks run, after
-    the walks: the forward sector c = 0 when it is not kept, where a trace
-    drift above TRACE_TOL_PER_STEP per grid point raises
-    PropagatorAccuracyError, and for each line its adjoint's line in the
-    mirror -c of the line's largest kept sector c.  P^+ commutes with the
+    (((0, 1), (0, 1)) keeps all).  A line holds its live kept sectors
+    alone, those of its class where its start is nonzero, each a run of
+    columns in ascending c: P_c is linear, so a start that is zero on a
+    sector stays zero there.
+    Every line stepped is one walk (side, start, sectors) of one list, side
+    1 a covector row, and every walk starts nonzero.  P_c = exp(L_c dt) is
+    built once for each sector a walk holds (the largest map's size checked
+    against the memory budget first; ``expm`` of the block that
+    ``liouvillian`` gathers, in the generator's dtype, so in real
+    arithmetic for a real one), and it steps every walk that holds the
+    sector along the grid in one form, x_k = M x_(k-1): M = P_c for a
+    forward column, and M = P_c^T for a covector row, which P_c acts on
+    from the right (y P_c = P_c^T y).  A real P_c steps the (b, 2) float64
+    view of each complex row x_k, its real and imaginary parts at once.
+    Up to three more walks serve the checks alone, held until both checks
+    run, after the walks: the forward sector c = 0 when it is not kept and
+    the start is nonzero there (a zero start's trace stays zero), where a
+    trace drift above TRACE_TOL_PER_STEP per grid point raises
+    PropagatorAccuracyError, and for each line with a live kept sector its
+    adjoint's line in the mirror -c of the line's largest live kept sector
+    c, which starts nonzero as the line does on c.  P^+ commutes with the
     adjoint, so X(k)^+ = (X^+)(k) for each line X, started from
     vec(state^+) for the forward line and vec(conj A) for the covector;
     ``_check_skew`` bounds the difference (SignalRealityError).
@@ -360,44 +367,33 @@ def evolution_lines(
     if dt <= 0:
         raise ValueError("dt must be positive")
     d = model.dim
+    blocks = liouvillian_blocks(model)
     # tr[A rho] = vec(A^T) . vec(rho); the adjoints' starts are vec(state^+) and vec((A^+)^T)
     starts = state.reshape(d * d), observable.T.reshape(d * d)
     adjoints = state.conj().T.reshape(d * d), observable.conj().reshape(d * d)
-    blocks = liouvillian_blocks(model)
-    kept = [[c for c in blocks if _in_class(c, cls)] for cls in sectors]
-    walks = {}  # {sector c: [(line, start on c, out)]}, every walk P_c steps
-
-    def walk(i, c, start, out):  # line i's columns ``out`` of sector c, from ``start``
-        x = start[blocks[c]]
-        if np.any(x):
-            walks.setdefault(c, []).append((i, x, out))
-        else:
-            out[...] = 0  # a zero start stays zero under the linear P_c
-        return out
-
-    index, cols = [], []  # per line: the kept vec indices and {c: the columns of sector c}
-    lines = []
-    for i, k in enumerate(kept):
-        ends = np.cumsum([0] + [blocks[c].size for c in k]).tolist()
-        index.append(np.concatenate([blocks[c] for c in k] or [np.zeros(0, np.int64)]))
-        cols.append(dict(zip(k, map(slice, ends[:-1], ends[1:]))))
-        lines.append(np.empty((n, index[i].size), dtype=complex))
-        for c in k:
-            walk(i, c, starts[i], lines[i][:, cols[i][c]])
-
-    def hold(i, c, start):  # a check-only line: sector c of line i from ``start``
-        return walk(i, c, start, np.empty((n, blocks[c].size), dtype=complex))
-
-    trace = lines[0][:, cols[0][0]] if 0 in cols[0] else hold(0, 0, starts[0])
-    largest = [max(k, key=lambda c: blocks[c].size, default=None) for k in kept]
-    mirrors = [None if c is None else hold(i, -c, adjoints[i]) for i, c in enumerate(largest)]
-    b = max((blocks[c].size for c in walks), default=0)
+    # every walk as (side, start, sectors), side 1 a covector row: first
+    # the two lines on their live kept sectors, where the start is nonzero
+    walks = [(i, x, [c for c in blocks if _in_class(c, cls) and np.any(x[blocks[c]])])
+             for i, (x, cls) in enumerate(zip(starts, sectors))]
+    checked = [(i, max(cs, key=lambda c: blocks[c].size)) for i, _, cs in walks if cs]  # largest live kept
+    walks += [(i, adjoints[i], [-c]) for i, c in checked]  # their mirrors, for the reality checks alone
+    trace = 0  # the walk that holds the forward c = 0: one for the trace check alone when c = 0 is not kept
+    if 0 not in walks[0][2] and np.any(starts[0][blocks[0]]):
+        trace = len(walks)
+        walks.append((0, starts[0], [0]))
+    ends = [np.cumsum([0] + [blocks[c].size for c in cs]).tolist() for _, _, cs in walks]
+    cols = [dict(zip(cs, map(slice, e, e[1:]))) for (_, _, cs), e in zip(walks, ends)]  # {c: its columns}
+    lines = [np.empty((n, e[-1]), dtype=complex) for e in ends]
+    stepped = sorted({c for col in cols for c in col})
+    b = max((blocks[c].size for c in stepped), default=0)
     _check_budget(_map_bytes(b), f"Liouvillian block map ({b}^2)")
-    for c in sorted(walks):
+    for c in stepped:
         step = expm(liouvillian(model, blocks[c]) * dt)
-        for i, x, out in walks[c]:
-            m = step.T if i else step  # a covector row steps by P_c from the right
-            out[0] = x
+        for (side, start, _), line, col in zip(walks, lines, cols):
+            if c not in col:
+                continue
+            m, out = step.T if side else step, line[:, col[c]]  # a covector row steps by P_c from the right
+            out[0] = start[blocks[c]]
             if not np.iscomplexobj(step):  # a real map steps each row as b (re, im) pairs
                 pairs = out.view(np.float64).reshape(n, -1, 2)
                 assert np.shares_memory(pairs, out)  # a view: each step writes into the line
@@ -405,12 +401,13 @@ def evolution_lines(
             for k in range(1, n):
                 np.matmul(m, out[k - 1], out=out[k])
         del step, m  # m may view the map: neither outlives its sector
-    _check_trace_drift(trace[:, np.searchsorted(blocks[0], np.arange(d) * (d + 1))])
-    for i, c in enumerate(largest):
-        # entries (i, j) of the line's largest kept sector against (j, i) of its adjoint's line
-        if c is not None:
-            idx = blocks[c]
-            _check_skew(lines[i][:, cols[i][c]], mirrors[i][:, np.searchsorted(blocks[-c], idx % d * d + idx // d)])
+    if 0 in cols[trace]:  # else the start has no entry in c = 0, and its trace stays 0
+        _check_trace_drift(lines[trace][:, cols[trace][0]][:, np.searchsorted(blocks[0], np.arange(d) * (d + 1))])
+    for (i, c), mirror in zip(checked, lines[2:]):
+        # entries (i, j) of the line's largest live kept sector against (j, i) of its adjoint's line
+        idx = blocks[c]
+        _check_skew(lines[i][:, cols[i][c]], mirror[:, np.searchsorted(blocks[-c], idx % d * d + idx // d)])
+    index = [np.concatenate([blocks[c] for c in cs] or [np.zeros(0, np.int64)]) for _, _, cs in walks[:2]]
     return lines[0], lines[1], index[0], index[1]
 
 

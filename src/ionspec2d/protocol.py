@@ -139,7 +139,7 @@ def run_once(
     rho = d4 @ rho @ d4.conj().T
     # the readout: the probed mode's population, slot 0's quanta
     signal = complex(np.trace(embed(np.diag(np.arange(model.dims[0])), 0, model.dims) @ rho))
-    if abs(signal.imag) > IMAG_TOL * max(1.0, abs(signal.real)):
+    if not abs(signal.imag) <= IMAG_TOL * max(1.0, abs(signal.real)):  # NaN fails too
         raise SignalRealityError(f"imaginary residual {signal.imag:.3e} on signal {signal.real:.3e}")
     return float(signal.real)
 
@@ -177,7 +177,9 @@ def _working_set_bytes(
     and K2, K3 and K4 stay views of that stack while K32 over the N2 N3
     phase pairs, three times, and the pre-cycled pair with its products,
     three d_t^2 x d_t^2, are formed; n (2 K_f + 2 K_c + 3 b) line entries
-    at most: the forward and covector lines with up to three check-only
+    at most (K_f and K_c count every column of the kept classes, an upper
+    bound on the live kept columns that the lines hold, where their starts
+    are nonzero): the forward and covector lines with up to three check-only
     lines of b columns or fewer (the forward c = 0 and the two adjoint
     mirrors) while the lines are built, then the two lines with one
     spectator pair's gathers of both (the few integers each kept column's
@@ -320,13 +322,15 @@ def scan(
     its per-mode weights that the phase cycle keeps reach the signal
     (``_kept_sectors``, on slot 0's weight):
     ``dynamics.evolution_lines`` steps and holds the forward line and A's
-    covector line on those alone, one column per kept vec index, and the
-    pre-cycled pulse pair, which acts on the probed mode's ket and bra axes,
-    is applied to the kept forward entries and read on the kept covector
-    entries only, each column placed by its own vec index (no embedded
-    d x d pulse is formed).  A model without a declared charge is one
-    sector, stepped and contracted in full.  The working set (the kept columns and the largest
-    sector's step map, counted from the weights and dims by
+    covector line on the live ones alone, those where the line's start is
+    nonzero (every other entry is exactly zero), one column per vec index,
+    and the pre-cycled pulse pair, which acts on the probed mode's ket and
+    bra axes, is applied to the held forward entries and read on the held
+    covector entries only, each column placed by its own vec index (no
+    embedded d x d pulse is formed).  A model without a declared charge is
+    one sector, stepped and contracted in full.  The working set (the
+    columns of the kept classes, an upper bound on the columns held, and
+    the largest sector's step map, counted from the weights and dims by
     ``sector_columns``) is checked against the memory budget
     (``check_scan_budget``) before any operator is built.
 

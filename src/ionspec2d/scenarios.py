@@ -30,8 +30,8 @@ c = -1, walked from the adjoint starts, for the reality checks, and of
 those only the sectors where a line starts nonzero.  The pulses and the
 readout act on the zigzag alone, so a start lies in |c| < d_zz: the maps
 are the 6 sectors c = -7, -3, -1, 0, 1 and 5 of the 17 at the kerr zigzag
-dim 9, and the same 6 of the 37 at resonance dims (9, 6), where 720 of the
-2916 vec indices are kept on each line.
+dim 9, and the same 6 of the 37 at resonance dims (9, 6), where each line
+holds 582 of the 2916 vec indices, of the 720 in its kept class.
 """
 
 from typing import NamedTuple

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ionspec2d
-from ionspec2d import cli, dynamics, fock, matio, phasenoise, protocol, scenarios, spectrum
+from ionspec2d import cli, crystal, dynamics, fock, matio, phasenoise, protocol, scenarios, spectrum
 from ionspec2d.cli import SCENARIOS, ConfigError, RunConfig, build_config, main, run_scenario
 from ionspec2d.crystal import CHECKED_IONS
 from oracles import mode_operators
@@ -34,6 +34,9 @@ JSON_VALUES = st.recursive(
 )
 
 
+# a valid resonance config whose heating of 1e20 quanta per ms overflows
+# its lines, so that the run fails after it starts
+OVERFLOWING_HEATING = {"scenario": "resonance", "dims": [7, 5], "grid_scale": 0.25, "heating_quanta_per_ms": [1e20, 0.0]}
 # a NaN with a payload: the quiet-NaN exponent and mantissa bits 0x12345
 _NAN_PAYLOAD = np.array([0x7FF8000000012345], dtype=np.uint64).view(np.float64)[0]
 REFERENCE_GRIDS = sorted((Path(__file__).resolve().parents[1] / "perfbench" / "reference").glob("*/signal_grid.bin"))
@@ -271,6 +274,10 @@ class TestConfigValidation:
             ({"scenario": "kerr", "omega_x_hz": 1e300, "omega_y_hz": 1e300}, "anisotropy"),
             ({"scenario": "kerr", "omega_y_hz": 1e300}, "anisotropy"),
             ({"scenario": "tables", "omega_x_hz": 1e-300}, "anisotropy"),
+            # radial confinement below the three-ion zigzag threshold: the
+            # trap's chain is solved here, and its zigzag mode is unstable
+            ({"scenario": "kerr", "omega_x_hz": 2.2e6}, "zigzag mode unstable"),
+            ({"scenario": "tables", "omega_x_hz": 1.5e6}, "zigzag mode unstable"),
         ],
     )
     def test_rejected_before_any_work(self, raw, match, tmp_path, capsys):
@@ -284,14 +291,22 @@ class TestConfigValidation:
 
     def test_ion_count_capped_at_the_solvers_checked_range(self, monkeypatch):
         # the couplings' budget admits exactly the chains the equilibrium
-        # solver is checked for; under a larger budget the cap names them
-        raw = {"scenario": "tables", "omega_x_hz": 2e8, "omega_y_hz": 2.2e8}
+        # solver is checked for; under a larger budget the cap names them.
+        # The radial frequencies hold 386 ions in a stable linear chain
+        raw = {"scenario": "tables", "omega_x_hz": 3e8, "omega_y_hz": 3.3e8}
         assert build_config(dict(raw, n_ions=CHECKED_IONS)).n_ions == CHECKED_IONS
         with pytest.raises(ConfigError, match="coupling tensors"):
             build_config(dict(raw, n_ions=CHECKED_IONS + 1))
         monkeypatch.setattr(dynamics, "DEFAULT_MEMORY_BUDGET", 2**40)
         with pytest.raises(ConfigError, match=f"checked for 1 to {CHECKED_IONS} ions"):
             build_config(dict(raw, n_ions=CHECKED_IONS + 1))
+
+    def test_unsolved_chain_refused(self, monkeypatch):
+        # one Newton pass leaves the five-ion chain's residual far above its
+        # bound: build_config refuses the config, as it does an unstable chain
+        monkeypatch.setattr(crystal, "_NEWTON_MAX_ITER", 1)
+        with pytest.raises(ConfigError, match="no equilibrium for N=5"):
+            build_config({"scenario": "tables", "n_ions": 5, "omega_x_hz": 2e7, "omega_y_hz": 2.2e7})
 
     def test_noise_table_builds_no_trap(self):
         # noise-table reads no trap setting, so a chain of no ions or an SI
@@ -302,7 +317,7 @@ class TestConfigValidation:
     def test_resonance_ion_count_capped_without_the_census_budget(self):
         # resonance takes no RWA census, so no coupling bytes are charged to
         # it; the solver's checked range still caps its ion number
-        raw = {"scenario": "resonance", "omega_x_hz": 2e8, "omega_y_hz": 2.2e8}
+        raw = {"scenario": "resonance", "omega_x_hz": 3e8, "omega_y_hz": 3.3e8}
         assert build_config(dict(raw, n_ions=CHECKED_IONS)).n_ions == CHECKED_IONS
         with pytest.raises(ConfigError, match=f"checked for 1 to {CHECKED_IONS} ions"):
             build_config(dict(raw, n_ions=CHECKED_IONS + 1))
@@ -627,12 +642,9 @@ class TestManifest:
         assert np.array_equal(np.abs(matio.read_matrix(tmp_path / "spectrum.bin")), spec.magnitude)
 
     def test_manifest_written_on_failure(self, tmp_path):
-        # radial confinement below the three-ion zigzag threshold: a valid
-        # config whose chain solve raises ChainUnstableError
-        cfg = build_config(
-            {"scenario": "tables", "out_dir": str(tmp_path), "omega_x_hz": 2.5e6}
-        )
-        with pytest.raises(Exception):
+        # a valid config whose run fails: heating that overflows the lines
+        cfg = build_config(dict(OVERFLOWING_HEATING, out_dir=str(tmp_path)))
+        with pytest.raises(dynamics.PropagatorAccuracyError), pytest.warns(RuntimeWarning):
             run_scenario(cfg)
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["status"] == "error"
@@ -862,15 +874,16 @@ class TestMainEntry:
         assert capsys.readouterr().err.startswith(f"error: cannot read config {cfg_path}: ")
 
     def test_failing_run_exits_nonzero(self, tmp_path, capsys):
+        # the lines overflow to inf, then NaN: the trace check, which raises
+        # unless the drift is at most its bound, refuses the NaN drift
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(
-            json.dumps(
-                {"scenario": "tables", "omega_x_hz": 2.5e6,
-                 "out_dir": str(tmp_path / "out")}
-            )
-        )
-        assert main(["--config", str(cfg_path)]) == 1
-        assert (tmp_path / "out" / "manifest.json").exists()
+        cfg_path.write_text(json.dumps(dict(OVERFLOWING_HEATING, out_dir=str(tmp_path / "out"))))
+        with pytest.warns(RuntimeWarning):
+            assert main(["--config", str(cfg_path)]) == 1
+        assert "error: PropagatorAccuracyError: forward-line trace drift nan" in capsys.readouterr().err
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["status"] == "error"
+        assert manifest["error"].startswith("PropagatorAccuracyError")
 
 
 class TestPhaseNoiseAttenuation:

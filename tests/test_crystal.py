@@ -59,12 +59,22 @@ class TestEquilibrium:
 
     def test_every_chain_the_tables_budget_admits_solves(self):
         # up to the largest n_ions build_config admits to tables (386 with
-        # the couplings' budget of 6 GiB, crystal.CHECKED_IONS); the
-        # gradient's rounding floor passes _NEWTON_TOL = 1e-13 from N = 56 on
-        n_max = 2
+        # the couplings' budget of 6 GiB, crystal.CHECKED_IONS), found by
+        # bisection, each config's chain solved in build_config, on radial
+        # frequencies that hold every such chain linear; the gradient's
+        # rounding floor passes _NEWTON_TOL = 1e-13 from N = 56 on
+        raw = {"scenario": "tables", "omega_x_hz": 3e8, "omega_y_hz": 3.3e8}
+        n_max, refused = 2, 1024  # build_config admits n_max ions and refuses refused
         with pytest.raises(ConfigError, match="coupling tensors"):
-            while build_config({"scenario": "tables", "n_ions": n_max + 1}):
-                n_max += 1
+            build_config(dict(raw, n_ions=refused))
+        while refused - n_max > 1:
+            mid = (n_max + refused) // 2
+            try:
+                build_config(dict(raw, n_ions=mid))
+                n_max = mid
+            except ConfigError as exc:
+                assert "coupling tensors" in str(exc)
+                refused = mid
         assert n_max >= 56
         for n in range(1, n_max + 1):
             u = solve_equilibrium(n)

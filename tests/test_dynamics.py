@@ -23,10 +23,11 @@ def _coherence_state(dim):
 
 def _line(model, rho, steps, dt):
     """Forward line P^k(rho), k = 0 .. steps, of evolution_lines, its
-    columns put back at their vec indices."""
+    columns put back at their vec indices, and zero in the sectors where
+    rho is zero, which the line does not hold."""
     identity = np.eye(model.dim, dtype=complex)
     forward, _, index, _ = evolution_lines(model, rho, identity, steps + 1, dt, ((0, 1), (0, 1)))
-    line = np.empty((steps + 1, model.dim**2), dtype=complex)
+    line = np.zeros((steps + 1, model.dim**2), dtype=complex)
     line[:, index] = forward
     return line.reshape(steps + 1, model.dim, model.dim)
 
@@ -207,6 +208,13 @@ class TestModelValidation:
         with pytest.raises(ValueError, match="Hermitian"):
             LindbladModel(hamiltonian=h, dims=(2,))
 
+    def test_nan_hamiltonian_rejected(self):
+        # the Hermiticity residual of a NaN entry is NaN, which is no residual
+        # at most its bound
+        h = np.diag([0.0, 1.0, np.nan])
+        with pytest.raises(ValueError, match="Hermitian"):
+            LindbladModel(hamiltonian=h, dims=(3,))
+
     def test_negative_rate_rejected(self):
         with pytest.raises(ValueError, match="rates"):
             LindbladModel(
@@ -382,6 +390,25 @@ class TestParity:
         rho0 = scenarios.resonance_initial_state((5, 3), (0.5, 0.2))
         with pytest.raises(dynamics.SignalRealityError, match="imaginary"):
             protocol.scan(model, rho0, seq, t_max=6 * 2e-5, dt=2e-5)
+
+
+class TestProbesRefuseNaN:
+    """Each check raises unless its residual is at most its bound, so a NaN
+    residual, for which every comparison is False, fails it."""
+
+    def test_trace_drift(self):
+        diagonal = np.full((4, 3), 1 / 3, dtype=complex)
+        dynamics._check_trace_drift(diagonal)
+        diagonal[2, 1] = np.nan
+        with pytest.raises(dynamics.PropagatorAccuracyError, match="drift nan"):
+            dynamics._check_trace_drift(diagonal)
+
+    def test_skew(self):
+        x = np.full((4, 3), 0.5 + 0.25j)
+        dynamics._check_skew(x, x.conj())
+        x[1, 2] = np.nan
+        with pytest.raises(dynamics.SignalRealityError, match="part nan"):
+            dynamics._check_skew(x, x.conj())
 
 
 def _heated_resonance(resonance_data, dims=(7, 5)):

@@ -64,6 +64,15 @@ class TestRunOnce:
         with pytest.raises(SignalRealityError):
             run_once(model, rho_bad, seq, 0.0, 0.0, (0.5, 0.5, 0.5))
 
+    def test_nan_signal_raises(self):
+        # a NaN state gives a NaN signal, whose imaginary residual is no
+        # residual at most its bound
+        model = _free_mode(6)
+        rho_nan = np.zeros((6, 6), dtype=complex)
+        rho_nan[0, 0] = np.nan
+        with pytest.raises(SignalRealityError, match="nan"):
+            run_once(model, rho_nan, PulseSequence(alpha=0.25), 0.0, 0.0, (0.5, 0.5, 0.5))
+
 
 class TestPhaseCycle:
     @pytest.mark.parametrize(
@@ -530,22 +539,52 @@ class TestScanEngine:
         ],
     )
     def test_compact_lines_hold_the_full_lines(self, build, seq):
-        # the lines on the kept sectors against every sector stepped, entry
-        # for entry at the returned vec indices
+        # each line holds its live kept sectors alone, the kept sectors where
+        # its start is nonzero, in ascending c; each entry equals that of
+        # every sector stepped, and the dense one-step map of every sector
+        # (the oracle of test_dead_sectors_build_no_map) is exactly zero on
+        # every kept column a line drops
         model, rho0 = build()
         d1, _, observable = protocol._pulse_set(model, seq)
-        args = (model, d1 @ rho0 @ d1.conj().T, observable, 9, 2e-5)
+        state, n, dt = d1 @ rho0 @ d1.conj().T, 9, 2e-5
         kept = protocol._kept_sectors(model.charge_weights[0], seq)
-        *compact, index_f, index_c = dynamics.evolution_lines(*args, kept)
-        *full, every_f, every_c = dynamics.evolution_lines(*args, ((0, 1), (0, 1)))
+        *compact, index_f, index_c = dynamics.evolution_lines(model, state, observable, n, dt, kept)
+        *full, every_f, every_c = dynamics.evolution_lines(model, state, observable, n, dt, ((0, 1), (0, 1)))
+        step = build_propagator(model, dt).matrix
+        starts = state.reshape(-1), observable.T.reshape(-1)
+        x, y = starts
+        reference = np.empty((2, n, model.dim**2), dtype=complex)
+        for k in range(n):
+            reference[:, k] = x, y
+            x, y = step @ x, y @ step
+        blocks = dynamics.liouvillian_blocks(model)
         charge = np.subtract.outer(model.charge, model.charge).ravel()
-        for line, index, whole, every, cls in zip(compact, (index_f, index_c), full, (every_f, every_c), kept):
-            assert np.array_equal(np.sort(index), np.flatnonzero(dynamics._in_class(charge, cls)))
-            assert np.array_equal(np.sort(every), np.arange(model.dim**2))
-            column = np.empty(model.dim**2, dtype=int)
+        lines = zip(compact, (index_f, index_c), full, (every_f, every_c), reference, starts, kept)
+        dropped = 0
+        for line, index, whole, every, ref, start, cls in lines:
+            live = [c for c in blocks if dynamics._in_class(c, cls) and np.any(start[blocks[c]])]
+            assert np.array_equal(index, np.concatenate([blocks[c] for c in live]))
+            column = np.full(model.dim**2, -1)
             column[every] = np.arange(every.size)
+            assert np.all(column[index] >= 0)
             assert np.array_equal(line, whole[..., column[index]])
+            gone = np.setdiff1d(np.flatnonzero(dynamics._in_class(charge, cls)), index)
+            assert np.all(ref[:, gone] == 0)
+            dropped += gone.size
+        assert dropped > 0  # some kept sector starts at zero, so the check has teeth
         assert index_c.size < model.dim**2  # the covector line is compact
+
+    @pytest.mark.parametrize("build, seq", ORACLE_CASES)
+    def test_reality_check_compares_live_entries(self, monkeypatch, build, seq):
+        # both arguments of each line's reality check hold a nonzero entry:
+        # the check reads a live sector, never zeros against zeros
+        model, rho0 = build()
+        exact, seen = dynamics._check_skew, []
+        monkeypatch.setattr(dynamics, "_check_skew", lambda x, mirror: seen.append((x, mirror)) or exact(x, mirror))
+        scan(model, rho0, seq, t_max=6 * 2e-5, dt=2e-5)
+        assert len(seen) == 2
+        for x, mirror in seen:
+            assert np.any(x) and np.any(mirror)
 
     @pytest.mark.parametrize(
         "sectors, stepped",
@@ -584,9 +623,9 @@ class TestScanEngine:
         # both lines keep 1 + 4Z, the sectors -7, -3, 1 and 5, but the
         # pulses and the readout act on slot 0 (dim 4, weight 1) of a
         # diagonal rho0, so both starts are nonzero on |c| <= 3 alone: -7
-        # and 5 get exact-zero columns and no map, and the maps built are
-        # the live -3 and 1, the trace's 0 and the mirror -1 of the largest
-        # kept sector 1
+        # and 5 are in neither line and build no map, and the maps built
+        # are the live -3 and 1, the trace's 0 and the mirror -1 of the
+        # largest live kept sector 1
         model, rho0 = _heated_exchange()
         d1, _, observable = protocol._pulse_set(model, PulseSequence())
         state, n, dt = d1 @ rho0 @ d1.conj().T, 9, 2e-5
@@ -611,7 +650,7 @@ class TestScanEngine:
         *compact, index_f, index_c = dynamics.evolution_lines(model, state, observable, n, dt, ((1, 4), (1, 4)))
         assert len(maps) == 4 and set(gathered) == {tuple(blocks[c]) for c in (-3, -1, 0, 1)}
         for line, index, whole, every, ref in zip(compact, (index_f, index_c), full, (every_f, every_c), reference):
-            assert np.all(line[:, np.isin(index, dead)] == 0)
+            assert not np.any(np.isin(index, dead))
             column = np.empty(model.dim**2, dtype=int)
             column[every] = np.arange(every.size)
             assert np.array_equal(line, whole[..., column[index]])

@@ -526,7 +526,7 @@ class TestKerrSectorAverage:
         # every pulse acts by conjugation, so each line equals its conjugate
         # transpose up to rounding; the skew is injected into the entries
         # that dynamics._check_skew compares with their mirrors (the largest
-        # kept sector of each line)
+        # live kept sector of each line)
         exact = dynamics._check_skew
 
         def skewed(ops, mirror):

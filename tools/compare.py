@@ -93,6 +93,13 @@ CONFIGS = {
     # census's pair rows and one first mode's slab of D4 with its rotation
     # frequencies
     "tables-n50": {"scenario": "tables", "n_ions": 50, "omega_x_hz": 2.0e8, "omega_y_hz": 2.2e8},
+    # extreme configs, compared by their exit codes: two radial frequencies
+    # below the three-ion zigzag threshold, and heating that overflows the lines
+    "kerr-unstable-zigzag": {"scenario": "kerr", "omega_x_hz": 2.2e6},
+    "tables-unstable-zigzag": {"scenario": "tables", "omega_x_hz": 1.5e6},
+    "resonance-heating-1e20": {
+        "scenario": "resonance", "dims": [7, 5], "grid_scale": 0.25, "heating_quanta_per_ms": [1e20, 0.0],
+    },
 }
 # one run in a fresh process: the CLI on a config file, then the peak RSS
 CHILD = (
