@@ -36,7 +36,9 @@ JSON_VALUES = st.recursive(
 
 # a valid resonance config whose heating of 1e20 quanta per ms overflows
 # its lines, so that the run fails after it starts
-OVERFLOWING_HEATING = {"scenario": "resonance", "dims": [7, 5], "grid_scale": 0.25, "heating_quanta_per_ms": [1e20, 0.0]}
+OVERFLOWING_HEATING = {
+    "scenario": "resonance", "dims": [7, 5], "grid_scale": 0.25, "heating_quanta_per_ms": [1e20, 0.0],
+}
 # a NaN with a payload: the quiet-NaN exponent and mantissa bits 0x12345
 _NAN_PAYLOAD = np.array([0x7FF8000000012345], dtype=np.uint64).view(np.float64)[0]
 REFERENCE_GRIDS = sorted((Path(__file__).resolve().parents[1] / "perfbench" / "reference").glob("*/signal_grid.bin"))
